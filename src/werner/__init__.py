@@ -3,166 +3,38 @@
 The package builds symmetric two-party Werner states on p-qubit pairs,
 diagonalizes them three independent ways, and (on the separable range)
 produces explicit convex decompositions into product states that an
-oracle-grade verifier re-checks from scratch.
+oracle-grade verifier re-checks from scratch. Only the documented API is
+exported here; everything else is imported from its submodule.
 """
-from .decompose import (
-    COMMUTING_CLASS,
-    PER_STRING,
-    Decomposition,
-    ProductTerm,
-    class_component,
-    class_decomposition,
-    class_range,
-    component_spectrum,
-    decompose_auto,
-    per_string_component,
-    per_string_decomposition,
-    per_string_range,
-    reconstruct,
-)
-from .errors import (
-    ConvergenceError,
-    DimensionMismatch,
-    PhysicalRangeError,
-    SchemeRangeError,
-    UnsupportedFieldSize,
-    VerificationFailure,
-    WernerError,
-)
-from .linalg import (
-    Spectrum,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    is_positive_semidefinite,
-    min_eigenvalue,
-    partial_transpose_b,
-)
+from .decompose import decompose_auto
+from .errors import WernerError
+from .linalg import hermitian_eigenvalues
 from .model import (
     WernerParams,
-    extract_f,
-    flip_operator,
-    invariance_residual,
     ppt_check,
-    pt_spectrum_closed_form,
-    random_unitary,
     spectrum_closed_form,
     spectrum_via_transform,
-    spinor_coefficients,
     werner_dense,
-    werner_pt,
     werner_spinor,
 )
-from .partition import (
-    CommutingClass,
-    Partition,
-    ValidationResult,
-    build_partition,
-    dual_basis,
-    gf_mul,
-    gf_trace,
-    validate_partition,
-)
-from .pauli import (
-    PauliOperator,
-    all_strings,
-    commutes,
-    format_label,
-    parse_label,
-    pauli_matrix,
-    pauli_product,
-)
-from .serialize import (
-    csv_text,
-    decomposition_doc,
-    doc_decomposition,
-    doc_matrix,
-    dumps,
-    format_float,
-    matrix_doc,
-    separability_doc,
-    spectrum_rows,
-    verification_doc,
-)
-from .verify import (
-    RefinementSummary,
-    SeparabilityReport,
-    VerificationReport,
-    refine_to_pure,
-    separability_report,
-    verify_decomposition,
-)
+from .partition import build_partition, validate_partition
+from .verify import refine_to_pure, separability_report, verify_decomposition
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMMUTING_CLASS",
-    "PER_STRING",
-    "CommutingClass",
-    "ConvergenceError",
-    "Decomposition",
-    "DimensionMismatch",
-    "Partition",
-    "PauliOperator",
-    "PhysicalRangeError",
-    "ProductTerm",
-    "RefinementSummary",
-    "SchemeRangeError",
-    "SeparabilityReport",
-    "Spectrum",
-    "UnsupportedFieldSize",
-    "ValidationResult",
-    "VerificationFailure",
-    "VerificationReport",
     "WernerError",
     "WernerParams",
-    "all_strings",
     "build_partition",
-    "class_component",
-    "class_decomposition",
-    "class_range",
-    "commutes",
-    "component_spectrum",
-    "csv_text",
     "decompose_auto",
-    "decomposition_doc",
-    "doc_decomposition",
-    "doc_matrix",
-    "dual_basis",
-    "dumps",
-    "extract_f",
-    "flip_operator",
-    "format_float",
-    "format_label",
-    "gf_mul",
-    "gf_trace",
-    "hermitian_eigensystem",
     "hermitian_eigenvalues",
-    "invariance_residual",
-    "is_positive_semidefinite",
-    "matrix_doc",
-    "min_eigenvalue",
-    "parse_label",
-    "partial_transpose_b",
-    "pauli_matrix",
-    "pauli_product",
-    "per_string_component",
-    "per_string_decomposition",
-    "per_string_range",
     "ppt_check",
-    "pt_spectrum_closed_form",
-    "random_unitary",
-    "reconstruct",
     "refine_to_pure",
-    "separability_doc",
     "separability_report",
     "spectrum_closed_form",
-    "spectrum_rows",
     "spectrum_via_transform",
-    "spinor_coefficients",
     "validate_partition",
-    "verification_doc",
     "verify_decomposition",
     "werner_dense",
-    "werner_pt",
     "werner_spinor",
 ]

@@ -9,19 +9,14 @@ identical (argv, seed); the WERNER_SEED environment variable overrides
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
+import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import serialize
-from .decompose import (
-    COMMUTING_CLASS,
-    PER_STRING,
-    class_decomposition,
-    decompose_auto,
-    per_string_decomposition,
-)
+from .decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from .errors import WernerError
 from .linalg import hermitian_eigenvalues
 from .model import (
@@ -45,15 +40,8 @@ _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    p: int
-    f: float
-    scheme: str
-    seed: int
-    tol: float
-    output: Optional[str]
-    fmt: str
+class _UsageError(Exception):
+    """An input argparse accepts but the toolkit cannot use; exits 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,23 +132,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _seed_of(args) -> int:
-    env = os.environ.get("WERNER_SEED")
-    if env is not None:
-        return int(env)
-    return getattr(args, "seed", 42)
-
-
-def _config(args) -> CliConfig:
-    return CliConfig(
-        p=args.p,
-        f=getattr(args, "f", 0.0),
-        scheme=getattr(args, "scheme", "auto"),
-        seed=_seed_of(args),
-        tol=getattr(args, "tol", 1e-9),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "json"),
-    )
+def _check_args(args) -> None:
+    """Reject values argparse accepts but the toolkit cannot use, and put the
+    seed to consume (WERNER_SEED if set, else --seed) in args.seed."""
+    for name in ("f", "f_start", "f_end", "f_step"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise _UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise _UsageError(f"--tol must be finite and nonnegative, got {tol}")
+    if hasattr(args, "seed"):
+        env = os.environ.get("WERNER_SEED")
+        try:
+            args.seed = args.seed if env is None else int(env)
+        except ValueError:
+            raise _UsageError(f"WERNER_SEED must be an integer, got {env!r}") from None
+        if args.seed < 0:
+            raise _UsageError(f"the seed must be nonnegative, got {args.seed}")
 
 
 def _write(args, text: str) -> None:
@@ -175,7 +164,7 @@ def _write(args, text: str) -> None:
 def _diag(kind: str, message: str, **extra) -> None:
     doc = {"error": kind, "message": message}
     doc.update(extra)
-    sys.stderr.write(serialize.dumps(doc) + "\n")
+    sys.stderr.write(json.dumps(doc) + "\n")
 
 
 def _read_input(path: str) -> str:
@@ -191,16 +180,14 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_build(args) -> int:
-    cfg = _config(args)
-    params = WernerParams(cfg.p, cfg.f)
+    params = WernerParams(args.p, args.f)
     doc = {"p": params.p, "f": params.f, "state": serialize.matrix_doc(werner_dense(params))}
-    _write(cfg, serialize.dumps(doc) + "\n")
+    _write(args, serialize.dumps(doc) + "\n")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _config(args)
-    params = WernerParams(cfg.p, cfg.f)
+    params = WernerParams(args.p, args.f)
     closed = spectrum_closed_form(params)
     transform = spectrum_via_transform(params)
     routes = [closed, transform]
@@ -224,21 +211,19 @@ def _cmd_spectrum(args) -> int:
         "agree": agree,
     }
     if args.check_invariance:
-        rho = werner_dense(params)
-        doc["seed"] = cfg.seed
+        doc["seed"] = args.seed
         doc["invariance_residual"] = invariance_residual(
-            rho, random_unitary(params.d, cfg.seed)
+            werner_dense(params), random_unitary(params.d, args.seed)
         )
-    _write(cfg, serialize.dumps(doc) + "\n")
+    _write(args, serialize.dumps(doc) + "\n")
     return 0
 
 
 def _cmd_ppt(args) -> int:
-    cfg = _config(args)
-    params = WernerParams(cfg.p, cfg.f)
+    params = WernerParams(args.p, args.f)
     params.require_physical()
     spec = pt_spectrum_closed_form(params)
-    ok = ppt_check(params, cfg.tol)
+    ok = ppt_check(params, args.tol)
     doc = {
         "p": params.p,
         "f": params.f,
@@ -247,7 +232,7 @@ def _cmd_ppt(args) -> int:
         "min_pt_eigenvalue": spec.min(),
         "pt_spectrum": serialize.spectrum_rows(spec),
     }
-    _write(cfg, serialize.dumps(doc) + "\n")
+    _write(args, serialize.dumps(doc) + "\n")
     if not ok:
         _diag("NotPPT", f"minimum partial-transpose eigenvalue {spec.min():.6e} < 0",
               p=params.p, f=params.f, min_pt_eigenvalue=spec.min())
@@ -280,23 +265,13 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    cfg = _config(args)
-    params = WernerParams(cfg.p, cfg.f)
-    scheme = _SCHEME_FLAGS[cfg.scheme]
-    if scheme == "auto":
-        dec = decompose_auto(params)
-    elif scheme == PER_STRING:
-        dec = per_string_decomposition(params)
-    else:
-        dec = class_decomposition(params)
-    _write(cfg, serialize.dumps(serialize.decomposition_doc(dec)) + "\n")
+    dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
+    _write(args, serialize.dumps(serialize.decomposition_doc(dec)) + "\n")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    import json as _json
-
-    doc = _json.loads(_read_input(args.input))
+    doc = json.loads(_read_input(args.input))
     dec = serialize.doc_decomposition(doc)
     target = werner_dense(dec.params)
     rep = verify_decomposition(target, dec, args.tol)
@@ -311,39 +286,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    import json as _json
-
     if args.input is not None:
-        dec = serialize.doc_decomposition(_json.loads(_read_input(args.input)))
+        dec = serialize.doc_decomposition(json.loads(_read_input(args.input)))
     else:
         if args.p is None or args.f is None:
             _diag("MissingInput", "refine needs --input or both --p and --f")
             return 1
-        params = WernerParams(args.p, args.f)
-        scheme = _SCHEME_FLAGS[args.scheme]
-        if scheme == "auto":
-            dec = decompose_auto(params)
-        elif scheme == PER_STRING:
-            dec = per_string_decomposition(params)
-        else:
-            dec = class_decomposition(params)
+        dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
     refined = refine_to_pure(dec, args.tol)
     _write(args, serialize.dumps(serialize.decomposition_doc(refined)) + "\n")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg = _config(args)
-    params = WernerParams(cfg.p, cfg.f)
+    params = WernerParams(args.p, args.f)
     rep, refinement = separability_report(
-        params, seed=cfg.seed, tol=cfg.tol, refine=args.refine
+        params, seed=args.seed, tol=args.tol, refine=args.refine
     )
     doc = serialize.separability_doc(rep, refinement)
-    if cfg.fmt == "text":
+    if args.format == "text":
         lines = [f"{k}: {serialize.dumps(v) if isinstance(v, dict) else v}" for k, v in doc.items()]
-        _write(cfg, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines) + "\n")
     else:
-        _write(cfg, serialize.dumps(doc) + "\n")
+        _write(args, serialize.dumps(doc) + "\n")
     if rep.verdict != "SEPARABLE":
         _diag(
             "NotSeparable" if rep.verdict == "ENTANGLED" else "VerificationFailed",
@@ -376,17 +341,12 @@ def _cmd_sweep(args) -> int:
     if args.f_start > args.f_end or args.f_start < -1.0 or args.f_end > 1.0:
         _diag("InvalidRange", "sweep range must satisfy -1 <= start <= end <= 1")
         return 2
-    params_list = []
-    k = 0
-    while True:
+    rows = []
+    for k in itertools.count():
         f = args.f_start + k * args.f_step
         if f > args.f_end + 1e-12:
             break
-        params_list.append(WernerParams(args.p, min(f, 1.0)))
-        k += 1
-
-    rows = []
-    for params in params_list:
+        params = WernerParams(args.p, min(f, 1.0))
         spec = spectrum_closed_form(params)
         pt = pt_spectrum_closed_form(params)
         ok = ppt_check(params, args.tol)
@@ -437,7 +397,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        _check_args(args)
         return _DISPATCH[args.cmd](args)
+    except _UsageError as exc:
+        _diag("UsageError", str(exc))
+        return 1
     except WernerError as exc:
         extra = {}
         if getattr(exc, "valid_range", None) is not None:

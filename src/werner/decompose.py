@@ -164,6 +164,22 @@ def _group_elements(cls: CommutingClass):
     return elems
 
 
+def _class_sums(cls: CommutingClass) -> np.ndarray:
+    """T_eps for every sign pattern, stacked; bit j of the index is eps_j.
+
+    Row e of the character table chi holds (-1)^|c & e| for each nontrivial
+    element c. Every entry of T_eps is a small Gaussian integer, so the sum
+    is exact in any order.
+    """
+    n = 2**cls.p
+    parity = np.array([bin(x).count("1") % 2 for x in range(n)])
+    chi = 1.0 - 2.0 * parity[np.arange(n)[:, None] & np.arange(1, n)]
+    members = np.array(
+        [sign * pauli_matrix(digits) for _, sign, digits in _group_elements(cls)]
+    )
+    return np.tensordot(chi, members, 1)
+
+
 def class_component(cls: CommutingClass, eps: Sequence[int], scale: float) -> np.ndarray:
     """(1/2^p)(I + scale * T) with T the character-signed class sum.
 
@@ -181,11 +197,7 @@ def class_component(cls: CommutingClass, eps: Sequence[int], scale: float) -> np
     for j, bit in enumerate(eps):
         eps_mask |= bit << j
     d = 2**p
-    acc = np.zeros((d, d), dtype=complex)
-    for c, sign, digits in _group_elements(cls):
-        chi = -1 if bin(c & eps_mask).count("1") % 2 else 1
-        acc += (chi * sign) * pauli_matrix(digits)
-    return (np.eye(d, dtype=complex) + scale * acc) / d
+    return (np.eye(d, dtype=complex) + scale * _class_sums(cls)[eps_mask]) / d
 
 
 def class_decomposition(
@@ -225,26 +237,28 @@ def class_decomposition(
     eye = np.eye(d, dtype=complex)
     terms = []
     for k, cls in enumerate(part.classes):
-        mats = [
-            (c, sign, pauli_matrix(digits)) for c, sign, digits in _group_elements(cls)
-        ]
-        for e in range(2**p):
-            acc = np.zeros((d, d), dtype=complex)
-            for c, sign, mat in mats:
-                chi = -1 if bin(c & e).count("1") % 2 else 1
-                acc += (chi * sign) * mat
-            comp = (eye + scale * acc) / d
+        comps = (eye + scale * _class_sums(cls)) / d
+        for e, comp in enumerate(comps):
             bits = "".join(str((e >> j) & 1) for j in range(p))
             terms.append(ProductTerm(weight, comp, comp, f"class:{k}:{bits}"))
     return Decomposition(params, COMMUTING_CLASS, scale, tuple(terms))
 
 
-def decompose_auto(params: WernerParams) -> Decomposition:
-    """Pick the scheme whose validity interval holds f; error outside [0, 1].
+def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
+    """Build the decomposition of the named scheme, or pick one when "auto".
 
-    The intervals overlap on [1/2^p, 2^(1-p)]; the boundary f = 1/2^p goes to
-    the class scheme (both reduce to maximally mixed components there).
+    PER_STRING and COMMUTING_CLASS go straight to their builders, which
+    enforce their own validity intervals. "auto" picks the scheme whose
+    interval holds f and rejects f outside [0, 1]. The intervals overlap on
+    [1/2^p, 2^(1-p)]; the boundary f = 1/2^p goes to the class scheme (both
+    reduce to maximally mixed components there).
     """
+    if scheme == PER_STRING:
+        return per_string_decomposition(params)
+    if scheme == COMMUTING_CLASS:
+        return class_decomposition(params)
+    if scheme != "auto":
+        raise ValueError(f"unknown scheme {scheme!r}")
     f = params.f
     if not 0.0 <= f <= 1.0:
         raise SchemeRangeError(

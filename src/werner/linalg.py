@@ -25,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch
-from .pauli import dagger, frobenius_distance
+from .pauli import frobenius_distance
 
 __all__ = [
     "Spectrum",
@@ -118,7 +118,7 @@ def _require_hermitian(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if frobenius_distance(a, dagger(a)) > _HERMITICITY_TOL:
+    if frobenius_distance(a, a.conj().T) > _HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     return a
 
@@ -136,7 +136,7 @@ def hermitian_eigensystem(
     """
     a = _require_hermitian(a)
     n = a.shape[0]
-    work = 0.5 * (a + dagger(a))  # symmetrize away the representation noise
+    work = 0.5 * (a + a.conj().T)  # symmetrize away the representation noise
     vecs = np.eye(n, dtype=complex) if compute_vectors else None
 
     if n == 1:

@@ -37,20 +37,15 @@ __all__ = [
     "all_strings",
     "check_digits",
     "commutes",
-    "dagger",
     "format_label",
     "frobenius_distance",
-    "frobenius_norm",
     "from_symplectic",
     "index_string",
-    "is_hermitian",
-    "kron",
     "parse_label",
     "pauli_matrix",
     "pauli_product",
     "string_index",
     "to_symplectic",
-    "trace",
     "y_count",
 ]
 
@@ -222,41 +217,10 @@ def all_strings(p: int) -> Iterator[Digits]:
         yield index_string(r, p)
 
 
-# ---------------------------------------------------------------------------
-# small dense-matrix utility family used throughout the toolkit
-# ---------------------------------------------------------------------------
-
-
-def kron(*mats) -> np.ndarray:
-    m = np.asarray(mats[0], dtype=complex)
-    for other in mats[1:]:
-        m = np.kron(m, np.asarray(other, dtype=complex))
-    return m
-
-
-def dagger(a) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(np.asarray(a)))
-
-
-def frobenius_norm(a) -> float:
-    a = np.asarray(a)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
-
-
 def frobenius_distance(a, b) -> float:
+    """Frobenius norm of a - b; the one residual measure of the toolkit."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return frobenius_norm(a - b)
-
-
-def is_hermitian(a, tol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return frobenius_distance(a, dagger(a)) <= tol
+    return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))

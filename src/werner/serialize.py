@@ -191,15 +191,10 @@ def separability_doc(rep: SeparabilityReport, refinement=None) -> dict:
 
 
 def _cell(v) -> str:
+    """A JSON scalar's text, except that null is empty and strings are bare."""
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+    return v if isinstance(v, str) else _scalar_text(v)
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

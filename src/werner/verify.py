@@ -208,7 +208,7 @@ def separability_report(
     """
     params.require_physical()
     pt_min = pt_spectrum_closed_form(params).min()
-    ppt = pt_min >= -1e-9
+    ppt = pt_min >= -tol  # the rule of ppt_check
 
     rho = werner_dense(params)
     inv_res = invariance_residual(rho, random_unitary(params.d, seed))

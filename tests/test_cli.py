@@ -235,6 +235,45 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "build", "--p", "1", "--f", "0", "--bogus")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "env_seed,argv",
+    [
+        ("abc", ("report", "--p", "1", "--f", "0.5")),
+        ("abc", ("build", "--p", "1", "--f", "0.5")),
+        ("-3", ("spectrum", "--p", "1", "--f", "0.5", "--check-invariance")),
+        (None, ("report", "--p", "1", "--f", "0.5", "--seed", "-1")),
+        (None, ("build", "--p", "1", "--f", "nan")),
+        (None, ("report", "--p", "2", "--f", "inf")),
+        (None, ("decompose", "--p", "2", "--f=-inf")),
+        (None, ("refine", "--p", "2", "--f", "nan")),
+        (None, ("sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "nan")),
+        (None, ("ppt", "--p", "1", "--f", "0.5", "--tol=-1e-9")),
+        (None, ("report", "--p", "1", "--f", "0.5", "--tol", "nan")),
+        (None, ("verify", "--input", "unused.json", "--tol", "-1")),
+    ],
+)
+def test_unusable_inputs_exit_1_with_json(capsys, monkeypatch, env_seed, argv):
+    if env_seed is not None:
+        monkeypatch.setenv("WERNER_SEED", env_seed)
+    else:
+        monkeypatch.delenv("WERNER_SEED", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "UsageError"
+
+
+def test_diagnostic_is_one_json_line(capsys):
+    code, _, err = run(capsys, "report", "--p", "2", "--f", "-0.3")
+    assert code == 2
+    assert err.endswith("\n")
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "NotSeparable"
+    assert doc["witness"] == -0.075
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "ppt", "--p", "1", "--f", "0.5", "--output", str(path))

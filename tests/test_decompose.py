@@ -23,7 +23,7 @@ from werner.errors import SchemeRangeError, WernerError
 from werner.linalg import hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
-from werner.pauli import pauli_matrix
+from werner.pauli import PauliOperator, pauli_matrix, pauli_product
 
 
 def test_ranges():
@@ -223,3 +223,59 @@ def test_reconstruct_requires_terms():
 
     with pytest.raises(ValueError):
         reconstruct(Decomposition(WernerParams(1, 0.5), PER_STRING, 0.0, ()))
+
+
+def _loop_class_sum(cls, e):
+    # reference: T_eps accumulated member by member, as a plain loop
+    acc = np.zeros((2**cls.p, 2**cls.p), dtype=complex)
+    for c in range(1, 2**cls.p):
+        op = PauliOperator(0, (0,) * cls.p)
+        for j in range(cls.p):
+            if (c >> j) & 1:
+                op = pauli_product(op, cls.generators[j])
+        chi = -1 if bin(c & e).count("1") % 2 else 1
+        acc += (chi * op.sign) * pauli_matrix(op.digits)
+    return acc
+
+
+def _same_terms(a, b):
+    return (a.scheme, a.scale, a.weights) == (b.scheme, b.scale, b.weights) and all(
+        s.label == t.label
+        and np.array_equal(s.state_a, t.state_a)
+        and np.array_equal(s.state_b, t.state_b)
+        for s, t in zip(a.terms, b.terms, strict=True)
+    )
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_shared_paths_are_bit_identical(p):
+    part = build_partition(p)
+    dec = class_decomposition(WernerParams(p, 0.9))
+    eye = np.eye(2**p, dtype=complex)
+    for e, term in enumerate(dec.terms):
+        _, k, bits = term.label.split(":")
+        cls = part.classes[int(k)]
+        comp = class_component(cls, [int(b) for b in bits], dec.scale)
+        assert np.array_equal(comp, term.state_a)
+        loop = (eye + dec.scale * _loop_class_sum(cls, e % 2**p)) / 2**p
+        assert np.array_equal(loop, term.state_a)
+
+    low, high = WernerParams(p, 2.0**-p / 2), WernerParams(p, 0.9)
+    assert _same_terms(decompose_auto(low, PER_STRING), per_string_decomposition(low))
+    assert _same_terms(decompose_auto(high, COMMUTING_CLASS), class_decomposition(high))
+    assert _same_terms(decompose_auto(low, "auto"), per_string_decomposition(low))
+    assert _same_terms(decompose_auto(high), class_decomposition(high))
+
+    # an explicit scheme keeps its builder's range error, not auto's [0, 1]
+    for scheme, builder, f in (
+        (PER_STRING, per_string_decomposition, -0.5),
+        (COMMUTING_CLASS, class_decomposition, 0.0),
+    ):
+        with pytest.raises(SchemeRangeError) as direct:
+            builder(WernerParams(p, f))
+        with pytest.raises(SchemeRangeError) as dispatched:
+            decompose_auto(WernerParams(p, f), scheme)
+        assert str(dispatched.value) == str(direct.value)
+        assert dispatched.value.valid_range == direct.value.valid_range
+    with pytest.raises(ValueError):
+        decompose_auto(high, "bogus")

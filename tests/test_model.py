@@ -21,7 +21,7 @@ from werner.model import (
     werner_pt,
     werner_spinor,
 )
-from werner.pauli import all_strings, kron, pauli_matrix
+from werner.pauli import all_strings, pauli_matrix, y_count
 
 fs = st.floats(-1.0, 1.0, allow_nan=False)
 ps = st.integers(1, 2)
@@ -171,6 +171,21 @@ def test_pt_routes_agree(p, f):
     assert np.allclose(werner_pt(params), direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("f", [-1.0, -0.3, 0.0, 0.25, 1.0])
+def test_pt_equals_signed_string_sum_bitwise(p, f):
+    # sigma_s^T = (-1)^(y count) sigma_s, and the string sum is exact
+    params = WernerParams(p, f)
+    d = params.d
+    acc = sum(
+        (-1.0 if y_count(s) % 2 else 1.0) * np.kron(pauli_matrix(s), pauli_matrix(s))
+        for s in all_strings(p)
+    )
+    eye = np.eye(d * d, dtype=complex)
+    signed = ((d - f) * eye + ((d * f - 1.0) / d) * acc) / (2 ** (3 * p) - d)
+    assert np.array_equal(werner_pt(params), signed)
+
+
 def test_pt_spectrum_frozen_p2_f1():
     spec = pt_spectrum_closed_form(WernerParams(2, 1.0))
     assert spec.pairs[0][0] == pytest.approx(0.05, abs=1e-15)
@@ -231,5 +246,5 @@ def test_kron_convention_consistency():
     p = flip_operator(4)
     assert np.allclose(p @ rho @ p, rho, atol=1e-14)
     u = random_unitary(4, 11)
-    w = kron(u, u)
+    w = np.kron(u, u)
     assert np.allclose(w @ rho @ w.conj().T, rho, atol=1e-12)

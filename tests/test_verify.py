@@ -166,6 +166,16 @@ def test_report_with_refinement():
     assert refinement.reconstruction_residual < 1e-8
 
 
+def test_report_ppt_decision_honours_tol():
+    # pt_min = f/d = -1e-10: inside the default band, outside tol = 1e-12
+    params = WernerParams(2, -4e-10)
+    assert separability_report(params)[0].ppt
+    rep, _ = separability_report(params, tol=1e-12)
+    assert rep.verdict == "ENTANGLED"
+    assert not rep.ppt
+    assert rep.ppt == ppt_check(params, 1e-12)
+
+
 def test_report_seed_is_recorded():
     rep, _ = separability_report(WernerParams(1, 0.5), seed=99)
     assert rep.seed == 99
