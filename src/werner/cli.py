@@ -17,7 +17,7 @@ import sys
 
 from . import serialize
 from .decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
-from .errors import WernerError
+from .errors import MalformedInput, WernerError
 from .linalg import hermitian_eigenvalues
 from .model import (
     WernerParams,
@@ -45,10 +45,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
+    # usage problems exit 1 with one JSON line, not argparse's usage text and 2
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _diag("UsageError", f"{self.prog}: {message}")
+        self.exit(1)
 
 
 def _build_parser() -> _Parser:
@@ -167,11 +167,20 @@ def _diag(kind: str, message: str, **extra) -> None:
     sys.stderr.write(json.dumps(doc) + "\n")
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+def _read_certificate(path: str):
+    """The decomposition in a certificate file (- for stdin). A document that
+    is not one, from unparsable JSON to a missing key, raises MalformedInput."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+        return serialize.doc_decomposition(json.loads(text))
+    except MalformedInput:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +280,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = json.loads(_read_input(args.input))
-    dec = serialize.doc_decomposition(doc)
+    dec = _read_certificate(args.input)
     target = werner_dense(dec.params)
     rep = verify_decomposition(target, dec, args.tol)
     out = {"p": dec.params.p, "f": dec.params.f, "scheme": dec.scheme}
@@ -287,7 +295,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_refine(args) -> int:
     if args.input is not None:
-        dec = serialize.doc_decomposition(json.loads(_read_input(args.input)))
+        dec = _read_certificate(args.input)
     else:
         if args.p is None or args.f is None:
             _diag("MissingInput", "refine needs --input or both --p and --f")
@@ -394,7 +402,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.cmd is None:
-        parser.print_usage(sys.stderr)
+        _diag("UsageError", "werner: a subcommand is required (see --help)")
         return 1
     try:
         _check_args(args)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SchemeRangeError, WernerError
-from .linalg import DEFAULT_CLUSTER_TOL, Spectrum
+from .linalg import Spectrum
 from .model import WernerParams
 from .partition import CommutingClass, Partition, build_partition, validate_partition
 from .pauli import (
@@ -272,12 +272,7 @@ def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
     return class_decomposition(params)
 
 
-def component_spectrum(
-    scheme: str,
-    p: int,
-    scale: float,
-    clustering_tolerance: float = DEFAULT_CLUSTER_TOL,
-) -> Spectrum:
+def component_spectrum(scheme: str, p: int, scale: float) -> Spectrum:
     """Closed-form component eigenvalues for either scheme."""
     if scale < 0:
         raise ValueError("scale must be nonnegative")
@@ -288,7 +283,7 @@ def component_spectrum(
         pairs = [((1.0 - scale) / d, d - 1), ((1.0 + (d - 1) * scale) / d, 1)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return Spectrum.from_pairs(pairs, clustering_tolerance)
+    return Spectrum.from_pairs(pairs)
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:

@@ -22,6 +22,12 @@ class SchemeRangeError(WernerError):
         self.valid_range = valid_range
 
 
+class MalformedInput(WernerError, ValueError):
+    """An input that is not what it claims to be: an unreadable certificate,
+    a missing or mistyped field, a factor of the wrong shape, or a matrix
+    that is not Hermitian."""
+
+
 class ConvergenceError(WernerError):
     """Eigensolver sweeps exhausted before the off-diagonal mass fell below tolerance."""
 

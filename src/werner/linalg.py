@@ -24,15 +24,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatch
+from .errors import ConvergenceError, DimensionMismatch, MalformedInput
 from .pauli import frobenius_distance
 
 __all__ = [
     "Spectrum",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
-    "is_positive_semidefinite",
-    "min_eigenvalue",
     "partial_transpose_b",
 ]
 
@@ -42,40 +40,47 @@ _HERMITICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Multiset of (eigenvalue, multiplicity) pairs in ascending order."""
+    """Multiset of (eigenvalue, multiplicity) pairs in ascending order.
+
+    Neighbouring values closer than DEFAULT_CLUSTER_TOL (absolute) share one
+    pair, so a spectrum is as long as its number of distinct eigenvalues.
+    """
 
     pairs: Tuple[Tuple[float, int], ...]
-    clustering_tolerance: float = DEFAULT_CLUSTER_TOL
 
     @classmethod
-    def from_values(cls, values, clustering_tolerance: float = DEFAULT_CLUSTER_TOL):
-        """Cluster a flat list of eigenvalues into multiplicities.
+    def from_values(cls, values):
+        """Cluster a flat list of eigenvalues into multiplicities."""
+        return cls.from_pairs((v, 1) for v in values)
 
-        Values closer than the tolerance to their neighbor join the same
-        cluster; the cluster is represented by its mean.
+    @classmethod
+    def from_pairs(cls, pairs):
+        """Sort (value, multiplicity) pairs and merge neighbours within the
+        tolerance. A lone pair keeps its value bit for bit; a merged cluster
+        takes the multiplicity-weighted mean. Cost grows with the number of
+        pairs, not with the total multiplicity.
         """
-        vals = sorted(float(v) for v in values)
-        if not vals:
+        # + 0.0 folds -0.0 into 0.0, so a zero eigenvalue never prints as -0
+        items = sorted((float(v) + 0.0, int(m)) for v, m in pairs)
+        if any(m < 0 for _, m in items):
+            raise ValueError("negative multiplicity")
+        clusters = []
+        for v, m in items:
+            if m == 0:
+                continue
+            if not clusters or v - clusters[-1][-1][0] > DEFAULT_CLUSTER_TOL:
+                clusters.append([])
+            clusters[-1].append((v, m))
+        if not clusters:
             raise ValueError("empty spectrum")
-        pairs = []
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > clustering_tolerance:
-                chunk = vals[start:i]
-                pairs.append((sum(chunk) / len(chunk), len(chunk)))
-                start = i
-        return cls(tuple(pairs), clustering_tolerance)
-
-    @classmethod
-    def from_pairs(cls, pairs, clustering_tolerance: float = DEFAULT_CLUSTER_TOL):
-        """Canonicalize explicit (value, multiplicity) pairs, merging near ties."""
-        flat = []
-        for value, mult in pairs:
-            mult = int(mult)
-            if mult < 0:
-                raise ValueError("negative multiplicity")
-            flat.extend([float(value)] * mult)
-        return cls.from_values(flat, clustering_tolerance)
+        merged = []
+        for chunk in clusters:
+            if len(chunk) == 1:
+                merged.append(chunk[0])
+                continue
+            count = sum(m for _, m in chunk)
+            merged.append((sum(v * m for v, m in chunk) / count, count))
+        return cls(tuple(merged))
 
     @property
     def values(self) -> Tuple[float, ...]:
@@ -84,10 +89,6 @@ class Spectrum:
     @property
     def multiplicities(self) -> Tuple[int, ...]:
         return tuple(m for _, m in self.pairs)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.multiplicities)
 
     def weighted_sum(self) -> float:
         """Sum of multiplicity * eigenvalue (the trace of the matrix)."""
@@ -119,7 +120,7 @@ def _require_hermitian(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if frobenius_distance(a, a.conj().T) > _HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
+        raise MalformedInput("matrix is not Hermitian within 1e-10")
     return a
 
 
@@ -203,18 +204,9 @@ def hermitian_eigensystem(
     return vals, vecs
 
 
-def hermitian_eigenvalues(a, clustering_tolerance: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+def hermitian_eigenvalues(a) -> Spectrum:
     vals, _ = hermitian_eigensystem(a)
-    return Spectrum.from_values(vals, clustering_tolerance)
-
-
-def min_eigenvalue(a) -> float:
-    vals, _ = hermitian_eigensystem(a)
-    return float(vals[0])
-
-
-def is_positive_semidefinite(a, tol: float = 1e-9) -> bool:
-    return min_eigenvalue(a) >= -tol
+    return Spectrum.from_values(vals)
 
 
 def partial_transpose_b(m, d_a: int, d_b: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, PhysicalRangeError, WernerError
-from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, partial_transpose_b
+from .linalg import Spectrum, partial_transpose_b
 from .pauli import all_strings, frobenius_distance, pauli_matrix
 
 __all__ = [
@@ -146,9 +146,7 @@ def spinor_coefficients(params: WernerParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_via_transform(
-    params: WernerParams, clustering_tolerance: float = DEFAULT_CLUSTER_TOL
-) -> Spectrum:
+def spectrum_via_transform(params: WernerParams) -> Spectrum:
     """Eigenvalues from the coefficient vector by the 4x4 kernel, axis by axis.
 
     The 4^p x 4^p transform (H M)^(x p) is never materialized; the kernel is
@@ -159,17 +157,16 @@ def spectrum_via_transform(
     t = spinor_coefficients(params).reshape((4,) * p)
     for axis in range(p):
         t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [axis])), 0, axis)
-    return Spectrum.from_values(t.reshape(-1), clustering_tolerance)
+    return Spectrum.from_values(t.reshape(-1))
 
 
-def spectrum_closed_form(
-    params: WernerParams, clustering_tolerance: float = DEFAULT_CLUSTER_TOL
-) -> Spectrum:
+def spectrum_closed_form(params: WernerParams) -> Spectrum:
     """Two eigenvalue branches with multiplicities d(d-1)/2 and d(d+1)/2.
 
     The antisymmetric branch (1 - f)/(d(d - 1)) and symmetric branch
     (1 + f)/(d(d + 1)) pass the unit-trace audit for every f; degenerate
-    points (f = 1/d) merge into a single pair.
+    points (f = 1/d) merge into a single pair. Werner, Phys. Rev. A 40,
+    4277 (1989).
     """
     d = params.d
     f = params.f
@@ -177,34 +174,35 @@ def spectrum_closed_form(
         [
             ((1.0 - f) / (d * (d - 1)), d * (d - 1) // 2),
             ((1.0 + f) / (d * (d + 1)), d * (d + 1) // 2),
-        ],
-        clustering_tolerance,
+        ]
     )
 
 
-def pt_spectrum_closed_form(
-    params: WernerParams, clustering_tolerance: float = DEFAULT_CLUSTER_TOL
-) -> Spectrum:
+def _pt_pairs(params: WernerParams):
+    d = params.d
+    f = params.f
+    return [(f / d, 1), ((d - f) / (d * (d * d - 1)), d * d - 1)]
+
+
+def pt_spectrum_closed_form(params: WernerParams) -> Spectrum:
     """Partial-transpose spectrum: f/d once, (d - f)/(d (d^2 - 1)) else.
 
     The simple eigenvalue sits on the maximally entangled direction, so the
     sign of f alone decides positivity of the partial transpose.
     """
-    d = params.d
-    f = params.f
-    return Spectrum.from_pairs(
-        [
-            (f / d, 1),
-            ((d - f) / (d * (d * d - 1)), d * d - 1),
-        ],
-        clustering_tolerance,
-    )
+    return Spectrum.from_pairs(_pt_pairs(params))
 
 
 def ppt_check(params: WernerParams, tol: float = 1e-9) -> bool:
-    """True iff the minimum partial-transpose eigenvalue is >= -tol."""
+    """True iff the least partial-transpose eigenvalue is >= -tol (Peres,
+    PRL 77, 1413 (1996)).
+
+    The two branches are compared unclustered: at large d they lie closer
+    than the spectrum's clustering tolerance, and their merged mean would
+    hide a negative f/d.
+    """
     params.require_physical()
-    return pt_spectrum_closed_form(params).min() >= -tol
+    return min(v for v, _ in _pt_pairs(params)) >= -tol
 
 
 # ---------------------------------------------------------------------------

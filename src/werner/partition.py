@@ -58,6 +58,8 @@ IRREDUCIBLE_POLY = {
     8: 0b100011011,  # t^8 + t^4 + t^3 + t + 1
 }
 
+_DENSE_CHECK_MAX_P = 3  # validate_partition's dense commutation check stops here
+
 
 def _poly(p: int) -> int:
     try:
@@ -257,15 +259,13 @@ class ValidationResult:
         return self.ok
 
 
-def validate_partition(part: Partition, dense_check: bool = None) -> ValidationResult:
+def validate_partition(part: Partition) -> ValidationResult:
     """Check counts, disjoint coverage, commutation, and group closure.
 
-    dense_check additionally confirms commutation on dense matrices; it
-    defaults to on for p <= 3 and off above (cost grows as 16^p).
+    Up to p = _DENSE_CHECK_MAX_P, commutation is also confirmed on dense
+    matrices (cost grows as 16^p).
     """
     p = part.p
-    if dense_check is None:
-        dense_check = p <= 3
     problems: List[str] = []
 
     expected_classes = 2**p + 1
@@ -300,7 +300,7 @@ def validate_partition(part: Partition, dense_check: bool = None) -> ValidationR
                     problems.append(
                         f"class {idx}: {format_label(a)} and {format_label(b)} anticommute"
                     )
-                elif dense_check:
+                elif p <= _DENSE_CHECK_MAX_P:
                     from .pauli import pauli_matrix  # local import keeps base cost low
 
                     ma, mb = pauli_matrix(a), pauli_matrix(b)

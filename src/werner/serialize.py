@@ -14,6 +14,7 @@ from typing import Iterable, List, Sequence
 import numpy as np
 
 from .decompose import Decomposition, ProductTerm
+from .errors import MalformedInput
 from .linalg import Spectrum
 from .model import WernerParams
 from .verify import SeparabilityReport, VerificationReport
@@ -101,12 +102,12 @@ def matrix_doc(m) -> dict:
 
 
 def doc_matrix(doc) -> np.ndarray:
+    shape = (doc["dim"], doc["dim"])
     re = np.array(doc["re"], dtype=float)
     im = np.array(doc["im"], dtype=float)
-    m = re + 1j * im
-    if m.shape != (doc["dim"], doc["dim"]):
-        raise ValueError("matrix document shape disagrees with its dim field")
-    return m
+    if re.shape != shape or im.shape != shape:
+        raise MalformedInput("matrix document shape disagrees with its dim field")
+    return re + 1j * im
 
 
 def spectrum_rows(spec: Spectrum) -> List[dict]:
@@ -142,6 +143,11 @@ def doc_decomposition(doc) -> Decomposition:
         )
         for t in doc["terms"]
     )
+    if not terms:
+        raise MalformedInput("certificate has no terms")
+    d = params.d
+    if any(m.shape != (d, d) for t in terms for m in (t.state_a, t.state_b)):
+        raise MalformedInput(f"certificate factors must all be {d}x{d} for p={params.p}")
     return Decomposition(params, str(doc["scheme"]), float(doc["scale"]), terms)
 
 

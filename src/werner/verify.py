@@ -22,6 +22,7 @@ from .linalg import hermitian_eigensystem
 from .model import (
     WernerParams,
     invariance_residual,
+    ppt_check,
     pt_spectrum_closed_form,
     random_unitary,
     werner_dense,
@@ -208,7 +209,7 @@ def separability_report(
     """
     params.require_physical()
     pt_min = pt_spectrum_closed_form(params).min()
-    ppt = pt_min >= -tol  # the rule of ppt_check
+    ppt = ppt_check(params, tol)
 
     rho = werner_dense(params)
     inv_res = invariance_residual(rho, random_unitary(params.d, seed))

@@ -281,7 +281,7 @@ def test_criterion_07_partition_validity(capsys):
             part = build_partition(p)
             assert len(part.classes) == 2**p + 1
             assert all(len(c.members) == 2**p - 1 for c in part.classes)
-            res = validate_partition(part, dense_check=p <= 3)
+            res = validate_partition(part)
             assert res.ok, res.problems[:3]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from werner.cli import main
 from werner.model import WernerParams, werner_dense
-from werner.serialize import doc_matrix
+from werner.serialize import doc_matrix, format_float
 
 
 def run(capsys, *argv):
@@ -228,11 +228,85 @@ def test_sweep_rejects_bad_ranges(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    assert run(capsys, "nonsense")[0] == 1
-    assert run(capsys)[0] == 1
-    assert run(capsys, "build", "--p", "9", "--f", "0")[0] == 1
-    assert run(capsys, "build", "--p", "1")[0] == 1  # missing --f
-    assert run(capsys, "build", "--p", "1", "--f", "0", "--bogus")[0] == 1
+    for argv in [
+        ("nonsense",),
+        (),
+        ("build", "--p", "9", "--f", "0"),
+        ("build", "--p", "1"),  # missing --f
+        ("build", "--p", "1", "--f", "0", "--bogus"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "UsageError"
+
+
+def test_help_is_plain_usage_text(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: werner")
+    assert err == ""
+
+
+@pytest.mark.parametrize("cmd", ["verify", "refine"])
+@pytest.mark.parametrize(
+    "case",
+    ["not-json", "missing-f", "short-re", "non-hermitian", "no-terms", "mixed-dims", "wrong-p"],
+)
+def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
+    doc = json.loads(run(capsys, "decompose", "--p", "1", "--f", "0.5")[1])
+    factor = doc["terms"][0]["state_a"]
+    text = None
+    if case == "not-json":
+        text = "not json"
+    elif case == "missing-f":
+        text = '{"p": 2}'
+    elif case == "short-re":
+        factor["re"] = factor["re"][:1]  # 1x2 against dim 2
+    elif case == "no-terms":
+        doc["terms"] = []
+    elif case == "mixed-dims":  # one 4x4 factor among 2x2 ones
+        factor.update(dim=4, re=np.eye(4).tolist(), im=np.zeros((4, 4)).tolist())
+    elif case == "wrong-p":  # p = 12 would build a 4^12 x 4^12 target first
+        doc["p"] = 12
+    else:
+        factor["re"] = [[0.0, 1.0], [0.0, 0.0]]
+        factor["im"] = [[0.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc) if text is None else text)
+    code, out, err = run(capsys, cmd, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "MalformedInput"
+    if case == "short-re":  # rejected by its shape, not later as non-Hermitian
+        assert "shape" in diag["message"]
+
+
+def test_closed_form_rows_print_the_formulas(capsys):
+    # p = 2, f = 0.6 for spectrum and ppt; p = 3, f = 0.7 for report
+    f, d = 0.6, 4
+    out = run(capsys, "spectrum", "--p", "2", "--f", "0.6")[1]
+    rows = [((1.0 - f) / (d * (d - 1)), 6), ((1.0 + f) / (d * (d + 1)), 10)]
+    assert json.loads(out)["closed_form"] == [
+        {"value": v, "multiplicity": m} for v, m in rows
+    ]
+    assert all(f'"value": {format_float(v)}' in out for v, _ in rows)
+
+    out = run(capsys, "ppt", "--p", "2", "--f", "0.6")[1]
+    rows = [((d - f) / (d * (d * d - 1)), 15), (f / d, 1)]
+    doc = json.loads(out)
+    assert doc["pt_spectrum"] == [{"value": v, "multiplicity": m} for v, m in rows]
+    assert all(f'"value": {format_float(v)}' in out for v, _ in rows)
+    assert f'"min_pt_eigenvalue": {format_float(rows[0][0])},' in out
+
+    f, d = 0.7, 8
+    out = run(capsys, "report", "--p", "3", "--f", "0.7")[1]
+    pt_min = (d - f) / (d * (d * d - 1))
+    assert pt_min < f / d
+    assert f'"min_pt_eigenvalue": {format_float(pt_min)},' in out
 
 
 @pytest.mark.parametrize(

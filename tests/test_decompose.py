@@ -214,6 +214,20 @@ def test_component_spectrum_matches_dense():
             assert hermitian_eigenvalues(t.state_a).isclose(closed, 1e-9)
     with pytest.raises(ValueError):
         component_spectrum("nope", 1, 0.5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_component_spectrum_is_the_formula_bit_for_bit(p):
+    d = 2**p
+    for s in (0.1, 0.37, 0.5, 0.9, 1.0):
+        assert component_spectrum(PER_STRING, p, s).pairs == (
+            ((1.0 - s) / d, d // 2),
+            ((1.0 + s) / d, d // 2),
+        )
+        assert component_spectrum(COMMUTING_CLASS, p, s).pairs == (
+            ((1.0 - s) / d, d - 1),
+            ((1.0 + (d - 1) * s) / d, 1),
+        )
     with pytest.raises(ValueError):
         component_spectrum(PER_STRING, 1, -0.5)
 

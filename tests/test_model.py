@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from werner.errors import DimensionMismatch, PhysicalRangeError, WernerError
-from werner.linalg import partial_transpose_b
+from werner.linalg import hermitian_eigensystem, hermitian_eigenvalues, partial_transpose_b
 from werner.model import (
+    TRANSFORM_H,
+    TRANSFORM_M,
     WernerParams,
     extract_f,
     flip_operator,
@@ -248,3 +250,79 @@ def test_kron_convention_consistency():
     u = random_unitary(4, 11)
     w = np.kron(u, u)
     assert np.allclose(w @ rho @ w.conj().T, rho, atol=1e-12)
+
+
+# --- exact closed forms and the clustering they bypass ----------------------
+
+F_GRID = (-1.0, -0.7, -0.3, 0.0, 0.2, 0.45, 0.6, 0.9, 1.0)  # avoids every 1/d
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_closed_forms_are_the_formulas_bit_for_bit(p):
+    d = 2**p
+    for f in F_GRID:
+        params = WernerParams(p, f)
+        assert spectrum_closed_form(params).pairs == tuple(
+            sorted(
+                [
+                    ((1.0 - f) / (d * (d - 1)), d * (d - 1) // 2),
+                    ((1.0 + f) / (d * (d + 1)), d * (d + 1) // 2),
+                ]
+            )
+        )
+        assert pt_spectrum_closed_form(params).pairs == tuple(
+            sorted([(f / d, 1), ((d - f) / (d * (d * d - 1)), d * d - 1)])
+        )
+
+
+def test_closed_forms_cost_nothing_in_p():
+    params = WernerParams(40, 0.3)
+    for spec in (spectrum_closed_form(params), pt_spectrum_closed_form(params)):
+        assert sum(spec.multiplicities) == 4**40
+        assert abs(spec.weighted_sum() - 1.0) < 1e-12
+
+
+def test_ppt_check_compares_the_branches_unclustered():
+    # at large d the branches f/d and about 1/d^2 lie within the spectrum's
+    # clustering tolerance, so the spectrum's merged minimum is positive even
+    # for f < 0; ppt_check must still see the sign of f/d
+    assert not ppt_check(WernerParams(14, -1e-5), tol=0.0)
+    assert not ppt_check(WernerParams(40, -0.5), tol=0.0)
+    assert ppt_check(WernerParams(40, 0.0), tol=0.0)
+    assert ppt_check(WernerParams(40, 0.0))
+
+
+def _flat_clustering(values):
+    """Spectrum clustering as it was before spectra kept pairs: sort every
+    value, split where neighbours differ by more than 1e-8, average each run.
+    Pairs come back with their values in hex so signed zeros count."""
+    vals = sorted(float(v) for v in values)
+    pairs = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > 1e-8:
+            chunk = vals[start:i]
+            pairs.append(((sum(chunk) / len(chunk)).hex(), len(chunk)))
+            start = i
+    return tuple(pairs)
+
+
+def _hex_pairs(spec):
+    return tuple((v.hex(), m) for v, m in spec.pairs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_numeric_routes_cluster_as_before(p):
+    d = 2**p
+    kernel = (TRANSFORM_H @ TRANSFORM_M).astype(float)
+    fs = [-1.0, -0.3, 0.0, 1 / d - 1e-9, 1 / d, 1 / d + 1e-9, 0.6, 1.0]
+    for f in fs:
+        params = WernerParams(p, f)
+        t = spinor_coefficients(params).reshape((4,) * p)
+        for axis in range(p):
+            t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [axis])), 0, axis)
+        assert _hex_pairs(spectrum_via_transform(params)) == _flat_clustering(t.reshape(-1))
+        if p <= 3:
+            for m in (werner_dense(params), werner_pt(params)):
+                vals, _ = hermitian_eigensystem(m)
+                assert _hex_pairs(hermitian_eigenvalues(m)) == _flat_clustering(vals)

@@ -176,6 +176,13 @@ def test_report_ppt_decision_honours_tol():
     assert rep.ppt == ppt_check(params, 1e-12)
 
 
+def test_report_takes_its_ppt_verdict_from_ppt_check(monkeypatch):
+    monkeypatch.setattr("werner.verify.ppt_check", lambda params, tol: False)
+    rep, _ = separability_report(WernerParams(2, 0.6))
+    assert not rep.ppt
+    assert rep.verdict == "ENTANGLED"
+
+
 def test_report_seed_is_recorded():
     rep, _ = separability_report(WernerParams(1, 0.5), seed=99)
     assert rep.seed == 99
