@@ -9,7 +9,6 @@ identical (argv, seed); the WERNER_SEED environment variable overrides
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -38,6 +37,7 @@ __all__ = ["main"]
 _SCHEME_FLAGS = {"auto": "auto", "per-string": PER_STRING, "class": COMMUTING_CLASS}
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here
+_SWEEP_MAX_ROWS = 100_000  # sweep holds its rows in memory until the end
 
 
 class _UsageError(Exception):
@@ -342,6 +342,19 @@ _SWEEP_HEADER = [
 ]
 
 
+def _sweep_points(start: float, end: float, step: float) -> int:
+    """How many f = start + k * step, k = 0, 1, ..., stay within end + 1e-12,
+    counted by that float rule itself (f only grows with k), capped just
+    above _SWEEP_MAX_ROWS."""
+    limit = end + 1e-12
+    n = math.floor(min((limit - start) / step, _SWEEP_MAX_ROWS)) + 1
+    while n > 0 and start + (n - 1) * step > limit:
+        n -= 1
+    while n <= _SWEEP_MAX_ROWS and start + n * step <= limit:
+        n += 1
+    return n
+
+
 def _cmd_sweep(args) -> int:
     if args.f_step <= 0:
         _diag("InvalidRange", "f-step must be positive")
@@ -349,12 +362,13 @@ def _cmd_sweep(args) -> int:
     if args.f_start > args.f_end or args.f_start < -1.0 or args.f_end > 1.0:
         _diag("InvalidRange", "sweep range must satisfy -1 <= start <= end <= 1")
         return 2
+    n_points = _sweep_points(args.f_start, args.f_end, args.f_step)
+    if n_points > _SWEEP_MAX_ROWS:
+        _diag("InvalidRange", f"sweep grid has more than {_SWEEP_MAX_ROWS} points")
+        return 2
     rows = []
-    for k in itertools.count():
-        f = args.f_start + k * args.f_step
-        if f > args.f_end + 1e-12:
-            break
-        params = WernerParams(args.p, min(f, 1.0))
+    for k in range(n_points):
+        params = WernerParams(args.p, min(args.f_start + k * args.f_step, 1.0))
         spec = spectrum_closed_form(params)
         pt = pt_spectrum_closed_form(params)
         ok = ppt_check(params, args.tol)

@@ -13,7 +13,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .decompose import Decomposition, ProductTerm
+from .decompose import COMMUTING_CLASS, PER_STRING, Decomposition, ProductTerm
 from .errors import MalformedInput
 from .linalg import Spectrum
 from .model import WernerParams
@@ -107,7 +107,10 @@ def doc_matrix(doc) -> np.ndarray:
     im = np.array(doc["im"], dtype=float)
     if re.shape != shape or im.shape != shape:
         raise MalformedInput("matrix document shape disagrees with its dim field")
-    return re + 1j * im
+    m = re + 1j * im
+    if not np.isfinite(m).all():
+        raise MalformedInput("matrix document has a non-finite entry")
+    return m
 
 
 def spectrum_rows(spec: Spectrum) -> List[dict]:
@@ -133,7 +136,13 @@ def decomposition_doc(dec: Decomposition) -> dict:
 
 
 def doc_decomposition(doc) -> Decomposition:
-    params = WernerParams(int(doc["p"]), float(doc["f"]))
+    p, f = int(doc["p"]), float(doc["f"])
+    scheme, scale = str(doc["scheme"]), float(doc["scale"])
+    if not (math.isfinite(f) and math.isfinite(scale)):
+        raise MalformedInput("certificate f and scale must be finite")
+    if scheme not in (PER_STRING, COMMUTING_CLASS):
+        raise MalformedInput(f"unknown scheme {scheme!r}")
+    params = WernerParams(p, f)
     terms = tuple(
         ProductTerm(
             weight=float(t["weight"]),
@@ -145,10 +154,12 @@ def doc_decomposition(doc) -> Decomposition:
     )
     if not terms:
         raise MalformedInput("certificate has no terms")
+    if not all(math.isfinite(t.weight) for t in terms):
+        raise MalformedInput("certificate weights must be finite")
     d = params.d
     if any(m.shape != (d, d) for t in terms for m in (t.state_a, t.state_b)):
         raise MalformedInput(f"certificate factors must all be {d}x{d} for p={params.p}")
-    return Decomposition(params, str(doc["scheme"]), float(doc["scale"]), terms)
+    return Decomposition(params, scheme, scale, terms)
 
 
 def verification_doc(rep: VerificationReport) -> dict:

@@ -56,6 +56,11 @@ class VerificationReport:
     diagnostics: Tuple[str, ...]
 
 
+def _content_key(mat):
+    """Equal keys mean equal bytes, so one Jacobi solve serves every copy."""
+    return mat.dtype.str, mat.shape, mat.tobytes()
+
+
 def _component_stats(dec: Decomposition):
     """Min eigenvalue and max purity deviation over all distinct factors."""
     min_eig = np.inf
@@ -63,7 +68,7 @@ def _component_stats(dec: Decomposition):
     seen = {}
     for term in dec.terms:
         for mat in (term.state_a, term.state_b):
-            key = id(mat)
+            key = _content_key(mat)
             if key in seen:
                 continue
             vals, _ = hermitian_eigensystem(mat)
@@ -146,7 +151,7 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
     eig_cache = {}
 
     def eigenpairs(mat):
-        key = id(mat)
+        key = _content_key(mat)
         if key not in eig_cache:
             vals, vecs = hermitian_eigensystem(mat, compute_vectors=True)
             keep = []

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from werner.cli import main
+from werner.cli import _sweep_points, main
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
 
@@ -227,6 +227,46 @@ def test_sweep_rejects_bad_ranges(capsys):
     assert code == 2
 
 
+def test_sweep_rejects_oversized_grid_before_any_row(capsys, monkeypatch):
+    def no_rows(params):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr("werner.cli.spectrum_closed_form", no_rows)
+    code, out, err = run(capsys, "sweep", "--p", "1", "--f-start", "-1", "--f-end", "1", "--f-step=1e-12")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "InvalidRange"
+
+
+def _loop_points(start, end, step):
+    # reference: the sweep loop's own stopping rule, run point by point
+    k = 0
+    while start + k * step <= end + 1e-12:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize(
+    "start,end,step",
+    [
+        (0.0, 1.0, 0.25),
+        (-1.0, 1.0, 0.025),
+        (-0.25, -0.25, 0.5),
+        (0.0, 1.0, 0.1),
+        (0.1, 0.7, 0.2),
+        (0.25 - 3e-9, 0.25 + 3e-9, 1e-9),
+        (-1.0, 1.0, 2.0 / 3),
+        (-1.0, -0.560000000001, 0.01),  # (end - start) / step rounds one point short
+        (-0.44035407987583364, 0.006589723092040344, 0.012769822941967829),  # one over
+        (0.0, 0.99999, 1e-5),  # 100,000 points, the cap
+        (0.0, 1.0, 1e-5),  # one point more
+    ],
+)
+def test_sweep_counts_points_by_the_loop_rule(start, end, step):
+    assert _sweep_points(start, end, step) == _loop_points(start, end, step)
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in [
         ("nonsense",),
@@ -252,7 +292,20 @@ def test_help_is_plain_usage_text(capsys):
 @pytest.mark.parametrize("cmd", ["verify", "refine"])
 @pytest.mark.parametrize(
     "case",
-    ["not-json", "missing-f", "short-re", "non-hermitian", "no-terms", "mixed-dims", "wrong-p"],
+    [
+        "not-json",
+        "missing-f",
+        "short-re",
+        "non-hermitian",
+        "no-terms",
+        "mixed-dims",
+        "wrong-p",
+        "nan-f",
+        "nan-scale",
+        "nan-weight",
+        "inf-entry",
+        "bogus-scheme",
+    ],
 )
 def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
     doc = json.loads(run(capsys, "decompose", "--p", "1", "--f", "0.5")[1])
@@ -270,6 +323,14 @@ def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
         factor.update(dim=4, re=np.eye(4).tolist(), im=np.zeros((4, 4)).tolist())
     elif case == "wrong-p":  # p = 12 would build a 4^12 x 4^12 target first
         doc["p"] = 12
+    elif case in ("nan-f", "nan-scale"):  # json.dumps writes NaN, json.loads reads it
+        doc[case[4:]] = float("nan")
+    elif case == "nan-weight":
+        doc["terms"][0]["weight"] = float("nan")
+    elif case == "inf-entry":
+        factor["re"][0][0] = float("inf")
+    elif case == "bogus-scheme":
+        doc["scheme"] = "bogus"
     else:
         factor["re"] = [[0.0, 1.0], [0.0, 0.0]]
         factor["im"] = [[0.0, 0.0], [0.0, 0.0]]

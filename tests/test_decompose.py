@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from werner.decompose import (
+    _CHUNK_BYTES,
     COMMUTING_CLASS,
     PER_STRING,
+    Decomposition,
+    ProductTerm,
     class_component,
     class_decomposition,
     class_range,
@@ -24,6 +27,7 @@ from werner.linalg import hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
 from werner.pauli import PauliOperator, pauli_matrix, pauli_product
+from werner.verify import refine_to_pure
 
 
 def test_ranges():
@@ -233,8 +237,6 @@ def test_component_spectrum_is_the_formula_bit_for_bit(p):
 
 
 def test_reconstruct_requires_terms():
-    from werner.decompose import Decomposition
-
     with pytest.raises(ValueError):
         reconstruct(Decomposition(WernerParams(1, 0.5), PER_STRING, 0.0, ()))
 
@@ -293,3 +295,56 @@ def test_shared_paths_are_bit_identical(p):
         assert dispatched.value.valid_range == direct.value.valid_range
     with pytest.raises(ValueError):
         decompose_auto(high, "bogus")
+
+
+def _loop_reconstruct(dec):
+    # reference: one kron per term, accumulated in term order
+    first = dec.terms[0]
+    dim = first.state_a.shape[0] * first.state_b.shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for t in dec.terms:
+        acc += t.weight * np.kron(t.state_a, t.state_b)
+    return acc
+
+
+def _random_state(rng, d):
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def _hand_built(da, db, n_terms, seed=0):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_terms))
+    terms = tuple(
+        ProductTerm(w, _random_state(rng, da), _random_state(rng, db), f"t{k}")
+        for k, w in enumerate(weights)
+    )
+    return Decomposition(WernerParams(1, 0.5), PER_STRING, 0.0, terms)
+
+
+def _chunk_terms(da, db):
+    return _CHUNK_BYTES // (16 * (da * da + db * db))
+
+
+_RECONSTRUCT_CASES = {
+    **{
+        f"per_string-p{p}": lambda p=p: per_string_decomposition(WernerParams(p, 0.5 / 2**p))
+        for p in (1, 2, 3, 4)
+    },
+    **{f"class-p{p}": lambda p=p: class_decomposition(WernerParams(p, 0.7)) for p in (1, 2, 3, 4)},
+    "refined-p2": lambda: refine_to_pure(class_decomposition(WernerParams(2, 0.6))),
+    "forced-p2": lambda: per_string_decomposition(WernerParams(2, 0.9), force=True),
+    "chunks-plus-3": lambda: _hand_built(8, 8, 2 * _chunk_terms(8, 8) + 3),
+    "da2-db8": lambda: _hand_built(2, 8, 50, seed=1),
+    "da8-db2": lambda: _hand_built(8, 2, 50, seed=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECONSTRUCT_CASES))
+def test_reconstruct_matches_the_kron_loop(case):
+    dec = _RECONSTRUCT_CASES[case]()
+    got = reconstruct(dec)
+    ref = _loop_reconstruct(dec)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-15

@@ -1,4 +1,5 @@
 """The verifier as oracle, refinement to pure factors, end-to-end reports."""
+import json
 from dataclasses import replace
 from math import sqrt
 
@@ -16,7 +17,9 @@ from werner.decompose import (
     reconstruct,
 )
 from werner.errors import DimensionMismatch, VerificationFailure
+from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
+from werner.serialize import decomposition_doc, doc_decomposition, dumps
 from werner.verify import (
     refine_to_pure,
     separability_report,
@@ -206,3 +209,37 @@ def test_component_dedup_by_identity():
     sym = class_decomposition(WernerParams(1, 0.9))
     rep = verify_decomposition(werner_dense(WernerParams(1, 0.9)), sym)
     assert rep.verdict
+
+
+def _exact(dec):
+    # everything the certificate emitter writes, compared bit for bit
+    terms = [
+        (float(t.weight).hex(), t.label, t.state_a.tobytes(), t.state_b.tobytes())
+        for t in dec.terms
+    ]
+    return dec.params, dec.scheme, float(dec.scale).hex(), terms
+
+
+def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
+    # parsing gives every slot its own array, so only content can tell that
+    # state_a and state_b of a class term are the same factor
+    params = WernerParams(3, 0.7)
+    target = werner_dense(params)
+    dec = class_decomposition(params)
+    parsed = doc_decomposition(json.loads(dumps(decomposition_doc(dec))))
+    assert parsed.n_terms == 72
+    in_memory = verify_decomposition(target, dec)
+    in_memory_refined = _exact(refine_to_pure(dec))
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hermitian_eigensystem(*args, **kwargs)
+
+    monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
+    assert verify_decomposition(target, parsed) == in_memory
+    assert len(calls) == 72
+    del calls[:]
+    assert _exact(refine_to_pure(parsed)) == in_memory_refined
+    assert len(calls) == 2 * 72  # verification, then one eigenpair split each
