@@ -30,7 +30,12 @@ from .model import (
 )
 from .partition import build_partition, validate_partition
 from .pauli import format_label
-from .verify import refine_to_pure, separability_report, verify_decomposition
+from .verify import (
+    certify_ppt_point,
+    refine_to_pure,
+    separability_report,
+    verify_decomposition,
+)
 
 __all__ = ["main"]
 
@@ -372,9 +377,8 @@ def _cmd_sweep(args) -> int:
         spec = spectrum_closed_form(params)
         pt = pt_spectrum_closed_form(params)
         ok = ppt_check(params, args.tol)
-        if params.f >= 0.0:
-            dec = decompose_auto(params)
-            ver = verify_decomposition(werner_dense(params), dec, args.tol)
+        if ok:
+            verdict, dec, ver = certify_ppt_point(params, werner_dense(params), args.tol)
             rows.append(
                 [
                     params.f,
@@ -385,7 +389,7 @@ def _cmd_sweep(args) -> int:
                     dec.n_terms,
                     ver.min_component_eigenvalue,
                     ver.reconstruction_residual,
-                    "SEPARABLE" if ver.verdict else "INVALID",
+                    verdict,
                 ]
             )
         else:

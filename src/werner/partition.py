@@ -27,6 +27,7 @@ from .pauli import (
     commutes,
     format_label,
     from_symplectic,
+    pauli_matrix,
     pauli_product,
     string_index,
     to_symplectic,
@@ -301,8 +302,6 @@ def validate_partition(part: Partition) -> ValidationResult:
                         f"class {idx}: {format_label(a)} and {format_label(b)} anticommute"
                     )
                 elif p <= _DENSE_CHECK_MAX_P:
-                    from .pauli import pauli_matrix  # local import keeps base cost low
-
                     ma, mb = pauli_matrix(a), pauli_matrix(b)
                     comm = ma @ mb - mb @ ma
                     if float(abs(comm).max()) > 1e-12:

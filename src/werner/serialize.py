@@ -4,11 +4,16 @@ Floating-point numbers are written as decimal text with 17 significant
 digits, which round-trips binary64 exactly; the stdlib encoder cannot be
 pinned to that format, hence the small emitter here. Dict insertion order
 is the emission order, so identical inputs yield identical bytes.
+
+The verification and separability documents are the report dataclasses of
+verify.py as dicts: their keys are those classes' fields in declaration
+order, and the separability document appends a "refined" key.
 """
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -41,23 +46,20 @@ def format_float(x) -> str:
 
 
 def _scalar_text(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
     if v is None:
         return "null"
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _is_scalar(v) -> bool:
-    return v is None or isinstance(
-        v, (bool, np.bool_, int, np.integer, float, np.floating, str)
-    )
+_CONTAINERS = (dict, list, tuple, np.ndarray)  # a list holding none is one line
 
 
 def _emit(obj, pad: str, step: str) -> str:
@@ -73,11 +75,10 @@ def _emit(obj, pad: str, step: str) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(_scalar_text(v) for v in items) + "]"
+        if not any(isinstance(v, _CONTAINERS) for v in obj):
+            return "[" + ", ".join(_scalar_text(v) for v in obj) + "]"
         inner = pad + step
-        parts = [f"{inner}{_emit(v, inner, step)}" for v in items]
+        parts = [f"{inner}{_emit(v, inner, step)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     return _scalar_text(obj)
 
@@ -94,11 +95,7 @@ def dumps(obj) -> str:
 
 def matrix_doc(m) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
+    return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def doc_matrix(doc) -> np.ndarray:
@@ -163,42 +160,14 @@ def doc_decomposition(doc) -> Decomposition:
 
 
 def verification_doc(rep: VerificationReport) -> dict:
-    return {
-        "convex_ok": rep.convex_ok,
-        "min_weight": rep.min_weight,
-        "weight_sum_error": rep.weight_sum_error,
-        "positivity_ok": rep.positivity_ok,
-        "min_component_eigenvalue": rep.min_component_eigenvalue,
-        "reconstruction_residual": rep.reconstruction_residual,
-        "purity_ok": rep.purity_ok,
-        "max_purity_deviation": rep.max_purity_deviation,
-        "verdict": rep.verdict,
-        "diagnostics": list(rep.diagnostics),
-    }
+    return dict(asdict(rep), diagnostics=list(rep.diagnostics))
 
 
 def separability_doc(rep: SeparabilityReport, refinement=None) -> dict:
-    doc = {
-        "p": rep.p,
-        "f": rep.f,
-        "verdict": rep.verdict,
-        "ppt": rep.ppt,
-        "min_pt_eigenvalue": rep.min_pt_eigenvalue,
-        "witness": rep.witness,
-        "scheme": rep.scheme,
-        "scale": rep.scale,
-        "n_terms": rep.n_terms,
-        "verification": verification_doc(rep.verification) if rep.verification else None,
-        "invariance_residual": rep.invariance_residual,
-        "seed": rep.seed,
-        "refined": None,
-    }
-    if refinement is not None:
-        doc["refined"] = {
-            "n_terms": refinement.n_terms,
-            "max_purity_deviation": refinement.max_purity_deviation,
-            "reconstruction_residual": refinement.reconstruction_residual,
-        }
+    doc = asdict(rep)
+    if rep.verification is not None:
+        doc["verification"] = verification_doc(rep.verification)
+    doc["refined"] = None if refinement is None else asdict(refinement)
     return doc
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "RefinementSummary",
     "SeparabilityReport",
     "VerificationReport",
+    "certify_ppt_point",
     "refine_to_pure",
     "separability_report",
     "verify_decomposition",
@@ -65,7 +66,7 @@ def _component_stats(dec: Decomposition):
     """Min eigenvalue and max purity deviation over all distinct factors."""
     min_eig = np.inf
     max_purity_dev = 0.0
-    seen = {}
+    seen = set()
     for term in dec.terms:
         for mat in (term.state_a, term.state_b):
             key = _content_key(mat)
@@ -73,7 +74,7 @@ def _component_stats(dec: Decomposition):
                 continue
             vals, _ = hermitian_eigensystem(mat)
             purity = float(np.sum(vals * vals))  # trace of the square
-            seen[key] = True
+            seen.add(key)
             min_eig = min(min_eig, float(vals[0]))
             max_purity_dev = max(max_purity_dev, abs(purity - 1.0))
     return float(min_eig), float(max_purity_dev)
@@ -201,6 +202,19 @@ class SeparabilityReport:
     seed: int
 
 
+def certify_ppt_point(params: WernerParams, rho, tol: float):
+    """Certificate of a PPT point, verified against the point's own state rho.
+
+    Returns (verdict, decomposition, verification) with verdict SEPARABLE or
+    INVALID. f inside the PPT tolerance band just below zero has no
+    decomposition of its own; the f=0 certificate stands in for it and the
+    verifier measures the true gap to rho.
+    """
+    dec = decompose_auto(params if params.f >= 0.0 else WernerParams(params.p, 0.0))
+    ver = verify_decomposition(rho, dec, tol)
+    return ("SEPARABLE" if ver.verdict else "INVALID"), dec, ver
+
+
 def separability_report(
     params: WernerParams,
     seed: int = 42,
@@ -236,12 +250,7 @@ def separability_report(
         )
         return report, None
 
-    # f inside the PPT tolerance band just below zero has no decomposition of
-    # its own; the f=0 certificate reconstructs it within tol and the verifier
-    # measures the true gap against rho
-    dec_params = params if params.f >= 0.0 else WernerParams(params.p, 0.0)
-    dec = decompose_auto(dec_params)
-    ver = verify_decomposition(rho, dec, tol)
+    verdict, dec, ver = certify_ppt_point(params, rho, tol)
     refinement = None
     if refine and ver.verdict:
         refined = refine_to_pure(dec, tol)
@@ -254,7 +263,7 @@ def separability_report(
     report = SeparabilityReport(
         p=params.p,
         f=params.f,
-        verdict="SEPARABLE" if ver.verdict else "INVALID",
+        verdict=verdict,
         ppt=True,
         min_pt_eigenvalue=float(pt_min),
         witness=None,

@@ -217,6 +217,23 @@ def test_sweep_entangled_rows(capsys):
     assert row[-1] == "ENTANGLED"
 
 
+def test_sweep_row_agrees_with_report_inside_the_ppt_band(capsys):
+    # f = -1e-10 is PPT within tol, so both certify it with the f = 0 certificate
+    code, out, _ = run(capsys, "sweep", "--p", "2", "--f-start=-1e-10", "--f-end", "0", "--f-step", "1")
+    assert code == 0
+    row = dict(zip(out.splitlines()[0].split(","), out.splitlines()[1].split(",")))
+    code, out, _ = run(capsys, "report", "--p", "2", "--f=-1e-10")
+    assert code == 0
+    doc = json.loads(out)
+    assert row["ppt"] == "true" and doc["ppt"] is True
+    assert (row["scheme"], int(row["n_terms"]), row["verdict"]) == (
+        doc["scheme"],
+        doc["n_terms"],
+        doc["verdict"],
+    )
+    assert row["verdict"] == "SEPARABLE"
+
+
 def test_sweep_rejects_bad_ranges(capsys):
     code, _, err = run(capsys, "sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "-0.1")
     assert code == 2

@@ -79,7 +79,14 @@ def test_flip_equals_string_sum():
 @given(ps, fs)
 def test_dense_and_spinor_agree(p, f):
     params = WernerParams(p, f)
-    assert np.allclose(werner_dense(params), werner_spinor(params), atol=1e-14)
+    assert werner_dense(params).tobytes() == werner_spinor(params).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("f", [-1.0, -0.3, 0.0, "1/d", 0.77, 1.0])
+def test_dense_and_spinor_agree_bit_for_bit(p, f):
+    params = WernerParams(p, 1.0 / 2**p if f == "1/d" else f)
+    assert werner_dense(params).tobytes() == werner_spinor(params).tobytes()
 
 
 @settings(deadline=None, max_examples=30)

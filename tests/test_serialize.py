@@ -112,24 +112,42 @@ def test_decomposition_roundtrip_reverifies():
     assert rep.verdict
 
 
+VERIFICATION_KEYS = [
+    "convex_ok",
+    "min_weight",
+    "weight_sum_error",
+    "positivity_ok",
+    "min_component_eigenvalue",
+    "reconstruction_residual",
+    "purity_ok",
+    "max_purity_deviation",
+    "verdict",
+    "diagnostics",
+]
+SEPARABILITY_KEYS = [
+    "p",
+    "f",
+    "verdict",
+    "ppt",
+    "min_pt_eigenvalue",
+    "witness",
+    "scheme",
+    "scale",
+    "n_terms",
+    "verification",
+    "invariance_residual",
+    "seed",
+    "refined",
+]
+
+
 def test_verification_document():
     params = WernerParams(1, 0.6)
     rep = verify_decomposition(werner_dense(params), decompose_auto(params))
     doc = verification_doc(rep)
     assert doc["verdict"] is True
     assert doc["diagnostics"] == []
-    assert set(doc) == {
-        "convex_ok",
-        "min_weight",
-        "weight_sum_error",
-        "positivity_ok",
-        "min_component_eigenvalue",
-        "reconstruction_residual",
-        "purity_ok",
-        "max_purity_deviation",
-        "verdict",
-        "diagnostics",
-    }
+    assert list(doc) == VERIFICATION_KEYS
 
 
 def test_separability_document():
@@ -137,11 +155,20 @@ def test_separability_document():
     doc = separability_doc(rep, refinement)
     assert doc["verdict"] == "SEPARABLE"
     assert doc["refined"]["n_terms"] == refinement.n_terms
+    assert list(doc) == SEPARABILITY_KEYS
+    assert list(doc["verification"]) == VERIFICATION_KEYS
+    assert doc["verification"]["diagnostics"] == []
+    assert list(doc["refined"]) == [
+        "n_terms",
+        "max_purity_deviation",
+        "reconstruction_residual",
+    ]
     rep2, _ = separability_report(WernerParams(1, -0.9))
     doc2 = separability_doc(rep2)
     assert doc2["verdict"] == "ENTANGLED"
     assert doc2["verification"] is None
     assert doc2["refined"] is None
+    assert list(doc2) == SEPARABILITY_KEYS
     assert json.loads(dumps(doc2))["witness"] == rep2.witness
 
 
