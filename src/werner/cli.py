@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import serialize
@@ -49,7 +50,19 @@ class _UsageError(Exception):
     """An input argparse accepts but the toolkit cannot use; exits 1."""
 
 
+# Every negative value float() reads, so that "--f -1e-9" and "--f -inf" are
+# values: argparse's own pattern has no exponent and no inf, and takes such a
+# token for an option.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # usage problems exit 1 with one JSON line, not argparse's usage text and 2
     def error(self, message):
         _diag("UsageError", f"{self.prog}: {message}")
@@ -174,18 +187,22 @@ def _diag(kind: str, message: str, **extra) -> None:
 
 def _read_certificate(path: str):
     """The decomposition in a certificate file (- for stdin). A document that
-    is not one, from unparsable JSON to a missing key, raises MalformedInput."""
+    is not one, from unparsable JSON to a missing key, raises MalformedInput,
+    and so does one above the --p cap, whose target the CLI never builds."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path) as fh:
                 text = fh.read()
-        return serialize.doc_decomposition(json.loads(text))
+        dec = serialize.doc_decomposition(json.loads(text))
     except MalformedInput:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
+    if dec.params.p > _MAX_P:
+        raise MalformedInput(f"certificate p={dec.params.p} is above the cap of {_MAX_P}")
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +454,7 @@ def main(argv=None) -> int:
         _diag(type(exc).__name__, str(exc), **extra)
         return 2
     except OSError as exc:
-        sys.stderr.write(f"werner: i/o error: {exc}\n")
+        _diag("IOError", str(exc))
         return 1
 
 

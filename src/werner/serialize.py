@@ -3,7 +3,10 @@
 Floating-point numbers are written as decimal text with 17 significant
 digits, which round-trips binary64 exactly; the stdlib encoder cannot be
 pinned to that format, hence the small emitter here. Dict insertion order
-is the emission order, so identical inputs yield identical bytes.
+is the emission order, so identical inputs yield identical bytes. A 2-D
+float64 array, such as a factor's re or im part, is rendered with each
+distinct value formatted once, and an array repeated within one document
+is rendered once; the bytes are those of formatting every entry in place.
 
 The verification and separability documents are the report dataclasses of
 verify.py as dicts: their keys are those classes' fields in declaration
@@ -22,7 +25,7 @@ from .decompose import COMMUTING_CLASS, PER_STRING, Decomposition, ProductTerm
 from .errors import MalformedInput
 from .linalg import Spectrum
 from .model import WernerParams
-from .verify import SeparabilityReport, VerificationReport
+from .verify import SeparabilityReport, VerificationReport, _content_key
 
 __all__ = [
     "csv_text",
@@ -62,30 +65,45 @@ def _scalar_text(v) -> str:
 _CONTAINERS = (dict, list, tuple, np.ndarray)  # a list holding none is one line
 
 
-def _emit(obj, pad: str, step: str) -> str:
+def _matrix_text(a: np.ndarray, pad: str, step: str) -> str:
+    """A 2-D float64 array as a list of one-line rows, formatting each
+    distinct value once. Keys are bit patterns, so -0.0 and 0.0 stay apart."""
+    keys, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([format_float(v) for v in keys.view(np.float64)], dtype=object)
+    inner = pad + step
+    rows = texts[inverse].reshape(a.shape).tolist()
+    return "[\n" + ",\n".join(f"{inner}[{', '.join(r)}]" for r in rows) + "\n" + pad + "]"
+
+
+def _emit(obj, pad: str, step: str, memo: dict) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + step
         parts = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, inner, step)}"
+            f"{inner}{json.dumps(str(k))}: {_emit(v, inner, step, memo)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+            key = (pad, _content_key(obj))  # repeated factors render once
+            if key not in memo:
+                memo[key] = _matrix_text(obj, pad, step)
+            return memo[key]
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not any(isinstance(v, _CONTAINERS) for v in obj):
             return "[" + ", ".join(_scalar_text(v) for v in obj) + "]"
         inner = pad + step
-        parts = [f"{inner}{_emit(v, inner, step)}" for v in obj]
+        parts = [f"{inner}{_emit(v, inner, step, memo)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     return _scalar_text(obj)
 
 
 def dumps(obj) -> str:
     """JSON text (no trailing newline); parseable by json.loads."""
-    return _emit(obj, "", "  ")
+    return _emit(obj, "", "  ", {})
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +113,28 @@ def dumps(obj) -> str:
 
 def matrix_doc(m) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
+    return {"dim": int(m.shape[0]), "re": m.real, "im": m.imag}
+
+
+def _field(doc, key: str, kind):
+    """doc[key], which must be a JSON value of the given type (a bool is no
+    number), so that "2", 2.5 or true is never read as the integer 2."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedInput(f"field {key!r} must not be {type(value).__name__}")
+    return value
 
 
 def doc_matrix(doc) -> np.ndarray:
-    shape = (doc["dim"], doc["dim"])
+    dim = _field(doc, "dim", int)
+    shape = (dim, dim)
     re = np.array(doc["re"], dtype=float)
     im = np.array(doc["im"], dtype=float)
     if re.shape != shape or im.shape != shape:
         raise MalformedInput("matrix document shape disagrees with its dim field")
-    m = re + 1j * im
-    if not np.isfinite(m).all():
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # before 1j * inf warns
         raise MalformedInput("matrix document has a non-finite entry")
-    return m
+    return re + 1j * im
 
 
 def spectrum_rows(spec: Spectrum) -> List[dict]:
@@ -133,8 +160,8 @@ def decomposition_doc(dec: Decomposition) -> dict:
 
 
 def doc_decomposition(doc) -> Decomposition:
-    p, f = int(doc["p"]), float(doc["f"])
-    scheme, scale = str(doc["scheme"]), float(doc["scale"])
+    p, f = _field(doc, "p", int), float(_field(doc, "f", (int, float)))
+    scheme, scale = _field(doc, "scheme", str), float(_field(doc, "scale", (int, float)))
     if not (math.isfinite(f) and math.isfinite(scale)):
         raise MalformedInput("certificate f and scale must be finite")
     if scheme not in (PER_STRING, COMMUTING_CLASS):
@@ -142,10 +169,10 @@ def doc_decomposition(doc) -> Decomposition:
     params = WernerParams(p, f)
     terms = tuple(
         ProductTerm(
-            weight=float(t["weight"]),
+            weight=float(_field(t, "weight", (int, float))),
             state_a=doc_matrix(t["state_a"]),
             state_b=doc_matrix(t["state_b"]),
-            label=str(t["label"]),
+            label=_field(t, "label", str),
         )
         for t in doc["terms"]
     )
@@ -153,6 +180,8 @@ def doc_decomposition(doc) -> Decomposition:
         raise MalformedInput("certificate has no terms")
     if not all(math.isfinite(t.weight) for t in terms):
         raise MalformedInput("certificate weights must be finite")
+    if p >= 64:  # no parsed factor has 2**64 rows, and 2**p of a huge p never ends
+        raise MalformedInput(f"certificate p={p} is too large")
     d = params.d
     if any(m.shape != (d, d) for t in terms for m in (t.state_a, t.state_b)):
         raise MalformedInput(f"certificate factors must all be {d}x{d} for p={params.p}")

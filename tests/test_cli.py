@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, document schemas, determinism."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -322,6 +323,14 @@ def test_help_is_plain_usage_text(capsys):
         "nan-weight",
         "inf-entry",
         "bogus-scheme",
+        "string-p",
+        "float-p",
+        "float-dim",
+        "string-weight",
+        "numeric-label",
+        "huge-int-weight",
+        "huge-p",
+        "p-above-cap",
     ],
 )
 def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
@@ -348,6 +357,27 @@ def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
         factor["re"][0][0] = float("inf")
     elif case == "bogus-scheme":
         doc["scheme"] = "bogus"
+    elif case == "string-p":  # these five convert to valid values, but are mistyped
+        doc["p"] = "1"
+    elif case == "float-p":
+        doc["p"] = 1.9
+    elif case == "float-dim":
+        factor["dim"] = 2.0
+    elif case == "string-weight":
+        doc["terms"][0]["weight"] = "0.5"
+    elif case == "numeric-label":
+        doc["terms"][0]["label"] = 3
+    elif case == "huge-int-weight":  # float() overflows
+        doc["terms"][0]["weight"] = 10**400
+    elif case == "huge-p":  # 2**p alone would never finish
+        doc["p"] = 10**12
+    elif case == "p-above-cap":  # a well-formed p = 6 certificate; its target is 4096^2
+        doc["p"] = 6
+        eye = np.eye(64).tolist()
+        zero = np.zeros((64, 64)).tolist()
+        doc["terms"] = [dict(doc["terms"][0], weight=1.0,
+                             state_a=dict(dim=64, re=eye, im=zero),
+                             state_b=dict(dim=64, re=eye, im=zero))]
     else:
         factor["re"] = [[0.0, 1.0], [0.0, 0.0]]
         factor["im"] = [[0.0, 0.0], [0.0, 0.0]]
@@ -414,6 +444,39 @@ def test_unusable_inputs_exit_1_with_json(capsys, monkeypatch, env_seed, argv):
     assert out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "line,code",
+    [
+        ("ppt --p 2 --f -1e-9", 0),
+        ("report --p 1 --f -1E-10", 0),
+        ("spectrum --p 1 --f -.5", 0),
+        ("sweep --p 1 --f-start -1e-3 --f-end 0 --f-step 1e-3", 0),
+        ("sweep --p 1 --f-start -1 --f-end -0.5e0 --f-step 0.25", 0),
+        ("ppt --p 1 --f 0.5 --tol -1e-9", 1),
+        ("decompose --p 2 --f -inf", 1),
+        ("build --p 1 --f -Infinity", 1),
+        ("report --p 1 --f -nan", 1),
+    ],
+)
+def test_negative_value_as_its_own_token(capsys, line, code):
+    separate = line.split()
+    joined = re.sub(r"(--[a-z-]+) (-[^-])", r"\1=\2", line).split()
+    assert joined != separate
+    result = run(capsys, *separate)
+    assert result == run(capsys, *joined)
+    assert result[0] == code
+    if code == 1:
+        assert json.loads(result[2])["error"] == "UsageError"
+
+
+def test_unreadable_input_exits_1_with_json(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--input", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "IOError"
 
 
 def test_diagnostic_is_one_json_line(capsys):

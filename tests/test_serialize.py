@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werner.decompose import decompose_auto
+from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.model import WernerParams, werner_dense
 from werner.serialize import (
     csv_text,
@@ -21,7 +21,7 @@ from werner.serialize import (
     verification_doc,
 )
 from werner.linalg import Spectrum
-from werner.verify import separability_report, verify_decomposition
+from werner.verify import refine_to_pure, separability_report, verify_decomposition
 
 
 @settings(deadline=None, max_examples=200)
@@ -182,3 +182,97 @@ def test_csv_floats_17g():
     text = csv_text(["v"], [[1 / 3]])
     assert text == "v\n0.33333333333333331\n"
     assert float(text.splitlines()[1]) == 1 / 3
+
+
+# ---------------------------------------------------------------------------
+# the array-aware emitter against the per-scalar one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_scalar(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def _reference_emit(obj, pad="", step="  "):
+    """Every value formatted where it stands, arrays through tolist()."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + step
+        parts = [
+            f"{inner}{json.dumps(str(k))}: {_reference_emit(v, inner, step)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj):
+            return "[" + ", ".join(_reference_scalar(v) for v in obj) + "]"
+        inner = pad + step
+        parts = [f"{inner}{_reference_emit(v, inner, step)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    return _reference_scalar(obj)
+
+
+def _certificate(p, scheme):
+    # per_string holds on [0, 2^(1-p)], the class scheme on [2^-p, 1]
+    f = 0.3 * 2.0 ** (1 - p) if scheme == PER_STRING else 0.6
+    return decompose_auto(WernerParams(p, f), scheme)
+
+
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_certificate_bytes_match_the_per_scalar_emitter(p, scheme):
+    doc = decomposition_doc(_certificate(p, scheme))
+    assert dumps(doc) == _reference_emit(doc)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_refined_certificate_bytes_match_the_per_scalar_emitter(p):
+    doc = decomposition_doc(refine_to_pure(_certificate(p, COMMUTING_CLASS)))
+    assert dumps(doc) == _reference_emit(doc)
+
+
+def test_array_edge_cases_match_the_per_scalar_emitter():
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    signed = np.array([[-0.0, 0.0, tiny], [-tiny, 2.5e-310, -0.0]])
+    assert "-0, 0, 4.9406564584124654e-324" in dumps(signed)
+    factor = np.empty((3, 3), dtype=complex)
+    factor.real, factor.imag = signed[[0, 1, 0]], -signed[[1, 0, 1]]
+    doc = {
+        "signed_zeros_and_subnormals": signed,
+        "repeated": [signed, signed.copy(), -signed],
+        "column": np.arange(3.0).reshape(3, 1),
+        "row": np.array([[1 / 3, -1 / 3]]),
+        "one_d": np.array([0.5, -0.0]),
+        "empty": np.zeros((0, 0)),
+        "no_columns": np.zeros((2, 0)),
+        "ints": np.arange(4).reshape(2, 2),
+        "nested": {"m": matrix_doc(factor)},
+    }
+    assert dumps(doc) == _reference_emit(doc)
+
+
+def test_report_document_bytes_match_the_per_scalar_emitter():
+    rep, refinement = separability_report(WernerParams(2, 0.6), refine=True)
+    doc = separability_doc(rep, refinement)
+    assert dumps(doc) == _reference_emit(doc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_factor_entry_is_refused(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError):
+        dumps({"state": matrix_doc(m)})
