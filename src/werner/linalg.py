@@ -15,6 +15,17 @@ reduces the block to the real symmetric case solved by the plain rotation R.
 Each rotation removes 2 |beta|^2 from the squared off-diagonal mass, so the
 sweep loop decreases monotonically; matrices at this toolkit's scale settle
 in well under the sweep cap.
+
+One call solves a whole stack of matrices with one cyclic (i, j) schedule
+(Golub & Van Loan, Matrix Computations, section 8.5). At each pivot only the
+matrices that are still unsettled and whose |beta| exceeds the pivot floor
+rotate, and a rotation rewrites only the two rows, the two columns and the two
+eigenvector columns it touches, in those matrices. A matrix leaves the
+schedule once its own off-diagonal norm is within tol, exactly where it would
+stop if solved alone. Every matrix therefore sees the same IEEE operations,
+in the same order, as in a solve of its own: |beta| from the scalar complex
+abs, the angle from math.atan2, cos and sin, and elementwise numpy for the
+rest. The eigenvalues and eigenvectors do not depend on what else is stacked.
 """
 from __future__ import annotations
 
@@ -25,7 +36,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, MalformedInput
-from .pauli import frobenius_distance
 
 __all__ = [
     "Spectrum",
@@ -36,6 +46,7 @@ __all__ = [
 
 DEFAULT_CLUSTER_TOL = 1e-8
 _HERMITICITY_TOL = 1e-10
+_PROPOSE = 1.0 - 1e-9  # relative margin of the vector abs that proposes pivots
 
 
 @dataclass(frozen=True)
@@ -110,18 +121,21 @@ class Spectrum:
         return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+def _offdiag_norms(work: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the off-diagonal part of each matrix in a stack."""
+    sq = np.abs(work)
+    sq *= sq
+    diag = np.arange(work.shape[-1])
+    sq[:, diag, diag] = 0.0
+    return np.sqrt(np.sum(sq, axis=(1, 2)))
 
 
-def _require_hermitian(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if frobenius_distance(a, a.conj().T) > _HERMITICITY_TOL:
-        raise MalformedInput("matrix is not Hermitian within 1e-10")
-    return a
+def _rotate(x, at_i, at_j, c, p, q) -> None:
+    """x[at_i], x[at_j] <- c x_i + p x_j, -q x_i + c x_j, in place."""
+    x_i = x[at_i].copy()
+    x_j = x[at_j]
+    x[at_i] = c * x_i + p * x_j
+    x[at_j] = -q * x_i + c * x_j
 
 
 def hermitian_eigensystem(
@@ -130,77 +144,104 @@ def hermitian_eigensystem(
     max_sweeps: int = 100,
     compute_vectors: bool = False,
 ):
-    """Eigenvalues (ascending) of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigenvalues (ascending) of a Hermitian matrix, or of each matrix of a
+    stack, by cyclic Jacobi rotations.
 
-    Returns (values, vectors) where vectors is None unless requested; column
-    k of vectors is the eigenvector for values[k].
+    a is one (n, n) matrix or an (m, n, n) stack. Returns (values, vectors):
+    values has shape (n,) or (m, n); vectors is None unless requested, and
+    column k of a matrix of vectors is the eigenvector for its values[k].
     """
-    a = _require_hermitian(a)
-    n = a.shape[0]
-    work = 0.5 * (a + a.conj().T)  # symmetrize away the representation noise
-    vecs = np.eye(n, dtype=complex) if compute_vectors else None
-
-    if n == 1:
-        vals = np.array([work[0, 0].real])
-        return (vals, vecs) if compute_vectors else (vals, None)
+    a = np.asarray(a, dtype=complex)
+    stack = a[None] if a.ndim == 2 else a
+    if stack.ndim != 3 or not stack.shape[1] == stack.shape[2] > 0:
+        raise DimensionMismatch(
+            f"expected a nonempty square matrix or a stack of them, got shape {a.shape}"
+        )
+    if not np.isfinite(stack).all():
+        raise MalformedInput("matrix has non-finite entries")
+    work = np.conjugate(stack.swapaxes(1, 2), order="C")  # the adjoints
+    gap = np.abs(stack - work)
+    gap *= gap
+    if (np.sqrt(np.sum(gap, axis=(1, 2))) > _HERMITICITY_TOL).any():
+        raise MalformedInput("matrix is not Hermitian within 1e-10")
+    del gap
+    # symmetrize away the representation noise, in place; a^H + a has the
+    # bits of a + a^H
+    work += stack
+    work *= 0.5
+    m, n, _ = stack.shape
+    vecs = np.tile(np.eye(n, dtype=complex), (m, 1, 1)) if compute_vectors else None
 
     # skip pivots too small to matter; if all are skipped the sweep check passes
     pivot_floor = tol / (2.0 * n * n)
 
-    converged = False
-    off = _offdiag_norm(work)
-    for _ in range(max_sweeps):
-        if off <= tol:
-            converged = True
+    live = np.arange(m)
+    sel = slice(None)  # a basic slice while every matrix is live: fancy indexing copies
+    for sweep in range(max_sweeps + 1):
+        off = _offdiag_norms(work[sel])
+        unsettled = ~(off <= tol)
+        live = live[unsettled]
+        if not live.size:
             break
+        if sweep == max_sweeps:
+            residual = float(off[unsettled].max())
+            raise ConvergenceError(
+                f"Jacobi sweeps exhausted with off-diagonal residual {residual:.3e}",
+                residual=residual,
+            )
+        sel = live if live.size < m else slice(None)
         for i in range(n - 1):
-            for j in range(i + 1, n):
-                beta = work[i, j]
-                absb = abs(beta)
-                if absb <= pivot_floor:
-                    continue
-                alpha = work[i, i].real
-                gamma = work[j, j].real
-                theta = 0.5 * atan2(2.0 * absb, alpha - gamma)
-                c = cos(theta)
-                s = sin(theta)
+            j = i
+            while True:
+                # the next pivot of row i that may rotate in some live matrix;
+                # the entries before it are untouched since they were compared.
+                # numpy's vector abs can differ from the scalar complex abs in
+                # the last bit, so it only proposes pivots, with a margin; the
+                # scalar abs decides and gives the angle
+                big = ~(np.abs(work[sel, i, j + 1 :]) <= _PROPOSE * pivot_floor)
+                hits = np.flatnonzero(big.any(axis=0))
+                if not hits.size:
+                    break
+                j += 1 + int(hits[0])
+                idx = live[big[:, hits[0]]]
+                beta = work[idx, i, j]
+                absb = np.array([abs(b) for b in beta.tolist()])
+                rot = ~(absb <= pivot_floor)
+                if not rot.all():
+                    idx, beta, absb = idx[rot], beta[rot], absb[rot]
+                    if not idx.size:
+                        continue
+                # a basic slice for a full stack keeps one matrix off fancy indexing
+                at = slice(None) if idx.size == m else idx
+                # math's trig, one call per matrix: numpy's vector trig rounds
+                # differently
+                theta = [
+                    0.5 * atan2(y, x)
+                    for y, x in zip(
+                        (2.0 * absb).tolist(),
+                        (work[at, i, i].real - work[at, j, j].real).tolist(),
+                    )
+                ]
+                c = np.array([cos(t) for t in theta])[:, None]
+                s = np.array([sin(t) for t in theta])
                 e = beta / absb  # e^{i phi}
-                se = s * e
-                sec = s * e.conjugate()
-
-                col_i = work[:, i].copy()
-                col_j = work[:, j]
-                work[:, i] = c * col_i + sec * col_j
-                work[:, j] = -se * col_i + c * col_j
-
-                row_i = work[i, :].copy()
-                row_j = work[j, :]
-                work[i, :] = c * row_i + se * row_j
-                work[j, :] = -sec * row_i + c * row_j
-
+                se = (s * e)[:, None]
+                sec = (s * e.conj())[:, None]
+                _rotate(work, (at, slice(None), i), (at, slice(None), j), c, sec, se)
+                _rotate(work, (at, i), (at, j), c, se, sec)
                 # pivot is zero by construction; write it exactly
-                work[i, j] = 0.0
-                work[j, i] = 0.0
-
+                work[at, i, j] = 0.0
+                work[at, j, i] = 0.0
                 if vecs is not None:
-                    v_i = vecs[:, i].copy()
-                    v_j = vecs[:, j]
-                    vecs[:, i] = c * v_i + sec * v_j
-                    vecs[:, j] = -se * v_i + c * v_j
-        off = _offdiag_norm(work)
-    else:
-        converged = off <= tol
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweeps exhausted with off-diagonal residual {off:.3e}",
-            residual=off,
-        )
+                    _rotate(vecs, (at, slice(None), i), (at, slice(None), j), c, sec, se)
 
-    vals = np.real(np.diag(work))
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
+    vals = work.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
     if vecs is not None:
-        vecs = vecs[:, order]
+        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    if a.ndim == 2:
+        return vals[0], None if vecs is None else vecs[0]
     return vals, vecs
 
 

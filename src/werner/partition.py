@@ -19,6 +19,7 @@ so the partition is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import UnsupportedFieldSize, WernerError
@@ -224,7 +225,15 @@ def build_partition(p: int) -> Partition:
 
     Class order: the x = 0 class first, then one class per slope in
     ascending field-element order; members ascend by base-4 string value.
+    Built once per p: every call with the same p returns the same object.
     """
+    # a plain function in front of the cache, so that wrappers of the
+    # module's functions (profilers, the perfbench tracer) still see each call
+    return _spread_partition(p)
+
+
+@cache
+def _spread_partition(p: int) -> Partition:
     _poly(p)
     n = 1 << p
     zero = (0,) * p

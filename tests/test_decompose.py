@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from werner.decompose import (
     _CHUNK_BYTES,
+    _class_sums,
     COMMUTING_CLASS,
     PER_STRING,
     Decomposition,
@@ -252,6 +253,17 @@ def _loop_class_sum(cls, e):
         chi = -1 if bin(c & e).count("1") % 2 else 1
         acc += (chi * op.sign) * pauli_matrix(op.digits)
     return acc
+
+
+def test_class_sums_are_built_once_and_read_only():
+    for p in (1, 2, 3):
+        for cls in build_partition(p).classes:
+            sums = _class_sums(cls)
+            assert _class_sums(cls) is sums
+            with pytest.raises(ValueError):
+                sums[0, 0, 0] = 1.0
+            for e in range(2**p):
+                assert np.array_equal(sums[e], _loop_class_sum(cls, e))
 
 
 def _same_terms(a, b):

@@ -8,6 +8,7 @@ from werner.errors import UnsupportedFieldSize, WernerError
 from werner.partition import (
     CommutingClass,
     Partition,
+    _spread_partition,
     build_partition,
     dual_basis,
     dual_coords,
@@ -163,6 +164,12 @@ def test_validate_accepts_built_partition(p):
 
 def test_partition_is_deterministic():
     assert build_partition(3) == build_partition(3)
+
+
+def test_partition_is_built_once_per_p():
+    part = build_partition(3)
+    assert build_partition(3) is part
+    assert _spread_partition.__wrapped__(3) == part  # a fresh build agrees
 
 
 def test_dense_commutation_on_small_p():
