@@ -24,7 +24,7 @@ out-of-range constructions are allowed and simply fail verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import sqrt
 from typing import Optional, Sequence, Tuple
 
@@ -37,7 +37,9 @@ from .partition import CommutingClass, Partition, build_partition, validate_part
 from .pauli import (
     PauliOperator,
     all_strings,
+    bit_parity,
     format_label,
+    pauli_matrices,
     pauli_matrix,
     pauli_product,
 )
@@ -129,24 +131,21 @@ def per_string_decomposition(params: WernerParams, force: bool = False) -> Decom
         )
     delta = d * f - 1.0
     scale = sqrt(abs(delta))
-    flipped = delta < 0
     weight = 0.5 / (4**p - 1)
     eye = np.eye(d, dtype=complex)
 
+    strings = list(all_strings(p))[1:]
+    step = pauli_matrices(strings)
+    step *= scale
+    pluses, minuses = eye + step, eye - step
+    pluses /= d
+    minuses /= d
+    seconds = (minuses, pluses) if delta < 0 else (pluses, minuses)
     terms = []
-    for s in all_strings(p):
-        if all(x == 0 for x in s):
-            continue
-        sig = pauli_matrix(s)
-        plus = (eye + scale * sig) / d
-        minus = (eye - scale * sig) / d
+    for s, plus, minus, b_plus, b_minus in zip(strings, pluses, minuses, *seconds):
         name = format_label(s)
-        if flipped:
-            terms.append(ProductTerm(weight, plus, minus, f"per_string:{name}:+"))
-            terms.append(ProductTerm(weight, minus, plus, f"per_string:{name}:-"))
-        else:
-            terms.append(ProductTerm(weight, plus, plus, f"per_string:{name}:+"))
-            terms.append(ProductTerm(weight, minus, minus, f"per_string:{name}:-"))
+        terms.append(ProductTerm(weight, plus, b_plus, f"per_string:{name}:+"))
+        terms.append(ProductTerm(weight, minus, b_minus, f"per_string:{name}:-"))
     return Decomposition(params, PER_STRING, scale, tuple(terms))
 
 
@@ -158,14 +157,11 @@ def _group_elements(cls: CommutingClass):
     Hermitian string, so every phase is +-1; anything else means the class
     was not commuting in the first place.
     """
-    p = cls.p
+    identity = PauliOperator(0, (0,) * cls.p)
     elems = []
-    for c in range(1, 2**p):
-        op: Optional[PauliOperator] = None
-        for j in range(p):
-            if (c >> j) & 1:
-                gen = cls.generators[j]
-                op = PauliOperator(0, gen) if op is None else pauli_product(op, gen)
+    for c in range(1, 2**cls.p):
+        gens = (g for j, g in enumerate(cls.generators) if c >> j & 1)
+        op = reduce(pauli_product, gens, identity)
         elems.append((c, op.sign, op.digits))
     return elems
 
@@ -182,11 +178,9 @@ def _class_sums(cls: CommutingClass) -> np.ndarray:
     caller shares it.
     """
     n = 2**cls.p
-    parity = np.array([bin(x).count("1") % 2 for x in range(n)])
-    chi = 1.0 - 2.0 * parity[np.arange(n)[:, None] & np.arange(1, n)]
-    members = np.array(
-        [sign * pauli_matrix(digits) for _, sign, digits in _group_elements(cls)]
-    )
+    chi = 1.0 - 2.0 * bit_parity(np.arange(n)[:, None] & np.arange(1, n))
+    _, signs, strings = zip(*_group_elements(cls))
+    members = np.array(signs)[:, None, None] * pauli_matrices(strings)
     sums = np.tensordot(chi, members, 1).astype(np.complex64)
     sums.flags.writeable = False
     return sums

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PhysicalRangeError, WernerError
 from .linalg import Spectrum, partial_transpose_b
-from .pauli import all_strings, frobenius_distance, pauli_matrix
+from .pauli import all_strings, frobenius_distance, pauli_matrices
 
 __all__ = [
     "TRANSFORM_H",
@@ -110,10 +110,9 @@ def werner_spinor(params: WernerParams) -> np.ndarray:
     params.require_physical()
     p, f = params.p, params.f
     d = params.d
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for s in all_strings(p):
-        m = pauli_matrix(s)
-        acc += np.kron(m, m)
+    m = pauli_matrices(all_strings(p)).reshape(4**p, d * d)
+    # sum_s sigma_s[i, j] sigma_s[k, l] in the kron layout (ik, jl)
+    acc = (m.T @ m).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d * d, dtype=complex)
     return ((d - f) * eye + ((d * f - 1.0) / d) * acc) / (2 ** (3 * p) - d)
 

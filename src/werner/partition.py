@@ -14,25 +14,20 @@ lines through the origin of a 2-dimensional GF(2^p) vector space, which is
 why they tile the nonzero strings with nothing left over.
 
 Field arithmetic is bit-level with one pinned irreducible polynomial per p
-so the partition is reproducible byte for byte.
+so the partition is reproducible byte for byte; the builder applies it as
+whole multiplication and trace tables, and the validator checks each class
+on packed (x, z) bit masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import UnsupportedFieldSize, WernerError
-from .pauli import (
-    Digits,
-    commutes,
-    format_label,
-    from_symplectic,
-    pauli_matrix,
-    pauli_product,
-    string_index,
-    to_symplectic,
-)
+from .pauli import _PHASE, _XZ_DIGIT, Digits, bit_parity, format_label, packed, pauli_matrices
 
 __all__ = [
     "IRREDUCIBLE_POLY",
@@ -61,6 +56,7 @@ IRREDUCIBLE_POLY = {
 }
 
 _DENSE_CHECK_MAX_P = 3  # validate_partition's dense commutation check stops here
+_PHASE_TABLE = np.array(_PHASE, dtype=float)  # BLAS sums these small integers exactly
 
 
 def _poly(p: int) -> int:
@@ -125,39 +121,16 @@ def dual_coords(a: int, p: int) -> Tuple[int, ...]:
     return tuple(gf_trace(gf_mul(1 << i, a, p), p) for i in range(p))
 
 
-def _invert_gf2(rows: Sequence[int], p: int) -> List[int]:
-    # Gauss-Jordan on p-bit rows with an appended identity block.
-    aug = [rows[i] | (1 << (p + i)) for i in range(p)]
-    pivot_row = 0
-    for col in range(p):
-        hit = next((k for k in range(pivot_row, p) if (aug[k] >> col) & 1), None)
-        if hit is None:
-            raise WernerError("singular matrix over GF(2)")
-        aug[pivot_row], aug[hit] = aug[hit], aug[pivot_row]
-        for k in range(p):
-            if k != pivot_row and (aug[k] >> col) & 1:
-                aug[k] ^= aug[pivot_row]
-        pivot_row += 1
-    return [row >> p for row in aug]
-
-
 def dual_basis(p: int) -> Tuple[int, ...]:
     """Trace-dual basis of the polynomial basis: Tr(t^i b*_j) = delta_ij."""
-    _poly(p)
-    gram = []
-    for i in range(p):
-        row = 0
-        for j in range(p):
-            row |= gf_trace(gf_mul(1 << i, 1 << j, p), p) << j
-        gram.append(row)
-    inv = _invert_gf2(gram, p)
-    # gram is symmetric, so row j of the inverse is the j-th dual element
-    dual = tuple(inv[j] for j in range(p))
+    _, dual = _field_tables(p)
+    # b*_j is the one element whose dual_coords are the unit vector e_j
+    basis = tuple(int(np.flatnonzero(dual == 1 << j)[0]) for j in range(p))
     for i in range(p):
         for j in range(p):
-            if gf_trace(gf_mul(1 << i, dual[j], p), p) != (1 if i == j else 0):
+            if gf_trace(gf_mul(1 << i, basis[j], p), p) != (1 if i == j else 0):
                 raise WernerError("dual basis failed its defining identity")
-    return dual
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +161,11 @@ class Partition:
     classes: Tuple[CommutingClass, ...]
 
 
-def _pack_symplectic(digits: Digits) -> int:
-    x, z = to_symplectic(digits)
-    v = 0
-    for k, bit in enumerate(x + z):
-        v |= bit << k
-    return v
-
-
 def _independent_generators(members: Sequence[Digits], p: int) -> Tuple[Digits, ...]:
     basis: Dict[int, int] = {}  # leading bit -> reduced vector
     gens: List[Digits] = []
-    for m in members:
-        v = _pack_symplectic(m)
+    # base-4 string values are GF(2)-linear: a product's digits are the xor
+    for m, v in zip(members, (np.array(members) @ 4 ** np.arange(p)[::-1]).tolist()):
         while v:
             lead = v.bit_length() - 1
             if lead not in basis:
@@ -215,11 +180,6 @@ def _independent_generators(members: Sequence[Digits], p: int) -> Tuple[Digits, 
     return tuple(gens)
 
 
-def _class_from_members(members: Iterable[Digits], p: int) -> CommutingClass:
-    ordered = tuple(sorted(members, key=string_index))
-    return CommutingClass(ordered, _independent_generators(ordered, p))
-
-
 def build_partition(p: int) -> Partition:
     """Deterministic spread partition for any supported p.
 
@@ -232,26 +192,37 @@ def build_partition(p: int) -> Partition:
     return _spread_partition(p)
 
 
+def _field_tables(p: int):
+    """GF(2^p) multiplication table and the dual_coords mask of each element."""
+    poly = _poly(p)
+    a = np.arange(1 << p)
+    mul, shifted = np.zeros((a.size, a.size), dtype=np.int64), a
+    for k in range(p):  # gf_mul's carry-less loop, over every (a, b) at once
+        mul ^= shifted[:, None] * ((a >> k) & 1)
+        shifted = shifted << 1
+        shifted = shifted ^ ((shifted >> p) & 1) * poly
+    trace, power = a, a
+    for _ in range(p - 1):
+        power = mul[power, power]
+        trace = trace ^ power
+    dual = (trace[mul[1 << np.arange(p)]] << np.arange(p)[:, None]).sum(0)
+    return mul, dual
+
+
 @cache
 def _spread_partition(p: int) -> Partition:
-    _poly(p)
-    n = 1 << p
-    zero = (0,) * p
-
+    mul, dual = _field_tables(p)
+    a = np.arange(1, 1 << p)
+    # x and z masks of every class in poly_coords order: bit k is digit k
+    x = np.vstack([0 * a, np.tile(a, (len(mul), 1))])
+    z = np.vstack([a, dual[mul[:, 1:]]])
+    k = np.arange(p)
+    digits = np.array(_XZ_DIGIT)[(x[..., None] >> k) & 1, (z[..., None] >> k) & 1]
+    order = np.argsort(digits @ (4 ** k[::-1]), axis=1)
     classes = []
-    inf_members = [
-        from_symplectic(zero, poly_coords(b, p)) for b in range(1, n)
-    ]
-    classes.append(_class_from_members(inf_members, p))
-
-    for slope in range(n):
-        members = []
-        for a in range(1, n):
-            x_bits = poly_coords(a, p)
-            z_bits = dual_coords(gf_mul(slope, a, p), p)
-            members.append(from_symplectic(x_bits, z_bits))
-        classes.append(_class_from_members(members, p))
-
+    for members in np.take_along_axis(digits, order[..., None], 1).tolist():
+        ordered = tuple(map(tuple, members))
+        classes.append(CommutingClass(ordered, _independent_generators(ordered, p)))
     return Partition(p, tuple(classes))
 
 
@@ -267,6 +238,46 @@ class ValidationResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _class_problems(idx: int, members: Sequence[Digits], p: int) -> List[str]:
+    """Commutation, product-phase and closure problems of one class, in the
+    order of its member pairs (i < j), then of its ordered products (i, j)."""
+    digits, x, z = packed(members)
+    q = digits.shape[1]
+    anti = bit_parity((x[:, None] & z) ^ (x & z[:, None])) == 1
+    bad_pairs = anti.copy()
+    if p <= _DENSE_CHECK_MAX_P:
+        m = pauli_matrices(members)
+        comm = m[:, None] @ m - m @ m[:, None]  # [i, j] = m_i m_j - m_j m_i
+        bad_pairs |= np.abs(comm).max(axis=(2, 3)) > 1e-12
+    problems = []
+    for i, j in zip(*np.nonzero(np.triu(bad_pairs, 1))):
+        a, b = format_label(members[i]), format_label(members[j])
+        if anti[i, j]:
+            problems.append(f"class {idx}: {a} and {b} anticommute")
+        else:
+            problems.append(f"class {idx}: dense commutator of {a} and {b} is nonzero")
+
+    # sum_k _PHASE[d_ik][d_jk] as one product: table rows of i against one-hot digits of j
+    onehot = (digits[..., None] == np.arange(4)).reshape(len(members), -1)
+    imaginary = _PHASE_TABLE[digits].reshape(onehot.shape) @ onehot.T % 2 == 1
+    keys = x << q | z  # a product's masks are the xor of its factors' masks
+    closed = np.isin(keys[:, None] ^ keys, keys)
+    np.fill_diagonal(closed, q == p)  # a square is the q-factor identity
+    for i, j in zip(*np.nonzero(imaginary | ~closed)):
+        if imaginary[i, j]:
+            problems.append(f"class {idx}: product of commuting members has imaginary phase")
+        if closed[i, j]:
+            continue
+        if i == j:
+            problems.append(f"class {idx}: member does not square to the identity")
+        else:
+            problems.append(
+                f"class {idx}: not closed under products "
+                f"({format_label(members[i])} . {format_label(members[j])})"
+            )
+    return problems
 
 
 def validate_partition(part: Partition) -> ValidationResult:
@@ -303,41 +314,8 @@ def validate_partition(part: Partition) -> ValidationResult:
                 )
             seen[m] = idx
 
-        for i in range(len(cls.members)):
-            for j in range(i + 1, len(cls.members)):
-                a, b = cls.members[i], cls.members[j]
-                if not commutes(a, b):
-                    problems.append(
-                        f"class {idx}: {format_label(a)} and {format_label(b)} anticommute"
-                    )
-                elif p <= _DENSE_CHECK_MAX_P:
-                    ma, mb = pauli_matrix(a), pauli_matrix(b)
-                    comm = ma @ mb - mb @ ma
-                    if float(abs(comm).max()) > 1e-12:
-                        problems.append(
-                            f"class {idx}: dense commutator of {format_label(a)} "
-                            f"and {format_label(b)} is nonzero"
-                        )
-
-        member_set = set(cls.members)
-        for i in range(len(cls.members)):
-            for j in range(len(cls.members)):
-                prod = pauli_product(cls.members[i], cls.members[j])
-                if prod.phase % 2:
-                    problems.append(
-                        f"class {idx}: product of commuting members has imaginary phase"
-                    )
-                target = prod.digits
-                if i == j:
-                    if target != identity:
-                        problems.append(
-                            f"class {idx}: member does not square to the identity"
-                        )
-                elif target not in member_set:
-                    problems.append(
-                        f"class {idx}: not closed under products "
-                        f"({format_label(cls.members[i])} . {format_label(cls.members[j])})"
-                    )
+        if cls.members:
+            problems.extend(_class_problems(idx, cls.members, p))
 
     missing = (4**p - 1) - len(seen)
     if missing:

@@ -16,11 +16,17 @@ The symplectic encoding maps each digit to an (x, z) bit pair,
     0 <-> (0, 0), 1 <-> (1, 0), 2 <-> (1, 1), 3 <-> (0, 1),
 
 and two strings commute iff the symplectic form x_a.z_b + x_b.z_a
-vanishes mod 2.
+vanishes mod 2. Packed into two p-bit masks, with digit 0 as the most
+significant bit, a string is (-i)^(y count) Z^z X^x (since Y = -i Z X), so
+its matrix is a signed permutation: row r holds one entry, at column r ^ x,
+with value (-i)^(y count) (-1)^|r & z|. pauli_matrices realizes a whole
+stack of strings that way, with Gaussian-integer entries and no Kronecker
+products.
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -28,13 +34,9 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "DIGIT_LETTERS",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "SINGLE_QUBIT",
     "PauliOperator",
     "all_strings",
+    "bit_parity",
     "check_digits",
     "commutes",
     "format_label",
@@ -42,6 +44,8 @@ __all__ = [
     "from_symplectic",
     "index_string",
     "parse_label",
+    "packed",
+    "pauli_matrices",
     "pauli_matrix",
     "pauli_product",
     "string_index",
@@ -53,12 +57,6 @@ Digits = Tuple[int, ...]
 
 DIGIT_LETTERS = "IXYZ"
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SINGLE_QUBIT = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-
 # Quarter-turn phase of sigma_a . sigma_b (row a, column b), e.g. X.Y = i Z.
 _PHASE = (
     (0, 0, 0, 0),
@@ -67,49 +65,78 @@ _PHASE = (
     (0, 1, 3, 0),
 )
 
-# Digit of sigma_a . sigma_b up to phase; xor in the symplectic encoding.
-_XOR_DIGIT = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
-
 # digit -> (x, z)
 _DIGIT_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
-_XZ_DIGIT = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+_XZ_DIGIT = ((0, 3), (1, 2))  # [x][z] -> digit
+_XZ_BITS = np.array(_DIGIT_XZ)
+_DIGITS = frozenset(range(4))
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
 
 def check_digits(digits: Sequence[int]) -> Digits:
     """Normalize to a tuple and validate every digit is in {0, 1, 2, 3}."""
-    out = tuple(int(d) for d in digits)
+    out = tuple(map(int, digits))
     if not out:
         raise ValueError("a Pauli string needs at least one factor")
-    if any(d not in (0, 1, 2, 3) for d in out):
+    if not _DIGITS.issuperset(out):
         raise ValueError(f"digits must be in 0..3, got {out!r}")
     return out
 
 
+def bit_parity(v) -> np.ndarray:
+    """Parity of the set bits of each entry of a nonnegative integer array."""
+    v = np.asarray(v)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+def packed(strings: Iterable[Sequence[int]]):
+    """Digits (m, p) and the x and z masks (m,) of m equal-length strings.
+
+    Bit p - 1 - k of a mask belongs to digit k. Strings are checked in
+    order: a bad digit raises ValueError, and a length other than the first
+    string's raises DimensionMismatch.
+    """
+    rows: list = []
+    for s in strings:
+        s = check_digits(s)
+        if rows and len(s) != len(rows[0]):
+            raise DimensionMismatch(f"strings act on {len(rows[0])} and {len(s)} factors")
+        rows.append(s)
+    digits = np.array(rows).reshape(len(rows), -1)
+    weights = 1 << np.arange(digits.shape[1])[::-1]
+    x, z = np.moveaxis(_XZ_BITS[digits], -1, 0) @ weights
+    return digits, x, z
+
+
+def pauli_matrices(strings: Iterable[Sequence[int]]) -> np.ndarray:
+    """Dense (m, 2^p, 2^p) stack of signed permutations, digit 0 as the
+    leftmost Kronecker factor."""
+    digits, x, z = packed(strings)
+    m, p = digits.shape
+    r = np.arange(1 << p)
+    turns = np.count_nonzero(digits == 2, axis=1) % 4
+    values = _MINUS_I_POWERS[turns, None] * (1 - 2 * bit_parity(r & z[:, None]))
+    out = np.zeros((m, 1 << p, 1 << p), dtype=complex)
+    out[np.arange(m)[:, None], r, r ^ x[:, None]] = values
+    return out
+
+
 def pauli_matrix(digits: Sequence[int]) -> np.ndarray:
-    """Dense 2^p x 2^p realization, digit 0 as the leftmost Kronecker factor."""
-    digits = check_digits(digits)
-    m = SINGLE_QUBIT[digits[0]]
-    for d in digits[1:]:
-        m = np.kron(m, SINGLE_QUBIT[d])
-    return m
+    """Dense 2^p x 2^p realization; a stack of one."""
+    return pauli_matrices([digits])[0]
 
 
 def to_symplectic(digits: Sequence[int]):
-    digits = check_digits(digits)
-    x = tuple(_DIGIT_XZ[d][0] for d in digits)
-    z = tuple(_DIGIT_XZ[d][1] for d in digits)
+    x, z = zip(*(_DIGIT_XZ[d] for d in check_digits(digits)))
     return x, z
 
 
 def from_symplectic(x_bits: Sequence[int], z_bits: Sequence[int]) -> Digits:
     if len(x_bits) != len(z_bits):
         raise DimensionMismatch("x and z bit strings differ in length")
-    return tuple(_XZ_DIGIT[(int(a) & 1, int(b) & 1)] for a, b in zip(x_bits, z_bits))
+    return tuple(_XZ_DIGIT[int(a) & 1][int(b) & 1] for a, b in zip(x_bits, z_bits))
 
 
 def y_count(digits: Sequence[int]) -> int:
@@ -119,16 +146,8 @@ def y_count(digits: Sequence[int]) -> int:
 
 def commutes(a: Sequence[int], b: Sequence[int]) -> bool:
     """Symplectic commutation test, equivalent to the dense matrices commuting."""
-    a = check_digits(a)
-    b = check_digits(b)
-    if len(a) != len(b):
-        raise DimensionMismatch(f"strings act on {len(a)} and {len(b)} factors")
-    form = 0
-    for da, db in zip(a, b):
-        xa, za = _DIGIT_XZ[da]
-        xb, zb = _DIGIT_XZ[db]
-        form ^= (xa & zb) ^ (xb & za)
-    return form == 0
+    _, x, z = packed([a, b])
+    return not bit_parity(x[0] & z[1] ^ x[1] & z[0])
 
 
 class PauliOperator(NamedTuple):
@@ -166,12 +185,10 @@ def pauli_product(a, b) -> PauliOperator:
         raise DimensionMismatch(
             f"operands act on {len(a.digits)} and {len(b.digits)} factors"
         )
-    phase = a.phase + b.phase
-    out = []
-    for da, db in zip(a.digits, b.digits):
-        phase += _PHASE[da][db]
-        out.append(_XOR_DIGIT[da][db])
-    return PauliOperator(phase % 4, tuple(out))
+    pairs = tuple(zip(a.digits, b.digits))
+    phase = a.phase + b.phase + sum(_PHASE[da][db] for da, db in pairs)
+    # the digit code is xor-linear: sigma_a . sigma_b is sigma_(a ^ b) up to phase
+    return PauliOperator(phase % 4, tuple(da ^ db for da, db in pairs))
 
 
 def format_label(digits: Sequence[int]) -> str:
@@ -213,8 +230,7 @@ def all_strings(p: int) -> Iterator[Digits]:
     """All 4^p index strings in ascending base-4 order."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    for r in range(4**p):
-        yield index_string(r, p)
+    yield from product(range(4), repeat=p)
 
 
 def frobenius_distance(a, b) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from itertools import chain
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -132,9 +133,14 @@ def doc_matrix(doc) -> np.ndarray:
     im = np.array(doc["im"], dtype=float)
     if re.shape != shape or im.shape != shape:
         raise MalformedInput("matrix document shape disagrees with its dim field")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # before 1j * inf warns
+    # np.array converts "0.5", true and null; the parsed rows still hold them
+    if not {int, float}.issuperset(map(type, chain.from_iterable(chain(doc["re"], doc["im"])))):
+        raise MalformedInput("matrix document has an entry that is not a JSON number")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise MalformedInput("matrix document has a non-finite entry")
-    return re + 1j * im
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = re, im  # part by part: re + 1j * im loses the sign of a zero
+    return out
 
 
 def spectrum_rows(spec: Spectrum) -> List[dict]:

@@ -327,6 +327,8 @@ def test_help_is_plain_usage_text(capsys):
         "float-p",
         "float-dim",
         "string-weight",
+        "string-entry",
+        "bool-entry",
         "numeric-label",
         "huge-int-weight",
         "huge-p",
@@ -357,7 +359,7 @@ def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
         factor["re"][0][0] = float("inf")
     elif case == "bogus-scheme":
         doc["scheme"] = "bogus"
-    elif case == "string-p":  # these five convert to valid values, but are mistyped
+    elif case == "string-p":  # these seven convert to valid values, but are mistyped
         doc["p"] = "1"
     elif case == "float-p":
         doc["p"] = 1.9
@@ -365,6 +367,10 @@ def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
         factor["dim"] = 2.0
     elif case == "string-weight":
         doc["terms"][0]["weight"] = "0.5"
+    elif case == "string-entry":
+        factor["re"] = [[str(v) for v in row] for row in factor["re"]]
+    elif case == "bool-entry":
+        factor["im"][0][0] = False
     elif case == "numeric-label":
         doc["terms"][0]["label"] = 3
     elif case == "huge-int-weight":  # float() overflows

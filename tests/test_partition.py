@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werner.errors import UnsupportedFieldSize, WernerError
+from werner.errors import DimensionMismatch, UnsupportedFieldSize, WernerError
 from werner.partition import (
     CommutingClass,
     Partition,
@@ -155,7 +155,7 @@ def test_generators_span_class(p):
         assert spanned == set(cls.members)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_validate_accepts_built_partition(p):
     res = validate_partition(build_partition(p))
     assert bool(res)
@@ -232,6 +232,36 @@ def test_validator_flags_non_closure():
     )
     res = validate_partition(broken)
     assert any("closed" in msg or "members" in msg for msg in res.problems)
+
+
+def test_validator_problems_keep_their_text_and_order():
+    merged = Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((1,), (3,)), ((1,),))))
+    assert validate_partition(merged).problems == (
+        "class 2 has 2 members, expected 1",
+        "string X appears in classes 0 and 2",
+        "class 2: X and Z anticommute",
+        "class 2: product of commuting members has imaginary phase",
+        "class 2: not closed under products (X . Z)",
+        "class 2: product of commuting members has imaginary phase",
+        "class 2: not closed under products (Z . X)",
+    )
+    part = build_partition(2)
+    pair = part.classes[2].members[:2]
+    cut = Partition(2, part.classes[:2] + (CommutingClass(pair, pair),) + part.classes[3:])
+    assert validate_partition(cut).problems == (
+        "class 2 has 2 members, expected 3",
+        "class 2: not closed under products (XZ . YX)",
+        "class 2: not closed under products (YX . XZ)",
+        "1 nontrivial strings are not covered",
+    )
+    long = Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((3, 3),), ((3, 3),))))
+    assert validate_partition(long).problems == (
+        "class 2 member (3, 3) has wrong length",
+        "class 2: member does not square to the identity",
+    )
+    mixed = Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((3,), (3, 3)), ((3,),))))
+    with pytest.raises(DimensionMismatch):
+        validate_partition(mixed)
 
 
 def test_generator_independence_check():

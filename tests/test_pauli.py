@@ -1,10 +1,15 @@
 """String algebra against dense-matrix ground truth."""
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from werner.decompose import _class_sums, _group_elements, per_string_decomposition
 from werner.errors import DimensionMismatch
+from werner.model import WernerParams
+from werner.partition import build_partition
 from werner.pauli import (
     PauliOperator,
     all_strings,
@@ -15,6 +20,7 @@ from werner.pauli import (
     from_symplectic,
     index_string,
     parse_label,
+    pauli_matrices,
     pauli_matrix,
     pauli_product,
     string_index,
@@ -175,3 +181,62 @@ def test_matrix_utilities():
         frobenius_distance(a, np.eye(3))
     two = np.kron(pauli_matrix((1,)), pauli_matrix((3,)))
     assert np.array_equal(two, pauli_matrix((1, 3)))
+
+
+# --- the signed-permutation realizer against the Kronecker product ----------
+
+
+_SINGLE_FACTOR = (
+    np.eye(2, dtype=complex),
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def _kron_matrix(digits):
+    """Reference realization: digit 0 is the leftmost Kronecker factor."""
+    return reduce(np.kron, [_SINGLE_FACTOR[d] for d in digits])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_realizer_matches_kron_for_every_string(p):
+    strings = list(all_strings(p))
+    stack = pauli_matrices(strings)
+    assert stack.shape == (4**p, 2**p, 2**p) and stack.dtype == complex
+    for s, m in zip(strings, stack):
+        assert np.array_equal(m, _kron_matrix(s)), s
+    assert np.array_equal(pauli_matrix(strings[-1]), _kron_matrix(strings[-1]))
+
+
+def test_realizer_rejects_mixed_lengths_and_bad_digits():
+    with pytest.raises(DimensionMismatch):
+        pauli_matrices([(1,), (1, 3)])
+    with pytest.raises(ValueError):
+        pauli_matrices([(1, 4)])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_class_sums_are_bit_identical_to_kron_sums(p):
+    n = 2**p
+    chi = np.array([[(-1.0) ** bin(e & c).count("1") for c in range(1, n)] for e in range(n)])
+    for cls in build_partition(p).classes:
+        members = np.array([s * _kron_matrix(g) for _, s, g in _group_elements(cls)])
+        want = np.tensordot(chi, members, 1).astype(np.complex64)
+        assert _class_sums(cls).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_per_string_factors_are_bit_identical_to_kron_factors(p):
+    d = 2**p
+    eye = np.eye(d, dtype=complex)
+    for f in (0.0, 0.3 * 2.0 ** (1 - p), 2.0 ** (1 - p)):  # flipped, flipped, scale 1
+        dec = per_string_decomposition(WernerParams(p, f))
+        want = []
+        for s in list(all_strings(p))[1:]:
+            sig = _kron_matrix(s)
+            plus, minus = (eye + dec.scale * sig) / d, (eye - dec.scale * sig) / d
+            want += [(plus, minus), (minus, plus)] if d * f < 1 else [(plus, plus), (minus, minus)]
+        assert len(want) == dec.n_terms
+        for t, (a, b) in zip(dec.terms, want):
+            assert t.state_a.tobytes() == a.tobytes() and t.state_b.tobytes() == b.tobytes()

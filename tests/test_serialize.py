@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
+from werner.errors import MalformedInput
 from werner.model import WernerParams, werner_dense
 from werner.serialize import (
     csv_text,
@@ -80,6 +81,27 @@ def test_matrix_roundtrip_exact():
 def test_doc_matrix_shape_check():
     with pytest.raises(ValueError):
         doc_matrix({"dim": 3, "re": [[0.0]], "im": [[0.0]]})
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, False, None])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_doc_matrix_refuses_entries_that_are_not_numbers(part, bad):
+    doc = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    doc[part][1][0] = bad
+    with pytest.raises(MalformedInput):
+        doc_matrix(doc)
+
+
+def _json_with_signed_zeros(text):
+    # json.loads reads the "-0" that format_float writes for -0.0 as the int 0
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
+def test_parsed_refined_certificate_re_emits_its_bytes():
+    text = dumps(decomposition_doc(_refined_certificate(2))) + "\n"
+    assert "-0, " in text and "[-0" in text  # signed zeros in both re and im
+    doc = _json_with_signed_zeros(text)
+    assert dumps(decomposition_doc(doc_decomposition(doc))) + "\n" == text
 
 
 def test_spectrum_rows():
@@ -238,9 +260,13 @@ def test_certificate_bytes_match_the_per_scalar_emitter(p, scheme):
     assert dumps(doc) == _reference_emit(doc)
 
 
+def _refined_certificate(p):
+    return refine_to_pure(_certificate(p, COMMUTING_CLASS))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_refined_certificate_bytes_match_the_per_scalar_emitter(p):
-    doc = decomposition_doc(refine_to_pure(_certificate(p, COMMUTING_CLASS)))
+    doc = decomposition_doc(_refined_certificate(p))
     assert dumps(doc) == _reference_emit(doc)
 
 
