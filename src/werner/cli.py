@@ -394,7 +394,7 @@ def _cmd_sweep(args) -> int:
         spec = spectrum_closed_form(params)
         pt = pt_spectrum_closed_form(params)
         ok = ppt_check(params, args.tol)
-        if ok:
+        if ok and params.f >= 0:
             verdict, dec, ver = certify_ppt_point(params, werner_dense(params), args.tol)
             rows.append(
                 [

@@ -44,7 +44,7 @@ __all__ = [
     "partial_transpose_b",
 ]
 
-DEFAULT_CLUSTER_TOL = 1e-8
+DEFAULT_CLUSTER_TOL = 1e-8  # relative to the spectrum's largest |value|
 _HERMITICITY_TOL = 1e-10
 _PROPOSE = 1.0 - 1e-9  # relative margin of the vector abs that proposes pivots
 
@@ -53,8 +53,9 @@ _PROPOSE = 1.0 - 1e-9  # relative margin of the vector abs that proposes pivots
 class Spectrum:
     """Multiset of (eigenvalue, multiplicity) pairs in ascending order.
 
-    Neighbouring values closer than DEFAULT_CLUSTER_TOL (absolute) share one
-    pair, so a spectrum is as long as its number of distinct eigenvalues.
+    Neighbouring values within DEFAULT_CLUSTER_TOL times the largest |value|
+    share one pair, so a spectrum is as long as its number of distinct
+    eigenvalues at any scale of d.
     """
 
     pairs: Tuple[Tuple[float, int], ...]
@@ -75,15 +76,15 @@ class Spectrum:
         items = sorted((float(v) + 0.0, int(m)) for v, m in pairs)
         if any(m < 0 for _, m in items):
             raise ValueError("negative multiplicity")
+        items = [(v, m) for v, m in items if m]
+        if not items:
+            raise ValueError("empty spectrum")
+        tol = DEFAULT_CLUSTER_TOL * max(-items[0][0], items[-1][0])
         clusters = []
         for v, m in items:
-            if m == 0:
-                continue
-            if not clusters or v - clusters[-1][-1][0] > DEFAULT_CLUSTER_TOL:
+            if not clusters or v - clusters[-1][-1][0] > tol:
                 clusters.append([])
             clusters[-1].append((v, m))
-        if not clusters:
-            raise ValueError("empty spectrum")
         merged = []
         for chunk in clusters:
             if len(chunk) == 1:

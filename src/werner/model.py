@@ -196,9 +196,8 @@ def ppt_check(params: WernerParams, tol: float = 1e-9) -> bool:
     """True iff the least partial-transpose eigenvalue is >= -tol (Peres,
     PRL 77, 1413 (1996)).
 
-    The two branches are compared unclustered: at large d they lie closer
-    than the spectrum's clustering tolerance, and their merged mean would
-    hide a negative f/d.
+    The two branches are compared unclustered, so the verdict never
+    depends on the spectrum's clustering tolerance.
     """
     params.require_physical()
     return min(v for v, _ in _pt_pairs(params)) >= -tol

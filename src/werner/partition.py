@@ -13,10 +13,11 @@ class, and the x = 0 strings supply one more. The classes are exactly the
 lines through the origin of a 2-dimensional GF(2^p) vector space, which is
 why they tile the nonzero strings with nothing left over.
 
-Field arithmetic is bit-level with one pinned irreducible polynomial per p
-so the partition is reproducible byte for byte; the builder applies it as
-whole multiplication and trace tables, and the validator checks each class
-on packed (x, z) bit masks.
+The field arithmetic is two tables per p, built once from one pinned
+irreducible polynomial so the partition is reproducible byte for byte: the
+multiplication table and the trace-pairing mask of each element. The
+builder, gf_mul, gf_trace and dual_coords all read them; the validator
+checks each class on packed (x, z) bit masks.
 """
 from __future__ import annotations
 
@@ -76,33 +77,15 @@ def _check_element(a: int, p: int) -> int:
 
 
 def gf_mul(a: int, b: int, p: int) -> int:
-    """Carry-less product reduced by the pinned polynomial for p."""
-    poly = _poly(p)
-    a = _check_element(a, p)
-    b = _check_element(b, p)
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        if (a >> p) & 1:
-            a ^= poly
-        b >>= 1
-    return acc
+    """Product in GF(2^p) modulo the pinned polynomial for p."""
+    mul, _ = _field_tables(p)
+    return int(mul[_check_element(a, p), _check_element(b, p)])
 
 
 def gf_trace(a: int, p: int) -> int:
     """Field trace a + a^2 + ... + a^(2^(p-1)); always lands in {0, 1}."""
-    _poly(p)
-    a = _check_element(a, p)
-    t = a
-    acc = a
-    for _ in range(p - 1):
-        t = gf_mul(t, t, p)
-        acc ^= t
-    if acc not in (0, 1):
-        raise WernerError(f"trace left the prime field: {acc}")  # cannot happen
-    return acc
+    _, dual = _field_tables(p)
+    return int(dual[_check_element(a, p)]) & 1  # Tr(t^0 a)
 
 
 def poly_coords(a: int, p: int) -> Tuple[int, ...]:
@@ -118,7 +101,8 @@ def dual_coords(a: int, p: int) -> Tuple[int, ...]:
     u . v equals Tr(a b).
     """
     a = _check_element(a, p)
-    return tuple(gf_trace(gf_mul(1 << i, a, p), p) for i in range(p))
+    _, dual = _field_tables(p)
+    return tuple(int(dual[a]) >> i & 1 for i in range(p))
 
 
 def dual_basis(p: int) -> Tuple[int, ...]:
@@ -192,8 +176,14 @@ def build_partition(p: int) -> Partition:
     return _spread_partition(p)
 
 
+@cache
 def _field_tables(p: int):
-    """GF(2^p) multiplication table and the dual_coords mask of each element."""
+    """GF(2^p) multiplication table and the dual_coords mask of each element.
+
+    The only field arithmetic of the module: mul[a, b] is the carry-less
+    product of a and b reduced by the pinned polynomial, and bit i of
+    dual[a] is Tr(t^i a). Built once per p and returned read-only.
+    """
     poly = _poly(p)
     a = np.arange(1 << p)
     mul, shifted = np.zeros((a.size, a.size), dtype=np.int64), a
@@ -206,6 +196,7 @@ def _field_tables(p: int):
         power = mul[power, power]
         trace = trace ^ power
     dual = (trace[mul[1 << np.arange(p)]] << np.arange(p)[:, None]).sum(0)
+    mul.flags.writeable = dual.flags.writeable = False
     return mul, dual
 
 

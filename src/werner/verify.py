@@ -225,14 +225,13 @@ class SeparabilityReport:
 
 
 def certify_ppt_point(params: WernerParams, rho, tol: float):
-    """Certificate of a PPT point, verified against the point's own state rho.
+    """Certificate of a point with f >= 0, verified against its own state rho.
 
     Returns (verdict, decomposition, verification) with verdict SEPARABLE or
-    INVALID. f inside the PPT tolerance band just below zero has no
-    decomposition of its own; the f=0 certificate stands in for it and the
-    verifier measures the true gap to rho.
+    INVALID. A point with f < 0 has no product decomposition: f/d is an
+    exact witness, even inside the PPT tolerance band.
     """
-    dec = decompose_auto(params if params.f >= 0.0 else WernerParams(params.p, 0.0))
+    dec = decompose_auto(params)
     ver = verify_decomposition(rho, dec, tol)
     return ("SEPARABLE" if ver.verdict else "INVALID"), dec, ver
 
@@ -255,12 +254,12 @@ def separability_report(
     rho = werner_dense(params)
     inv_res = invariance_residual(rho, random_unitary(params.d, seed))
 
-    if not ppt:
+    if not ppt or params.f < 0:
         report = SeparabilityReport(
             p=params.p,
             f=params.f,
             verdict="ENTANGLED",
-            ppt=False,
+            ppt=ppt,
             min_pt_eigenvalue=float(pt_min),
             witness=float(pt_min),
             scheme=None,

@@ -219,20 +219,31 @@ def test_sweep_entangled_rows(capsys):
 
 
 def test_sweep_row_agrees_with_report_inside_the_ppt_band(capsys):
-    # f = -1e-10 is PPT within tol, so both certify it with the f = 0 certificate
+    # f = -1e-10 is PPT within tol, but f/d < 0 witnesses entanglement
     code, out, _ = run(capsys, "sweep", "--p", "2", "--f-start=-1e-10", "--f-end", "0", "--f-step", "1")
     assert code == 0
     row = dict(zip(out.splitlines()[0].split(","), out.splitlines()[1].split(",")))
-    code, out, _ = run(capsys, "report", "--p", "2", "--f=-1e-10")
-    assert code == 0
+    code, out, err = run(capsys, "report", "--p", "2", "--f=-1e-10")
+    assert code == 2
+    assert json.loads(err)["error"] == "NotSeparable"
     doc = json.loads(out)
     assert row["ppt"] == "true" and doc["ppt"] is True
-    assert (row["scheme"], int(row["n_terms"]), row["verdict"]) == (
-        doc["scheme"],
-        doc["n_terms"],
-        doc["verdict"],
-    )
-    assert row["verdict"] == "SEPARABLE"
+    assert (row["scheme"], int(row["n_terms"]), row["verdict"]) == ("", 0, "ENTANGLED")
+    assert (doc["scheme"], doc["n_terms"], doc["verdict"]) == (None, 0, "ENTANGLED")
+    assert doc["witness"] == doc["min_pt_eigenvalue"] == -1e-10 / 4
+
+
+@pytest.mark.parametrize("p, f", [("1", "-1.9e-9"), ("2", "-3.9e-9")])
+def test_report_calls_every_negative_f_entangled(capsys, p, f):
+    # both points pass PPT within the default tol; the f = 0 certificate
+    # that once stood in for them missed rho by more than tol
+    code, out, err = run(capsys, "report", "--p", p, f"--f={f}")
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["ppt"], doc["scheme"]) == ("ENTANGLED", True, None)
+    assert doc["witness"] == float(f) / 2 ** int(p)
+    diag = json.loads(err)
+    assert diag["error"] == "NotSeparable" and diag["witness"] == doc["witness"]
 
 
 def test_sweep_rejects_bad_ranges(capsys):
@@ -456,7 +467,7 @@ def test_unusable_inputs_exit_1_with_json(capsys, monkeypatch, env_seed, argv):
     "line,code",
     [
         ("ppt --p 2 --f -1e-9", 0),
-        ("report --p 1 --f -1E-10", 0),
+        ("report --p 1 --f -1E-10", 2),  # parsed, then NotSeparable
         ("spectrum --p 1 --f -.5", 0),
         ("sweep --p 1 --f-start -1e-3 --f-end 0 --f-step 1e-3", 0),
         ("sweep --p 1 --f-start -1 --f-end -0.5e0 --f-step 0.25", 0),

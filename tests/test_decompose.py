@@ -23,10 +23,10 @@ from werner.decompose import (
     per_string_range,
     reconstruct,
 )
-from werner.errors import SchemeRangeError, WernerError
+from werner.errors import SchemeRangeError
 from werner.linalg import hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
-from werner.partition import CommutingClass, Partition, build_partition
+from werner.partition import CommutingClass, build_partition
 from werner.pauli import PauliOperator, pauli_matrix, pauli_product
 from werner.verify import refine_to_pure
 
@@ -150,20 +150,11 @@ def test_class_component_signs():
     assert np.allclose(class_component(cls, (1,), s), (np.eye(2) - s * z) / 2, atol=0)
 
 
-def test_custom_partition_accepted():
-    params = WernerParams(2, 0.8)
-    dec = class_decomposition(params, part=build_partition(2))
-    assert np.allclose(reconstruct(dec), werner_dense(params), atol=1e-12)
-
-
-def test_invalid_partition_rejected():
-    params = WernerParams(2, 0.8)
-    part = build_partition(2)
-    broken = Partition(
-        2, part.classes[:4] + (CommutingClass(((1, 1), (3, 3)), ((1, 1), (3, 3))),)
-    )
-    with pytest.raises(WernerError):
-        class_decomposition(params, part=broken)
+def test_class_component_refuses_anticommuting_generators():
+    # X and Z anticommute, so no sign pattern makes (I +- X)(I +- Z) Hermitian
+    cls = CommutingClass(((1, 0), (3, 0), (2, 0)), ((1, 0), (3, 0)))
+    with pytest.raises(ValueError, match="do not pairwise commute"):
+        class_component(cls, (0, 0), 1.0)
 
 
 @settings(deadline=None, max_examples=25)

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from werner.errors import DimensionMismatch, UnsupportedFieldSize, WernerError
 from werner.partition import (
+    IRREDUCIBLE_POLY,
     CommutingClass,
     Partition,
+    _field_tables,
     _spread_partition,
     build_partition,
     dual_basis,
@@ -29,6 +31,46 @@ from werner.pauli import (
 # --- GF(2^p) --------------------------------------------------------------
 
 
+def _clmul(a, b, p):
+    # reference: shift-and-add product, reducing each overflow of bit p
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if (a >> p) & 1:
+            a ^= IRREDUCIBLE_POLY[p]
+        b >>= 1
+    return acc
+
+
+def _square_trace(a, p):
+    # reference: a + a^2 + ... + a^(2^(p-1)) by repeated squaring
+    t = acc = a
+    for _ in range(p - 1):
+        t = _clmul(t, t, p)
+        acc ^= t
+    return acc
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_field_tables_match_the_scalar_references(p):
+    mul, dual = _field_tables(p)
+    n = 1 << p
+    want = [[_clmul(a, b, p) for b in range(n)] for a in range(n)]
+    assert mul.tolist() == want
+    assert [gf_mul(a, b, p) for a in range(n) for b in range(n)] == sum(want, [])
+    traces = [_square_trace(a, p) for a in range(n)]
+    assert set(traces) <= {0, 1}
+    assert [gf_trace(a, p) for a in range(n)] == traces
+    for a in range(n):
+        coords = tuple(_square_trace(_clmul(1 << i, a, p), p) for i in range(p))
+        assert dual_coords(a, p) == coords
+        assert int(dual[a]) == sum(bit << i for i, bit in enumerate(coords))
+    assert _field_tables(p) is _field_tables(p)
+    assert not mul.flags.writeable and not dual.flags.writeable
+
+
 def test_gf4_frozen():
     # in GF(4) with modulus x^2 + x + 1: x . x = x + 1
     assert gf_mul(2, 2, 2) == 3
@@ -43,7 +85,16 @@ def test_unsupported_field():
     with pytest.raises(UnsupportedFieldSize):
         gf_mul(1, 1, 9)
     with pytest.raises(UnsupportedFieldSize):
+        gf_trace(1, 9)
+    with pytest.raises(UnsupportedFieldSize):
+        dual_coords(1, 9)
+    with pytest.raises(UnsupportedFieldSize):
         build_partition(0)
+    for bad in (-1, 4):  # outside GF(4)
+        for call in (lambda: gf_mul(bad, 1, 2), lambda: gf_mul(1, bad, 2),
+                     lambda: gf_trace(bad, 2), lambda: dual_coords(bad, 2)):
+            with pytest.raises(ValueError):
+                call()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werner.decompose import _class_sums, _group_elements, per_string_decomposition
+from werner.decompose import _class_sums, per_string_decomposition
 from werner.errors import DimensionMismatch
 from werner.model import WernerParams
 from werner.partition import build_partition
@@ -220,8 +220,14 @@ def test_realizer_rejects_mixed_lengths_and_bad_digits():
 def test_class_sums_are_bit_identical_to_kron_sums(p):
     n = 2**p
     chi = np.array([[(-1.0) ** bin(e & c).count("1") for c in range(1, n)] for e in range(n)])
+    identity = PauliOperator(0, (0,) * p)
     for cls in build_partition(p).classes:
-        members = np.array([s * _kron_matrix(g) for _, s, g in _group_elements(cls)])
+        # member c is the ordered product of the generators its bits select
+        ops = [
+            reduce(pauli_product, (g for j, g in enumerate(cls.generators) if c >> j & 1), identity)
+            for c in range(1, n)
+        ]
+        members = np.array([op.sign * _kron_matrix(op.digits) for op in ops])
         want = np.tensordot(chi, members, 1).astype(np.complex64)
         assert _class_sums(cls).tobytes() == want.tobytes()
 

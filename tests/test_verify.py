@@ -197,7 +197,8 @@ def test_report_seed_is_recorded():
 def test_verdict_agrees_with_ppt(p, f):
     params = WernerParams(p, f)
     rep, _ = separability_report(params)
-    assert ppt_check(params) == (rep.verdict == "SEPARABLE")
+    assert rep.ppt == ppt_check(params)
+    assert (f >= 0) == (rep.verdict == "SEPARABLE")
 
 
 def test_component_dedup_by_identity():
