@@ -55,8 +55,9 @@ __all__ = [
 PER_STRING = "per_string"
 COMMUTING_CLASS = "commuting_class"
 
-# bytes of complex factors stacked per GEMM in reconstruct: 16 terms at p = 5,
-# 256 at p = 3. A refined certificate (69,632 terms at p = 4) is never stacked
+# least bytes of complex factors stacked per GEMM in reconstruct (256 terms at
+# p = 3, 64 at p = 4), and of each row block its product adds to the
+# accumulator. A refined certificate (69,632 terms at p = 4) is never stacked
 # whole, and small runs stay within a megabyte of the per-term loop's peak RSS.
 _CHUNK_BYTES = 1 << 19
 
@@ -263,17 +264,24 @@ def reconstruct(dec: Decomposition) -> np.ndarray:
 
     One GEMM per chunk of terms: acc[(i,j),(k,l)] = sum_t w_t A_t[i,j] B_t[k,l]
     is (w A_flat).T @ B_flat, and one transpose puts it in the kron layout.
+    Each chunk costs a pass over the accumulator, so a chunk's factors may
+    take max(_CHUNK_BYTES, a quarter of the accumulator's bytes): 128 terms
+    at p = 5, unchanged at p <= 4. The product goes into the accumulator in
+    row blocks of that size, so no accumulator-sized temporary exists.
     """
     if not dec.terms:
         raise ValueError("decomposition has no terms")
     first = dec.terms[0]
     da, db = first.state_a.shape[0], first.state_b.shape[0]
-    step = max(1, _CHUNK_BYTES // (16 * (da * da + db * db)))
     acc = np.zeros((da * da, db * db), dtype=complex)
+    block = max(_CHUNK_BYTES, acc.nbytes // 4)
+    step = max(1, block // (16 * (da * da + db * db)))
+    rows = max(1, block // (16 * db * db))
     for start in range(0, len(dec.terms), step):
         chunk = dec.terms[start : start + step]
         a = np.array([t.state_a for t in chunk], dtype=complex).reshape(len(chunk), da * da)
         b = np.array([t.state_b for t in chunk]).reshape(len(chunk), db * db)
         a *= np.array([t.weight for t in chunk])[:, None]
-        acc += a.T @ b
+        for r in range(0, da * da, rows):
+            acc[r : r + rows] += a[:, r : r + rows].T @ b
     return acc.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)

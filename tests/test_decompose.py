@@ -327,7 +327,8 @@ def _hand_built(da, db, n_terms, seed=0):
 
 
 def _chunk_terms(da, db):
-    return _CHUNK_BYTES // (16 * (da * da + db * db))
+    # reconstruct's chunk: at least _CHUNK_BYTES, else a quarter of the accumulator
+    return max(_CHUNK_BYTES, (da * db) ** 2 * 4) // (16 * (da * da + db * db))
 
 
 _RECONSTRUCT_CASES = {
@@ -341,6 +342,9 @@ _RECONSTRUCT_CASES = {
     "chunks-plus-3": lambda: _hand_built(8, 8, 2 * _chunk_terms(8, 8) + 3),
     "da2-db8": lambda: _hand_built(2, 8, 50, seed=1),
     "da8-db2": lambda: _hand_built(8, 2, 50, seed=2),
+    # 131 terms: one accumulator-sized chunk of 128, then a ragged 3, each
+    # added in four row blocks
+    "da32-db32-chunk-plus-3": lambda: _hand_built(32, 32, _chunk_terms(32, 32) + 3, seed=3),
 }
 
 
@@ -351,3 +355,28 @@ def test_reconstruct_matches_the_kron_loop(case):
     ref = _loop_reconstruct(dec)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-15
+
+
+def _one_block_reconstruct(dec):
+    # reconstruct as it was before row blocks: 512 KiB chunks, one a.T @ b each
+    first = dec.terms[0]
+    da, db = first.state_a.shape[0], first.state_b.shape[0]
+    step = max(1, _CHUNK_BYTES // (16 * (da * da + db * db)))
+    acc = np.zeros((da * da, db * db), dtype=complex)
+    for start in range(0, len(dec.terms), step):
+        chunk = dec.terms[start : start + step]
+        a = np.array([t.state_a for t in chunk], dtype=complex).reshape(len(chunk), da * da)
+        b = np.array([t.state_b for t in chunk]).reshape(len(chunk), db * db)
+        a *= np.array([t.weight for t in chunk])[:, None]
+        acc += a.T @ b
+    return acc.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_reconstruct_keeps_its_bits_up_to_p4(p):
+    # at p <= 4 the chunks stay at 512 KiB; the row blocks must not move a bit
+    for dec in (
+        per_string_decomposition(WernerParams(p, 0.5 / 2**p)),
+        class_decomposition(WernerParams(p, 0.7)),
+    ):
+        assert reconstruct(dec).tobytes() == _one_block_reconstruct(dec).tobytes()

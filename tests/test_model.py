@@ -75,6 +75,39 @@ def test_flip_equals_string_sum():
         assert np.allclose(acc / d, flip_operator(d), atol=1e-12)
 
 
+def _reference_flip(d):
+    # the swap as it was built before index writes: one entry per (i, j)
+    p = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            p[j * d + i, i * d + j] = 1.0
+    return p
+
+
+def _reference_dense(params, flip):
+    # the Werner state as the complex expression over dense I and P
+    d, f = params.d, params.f
+    eye = np.eye(d * d, dtype=complex)
+    return ((d - f) * eye + (d * f - 1.0) * flip) / (d**3 - d)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+def test_flip_operator_is_the_loop_bit_for_bit(d):
+    assert flip_operator(d).tobytes() == _reference_flip(d).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_werner_dense_is_the_expression_bit_for_bit(p):
+    # a plain real division of the entries would differ in the last bit
+    flip = _reference_flip(2**p)
+    grid = [float(f) for f in np.linspace(-1.0, 1.0, 41)] + [2.0**-p, 1 / 3, -0.77]
+    if p == 5:
+        grid = grid[::4] + grid[-3:]
+    for f in grid:
+        params = WernerParams(p, f)
+        assert werner_dense(params).tobytes() == _reference_dense(params, flip).tobytes(), f
+
+
 @settings(deadline=None, max_examples=30)
 @given(ps, fs)
 def test_dense_and_spinor_agree(p, f):
@@ -238,6 +271,41 @@ def test_invariance_under_uxu(p, seed):
 def test_invariance_residual_detects_noninvariant_state():
     rho = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
     assert invariance_residual(rho, random_unitary(2, 5)) > 1e-3
+
+
+def _kron_residual(rho, u):
+    # reference: explicit conjugation by the d^2 x d^2 matrix kron(u, u)
+    w = np.kron(u, u)
+    return np.linalg.norm(w @ rho @ w.conj().T - rho)
+
+
+def _random_matrix(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_invariance_residual_matches_the_kron_conjugation(p):
+    d = 2**p
+    rng = np.random.default_rng(p)
+    for seed in (0, 3):
+        rho = _random_matrix(rng, d * d)
+        u = random_unitary(d, seed)
+        ref = _kron_residual(rho, u)
+        assert ref > 1e-3
+        assert abs(invariance_residual(rho, u) - ref) <= 1e-12 * ref
+
+
+def test_invariance_residual_reads_a_strided_view():
+    rng = np.random.default_rng(9)
+    big = _random_matrix(rng, 32)
+    rho = big[::2, 1::2]
+    assert not rho.flags.c_contiguous and not rho.flags.f_contiguous
+    u = random_unitary(4, 1)
+    ref = _kron_residual(rho, u)
+    assert abs(invariance_residual(rho, u) - ref) <= 1e-12 * ref
+    assert invariance_residual(rho.T, u) == pytest.approx(_kron_residual(rho.T, u), rel=1e-12)
 
 
 def test_invariance_rejects_non_unitary():
