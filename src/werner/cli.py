@@ -170,13 +170,17 @@ def _check_args(args) -> None:
             raise _UsageError(f"the seed must be nonnegative, got {args.seed}")
 
 
-def _write(args, text: str) -> None:
+def _write(args, text: str, end: str = "\n") -> None:
+    """text, then end, to --output or stdout; end is written on its own so
+    that a large document is never copied to append it."""
     path = getattr(args, "output", None)
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+            fh.write(end)
 
 
 def _diag(kind: str, message: str, **extra) -> None:
@@ -195,14 +199,11 @@ def _read_certificate(path: str):
         else:
             with open(path) as fh:
                 text = fh.read()
-        dec = serialize.doc_decomposition(json.loads(text))
+        return serialize.parse_decomposition(text, _MAX_P)
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
-    if dec.params.p > _MAX_P:
-        raise MalformedInput(f"certificate p={dec.params.p} is above the cap of {_MAX_P}")
-    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def _read_certificate(path: str):
 def _cmd_build(args) -> int:
     params = WernerParams(args.p, args.f)
     doc = {"p": params.p, "f": params.f, "state": serialize.matrix_doc(werner_dense(params))}
-    _write(args, serialize.dumps(doc) + "\n")
+    _write(args, serialize.dumps(doc))
     return 0
 
 
@@ -246,7 +247,7 @@ def _cmd_spectrum(args) -> int:
         doc["invariance_residual"] = invariance_residual(
             werner_dense(params), random_unitary(params.d, args.seed)
         )
-    _write(args, serialize.dumps(doc) + "\n")
+    _write(args, serialize.dumps(doc))
     return 0
 
 
@@ -263,7 +264,7 @@ def _cmd_ppt(args) -> int:
         "min_pt_eigenvalue": spec.min(),
         "pt_spectrum": serialize.spectrum_rows(spec),
     }
-    _write(args, serialize.dumps(doc) + "\n")
+    _write(args, serialize.dumps(doc))
     if not ok:
         _diag("NotPPT", f"minimum partial-transpose eigenvalue {spec.min():.6e} < 0",
               p=params.p, f=params.f, min_pt_eigenvalue=spec.min())
@@ -285,10 +286,10 @@ def _cmd_partition(args) -> int:
                 [format_label(g) for g in cls.generators] for cls in part.classes
             ],
         }
-        _write(args, serialize.dumps(doc) + "\n")
+        _write(args, serialize.dumps(doc))
     else:
         lines = [" ".join(cls.labels()) for cls in part.classes]
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines))
     if not result.ok:
         _diag("InvalidPartition", "; ".join(result.problems[:5]), p=args.p)
         return 2
@@ -297,7 +298,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_decompose(args) -> int:
     dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
-    _write(args, serialize.dumps(serialize.decomposition_doc(dec)) + "\n")
+    _write(args, serialize.dumps(serialize.decomposition_doc(dec)))
     return 0
 
 
@@ -307,7 +308,7 @@ def _cmd_verify(args) -> int:
     rep = verify_decomposition(target, dec, args.tol)
     out = {"p": dec.params.p, "f": dec.params.f, "scheme": dec.scheme}
     out.update(serialize.verification_doc(rep))
-    _write(args, serialize.dumps(out) + "\n")
+    _write(args, serialize.dumps(out))
     if not rep.verdict:
         _diag("VerificationFailed", "; ".join(rep.diagnostics) or "verdict false",
               p=dec.params.p, f=dec.params.f)
@@ -324,7 +325,7 @@ def _cmd_refine(args) -> int:
             return 1
         dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
     refined = refine_to_pure(dec, args.tol)
-    _write(args, serialize.dumps(serialize.decomposition_doc(refined)) + "\n")
+    _write(args, serialize.dumps(serialize.decomposition_doc(refined)))
     return 0
 
 
@@ -336,9 +337,9 @@ def _cmd_report(args) -> int:
     doc = serialize.separability_doc(rep, refinement)
     if args.format == "text":
         lines = [f"{k}: {serialize.dumps(v) if isinstance(v, dict) else v}" for k, v in doc.items()]
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines))
     else:
-        _write(args, serialize.dumps(doc) + "\n")
+        _write(args, serialize.dumps(doc))
     if rep.verdict != "SEPARABLE":
         _diag(
             "NotSeparable" if rep.verdict == "ENTANGLED" else "VerificationFailed",
@@ -413,7 +414,7 @@ def _cmd_sweep(args) -> int:
             rows.append(
                 [params.f, spec.min(), pt.min(), ok, None, 0, None, None, "ENTANGLED"]
             )
-    _write(args, serialize.csv_text(_SWEEP_HEADER, rows))
+    _write(args, serialize.csv_text(_SWEEP_HEADER, rows), end="")
     return 0
 
 

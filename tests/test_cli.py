@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from werner import serialize
 from werner.cli import _sweep_points, main
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
@@ -408,6 +409,31 @@ def test_malformed_certificate_exits_2_with_json(capsys, tmp_path, cmd, case):
     assert diag["error"] == "MalformedInput"
     if case == "short-re":  # rejected by its shape, not later as non-Hermitian
         assert "shape" in diag["message"]
+
+
+@pytest.mark.parametrize("p", [6, 10**12])
+def test_refused_p_converts_no_factor(capsys, tmp_path, monkeypatch, p):
+    # the header is checked first: a p above the cap costs no factor
+    # conversion, even with well-formed 64x64 factors
+    conversions = []
+    convert = serialize.doc_matrix
+    monkeypatch.setattr(serialize, "doc_matrix", lambda doc: conversions.append(1) or convert(doc))
+    doc = json.loads(run(capsys, "decompose", "--p", "1", "--f", "0.5")[1])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "--input", str(path))[0] == 0
+    assert conversions  # the control: an accepted certificate converts its factors
+    del conversions[:]
+    eye, zero = np.eye(64).tolist(), np.zeros((64, 64)).tolist()
+    doc["p"] = p
+    doc["terms"] = [dict(doc["terms"][0], weight=1.0,
+                         state_a=dict(dim=64, re=eye, im=zero),
+                         state_b=dict(dim=64, re=eye, im=zero))]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "MalformedInput"
+    assert conversions == []
 
 
 def test_closed_form_rows_print_the_formulas(capsys):

@@ -1,9 +1,12 @@
 """Fuzzed CLI inputs: every mutated certificate and every broken argv must end
-with exit 1 or 2 and exactly one JSON diagnostic line, never a traceback."""
+with exit 1 or 2 and exactly one JSON diagnostic line, never a traceback; a
+certificate whose factor text is mutated must be read as the plain parse
+reads it."""
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from functools import lru_cache
@@ -11,10 +14,12 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import assert_read_alike
 from werner.cli import main
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.model import WernerParams
 from werner.serialize import decomposition_doc, dumps
+from werner.verify import refine_to_pure
 
 
 def _run(argv):
@@ -120,6 +125,33 @@ def test_mutated_certificate_ends_in_one_diagnostic(text, cmd):
             fh.write(text)
         code, err = _run([cmd, "--input", path])
     _assert_one_diagnostic(code, err)
+
+
+@lru_cache(maxsize=None)
+def _refined_certificate_text() -> str:
+    # 24 terms over a few distinct factor texts, so one mutated copy of a
+    # text sits beside untouched copies of it
+    dec = refine_to_pure(decompose_auto(WernerParams(1, 0.6)))
+    return dumps(decomposition_doc(dec)) + "\n"
+
+
+_FACTOR_SPAN = re.compile(r'\{\s*"dim"[^{}]*\}')
+
+
+@st.composite
+def _mutated_factor_text(draw) -> str:
+    """One digit inside one factor's text swapped for a letter, a brace, a
+    quote or a second decimal point."""
+    text = draw(st.sampled_from([_certificate_text(), _refined_certificate_text()]))
+    start, end = draw(st.sampled_from([m.span() for m in _FACTOR_SPAN.finditer(text)]))
+    at = draw(st.sampled_from([i for i in range(start, end) if text[i].isdigit()]))
+    return text[:at] + draw(st.sampled_from(["x", "e", "E", "}", '"', "."])) + text[at + 1 :]
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=_mutated_factor_text())
+def test_mutated_factor_text_is_read_as_the_plain_parse_reads_it(text):
+    assert_read_alike(text)
 
 
 # ---------------------------------------------------------------------------
