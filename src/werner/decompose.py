@@ -26,27 +26,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import sqrt
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import SchemeRangeError
-from .linalg import Spectrum
 from .model import WernerParams
 from .partition import CommutingClass, build_partition
-from .pauli import all_strings, bit_parity, format_label, packed, pauli_matrices, pauli_matrix
+from .pauli import all_strings, bit_parity, format_label, packed, pauli_matrices
 
 __all__ = [
     "COMMUTING_CLASS",
     "PER_STRING",
     "Decomposition",
     "ProductTerm",
-    "class_component",
     "class_decomposition",
     "class_range",
-    "component_spectrum",
     "decompose_auto",
-    "per_string_component",
     "per_string_decomposition",
     "per_string_range",
     "reconstruct",
@@ -92,23 +88,6 @@ def per_string_range(p: int) -> Tuple[float, float]:
 
 def class_range(p: int) -> Tuple[float, float]:
     return 2.0**-p, 1.0
-
-
-def per_string_component(digits, scale: float, sign: int) -> np.ndarray:
-    """(1/2^p)(I + sign * scale * sigma); returned even when scale > 1.
-
-    A scale above 1 makes the matrix indefinite; it is still constructed so
-    the verifier can exhibit the failure instead of the builder hiding it.
-    """
-    if all(d == 0 for d in digits):
-        raise ValueError("the identity string has no signed component")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    sig = pauli_matrix(digits)
-    d = sig.shape[0]
-    return (np.eye(d, dtype=complex) + (sign * scale) * sig) / d
 
 
 def per_string_decomposition(params: WernerParams, force: bool = False) -> Decomposition:
@@ -164,27 +143,6 @@ def _class_sums(cls: CommutingClass) -> np.ndarray:
     sums = (prods - eye).astype(np.complex64)
     sums.flags.writeable = False
     return sums
-
-
-def class_component(cls: CommutingClass, eps: Sequence[int], scale: float) -> np.ndarray:
-    """(1/2^p)(I + scale * T) with T the character-signed class sum.
-
-    eps assigns a sign (-1)^eps_j to generator j and extends multiplicatively
-    to the whole class, so the signed members plus the identity stay closed
-    under products. At scale = 1 the result is a rank-1 projector.
-    """
-    p = cls.p
-    eps = tuple(int(b) & 1 for b in eps)
-    if len(eps) != p:
-        raise ValueError(f"sign pattern needs {p} bits, got {len(eps)}")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    eps_mask = 0
-    for j, bit in enumerate(eps):
-        eps_mask |= bit << j
-    d = 2**p
-    sums = _class_sums(cls)[eps_mask].astype(complex)
-    return (np.eye(d, dtype=complex) + scale * sums) / d
 
 
 def class_decomposition(params: WernerParams, force: bool = False) -> Decomposition:
@@ -243,20 +201,6 @@ def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
     if f < 2.0**-params.p:
         return per_string_decomposition(params)
     return class_decomposition(params)
-
-
-def component_spectrum(scheme: str, p: int, scale: float) -> Spectrum:
-    """Closed-form component eigenvalues for either scheme."""
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    d = 2**p
-    if scheme == PER_STRING:
-        pairs = [((1.0 - scale) / d, d // 2), ((1.0 + scale) / d, d // 2)]
-    elif scheme == COMMUTING_CLASS:
-        pairs = [((1.0 - scale) / d, d - 1), ((1.0 + (d - 1) * scale) / d, 1)]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return Spectrum.from_pairs(pairs)
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:

@@ -41,7 +41,6 @@ __all__ = [
     "Spectrum",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
-    "partial_transpose_b",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8  # relative to the spectrum's largest |value|
@@ -108,12 +107,6 @@ class Spectrum:
 
     def min(self) -> float:
         return self.pairs[0][0]
-
-    def flatten(self) -> Tuple[float, ...]:
-        out = []
-        for v, m in self.pairs:
-            out.extend([v] * m)
-        return tuple(out)
 
     def isclose(self, other: "Spectrum", tol: float = 1e-9) -> bool:
         """Same multiplicities exactly and values within tol."""
@@ -249,14 +242,3 @@ def hermitian_eigensystem(
 def hermitian_eigenvalues(a) -> Spectrum:
     vals, _ = hermitian_eigensystem(a)
     return Spectrum.from_values(vals)
-
-
-def partial_transpose_b(m, d_a: int, d_b: int) -> np.ndarray:
-    """Transpose the second tensor factor: <i,j|M'|k,l> = <i,l|M|k,j>."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(
-            f"matrix of shape {m.shape} does not factor as {d_a}x{d_b}"
-        )
-    t = m.reshape(d_a, d_b, d_a, d_b)
-    return t.transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)

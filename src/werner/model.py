@@ -16,15 +16,13 @@ from math import sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, PhysicalRangeError, WernerError
-from .linalg import Spectrum, partial_transpose_b
-from .pauli import all_strings, frobenius_distance, pauli_matrices
+from .linalg import Spectrum
+from .pauli import all_strings, pauli_matrices
 
 __all__ = [
     "TRANSFORM_H",
     "TRANSFORM_M",
     "WernerParams",
-    "extract_f",
-    "flip_operator",
     "invariance_residual",
     "ppt_check",
     "pt_spectrum_closed_form",
@@ -33,7 +31,6 @@ __all__ = [
     "spectrum_via_transform",
     "spinor_coefficients",
     "werner_dense",
-    "werner_pt",
     "werner_spinor",
 ]
 
@@ -99,14 +96,6 @@ def _eye_flip(d: int, values) -> np.ndarray:
     return out
 
 
-def flip_operator(d: int) -> np.ndarray:
-    """Swap operator P|i>|j> = |j>|i> on a d x d bipartite space."""
-    d = int(d)
-    if d < 2 or d & (d - 1):
-        raise DimensionMismatch(f"local dimension must be a power of two, got {d}")
-    return _eye_flip(d, (0.0, 1.0, 1.0))
-
-
 def werner_dense(params: WernerParams) -> np.ndarray:
     """((d - f) I + (d f - 1) P) / (d^3 - d); unit trace, PSD for f in [-1, 1].
 
@@ -134,16 +123,6 @@ def werner_spinor(params: WernerParams) -> np.ndarray:
     acc = (m.T @ m).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d * d, dtype=complex)
     return ((d - f) * eye + ((d * f - 1.0) / d) * acc) / (2 ** (3 * p) - d)
-
-
-def werner_pt(params: WernerParams) -> np.ndarray:
-    """Partial transpose on the second party of the string-basis state.
-
-    Transposing sigma_s flips its sign iff s has an odd number of y digits,
-    and the string sum is exact, so this equals the (-1)^(y count) signed
-    sum bit for bit.
-    """
-    return partial_transpose_b(werner_spinor(params), params.d, params.d)
 
 
 def spinor_coefficients(params: WernerParams) -> np.ndarray:
@@ -223,19 +202,8 @@ def ppt_check(params: WernerParams, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# parameter extraction and invariance probes
+# invariance probe
 # ---------------------------------------------------------------------------
-
-
-def extract_f(rho, p: int) -> float:
-    """Flip expectation Tr(rho P) of any state on a 2^p x 2^p system."""
-    rho = np.asarray(rho, dtype=complex)
-    d = 2**p
-    if rho.shape != (d * d, d * d):
-        raise DimensionMismatch(
-            f"state of shape {rho.shape} does not match p={p} (dim {d*d})"
-        )
-    return float(np.trace(rho @ flip_operator(d)).real)
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
@@ -270,7 +238,7 @@ def invariance_residual(rho, u) -> float:
         raise DimensionMismatch(
             f"state of shape {rho.shape} does not match local dimension {d}"
         )
-    if frobenius_distance(u.conj().T @ u, np.eye(d)) > 1e-9:
+    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-9:
         raise WernerError("matrix is not unitary within 1e-9")
     uc = u.conj()
     x = np.empty_like(rho, order="C")

@@ -15,9 +15,9 @@ why they tile the nonzero strings with nothing left over.
 
 The field arithmetic is two tables per p, built once from one pinned
 irreducible polynomial so the partition is reproducible byte for byte: the
-multiplication table and the trace-pairing mask of each element. The
-builder, gf_mul, gf_trace and dual_coords all read them; the validator
-checks each class on packed (x, z) bit masks.
+multiplication table and the trace-pairing mask of each element.
+build_partition reads them; the validator checks each class on packed
+(x, z) bit masks.
 """
 from __future__ import annotations
 
@@ -36,11 +36,6 @@ __all__ = [
     "Partition",
     "ValidationResult",
     "build_partition",
-    "dual_basis",
-    "dual_coords",
-    "gf_mul",
-    "gf_trace",
-    "poly_coords",
     "validate_partition",
 ]
 
@@ -67,49 +62,6 @@ def _poly(p: int) -> int:
         raise UnsupportedFieldSize(
             f"no irreducible polynomial pinned for p={p} (supported: 1..8)"
         ) from None
-
-
-def _check_element(a: int, p: int) -> int:
-    a = int(a)
-    if not 0 <= a < (1 << p):
-        raise ValueError(f"{a} is not a GF(2^{p}) element")
-    return a
-
-
-def gf_mul(a: int, b: int, p: int) -> int:
-    """Product in GF(2^p) modulo the pinned polynomial for p."""
-    mul, _ = _field_tables(p)
-    return int(mul[_check_element(a, p), _check_element(b, p)])
-
-
-def gf_trace(a: int, p: int) -> int:
-    """Field trace a + a^2 + ... + a^(2^(p-1)); always lands in {0, 1}."""
-    _, dual = _field_tables(p)
-    return int(dual[_check_element(a, p)]) & 1  # Tr(t^0 a)
-
-
-def poly_coords(a: int, p: int) -> Tuple[int, ...]:
-    """Coordinates of a in the polynomial basis {1, t, ..., t^(p-1)}."""
-    a = _check_element(a, p)
-    return tuple((a >> i) & 1 for i in range(p))
-
-
-def dual_coords(a: int, p: int) -> Tuple[int, ...]:
-    """Coordinates v_i = Tr(t^i a); the pairing dual of poly_coords.
-
-    With u = poly_coords(b) and v = dual_coords(a), the bit dot product
-    u . v equals Tr(a b).
-    """
-    a = _check_element(a, p)
-    _, dual = _field_tables(p)
-    return tuple(int(dual[a]) >> i & 1 for i in range(p))
-
-
-def dual_basis(p: int) -> Tuple[int, ...]:
-    """Trace-dual basis of the polynomial basis: Tr(t^i b*_j) = delta_ij."""
-    _, dual = _field_tables(p)
-    # b*_j is the one element whose dual_coords are the unit vector e_j
-    return tuple(int(np.flatnonzero(dual == 1 << j)[0]) for j in range(p))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +125,7 @@ def build_partition(p: int) -> Partition:
 
 @cache
 def _field_tables(p: int):
-    """GF(2^p) multiplication table and the dual_coords mask of each element.
+    """GF(2^p) multiplication table and the trace-pairing mask of each element.
 
     The only field arithmetic of the module: mul[a, b] is the carry-less
     product of a and b reduced by the pinned polynomial, and bit i of
@@ -182,7 +134,7 @@ def _field_tables(p: int):
     poly = _poly(p)
     a = np.arange(1 << p)
     mul, shifted = np.zeros((a.size, a.size), dtype=np.int64), a
-    for k in range(p):  # gf_mul's carry-less loop, over every (a, b) at once
+    for k in range(p):  # carry-less shift-and-add, over every (a, b) at once
         mul ^= shifted[:, None] * ((a >> k) & 1)
         shifted = shifted << 1
         shifted = shifted ^ ((shifted >> p) & 1) * poly
@@ -199,7 +151,7 @@ def _field_tables(p: int):
 def _spread_partition(p: int) -> Partition:
     mul, dual = _field_tables(p)
     a = np.arange(1, 1 << p)
-    # x and z masks of every class in poly_coords order: bit k is digit k
+    # x and z masks of every class in polynomial-basis order: bit k is digit k
     x = np.vstack([0 * a, np.tile(a, (len(mul), 1))])
     z = np.vstack([a, dual[mul[:, 1:]]])
     k = np.arange(p)
@@ -289,9 +241,16 @@ def validate_partition(part: Partition) -> ValidationResult:
             problems.append(
                 f"class {idx} has {len(cls.members)} members, expected {expected_size}"
             )
+        # the class-wide checks pack the members: one length, digits in 0..3
+        lengths = {len(m) for m in cls.members}
+        packable = len(lengths) == 1 and 0 not in lengths
         for m in cls.members:
             if len(m) != p:
                 problems.append(f"class {idx} member {m} has wrong length")
+            if not set(m) <= {0, 1, 2, 3}:
+                problems.append(f"class {idx} member {m} has a digit outside 0..3")
+                packable = False
+                continue
             if m == identity:
                 problems.append(f"class {idx} contains the identity string")
             if m in seen:
@@ -300,10 +259,11 @@ def validate_partition(part: Partition) -> ValidationResult:
                 )
             seen[m] = idx
 
-        if cls.members:
+        if packable:
             problems.extend(_class_problems(idx, cls.members, p))
 
-    missing = (4**p - 1) - len(seen)
+    # only nontrivial strings of length p cover anything
+    missing = (4**p - 1) - sum(len(m) == p and m != identity for m in seen)
     if missing:
         problems.append(f"{missing} nontrivial strings are not covered")
 

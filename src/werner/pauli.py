@@ -1,4 +1,4 @@
-"""Exact Pauli-string algebra on p tensor factors.
+"""Pauli strings on p tensor factors: packed bit masks and dense matrices.
 
 A Pauli string is a length-p tuple of base-4 digits, one digit per factor:
 
@@ -7,9 +7,9 @@ A Pauli string is a length-p tuple of base-4 digits, one digit per factor:
 Digit 0 of the tuple is the leftmost (most significant) Kronecker factor;
 that convention is fixed once here and every dense realization follows it.
 
-Products carry an explicit global phase stored as a quarter-turn count
-(a power of i), so the string algebra is exact. Floating point appears
-only when a dense matrix is realized.
+The product sigma_a . sigma_b of two single-factor Paulis is i^k
+sigma_(a ^ b), with the quarter-turn count k tabulated in _PHASE; the
+partition validator reads it to find products with an imaginary phase.
 
 The symplectic encoding maps each digit to an (x, z) bit pair,
 
@@ -26,7 +26,7 @@ products.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -34,23 +34,12 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "DIGIT_LETTERS",
-    "PauliOperator",
     "all_strings",
     "bit_parity",
     "check_digits",
-    "commutes",
     "format_label",
-    "frobenius_distance",
-    "from_symplectic",
-    "index_string",
-    "parse_label",
     "packed",
     "pauli_matrices",
-    "pauli_matrix",
-    "pauli_product",
-    "string_index",
-    "to_symplectic",
-    "y_count",
 ]
 
 Digits = Tuple[int, ...]
@@ -65,10 +54,8 @@ _PHASE = (
     (0, 1, 3, 0),
 )
 
-# digit -> (x, z)
-_DIGIT_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
+_XZ_BITS = np.array(((0, 0), (1, 0), (1, 1), (0, 1)))  # digit -> (x, z)
 _XZ_DIGIT = ((0, 3), (1, 2))  # [x][z] -> digit
-_XZ_BITS = np.array(_DIGIT_XZ)
 _DIGITS = frozenset(range(4))
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
@@ -123,107 +110,8 @@ def pauli_matrices(strings: Iterable[Sequence[int]]) -> np.ndarray:
     return out
 
 
-def pauli_matrix(digits: Sequence[int]) -> np.ndarray:
-    """Dense 2^p x 2^p realization; a stack of one."""
-    return pauli_matrices([digits])[0]
-
-
-def to_symplectic(digits: Sequence[int]):
-    x, z = zip(*(_DIGIT_XZ[d] for d in check_digits(digits)))
-    return x, z
-
-
-def from_symplectic(x_bits: Sequence[int], z_bits: Sequence[int]) -> Digits:
-    if len(x_bits) != len(z_bits):
-        raise DimensionMismatch("x and z bit strings differ in length")
-    return tuple(_XZ_DIGIT[int(a) & 1][int(b) & 1] for a, b in zip(x_bits, z_bits))
-
-
-def y_count(digits: Sequence[int]) -> int:
-    """Number of y digits; the partial-transpose sign exponent."""
-    return sum(1 for d in check_digits(digits) if d == 2)
-
-
-def commutes(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Symplectic commutation test, equivalent to the dense matrices commuting."""
-    _, x, z = packed([a, b])
-    return not bit_parity(x[0] & z[1] ^ x[1] & z[0])
-
-
-class PauliOperator(NamedTuple):
-    """A Pauli string together with a global phase i**phase."""
-
-    phase: int
-    digits: Digits
-
-    def matrix(self) -> np.ndarray:
-        return (1j ** (self.phase % 4)) * pauli_matrix(self.digits)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase % 2 == 0
-
-    @property
-    def sign(self) -> int:
-        # only meaningful for Hermitian operators
-        if not self.is_hermitian:
-            raise ValueError("operator carries an imaginary phase")
-        return 1 if self.phase % 4 == 0 else -1
-
-
-def _as_operator(x) -> PauliOperator:
-    if isinstance(x, PauliOperator):
-        return PauliOperator(x.phase % 4, check_digits(x.digits))
-    return PauliOperator(0, check_digits(x))
-
-
-def pauli_product(a, b) -> PauliOperator:
-    """Phase-exact product; accepts PauliOperator values or bare digit tuples."""
-    a = _as_operator(a)
-    b = _as_operator(b)
-    if len(a.digits) != len(b.digits):
-        raise DimensionMismatch(
-            f"operands act on {len(a.digits)} and {len(b.digits)} factors"
-        )
-    pairs = tuple(zip(a.digits, b.digits))
-    phase = a.phase + b.phase + sum(_PHASE[da][db] for da, db in pairs)
-    # the digit code is xor-linear: sigma_a . sigma_b is sigma_(a ^ b) up to phase
-    return PauliOperator(phase % 4, tuple(da ^ db for da, db in pairs))
-
-
 def format_label(digits: Sequence[int]) -> str:
     return "".join(DIGIT_LETTERS[d] for d in check_digits(digits))
-
-
-def parse_label(text: str) -> Digits:
-    """Parse either a letter string ("XZ") or a digit string ("13")."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty Pauli label")
-    if all(c in "0123" for c in text):
-        return check_digits(int(c) for c in text)
-    try:
-        return check_digits(DIGIT_LETTERS.index(c) for c in text.upper())
-    except ValueError:
-        raise ValueError(f"not a Pauli label: {text!r}") from None
-
-
-def string_index(digits: Sequence[int]) -> int:
-    """Base-4 value of the string; the canonical ordering key."""
-    r = 0
-    for d in check_digits(digits):
-        r = 4 * r + d
-    return r
-
-
-def index_string(r: int, p: int) -> Digits:
-    if not 0 <= r < 4**p:
-        raise ValueError(f"index {r} out of range for p={p}")
-    out = []
-    for _ in range(p):
-        out.append(r % 4)
-        r //= 4
-    return tuple(reversed(out))
 
 
 def all_strings(p: int) -> Iterator[Digits]:
@@ -231,12 +119,3 @@ def all_strings(p: int) -> Iterator[Digits]:
     if p < 1:
         raise ValueError("p must be a positive integer")
     yield from product(range(4), repeat=p)
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b; the one residual measure of the toolkit."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))

@@ -13,21 +13,18 @@ from werner.decompose import (
     PER_STRING,
     Decomposition,
     ProductTerm,
-    class_component,
     class_decomposition,
     class_range,
-    component_spectrum,
     decompose_auto,
-    per_string_component,
     per_string_decomposition,
     per_string_range,
     reconstruct,
 )
 from werner.errors import SchemeRangeError
-from werner.linalg import hermitian_eigenvalues
+from werner.linalg import Spectrum, hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, build_partition
-from werner.pauli import PauliOperator, pauli_matrix, pauli_product
+from werner.pauli import pauli_matrices
 from werner.verify import refine_to_pure
 
 
@@ -40,14 +37,11 @@ def test_ranges():
 
 
 def test_per_string_component_frozen():
-    comp = per_string_component((1,), 0.5, 1)
+    # p = 1, f = 0.625: scale sqrt(2 f - 1) = 1/2, first term (I + X/2)/2
+    dec = per_string_decomposition(WernerParams(1, 0.625))
+    assert dec.scale == 0.5
+    comp = dec.terms[0].state_a
     assert np.array_equal(comp, np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
-    with pytest.raises(ValueError):
-        per_string_component((0, 0), 1.0, 1)
-    with pytest.raises(ValueError):
-        per_string_component((1,), 1.0, 2)
-    with pytest.raises(ValueError):
-        per_string_component((1,), -0.5, 1)
 
 
 def test_per_string_structure_p1():
@@ -131,30 +125,28 @@ def test_class_range_enforcement():
 
 
 def test_class_component_validation():
-    cls = build_partition(2).classes[0]
-    with pytest.raises(ValueError):
-        class_component(cls, (1,), 0.5)
-    with pytest.raises(ValueError):
-        class_component(cls, (0, 1), -0.1)
-    comp = class_component(cls, (0, 1), 0.5)
-    assert np.allclose(comp, comp.conj().T, atol=0)
-    assert np.trace(comp).real == pytest.approx(1.0)
+    dec = class_decomposition(WernerParams(2, 0.5))
+    for t in dec.terms:
+        comp = t.state_a
+        assert np.allclose(comp, comp.conj().T, atol=0)
+        assert np.trace(comp).real == pytest.approx(1.0)
 
 
 def test_class_component_signs():
-    # pure-Z class of p=1 with eps=(0,) is (I + s Z)/2, with eps=(1,) the flip
-    cls = build_partition(1).classes[0]
-    z = pauli_matrix((3,))
-    s = 0.7
-    assert np.allclose(class_component(cls, (0,), s), (np.eye(2) + s * z) / 2, atol=0)
-    assert np.allclose(class_component(cls, (1,), s), (np.eye(2) - s * z) / 2, atol=0)
+    # pure-Z class of p=1: label bits 0 give (I + s Z)/2, bits 1 the flip
+    dec = class_decomposition(WernerParams(1, 0.745))
+    s = dec.scale
+    (z,) = pauli_matrices([(3,)])
+    assert [t.label for t in dec.terms[:2]] == ["class:0:0", "class:0:1"]
+    assert np.allclose(dec.terms[0].state_a, (np.eye(2) + s * z) / 2, atol=0)
+    assert np.allclose(dec.terms[1].state_a, (np.eye(2) - s * z) / 2, atol=0)
 
 
 def test_class_component_refuses_anticommuting_generators():
     # X and Z anticommute, so no sign pattern makes (I +- X)(I +- Z) Hermitian
     cls = CommutingClass(((1, 0), (3, 0), (2, 0)), ((1, 0), (3, 0)))
     with pytest.raises(ValueError, match="do not pairwise commute"):
-        class_component(cls, (0, 0), 1.0)
+        _class_sums(cls)
 
 
 @settings(deadline=None, max_examples=25)
@@ -193,6 +185,14 @@ def test_auto_rejects_negative_f():
     assert exc.value.valid_range == (0.0, 1.0)
 
 
+def _component_pairs(scheme, p, scale):
+    """Closed-form component eigenvalues: (I +- s sigma)/d and (I + s T)/d."""
+    d = 2**p
+    if scheme == PER_STRING:
+        return [((1.0 - scale) / d, d // 2), ((1.0 + scale) / d, d // 2)]
+    return [((1.0 - scale) / d, d - 1), ((1.0 + (d - 1) * scale) / d, 1)]
+
+
 def test_component_spectrum_matches_dense():
     for scheme, p, f in [
         (PER_STRING, 2, 0.05),
@@ -200,32 +200,25 @@ def test_component_spectrum_matches_dense():
         (COMMUTING_CLASS, 2, 0.6),
         (COMMUTING_CLASS, 1, 0.9),
     ]:
-        params = WernerParams(p, f)
-        if scheme == PER_STRING:
-            dec = per_string_decomposition(params)
-        else:
-            dec = class_decomposition(params)
-        closed = component_spectrum(scheme, p, dec.scale)
+        dec = decompose_auto(WernerParams(p, f), scheme)
+        closed = Spectrum.from_pairs(_component_pairs(scheme, p, dec.scale))
         for t in dec.terms[:3]:
             assert hermitian_eigenvalues(t.state_a).isclose(closed, 1e-9)
-    with pytest.raises(ValueError):
-        component_spectrum("nope", 1, 0.5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_component_spectrum_is_the_formula_bit_for_bit(p):
+    # the formula holds because sigma^2 = I with tr sigma = 0 (eigenvalues
+    # +-1, d/2 each) and T^2 = (d - 2) T + (d - 1) I with tr T = 0 (d - 1
+    # once, -1 d - 1 times); both identities hold exactly in floating point
     d = 2**p
-    for s in (0.1, 0.37, 0.5, 0.9, 1.0):
-        assert component_spectrum(PER_STRING, p, s).pairs == (
-            ((1.0 - s) / d, d // 2),
-            ((1.0 + s) / d, d // 2),
-        )
-        assert component_spectrum(COMMUTING_CLASS, p, s).pairs == (
-            ((1.0 - s) / d, d - 1),
-            ((1.0 + (d - 1) * s) / d, 1),
-        )
-    with pytest.raises(ValueError):
-        component_spectrum(PER_STRING, 1, -0.5)
+    eye = np.eye(d)
+    for sigma in pauli_matrices([(k,) * p for k in (1, 2, 3)]):
+        assert np.array_equal(sigma @ sigma, eye) and np.trace(sigma) == 0
+    for cls in (build_partition(p).classes[0], build_partition(p).classes[-1]):
+        for t in _class_sums(cls).astype(complex):
+            assert np.array_equal(t @ t, (d - 2) * t + (d - 1) * eye)
+            assert np.trace(t) == 0
 
 
 def test_reconstruct_requires_terms():
@@ -234,15 +227,17 @@ def test_reconstruct_requires_terms():
 
 
 def _loop_class_sum(cls, e):
-    # reference: T_eps accumulated member by member, as a plain loop
+    # reference: T_eps accumulated member by member, as a plain loop; member c
+    # is the ordered product of the generators its bits select
+    gens = pauli_matrices(cls.generators)
     acc = np.zeros((2**cls.p, 2**cls.p), dtype=complex)
     for c in range(1, 2**cls.p):
-        op = PauliOperator(0, (0,) * cls.p)
+        member = np.eye(2**cls.p, dtype=complex)
         for j in range(cls.p):
             if (c >> j) & 1:
-                op = pauli_product(op, cls.generators[j])
+                member = member @ gens[j]
         chi = -1 if bin(c & e).count("1") % 2 else 1
-        acc += (chi * op.sign) * pauli_matrix(op.digits)
+        acc += chi * member
     return acc
 
 
@@ -274,7 +269,8 @@ def test_shared_paths_are_bit_identical(p):
     for e, term in enumerate(dec.terms):
         _, k, bits = term.label.split(":")
         cls = part.classes[int(k)]
-        comp = class_component(cls, [int(b) for b in bits], dec.scale)
+        mask = sum(int(b) << j for j, b in enumerate(bits))  # label bit j is eps_j
+        comp = (eye + dec.scale * _class_sums(cls)[mask].astype(complex)) / 2**p
         assert np.array_equal(comp, term.state_a)
         loop = (eye + dec.scale * _loop_class_sum(cls, e % 2**p)) / 2**p
         assert np.array_equal(loop, term.state_a)

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import partial_transpose_b
 from werner.errors import DimensionMismatch, PhysicalRangeError, WernerError
-from werner.linalg import hermitian_eigensystem, hermitian_eigenvalues, partial_transpose_b
+from werner.linalg import hermitian_eigensystem, hermitian_eigenvalues
 from werner.model import (
     TRANSFORM_H,
     TRANSFORM_M,
     WernerParams,
-    extract_f,
-    flip_operator,
+    _eye_flip,
     invariance_residual,
     ppt_check,
     pt_spectrum_closed_form,
@@ -20,10 +20,9 @@ from werner.model import (
     spectrum_via_transform,
     spinor_coefficients,
     werner_dense,
-    werner_pt,
     werner_spinor,
 )
-from werner.pauli import all_strings, pauli_matrix, y_count
+from werner.pauli import all_strings, pauli_matrices
 
 fs = st.floats(-1.0, 1.0, allow_nan=False)
 ps = st.integers(1, 2)
@@ -45,18 +44,30 @@ def test_params_validation():
         werner_dense(WernerParams(1, -1.1))
 
 
+def _flip(d):
+    """The swap P|i>|j> = |j>|i>, from the index writes werner_dense fills with."""
+    return _eye_flip(d, (0.0, 1.0, 1.0))
+
+
+def _pt(m, d):
+    return partial_transpose_b(m, d, d)
+
+
+def _expand(spec):
+    """Every eigenvalue of a spectrum, each as often as its multiplicity."""
+    return [v for v, m in spec.pairs for _ in range(m)]
+
+
 def test_flip_operator_frozen():
-    p2 = flip_operator(2)
+    p2 = _flip(2)
     expect = np.zeros((4, 4))
     expect[0, 0] = expect[3, 3] = expect[1, 2] = expect[2, 1] = 1.0
     assert np.array_equal(p2, expect)
-    with pytest.raises(DimensionMismatch):
-        flip_operator(3)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_flip_operator_algebra(d):
-    p = flip_operator(d)
+    p = _flip(d)
     assert np.array_equal(p @ p, np.eye(d * d))
     assert np.trace(p).real == d
     # swap acts as advertised on computational kets
@@ -71,8 +82,8 @@ def test_flip_equals_string_sum():
     # P = (1/d) sum_s sigma_s (x) sigma_s
     for p in (1, 2):
         d = 2**p
-        acc = sum(np.kron(pauli_matrix(s), pauli_matrix(s)) for s in all_strings(p))
-        assert np.allclose(acc / d, flip_operator(d), atol=1e-12)
+        acc = sum(np.kron(m, m) for m in pauli_matrices(all_strings(p)))
+        assert np.allclose(acc / d, _flip(d), atol=1e-12)
 
 
 def _reference_flip(d):
@@ -93,7 +104,7 @@ def _reference_dense(params, flip):
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
 def test_flip_operator_is_the_loop_bit_for_bit(d):
-    assert flip_operator(d).tobytes() == _reference_flip(d).tobytes()
+    assert _flip(d).tobytes() == _reference_flip(d).tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -134,13 +145,11 @@ def test_state_is_valid_density_matrix(p, f):
 @settings(deadline=None, max_examples=30)
 @given(ps, fs)
 def test_extract_f_roundtrip(p, f):
-    params = WernerParams(p, f)
-    assert extract_f(werner_dense(params), p) == pytest.approx(f, abs=1e-12)
-
-
-def test_extract_f_shape_check():
-    with pytest.raises(DimensionMismatch):
-        extract_f(np.eye(4) / 4, 2)
+    # f = Tr(rho P): the sum of the entries rho[(i, j), (j, i)]
+    d = 2**p
+    k = np.arange(d * d)
+    rho = werner_dense(WernerParams(p, f))
+    assert rho[k, k % d * d + k // d].sum().real == pytest.approx(f, abs=1e-12)
 
 
 def test_spinor_coefficients_frozen():
@@ -148,10 +157,7 @@ def test_spinor_coefficients_frozen():
     a = spinor_coefficients(WernerParams(1, 0.0))
     assert np.allclose(a, [0.25, -1 / 12, -1 / 12, -1 / 12], atol=1e-15)
     # coefficient times string (x) string sums back to the state
-    rho = sum(
-        a[r] * np.kron(pauli_matrix(s), pauli_matrix(s))
-        for r, s in enumerate(all_strings(1))
-    )
+    rho = sum(a[r] * np.kron(m, m) for r, m in enumerate(pauli_matrices(all_strings(1))))
     assert np.allclose(rho, werner_dense(WernerParams(1, 0.0)), atol=1e-14)
 
 
@@ -193,7 +199,7 @@ def test_transform_route_matches_closed_form(p, f):
 def test_closed_form_matches_lapack(p, f):
     params = WernerParams(p, f)
     vals = np.linalg.eigvalsh(werner_dense(params))
-    assert np.allclose(sorted(spectrum_closed_form(params).flatten()), vals, atol=1e-10)
+    assert np.allclose(_expand(spectrum_closed_form(params)), vals, atol=1e-10)
 
 
 @settings(deadline=None, max_examples=30)
@@ -207,10 +213,12 @@ def test_unit_trace_audit(p, f):
 @settings(deadline=None, max_examples=30)
 @given(ps, fs)
 def test_pt_routes_agree(p, f):
+    # the swap's partial transpose is d times the maximally entangled projector
     params = WernerParams(p, f)
     d = params.d
-    direct = partial_transpose_b(werner_dense(params), d, d)
-    assert np.allclose(werner_pt(params), direct, atol=1e-13)
+    phi = np.eye(d).reshape(-1)
+    closed = ((d - f) * np.eye(d * d) + (d * f - 1.0) * np.outer(phi, phi)) / (d**3 - d)
+    assert np.allclose(_pt(werner_dense(params), d), closed, atol=1e-13)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -220,12 +228,12 @@ def test_pt_equals_signed_string_sum_bitwise(p, f):
     params = WernerParams(p, f)
     d = params.d
     acc = sum(
-        (-1.0 if y_count(s) % 2 else 1.0) * np.kron(pauli_matrix(s), pauli_matrix(s))
-        for s in all_strings(p)
+        (-1.0 if s.count(2) % 2 else 1.0) * np.kron(m, m)
+        for s, m in zip(all_strings(p), pauli_matrices(all_strings(p)))
     )
     eye = np.eye(d * d, dtype=complex)
     signed = ((d - f) * eye + ((d * f - 1.0) / d) * acc) / (2 ** (3 * p) - d)
-    assert np.array_equal(werner_pt(params), signed)
+    assert np.array_equal(_pt(werner_dense(params), d), signed)
 
 
 def test_pt_spectrum_frozen_p2_f1():
@@ -239,8 +247,8 @@ def test_pt_spectrum_frozen_p2_f1():
 @given(ps, fs)
 def test_pt_spectrum_matches_lapack(p, f):
     params = WernerParams(p, f)
-    vals = np.linalg.eigvalsh(werner_pt(params))
-    closed = sorted(pt_spectrum_closed_form(params).flatten())
+    vals = np.linalg.eigvalsh(_pt(werner_dense(params), params.d))
+    closed = _expand(pt_spectrum_closed_form(params))
     assert np.allclose(closed, vals, atol=1e-10)
 
 
@@ -320,7 +328,7 @@ def test_kron_convention_consistency():
     # flip conjugation symmetry: P rho P = rho, using the same kron order
     params = WernerParams(2, 0.3)
     rho = werner_dense(params)
-    p = flip_operator(4)
+    p = _flip(4)
     assert np.allclose(p @ rho @ p, rho, atol=1e-14)
     u = random_unitary(4, 11)
     w = np.kron(u, u)
@@ -399,6 +407,6 @@ def test_numeric_routes_cluster_as_before(p):
             t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [axis])), 0, axis)
         assert _hex_pairs(spectrum_via_transform(params)) == _flat_clustering(t.reshape(-1))
         if p <= 3:
-            for m in (werner_dense(params), werner_pt(params)):
+            for m in (werner_dense(params), _pt(werner_dense(params), d)):
                 vals, _ = hermitian_eigensystem(m)
                 assert _hex_pairs(hermitian_eigenvalues(m)) == _flat_clustering(vals)

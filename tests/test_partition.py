@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from werner.errors import DimensionMismatch, UnsupportedFieldSize, WernerError
+from werner.errors import UnsupportedFieldSize, WernerError
 from werner.partition import (
     IRREDUCIBLE_POLY,
     CommutingClass,
@@ -12,21 +12,9 @@ from werner.partition import (
     _field_tables,
     _spread_partition,
     build_partition,
-    dual_basis,
-    dual_coords,
-    gf_mul,
-    gf_trace,
-    poly_coords,
     validate_partition,
 )
-from werner.pauli import (
-    all_strings,
-    commutes,
-    format_label,
-    pauli_matrix,
-    pauli_product,
-    string_index,
-)
+from werner.pauli import DIGIT_LETTERS, all_strings, bit_parity, packed, pauli_matrices
 
 # --- GF(2^p) --------------------------------------------------------------
 
@@ -53,19 +41,22 @@ def _square_trace(a, p):
     return acc
 
 
+def _dual_basis(dual, p):
+    # b*_j is the one element whose trace-pairing mask is the unit vector e_j
+    return tuple(int(np.flatnonzero(dual == 1 << j)[0]) for j in range(p))
+
+
 @pytest.mark.parametrize("p", range(1, 9))
 def test_field_tables_match_the_scalar_references(p):
     mul, dual = _field_tables(p)
     n = 1 << p
     want = [[_clmul(a, b, p) for b in range(n)] for a in range(n)]
     assert mul.tolist() == want
-    assert [gf_mul(a, b, p) for a in range(n) for b in range(n)] == sum(want, [])
     traces = [_square_trace(a, p) for a in range(n)]
     assert set(traces) <= {0, 1}
-    assert [gf_trace(a, p) for a in range(n)] == traces
+    assert [int(dual[a]) & 1 for a in range(n)] == traces  # bit 0 is Tr(t^0 a)
     for a in range(n):
         coords = tuple(_square_trace(_clmul(1 << i, a, p), p) for i in range(p))
-        assert dual_coords(a, p) == coords
         assert int(dual[a]) == sum(bit << i for i, bit in enumerate(coords))
     assert _field_tables(p) is _field_tables(p)
     assert not mul.flags.writeable and not dual.flags.writeable
@@ -73,85 +64,73 @@ def test_field_tables_match_the_scalar_references(p):
 
 def test_gf4_frozen():
     # in GF(4) with modulus x^2 + x + 1: x . x = x + 1
-    assert gf_mul(2, 2, 2) == 3
-    assert gf_mul(2, 3, 2) == 1  # x (x + 1) = x^2 + x = 1
-    assert gf_trace(0, 2) == 0
-    assert gf_trace(1, 2) == 0  # Tr(1) = 1 + 1 = 0
-    assert gf_trace(2, 2) == 1  # Tr(x) = x + x^2 = 1
-    assert gf_trace(3, 2) == 1
+    mul, dual = _field_tables(2)
+    assert mul[2, 2] == 3
+    assert mul[2, 3] == 1  # x (x + 1) = x^2 + x = 1
+    assert [int(t) & 1 for t in dual] == [0, 0, 1, 1]  # Tr(1) = 1 + 1 = 0, Tr(x) = 1
 
 
 def test_unsupported_field():
-    with pytest.raises(UnsupportedFieldSize):
-        gf_mul(1, 1, 9)
-    with pytest.raises(UnsupportedFieldSize):
-        gf_trace(1, 9)
-    with pytest.raises(UnsupportedFieldSize):
-        dual_coords(1, 9)
-    with pytest.raises(UnsupportedFieldSize):
-        build_partition(0)
-    for bad in (-1, 4):  # outside GF(4)
-        for call in (lambda: gf_mul(bad, 1, 2), lambda: gf_mul(1, bad, 2),
-                     lambda: gf_trace(bad, 2), lambda: dual_coords(bad, 2)):
-            with pytest.raises(ValueError):
-                call()
+    for p in (0, 9):
+        with pytest.raises(UnsupportedFieldSize):
+            build_partition(p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_gf_is_a_field(p):
+    mul, _ = _field_tables(p)
     n = 1 << p
-    for a in range(n):
-        assert gf_mul(a, 1, p) == a
-        assert gf_mul(0, a, p) == 0
+    assert mul[:, 1].tolist() == list(range(n))
+    assert not mul[0].any()
     # every nonzero row of the multiplication table is a permutation
     for a in range(1, n):
-        row = {gf_mul(a, b, p) for b in range(n)}
-        assert row == set(range(n))
+        assert sorted(mul[a].tolist()) == list(range(n))
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 4), st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 def test_gf_ring_axioms(p, a, b, c):
+    mul, _ = _field_tables(p)
     n = 1 << p
     a, b, c = a % n, b % n, c % n
-    assert gf_mul(a, b, p) == gf_mul(b, a, p)
-    assert gf_mul(gf_mul(a, b, p), c, p) == gf_mul(a, gf_mul(b, c, p), p)
-    assert gf_mul(a, b ^ c, p) == gf_mul(a, b, p) ^ gf_mul(a, c, p)
+    assert mul[a, b] == mul[b, a]
+    assert mul[mul[a, b], c] == mul[a, mul[b, c]]
+    assert mul[a, b ^ c] == mul[a, b] ^ mul[a, c]
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 4), st.integers(0, 15), st.integers(0, 15))
 def test_gf_trace_properties(p, a, b):
+    mul, dual = _field_tables(p)
     n = 1 << p
     a, b = a % n, b % n
-    assert gf_trace(a ^ b, p) == gf_trace(a, p) ^ gf_trace(b, p)
-    assert gf_trace(gf_mul(a, a, p), p) == gf_trace(a, p)  # Frobenius-invariant
+    trace = dual & 1
+    assert trace[a ^ b] == trace[a] ^ trace[b]
+    assert trace[mul[a, a]] == trace[a]  # Frobenius-invariant
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 4), st.integers(0, 15), st.integers(0, 15))
 def test_coordinate_pairing(p, a, b):
-    # dot(poly_coords(b), dual_coords(a)) = Tr(a b) mod 2
+    # the polynomial-basis bits of b dotted with the mask dual[a] give Tr(a b)
+    mul, dual = _field_tables(p)
     n = 1 << p
     a, b = a % n, b % n
-    u = poly_coords(b, p)
-    v = dual_coords(a, p)
-    dot = sum(x * y for x, y in zip(u, v)) % 2
-    assert dot == gf_trace(gf_mul(a, b, p), p)
+    assert bin(b & int(dual[a])).count("1") % 2 == int(dual[mul[a, b]]) & 1
 
 
 def test_dual_basis_frozen_p2():
     # dual of {1, x} in GF(4) is {1 + x, 1}
-    assert dual_basis(2) == (3, 1)
+    assert _dual_basis(_field_tables(2)[1], 2) == (3, 1)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_dual_basis_defining_identity(p):
-    dual = dual_basis(p)
+    # Tr(t^i b*_j) = delta_ij, checked with the scalar references
+    dual = _dual_basis(_field_tables(p)[1], p)
     for i in range(p):
         for j in range(p):
-            want = 1 if i == j else 0
-            assert gf_trace(gf_mul(1 << i, dual[j], p), p) == want
+            assert _square_trace(_clmul(1 << i, dual[j], p), p) == (i == j)
 
 
 # --- partition ------------------------------------------------------------
@@ -183,7 +162,7 @@ def test_partition_structure(p):
         assert len(cls.generators) == p
         assert set(cls.generators) <= set(cls.members)
         # members ascend in base-4 value
-        assert list(cls.members) == sorted(cls.members, key=string_index)
+        assert list(cls.members) == sorted(cls.members, key=lambda s: int("".join(map(str, s)), 4))
         covered.update(cls.members)
     assert len(covered) == 4**p - 1
     assert covered == set(all_strings(p)) - {(0,) * p}
@@ -195,14 +174,9 @@ def test_generators_span_class(p):
     for cls in part.classes:
         spanned = set()
         for mask in range(1, 2**p):
-            op = None
-            for j in range(p):
-                if (mask >> j) & 1:
-                    g = cls.generators[j]
-                    op = pauli_product(op, g) if op is not None else pauli_product(
-                        g, (0,) * p
-                    )
-            spanned.add(op.digits)
+            # a product's digits are the xor of its factors' digits
+            selected = [g for j, g in enumerate(cls.generators) if mask >> j & 1]
+            spanned.add(tuple(np.bitwise_xor.reduce(selected, axis=0).tolist()))
         assert spanned == set(cls.members)
 
 
@@ -226,20 +200,17 @@ def test_partition_is_built_once_per_p():
 def test_dense_commutation_on_small_p():
     part = build_partition(2)
     for cls in part.classes:
-        for a in cls.members:
-            for b in cls.members:
-                ma, mb = pauli_matrix(a), pauli_matrix(b)
-                assert np.allclose(ma @ mb, mb @ ma, atol=0)
-                assert commutes(a, b)
+        m = pauli_matrices(cls.members)
+        assert np.array_equal(m[:, None] @ m, m @ m[:, None])
+        _, x, z = packed(cls.members)
+        assert not bit_parity((x[:, None] & z) ^ (x & z[:, None])).any()
 
 
 # --- validator catches corruption ------------------------------------------
 
 
 def _cls(*labels):
-    from werner.pauli import parse_label
-
-    members = tuple(parse_label(s) for s in labels)
+    members = tuple(tuple(DIGIT_LETTERS.index(c) for c in s) for s in labels)
     # bypass generator derivation: hand the first log2(len)+... members in
     p = len(members[0])
     gens = members[:p]
@@ -261,8 +232,11 @@ def test_validator_flags_duplicates_and_identity():
     res = validate_partition(dup)
     assert any("appears in classes" in msg for msg in res.problems)
     with_id = Partition(1, (_cls("I"), _cls("X"), _cls("Z")))
-    res = validate_partition(with_id)
-    assert any("identity" in msg for msg in res.problems)
+    # the identity covers no nontrivial string, so Y is missing
+    assert validate_partition(with_id).problems == (
+        "class 0 contains the identity string",
+        "1 nontrivial strings are not covered",
+    )
 
 
 def test_validator_flags_wrong_counts():
@@ -309,10 +283,31 @@ def test_validator_problems_keep_their_text_and_order():
     assert validate_partition(long).problems == (
         "class 2 member (3, 3) has wrong length",
         "class 2: member does not square to the identity",
+        "1 nontrivial strings are not covered",
     )
     mixed = Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((3,), (3, 3)), ((3,),))))
-    with pytest.raises(DimensionMismatch):
-        validate_partition(mixed)
+    assert validate_partition(mixed).problems == (
+        "class 2 has 2 members, expected 1",
+        "class 2 member (3, 3) has wrong length",
+    )
+
+
+@pytest.mark.parametrize(
+    "last, problem",
+    [
+        ((1,), "class 0 member (1,) has wrong length"),
+        ((1, 4), "class 0 member (1, 4) has a digit outside 0..3"),
+    ],
+    ids=["mixed-lengths", "bad-digit"],
+)
+def test_validator_reports_malformed_members_without_raising(last, problem):
+    # the class-wide checks cannot pack such a class, so they skip it
+    part = build_partition(2)
+    head = part.classes[0]
+    bad = CommutingClass(head.members[:-1] + (last,), head.generators)
+    res = validate_partition(Partition(2, (bad,) + part.classes[1:]))
+    assert not res.ok
+    assert res.problems == (problem, "1 nontrivial strings are not covered")
 
 
 def test_generator_independence_check():

@@ -1,4 +1,4 @@
-"""String algebra against dense-matrix ground truth."""
+"""Pauli strings against dense-matrix ground truth."""
 from functools import reduce
 
 import numpy as np
@@ -11,30 +11,31 @@ from werner.errors import DimensionMismatch
 from werner.model import WernerParams
 from werner.partition import build_partition
 from werner.pauli import (
-    PauliOperator,
+    _PHASE,
+    _XZ_DIGIT,
+    DIGIT_LETTERS,
     all_strings,
+    bit_parity,
     check_digits,
-    commutes,
     format_label,
-    frobenius_distance,
-    from_symplectic,
-    index_string,
-    parse_label,
+    packed,
     pauli_matrices,
-    pauli_matrix,
-    pauli_product,
-    string_index,
-    to_symplectic,
-    y_count,
 )
 
 digit_strings = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
 
 
+def _base4(s):
+    return int("".join(map(str, s)), 4)
+
+
+def _product(a, b):
+    """sigma_a . sigma_b as (quarter turns, digits), from the single-factor _PHASE table."""
+    return sum(_PHASE[x][y] for x, y in zip(a, b)) % 4, tuple(x ^ y for x, y in zip(a, b))
+
+
 def test_single_factor_matrices():
-    x = pauli_matrix((1,))
-    y = pauli_matrix((2,))
-    z = pauli_matrix((3,))
+    x, y, z = pauli_matrices([(1,), (2,), (3,)])
     assert np.array_equal(x, np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.array_equal(y, np.array([[0, -1j], [1j, 0]]))
     assert np.array_equal(z, np.array([[1, 0], [0, -1]], dtype=complex))
@@ -53,15 +54,14 @@ def test_pauli_matrix_xz_frozen():
         ],
         dtype=complex,
     )
-    assert np.array_equal(pauli_matrix((1, 3)), expect)
+    assert np.array_equal(pauli_matrices([(1, 3)])[0], expect)
 
 
 def test_product_xx_times_xz_frozen():
     # sigma_11 . sigma_13 = -i sigma_02
-    prod = pauli_product((1, 1), (1, 3))
-    assert prod == PauliOperator(3, (0, 2))
-    dense = pauli_matrix((1, 1)) @ pauli_matrix((1, 3))
-    assert np.array_equal(prod.matrix(), dense)
+    assert _product((1, 1), (1, 3)) == (3, (0, 2))
+    xx, xz, iy = pauli_matrices([(1, 1), (1, 3), (0, 2)])
+    assert np.array_equal(xx @ xz, -1j * iy)
 
 
 @settings(deadline=None)
@@ -69,82 +69,77 @@ def test_product_xx_times_xz_frozen():
 def test_product_matches_dense(a, b):
     if len(a) != len(b):
         with pytest.raises(DimensionMismatch):
-            pauli_product(a, b)
+            pauli_matrices([a, b])
         return
-    prod = pauli_product(a, b)
-    assert np.allclose(prod.matrix(), pauli_matrix(a) @ pauli_matrix(b), atol=0)
+    turns, digits = _product(a, b)
+    ma, mb, mc = pauli_matrices([a, b, digits])
+    assert np.array_equal(ma @ mb, 1j**turns * mc)
 
 
 @settings(deadline=None)
 @given(digit_strings, digit_strings, digit_strings)
 def test_product_associative(a, b, c):
+    # the phase table is a cocycle: both bracketings carry the same phase
     if not len(a) == len(b) == len(c):
         return
-    left = pauli_product(pauli_product(a, b), c)
-    right = pauli_product(a, pauli_product(b, c))
-    assert left == right
+    ab, bc = _product(a, b), _product(b, c)
+    left, right = _product(ab[1], c), _product(a, bc[1])
+    assert (ab[0] + left[0]) % 4 == (bc[0] + right[0]) % 4
+    assert left[1] == right[1]
 
 
 def test_every_string_squares_to_identity():
-    for s in all_strings(2):
-        sq = pauli_product(s, s)
-        assert sq.phase == 0
-        assert sq.digits == (0, 0)
+    for m in pauli_matrices(all_strings(2)):
+        assert np.array_equal(m @ m, np.eye(4))
 
 
 def test_commutes_matches_dense_exhaustively_p2():
-    for a in all_strings(2):
-        ma = pauli_matrix(a)
-        for b in all_strings(2):
-            mb = pauli_matrix(b)
-            dense = np.allclose(ma @ mb, mb @ ma)
-            assert commutes(a, b) == dense
+    # the symplectic form on packed masks, as the partition code evaluates it
+    strings = list(all_strings(2))
+    _, x, z = packed(strings)
+    anti = bit_parity((x[:, None] & z) ^ (x & z[:, None]))
+    m = pauli_matrices(strings)
+    for i, ma in enumerate(m):
+        for j, mb in enumerate(m):
+            assert (not anti[i, j]) == np.allclose(ma @ mb, mb @ ma)
 
 
 def test_commutes_rejects_unequal_lengths():
     with pytest.raises(DimensionMismatch):
-        commutes((1,), (1, 3))
+        packed([(1,), (1, 3)])
 
 
 @settings(deadline=None)
 @given(digit_strings)
 def test_symplectic_roundtrip(s):
-    x, z = to_symplectic(s)
-    assert from_symplectic(x, z) == s
-
-
-def test_from_symplectic_length_check():
-    with pytest.raises(DimensionMismatch):
-        from_symplectic((0, 1), (1,))
+    # packed's masks read back through the [x][z] -> digit table
+    digits, x, z = packed([s])
+    bits = [(int(x[0]) >> k & 1, int(z[0]) >> k & 1) for k in range(len(s))][::-1]
+    assert tuple(_XZ_DIGIT[a][b] for a, b in bits) == s
+    assert tuple(digits[0]) == s
 
 
 def test_y_count():
-    assert y_count((0, 2, 2, 3)) == 2
-    assert y_count((1,)) == 0
-
-
-def test_operator_phase_and_sign():
-    op = PauliOperator(2, (3,))
-    assert op.is_hermitian and op.sign == -1
-    assert np.array_equal(op.matrix(), -pauli_matrix((3,)))
-    with pytest.raises(ValueError):
-        _ = PauliOperator(1, (3,)).sign
+    # transposing sigma_s flips its sign iff s has an odd number of y digits
+    for s, m in zip(all_strings(2), pauli_matrices(all_strings(2))):
+        assert np.array_equal(m.T, (-1) ** s.count(2) * m), s
 
 
 def test_labels_roundtrip():
     assert format_label((0, 1, 2, 3)) == "IXYZ"
-    assert parse_label("IXYZ") == (0, 1, 2, 3)
-    assert parse_label("ixyz") == (0, 1, 2, 3)
-    assert parse_label("0123") == (0, 1, 2, 3)
-    for bad in ("", "Q", "5"):
-        with pytest.raises(ValueError):
-            parse_label(bad)
+    for s in all_strings(2):
+        assert tuple(DIGIT_LETTERS.index(c) for c in format_label(s)) == s
+    with pytest.raises(ValueError):
+        format_label((4,))
 
 
 @settings(deadline=None)
 @given(digit_strings)
 def test_index_roundtrip(s):
-    assert index_string(string_index(s), len(s)) == s
+    # a string's place in all_strings is its base-4 value
+    seq = list(all_strings(len(s)))
+    assert seq.index(s) == _base4(s)
+    assert seq[_base4(s)] == s
 
 
 def test_all_strings_ordering():
@@ -152,11 +147,9 @@ def test_all_strings_ordering():
     assert len(seq) == 16
     assert seq[0] == (0, 0)
     assert seq[-1] == (3, 3)
-    assert [string_index(s) for s in seq] == list(range(16))
+    assert [_base4(s) for s in seq] == list(range(16))
     with pytest.raises(ValueError):
         list(all_strings(0))
-    with pytest.raises(ValueError):
-        index_string(16, 2)
 
 
 def test_check_digits_rejects_garbage():
@@ -168,19 +161,15 @@ def test_check_digits_rejects_garbage():
 
 def test_traces():
     # nontrivial strings are traceless; the identity string traces to 2^p
-    assert np.trace(pauli_matrix((0, 0))) == 4
-    for s in all_strings(2):
-        if s != (0, 0):
-            assert np.trace(pauli_matrix(s)) == 0
+    m = pauli_matrices(all_strings(2))
+    assert np.trace(m[0]) == 4
+    for s in m[1:]:
+        assert np.trace(s) == 0
 
 
 def test_matrix_utilities():
-    a = np.array([[1.0, 2.0j], [0.0, 1.0]])
-    assert frobenius_distance(a, a) == 0.0
-    with pytest.raises(DimensionMismatch):
-        frobenius_distance(a, np.eye(3))
-    two = np.kron(pauli_matrix((1,)), pauli_matrix((3,)))
-    assert np.array_equal(two, pauli_matrix((1, 3)))
+    x, z = pauli_matrices([(1,), (3,)])
+    assert np.array_equal(np.kron(x, z), pauli_matrices([(1, 3)])[0])
 
 
 # --- the signed-permutation realizer against the Kronecker product ----------
@@ -206,7 +195,6 @@ def test_realizer_matches_kron_for_every_string(p):
     assert stack.shape == (4**p, 2**p, 2**p) and stack.dtype == complex
     for s, m in zip(strings, stack):
         assert np.array_equal(m, _kron_matrix(s)), s
-    assert np.array_equal(pauli_matrix(strings[-1]), _kron_matrix(strings[-1]))
 
 
 def test_realizer_rejects_mixed_lengths_and_bad_digits():
@@ -220,14 +208,12 @@ def test_realizer_rejects_mixed_lengths_and_bad_digits():
 def test_class_sums_are_bit_identical_to_kron_sums(p):
     n = 2**p
     chi = np.array([[(-1.0) ** bin(e & c).count("1") for c in range(1, n)] for e in range(n)])
-    identity = PauliOperator(0, (0,) * p)
     for cls in build_partition(p).classes:
+        gens = [_kron_matrix(g) for g in cls.generators]
         # member c is the ordered product of the generators its bits select
-        ops = [
-            reduce(pauli_product, (g for j, g in enumerate(cls.generators) if c >> j & 1), identity)
-            for c in range(1, n)
-        ]
-        members = np.array([op.sign * _kron_matrix(op.digits) for op in ops])
+        members = np.array(
+            [reduce(np.matmul, (g for j, g in enumerate(gens) if c >> j & 1)) for c in range(1, n)]
+        )
         want = np.tensordot(chi, members, 1).astype(np.complex64)
         assert _class_sums(cls).tobytes() == want.tobytes()
 
