@@ -4,7 +4,7 @@ Exit codes: 0 on success (or a verified certificate), 1 on usage errors,
 2 on verification failures and out-of-range parameters, with a
 machine-readable JSON diagnostic on stderr. Output is byte-identical for
 identical (argv, seed); the WERNER_SEED environment variable overrides
---seed wherever a seed is consumed.
+--seed wherever a seed is consumed (report and spectrum).
 """
 from __future__ import annotations
 
@@ -80,34 +80,30 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="cmd", parser_class=_Parser)
 
-    def add_common(sp, with_f=True, with_scheme=False):
+    def add_common(sp, *extra):  # extra: the "scheme", "seed", "tol" it reads
         sp.add_argument("--p", type=int, required=True, choices=range(1, _MAX_P + 1))
-        if with_f:
-            sp.add_argument("--f", type=float, required=True)
-        if with_scheme:
-            sp.add_argument(
-                "--scheme", choices=sorted(_SCHEME_FLAGS), default="auto"
-            )
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--f", type=float, required=True)
+        if "scheme" in extra:
+            sp.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS), default="auto")
+        if "seed" in extra:
+            sp.add_argument("--seed", type=int, default=42)
+        if "tol" in extra:
+            sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--output", default=None, help="path, or stdout by default")
 
     sp = sub.add_parser("build", help="emit the dense state matrix")
     add_common(sp)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("spectrum", help="eigenvalues by independent routes")
-    add_common(sp)
+    add_common(sp, "seed")
     sp.add_argument(
         "--check-invariance",
         action="store_true",
         help="probe U(x)U invariance with one seeded random unitary",
     )
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("ppt", help="partial-transpose positivity test")
-    add_common(sp)
-    sp.add_argument("--format", choices=["json"], default="json")
+    add_common(sp, "tol")
 
     sp = sub.add_parser("partition", help="maximal commuting classes")
     sp.add_argument("--p", type=int, required=True, choices=range(1, _MAX_P + 1))
@@ -115,26 +111,23 @@ def _build_parser() -> _Parser:
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("decompose", help="build a product-state decomposition")
-    add_common(sp, with_scheme=True)
-    sp.add_argument("--format", choices=["json"], default="json")
+    add_common(sp, "scheme")
 
     sp = sub.add_parser("verify", help="verify a decomposition document")
     sp.add_argument("--input", required=True, help="path to a decomposition JSON, or - for stdin")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("refine", help="split mixed factors into pure ones")
     sp.add_argument("--input", default=None, help="decomposition JSON path, or - for stdin")
     sp.add_argument("--p", type=int, choices=range(1, _MAX_P + 1))
     sp.add_argument("--f", type=float)
-    sp.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS), default="auto")
+    sp.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS))  # None: auto, unless --input
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("report", help="end-to-end separability report")
-    add_common(sp)
+    add_common(sp, "seed", "tol")
     sp.add_argument("--refine", action="store_true")
     sp.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -143,7 +136,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--f-start", type=float, required=True)
     sp.add_argument("--f-end", type=float, required=True)
     sp.add_argument("--f-step", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--output", default=None)
 
@@ -219,7 +211,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    params = WernerParams(args.p, args.f)
+    params = WernerParams(args.p, args.f).require_physical()
     closed = spectrum_closed_form(params)
     transform = spectrum_via_transform(params)
     routes = [closed, transform]
@@ -227,8 +219,6 @@ def _cmd_spectrum(args) -> int:
     if params.p <= _JACOBI_CLI_MAX_P:
         jacobi = hermitian_eigenvalues(werner_dense(params))
         routes.append(jacobi)
-    else:
-        params.require_physical()
     agree = all(
         a.isclose(b, 1e-9) for i, a in enumerate(routes) for b in routes[i + 1 :]
     )
@@ -253,9 +243,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ppt(args) -> int:
     params = WernerParams(args.p, args.f)
-    params.require_physical()
+    ok = ppt_check(params, args.tol)  # raises on an unphysical f
     spec = pt_spectrum_closed_form(params)
-    ok = ppt_check(params, args.tol)
     doc = {
         "p": params.p,
         "f": params.f,
@@ -318,12 +307,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_refine(args) -> int:
     if args.input is not None:
+        if (args.p, args.f, args.scheme) != (None, None, None):
+            raise _UsageError("refine takes --input or --p/--f/--scheme, not both")
         dec = _read_certificate(args.input)
     else:
         if args.p is None or args.f is None:
             _diag("MissingInput", "refine needs --input or both --p and --f")
             return 1
-        dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
+        dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme or "auto"])
     refined = refine_to_pure(dec, args.tol)
     _write(args, serialize.dumps(serialize.decomposition_doc(refined)))
     return 0

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import UnsupportedFieldSize, WernerError
-from .pauli import _PHASE, _XZ_DIGIT, Digits, bit_parity, format_label, packed, pauli_matrices
+from .pauli import _PHASE, _XZ_DIGIT, Digits, bit_parity, format_label, packed
 
 __all__ = [
     "IRREDUCIBLE_POLY",
@@ -51,7 +51,6 @@ IRREDUCIBLE_POLY = {
     8: 0b100011011,  # t^8 + t^4 + t^3 + t + 1
 }
 
-_DENSE_CHECK_MAX_P = 3  # validate_partition's dense commutation check stops here
 _PHASE_TABLE = np.array(_PHASE, dtype=float)  # BLAS sums these small integers exactly
 
 
@@ -178,31 +177,24 @@ class ValidationResult:
         return self.ok
 
 
-def _class_problems(idx: int, members: Sequence[Digits], p: int) -> List[str]:
-    """Commutation, product-phase and closure problems of one class, in the
-    order of its member pairs (i < j), then of its ordered products (i, j)."""
+def _class_problems(idx: int, members: Sequence[Digits]) -> List[str]:
+    """Commutation, product-phase and closure problems of one class of
+    length-p strings, in the order of its member pairs (i < j), then of its
+    ordered products (i, j)."""
     digits, x, z = packed(members)
-    q = digits.shape[1]
+    p = digits.shape[1]
     anti = bit_parity((x[:, None] & z) ^ (x & z[:, None])) == 1
-    bad_pairs = anti.copy()
-    if p <= _DENSE_CHECK_MAX_P:
-        m = pauli_matrices(members)
-        comm = m[:, None] @ m - m @ m[:, None]  # [i, j] = m_i m_j - m_j m_i
-        bad_pairs |= np.abs(comm).max(axis=(2, 3)) > 1e-12
     problems = []
-    for i, j in zip(*np.nonzero(np.triu(bad_pairs, 1))):
+    for i, j in zip(*np.nonzero(np.triu(anti, 1))):
         a, b = format_label(members[i]), format_label(members[j])
-        if anti[i, j]:
-            problems.append(f"class {idx}: {a} and {b} anticommute")
-        else:
-            problems.append(f"class {idx}: dense commutator of {a} and {b} is nonzero")
+        problems.append(f"class {idx}: {a} and {b} anticommute")
 
     # sum_k _PHASE[d_ik][d_jk] as one product: table rows of i against one-hot digits of j
     onehot = (digits[..., None] == np.arange(4)).reshape(len(members), -1)
     imaginary = _PHASE_TABLE[digits].reshape(onehot.shape) @ onehot.T % 2 == 1
-    keys = x << q | z  # a product's masks are the xor of its factors' masks
+    keys = x << p | z  # a product's masks are the xor of its factors' masks
     closed = np.isin(keys[:, None] ^ keys, keys)
-    np.fill_diagonal(closed, q == p)  # a square is the q-factor identity
+    np.fill_diagonal(closed, True)  # a square is the identity
     for i, j in zip(*np.nonzero(imaginary | ~closed)):
         if imaginary[i, j]:
             problems.append(f"class {idx}: product of commuting members has imaginary phase")
@@ -221,8 +213,8 @@ def _class_problems(idx: int, members: Sequence[Digits], p: int) -> List[str]:
 def validate_partition(part: Partition) -> ValidationResult:
     """Check counts, disjoint coverage, commutation, and group closure.
 
-    Up to p = _DENSE_CHECK_MAX_P, commutation is also confirmed on dense
-    matrices (cost grows as 16^p).
+    Members are read as digit tuples. The commutation and closure checks
+    run on a class whose members all have length p and digits in 0..3.
     """
     p = part.p
     problems: List[str] = []
@@ -237,16 +229,17 @@ def validate_partition(part: Partition) -> ValidationResult:
     seen: Dict[Digits, int] = {}
     identity = (0,) * p
     for idx, cls in enumerate(part.classes):
-        if len(cls.members) != expected_size:
+        members = tuple(map(tuple, cls.members))
+        if len(members) != expected_size:
             problems.append(
-                f"class {idx} has {len(cls.members)} members, expected {expected_size}"
+                f"class {idx} has {len(members)} members, expected {expected_size}"
             )
-        # the class-wide checks pack the members: one length, digits in 0..3
-        lengths = {len(m) for m in cls.members}
-        packable = len(lengths) == 1 and 0 not in lengths
-        for m in cls.members:
+        # the class-wide checks pack the members: length p, digits in 0..3
+        packable = bool(members)
+        for m in members:
             if len(m) != p:
                 problems.append(f"class {idx} member {m} has wrong length")
+                packable = False
             if not set(m) <= {0, 1, 2, 3}:
                 problems.append(f"class {idx} member {m} has a digit outside 0..3")
                 packable = False
@@ -260,7 +253,7 @@ def validate_partition(part: Partition) -> ValidationResult:
             seen[m] = idx
 
         if packable:
-            problems.extend(_class_problems(idx, cls.members, p))
+            problems.extend(_class_problems(idx, members))
 
     # only nontrivial strings of length p cover anything
     missing = (4**p - 1) - sum(len(m) == p and m != identity for m in seen)

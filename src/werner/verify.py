@@ -139,9 +139,9 @@ def verify_decomposition(
     gap = reconstruct(dec)
     gap -= target
     residual = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
-    recon_ok = residual < tol
+    recon_ok = residual <= tol
     if not recon_ok:
-        diagnostics.append(f"reconstruction residual {residual:.6e} >= {tol:g}")
+        diagnostics.append(f"reconstruction residual {residual:.6e} > {tol:g}")
 
     purity_ok = max_purity_deviation <= 1e-9
 

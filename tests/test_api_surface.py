@@ -1,9 +1,10 @@
 """The exported surface of the package: no name that nothing calls.
 
-Each module's __all__ may list a name only if some code in src/werner uses
-it outside its own definition, or if it is one of the fourteen names that
-`import werner` exports. A helper only the tests call does not belong in
-the package.
+Every module-level definition in src/werner must be reachable from the
+fourteen names that `import werner` exports or from the CLI's `main`,
+through the names each reached definition uses. A helper only the tests
+call, or only another unreached helper calls, does not belong in the
+package.
 """
 import ast
 import re
@@ -36,52 +37,52 @@ def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _exported(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return [elt.value for elt in node.value.elts]
-    return []
-
-
-def _uses(tree, skip=None):
-    """Names loaded and attributes read in tree, outside the definition skip."""
+def _uses(node):
+    """Names loaded and attributes read anywhere inside node."""
     found = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
     return found
 
 
-def _definition(tree, name):
+def _definitions(tree):
+    """(name, node) for each name a module binds at its top level by def,
+    class or assignment."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return node
-    return None
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, node
 
 
-def test_every_exported_name_has_a_caller_in_the_package():
-    trees = _trees()
-    uncalled = []
-    for module, tree in trees.items():
-        if module == "__init__":
+def test_every_module_level_name_is_reachable_from_the_public_names():
+    # by name: a definition is reached once a reached definition uses its name
+    sites = {}
+    for module, tree in _trees().items():
+        for name, node in _definitions(tree):
+            sites.setdefault(name, []).append((module, node))
+    reached, todo = set(), ["main", *PUBLIC]  # cli.main and the fourteen names
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in sites:
             continue
-        for name in _exported(tree):
-            if name in PUBLIC:
-                continue
-            home = _definition(tree, name)
-            used = set().union(*(_uses(t, home if t is tree else None) for t in trees.values()))
-            if name not in used:
-                uncalled.append(f"{module}.{name}")
-    assert uncalled == []
+        reached.add(name)
+        for _, node in sites[name]:
+            todo.extend(_uses(node))
+    unreached = [
+        f"{module}.{name}"
+        for name, where in sites.items()
+        for module, _ in where
+        if name not in reached and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unreached == []
 
 
 def test_the_package_exports_exactly_the_public_names():

@@ -1,4 +1,6 @@
 """Command-line behavior: exit codes, document schemas, determinism."""
+import argparse
+import inspect
 import json
 import re
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from werner import serialize
-from werner.cli import _sweep_points, main
+from werner.cli import _DISPATCH, _build_parser, _sweep_points, main
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
 
@@ -165,6 +167,14 @@ def test_report_separable(capsys):
     assert doc["seed"] == 42
 
 
+def test_report_at_zero_tol_accepts_an_exact_certificate(capsys):
+    code, out, err = run(capsys, "report", "--p", "1", "--f", "0", "--tol", "0")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "SEPARABLE"
+    assert doc["verification"]["reconstruction_residual"] == 0.0
+
+
 def test_report_entangled_exits_2(capsys):
     code, out, err = run(capsys, "report", "--p", "2", "--f", "-0.3")
     assert code == 2
@@ -304,12 +314,48 @@ def test_usage_errors_exit_1(capsys):
         ("build", "--p", "9", "--f", "0"),
         ("build", "--p", "1"),  # missing --f
         ("build", "--p", "1", "--f", "0", "--bogus"),
+        # flags their subcommands never read
+        ("build", "--p", "1", "--f", "0.5", "--seed", "1"),
+        ("build", "--p", "1", "--f", "0.5", "--tol", "1e-9"),
+        ("build", "--p", "1", "--f", "0.5", "--format", "json"),
+        ("spectrum", "--p", "1", "--f", "0.5", "--tol", "1e-9"),
+        ("spectrum", "--p", "1", "--f", "0.5", "--format", "json"),
+        ("ppt", "--p", "1", "--f", "0.5", "--seed", "1"),
+        ("ppt", "--p", "1", "--f", "0.5", "--format", "json"),
+        ("decompose", "--p", "1", "--f", "0.5", "--seed", "1"),
+        ("decompose", "--p", "1", "--f", "0.5", "--tol", "1e-9"),
+        ("decompose", "--p", "1", "--f", "0.5", "--format", "json"),
+        ("verify", "--input", "cert.json", "--format", "json"),
+        ("refine", "--p", "1", "--f", "0.5", "--format", "json"),
+        ("sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "0.5", "--seed", "1"),
+        # refine reads either a certificate or (p, f, scheme), never both
+        ("refine", "--input", "cert.json", "--p", "1"),
+        ("refine", "--input", "cert.json", "--f", "0.5"),
+        ("refine", "--input", "cert.json", "--scheme", "auto"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "UsageError"
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    # a flag is read when its handler names args.<dest>; --output via _write(args, ...)
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread, settable = [], 0
+    for cmd, sp in sub.choices.items():
+        source = inspect.getsource(_DISPATCH[cmd])
+        for action in sp._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            settable += 1
+            read = re.search(rf"\bargs\.{action.dest}\b", source) or (
+                action.dest == "output" and "_write(args" in source
+            )
+            if not read:
+                unread.append(f"{cmd} {action.option_strings[0]}")
+    assert (unread, settable) == ([], 41)
 
 
 def test_help_is_plain_usage_text(capsys):
@@ -464,7 +510,7 @@ def test_closed_form_rows_print_the_formulas(capsys):
     "env_seed,argv",
     [
         ("abc", ("report", "--p", "1", "--f", "0.5")),
-        ("abc", ("build", "--p", "1", "--f", "0.5")),
+        ("abc", ("spectrum", "--p", "1", "--f", "0.5")),
         ("-3", ("spectrum", "--p", "1", "--f", "0.5", "--check-invariance")),
         (None, ("report", "--p", "1", "--f", "0.5", "--seed", "-1")),
         (None, ("build", "--p", "1", "--f", "nan")),
@@ -538,6 +584,16 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["verdict"] == "PPT"
+
+
+@pytest.mark.parametrize("cmd", ["build", "decompose"])
+def test_seedless_subcommands_ignore_werner_seed(capsys, monkeypatch, cmd):
+    argv = (cmd, "--p", "1", "--f", "0.5")
+    monkeypatch.delenv("WERNER_SEED", raising=False)
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("WERNER_SEED", "abc")
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0 and plain[2] == ""
 
 
 def test_env_seed_overrides_flag(capsys, monkeypatch):

@@ -282,7 +282,6 @@ def test_validator_problems_keep_their_text_and_order():
     long = Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((3, 3),), ((3, 3),))))
     assert validate_partition(long).problems == (
         "class 2 member (3, 3) has wrong length",
-        "class 2: member does not square to the identity",
         "1 nontrivial strings are not covered",
     )
     mixed = Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((3,), (3, 3)), ((3,),))))
@@ -292,22 +291,33 @@ def test_validator_problems_keep_their_text_and_order():
     )
 
 
-@pytest.mark.parametrize(
-    "last, problem",
-    [
-        ((1,), "class 0 member (1,) has wrong length"),
-        ((1, 4), "class 0 member (1, 4) has a digit outside 0..3"),
-    ],
-    ids=["mixed-lengths", "bad-digit"],
-)
-def test_validator_reports_malformed_members_without_raising(last, problem):
-    # the class-wide checks cannot pack such a class, so they skip it
+def _last_member_of_class_0(last):
     part = build_partition(2)
     head = part.classes[0]
-    bad = CommutingClass(head.members[:-1] + (last,), head.generators)
-    res = validate_partition(Partition(2, (bad,) + part.classes[1:]))
-    assert not res.ok
-    assert res.problems == (problem, "1 nontrivial strings are not covered")
+    return Partition(2, (CommutingClass(head.members[:-1] + (last,), head.generators),)
+                     + part.classes[1:])
+
+
+@pytest.mark.parametrize(
+    "part, problems",
+    [
+        (_last_member_of_class_0((1,)),
+         ("class 0 member (1,) has wrong length", "1 nontrivial strings are not covered")),
+        (_last_member_of_class_0((1, 4)),
+         ("class 0 member (1, 4) has a digit outside 0..3",
+          "1 nontrivial strings are not covered")),
+        # a list of digits reads as the string it spells: here X, so nothing is wrong
+        (Partition(1, (CommutingClass(([1],), ([1],)), _cls("Y"), _cls("Z"))), ()),
+        (Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((3, 3),), ((3, 3),)))),
+         ("class 2 member (3, 3) has wrong length", "1 nontrivial strings are not covered")),
+    ],
+    ids=["mixed-lengths", "bad-digit", "list-member", "long-class"],
+)
+def test_validator_reports_malformed_members_without_raising(part, problems):
+    # the class-wide checks run only on members of length p with digits in 0..3
+    res = validate_partition(part)
+    assert res.ok == (problems == ())
+    assert res.problems == problems
 
 
 def test_generator_independence_check():

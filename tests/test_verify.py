@@ -65,6 +65,19 @@ def test_forced_out_of_range_fails_positivity():
     assert rep.reconstruction_residual < 1e-9
 
 
+def test_residual_equal_to_tol_passes():
+    # inclusive, like the positivity check and ppt_check
+    dec = decompose_auto(WernerParams(2, 0.9))
+    target = werner_dense(WernerParams(2, 0.9 + 1e-6))
+    residual = verify_decomposition(target, dec, 1.0).reconstruction_residual
+    assert residual > 0
+    assert verify_decomposition(target, dec, residual).verdict
+    below = float(np.nextafter(residual, 0.0))
+    rep = verify_decomposition(target, dec, below)
+    assert not rep.verdict
+    assert rep.diagnostics == (f"reconstruction residual {residual:.6e} > {below:g}",)
+
+
 def test_wrong_target_fails_reconstruction():
     dec = decompose_auto(WernerParams(2, 0.9))
     rep = verify_decomposition(werner_dense(WernerParams(2, 0.5)), dec)
