@@ -43,6 +43,8 @@ __all__ = ["main"]
 _SCHEME_FLAGS = {"auto": "auto", "per-string": PER_STRING, "class": COMMUTING_CLASS}
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here
+# a refined p = 5 certificate has about a million terms and tens of GB of text
+_REFINE_CLI_MAX_P = 4
 _SWEEP_MAX_ROWS = 100_000  # sweep holds its rows in memory until the end
 
 
@@ -162,6 +164,11 @@ def _check_args(args) -> None:
             raise _UsageError(f"the seed must be nonnegative, got {args.seed}")
 
 
+def _check_refine_cap(p: int) -> None:
+    if p > _REFINE_CLI_MAX_P:
+        raise _UsageError(f"refinement is capped at p = {_REFINE_CLI_MAX_P}, got p = {p}")
+
+
 def _write(args, text: str, end: str = "\n") -> None:
     """text, then end, to --output or stdout; end is written on its own so
     that a large document is never copied to append it."""
@@ -181,17 +188,17 @@ def _diag(kind: str, message: str, **extra) -> None:
     sys.stderr.write(json.dumps(doc) + "\n")
 
 
-def _read_certificate(path: str):
+def _read_certificate(path: str, max_p: int = _MAX_P):
     """The decomposition in a certificate file (- for stdin). A document that
     is not one, from unparsable JSON to a missing key, raises MalformedInput,
-    and so does one above the --p cap, whose target the CLI never builds."""
+    and so does one above max_p, before any of its factors is converted."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path) as fh:
                 text = fh.read()
-        return serialize.parse_decomposition(text, _MAX_P)
+        return serialize.parse_decomposition(text, max_p)
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -309,11 +316,12 @@ def _cmd_refine(args) -> int:
     if args.input is not None:
         if (args.p, args.f, args.scheme) != (None, None, None):
             raise _UsageError("refine takes --input or --p/--f/--scheme, not both")
-        dec = _read_certificate(args.input)
+        dec = _read_certificate(args.input, _REFINE_CLI_MAX_P)
     else:
         if args.p is None or args.f is None:
             _diag("MissingInput", "refine needs --input or both --p and --f")
             return 1
+        _check_refine_cap(args.p)
         dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme or "auto"])
     refined = refine_to_pure(dec, args.tol)
     _write(args, serialize.dumps(serialize.decomposition_doc(refined)))
@@ -321,6 +329,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.refine:
+        _check_refine_cap(args.p)
     params = WernerParams(args.p, args.f)
     rep, refinement = separability_report(
         params, seed=args.seed, tol=args.tol, refine=args.refine

@@ -38,7 +38,7 @@ from .decompose import COMMUTING_CLASS, PER_STRING, Decomposition, ProductTerm
 from .errors import MalformedInput
 from .linalg import Spectrum
 from .model import WernerParams
-from .verify import SeparabilityReport, VerificationReport, _content_key
+from .verify import SeparabilityReport, VerificationReport
 
 __all__ = [
     "csv_text",
@@ -123,7 +123,7 @@ def _emit(obj, pad: str, step: str, memo: dict) -> str:
         return text
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
-            key = (pad, _content_key(obj))  # repeated factors render once
+            key = (pad, obj.shape, obj.tobytes())  # repeated factors render once
             if key not in memo:
                 memo[key] = _matrix_text(obj, pad, step)
             return memo[key]

@@ -11,6 +11,7 @@ only rank-1 factors, at the cost of more terms.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -63,8 +64,31 @@ class VerificationReport:
 
 
 def _content_key(mat):
-    """Equal keys mean equal bytes, so one Jacobi solve serves every copy."""
-    return mat.dtype.str, mat.shape, mat.tobytes()
+    """A compact key of mat's content: its dtype, shape and bytes' hash."""
+    return mat.dtype.str, mat.shape, hash(mat.tobytes())
+
+
+def _distinct_factors(dec: Decomposition):
+    """(groups, keys): the distinct factors of dec by shape, then by key, in
+    first-seen order, and the key of each factor object by id.
+
+    Each object is keyed once; dec keeps every one alive, so no id is
+    reused. A compact key that hits a different matrix falls back to the
+    exact (dtype, shape, bytes) key, so equal keys still mean equal bytes.
+    """
+    groups, keys = {}, {}
+    for term in dec.terms:
+        for mat in (term.state_a, term.state_b):
+            if id(mat) in keys:
+                continue
+            by_key = groups.setdefault(mat.shape, {})
+            key = _content_key(mat)
+            kept = by_key.setdefault(key, mat)
+            if kept is not mat and kept.tobytes() != mat.tobytes():
+                key = mat.dtype.str, mat.shape, mat.tobytes()
+                by_key.setdefault(key, mat)
+            keys[id(mat)] = key
+    return groups, keys
 
 
 def _eigensystems(dec: Decomposition, compute_vectors: bool = False):
@@ -74,10 +98,7 @@ def _eigensystems(dec: Decomposition, compute_vectors: bool = False):
     of at most _CHUNK_BYTES each, so a p = 5 certificate's 1,056 factors
     take 33 calls instead of 1,056 and peak memory stays bounded.
     """
-    groups = {}
-    for term in dec.terms:
-        for mat in (term.state_a, term.state_b):
-            groups.setdefault(mat.shape, {}).setdefault(_content_key(mat), mat)
+    groups, _ = _distinct_factors(dec)
     for by_key in groups.values():
         keys = list(by_key)
         step = max(1, _CHUNK_BYTES // (16 * by_key[keys[0]].size))
@@ -100,6 +121,34 @@ def _component_stats(dec: Decomposition):
         min_eig = min(min_eig, float(vals[0]))
         max_purity_dev = max(max_purity_dev, abs(purity - 1.0))
     return float(min_eig), float(max_purity_dev)
+
+
+def _overlapped(first, second, overlap: bool):
+    """(first(), second()), called in that order, or with first on a worker
+    thread while this thread runs second when overlap is true.
+
+    Either way an error of first wins over one of second, as in the inline
+    order, and the worker is joined before anything is returned or raised.
+    """
+    if not overlap:
+        return first(), second()
+    outcome = {}
+
+    def work():
+        try:
+            outcome["value"] = first()
+        except BaseException as exc:  # handed to this thread, which raises it
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        later = second()
+    finally:
+        worker.join()
+        if "error" in outcome:
+            raise outcome["error"]
+    return outcome["value"], later
 
 
 def verify_decomposition(
@@ -127,7 +176,16 @@ def verify_decomposition(
             f"sum error={weight_sum_error:.3e}"
         )
 
-    min_component_eigenvalue, max_purity_deviation = _component_stats(dec)
+    # at p = 5, where reconstruct's chunks are accumulator-sized, its GEMMs
+    # leave the GIL free for the GIL-bound Jacobi stage on a worker. Jacobi
+    # makes only small allocations, so the big buffers stay in this thread's
+    # malloc arena. At p <= 4 the reconstruction takes milliseconds, so
+    # there is little to hide, and the stages run inline in their order.
+    (min_component_eigenvalue, max_purity_deviation), gap = _overlapped(
+        lambda: _component_stats(dec),
+        lambda: reconstruct(dec),
+        target.nbytes // 4 > _CHUNK_BYTES,
+    )
     positivity_ok = min_component_eigenvalue >= -tol
     if not positivity_ok:
         diagnostics.append(
@@ -136,7 +194,6 @@ def verify_decomposition(
 
     # the Frobenius residual, taken in the reconstruction's own buffer: a
     # separate difference array would set the peak memory at p = 5
-    gap = reconstruct(dec)
     gap -= target
     residual = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
     recon_ok = residual <= tol
@@ -175,6 +232,7 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
             report=report,
         )
 
+    _, keys = _distinct_factors(dec)
     eig_cache = {}
     for key, vals, vecs in _eigensystems(dec, compute_vectors=True):
         keep = []
@@ -187,8 +245,8 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
 
     terms: List[ProductTerm] = []
     for term in dec.terms:
-        pairs_b = eig_cache[_content_key(term.state_b)]
-        for j, (alpha, proj_a) in enumerate(eig_cache[_content_key(term.state_a)]):
+        pairs_b = eig_cache[keys[id(term.state_b)]]
+        for j, (alpha, proj_a) in enumerate(eig_cache[keys[id(term.state_a)]]):
             for k, (beta, proj_b) in enumerate(pairs_b):
                 terms.append(
                     ProductTerm(
@@ -252,9 +310,17 @@ def separability_report(
     ppt = ppt_check(params, tol)
 
     rho = werner_dense(params)
-    inv_res = invariance_residual(rho, random_unitary(params.d, seed))
+    separable = ppt and params.f >= 0
+    # at p = 5 the probe's GEMMs run on a worker while this thread builds the
+    # decomposition. The worker is joined before verification starts, so the
+    # probe's two d^4 buffers are freed before the reconstruction allocates.
+    inv_res, dec = _overlapped(
+        lambda: invariance_residual(rho, random_unitary(params.d, seed)),
+        lambda: decompose_auto(params) if separable else None,
+        separable and rho.nbytes // 4 > _CHUNK_BYTES,
+    )
 
-    if not ppt or params.f < 0:
+    if not separable:
         report = SeparabilityReport(
             p=params.p,
             f=params.f,
@@ -271,7 +337,8 @@ def separability_report(
         )
         return report, None
 
-    verdict, dec, ver = certify_ppt_point(params, rho, tol)
+    ver = verify_decomposition(rho, dec, tol)
+    verdict = "SEPARABLE" if ver.verdict else "INVALID"
     refinement = None
     if refine and ver.verdict:
         refined = refine_to_pure(dec, tol)

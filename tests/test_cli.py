@@ -9,6 +9,7 @@ import pytest
 
 from werner import serialize
 from werner.cli import _DISPATCH, _build_parser, _sweep_points, main
+from werner.decompose import Decomposition, class_decomposition
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
 
@@ -156,6 +157,46 @@ def test_refine_requires_input(capsys):
     code, _, err = run(capsys, "refine")
     assert code == 1
     assert json.loads(err)["error"] == "MissingInput"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a refusal must come before any factor is built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("refine", "--p", "5", "--f", "0.6"), ("report", "--p", "5", "--f", "0.6", "--refine")],
+)
+def test_refinement_above_p4_is_refused_up_front(capsys, monkeypatch, argv):
+    # a refined p = 5 certificate would hold about a million terms
+    monkeypatch.setattr("werner.cli.decompose_auto", _never)
+    monkeypatch.setattr("werner.cli.separability_report", _never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "error": "UsageError",
+        "message": "refinement is capped at p = 4, got p = 5",
+    }
+
+
+def test_refine_input_above_p4_is_refused_before_its_factors_convert(
+    capsys, monkeypatch, tmp_path
+):
+    dec = class_decomposition(WernerParams(5, 0.6))
+    path = tmp_path / "cert5.json"
+    one_term = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:1])
+    path.write_text(serialize.dumps(serialize.decomposition_doc(one_term)))
+    monkeypatch.setattr("werner.serialize.doc_matrix", _never)
+    code, out, err = run(capsys, "refine", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "error": "MalformedInput",
+        "message": "certificate p=5 is above the cap of 4",
+    }
 
 
 def test_report_separable(capsys):

@@ -1,5 +1,7 @@
 """The verifier as oracle, refinement to pure factors, end-to-end reports."""
 import json
+import threading
+import tracemalloc
 from dataclasses import replace
 from math import sqrt
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import werner.verify
 from werner.decompose import (
     _CHUNK_BYTES,
     Decomposition,
@@ -17,11 +20,13 @@ from werner.decompose import (
     per_string_decomposition,
     reconstruct,
 )
-from werner.errors import DimensionMismatch, VerificationFailure
+from werner.cli import main
+from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
 from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
 from werner.serialize import decomposition_doc, doc_decomposition, dumps
 from werner.verify import (
+    _distinct_factors,
     refine_to_pure,
     separability_report,
     verify_decomposition,
@@ -262,3 +267,177 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     assert _exact(refine_to_pure(parsed)) == in_memory_refined
     assert sum(calls) == 2 * 72  # verification, then one eigenpair split each
     assert len(calls) <= 2 * chunks
+
+
+def _counting_rows(monkeypatch):
+    rows = []  # matrices solved, over all kernel calls
+
+    def counting(a, *args, **kwargs):
+        rows.append(len(a))
+        return hermitian_eigensystem(a, *args, **kwargs)
+
+    monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
+    return rows
+
+
+def _copied(dec):
+    # every factor slot its own object, with the same bytes
+    terms = tuple(
+        replace(t, state_a=t.state_a.copy(), state_b=t.state_b.copy()) for t in dec.terms
+    )
+    return Decomposition(dec.params, dec.scheme, dec.scale, terms)
+
+
+def test_equal_factors_in_distinct_objects_are_solved_once(monkeypatch):
+    params = WernerParams(2, 0.6)
+    target = werner_dense(params)
+    dec = class_decomposition(params)  # 20 terms, each one factor object twice
+    shared = verify_decomposition(target, dec)
+    rows = _counting_rows(monkeypatch)
+    assert verify_decomposition(target, _copied(dec)) == shared
+    assert sum(rows) == 20
+    # an object held in both slots of a term is keyed once
+    hashed = []
+
+    def counting_hash(data):
+        hashed.append(1)
+        return hash(data)
+
+    monkeypatch.setattr("werner.verify.hash", counting_hash, raising=False)
+    _distinct_factors(dec)
+    assert len(hashed) == 20
+
+
+def test_a_forced_key_collision_keeps_different_factors_apart(monkeypatch):
+    params = WernerParams(2, 0.6)
+    target = werner_dense(params)
+    dec = class_decomposition(params)
+    honest = verify_decomposition(target, dec), _exact(refine_to_pure(dec))
+    # every compact key collides; the exact fallback must tell the factors apart
+    monkeypatch.setattr("werner.verify.hash", lambda data: 0, raising=False)
+    copies = _copied(dec)
+    groups, keys = _distinct_factors(copies)
+    assert len(keys) == 40
+    (by_key,) = groups.values()
+    assert len(by_key) == len(set(keys.values())) == 20
+    assert all(keys[id(t.state_a)] == keys[id(t.state_b)] for t in copies.terms)
+    rows = _counting_rows(monkeypatch)
+    assert (verify_decomposition(target, copies), _exact(refine_to_pure(copies))) == honest
+    assert sum(rows) == 3 * 20  # verify; refine's own verification, then its split
+
+
+def test_factor_keys_hold_no_copy_of_the_factors():
+    # exact keys held the bytes of every distinct 32 x 32 factor: 17 MB
+    dec = class_decomposition(WernerParams(5, 0.6))
+    tracemalloc.start()
+    try:
+        groups, keys = _distinct_factors(dec)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == len(groups[(32, 32)]) == 1056
+    assert held < 1 << 20
+
+
+def _inline(first, second, overlap):
+    return first(), second()
+
+
+def _recording(monkeypatch, name, threads):
+    fn = getattr(werner.verify, name)
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return fn(*args)
+
+    monkeypatch.setattr(f"werner.verify.{name}", recorded)
+
+
+@pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
+def test_p5_overlap_keeps_its_bits(monkeypatch, f):
+    params = WernerParams(5, f)
+    # a separable report carries verify_decomposition's own report; the
+    # entangled point has none, so a forced certificate is verified alone
+    forced = per_string_decomposition(params, force=True) if f < 0 else None
+    threads = []
+    _recording(monkeypatch, "_component_stats", threads)
+    _recording(monkeypatch, "invariance_residual", threads)
+    before = threading.active_count()
+    overlapped = (
+        separability_report(params),
+        forced and verify_decomposition(werner_dense(params), forced),
+    )
+    assert threading.active_count() == before
+    # f >= 0: the probe and Jacobi each ran on a worker; f < 0: the probe
+    # runs inline, and the forced certificate's Jacobi on a worker
+    workers = [t is not threading.main_thread() for t in threads]
+    assert workers == ([True, True] if f >= 0 else [False, True])
+    monkeypatch.setattr("werner.verify._overlapped", _inline)
+    inline = (
+        separability_report(params),
+        forced and verify_decomposition(werner_dense(params), forced),
+    )
+    assert inline == overlapped
+    assert overlapped[0][0].verdict == ("SEPARABLE" if f >= 0 else "ENTANGLED")
+    assert forced is None or not overlapped[1].verdict
+
+
+def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
+    argv = ["sweep", "--p", "5", "--f-start", "0.5", "--f-end", "1", "--f-step", "0.25"]
+    assert main(argv) == 0
+    overlapped = capsys.readouterr()
+    monkeypatch.setattr("werner.verify._overlapped", _inline)
+    assert main(argv) == 0
+    assert capsys.readouterr() == overlapped
+    assert overlapped.out.count("SEPARABLE") == 3
+
+
+def _with_non_hermitian_factor(params, at):
+    dec = class_decomposition(params)
+    bad = dec.terms[at].state_a.copy()
+    bad[0, 1] += 1e-3
+    terms = list(dec.terms)
+    terms[at] = replace(terms[at], state_a=bad)
+    return Decomposition(params, dec.scheme, dec.scale, tuple(terms))
+
+
+@pytest.mark.parametrize("at", [0, 1055])  # Jacobi's first stack, or its last
+def test_p5_overlap_raises_the_inline_error(monkeypatch, capfd, at):
+    params = WernerParams(5, 0.6)
+    target = werner_dense(params)
+    dec = _with_non_hermitian_factor(params, at)
+    before = threading.active_count()
+    with pytest.raises(MalformedInput) as overlapped:
+        verify_decomposition(target, dec)
+    assert threading.active_count() == before
+    monkeypatch.setattr("werner.verify._overlapped", _inline)
+    with pytest.raises(MalformedInput) as inline:
+        verify_decomposition(target, dec)
+    assert str(overlapped.value) == str(inline.value) == "matrix is not Hermitian within 1e-10"
+    assert capfd.readouterr().err == ""
+
+
+def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
+    params = WernerParams(5, 0.6)
+    target = werner_dense(params)
+    dec = _with_non_hermitian_factor(params, 0)
+
+    def failing(*args):
+        raise MemoryError("second stage failed")
+
+    monkeypatch.setattr("werner.verify.reconstruct", failing)
+    before = threading.active_count()
+    with pytest.raises(MalformedInput, match="not Hermitian"):
+        verify_decomposition(target, dec)
+    assert threading.active_count() == before
+    # the second stage's error alone still surfaces, after the join
+    with pytest.raises(MemoryError, match="second stage failed"):
+        verify_decomposition(target, class_decomposition(params))
+    assert threading.active_count() == before
+    # in separability_report the probe comes first
+    monkeypatch.setattr("werner.verify.decompose_auto", failing)
+    monkeypatch.setattr("werner.verify.invariance_residual", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        separability_report(params)
+    assert threading.active_count() == before
+    assert capfd.readouterr().err == ""
