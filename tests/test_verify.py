@@ -109,6 +109,102 @@ def test_purity_reported_not_enforced():
     assert rep.max_purity_deviation > 1e-3
 
 
+# --- each tolerance of the verdict, directly and through `verify --input` ----
+
+
+def _with_terms(dec, terms):
+    return Decomposition(dec.params, dec.scheme, dec.scale, tuple(terms))
+
+
+def _verify_both(tmp_path, capsys, dec, tol=1e-9):
+    """verify_decomposition's report on dec, and the verdict, exit code and
+    stdout document of `verify --input` on dec's certificate file."""
+    rep = verify_decomposition(werner_dense(dec.params), dec, tol)
+    path = tmp_path / "cert.json"
+    path.write_text(dumps(decomposition_doc(dec)))
+    code = main(["verify", "--input", str(path), "--tol", repr(tol)])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is rep.verdict
+    assert code == (0 if rep.verdict else 2)
+    return rep, doc
+
+
+@pytest.mark.parametrize("shift", [1e-10, 1e-3])
+def test_a_negative_weight_fails_though_the_weights_sum_to_1(tmp_path, capsys, shift):
+    # term 0 split into (w + shift, A, B) and (-shift, A, B): the same state
+    dec = decompose_auto(WernerParams(2, 0.9))
+    first = dec.terms[0]
+    bad = _with_terms(
+        dec,
+        [replace(first, weight=first.weight + shift), replace(first, weight=-shift)]
+        + list(dec.terms[1:]),
+    )
+    rep, doc = _verify_both(tmp_path, capsys, bad)
+    assert rep.min_weight == doc["min_weight"] == -shift
+    assert rep.weight_sum_error <= 1e-15
+    assert rep.positivity_ok and rep.reconstruction_residual <= 1e-9
+    assert not rep.convex_ok and not doc["convex_ok"]
+    assert not rep.verdict
+
+
+@pytest.mark.parametrize("off,ok", [(2e-12, False), (5e-13, True)])
+def test_a_weight_sum_off_by_more_than_1e_12_fails(tmp_path, capsys, off, ok):
+    dec = decompose_auto(WernerParams(2, 0.9))
+    first = dec.terms[0]
+    bad = _with_terms(dec, [replace(first, weight=first.weight + off)] + list(dec.terms[1:]))
+    rep, doc = _verify_both(tmp_path, capsys, bad)
+    assert rep.weight_sum_error == pytest.approx(off, rel=1e-3)
+    assert rep.min_weight >= 0 and rep.positivity_ok
+    assert rep.reconstruction_residual <= 1e-9
+    assert rep.convex_ok is doc["convex_ok"] is rep.verdict is ok
+
+
+def _least_eigenvalue_certificate(least: float):
+    """A forced p = 1 per-string certificate whose factors' least eigenvalue
+    is (1 - s)/2 = least; it reconstructs its own state exactly."""
+    s = 1.0 - 2.0 * least
+    return per_string_decomposition(WernerParams(1, (1.0 - s * s) / 2.0), force=True)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("ratio", [-2.0, -0.5])
+def test_positivity_follows_the_tol_flag(tmp_path, capsys, tol, ratio):
+    dec = _least_eigenvalue_certificate(ratio * tol)
+    rep, doc = _verify_both(tmp_path, capsys, dec, tol)
+    assert rep.min_component_eigenvalue == pytest.approx(ratio * tol, rel=1e-6)
+    assert rep.convex_ok and rep.reconstruction_residual <= 1e-15
+    assert rep.positivity_ok is doc["positivity_ok"] is rep.verdict is (ratio > -1.0)
+
+
+@pytest.mark.parametrize("corner", ["first", "last"])
+def test_a_certificate_wrong_in_one_corner_entry_fails(tmp_path, capsys, corner):
+    # term 0's weight w moves x to a spike term x |kk><kk| (x) |kk><kk|, and
+    # its first factor grows by w / (w - x): only entry (kd + k, kd + k) of
+    # the reconstruction moves, by x
+    params = WernerParams(2, 0.9)
+    dec = decompose_auto(params)
+    d, x, first = params.d, 1e-6, dec.terms[0]
+    k = 0 if corner == "first" else d - 1
+    spike = np.zeros((d, d), dtype=complex)
+    spike[k, k] = 1.0
+    bad = _with_terms(
+        dec,
+        [replace(first, weight=first.weight - x,
+                 state_a=first.state_a * (first.weight / (first.weight - x)))]
+        + list(dec.terms[1:])
+        + [ProductTerm(x, spike, spike, "spike")],
+    )
+    gap = np.abs(reconstruct(bad) - werner_dense(params))
+    assert [tuple(ix) for ix in np.argwhere(gap > 1e-15)] == [(k * d + k, k * d + k)]
+    rep, doc = _verify_both(tmp_path, capsys, bad)
+    assert rep.convex_ok and rep.positivity_ok
+    assert rep.reconstruction_residual == pytest.approx(x, rel=1e-6)
+    assert not rep.verdict
+    assert doc["diagnostics"] == list(rep.diagnostics) == [
+        f"reconstruction residual {rep.reconstruction_residual:.6e} > 1e-09"
+    ]
+
+
 # --- refinement -------------------------------------------------------------
 
 
