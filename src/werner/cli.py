@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import serialize
-from .decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
+from .decompose import COMMUTING_CLASS, PER_STRING, auto_scheme, decompose_auto
 from .errors import MalformedInput, WernerError
 from .linalg import hermitian_eigenvalues
 from .model import (
@@ -32,10 +32,11 @@ from .model import (
 from .partition import build_partition, validate_partition
 from .pauli import format_label
 from .verify import (
-    certify_ppt_point,
     refine_to_pure,
+    scheme_family,
     separability_report,
     verify_decomposition,
+    verify_family,
 )
 
 __all__ = ["main"]
@@ -391,24 +392,31 @@ def _cmd_sweep(args) -> int:
         _diag("InvalidRange", f"sweep grid has more than {_SWEEP_MAX_ROWS} points")
         return 2
     rows = []
+    families = {}  # scheme -> its family at p, built by the first row that needs it
     for k in range(n_points):
         params = WernerParams(args.p, min(args.f_start + k * args.f_step, 1.0))
         spec = spectrum_closed_form(params)
         pt = pt_spectrum_closed_form(params)
         ok = ppt_check(params, args.tol)
+        # f < 0 has no product decomposition: f/d is an exact witness, even
+        # inside the PPT tolerance band
         if ok and params.f >= 0:
-            verdict, dec, ver = certify_ppt_point(params, werner_dense(params), args.tol)
+            scheme = auto_scheme(params)
+            if scheme not in families:
+                families[scheme] = scheme_family(params.p, scheme)[0]
+            family = families[scheme]
+            ver = verify_family(werner_dense(params), family, params, args.tol)
             rows.append(
                 [
                     params.f,
                     spec.min(),
                     pt.min(),
                     ok,
-                    dec.scheme,
-                    dec.n_terms,
+                    scheme,
+                    family.n_terms,
                     ver.min_component_eigenvalue,
                     ver.reconstruction_residual,
-                    verdict,
+                    "SEPARABLE" if ver.verdict else "INVALID",
                 ]
             )
         else:

@@ -40,12 +40,14 @@ __all__ = [
     "PER_STRING",
     "Decomposition",
     "ProductTerm",
+    "auto_scheme",
     "class_decomposition",
     "class_range",
     "decompose_auto",
     "per_string_decomposition",
     "per_string_range",
     "reconstruct",
+    "scheme_scalars",
 ]
 
 PER_STRING = "per_string"
@@ -101,9 +103,7 @@ def per_string_decomposition(params: WernerParams, force: bool = False) -> Decom
             f=f,
             valid_range=(lo, hi),
         )
-    delta = d * f - 1.0
-    scale = sqrt(abs(delta))
-    weight = 0.5 / (4**p - 1)
+    scale, weight, sign = scheme_scalars(params, PER_STRING)
     eye = np.eye(d, dtype=complex)
 
     strings = list(all_strings(p))[1:]
@@ -112,7 +112,7 @@ def per_string_decomposition(params: WernerParams, force: bool = False) -> Decom
     pluses, minuses = eye + step, eye - step
     pluses /= d
     minuses /= d
-    seconds = (minuses, pluses) if delta < 0 else (pluses, minuses)
+    seconds = (minuses, pluses) if sign < 0 else (pluses, minuses)
     terms = []
     for s, plus, minus, b_plus, b_minus in zip(strings, pluses, minuses, *seconds):
         name = format_label(s)
@@ -162,8 +162,7 @@ def class_decomposition(params: WernerParams, force: bool = False) -> Decomposit
             f=f,
             valid_range=(lo, hi),
         )
-    scale = sqrt((d * f - 1.0) / (d - 1.0))
-    weight = 1.0 / ((d + 1) * d)
+    scale, weight, _ = scheme_scalars(params, COMMUTING_CLASS)
 
     eye = np.eye(d, dtype=complex)
     terms = []
@@ -184,12 +183,17 @@ def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
     [1/2^p, 2^(1-p)]; the boundary f = 1/2^p goes to the class scheme (both
     reduce to maximally mixed components there).
     """
+    if scheme == "auto":
+        scheme = auto_scheme(params)
     if scheme == PER_STRING:
         return per_string_decomposition(params)
     if scheme == COMMUTING_CLASS:
         return class_decomposition(params)
-    if scheme != "auto":
-        raise ValueError(f"unknown scheme {scheme!r}")
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def auto_scheme(params: WernerParams) -> str:
+    """The scheme "auto" picks at params.f; f outside [0, 1] is refused."""
     f = params.f
     if not 0.0 <= f <= 1.0:
         raise SchemeRangeError(
@@ -198,9 +202,19 @@ def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
             f=f,
             valid_range=(0.0, 1.0),
         )
-    if f < 2.0**-params.p:
-        return per_string_decomposition(params)
-    return class_decomposition(params)
+    return PER_STRING if f < 2.0**-params.p else COMMUTING_CLASS
+
+
+def scheme_scalars(params: WernerParams, scheme: str) -> Tuple[float, float, float]:
+    """(s, w, sign): the scale s and the equal weight w of the scheme's terms
+    at params.f, and the sign of the second party's s (per_string: the sign
+    of 2^p f - 1; always 1 for commuting_class). The builders and the family
+    verifier share these bits."""
+    d, f = params.d, params.f
+    if scheme == PER_STRING:
+        delta = d * f - 1.0
+        return sqrt(abs(delta)), 0.5 / (4**params.p - 1), -1.0 if delta < 0 else 1.0
+    return sqrt((d * f - 1.0) / (d - 1.0)), 1.0 / ((d + 1) * d), 1.0
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:

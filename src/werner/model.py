@@ -81,7 +81,7 @@ TRANSFORM_M = np.diag([1, 1, 1, -1]).astype(int)
 # ---------------------------------------------------------------------------
 
 
-def _eye_flip(d: int, values) -> np.ndarray:
+def _eye_flip(d: int, values, dtype=complex) -> np.ndarray:
     """Entries of a (d^2, d^2) combination of I and the swap P, by index writes.
 
     values[0] goes where only I is 1, values[1] where only P is 1, values[2]
@@ -89,7 +89,7 @@ def _eye_flip(d: int, values) -> np.ndarray:
     """
     k = np.arange(d * d)
     both = k[:: d + 1]
-    out = np.zeros((d * d, d * d), dtype=complex)
+    out = np.zeros((d * d, d * d), dtype=dtype)
     out[k, k] = values[0]
     out[k, k % d * d + k // d] = values[1]
     out[both, both] = values[2]

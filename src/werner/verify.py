@@ -1,10 +1,24 @@
-"""Oracle-grade checking of claimed decompositions, and refinement to pure factors.
+"""Oracle-grade checking of separability certificates, and refinement to
+pure factors.
 
-verify_decomposition trusts nothing about how a decomposition was built: it
-re-derives weight statistics, re-diagonalizes every local factor with the
-in-house eigensolver, and measures the Frobenius gap to the target. A
-decomposition is a separability certificate exactly when the verdict is
-true.
+Two verifiers, one for each kind of input; a certificate is valid exactly
+when the verdict is true.
+
+verify_decomposition checks a decomposition as a document, term by term,
+and trusts nothing about how it was built: it re-derives the weight
+statistics, re-diagonalizes every distinct factor with the in-house
+eigensolver, and measures the Frobenius gap of the reconstruction to the
+target. `verify --input`, `refine` and the refinement half of `report
+--refine` use it.
+
+scheme_family and verify_family check the toolkit's own certificates, as
+`report` (separability_report) and `sweep` build them. Each factor is
+(I + s G_t)/d, for per_string also (I - s G_t)/d, with G_t a class sum or a
+Pauli string; only the scale s and the weights depend on f. So Jacobi runs
+once per G_t, and a factor's eigenvalues are (1 +- s lambda)/d (Golub & Van
+Loan, Matrix Computations, section 8.5). The reconstruction is
+w/d^2 (N I + c S), with S = sum_t G_t (x) G_t an exact integer matrix that
+is checked against its closed form. A point then costs O(d^4).
 
 refine_to_pure spectrally splits each mixed factor so the certificate uses
 only rank-1 factors, at the cost of more terms.
@@ -13,36 +27,47 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .decompose import (
     _CHUNK_BYTES,
+    PER_STRING,
+    COMMUTING_CLASS,
     Decomposition,
     ProductTerm,
+    _class_sums,
+    auto_scheme,
     decompose_auto,
     reconstruct,
+    scheme_scalars,
 )
 from .errors import DimensionMismatch, VerificationFailure
 from .linalg import hermitian_eigensystem
 from .model import (
     WernerParams,
+    _eye_flip,
     invariance_residual,
     ppt_check,
     pt_spectrum_closed_form,
     random_unitary,
     werner_dense,
 )
+from .partition import build_partition
+from .pauli import all_strings, pauli_matrices
 
 __all__ = [
+    "Family",
     "RefinementSummary",
     "SeparabilityReport",
     "VerificationReport",
-    "certify_ppt_point",
     "refine_to_pure",
+    "scheme_family",
     "separability_report",
     "verify_decomposition",
+    "verify_family",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -151,6 +176,42 @@ def _overlapped(first, second, overlap: bool):
     return outcome["value"], later
 
 
+def _report(weights, min_component_eigenvalue, max_purity_deviation, residual, tol,
+            problems=()) -> VerificationReport:
+    """The verdict on a certificate from its weights and its measured
+    factor spectra and residual; problems are failed checks of its own."""
+    min_weight = float(weights.min())
+    weight_sum_error = abs(float(weights.sum()) - 1.0)
+    convex_ok = min_weight >= -_WEIGHT_TOL and weight_sum_error <= _WEIGHT_TOL
+    positivity_ok = min_component_eigenvalue >= -tol
+    recon_ok = residual <= tol
+    diagnostics: List[str] = []
+    if not convex_ok:
+        diagnostics.append(
+            f"weights are not convex: min={min_weight:.3e}, "
+            f"sum error={weight_sum_error:.3e}"
+        )
+    if not positivity_ok:
+        diagnostics.append(
+            f"a factor has eigenvalue {min_component_eigenvalue:.6e} < -{tol:g}"
+        )
+    if not recon_ok:
+        diagnostics.append(f"reconstruction residual {residual:.6e} > {tol:g}")
+    diagnostics.extend(problems)
+    return VerificationReport(
+        convex_ok=convex_ok,
+        min_weight=min_weight,
+        weight_sum_error=weight_sum_error,
+        positivity_ok=positivity_ok,
+        min_component_eigenvalue=min_component_eigenvalue,
+        reconstruction_residual=residual,
+        purity_ok=max_purity_deviation <= 1e-9,
+        max_purity_deviation=max_purity_deviation,
+        verdict=convex_ok and positivity_ok and recon_ok and not problems,
+        diagnostics=tuple(diagnostics),
+    )
+
+
 def verify_decomposition(
     target, dec: Decomposition, tol: float = 1e-9
 ) -> VerificationReport:
@@ -164,18 +225,6 @@ def verify_decomposition(
             f"target shape {target.shape} does not match term dimension {dim}"
         )
 
-    diagnostics: List[str] = []
-
-    weights = np.array(dec.weights)
-    min_weight = float(weights.min())
-    weight_sum_error = abs(float(weights.sum()) - 1.0)
-    convex_ok = min_weight >= -_WEIGHT_TOL and weight_sum_error <= _WEIGHT_TOL
-    if not convex_ok:
-        diagnostics.append(
-            f"weights are not convex: min={min_weight:.3e}, "
-            f"sum error={weight_sum_error:.3e}"
-        )
-
     # at p = 5, where reconstruct's chunks are accumulator-sized, its GEMMs
     # leave the GIL free for the GIL-bound Jacobi stage on a worker. Jacobi
     # makes only small allocations, so the big buffers stay in this thread's
@@ -186,33 +235,164 @@ def verify_decomposition(
         lambda: reconstruct(dec),
         target.nbytes // 4 > _CHUNK_BYTES,
     )
-    positivity_ok = min_component_eigenvalue >= -tol
-    if not positivity_ok:
-        diagnostics.append(
-            f"a factor has eigenvalue {min_component_eigenvalue:.6e} < -{tol:g}"
-        )
-
     # the Frobenius residual, taken in the reconstruction's own buffer: a
     # separate difference array would set the peak memory at p = 5
     gap -= target
     residual = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
-    recon_ok = residual <= tol
-    if not recon_ok:
-        diagnostics.append(f"reconstruction residual {residual:.6e} > {tol:g}")
+    return _report(
+        np.array(dec.weights), min_component_eigenvalue, max_purity_deviation, residual, tol
+    )
 
-    purity_ok = max_purity_deviation <= 1e-9
 
-    return VerificationReport(
-        convex_ok=convex_ok,
-        min_weight=min_weight,
-        weight_sum_error=weight_sum_error,
-        positivity_ok=positivity_ok,
-        min_component_eigenvalue=min_component_eigenvalue,
-        reconstruction_residual=float(residual),
-        purity_ok=purity_ok,
-        max_purity_deviation=max_purity_deviation,
-        verdict=convex_ok and positivity_ok and recon_ok,
-        diagnostics=tuple(diagnostics),
+@dataclass(frozen=True)
+class Family:
+    """What the certificates of one scheme at one p share for every f.
+
+    The certificate at f has, for each G_t, the term (w, (I + s G_t)/d,
+    (I + s G_t)/d) under commuting_class, and the two terms
+    (w, (I + s G_t)/d, (I + sign s G_t)/d) and (w, (I - s G_t)/d,
+    (I - sign s G_t)/d) under per_string, with (s, w, sign) from
+    scheme_scalars.
+    """
+
+    scheme: str
+    spectra: np.ndarray  # (n, d): each G_t's Jacobi eigenvalues, ascending
+    swap_sum: np.ndarray  # S = sum_t G_t (x) G_t, float64, in the kron layout
+    problems: Tuple[str, ...]  # the exact identities the G_t and S fail
+
+    @property
+    def signs(self) -> int:
+        return 2 if self.scheme == PER_STRING else 1
+
+    @property
+    def n_terms(self) -> int:
+        return self.signs * len(self.spectra)
+
+
+def _generators(p: int, scheme: str) -> np.ndarray:
+    """The (n, d, d) complex64 stack of G_t: the class sums class by class,
+    or the nontrivial strings by their x mask.
+
+    The family's checks do not depend on the order, and Jacobi does: a
+    string's nonzero entries sit at (r, r ^ x), so a stack of strings with
+    one x mask has one pivot pattern, and at p = 5 the strings take a third
+    of the time they take in term order.
+    """
+    if scheme == COMMUTING_CLASS:
+        return np.concatenate([_class_sums(cls) for cls in build_partition(p).classes])
+    if scheme == PER_STRING:
+        strings = sorted(list(all_strings(p))[1:], key=lambda s: [k in (1, 2) for k in s])
+        return pauli_matrices(strings).astype(np.complex64)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _spectra(gens) -> np.ndarray:
+    """Each G_t's eigenvalues, ascending, by Jacobi on stacks of at most
+    _CHUNK_BYTES (as complex128): 33 calls for the 1,056 class sums at p = 5.
+
+    Jacobi runs on G_t/d, an exact power-of-two scaling that puts the
+    entries where the factors' are: its tolerance is absolute, and on the
+    class sums, whose entries reach d - 1, it would take more sweeps.
+    """
+    d = gens.shape[1]
+    step = max(1, _CHUNK_BYTES // (16 * gens[0].size))
+    return d * np.concatenate(
+        [
+            hermitian_eigensystem(gens[k : k + step] / np.complex64(d))[0]
+            for k in range(0, len(gens), step)
+        ]
+    )
+
+
+def _swap_sum(gens, scheme: str):
+    """(S, problems): S = sum_t G_t (x) G_t in float64, and the exact
+    identities that fail.
+
+    S is one complex64 product, (G_flat^T G_flat)[(i,j),(k,l)] put in the
+    kron layout [(i,k),(j,l)]. It is exact when every entry of every G_t is
+    a Gaussian integer and every partial sum is an integer below 2^24,
+    which 2 n max|Re, Im|^2 < 2^24 bounds. The closed forms are
+    d SWAP - I for the strings and d (d SWAP - I) for the class sums, whose
+    stack must also sum to 0 so that the terms linear in s cancel.
+    """
+    n, d, _ = gens.shape
+    flat = gens.reshape(n, d * d)
+    problems = []
+    parts = flat.view(np.float32)  # the real and imaginary parts
+    top = max(float(parts.max()), -float(parts.min()))
+    if not (np.array_equal(np.rint(parts), parts) and 2 * n * top * top < 2**24):
+        problems.append("the G_t are not Gaussian integers small enough for an exact S")
+    if scheme == COMMUTING_CLASS and flat.sum(axis=0).any():
+        problems.append("the class sums do not sum to 0")
+    kron = (flat.T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    if kron.imag.any():
+        problems.append("S = sum_t G_t (x) G_t is not real")
+    swap_sum = kron.real.astype(np.float64, order="C").reshape(d * d, d * d)
+    a = d if scheme == COMMUTING_CLASS else 1
+    if not np.array_equal(swap_sum, _eye_flip(d, (-a, a * d, a * (d - 1)), float)):
+        problems.append("S = sum_t G_t (x) G_t differs from its closed form")
+    return swap_sum, tuple(problems)
+
+
+def scheme_family(p: int, scheme: str, alongside=lambda: None):
+    """(family, alongside()): the scheme's family at p, built from its G_t,
+    with alongside run on this thread just before the S product.
+
+    At p = 5 Jacobi runs on a worker thread: it is GIL-bound and makes only
+    small allocations. This thread runs alongside (report's invariance
+    probe) and then the S product, GIL-free GEMMs whose big buffers stay in
+    its malloc arena. At p <= 4, where S takes at most 512 KiB, the stages
+    run inline in that order.
+    """
+    gens = _generators(p, scheme)
+    spectra, (side, (swap_sum, problems)) = _overlapped(
+        lambda: _spectra(gens),
+        lambda: (alongside(), _swap_sum(gens, scheme)),
+        8 * gens[0].size ** 2 > _CHUNK_BYTES,
+    )
+    return Family(scheme, spectra, swap_sum, problems), side
+
+
+def verify_family(
+    target, family: Family, params: WernerParams, tol: float = 1e-9
+) -> VerificationReport:
+    """verify_decomposition's checks on the family's certificate at params.f,
+    in O(d^4) from the family's f-independent data.
+
+    The weights are the certificate's n_terms copies of w. The factor
+    eigenvalues are (1 + s lambda)/d, and (1 - s lambda)/d for per_string.
+    The terms linear in s cancel, so the reconstruction is
+    w/d^2 (n_terms I + c S) with c = signs * sign * s^2, and its residual is
+    taken in float64.
+    """
+    target = np.asarray(target)
+    d = params.d
+    if not target.shape == family.swap_sum.shape == (d * d, d * d):
+        raise DimensionMismatch(
+            f"target shape {target.shape} and family shape {family.swap_sum.shape} "
+            f"do not both match dimension {d * d}"
+        )
+    scale, weight, sign = scheme_scalars(params, family.scheme)
+    n_terms = family.n_terms
+    vals = [(1.0 + scale * family.spectra) / d]
+    if family.signs == 2:
+        vals.append((1.0 - scale * family.spectra) / d)
+    min_component_eigenvalue = min(float(v.min()) for v in vals)
+    max_purity_deviation = max(
+        float(np.abs(np.sum(v * v, axis=1) - 1.0).max()) for v in vals
+    )
+    gap = family.swap_sum * (family.signs * sign * scale * scale)
+    gap.flat[:: d * d + 1] += n_terms
+    gap *= weight / (d * d)
+    gap -= target.real
+    residual = sqrt(float(np.vdot(gap, gap)) + float(np.sum(np.square(target.imag))))
+    return _report(
+        np.full(n_terms, weight),
+        min_component_eigenvalue,
+        max_purity_deviation,
+        residual,
+        tol,
+        family.problems,
     )
 
 
@@ -282,18 +462,6 @@ class SeparabilityReport:
     seed: int
 
 
-def certify_ppt_point(params: WernerParams, rho, tol: float):
-    """Certificate of a point with f >= 0, verified against its own state rho.
-
-    Returns (verdict, decomposition, verification) with verdict SEPARABLE or
-    INVALID. A point with f < 0 has no product decomposition: f/d is an
-    exact witness, even inside the PPT tolerance band.
-    """
-    dec = decompose_auto(params)
-    ver = verify_decomposition(rho, dec, tol)
-    return ("SEPARABLE" if ver.verdict else "INVALID"), dec, ver
-
-
 def separability_report(
     params: WernerParams,
     seed: int = 42,
@@ -310,17 +478,11 @@ def separability_report(
     ppt = ppt_check(params, tol)
 
     rho = werner_dense(params)
-    separable = ppt and params.f >= 0
-    # at p = 5 the probe's GEMMs run on a worker while this thread builds the
-    # decomposition. The worker is joined before verification starts, so the
-    # probe's two d^4 buffers are freed before the reconstruction allocates.
-    inv_res, dec = _overlapped(
-        lambda: invariance_residual(rho, random_unitary(params.d, seed)),
-        lambda: decompose_auto(params) if separable else None,
-        separable and rho.nbytes // 4 > _CHUNK_BYTES,
-    )
 
-    if not separable:
+    def probe():
+        return invariance_residual(rho, random_unitary(params.d, seed))
+
+    if not (ppt and params.f >= 0):
         report = SeparabilityReport(
             p=params.p,
             f=params.f,
@@ -332,16 +494,19 @@ def separability_report(
             scale=None,
             n_terms=0,
             verification=None,
-            invariance_residual=inv_res,
+            invariance_residual=probe(),
             seed=seed,
         )
         return report, None
 
-    ver = verify_decomposition(rho, dec, tol)
+    # the probe runs on this thread next to the family's Jacobi (see
+    # scheme_family), and its two d^4 buffers are freed before S is formed
+    family, inv_res = scheme_family(params.p, auto_scheme(params), probe)
+    ver = verify_family(rho, family, params, tol)
     verdict = "SEPARABLE" if ver.verdict else "INVALID"
     refinement = None
     if refine and ver.verdict:
-        refined = refine_to_pure(dec, tol)
+        refined = refine_to_pure(decompose_auto(params), tol)
         refined_ver = verify_decomposition(rho, refined, tol * 10.0)
         refinement = RefinementSummary(
             n_terms=refined.n_terms,
@@ -355,9 +520,9 @@ def separability_report(
         ppt=True,
         min_pt_eigenvalue=float(pt_min),
         witness=None,
-        scheme=dec.scheme,
-        scale=dec.scale,
-        n_terms=dec.n_terms,
+        scheme=family.scheme,
+        scale=scheme_scalars(params, family.scheme)[0],
+        n_terms=family.n_terms,
         verification=ver,
         invariance_residual=inv_res,
         seed=seed,

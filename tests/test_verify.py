@@ -3,6 +3,7 @@ import json
 import threading
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 from math import sqrt
 
 import numpy as np
@@ -13,12 +14,16 @@ from hypothesis import strategies as st
 import werner.verify
 from werner.decompose import (
     _CHUNK_BYTES,
+    COMMUTING_CLASS,
+    PER_STRING,
     Decomposition,
     ProductTerm,
+    auto_scheme,
     class_decomposition,
     decompose_auto,
     per_string_decomposition,
     reconstruct,
+    scheme_scalars,
 )
 from werner.cli import main
 from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
@@ -28,8 +33,10 @@ from werner.serialize import decomposition_doc, doc_decomposition, dumps
 from werner.verify import (
     _distinct_factors,
     refine_to_pure,
+    scheme_family,
     separability_report,
     verify_decomposition,
+    verify_family,
 )
 
 
@@ -315,6 +322,135 @@ def test_verdict_agrees_with_ppt(p, f):
     assert (f >= 0) == (rep.verdict == "SEPARABLE")
 
 
+# --- the family verifier (report, sweep) ---------------------------------------
+
+
+@cache
+def _family(p, scheme):
+    return scheme_family(p, scheme)[0]
+
+
+def _both_verifiers(params):
+    """verify_family's report on the point, with the family's scheme, n_terms
+    and scale, and verify_decomposition's on the same certificate, built."""
+    target = werner_dense(params)
+    family = _family(params.p, auto_scheme(params))
+    scale = scheme_scalars(params, family.scheme)[0]
+    dec = decompose_auto(params)
+    return (
+        (verify_family(target, family, params), family.scheme, family.n_terms, scale),
+        (verify_decomposition(target, dec), dec.scheme, dec.n_terms, dec.scale),
+    )
+
+
+def _assert_agree(params):
+    (fam, *fam_meta), (term, *term_meta) = _both_verifiers(params)
+    assert fam_meta == term_meta
+    assert fam.verdict is term.verdict is True
+    assert (fam.min_weight, fam.weight_sum_error) == (term.min_weight, term.weight_sum_error)
+    assert abs(fam.min_component_eigenvalue - term.min_component_eigenvalue) <= 1e-14
+    assert fam.reconstruction_residual <= 1e-15
+    assert term.reconstruction_residual <= 1e-15
+    assert fam.diagnostics == term.diagnostics == ()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("f", ["0", "2^-p", "2^(1-p)", "0.3", "0.6", "1"])
+def test_the_family_agrees_with_the_built_certificate(p, f):
+    f = {"2^-p": 2.0**-p, "2^(1-p)": 2.0 ** (1 - p)}.get(f) or float(f)
+    _assert_agree(WernerParams(p, f))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.floats(0, 1, allow_nan=False))
+def test_the_family_agrees_with_the_built_certificate_on_a_sample(p, f):
+    _assert_agree(WernerParams(p, f))
+
+
+def _tampered_family(monkeypatch, p, scheme, tamper):
+    gens = werner.verify._generators(p, scheme).copy()
+    tamper(gens)
+    monkeypatch.setattr("werner.verify._generators", lambda p, scheme: gens)
+    return scheme_family(p, scheme)[0]
+
+
+def _negate_entry(gens):
+    gens[0, 0, 0] *= -1  # a diagonal entry of a diagonal G_t: still Hermitian
+
+
+def _negate_matrix(gens):
+    gens[1] *= -1
+
+
+@pytest.mark.parametrize(
+    "f,tamper,problems",
+    [
+        (0.6, _negate_entry, ["the class sums do not sum to 0", "closed form"]),
+        (0.6, _negate_matrix, ["the class sums do not sum to 0"]),
+        (0.1, _negate_entry, ["closed form"]),
+    ],
+)
+def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamper, problems):
+    params = WernerParams(2, f)
+    family = _tampered_family(monkeypatch, 2, auto_scheme(params), tamper)
+    rep = verify_family(werner_dense(params), family, params)
+    assert not rep.verdict
+    assert len(family.problems) == len(problems)
+    assert all(want in got for want, got in zip(problems, family.problems))
+    assert rep.diagnostics[-len(problems):] == family.problems
+
+
+def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatch):
+    # (I + s G)/d and (I - s G)/d are both factors, and G (x) G = (-G) (x) (-G)
+    params = WernerParams(2, 0.1)
+    honest = verify_family(werner_dense(params), _family(2, PER_STRING), params)
+    family = _tampered_family(monkeypatch, 2, PER_STRING, _negate_matrix)
+    assert family.problems == ()
+    assert verify_family(werner_dense(params), family, params) == honest
+
+
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+def test_a_one_entry_change_to_the_closed_form_fails_the_family(monkeypatch, scheme):
+    eye_flip = werner.verify._eye_flip
+
+    def changed(*args):
+        out = eye_flip(*args)
+        out[3, 5] += 1.0
+        return out
+
+    monkeypatch.setattr("werner.verify._eye_flip", changed)
+    params = WernerParams(2, 0.1 if scheme == PER_STRING else 0.6)
+    family = scheme_family(2, scheme)[0]
+    assert family.problems == ("S = sum_t G_t (x) G_t differs from its closed form",)
+    rep = verify_family(werner_dense(params), family, params)
+    assert rep.convex_ok and rep.positivity_ok and rep.reconstruction_residual <= 1e-15
+    assert not rep.verdict
+    assert rep.diagnostics == family.problems
+
+
+@pytest.mark.parametrize("f", [0.1, 0.6])
+def test_weights_that_do_not_sum_to_1_fail_the_family(monkeypatch, f):
+    params = WernerParams(2, f)
+    scale, weight, sign = scheme_scalars(params, auto_scheme(params))
+    monkeypatch.setattr(
+        "werner.verify.scheme_scalars", lambda params, scheme: (scale, weight + 1e-12, sign)
+    )
+    family = _family(2, auto_scheme(params))
+    rep = verify_family(werner_dense(params), family, params)
+    assert rep.weight_sum_error == pytest.approx(family.n_terms * 1e-12, rel=1e-3)
+    assert rep.positivity_ok and rep.reconstruction_residual <= 1e-9
+    assert not rep.convex_ok and not rep.verdict
+    assert rep.diagnostics[0].startswith("weights are not convex")
+
+
+def test_the_family_checks_the_shapes():
+    params = WernerParams(2, 0.6)
+    with pytest.raises(DimensionMismatch):
+        verify_family(np.eye(4) / 4, _family(2, COMMUTING_CLASS), params)
+    with pytest.raises(DimensionMismatch):
+        verify_family(werner_dense(params), _family(1, COMMUTING_CLASS), params)
+
+
 def test_component_dedup_by_identity():
     # symmetric terms share one factor object; verification must not count
     # the same matrix twice but must still scan both slots of mixed pairs
@@ -439,53 +575,81 @@ def _inline(first, second, overlap):
     return first(), second()
 
 
-def _recording(monkeypatch, name, threads):
-    fn = getattr(werner.verify, name)
+def _recording(monkeypatch, names):
+    """(stage name, ran on a worker) of each call of the named verify stages,
+    in the order the calls began."""
+    calls = []
+    for name in names:
+        fn = getattr(werner.verify, name)
 
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return fn(*args)
+        def recorded(*args, _name=name, _fn=fn):
+            calls.append((_name, threading.current_thread() is not threading.main_thread()))
+            return _fn(*args)
 
-    monkeypatch.setattr(f"werner.verify.{name}", recorded)
+        monkeypatch.setattr(f"werner.verify.{name}", recorded)
+    return calls
+
+
+_P5_STAGES = ("_spectra", "invariance_residual", "_swap_sum", "_component_stats")
 
 
 @pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
 def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     params = WernerParams(5, f)
-    # a separable report carries verify_decomposition's own report; the
-    # entangled point has none, so a forced certificate is verified alone
+    # a separable report carries verify_family's report; the entangled point
+    # has none, so a forced certificate goes through verify_decomposition
     forced = per_string_decomposition(params, force=True) if f < 0 else None
-    threads = []
-    _recording(monkeypatch, "_component_stats", threads)
-    _recording(monkeypatch, "invariance_residual", threads)
+    calls = _recording(monkeypatch, _P5_STAGES)
     before = threading.active_count()
     overlapped = (
         separability_report(params),
         forced and verify_decomposition(werner_dense(params), forced),
     )
     assert threading.active_count() == before
-    # f >= 0: the probe and Jacobi each ran on a worker; f < 0: the probe
-    # runs inline, and the forced certificate's Jacobi on a worker
-    workers = [t is not threading.main_thread() for t in threads]
-    assert workers == ([True, True] if f >= 0 else [False, True])
+    if f >= 0:
+        # the family's Jacobi on a worker; on this thread the probe, then S
+        assert sorted(calls) == [
+            ("_spectra", True), ("_swap_sum", False), ("invariance_residual", False)
+        ]
+        assert [name for name, worker in calls if not worker] == [
+            "invariance_residual", "_swap_sum"
+        ]
+    else:
+        # the probe runs inline, and the forced certificate's Jacobi on a worker
+        assert calls == [("invariance_residual", False), ("_component_stats", True)]
     monkeypatch.setattr("werner.verify._overlapped", _inline)
+    del calls[:]
     inline = (
         separability_report(params),
         forced and verify_decomposition(werner_dense(params), forced),
     )
+    assert not any(worker for _, worker in calls)
     assert inline == overlapped
     assert overlapped[0][0].verdict == ("SEPARABLE" if f >= 0 else "ENTANGLED")
     assert forced is None or not overlapped[1].verdict
 
 
 def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
-    argv = ["sweep", "--p", "5", "--f-start", "0.5", "--f-end", "1", "--f-step", "0.25"]
+    # entangled, per-string and two class rows: each family is built once
+    argv = ["sweep", "--p", "5", "--f-start", "-0.5", "--f-end", "1", "--f-step", "0.5"]
+    calls = _recording(monkeypatch, _P5_STAGES)
+    before = threading.active_count()
     assert main(argv) == 0
     overlapped = capsys.readouterr()
+    assert threading.active_count() == before
+    assert sorted(calls) == [("_spectra", True)] * 2 + [("_swap_sum", False)] * 2
     monkeypatch.setattr("werner.verify._overlapped", _inline)
+    del calls[:]
     assert main(argv) == 0
     assert capsys.readouterr() == overlapped
-    assert overlapped.out.count("SEPARABLE") == 3
+    assert sorted(calls) == [("_spectra", False)] * 2 + [("_swap_sum", False)] * 2
+    rows = [row.split(",") for row in overlapped.out.splitlines()[1:]]
+    assert [(row[4], row[8]) for row in rows] == [
+        ("", "ENTANGLED"),
+        ("per_string", "SEPARABLE"),
+        ("commuting_class", "SEPARABLE"),
+        ("commuting_class", "SEPARABLE"),
+    ]
 
 
 def _with_non_hermitian_factor(params, at):
@@ -530,10 +694,17 @@ def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
     with pytest.raises(MemoryError, match="second stage failed"):
         verify_decomposition(target, class_decomposition(params))
     assert threading.active_count() == before
-    # in separability_report the probe comes first
-    monkeypatch.setattr("werner.verify.decompose_auto", failing)
+    # in separability_report the family's Jacobi, on the worker, comes first
     monkeypatch.setattr("werner.verify.invariance_residual", lambda *args: 1 / 0)
     with pytest.raises(ZeroDivisionError):
+        separability_report(params)
+    assert threading.active_count() == before
+
+    def not_hermitian(*args):
+        raise MalformedInput("matrix is not Hermitian within 1e-10")
+
+    monkeypatch.setattr("werner.verify._spectra", not_hermitian)
+    with pytest.raises(MalformedInput, match="not Hermitian"):
         separability_report(params)
     assert threading.active_count() == before
     assert capfd.readouterr().err == ""
