@@ -405,7 +405,7 @@ def _cmd_sweep(args) -> int:
             if scheme not in families:
                 families[scheme] = scheme_family(params.p, scheme)[0]
             family = families[scheme]
-            ver = verify_family(werner_dense(params), family, params, args.tol)
+            ver = verify_family(family, params, args.tol)
             rows.append(
                 [
                     params.f,

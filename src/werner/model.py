@@ -96,6 +96,17 @@ def _eye_flip(d: int, values, dtype=complex) -> np.ndarray:
     return out
 
 
+def _werner_values(params: WernerParams) -> np.ndarray:
+    """werner_dense's three distinct entries, in _eye_flip's order."""
+    params.require_physical()
+    d = params.d
+    f = params.f
+    return (
+        (d - f) * np.array([1, 0, 1], dtype=complex)
+        + (d * f - 1.0) * np.array([0, 1, 1], dtype=complex)
+    ) / (d**3 - d)
+
+
 def werner_dense(params: WernerParams) -> np.ndarray:
     """((d - f) I + (d f - 1) P) / (d^3 - d); unit trace, PSD for f in [-1, 1].
 
@@ -103,14 +114,7 @@ def werner_dense(params: WernerParams) -> np.ndarray:
     arithmetic on the (I, P) patterns (1, 0), (0, 1) and (1, 1), so they
     carry its bits; the matrix is filled without forming I or P.
     """
-    params.require_physical()
-    d = params.d
-    f = params.f
-    values = (
-        (d - f) * np.array([1, 0, 1], dtype=complex)
-        + (d * f - 1.0) * np.array([0, 1, 1], dtype=complex)
-    ) / (d**3 - d)
-    return _eye_flip(d, values)
+    return _eye_flip(params.d, _werner_values(params))
 
 
 def werner_spinor(params: WernerParams) -> np.ndarray:

@@ -34,8 +34,8 @@ import numpy as np
 
 from .decompose import (
     _CHUNK_BYTES,
-    PER_STRING,
     COMMUTING_CLASS,
+    PER_STRING,
     Decomposition,
     ProductTerm,
     _class_sums,
@@ -49,6 +49,7 @@ from .linalg import hermitian_eigensystem
 from .model import (
     WernerParams,
     _eye_flip,
+    _werner_values,
     invariance_residual,
     ppt_check,
     pt_spectrum_closed_form,
@@ -176,8 +177,9 @@ def _overlapped(first, second, overlap: bool):
     return outcome["value"], later
 
 
-def _report(weights, min_component_eigenvalue, max_purity_deviation, residual, tol,
-            problems=()) -> VerificationReport:
+def _report(
+    weights, min_component_eigenvalue, max_purity_deviation, residual, tol, problems=()
+) -> VerificationReport:
     """The verdict on a certificate from its weights and its measured
     factor spectra and residual; problems are failed checks of its own."""
     min_weight = float(weights.min())
@@ -244,7 +246,7 @@ def verify_decomposition(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays
 class Family:
     """What the certificates of one scheme at one p share for every f.
 
@@ -354,23 +356,22 @@ def scheme_family(p: int, scheme: str, alongside=lambda: None):
 
 
 def verify_family(
-    target, family: Family, params: WernerParams, tol: float = 1e-9
+    family: Family, params: WernerParams, tol: float = 1e-9
 ) -> VerificationReport:
-    """verify_decomposition's checks on the family's certificate at params.f,
-    in O(d^4) from the family's f-independent data.
+    """verify_decomposition's checks on the family's certificate for the
+    Werner state at params.f, in O(d^4) from the family's f-independent data.
 
     The weights are the certificate's n_terms copies of w. The factor
     eigenvalues are (1 + s lambda)/d, and (1 - s lambda)/d for per_string.
     The terms linear in s cancel, so the reconstruction is
-    w/d^2 (n_terms I + c S) with c = signs * sign * s^2, and its residual is
-    taken in float64.
+    w/d^2 (n_terms I + c S) with c = signs * sign * s^2. Its residual is taken
+    in float64 against the state's three distinct entries, whose bits are
+    werner_dense's.
     """
-    target = np.asarray(target)
     d = params.d
-    if not target.shape == family.swap_sum.shape == (d * d, d * d):
+    if family.swap_sum.shape != (d * d, d * d):
         raise DimensionMismatch(
-            f"target shape {target.shape} and family shape {family.swap_sum.shape} "
-            f"do not both match dimension {d * d}"
+            f"family of shape {family.swap_sum.shape} does not match p = {params.p}"
         )
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms = family.n_terms
@@ -384,13 +385,12 @@ def verify_family(
     gap = family.swap_sum * (family.signs * sign * scale * scale)
     gap.flat[:: d * d + 1] += n_terms
     gap *= weight / (d * d)
-    gap -= target.real
-    residual = sqrt(float(np.vdot(gap, gap)) + float(np.sum(np.square(target.imag))))
+    gap -= _eye_flip(d, _werner_values(params).real, float)
     return _report(
         np.full(n_terms, weight),
         min_component_eigenvalue,
         max_purity_deviation,
-        residual,
+        sqrt(float(np.vdot(gap, gap))),
         tol,
         family.problems,
     )
@@ -502,7 +502,7 @@ def separability_report(
     # the probe runs on this thread next to the family's Jacobi (see
     # scheme_family), and its two d^4 buffers are freed before S is formed
     family, inv_res = scheme_family(params.p, auto_scheme(params), probe)
-    ver = verify_family(rho, family, params, tol)
+    ver = verify_family(family, params, tol)
     verdict = "SEPARABLE" if ver.verdict else "INVALID"
     refinement = None
     if refine and ver.verdict:

@@ -338,7 +338,7 @@ def _both_verifiers(params):
     scale = scheme_scalars(params, family.scheme)[0]
     dec = decompose_auto(params)
     return (
-        (verify_family(target, family, params), family.scheme, family.n_terms, scale),
+        (verify_family(family, params), family.scheme, family.n_terms, scale),
         (verify_decomposition(target, dec), dec.scheme, dec.n_terms, dec.scale),
     )
 
@@ -393,8 +393,11 @@ def _negate_matrix(gens):
 def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamper, problems):
     params = WernerParams(2, f)
     family = _tampered_family(monkeypatch, 2, auto_scheme(params), tamper)
-    rep = verify_family(werner_dense(params), family, params)
+    rep = verify_family(family, params)
     assert not rep.verdict
+    # a changed S moves the reconstruction too; a negated class sum leaves S
+    # as it was, and only the sum check sees it
+    assert (rep.reconstruction_residual > 1e-6) is (tamper is _negate_entry)
     assert len(family.problems) == len(problems)
     assert all(want in got for want, got in zip(problems, family.problems))
     assert rep.diagnostics[-len(problems):] == family.problems
@@ -403,10 +406,32 @@ def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamp
 def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatch):
     # (I + s G)/d and (I - s G)/d are both factors, and G (x) G = (-G) (x) (-G)
     params = WernerParams(2, 0.1)
-    honest = verify_family(werner_dense(params), _family(2, PER_STRING), params)
+    honest = verify_family(_family(2, PER_STRING), params)
     family = _tampered_family(monkeypatch, 2, PER_STRING, _negate_matrix)
     assert family.problems == ()
-    assert verify_family(werner_dense(params), family, params) == honest
+    assert verify_family(family, params) == honest
+
+
+def test_each_string_factor_is_read_with_both_signs(monkeypatch):
+    # a string's spectrum is symmetric, so only a tampered G_t shows that
+    # (I - s G_t)/d is checked too: G_0 = diag(3, -1, 1, -1) after the lift
+    params = WernerParams(2, 0.1)
+
+    def lift(gens):
+        gens[0, 0, 0] += 2
+
+    family = _tampered_family(monkeypatch, 2, PER_STRING, lift)
+    rep = verify_family(family, params)
+    gens = werner.verify._generators(2, PER_STRING).astype(complex)
+    scale = scheme_scalars(params, PER_STRING)[0]
+    eye = np.eye(4)
+    vals, _ = hermitian_eigensystem(np.concatenate([eye + scale * gens, eye - scale * gens]) / 4)
+    assert vals.min() < 0
+    assert rep.min_component_eigenvalue == pytest.approx(vals.min(), abs=1e-14)
+    assert rep.max_purity_deviation == pytest.approx(
+        np.abs(np.sum(vals * vals, axis=1) - 1).max(), abs=1e-14
+    )
+    assert not rep.positivity_ok and not rep.verdict
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
@@ -418,37 +443,38 @@ def test_a_one_entry_change_to_the_closed_form_fails_the_family(monkeypatch, sch
         out[3, 5] += 1.0
         return out
 
-    monkeypatch.setattr("werner.verify._eye_flip", changed)
     params = WernerParams(2, 0.1 if scheme == PER_STRING else 0.6)
-    family = scheme_family(2, scheme)[0]
+    with monkeypatch.context() as patched:
+        patched.setattr("werner.verify._eye_flip", changed)
+        family = scheme_family(2, scheme)[0]
     assert family.problems == ("S = sum_t G_t (x) G_t differs from its closed form",)
-    rep = verify_family(werner_dense(params), family, params)
+    rep = verify_family(family, params)
     assert rep.convex_ok and rep.positivity_ok and rep.reconstruction_residual <= 1e-15
     assert not rep.verdict
     assert rep.diagnostics == family.problems
 
 
+@pytest.mark.parametrize("shift", [1e-12, 1e-6])
 @pytest.mark.parametrize("f", [0.1, 0.6])
-def test_weights_that_do_not_sum_to_1_fail_the_family(monkeypatch, f):
+def test_weights_that_do_not_sum_to_1_fail_the_family(monkeypatch, f, shift):
     params = WernerParams(2, f)
     scale, weight, sign = scheme_scalars(params, auto_scheme(params))
     monkeypatch.setattr(
-        "werner.verify.scheme_scalars", lambda params, scheme: (scale, weight + 1e-12, sign)
+        "werner.verify.scheme_scalars", lambda params, scheme: (scale, weight + shift, sign)
     )
     family = _family(2, auto_scheme(params))
-    rep = verify_family(werner_dense(params), family, params)
-    assert rep.weight_sum_error == pytest.approx(family.n_terms * 1e-12, rel=1e-3)
-    assert rep.positivity_ok and rep.reconstruction_residual <= 1e-9
+    rep = verify_family(family, params)
+    assert rep.weight_sum_error == pytest.approx(family.n_terms * shift, rel=1e-3)
+    assert rep.positivity_ok
+    # the state's trace grows by n_terms * shift, and the residual with it
+    assert (rep.reconstruction_residual > 1e-9) is (shift > 1e-9)
     assert not rep.convex_ok and not rep.verdict
     assert rep.diagnostics[0].startswith("weights are not convex")
 
 
-def test_the_family_checks_the_shapes():
-    params = WernerParams(2, 0.6)
+def test_a_family_of_another_p_is_refused():
     with pytest.raises(DimensionMismatch):
-        verify_family(np.eye(4) / 4, _family(2, COMMUTING_CLASS), params)
-    with pytest.raises(DimensionMismatch):
-        verify_family(werner_dense(params), _family(1, COMMUTING_CLASS), params)
+        verify_family(_family(1, COMMUTING_CLASS), WernerParams(2, 0.6))
 
 
 def test_component_dedup_by_identity():
