@@ -403,7 +403,7 @@ def _cmd_sweep(args) -> int:
         if ok and params.f >= 0:
             scheme = auto_scheme(params)
             if scheme not in families:
-                families[scheme] = scheme_family(params.p, scheme)[0]
+                families[scheme] = scheme_family(params.p, scheme)
             family = families[scheme]
             ver = verify_family(family, params, args.tol)
             rows.append(

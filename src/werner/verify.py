@@ -9,16 +9,20 @@ and trusts nothing about how it was built: it re-derives the weight
 statistics, re-diagonalizes every distinct factor with the in-house
 eigensolver, and measures the Frobenius gap of the reconstruction to the
 target. `verify --input`, `refine` and the refinement half of `report
---refine` use it.
+--refine` use it. At p = 5 its Jacobi runs on a worker thread while this
+thread reconstructs.
 
 scheme_family and verify_family check the toolkit's own certificates, as
 `report` (separability_report) and `sweep` build them. Each factor is
 (I + s G_t)/d, for per_string also (I - s G_t)/d, with G_t a class sum or a
-Pauli string; only the scale s and the weights depend on f. So Jacobi runs
-once per G_t, and a factor's eigenvalues are (1 +- s lambda)/d (Golub & Van
-Loan, Matrix Computations, section 8.5). The reconstruction is
-w/d^2 (N I + c S), with S = sum_t G_t (x) G_t an exact integer matrix that
-is checked against its closed form. A point then costs O(d^4).
+Pauli string; only the scale s and the weights depend on f. Exact integer
+identities prove every G_t's spectrum with no eigensolver: a class sum T
+has T^2 = (d - 2) T + (d - 1) I and trace 0, so eigenvalue d - 1 once and
+-1 d - 1 times (Bandyopadhyay et al., Algorithmica 34 (2002) 512); a string
+has sigma^2 = I and trace 0, so +-1 d/2 times each. A factor's eigenvalues
+are (1 + s lambda)/d (Golub & Van Loan, Matrix Computations, section 8.5),
+and the reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t an
+exact integer matrix checked against its closed form. A point costs O(d^4).
 
 refine_to_pure spectrally splits each mixed factor so the certificate uses
 only rank-1 factors, at the cost of more terms.
@@ -120,21 +124,26 @@ def _distinct_factors(dec: Decomposition):
 def _eigensystems(dec: Decomposition, compute_vectors: bool = False):
     """Yield (key, values, vectors) once for each distinct factor of dec.
 
-    The distinct factors, grouped by shape, go to the eigensolver as stacks
-    of at most _CHUNK_BYTES each, so a p = 5 certificate's 1,056 factors
-    take 33 calls instead of 1,056 and peak memory stays bounded.
+    The distinct factors go to the eigensolver in stacks of at most
+    _CHUNK_BYTES, of one shape and one nonzero pattern each: 33 calls for a
+    p = 5 certificate's 1,056 factors, whose stacks rotate at one set of
+    pivots (2,046 per-string factors: 0.13 s, against 0.30 s in first-seen
+    stacks). A matrix's results do not depend on its stack.
     """
     groups, _ = _distinct_factors(dec)
+    runs = {}
     for by_key in groups.values():
-        keys = list(by_key)
-        step = max(1, _CHUNK_BYTES // (16 * by_key[keys[0]].size))
-        for start in range(0, len(keys), step):
-            chunk = keys[start : start + step]
+        for key, mat in by_key.items():
+            runs.setdefault((mat.shape, (mat != 0).tobytes()), []).append((key, mat))
+    for run in runs.values():
+        step = max(1, _CHUNK_BYTES // (16 * run[0][1].size))
+        for start in range(0, len(run), step):
+            chunk = run[start : start + step]
             vals, vecs = hermitian_eigensystem(
-                np.array([by_key[k] for k in chunk], dtype=complex),
+                np.array([mat for _, mat in chunk], dtype=complex),
                 compute_vectors=compute_vectors,
             )
-            for k, key in enumerate(chunk):
+            for k, (key, _) in enumerate(chunk):
                 yield key, vals[k], None if vecs is None else vecs[k]
 
 
@@ -258,7 +267,8 @@ class Family:
     """
 
     scheme: str
-    spectra: np.ndarray  # (n, d): each G_t's Jacobi eigenvalues, ascending
+    n_generators: int
+    spectrum: np.ndarray  # (d,): the eigenvalues of every G_t, ascending
     swap_sum: np.ndarray  # S = sum_t G_t (x) G_t, float64, in the kron layout
     problems: Tuple[str, ...]  # the exact identities the G_t and S fail
 
@@ -268,42 +278,39 @@ class Family:
 
     @property
     def n_terms(self) -> int:
-        return self.signs * len(self.spectra)
+        return self.signs * self.n_generators
 
 
 def _generators(p: int, scheme: str) -> np.ndarray:
     """The (n, d, d) complex64 stack of G_t: the class sums class by class,
-    or the nontrivial strings by their x mask.
-
-    The family's checks do not depend on the order, and Jacobi does: a
-    string's nonzero entries sit at (r, r ^ x), so a stack of strings with
-    one x mask has one pivot pattern, and at p = 5 the strings take a third
-    of the time they take in term order.
-    """
+    or the nontrivial strings in term order."""
     if scheme == COMMUTING_CLASS:
         return np.concatenate([_class_sums(cls) for cls in build_partition(p).classes])
     if scheme == PER_STRING:
-        strings = sorted(list(all_strings(p))[1:], key=lambda s: [k in (1, 2) for k in s])
-        return pauli_matrices(strings).astype(np.complex64)
+        return pauli_matrices(list(all_strings(p))[1:]).astype(np.complex64)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _spectra(gens) -> np.ndarray:
-    """Each G_t's eigenvalues, ascending, by Jacobi on stacks of at most
-    _CHUNK_BYTES (as complex128): 33 calls for the 1,056 class sums at p = 5.
-
-    Jacobi runs on G_t/d, an exact power-of-two scaling that puts the
-    entries where the factors' are: its tolerance is absolute, and on the
-    class sums, whose entries reach d - 1, it would take more sweeps.
-    """
+def _spectrum(gens, scheme: str):
+    """(spectrum, problems): the eigenvalues every G_t has, ascending, and
+    which identities fail: Hermitian, trace 0, and G_t^2 = a G_t + b I, whose
+    roots the trace counts. The complex64 products are exact under
+    _swap_sum's bound 2 n max|Re, Im|^2 < 2^24, since d <= n."""
     d = gens.shape[1]
-    step = max(1, _CHUNK_BYTES // (16 * gens[0].size))
-    return d * np.concatenate(
-        [
-            hermitian_eigensystem(gens[k : k + step] / np.complex64(d))[0]
-            for k in range(0, len(gens), step)
-        ]
-    )
+    if scheme == COMMUTING_CLASS:
+        (a, b), spectrum = (d - 2, d - 1), np.repeat([-1.0, d - 1.0], [d - 1, 1])
+    else:
+        (a, b), spectrum = (0, 1), np.repeat([-1.0, 1.0], d // 2)
+    problems = []
+    if not np.array_equal(gens, gens.conj().swapaxes(1, 2)):
+        problems.append("a G_t is not Hermitian")
+    if np.trace(gens, axis1=1, axis2=2).any():
+        problems.append("a G_t has a nonzero trace")
+    square = gens * np.complex64(a)
+    square[:, range(d), range(d)] += b
+    if not np.array_equal(gens @ gens, square):
+        problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")
+    return spectrum, tuple(problems)
 
 
 def _swap_sum(gens, scheme: str):
@@ -336,23 +343,12 @@ def _swap_sum(gens, scheme: str):
     return swap_sum, tuple(problems)
 
 
-def scheme_family(p: int, scheme: str, alongside=lambda: None):
-    """(family, alongside()): the scheme's family at p, built from its G_t,
-    with alongside run on this thread just before the S product.
-
-    At p = 5 Jacobi runs on a worker thread: it is GIL-bound and makes only
-    small allocations. This thread runs alongside (report's invariance
-    probe) and then the S product, GIL-free GEMMs whose big buffers stay in
-    its malloc arena. At p <= 4, where S takes at most 512 KiB, the stages
-    run inline in that order.
-    """
+def scheme_family(p: int, scheme: str) -> Family:
+    """The scheme's family at p, proven from its G_t by exact identities."""
     gens = _generators(p, scheme)
-    spectra, (side, (swap_sum, problems)) = _overlapped(
-        lambda: _spectra(gens),
-        lambda: (alongside(), _swap_sum(gens, scheme)),
-        8 * gens[0].size ** 2 > _CHUNK_BYTES,
-    )
-    return Family(scheme, spectra, swap_sum, problems), side
+    spectrum, problems = _spectrum(gens, scheme)
+    swap_sum, more = _swap_sum(gens, scheme)
+    return Family(scheme, len(gens), spectrum, swap_sum, problems + more)
 
 
 def verify_family(
@@ -362,8 +358,9 @@ def verify_family(
     Werner state at params.f, in O(d^4) from the family's f-independent data.
 
     The weights are the certificate's n_terms copies of w. The factor
-    eigenvalues are (1 + s lambda)/d, and (1 - s lambda)/d for per_string.
-    The terms linear in s cancel, so the reconstruction is
+    eigenvalues are (1 + s lambda)/d over the family's spectrum; for
+    per_string that spectrum is symmetric, so (1 - s lambda)/d gives the
+    same values. The terms linear in s cancel, so the reconstruction is
     w/d^2 (n_terms I + c S) with c = signs * sign * s^2. Its residual is taken
     in float64 against the state's three distinct entries, whose bits are
     werner_dense's.
@@ -375,21 +372,15 @@ def verify_family(
         )
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms = family.n_terms
-    vals = [(1.0 + scale * family.spectra) / d]
-    if family.signs == 2:
-        vals.append((1.0 - scale * family.spectra) / d)
-    min_component_eigenvalue = min(float(v.min()) for v in vals)
-    max_purity_deviation = max(
-        float(np.abs(np.sum(v * v, axis=1) - 1.0).max()) for v in vals
-    )
+    vals = (1.0 + scale * family.spectrum) / d
     gap = family.swap_sum * (family.signs * sign * scale * scale)
     gap.flat[:: d * d + 1] += n_terms
     gap *= weight / (d * d)
     gap -= _eye_flip(d, _werner_values(params).real, float)
     return _report(
         np.full(n_terms, weight),
-        min_component_eigenvalue,
-        max_purity_deviation,
+        float(vals.min()),
+        abs(float(np.sum(vals * vals)) - 1.0),
         sqrt(float(np.vdot(gap, gap))),
         tol,
         family.problems,
@@ -471,17 +462,14 @@ def separability_report(
     """End-to-end pipeline: PPT test, construction, verification, refinement.
 
     Returns (report, refinement) where refinement is None unless requested
-    and the state is separable.
+    and the state is separable; a refinement that fails verification at tol
+    raises VerificationFailure.
     """
     params.require_physical()
     pt_min = pt_spectrum_closed_form(params).min()
     ppt = ppt_check(params, tol)
-
-    rho = werner_dense(params)
-
-    def probe():
-        return invariance_residual(rho, random_unitary(params.d, seed))
-
+    # taken first, so that the probe's d^4 buffers are freed before S is formed
+    inv_res = invariance_residual(werner_dense(params), random_unitary(params.d, seed))
     if not (ppt and params.f >= 0):
         report = SeparabilityReport(
             p=params.p,
@@ -494,20 +482,24 @@ def separability_report(
             scale=None,
             n_terms=0,
             verification=None,
-            invariance_residual=probe(),
+            invariance_residual=inv_res,
             seed=seed,
         )
         return report, None
 
-    # the probe runs on this thread next to the family's Jacobi (see
-    # scheme_family), and its two d^4 buffers are freed before S is formed
-    family, inv_res = scheme_family(params.p, auto_scheme(params), probe)
+    family = scheme_family(params.p, auto_scheme(params))
     ver = verify_family(family, params, tol)
     verdict = "SEPARABLE" if ver.verdict else "INVALID"
     refinement = None
     if refine and ver.verdict:
         refined = refine_to_pure(decompose_auto(params), tol)
-        refined_ver = verify_decomposition(rho, refined, tol * 10.0)
+        refined_ver = verify_decomposition(werner_dense(params), refined, tol)
+        if not refined_ver.verdict:
+            raise VerificationFailure(
+                "the refined certificate fails verification: "
+                + "; ".join(refined_ver.diagnostics),
+                report=refined_ver,
+            )
         refinement = RefinementSummary(
             n_terms=refined.n_terms,
             max_purity_deviation=refined_ver.max_purity_deviation,

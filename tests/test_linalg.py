@@ -237,11 +237,11 @@ def test_mixed_stack_matches_the_loop_bit_for_bit(n):
             assert one_vecs.tobytes() == vecs[5].tobytes()
 
 
-def _sparse_coupled(rng, n):
-    # a random diagonal with three random couplings: a few rotations per sweep
+def _sparse_coupled(rng, n, pairs):
+    # a random diagonal with random couplings at the given pairs: a few
+    # rotations per sweep
     m = np.diag(rng.random(n)).astype(complex)
-    for _ in range(3):
-        i, j = rng.choice(n, 2, replace=False)
+    for i, j in pairs:
         z = 0.1 * complex(rng.standard_normal(), rng.standard_normal())
         m[i, j] += z
         m[j, i] += z.conjugate()
@@ -249,11 +249,13 @@ def _sparse_coupled(rng, n):
 
 
 def test_component_stats_chunks_each_shape(monkeypatch):
-    # 2x2 and 8x8 factors, and 2 chunks + 3 of the 8x8 ones
+    # 2x2 and 8x8 factors, and 2 chunks + 3 of the 8x8 ones; the 8x8 ones
+    # share one nonzero pattern, since stacks also split at a pattern change
     rng = np.random.default_rng(11)
     chunk = _CHUNK_BYTES // (16 * 8 * 8)
     small = [random_hermitian(2, s) for s in range(5)]
-    large = [_sparse_coupled(rng, 8) for _ in range(2 * chunk + 3)]
+    pairs = [rng.choice(8, 2, replace=False) for _ in range(3)]
+    large = [_sparse_coupled(rng, 8, pairs) for _ in range(2 * chunk + 3)]
     terms = tuple(
         ProductTerm(1.0 / len(large), small[k % 5], b, f"t{k}") for k, b in enumerate(large)
     )

@@ -140,7 +140,7 @@ def _family(m, p, f, scheme, tamper=None):
         gens = werner.verify._generators(p, scheme).astype(np.complex64)
         tamper(gens)
         m._generators = lambda p, scheme: gens
-    return _judgements(m.verify_family(m.scheme_family(p, scheme)[0], WernerParams(p, f)))
+    return _judgements(m.verify_family(m.scheme_family(p, scheme), WernerParams(p, f)))
 
 
 def honest_classes(m):
@@ -191,6 +191,48 @@ def non_real_swap_sum(m):
     return _family(m, 2, 0.1, PER_STRING, mix)
 
 
+def similar_strings(m):
+    # M G_t M^-1 for the integer M = [[1, 1], [0, 1]]: no longer Hermitian,
+    # and every other identity still holds, S included, since M (x) M
+    # commutes with the swap
+    mat, inverse = np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]])
+
+    def conjugate(gens):
+        gens[:] = mat @ gens @ inverse
+
+    return _family(m, 1, 0.3, PER_STRING, conjugate)
+
+
+def traced_string(m):
+    # Z becomes I: Hermitian, and I^2 = I, but its trace is 2. A Hermitian
+    # family whose S has its closed form has traces 0 (tr_1 S = sum_t
+    # tr(G_t) G_t = 0, so sum_t tr(G_t)^2 = 0), so S's checks are stubbed
+    # to show that the trace identity alone reaches the verdict
+    honest = m._swap_sum(werner.verify._generators(1, PER_STRING), PER_STRING)
+    m._swap_sum = lambda gens, scheme: honest
+
+    def lift(gens):
+        (at,) = np.flatnonzero((gens == _string("Z")).all(axis=(1, 2)))
+        gens[at] = np.eye(2)
+
+    return _family(m, 1, 0.3, PER_STRING, lift)
+
+
+def mixed_commuting_strings(m):
+    # ZII, IZI, IIZ and ZZZ commute, and become (1/2) sum_b H_ab sigma_b for
+    # the 4 x 4 Hadamard matrix H: integer, Hermitian, traceless, with the
+    # same S, but (ZII + IZI + IIZ + ZZZ)/2 has eigenvalue 2, so its factor
+    # (I - s G)/d is not positive
+    labels = ["ZII", "IZI", "IIZ", "ZZZ"]
+    hadamard = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+
+    def mix(gens):
+        at = [np.flatnonzero((gens == _string(x)).all(axis=(1, 2)))[0] for x in labels]
+        gens[at] = np.tensordot(hadamard / 2, gens[at], axes=1)
+
+    return _family(m, 3, 0.0, PER_STRING, mix)
+
+
 def changed_closed_form(m):
     # S is honest, and the closed form it is held to has one entry changed
     eye_flip = m._eye_flip
@@ -201,7 +243,7 @@ def changed_closed_form(m):
         return out
 
     m._eye_flip = changed
-    family = m.scheme_family(2, PER_STRING)[0]
+    family = m.scheme_family(2, PER_STRING)
     m._eye_flip = eye_flip
     return _judgements(m.verify_family(family, WernerParams(2, 0.1)))
 
@@ -220,6 +262,9 @@ PROBES = [
     (negated_class_sum, (False, True, True, False)),
     (non_real_swap_sum, (False, True, True, False)),
     (changed_closed_form, (False, True, True, False)),
+    (similar_strings, (False, True, True, False)),
+    (traced_string, (False, True, True, False)),
+    (mixed_commuting_strings, (False, True, True, False)),
 ]
 
 # (name, exact text of verify.py, its replacement)
@@ -256,6 +301,17 @@ MUTANTS = [
      'problems.append("S = sum_t G_t (x) G_t is not real")', "pass"),
     ("no check of S against its closed form",
      'problems.append("S = sum_t G_t (x) G_t differs from its closed form")', "pass"),
+    # the identities that prove the spectrum
+    ("no check that the G_t are Hermitian",
+     'problems.append("a G_t is not Hermitian")', "pass"),
+    ("no check of the traces",
+     'problems.append("a G_t has a nonzero trace")', "pass"),
+    ("no check of the squares",
+     'problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")', "pass"),
+    ("G_t^2 held to (a + 1) G_t + b I",
+     "square = gens * np.complex64(a)", "square = gens * np.complex64(a + 1)"),
+    ("the class sums' multiplicities swapped",
+     "np.repeat([-1.0, d - 1.0], [d - 1, 1])", "np.repeat([-1.0, d - 1.0], [1, d - 1])"),
 ]
 
 

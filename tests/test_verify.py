@@ -291,6 +291,45 @@ def test_report_with_refinement():
     assert refinement.reconstruction_residual < 1e-8
 
 
+def _tampered_refinement(dec, tol=1e-9):
+    # a refinement whose first weight moves by 1e-6: no longer convex
+    refined = refine_to_pure(dec, tol)
+    first = refined.terms[0]
+    return _with_terms(refined, (replace(first, weight=first.weight + 1e-6),) + refined.terms[1:])
+
+
+def test_a_failing_refinement_fails_the_report(monkeypatch, capsys):
+    monkeypatch.setattr("werner.verify.refine_to_pure", _tampered_refinement)
+    with pytest.raises(VerificationFailure) as exc:
+        separability_report(WernerParams(2, 0.6), refine=True)
+    assert not exc.value.report.convex_ok
+    assert str(exc.value).startswith(
+        "the refined certificate fails verification: weights are not convex"
+    )
+    # at the CLI: exit 2, no document, one JSON line
+    assert main(["report", "--p", "2", "--f", "0.6", "--refine"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "VerificationFailure"
+
+
+@pytest.mark.parametrize("f", [0.0, 1.0])
+def test_the_refinement_is_checked_at_tol(f):
+    # at p = 1, f = 0 and 1 the family and the built certificate verify at
+    # tol 0, and the refinement's residual is not 0, so tol 0 refuses it
+    params = WernerParams(1, f)
+    dec = decompose_auto(params)
+    assert verify_decomposition(werner_dense(params), dec, 0.0).verdict
+    refined = verify_decomposition(werner_dense(params), refine_to_pure(dec), 0.0)
+    assert 0 < refined.reconstruction_residual < 1e-15
+    _, refinement = separability_report(params, refine=True)
+    assert refinement.reconstruction_residual == refined.reconstruction_residual
+    with pytest.raises(VerificationFailure, match="the refined certificate fails") as exc:
+        separability_report(params, tol=0.0, refine=True)
+    assert exc.value.report == refined
+
+
 def test_report_ppt_decision_honours_tol():
     # pt_min = f/d = -1e-10: inside the default band, outside tol = 1e-12
     params = WernerParams(2, -4e-10)
@@ -327,7 +366,7 @@ def test_verdict_agrees_with_ppt(p, f):
 
 @cache
 def _family(p, scheme):
-    return scheme_family(p, scheme)[0]
+    return scheme_family(p, scheme)
 
 
 def _both_verifiers(params):
@@ -371,11 +410,15 @@ def _tampered_family(monkeypatch, p, scheme, tamper):
     gens = werner.verify._generators(p, scheme).copy()
     tamper(gens)
     monkeypatch.setattr("werner.verify._generators", lambda p, scheme: gens)
-    return scheme_family(p, scheme)[0]
+    return scheme_family(p, scheme)
+
+
+def _first_diagonal(gens):
+    return next(t for t, g in enumerate(gens) if not np.count_nonzero(g - np.diag(np.diag(g))))
 
 
 def _negate_entry(gens):
-    gens[0, 0, 0] *= -1  # a diagonal entry of a diagonal G_t: still Hermitian
+    gens[_first_diagonal(gens), 0, 0] *= -1  # a diagonal entry: still Hermitian
 
 
 def _negate_matrix(gens):
@@ -385,9 +428,10 @@ def _negate_matrix(gens):
 @pytest.mark.parametrize(
     "f,tamper,problems",
     [
-        (0.6, _negate_entry, ["the class sums do not sum to 0", "closed form"]),
-        (0.6, _negate_matrix, ["the class sums do not sum to 0"]),
-        (0.1, _negate_entry, ["closed form"]),
+        (0.6, _negate_entry,
+         ["nonzero trace", "G_t^2 = 2 G_t + 3 I", "the class sums do not sum to 0", "closed form"]),
+        (0.6, _negate_matrix, ["G_t^2 = 2 G_t + 3 I", "the class sums do not sum to 0"]),
+        (0.1, _negate_entry, ["nonzero trace", "closed form"]),
     ],
 )
 def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamper, problems):
@@ -396,7 +440,7 @@ def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamp
     rep = verify_family(family, params)
     assert not rep.verdict
     # a changed S moves the reconstruction too; a negated class sum leaves S
-    # as it was, and only the sum check sees it
+    # as it was, and only the sum check and its square identity see it
     assert (rep.reconstruction_residual > 1e-6) is (tamper is _negate_entry)
     assert len(family.problems) == len(problems)
     assert all(want in got for want, got in zip(problems, family.problems))
@@ -412,26 +456,68 @@ def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatc
     assert verify_family(family, params) == honest
 
 
-def test_each_string_factor_is_read_with_both_signs(monkeypatch):
-    # a string's spectrum is symmetric, so only a tampered G_t shows that
-    # (I - s G_t)/d is checked too: G_0 = diag(3, -1, 1, -1) after the lift
+def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
+    # diag(1, -1, 1, -1) becomes diag(3, -1, 1, -1), whose (I - s G)/d has a
+    # negative eigenvalue; no eigensolver runs, the identities see it
     params = WernerParams(2, 0.1)
 
     def lift(gens):
-        gens[0, 0, 0] += 2
+        gens[_first_diagonal(gens), 0, 0] += 2
 
     family = _tampered_family(monkeypatch, 2, PER_STRING, lift)
-    rep = verify_family(family, params)
-    gens = werner.verify._generators(2, PER_STRING).astype(complex)
-    scale = scheme_scalars(params, PER_STRING)[0]
-    eye = np.eye(4)
-    vals, _ = hermitian_eigensystem(np.concatenate([eye + scale * gens, eye - scale * gens]) / 4)
-    assert vals.min() < 0
-    assert rep.min_component_eigenvalue == pytest.approx(vals.min(), abs=1e-14)
-    assert rep.max_purity_deviation == pytest.approx(
-        np.abs(np.sum(vals * vals, axis=1) - 1).max(), abs=1e-14
+    assert family.problems == (
+        "a G_t has a nonzero trace",
+        "a G_t fails G_t^2 = 0 G_t + 1 I",
+        "S = sum_t G_t (x) G_t differs from its closed form",
     )
-    assert not rep.positivity_ok and not rep.verdict
+    rep = verify_family(family, params)
+    assert not rep.verdict
+    assert rep.diagnostics[-3:] == family.problems
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+def test_the_proven_spectrum_is_jacobi_s_on_every_generator(p, scheme):
+    gens = werner.verify._generators(p, scheme).astype(complex)
+    family = _family(p, scheme)
+    assert family.problems == ()
+    assert family.n_generators == len(gens)
+    d = 2**p
+    step = _CHUNK_BYTES // (16 * d * d)
+    vals = d * np.concatenate(
+        [hermitian_eigensystem(gens[k : k + step] / d)[0] for k in range(0, len(gens), step)]
+    )
+    assert np.abs(vals - family.spectrum).max() <= 1e-12
+
+
+def _separable_points(p):
+    d = 2**p
+    return [0.0, 0.5 / d, 1 / d, 2 / d, 0.3, 0.6, 0.77, 1.0]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_the_least_factor_eigenvalue_is_exact(p):
+    for f in _separable_points(p):
+        rep, _ = separability_report(WernerParams(p, f))
+        assert rep.verdict == "SEPARABLE"
+        assert rep.verification.min_component_eigenvalue == (1 - rep.scale) / 2**p
+
+
+def _refusing(*args, **kwargs):
+    raise AssertionError("report and sweep must not call this")
+
+
+def test_report_and_sweep_need_no_eigensolver_and_no_thread(monkeypatch, capsys):
+    monkeypatch.setattr("werner.verify.hermitian_eigensystem", _refusing)
+    monkeypatch.setattr("threading.Thread", _refusing)
+    for p in range(1, 6):
+        for f in _separable_points(p) + [-0.4, -1.0]:
+            rep, _ = separability_report(WernerParams(p, f))
+            assert rep.verdict == ("SEPARABLE" if f >= 0 else "ENTANGLED")
+        argv = ["sweep", "--p", str(p), "--f-start", "-1", "--f-end", "1", "--f-step", "0.25"]
+        assert main(argv) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[8] for row in rows] == ["ENTANGLED"] * 4 + ["SEPARABLE"] * 5
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
@@ -446,7 +532,7 @@ def test_a_one_entry_change_to_the_closed_form_fails_the_family(monkeypatch, sch
     params = WernerParams(2, 0.1 if scheme == PER_STRING else 0.6)
     with monkeypatch.context() as patched:
         patched.setattr("werner.verify._eye_flip", changed)
-        family = scheme_family(2, scheme)[0]
+        family = scheme_family(2, scheme)
     assert family.problems == ("S = sum_t G_t (x) G_t differs from its closed form",)
     rep = verify_family(family, params)
     assert rep.convex_ok and rep.positivity_ok and rep.reconstruction_residual <= 1e-15
@@ -515,8 +601,10 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
         calls.append(len(a))
         return hermitian_eigensystem(a, *args, **kwargs)
 
-    # the 72 distinct 8x8 factors fit in one chunk of _CHUNK_BYTES
-    chunks = -(-72 // (_CHUNK_BYTES // (16 * 8 * 8)))
+    # the 72 distinct 8x8 factors take one stack per nonzero pattern, each
+    # within one chunk of _CHUNK_BYTES
+    assert 72 <= _CHUNK_BYTES // (16 * 8 * 8)
+    chunks = len({(m != 0).tobytes() for t in dec.terms for m in (t.state_a, t.state_b)})
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
     assert verify_decomposition(target, parsed) == in_memory
     assert sum(calls) == 72
@@ -525,6 +613,32 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     assert _exact(refine_to_pure(parsed)) == in_memory_refined
     assert sum(calls) == 2 * 72  # verification, then one eigenpair split each
     assert len(calls) <= 2 * chunks
+
+
+def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
+    # p = 3 per-string: 126 distinct factors on 8 patterns, one per x mask,
+    # all within one chunk; each matrix alone gives the stack's bits
+    params = WernerParams(3, 0.1)
+    target = werner_dense(params)
+    dec = per_string_decomposition(params)
+    patterns = []
+
+    def recording(a, *args, **kwargs):
+        patterns.append({(m != 0).tobytes() for m in a})
+        return hermitian_eigensystem(a, *args, **kwargs)
+
+    monkeypatch.setattr("werner.verify.hermitian_eigensystem", recording)
+    stacked = verify_decomposition(target, dec), _exact(refine_to_pure(dec))
+    assert len(patterns) == 3 * 8  # verify; refine's verification and split
+    assert all(len(seen) == 1 for seen in patterns)
+
+    def alone(a, compute_vectors=False):
+        solved = [hermitian_eigensystem(m, compute_vectors=compute_vectors) for m in a]
+        vals = np.array([v for v, _ in solved])
+        return vals, np.array([v for _, v in solved]) if compute_vectors else None
+
+    monkeypatch.setattr("werner.verify.hermitian_eigensystem", alone)
+    assert (verify_decomposition(target, dec), _exact(refine_to_pure(dec))) == stacked
 
 
 def _counting_rows(monkeypatch):
@@ -616,7 +730,7 @@ def _recording(monkeypatch, names):
     return calls
 
 
-_P5_STAGES = ("_spectra", "invariance_residual", "_swap_sum", "_component_stats")
+_P5_STAGES = ("_spectrum", "invariance_residual", "_swap_sum", "_component_stats")
 
 
 @pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
@@ -633,12 +747,9 @@ def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     )
     assert threading.active_count() == before
     if f >= 0:
-        # the family's Jacobi on a worker; on this thread the probe, then S
-        assert sorted(calls) == [
-            ("_spectra", True), ("_swap_sum", False), ("invariance_residual", False)
-        ]
-        assert [name for name, worker in calls if not worker] == [
-            "invariance_residual", "_swap_sum"
+        # no family stage runs on a worker: the probe, the identities, then S
+        assert calls == [
+            ("invariance_residual", False), ("_spectrum", False), ("_swap_sum", False)
         ]
     else:
         # the probe runs inline, and the forced certificate's Jacobi on a worker
@@ -663,12 +774,11 @@ def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
     assert main(argv) == 0
     overlapped = capsys.readouterr()
     assert threading.active_count() == before
-    assert sorted(calls) == [("_spectra", True)] * 2 + [("_swap_sum", False)] * 2
-    monkeypatch.setattr("werner.verify._overlapped", _inline)
-    del calls[:]
+    # each family is built once, and no family stage runs on a worker
+    assert sorted(calls) == [("_spectrum", False)] * 2 + [("_swap_sum", False)] * 2
+    monkeypatch.setattr("threading.Thread", _refusing)
     assert main(argv) == 0
     assert capsys.readouterr() == overlapped
-    assert sorted(calls) == [("_spectra", False)] * 2 + [("_swap_sum", False)] * 2
     rows = [row.split(",") for row in overlapped.out.splitlines()[1:]]
     assert [(row[4], row[8]) for row in rows] == [
         ("", "ENTANGLED"),
@@ -720,17 +830,15 @@ def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
     with pytest.raises(MemoryError, match="second stage failed"):
         verify_decomposition(target, class_decomposition(params))
     assert threading.active_count() == before
-    # in separability_report the family's Jacobi, on the worker, comes first
+    # separability_report starts no worker: the probe comes first, then the
+    # family's identities
+    probe = werner.verify.invariance_residual
+    monkeypatch.setattr("threading.Thread", _refusing)
+    monkeypatch.setattr("werner.verify._spectrum", failing)
     monkeypatch.setattr("werner.verify.invariance_residual", lambda *args: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         separability_report(params)
-    assert threading.active_count() == before
-
-    def not_hermitian(*args):
-        raise MalformedInput("matrix is not Hermitian within 1e-10")
-
-    monkeypatch.setattr("werner.verify._spectra", not_hermitian)
-    with pytest.raises(MalformedInput, match="not Hermitian"):
+    monkeypatch.setattr("werner.verify.invariance_residual", probe)
+    with pytest.raises(MemoryError, match="second stage failed"):
         separability_report(params)
-    assert threading.active_count() == before
     assert capfd.readouterr().err == ""
