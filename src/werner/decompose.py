@@ -31,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import SchemeRangeError
-from .model import WernerParams
+from .model import _CHUNK_BYTES, WernerParams
 from .partition import CommutingClass, build_partition
 from .pauli import all_strings, bit_parity, format_label, packed, pauli_matrices
 
@@ -52,13 +52,6 @@ __all__ = [
 
 PER_STRING = "per_string"
 COMMUTING_CLASS = "commuting_class"
-
-# least bytes of complex factors stacked per GEMM in reconstruct (256 terms at
-# p = 3, 64 at p = 4), and of each row block its product adds to the
-# accumulator. A refined certificate (69,632 terms at p = 4) is never stacked
-# whole, and small runs stay within a megabyte of the per-term loop's peak RSS.
-_CHUNK_BYTES = 1 << 19
-
 
 @dataclass(frozen=True)
 class ProductTerm:
@@ -121,17 +114,15 @@ def per_string_decomposition(params: WernerParams, force: bool = False) -> Decom
     return Decomposition(params, PER_STRING, scale, tuple(terms))
 
 
-@cache
 def _class_sums(cls: CommutingClass) -> np.ndarray:
-    """T_eps for every sign pattern, stacked; bit j of the index is eps_j.
+    """T_eps for every sign pattern of one class, as a (d, d, d) complex64
+    stack; bit j of the index is eps_j.
 
     The class with the identity is the group generated by its p commuting
     generators G_j, so I + T_eps = prod_j (I + (-1)^eps_j G_j): each
     generator doubles the stack of partial products. Every entry is a small
     Gaussian integer, so the products are exact, and exact again in
-    complex64, which halves what the cache holds (8 MB for the 33 classes at
-    p = 5). Built once per class, since it does not depend on f, and
-    returned read-only because every caller shares it.
+    complex64.
     """
     _, x, z = packed(cls.generators)
     if bit_parity((x[:, None] & z) ^ (x & z[:, None])).any():
@@ -140,9 +131,25 @@ def _class_sums(cls: CommutingClass) -> np.ndarray:
     prods = eye[None]
     for g in pauli_matrices(cls.generators):
         prods = np.concatenate([prods @ (eye + g), prods @ (eye - g)])
-    sums = (prods - eye).astype(np.complex64)
-    sums.flags.writeable = False
-    return sums
+    return (prods - eye).astype(np.complex64)
+
+
+@cache
+def _class_sum_stack(p: int) -> np.ndarray:
+    """The class sums of every class of build_partition(p), class by class,
+    as one read-only ((d + 1) d, d, d) complex64 stack: row k d + e is class
+    k's T_eps. It is held once per p (8.7 MB at p = 5), since it does not
+    depend on f; class_decomposition slices it, and the family verifier
+    checks it whole. Each class is built into its rows, so no second copy
+    exists.
+    """
+    classes = build_partition(p).classes
+    d = 2**p
+    stack = np.empty((len(classes) * d, d, d), dtype=np.complex64)
+    for k, cls in enumerate(classes):
+        stack[k * d : (k + 1) * d] = _class_sums(cls)
+    stack.flags.writeable = False
+    return stack
 
 
 def class_decomposition(params: WernerParams, force: bool = False) -> Decomposition:
@@ -166,8 +173,8 @@ def class_decomposition(params: WernerParams, force: bool = False) -> Decomposit
 
     eye = np.eye(d, dtype=complex)
     terms = []
-    for k, cls in enumerate(build_partition(p).classes):
-        comps = (eye + scale * _class_sums(cls).astype(complex)) / d
+    for k, sums in enumerate(_class_sum_stack(p).reshape(-1, d, d, d)):
+        comps = (eye + scale * sums.astype(complex)) / d
         for e, comp in enumerate(comps):
             bits = "".join(str((e >> j) & 1) for j in range(p))
             terms.append(ProductTerm(weight, comp, comp, f"class:{k}:{bits}"))

@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, PhysicalRangeError, WernerError
+from .errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from .linalg import Spectrum
 from .pauli import all_strings, pauli_matrices
 
@@ -81,18 +81,23 @@ TRANSFORM_M = np.diag([1, 1, 1, -1]).astype(int)
 # ---------------------------------------------------------------------------
 
 
-def _eye_flip(d: int, values, dtype=complex) -> np.ndarray:
-    """Entries of a (d^2, d^2) combination of I and the swap P, by index writes.
-
-    values[0] goes where only I is 1, values[1] where only P is 1, values[2]
-    on the d diagonal entries |i>|i> where both are; every other entry is 0.
+def _eye_flip_entries(d: int):
+    """((rows, cols), (rows, cols), (rows, cols)): the entries of a (d^2, d^2)
+    combination of I and the swap P where only I is 1, where only P is 1,
+    and the d diagonal entries |i>|i> where both are; every other entry is 0.
     """
     k = np.arange(d * d)
+    one = k[k % (d + 1) != 0]  # |i>|i> is k = i (d + 1)
     both = k[:: d + 1]
+    return (one, one), (one, one % d * d + one // d), (both, both)
+
+
+def _eye_flip(d: int, values, dtype=complex) -> np.ndarray:
+    """The (d^2, d^2) combination of I and P with its three values at
+    _eye_flip_entries, by index writes."""
     out = np.zeros((d * d, d * d), dtype=dtype)
-    out[k, k] = values[0]
-    out[k, k % d * d + k // d] = values[1]
-    out[both, both] = values[2]
+    for (rows, cols), value in zip(_eye_flip_entries(d), values):
+        out[rows, cols] = value
     return out
 
 
@@ -209,6 +214,14 @@ def ppt_check(params: WernerParams, tol: float = 1e-9) -> bool:
 # invariance probe
 # ---------------------------------------------------------------------------
 
+# bytes of the blocks that the d^4 and stacked stages work in: the probe's
+# block products here; in decompose and verify the factor stacks per GEMM
+# (256 terms at p = 3, 64 at p = 4), reconstruct's row blocks (at least this
+# many bytes) and the generator checks. A refined certificate (69,632 terms
+# at p = 4) is never stacked whole, and small runs stay within a megabyte of
+# the per-term loop's peak RSS.
+_CHUNK_BYTES = 1 << 19
+
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-like d x d unitary from a seeded complex Gaussian matrix.
@@ -228,10 +241,15 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
 def invariance_residual(rho, u) -> float:
     """Frobenius norm of (U (x) U) rho (U (x) U)^dag - rho.
 
-    U acts on each of the four tensor indices of rho, viewed as (d, d, d, d):
-    u on i1, u on i2, conj(u) on j1, conj(u) on j2, one matmul each between
-    two (d^2, d^2) buffers. That is 4 d^5 multiply-adds against the 2 d^6 of
-    two GEMMs with the d^2 x d^2 kron(u, u), which is never formed.
+    U acts on each of the four tensor indices of one copy of rho, viewed as
+    (d, d, d, d): u on i1, u on i2, conj(u) on j1, conj(u) on j2. Each step
+    is a run of block products of at most _CHUNK_BYTES, written back in
+    place, so the probe holds rho, its copy and one block: 4 d^5
+    multiply-adds against the 2 d^6 of two GEMMs with the d^2 x d^2
+    kron(u, u), which is never formed. At p <= 3 each step is one product;
+    at p = 4 and 5 the blocks are whole batches or 1,024 to 2,048 columns or
+    rows wide, and every entry keeps the bits one product over the step
+    gives it (one-column blocks change the last bits).
     """
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
@@ -242,14 +260,25 @@ def invariance_residual(rho, u) -> float:
         raise DimensionMismatch(
             f"state of shape {rho.shape} does not match local dimension {d}"
         )
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-9:
+    if not (np.isfinite(u).all() and np.isfinite(rho).all()):
+        raise MalformedInput("matrix has non-finite entries")
+    if not np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-9:
         raise WernerError("matrix is not unitary within 1e-9")
     uc = u.conj()
-    x = np.empty_like(rho, order="C")
-    y = np.empty_like(x)
-    np.matmul(u, rho.reshape(d, d**3), out=x.reshape(d, d**3))
-    np.matmul(u, x.reshape(d, d, d * d), out=y.reshape(d, d, d * d))
-    np.matmul(uc, y.reshape(d * d, d, d), out=x.reshape(d * d, d, d))
-    np.matmul(x.reshape(d**3, d), uc.T, out=y.reshape(d**3, d))
-    y -= rho
-    return sqrt(np.vdot(y, y).real)
+    x = np.array(rho, order="C")
+    wide = _CHUNK_BYTES // (16 * d)  # columns or rows of a (d, wide) block
+    # u on i1 and i2, conj(u) on j1: (d, d) @ (d, cols), batched
+    steps = (u, x.reshape(1, d, -1)), (u, x.reshape(d, d, -1)), (uc, x.reshape(d * d, d, d))
+    for m, x3 in steps:
+        cols = min(x3.shape[2], wide)
+        step = max(1, wide // cols)
+        for a in range(0, len(x3), step):
+            for c in range(0, x3.shape[2], cols):
+                block = x3[a : a + step, :, c : c + cols]
+                block[...] = m @ block
+    # conj(u) on j2: (rows, d) @ conj(u)^T
+    x2 = x.reshape(-1, d)
+    for r in range(0, len(x2), wide):
+        x2[r : r + wide] = x2[r : r + wide] @ uc.T
+    x -= rho
+    return sqrt(np.vdot(x, x).real)

@@ -42,7 +42,7 @@ from .decompose import (
     PER_STRING,
     Decomposition,
     ProductTerm,
-    _class_sums,
+    _class_sum_stack,
     auto_scheme,
     decompose_auto,
     reconstruct,
@@ -52,7 +52,7 @@ from .errors import DimensionMismatch, VerificationFailure
 from .linalg import hermitian_eigensystem
 from .model import (
     WernerParams,
-    _eye_flip,
+    _eye_flip_entries,
     _werner_values,
     invariance_residual,
     ppt_check,
@@ -60,7 +60,6 @@ from .model import (
     random_unitary,
     werner_dense,
 )
-from .partition import build_partition
 from .pauli import all_strings, pauli_matrices
 
 __all__ = [
@@ -282,13 +281,21 @@ class Family:
 
 
 def _generators(p: int, scheme: str) -> np.ndarray:
-    """The (n, d, d) complex64 stack of G_t: the class sums class by class,
-    or the nontrivial strings in term order."""
+    """The (n, d, d) complex64 stack of G_t: the shared read-only stack of
+    the class sums, class by class, or the nontrivial strings in term
+    order."""
     if scheme == COMMUTING_CLASS:
-        return np.concatenate([_class_sums(cls) for cls in build_partition(p).classes])
+        return _class_sum_stack(p)
     if scheme == PER_STRING:
-        return pauli_matrices(list(all_strings(p))[1:]).astype(np.complex64)
+        return pauli_matrices(list(all_strings(p))[1:], np.complex64)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _chunks(stack):
+    """Consecutive slices of stack of at most _CHUNK_BYTES (one row at least),
+    so that a check over the stack makes no stack-sized temporary."""
+    step = max(1, _CHUNK_BYTES // stack[0].nbytes)
+    return (stack[k : k + step] for k in range(0, len(stack), step))
 
 
 def _spectrum(gens, scheme: str):
@@ -301,14 +308,19 @@ def _spectrum(gens, scheme: str):
         (a, b), spectrum = (d - 2, d - 1), np.repeat([-1.0, d - 1.0], [d - 1, 1])
     else:
         (a, b), spectrum = (0, 1), np.repeat([-1.0, 1.0], d // 2)
+    hermitian = traceless = squares = True
+    for g in _chunks(gens):
+        hermitian = hermitian and np.array_equal(g, g.conj().swapaxes(1, 2))
+        traceless = traceless and not np.trace(g, axis1=1, axis2=2).any()
+        square = g * np.complex64(a)
+        square[:, range(d), range(d)] += b
+        squares = squares and np.array_equal(g @ g, square)
     problems = []
-    if not np.array_equal(gens, gens.conj().swapaxes(1, 2)):
+    if not hermitian:
         problems.append("a G_t is not Hermitian")
-    if np.trace(gens, axis1=1, axis2=2).any():
+    if not traceless:
         problems.append("a G_t has a nonzero trace")
-    square = gens * np.complex64(a)
-    square[:, range(d), range(d)] += b
-    if not np.array_equal(gens @ gens, square):
+    if not squares:
         problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")
     return spectrum, tuple(problems)
 
@@ -322,23 +334,34 @@ def _swap_sum(gens, scheme: str):
     a Gaussian integer and every partial sum is an integer below 2^24,
     which 2 n max|Re, Im|^2 < 2^24 bounds. The closed forms are
     d SWAP - I for the strings and d (d SWAP - I) for the class sums, whose
-    stack must also sum to 0 so that the terms linear in s cancel.
+    stack must also sum to 0 so that the terms linear in s cancel. S is
+    compared with its closed form at _eye_flip_entries and, since none of
+    the form's three values is 0, by its count of nonzeros, after the
+    complex64 product is freed: S is the only (d^2, d^2) array then.
     """
     n, d, _ = gens.shape
     flat = gens.reshape(n, d * d)
     problems = []
     parts = flat.view(np.float32)  # the real and imaginary parts
     top = max(float(parts.max()), -float(parts.min()))
-    if not (np.array_equal(np.rint(parts), parts) and 2 * n * top * top < 2**24):
+    integral = all(np.array_equal(np.rint(c), c) for c in _chunks(parts))
+    if not (integral and 2 * n * top * top < 2**24):
         problems.append("the G_t are not Gaussian integers small enough for an exact S")
     if scheme == COMMUTING_CLASS and flat.sum(axis=0).any():
         problems.append("the class sums do not sum to 0")
-    kron = (flat.T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    product = flat.T @ flat
+    kron = product.reshape(d, d, d, d).transpose(0, 2, 1, 3)
     if kron.imag.any():
         problems.append("S = sum_t G_t (x) G_t is not real")
     swap_sum = kron.real.astype(np.float64, order="C").reshape(d * d, d * d)
+    del product, kron
     a = d if scheme == COMMUTING_CLASS else 1
-    if not np.array_equal(swap_sum, _eye_flip(d, (-a, a * d, a * (d - 1)), float)):
+    entries = _eye_flip_entries(d)
+    closed = zip(entries, (-a, a * d, a * (d - 1)))
+    if not (
+        all((swap_sum[rows, cols] == value).all() for (rows, cols), value in closed)
+        and np.count_nonzero(swap_sum) == sum(len(rows) for rows, _ in entries)
+    ):
         problems.append("S = sum_t G_t (x) G_t differs from its closed form")
     return swap_sum, tuple(problems)
 
@@ -376,7 +399,9 @@ def verify_family(
     gap = family.swap_sum * (family.signs * sign * scale * scale)
     gap.flat[:: d * d + 1] += n_terms
     gap *= weight / (d * d)
-    gap -= _eye_flip(d, _werner_values(params).real, float)
+    # the state is zero off its three values, so they are subtracted in place
+    for (rows, cols), value in zip(_eye_flip_entries(d), _werner_values(params).real):
+        gap[rows, cols] -= value
     return _report(
         np.full(n_terms, weight),
         float(vals.min()),

@@ -3,7 +3,11 @@
 The toolkit itself never forms a partial transpose: its PPT verdict comes
 from the closed-form spectrum. The tests form one here, checked against an
 index loop in test_linalg.py, to hold that spectrum to Jacobi and LAPACK.
+The two-buffer invariance probe is the toolkit's earlier probe, kept as the
+oracle of the bits of the in-place one.
 """
+from math import sqrt
+
 import numpy as np
 
 
@@ -12,3 +16,21 @@ def partial_transpose_b(m, d_a, d_b):
     m = np.asarray(m, dtype=complex)
     t = m.reshape(d_a, d_b, d_a, d_b)
     return t.transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
+
+
+def two_buffer_invariance_residual(rho, u):
+    """Frobenius norm of (U (x) U) rho (U (x) U)^dag - rho, with U applied to
+    the four tensor indices of rho as four whole products between two
+    (d^2, d^2) buffers: u on i1, u on i2, conj(u) on j1, conj(u) on j2."""
+    rho = np.asarray(rho, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    uc = u.conj()
+    x = np.empty_like(rho, order="C")
+    y = np.empty_like(x)
+    np.matmul(u, rho.reshape(d, d**3), out=x.reshape(d, d**3))
+    np.matmul(u, x.reshape(d, d, d * d), out=y.reshape(d, d, d * d))
+    np.matmul(uc, y.reshape(d * d, d, d), out=x.reshape(d * d, d, d))
+    np.matmul(x.reshape(d**3, d), uc.T, out=y.reshape(d**3, d))
+    y -= rho
+    return sqrt(np.vdot(y, y).real)

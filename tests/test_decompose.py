@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from werner.decompose import (
     _CHUNK_BYTES,
+    _class_sum_stack,
     _class_sums,
     COMMUTING_CLASS,
     PER_STRING,
@@ -242,10 +243,14 @@ def _loop_class_sum(cls, e):
 
 
 def test_class_sums_are_built_once_and_read_only():
+    # one stack per p, class by class; its slices are read-only views of it
     for p in (1, 2, 3):
-        for cls in build_partition(p).classes:
-            sums = _class_sums(cls)
-            assert _class_sums(cls) is sums
+        stack = _class_sum_stack(p)
+        assert _class_sum_stack(p) is stack
+        assert stack.shape == ((2**p + 1) * 2**p, 2**p, 2**p)
+        assert stack.dtype == np.complex64
+        for k, cls in enumerate(build_partition(p).classes):
+            sums = stack[k * 2**p : (k + 1) * 2**p]
             with pytest.raises(ValueError):
                 sums[0, 0, 0] = 1.0
             for e in range(2**p):

@@ -1,16 +1,20 @@
 """State constructions, the three spectrum routes, and the PPT boundary."""
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import partial_transpose_b
-from werner.errors import DimensionMismatch, PhysicalRangeError, WernerError
+from dense_reference import partial_transpose_b, two_buffer_invariance_residual
+from werner.errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from werner.linalg import hermitian_eigensystem, hermitian_eigenvalues
 from werner.model import (
     TRANSFORM_H,
     TRANSFORM_M,
     WernerParams,
+    _CHUNK_BYTES,
     _eye_flip,
     invariance_residual,
     ppt_check,
@@ -322,6 +326,55 @@ def test_invariance_rejects_non_unitary():
         invariance_residual(rho, np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
         invariance_residual(rho, np.eye(3))
+
+
+def test_invariance_rejects_a_nan_unitary():
+    # a norm test of the form norm > 1e-9 is false for NaN
+    rho = werner_dense(WernerParams(1, 0.0))
+    for u in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.nan]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WernerError, match="non-finite"):
+                invariance_residual(rho, u)
+
+
+def test_invariance_rejects_a_state_with_an_infinite_entry():
+    rho = werner_dense(WernerParams(2, 0.3))
+    u = random_unitary(4, 0)
+    for bad in (np.inf, -np.inf, np.nan):
+        broken = rho.copy()
+        broken[5, 9] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(MalformedInput, match="matrix has non-finite entries"):
+                invariance_residual(broken, u)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_the_in_place_probe_keeps_the_two_buffer_bits(p):
+    # Werner, non-Werner and strided inputs; the blocks of the in-place probe
+    # must give every entry the bits of the whole products
+    d = 2**p
+    rng = np.random.default_rng(p)
+    states = [werner_dense(WernerParams(p, 0.37)), _random_matrix(rng, d * d)]
+    for seed in (0, 3, 42):
+        u = random_unitary(d, seed)
+        for rho in states:
+            for view in (rho, rho.T, rho[::-1]):
+                assert invariance_residual(view, u) == two_buffer_invariance_residual(view, u)
+
+
+def test_the_p5_probe_holds_one_working_copy():
+    # rho, one (d^2, d^2) copy and one block; the two-buffer probe held two copies
+    rho = werner_dense(WernerParams(5, 0.3))
+    u = random_unitary(32, 42)
+    tracemalloc.start()
+    try:
+        invariance_residual(rho, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rho.nbytes + _CHUNK_BYTES + (1 << 17)
 
 
 def test_kron_convention_consistency():

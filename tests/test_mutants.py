@@ -1,12 +1,15 @@
-"""Mutation tests of the verdict: named edits to verify.py that a probe must see.
+"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check
+and to serialize._header's caps, that a probe must see.
 
-Each edit replaces one exact text of src/werner/verify.py. The text must
-occur exactly once, so a refactor that removes it fails here and the list has
-to follow. The edited source is exec'd into a fresh module object (no file is
-written), and a fixed set of small probes runs against that module. A probe
-returns the boolean judgements of one report: verdict, convex_ok,
-positivity_ok and purity_ok. An edit is killed when some probe's judgements
-differ from those of the unedited source.
+Each edit replaces one exact text of src/werner/verify.py, model.py or
+serialize.py. The text must occur exactly once, so a refactor that removes it
+fails here and the list has to follow. The edited source is exec'd into a
+fresh module object (no file is written), and a fixed set of small probes of
+that module runs against it. A verify probe returns the boolean judgements of
+one report: verdict, convex_ok, positivity_ok and purity_ok; a model probe,
+ppt_check's verdicts; a serialize probe, which certificate headers are read.
+An edit is killed when some probe's judgements differ from those of the
+unedited source.
 """
 import sys
 import types
@@ -15,6 +18,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import werner.model
+import werner.serialize
 import werner.verify
 from werner.decompose import (
     COMMUTING_CLASS,
@@ -24,17 +29,23 @@ from werner.decompose import (
     class_decomposition,
     per_string_decomposition,
 )
+from werner.errors import MalformedInput
 from werner.model import WernerParams, werner_dense
 from werner.pauli import DIGIT_LETTERS, pauli_matrices
 
-SOURCE_PATH = werner.verify.__file__
-with open(SOURCE_PATH) as fh:
-    SOURCE = fh.read()
+
+def _source(module):
+    with open(module.__file__) as fh:
+        return fh.read()
 
 
-def _module(code):
+MODULES = {name: getattr(werner, name) for name in ("verify", "model", "serialize")}
+SOURCES = {name: _source(module) for name, module in MODULES.items()}
+
+
+def _module(name, code):
     """code exec'd as a fresh module of the werner package."""
-    mod = types.ModuleType("werner._verify_mutant")
+    mod = types.ModuleType(f"werner._{name}_mutant")
     mod.__package__ = "werner"
     # dataclasses look their module up in sys.modules while the class is made
     sys.modules[mod.__name__] = mod
@@ -233,22 +244,67 @@ def mixed_commuting_strings(m):
     return _family(m, 3, 0.0, PER_STRING, mix)
 
 
-def changed_closed_form(m):
-    # S is honest, and the closed form it is held to has one entry changed
-    eye_flip = m._eye_flip
+def _closed_form_changed(m, change):
+    """verify_family's judgements on an honest family whose S was held to a
+    closed form with one entry changed by change(only_i, only_p, both)."""
+    entries = m._eye_flip_entries
 
-    def changed(*args):
-        out = eye_flip(*args)
-        out[3, 5] += 1.0
-        return out
+    def changed(d):
+        return change(*entries(d))
 
-    m._eye_flip = changed
+    m._eye_flip_entries = changed
     family = m.scheme_family(2, PER_STRING)
-    m._eye_flip = eye_flip
+    m._eye_flip_entries = entries
     return _judgements(m.verify_family(family, WernerParams(2, 0.1)))
 
 
-PROBES = [
+def changed_closed_form(m):
+    # the first entry where only I is 1 holds the value of the |i>|i> entries
+    def change(only_i, only_p, both):
+        (rows, cols), (b_rows, b_cols) = only_i, both
+        moved = np.append(b_rows, rows[0]), np.append(b_cols, cols[0])
+        return (rows[1:], cols[1:]), only_p, moved
+
+    return _closed_form_changed(m, change)
+
+
+def dropped_closed_form_entry(m):
+    # the first entry where only I is 1 is 0: only the count of S's nonzeros sees it
+    return _closed_form_changed(
+        m, lambda only_i, only_p, both: ((only_i[0][1:], only_i[1][1:]), only_p, both)
+    )
+
+
+# --- probes on model.ppt_check ------------------------------------------------
+
+
+def ppt_verdicts(m):
+    # the least partial-transpose eigenvalue at p = 2 is f/4: -2 tol fails and
+    # -tol/2 passes under tol = 1e-9 and 1e-6, and f = -0.5 is far below
+    return tuple(
+        m.ppt_check(WernerParams(2, 4 * x * tol), tol) for tol in (1e-9, 1e-6) for x in (-2, -0.5)
+    ) + (m.ppt_check(WernerParams(2, -0.5)),)
+
+
+# --- probes on serialize._header -------------------------------------------------
+
+
+def _read(m, p, max_p):
+    doc = {"p": p, "f": 0.5, "scheme": COMMUTING_CLASS, "scale": 0.5}
+    try:
+        m._header(doc, max_p)
+    except MalformedInput:
+        return False
+    return True
+
+
+def header_caps(m):
+    # p = 63 is read and p = 64 refused; under a cap of 1, p = 1 is read and
+    # p = 2 refused
+    return _read(m, 63, None), _read(m, 64, None), _read(m, 1, 1), _read(m, 2, 1)
+
+
+PROBES = {"verify": [
     (honest_document, (True, True, True, False)),
     (negative_weight, (False, False, True, False)),
     (weight_sum_off, (False, False, True, False)),
@@ -262,75 +318,100 @@ PROBES = [
     (negated_class_sum, (False, True, True, False)),
     (non_real_swap_sum, (False, True, True, False)),
     (changed_closed_form, (False, True, True, False)),
+    (dropped_closed_form_entry, (False, True, True, False)),
     (similar_strings, (False, True, True, False)),
     (traced_string, (False, True, True, False)),
     (mixed_commuting_strings, (False, True, True, False)),
-]
+], "model": [
+    (ppt_verdicts, (False, True, False, True, False)),
+], "serialize": [
+    (header_caps, (True, False, True, False)),
+]}
 
-# (name, exact text of verify.py, its replacement)
+# (name, module, exact text of its source, the replacement)
 MUTANTS = [
     # the five that once survived the whole suite
-    ("convexity accepts a weight of -1",
+    ("convexity accepts a weight of -1", "verify",
      "min_weight >= -_WEIGHT_TOL", "min_weight >= -1.0"),
-    ("convexity accepts a weight sum off by 1e-3",
+    ("convexity accepts a weight sum off by 1e-3", "verify",
      "weight_sum_error <= _WEIGHT_TOL", "weight_sum_error <= 1e-3"),
-    ("the weight tolerance is 1e-9",
+    ("the weight tolerance is 1e-9", "verify",
      "_WEIGHT_TOL = 1e-12", "_WEIGHT_TOL = 1e-9"),
-    ("positivity ignores tol",
+    ("positivity ignores tol", "verify",
      "min_component_eigenvalue >= -tol", "min_component_eigenvalue >= -1e-6"),
-    ("the residual skips entry (0, 0)",
+    ("the residual skips entry (0, 0)", "verify",
      "    gap -= target\n", "    gap -= target\n    gap[0, 0] = 0\n"),
     # the four the suite already killed then
-    ("the residual bound is 10 tol",
+    ("the residual bound is 10 tol", "verify",
      "recon_ok = residual <= tol", "recon_ok = residual <= 10 * tol"),
-    ("the verdict ignores positivity",
+    ("the verdict ignores positivity", "verify",
      "verdict=convex_ok and positivity_ok and", "verdict=convex_ok and"),
-    ("the least eigenvalue is read from the top",
+    ("the least eigenvalue is read from the top", "verify",
      "min(min_eig, float(vals[0]))", "min(min_eig, float(vals[-1]))"),
-    ("equal compact keys mean equal factors",
+    ("equal compact keys mean equal factors", "verify",
      "if kept is not mat and kept.tobytes() != mat.tobytes():", "if False:"),
     # the family's own checks
-    ("the family's problems do not reach the verdict",
+    ("the family's problems do not reach the verdict", "verify",
      "        family.problems,\n", "        (),\n"),
-    ("no check that the G_t are small Gaussian integers",
+    ("no check that the G_t are small Gaussian integers", "verify",
      'problems.append("the G_t are not Gaussian integers small enough for an exact S")',
      "pass"),
-    ("no check that the class sums sum to 0",
+    ("no check that the class sums sum to 0", "verify",
      'problems.append("the class sums do not sum to 0")', "pass"),
-    ("no check that S is real",
+    ("no check that S is real", "verify",
      'problems.append("S = sum_t G_t (x) G_t is not real")', "pass"),
-    ("no check of S against its closed form",
+    ("no check of S against its closed form", "verify",
      'problems.append("S = sum_t G_t (x) G_t differs from its closed form")', "pass"),
     # the identities that prove the spectrum
-    ("no check that the G_t are Hermitian",
+    ("no check that the G_t are Hermitian", "verify",
      'problems.append("a G_t is not Hermitian")', "pass"),
-    ("no check of the traces",
+    ("no check of the traces", "verify",
      'problems.append("a G_t has a nonzero trace")', "pass"),
-    ("no check of the squares",
+    ("no check of the squares", "verify",
      'problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")', "pass"),
-    ("G_t^2 held to (a + 1) G_t + b I",
-     "square = gens * np.complex64(a)", "square = gens * np.complex64(a + 1)"),
-    ("the class sums' multiplicities swapped",
+    ("G_t^2 held to (a + 1) G_t + b I", "verify",
+     "square = g * np.complex64(a)", "square = g * np.complex64(a + 1)"),
+    ("the class sums' multiplicities swapped", "verify",
      "np.repeat([-1.0, d - 1.0], [d - 1, 1])", "np.repeat([-1.0, d - 1.0], [1, d - 1])"),
+    ("S held to its closed form by its nonzero count alone", "verify",
+     "all((swap_sum[rows, cols] == value).all() for (rows, cols), value in closed)\n        and ",
+     ""),
+    ("S held to its closed form only where that is nonzero", "verify",
+     "\n        and np.count_nonzero(swap_sum) == sum(len(rows) for rows, _ in entries)", ""),
+    # the PPT verdict
+    ("ppt_check ignores tol", "model",
+     "_pt_pairs(params)) >= -tol", "_pt_pairs(params)) >= -1e-6"),
+    ("ppt_check reads the greater PT eigenvalue", "model",
+     "min(v for v, _ in _pt_pairs(params))", "max(v for v, _ in _pt_pairs(params))"),
+    # the certificate reader's caps on p
+    ("the reader admits p = 64", "serialize", "if p >= 64:", "if p > 64:"),
+    ("the reader refuses p = 63", "serialize", "if p >= 64:", "if p >= 63:"),
+    ("the reader admits one p above the cap", "serialize",
+     "p > max_p:", "p > max_p + 1:"),
+    ("the reader refuses p at the cap", "serialize", "p > max_p:", "p >= max_p:"),
 ]
 
 
-def _run(source):
+def _run(module, source):
     """Each probe's judgements, each on its own module, since probes patch it."""
-    code = compile(source, SOURCE_PATH, "exec")
-    return [probe(_module(code)) for probe, _ in PROBES]
+    code = compile(source, MODULES[module].__file__, "exec")
+    return [probe(_module(module, code)) for probe, _ in PROBES[module]]
 
 
 def test_the_probes_judge_the_unedited_source_as_expected():
-    assert _run(SOURCE) == [want for _, want in PROBES]
+    for module, probes in PROBES.items():
+        assert _run(module, SOURCES[module]) == [want for _, want in probes], module
 
 
-@pytest.mark.parametrize("name,old,new", MUTANTS, ids=[name for name, _, _ in MUTANTS])
-def test_each_edit_changes_a_judgement(name, old, new):
-    assert SOURCE.count(old) == 1, f"the text of {name!r} must occur exactly once"
+@pytest.mark.parametrize(
+    "name,module,old,new", MUTANTS, ids=[name for name, _, _, _ in MUTANTS]
+)
+def test_each_edit_changes_a_judgement(name, module, old, new):
+    source = SOURCES[module]
+    assert source.count(old) == 1, f"the text of {name!r} must occur exactly once"
     changed = [
         probe.__name__
-        for (probe, want), got in zip(PROBES, _run(SOURCE.replace(old, new)))
+        for (probe, want), got in zip(PROBES[module], _run(module, source.replace(old, new)))
         if got != want
     ]
     assert changed, f"no probe sees {name!r}"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import werner.verify
 from werner.decompose import (
     _CHUNK_BYTES,
+    _class_sum_stack,
     COMMUTING_CLASS,
     PER_STRING,
     Decomposition,
@@ -520,24 +521,33 @@ def test_report_and_sweep_need_no_eigensolver_and_no_thread(monkeypatch, capsys)
         assert [row[8] for row in rows] == ["ENTANGLED"] * 4 + ["SEPARABLE"] * 5
 
 
+def _value_changed(only_i, only_p, both):
+    # the first entry where only I is 1 holds the value of the |i>|i> entries
+    (rows, cols), (b_rows, b_cols) = only_i, both
+    moved = np.append(b_rows, rows[0]), np.append(b_cols, cols[0])
+    return (rows[1:], cols[1:]), only_p, moved
+
+
+def _entry_dropped(only_i, only_p, both):
+    # the first entry where only I is 1 is 0
+    return (only_i[0][1:], only_i[1][1:]), only_p, both
+
+
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_one_entry_change_to_the_closed_form_fails_the_family(monkeypatch, scheme):
-    eye_flip = werner.verify._eye_flip
-
-    def changed(*args):
-        out = eye_flip(*args)
-        out[3, 5] += 1.0
-        return out
-
+    # S is held to its closed form at _eye_flip_entries, and by its count of
+    # nonzeros elsewhere: one value changed, or one entry dropped to 0, fails
+    entries = werner.verify._eye_flip_entries
     params = WernerParams(2, 0.1 if scheme == PER_STRING else 0.6)
-    with monkeypatch.context() as patched:
-        patched.setattr("werner.verify._eye_flip", changed)
-        family = scheme_family(2, scheme)
-    assert family.problems == ("S = sum_t G_t (x) G_t differs from its closed form",)
-    rep = verify_family(family, params)
-    assert rep.convex_ok and rep.positivity_ok and rep.reconstruction_residual <= 1e-15
-    assert not rep.verdict
-    assert rep.diagnostics == family.problems
+    for change in (_value_changed, _entry_dropped):
+        with monkeypatch.context() as patched:
+            patched.setattr("werner.verify._eye_flip_entries", lambda d: change(*entries(d)))
+            family = scheme_family(2, scheme)
+        assert family.problems == ("S = sum_t G_t (x) G_t differs from its closed form",)
+        rep = verify_family(family, params)
+        assert rep.convex_ok and rep.positivity_ok and rep.reconstruction_residual <= 1e-15
+        assert not rep.verdict
+        assert rep.diagnostics == family.problems
 
 
 @pytest.mark.parametrize("shift", [1e-12, 1e-6])
@@ -709,6 +719,52 @@ def test_factor_keys_hold_no_copy_of_the_factors():
         tracemalloc.stop()
     assert len(keys) == len(groups[(32, 32)]) == 1056
     assert held < 1 << 20
+
+
+@pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
+def test_a_p5_report_holds_the_state_and_one_working_copy(f):
+    # the state and the probe's copy of it are the peak: the two-buffer probe
+    # and the family's whole-stack temporaries reached 50-51 MB
+    params = WernerParams(5, f)
+    tracemalloc.start()
+    try:
+        separability_report(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36e6
+
+
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+def test_a_p5_family_holds_its_stack_and_two_swap_sums_at_most(scheme):
+    # the generators (8 MB, built here), the complex64 product and the
+    # float64 S; a complex128 string stack or a second stack would add 8-17 MB
+    _class_sum_stack.cache_clear()
+    tracemalloc.start()
+    try:
+        scheme_family(5, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26e6
+
+
+def _halve(gens):
+    gens[-1] *= 0.5
+
+
+def _lift_last_corner(gens):
+    gens[-1, 0, 0] += 2
+
+
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+@pytest.mark.parametrize("tamper", [_halve, _lift_last_corner])
+def test_the_identities_see_a_change_in_the_last_chunk(monkeypatch, scheme, tamper):
+    # chunks of one matrix each give the problems of one check over the stack
+    whole = _tampered_family(monkeypatch, 2, scheme, tamper).problems
+    monkeypatch.setattr("werner.verify._CHUNK_BYTES", 1)
+    assert scheme_family(2, scheme).problems == whole
+    assert whole and ("nonzero trace" in whole[0]) is (tamper is _lift_last_corner)
 
 
 def _inline(first, second, overlap):
