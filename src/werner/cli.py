@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 
 from . import serialize
 from .decompose import COMMUTING_CLASS, PER_STRING, auto_scheme, decompose_auto
@@ -170,17 +171,17 @@ def _check_refine_cap(p: int) -> None:
         raise _UsageError(f"refinement is capped at p = {_REFINE_CLI_MAX_P}, got p = {p}")
 
 
-def _write(args, text: str, end: str = "\n") -> None:
-    """text, then end, to --output or stdout; end is written on its own so
-    that a large document is never copied to append it."""
+def _write(args, text, end: str = "\n") -> None:
+    """text (a str, or chunks to write in turn), then end, to --output or
+    stdout; end is written on its own so that a large document is never
+    copied to append it."""
+    chunks = chain([text] if isinstance(text, str) else text, [end])
     path = getattr(args, "output", None)
     if path is None:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
-            fh.write(end)
+            fh.writelines(chunks)
 
 
 def _diag(kind: str, message: str, **extra) -> None:
@@ -295,7 +296,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_decompose(args) -> int:
     dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
-    _write(args, serialize.dumps(serialize.decomposition_doc(dec)))
+    _write(args, serialize.certificate_chunks(dec), end="")
     return 0
 
 
@@ -325,7 +326,7 @@ def _cmd_refine(args) -> int:
         _check_refine_cap(args.p)
         dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme or "auto"])
     refined = refine_to_pure(dec, args.tol)
-    _write(args, serialize.dumps(serialize.decomposition_doc(refined)))
+    _write(args, serialize.certificate_chunks(refined), end="")
     return 0
 
 

@@ -1,23 +1,17 @@
-"""Deterministic JSON and CSV emission, and the certificate reader.
+"""Deterministic JSON and CSV emission, and the certificate writer and reader.
 
 Floating-point numbers are written as decimal text with 17 significant
 digits, which round-trips binary64 exactly; the stdlib encoder cannot be
 pinned to that format, hence the small emitter here. Dict insertion order
 is the emission order, so identical inputs yield identical bytes. A 2-D
 float64 array, such as a factor's re or im part, is rendered with each
-distinct value formatted once, and an array repeated within one document
-is rendered once; the bytes are those of formatting every entry in place.
-A dict that recurs in one document, such as the matrix document
-decomposition_doc hands out once per distinct factor, is looked up from its
-third sighting on, so emitting a refined certificate costs in proportion to
-its distinct factors and its terms, not to its text size.
+distinct value formatted once; the bytes are those of formatting every
+entry in place.
 
-parse_decomposition reads a certificate the same way round: each factor
-whose text is plain numbers is cut out of the text, the small skeleton left
-is parsed by json.loads, and each distinct factor text is parsed and
-converted once, into one read-only array that every term holding that text
-shares. The result, and every refusal with its message, is that of
-doc_decomposition(json.loads(text)).
+Certificates cost what their distinct factors and their terms cost, both
+ways: certificate_chunks renders each distinct factor and weight once, and
+parse_decomposition converts each distinct factor text, row and number
+once, into read-only arrays that every term holding the text shares.
 
 The verification and separability documents are the report dataclasses of
 verify.py as dicts: their keys are those classes' fields in declaration
@@ -30,7 +24,8 @@ import math
 import re
 from dataclasses import asdict
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence
+from json.encoder import encode_basestring_ascii  # json.dumps of a str
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +36,8 @@ from .model import WernerParams
 from .verify import SeparabilityReport, VerificationReport
 
 __all__ = [
+    "certificate_chunks",
     "csv_text",
-    "decomposition_doc",
     "doc_decomposition",
     "dumps",
     "format_float",
@@ -80,65 +75,79 @@ _CONTAINERS = (dict, list, tuple, np.ndarray)  # a list holding none is one line
 
 
 def _lines(opening: str, parts: List[str], pad: str, closing: str) -> str:
-    """opening, each part on a line of its own, then closing at indent pad,
-    in one join: the parts are copied once, with no concatenated copy."""
-    seq = [",\n"] * (2 * len(parts) + 1)
-    seq[0] = opening + "\n"
-    seq[1::2] = parts
-    seq[-1] = "\n" + pad + closing
-    return "".join(seq)
+    """opening, each part on a line of its own, then closing at indent pad."""
+    return opening + "\n" + ",\n".join(parts) + "\n" + pad + closing
+
+
+def _float_texts(a: np.ndarray) -> np.ndarray:
+    """format_float of each entry of a float64 array, as an object array of
+    a's shape, formatting each distinct value once. Keys are bit patterns, so
+    -0.0 and 0.0 stay apart."""
+    keys, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([format_float(v) for v in keys.view(np.float64)], dtype=object)
+    return texts[inverse].reshape(a.shape)
 
 
 def _matrix_text(a: np.ndarray, pad: str, step: str) -> str:
-    """A 2-D float64 array as a list of one-line rows, formatting each
-    distinct value once. Keys are bit patterns, so -0.0 and 0.0 stay apart."""
-    keys, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
-    texts = np.array([format_float(v) for v in keys.view(np.float64)], dtype=object)
+    """A 2-D float64 array as a list of one-line rows."""
     inner = pad + step
-    rows = texts[inverse].reshape(a.shape).tolist()
+    rows = _float_texts(a).tolist()
     return _lines("[", [f"{inner}[{', '.join(r)}]" for r in rows], pad, "]")
 
 
-def _emit(obj, pad: str, step: str, memo: dict) -> str:
-    """obj's text at indent pad. memo holds, per dumps call, each key's text,
-    each 2-D float array's text by (pad, content), and each dict's sightings
-    by (pad, id) (the document keeps every dict alive until dumps returns):
-    a dict's text is kept from its third sighting on, so a repeated factor
-    document costs a lookup, while a dict seen once or twice (the root, a
-    term, a factor both parties share) holds no second copy of its text."""
+def _emit(obj, pad: str, step: str) -> str:
+    """obj's text at indent pad."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        node = (pad, id(obj))
-        seen = memo.get(node, 0)
-        if type(seen) is str:
-            return seen
         inner = pad + step
-        keys = [memo.get(k) or memo.setdefault(k, json.dumps(k)) for k in map(str, obj)]
-        parts = [
-            f"{inner}{k}: {_emit(v, inner, step, memo)}" for k, v in zip(keys, obj.values())
-        ]
-        text = _lines("{", parts, pad, "}")
-        memo[node] = text if seen == 2 else seen + 1
-        return text
+        parts = [f"{inner}{json.dumps(str(k))}: {_emit(v, inner, step)}" for k, v in obj.items()]
+        return _lines("{", parts, pad, "}")
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
-            key = (pad, obj.shape, obj.tobytes())  # repeated factors render once
-            if key not in memo:
-                memo[key] = _matrix_text(obj, pad, step)
-            return memo[key]
+            return _matrix_text(obj, pad, step)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not any(isinstance(v, _CONTAINERS) for v in obj):
             return "[" + ", ".join(_scalar_text(v) for v in obj) + "]"
         inner = pad + step
-        return _lines("[", [f"{inner}{_emit(v, inner, step, memo)}" for v in obj], pad, "]")
+        return _lines("[", [f"{inner}{_emit(v, inner, step)}" for v in obj], pad, "]")
     return _scalar_text(obj)
 
 
 def dumps(obj) -> str:
     """JSON text (no trailing newline); parseable by json.loads."""
-    return _emit(obj, "", "  ", {})
+    return _emit(obj, "", "  ")
+
+
+# The certificate document as dumps renders it, around its terms.
+_HEAD = '{\n  "p": %s,\n  "f": %s,\n  "scheme": %s,\n  "scale": %s,\n  "terms": ['
+_TERM = ',\n    {\n      "weight": %s,\n      "label": %s,\n'
+_TERM += '      "state_a": %s,\n      "state_b": %s\n    }'
+
+
+def certificate_chunks(dec: Decomposition) -> Iterator[str]:
+    """dumps of dec's certificate document, and a newline, a term a chunk.
+    Each distinct factor and weight is rendered once, and all of them (a
+    non-finite one refused) before this returns, so an output opened after
+    the call is never left half written by a refusal."""
+    by_id, by_content = {}, {}  # dec keeps every factor alive, so no id is reused
+    for m in chain.from_iterable((t.state_a, t.state_b) for t in dec.terms):
+        if id(m) not in by_id:
+            a = np.asarray(m, dtype=complex)
+            key = (a.shape, a.tobytes())
+            if key not in by_content:
+                by_content[key] = _emit(matrix_doc(a), " " * 6, "  ")
+            by_id[id(m)] = by_content[key]
+    weights = _float_texts(np.array(dec.weights, dtype=float)).tolist()
+    head = _HEAD % tuple(map(_scalar_text, (dec.params.p, dec.params.f, dec.scheme, dec.scale)))
+    rows = [
+        (w, encode_basestring_ascii(t.label), by_id[id(t.state_a)], by_id[id(t.state_b)])
+        for w, t in zip(weights, dec.terms)
+    ]
+    terms = (_TERM % row for row in rows)
+    # the first term follows "[" with no comma; no term at all leaves "[]"
+    return chain((head, next(terms, ",")[1:]), terms, ["\n  ]\n}\n" if rows else "]\n}\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +188,6 @@ def doc_matrix(doc) -> np.ndarray:
 
 def spectrum_rows(spec: Spectrum) -> List[dict]:
     return [{"value": v, "multiplicity": m} for v, m in spec.pairs]
-
-
-def decomposition_doc(dec: Decomposition) -> dict:
-    """The certificate document; a factor object held by several terms gets
-    one matrix document, which dumps renders once."""
-    docs = {}  # id -> matrix document; dec keeps every factor alive
-
-    def factor_doc(m):
-        key = id(m)
-        if key not in docs:
-            docs[key] = matrix_doc(m)
-        return docs[key]
-
-    return {
-        "p": dec.params.p,
-        "f": dec.params.f,
-        "scheme": dec.scheme,
-        "scale": dec.scale,
-        "terms": [
-            {
-                "weight": t.weight,
-                "label": t.label,
-                "state_a": factor_doc(t.state_a),
-                "state_b": factor_doc(t.state_b),
-            }
-            for t in dec.terms
-        ],
-    }
 
 
 def _header(doc, max_p):
@@ -253,74 +234,124 @@ def doc_decomposition(doc, max_p: Optional[int] = None) -> Decomposition:
     return _decomposition(doc, max_p, doc_matrix)
 
 
-# A matrix document in matrix_doc's key order whose re and im hold nothing
-# but JSON number text: its tokens with JSON's four blanks between them. Any
-# other object (NaN, strings, booleans, other key orders or extra keys) stays
-# in the skeleton and goes through doc_matrix. The classes are spelled out,
-# not \s or \d, because a class of plain characters compiles to a bitmap,
-# which scans three times as fast. re compiles (and caches) the pattern on
-# the first parse, so the commands that read no certificate never pay it.
-_ROWS = r"\[[0-9 \t\n\r.eE+\-,\[\]]*\]"
-_FACTOR_TEXT = r"[ \t\n\r]*".join(
-    [r"\{", '"dim"', ":", "[0-9]+", ",", '"re"', ":", _ROWS, ",", '"im"', ":", _ROWS, r"\}"]
-)
-# A cut-out factor leaves the JSON integer " <_SLOT><k> " in the skeleton, k
-# indexing its distinct text. A number token holds no escape and no blank,
-# so only a text that contains _SLOT itself could forge one; such a text (no
-# 17-digit float holds this 20-digit run) is parsed whole instead.
+# A factor text, what stands between the braces of an object that holds no
+# other object and opens with _RE_HEAD, is cut out for the JSON integer
+# " <_SLOT><k> ", which the skeleton parse reads as the 1-tuple (k,), a type
+# no JSON value has; k indexes its distinct text. Only a text that holds
+# _SLOT (which no 17-digit float does) could forge one; it is parsed whole.
 _SLOT = "-98765432109876543210"
+_BLANKS = " \t\n\r"  # JSON's four
+_B = f"[{_BLANKS}]*"
+# the text up to re's first row, and from the "]" that ends re to im's first row
+_RE_HEAD = re.compile(rf'{_B}"dim"{_B}:{_B}([1-9][0-9]*){_B},{_B}"re"{_B}:{_B}\[{_B}\[')
+_IM_HEAD = re.compile(rf'{_B},{_B}"im"{_B}:{_B}\[{_B}\[')
+_NUMBER = re.compile(rf"{_B}-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?{_B}")
+_CELLS = 1 << 16  # number texts a batch holds at once
 
 
-class _Slot:
-    """What the skeleton parse returns for a cut-out factor's placeholder."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        self.k = k
+def _json_int(text: str):
+    """json.loads's integer, except that "-0" (format_float's -0.0) keeps its sign."""
+    return -0.0 if text == "-0" else int(text)
 
 
 def _int_or_slot(text: str):
-    return _Slot(int(text[len(_SLOT) :])) if text.startswith(_SLOT) else int(text)
+    return (int(text[len(_SLOT) :]),) if text.startswith(_SLOT) else _json_int(text)
+
+
+def _cut(text: str):
+    """(the skeleton, the distinct factor texts, the number of cuts)."""
+    texts = {}  # factor text -> k
+    parts = []
+    done = 0  # text[:done] is in parts
+    close = text.find("}")
+    while close != -1:
+        opening = text.rfind("{", done, close)
+        if opening != -1 and _RE_HEAD.match(text, opening + 1):
+            k = texts.setdefault(text[opening + 1 : close], len(texts))
+            parts += (text[done:opening], f" {_SLOT}{k} ")
+            done = close + 1
+        close = text.find("}", close + 1)
+    parts.append(text[done:])
+    return "".join(parts), list(texts), len(parts) // 2
+
+
+def _factor_arrays(texts: List[Optional[str]]) -> List[np.ndarray]:
+    """The read-only matrix of each factor text, in one batch that splits
+    each distinct row and converts each distinct number once; ValueError
+    unless every text is '"dim": n, "re": [[...], ...], "im": [[...], ...]'
+    with one n for all and n rows of n finite JSON numbers. A text is
+    dropped once its rows are taken, and _CELLS numbers are split at a time,
+    so the texts, the rows and the numbers are never all held at once."""
+    ids, slots = {}, []  # distinct row -> index; each text's 2n row indices
+    n = int(_RE_HEAD.match(texts[0])[1])
+    for k, text in enumerate(texts):
+        head = _RE_HEAD.match(text)
+        pieces = text.split("]")  # re's n rows and its end, then im's, then the tail
+        im = head[1] == str(n) and len(pieces) == 2 * n + 3 and _IM_HEAD.match(pieces[n + 1])
+        if not im or (pieces[n] + pieces[2 * n + 1] + pieces[2 * n + 2]).strip(_BLANKS):
+            raise ValueError("a factor text is not dim, re and im of one dim")
+        texts[k] = None
+        pieces[0], pieces[n + 1] = ",[" + pieces[0][head.end() :], ",[" + pieces[n + 1][im.end() :]
+        slots.append([ids.setdefault(row, len(ids)) for row in pieces[:n] + pieces[n + 1 : -2]])
+    rows, table = list(ids), np.empty((len(ids), n))
+    values = {}  # number text -> its value
+    step = max(1, _CELLS // n)
+    for start in range(0, len(rows), step):
+        cells = []
+        for row in rows[start : start + step]:  # ", [" and n numbers
+            lead, _, entries = row.partition("[")
+            split = entries.split(",")
+            if lead.strip(_BLANKS) != "," or len(split) != n:
+                raise ValueError("a factor row is not dim numbers")
+            cells += split
+        for cell in set(cells).difference(values):
+            if not _NUMBER.fullmatch(cell):
+                raise ValueError("a factor entry is not a JSON number")
+            values[cell] = float(cell)
+            if not math.isfinite(values[cell]):
+                raise ValueError("a factor entry is not finite")
+        chunk = np.fromiter(map(values.__getitem__, cells), float, len(cells))
+        table[start : start + step] = chunk.reshape(-1, n)
+    arrays = []
+    for slot in slots:
+        m = np.empty((n, n), dtype=complex)
+        m.real, m.imag = table[slot[:n]], table[slot[n:]]
+        m.flags.writeable = False
+        arrays.append(m)
+    return arrays
 
 
 def parse_decomposition(text: str, max_p: Optional[int] = None) -> Decomposition:
-    """doc_decomposition(json.loads(text), max_p), reading each distinct
-    factor text once: the terms holding one text share one read-only array.
+    """doc_decomposition(json.loads(text, parse_int=_json_int), max_p), in
+    which the terms holding one factor text share one read-only array.
 
-    Only an accepted text is read that way. A refusal, or a placeholder found
-    anywhere but at a factor (a cut-out object that stood in a label, an
-    ignored field or no value position at all), leaves the last word to the
-    plain parse of the whole text, so every diagnostic is the plain one.
+    Only an accepted text is read that way. A refusal, a factor text the
+    batch does not take, or a placeholder found anywhere but at a factor (a
+    cut-out object that stood in a label, an ignored field or no value
+    position at all) leaves the last word to the plain parse of the whole
+    text, so every diagnostic is the plain one.
     """
-    if _SLOT[1:] in text:
-        return doc_decomposition(json.loads(text), max_p)
-    ks = {}  # factor text -> k
-    skeleton, n_cut = re.subn(
-        _FACTOR_TEXT, lambda m: f" {_SLOT}{ks.setdefault(m.group(), len(ks))} ", text
-    )
-    texts = list(ks)  # k -> factor text
-    arrays = {}  # k -> the shared array
-    placed = 0
+    if _SLOT[1:] not in text:
+        skeleton, texts, n_cut = _cut(text)
+        arrays = []  # filled at the first factor, after the header's checks
+        placed = 0
 
-    def factor(value):
-        nonlocal placed
-        if type(value) is not _Slot:
-            return doc_matrix(value)
-        placed += 1
-        if value.k not in arrays:
-            m = doc_matrix(json.loads(texts[value.k]))
-            m.flags.writeable = False
-            arrays[value.k] = m
-        return arrays[value.k]
+        def factor(value):
+            nonlocal placed
+            if type(value) is not tuple:
+                return doc_matrix(value)
+            if not arrays:
+                arrays.extend(_factor_arrays(texts))
+            placed += 1
+            return arrays[value[0]]
 
-    try:
-        dec = _decomposition(json.loads(skeleton, parse_int=_int_or_slot), max_p, factor)
-        if placed == n_cut:
-            return dec
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    return doc_decomposition(json.loads(text), max_p)
+        try:
+            dec = _decomposition(json.loads(skeleton, parse_int=_int_or_slot), max_p, factor)
+            if placed == n_cut:
+                return dec
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+    return doc_decomposition(json.loads(text, parse_int=_json_int), max_p)
 
 
 def verification_doc(rep: VerificationReport) -> dict:

@@ -3,9 +3,11 @@
 This is how `werner verify --input` read a certificate before it parsed
 each distinct factor text once: json.loads of the whole text, one
 conversion per factor object, the p guards after the factors, then the CLI
-cap. The tests hold werner's reader to it: the same decomposition, bit for
-bit, or a refusal of the same kind (whose message is that of werner's own
-plain parse, which checks the header before any factor).
+cap. Its integer hook reads the "-0" that werner writes for -0.0 back as
+-0.0, as werner's reader does; every other integer is json.loads's own. The
+tests hold werner's reader to it: the same decomposition, bit for bit, or a
+refusal of the same kind (whose message is that of werner's own plain
+parse, which checks the header before any factor).
 """
 import io
 import json
@@ -22,6 +24,10 @@ from werner.model import WernerParams
 from werner.serialize import doc_decomposition
 
 MAX_P = 5  # the CLI's --p cap
+
+
+def _int(text):
+    return -0.0 if text == "-0" else int(text)
 
 
 def _field(doc, key, kind):
@@ -78,7 +84,7 @@ def _decomposition(doc):
 
 def oracle_read(text: str) -> Decomposition:
     try:
-        dec = _decomposition(json.loads(text))
+        dec = _decomposition(json.loads(text, parse_int=_int))
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -108,9 +114,10 @@ def exact(dec: Decomposition):
 
 
 def _plain_read(text: str) -> Decomposition:
-    """werner's own plain parse: doc_decomposition of the whole json.loads."""
+    """werner's own plain parse: doc_decomposition of the whole json.loads,
+    with the same integer hook."""
     try:
-        return doc_decomposition(json.loads(text), MAX_P)
+        return doc_decomposition(json.loads(text, parse_int=_int), MAX_P)
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

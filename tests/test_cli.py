@@ -187,8 +187,9 @@ def test_refine_input_above_p4_is_refused_before_its_factors_convert(
     dec = class_decomposition(WernerParams(5, 0.6))
     path = tmp_path / "cert5.json"
     one_term = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:1])
-    path.write_text(serialize.dumps(serialize.decomposition_doc(one_term)))
+    path.write_text("".join(serialize.certificate_chunks(one_term)))
     monkeypatch.setattr("werner.serialize.doc_matrix", _never)
+    monkeypatch.setattr("werner.serialize._factor_arrays", _never)
     code, out, err = run(capsys, "refine", "--input", str(path))
     assert code == 2
     assert out == ""
@@ -503,8 +504,11 @@ def test_refused_p_converts_no_factor(capsys, tmp_path, monkeypatch, p):
     # the header is checked first: a p above the cap costs no factor
     # conversion, even with well-formed 64x64 factors
     conversions = []
-    convert = serialize.doc_matrix
-    monkeypatch.setattr(serialize, "doc_matrix", lambda doc: conversions.append(1) or convert(doc))
+    for name in ("doc_matrix", "_factor_arrays"):  # one factor object, or all factor texts
+        convert = getattr(serialize, name)
+        monkeypatch.setattr(
+            serialize, name, lambda arg, convert=convert: conversions.append(1) or convert(arg)
+        )
     doc = json.loads(run(capsys, "decompose", "--p", "1", "--f", "0.5")[1])
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))

@@ -18,7 +18,7 @@ from certificate_oracle import assert_read_alike
 from werner.cli import main
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.model import WernerParams
-from werner.serialize import decomposition_doc, dumps
+from werner.serialize import certificate_chunks
 from werner.verify import refine_to_pure
 
 
@@ -42,7 +42,7 @@ def _assert_one_diagnostic(code, err):
 
 @lru_cache(maxsize=None)
 def _certificate_text() -> str:
-    return dumps(decomposition_doc(decompose_auto(WernerParams(1, 0.6)))) + "\n"
+    return "".join(certificate_chunks(decompose_auto(WernerParams(1, 0.6))))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def _refined_certificate_text() -> str:
     # 24 terms over a few distinct factor texts, so one mutated copy of a
     # text sits beside untouched copies of it
     dec = refine_to_pure(decompose_auto(WernerParams(1, 0.6)))
-    return dumps(decomposition_doc(dec)) + "\n"
+    return "".join(certificate_chunks(dec))
 
 
 _FACTOR_SPAN = re.compile(r'\{\s*"dim"[^{}]*\}')

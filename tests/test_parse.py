@@ -16,7 +16,7 @@ import pytest
 from certificate_oracle import assert_read_alike, cli_read
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.model import WernerParams
-from werner.serialize import _SLOT, decomposition_doc, dumps, parse_decomposition
+from werner.serialize import _SLOT, certificate_chunks, parse_decomposition
 from werner.verify import _eigensystems, refine_to_pure
 
 SCHEMES = [PER_STRING, COMMUTING_CLASS]
@@ -35,7 +35,7 @@ def _refined(p, scheme):
 
 
 def _text(dec):
-    return dumps(decomposition_doc(dec)) + "\n"
+    return "".join(certificate_chunks(dec))
 
 
 def _agree(text):

@@ -1,4 +1,5 @@
 """Byte-stable JSON/CSV emission and document round-trips."""
+import io
 import json
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from werner.cli import _read_certificate
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.errors import MalformedInput
 from werner.model import WernerParams, werner_dense
 from werner.serialize import (
+    certificate_chunks,
     csv_text,
-    decomposition_doc,
     doc_decomposition,
     doc_matrix,
     dumps,
@@ -92,16 +94,20 @@ def test_doc_matrix_refuses_entries_that_are_not_numbers(part, bad):
         doc_matrix(doc)
 
 
-def _json_with_signed_zeros(text):
-    # json.loads reads the "-0" that format_float writes for -0.0 as the int 0
-    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+def _certificate_text(dec):
+    return "".join(certificate_chunks(dec))
 
 
-def test_parsed_refined_certificate_re_emits_its_bytes():
-    text = dumps(decomposition_doc(_refined_certificate(2))) + "\n"
-    assert "-0, " in text and "[-0" in text  # signed zeros in both re and im
-    doc = _json_with_signed_zeros(text)
-    assert dumps(decomposition_doc(doc_decomposition(doc))) + "\n" == text
+def test_parsed_refined_certificate_re_emits_its_bytes(tmp_path, monkeypatch):
+    # the reader keeps the sign of the "-0" that format_float writes for -0.0
+    for p in (2, 3):
+        text = _certificate_text(_refined_certificate(p))
+        assert "-0, " in text and "[-0" in text  # signed zeros in both re and im
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        assert _certificate_text(_read_certificate(str(path))) == text
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert _certificate_text(_read_certificate("-")) == text
 
 
 def test_spectrum_rows():
@@ -114,7 +120,7 @@ def test_spectrum_rows():
 
 def test_decomposition_document_schema():
     dec = decompose_auto(WernerParams(1, 0.8))
-    doc = decomposition_doc(dec)
+    doc = json.loads(_certificate_text(dec))
     assert list(doc) == ["p", "f", "scheme", "scale", "terms"]
     term = doc["terms"][0]
     assert list(term) == ["weight", "label", "state_a", "state_b"]
@@ -124,7 +130,7 @@ def test_decomposition_document_schema():
 def test_decomposition_roundtrip_reverifies():
     params = WernerParams(2, 0.7)
     dec = decompose_auto(params)
-    text = dumps(decomposition_doc(dec))
+    text = _certificate_text(dec)
     back = doc_decomposition(json.loads(text))
     assert back.params == params
     assert back.scheme == dec.scheme
@@ -253,11 +259,35 @@ def _certificate(p, scheme):
     return decompose_auto(WernerParams(p, f), scheme)
 
 
+def _certificate_doc(dec):
+    """The certificate document, with every factor's own matrix document."""
+    return {
+        "p": dec.params.p,
+        "f": dec.params.f,
+        "scheme": dec.scheme,
+        "scale": dec.scale,
+        "terms": [
+            {
+                "weight": t.weight,
+                "label": t.label,
+                "state_a": matrix_doc(t.state_a),
+                "state_b": matrix_doc(t.state_b),
+            }
+            for t in dec.terms
+        ],
+    }
+
+
+def _assert_written_as_the_per_scalar_emitter_writes(dec):
+    text = _reference_emit(_certificate_doc(dec)) + "\n"
+    assert _certificate_text(dec) == text
+    assert dumps(_certificate_doc(dec)) + "\n" == text
+
+
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_certificate_bytes_match_the_per_scalar_emitter(p, scheme):
-    doc = decomposition_doc(_certificate(p, scheme))
-    assert dumps(doc) == _reference_emit(doc)
+    _assert_written_as_the_per_scalar_emitter_writes(_certificate(p, scheme))
 
 
 def _refined_certificate(p):
@@ -266,8 +296,7 @@ def _refined_certificate(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_refined_certificate_bytes_match_the_per_scalar_emitter(p):
-    doc = decomposition_doc(_refined_certificate(p))
-    assert dumps(doc) == _reference_emit(doc)
+    _assert_written_as_the_per_scalar_emitter_writes(_refined_certificate(p))
 
 
 def test_array_edge_cases_match_the_per_scalar_emitter():

@@ -30,7 +30,7 @@ from werner.cli import main
 from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
 from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
-from werner.serialize import decomposition_doc, doc_decomposition, dumps
+from werner.serialize import certificate_chunks, doc_decomposition
 from werner.verify import (
     _distinct_factors,
     refine_to_pure,
@@ -129,7 +129,7 @@ def _verify_both(tmp_path, capsys, dec, tol=1e-9):
     stdout document of `verify --input` on dec's certificate file."""
     rep = verify_decomposition(werner_dense(dec.params), dec, tol)
     path = tmp_path / "cert.json"
-    path.write_text(dumps(decomposition_doc(dec)))
+    path.write_text("".join(certificate_chunks(dec)))
     code = main(["verify", "--input", str(path), "--tol", repr(tol)])
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] is rep.verdict
@@ -600,7 +600,7 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     params = WernerParams(3, 0.7)
     target = werner_dense(params)
     dec = class_decomposition(params)
-    parsed = doc_decomposition(json.loads(dumps(decomposition_doc(dec))))
+    parsed = doc_decomposition(json.loads("".join(certificate_chunks(dec))))
     assert parsed.n_terms == 72
     in_memory = verify_decomposition(target, dec)
     in_memory_refined = _exact(refine_to_pure(dec))
