@@ -242,10 +242,12 @@ def doc_decomposition(doc, max_p: Optional[int] = None) -> Decomposition:
 _SLOT = "-98765432109876543210"
 _BLANKS = " \t\n\r"  # JSON's four
 _B = f"[{_BLANKS}]*"
-# the text up to re's first row, and from the "]" that ends re to im's first row
-_RE_HEAD = re.compile(rf'{_B}"dim"{_B}:{_B}([1-9][0-9]*){_B},{_B}"re"{_B}:{_B}\[{_B}\[')
-_IM_HEAD = re.compile(rf'{_B},{_B}"im"{_B}:{_B}\[{_B}\[')
-_NUMBER = re.compile(rf"{_B}-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?{_B}")
+# The text up to re's first row, and from the "]" that ends re to im's first
+# row. re compiles (and caches) these on the first parse, so the commands
+# that read no certificate never pay for it.
+_RE_HEAD = rf'{_B}"dim"{_B}:{_B}([1-9][0-9]*){_B},{_B}"re"{_B}:{_B}\[{_B}\['
+_IM_HEAD = rf'{_B},{_B}"im"{_B}:{_B}\[{_B}\['
+_NUMBER = rf"{_B}-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?{_B}"
 _CELLS = 1 << 16  # number texts a batch holds at once
 
 
@@ -263,10 +265,11 @@ def _cut(text: str):
     texts = {}  # factor text -> k
     parts = []
     done = 0  # text[:done] is in parts
+    factor_head = re.compile(_RE_HEAD).match
     close = text.find("}")
     while close != -1:
         opening = text.rfind("{", done, close)
-        if opening != -1 and _RE_HEAD.match(text, opening + 1):
+        if opening != -1 and factor_head(text, opening + 1):
             k = texts.setdefault(text[opening + 1 : close], len(texts))
             parts += (text[done:opening], f" {_SLOT}{k} ")
             done = close + 1
@@ -282,12 +285,13 @@ def _factor_arrays(texts: List[Optional[str]]) -> List[np.ndarray]:
     with one n for all and n rows of n finite JSON numbers. A text is
     dropped once its rows are taken, and _CELLS numbers are split at a time,
     so the texts, the rows and the numbers are never all held at once."""
+    re_head, im_head, number = map(re.compile, (_RE_HEAD, _IM_HEAD, _NUMBER))
     ids, slots = {}, []  # distinct row -> index; each text's 2n row indices
-    n = int(_RE_HEAD.match(texts[0])[1])
+    n = int(re_head.match(texts[0])[1])
     for k, text in enumerate(texts):
-        head = _RE_HEAD.match(text)
+        head = re_head.match(text)
         pieces = text.split("]")  # re's n rows and its end, then im's, then the tail
-        im = head[1] == str(n) and len(pieces) == 2 * n + 3 and _IM_HEAD.match(pieces[n + 1])
+        im = head[1] == str(n) and len(pieces) == 2 * n + 3 and im_head.match(pieces[n + 1])
         if not im or (pieces[n] + pieces[2 * n + 1] + pieces[2 * n + 2]).strip(_BLANKS):
             raise ValueError("a factor text is not dim, re and im of one dim")
         texts[k] = None
@@ -305,7 +309,7 @@ def _factor_arrays(texts: List[Optional[str]]) -> List[np.ndarray]:
                 raise ValueError("a factor row is not dim numbers")
             cells += split
         for cell in set(cells).difference(values):
-            if not _NUMBER.fullmatch(cell):
+            if not number.fullmatch(cell):
                 raise ValueError("a factor entry is not a JSON number")
             values[cell] = float(cell)
             if not math.isfinite(values[cell]):

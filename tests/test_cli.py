@@ -3,6 +3,7 @@ import argparse
 import inspect
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_refinement_above_p4_is_refused_up_front(capsys, monkeypatch, argv):
         "error": "UsageError",
         "message": "refinement is capped at p = 4, got p = 5",
     }
+
+
+@pytest.mark.parametrize("field", ["weight", "state_b"])
+def test_a_refused_certificate_leaves_no_file(monkeypatch, tmp_path, field):
+    # the writer renders and checks every weight and factor before the
+    # output is opened
+    dec = class_decomposition(WernerParams(1, 0.6))
+    nan = float("nan") if field == "weight" else np.full((2, 2), np.nan, dtype=complex)
+    last = replace(dec.terms[-1], **{field: nan})
+    broken = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:-1] + (last,))
+    monkeypatch.setattr("werner.cli.decompose_auto", lambda *args: broken)
+    path = tmp_path / "cert.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        main(["decompose", "--p", "1", "--f", "0.6", "--output", str(path)])
+    assert not path.exists()
 
 
 def test_refine_input_above_p4_is_refused_before_its_factors_convert(

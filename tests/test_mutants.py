@@ -1,16 +1,20 @@
-"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check
-and to serialize._header's caps, that a probe must see.
+"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check,
+to serialize's certificate reader and to partition.validate_partition, that a
+probe must see.
 
-Each edit replaces one exact text of src/werner/verify.py, model.py or
-serialize.py. The text must occur exactly once, so a refactor that removes it
-fails here and the list has to follow. The edited source is exec'd into a
-fresh module object (no file is written), and a fixed set of small probes of
-that module runs against it. A verify probe returns the boolean judgements of
-one report: verdict, convex_ok, positivity_ok and purity_ok; a model probe,
-ppt_check's verdicts; a serialize probe, which certificate headers are read.
+Each edit replaces one exact text of src/werner/verify.py, model.py,
+serialize.py or partition.py. The text must occur exactly once, so a refactor
+that removes it fails here and the list has to follow. The edited source is
+exec'd into a fresh module object (no file is written), and a fixed set of
+small probes of that module runs against it. A verify probe returns the
+boolean judgements of one report: verdict, convex_ok, positivity_ok and
+purity_ok; a model probe, ppt_check's verdicts; a serialize probe, which
+certificate headers and which certificate texts are read; a partition probe,
+the kinds of problem validate_partition reports for each broken partition.
 An edit is killed when some probe's judgements differ from those of the
 unedited source.
 """
+import re
 import sys
 import types
 from dataclasses import replace
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 import werner.model
+import werner.partition
 import werner.serialize
 import werner.verify
 from werner.decompose import (
@@ -31,6 +36,7 @@ from werner.decompose import (
 )
 from werner.errors import MalformedInput
 from werner.model import WernerParams, werner_dense
+from werner.partition import CommutingClass, Partition, build_partition
 from werner.pauli import DIGIT_LETTERS, pauli_matrices
 
 
@@ -39,7 +45,7 @@ def _source(module):
         return fh.read()
 
 
-MODULES = {name: getattr(werner, name) for name in ("verify", "model", "serialize")}
+MODULES = {name: getattr(werner, name) for name in ("verify", "model", "serialize", "partition")}
 SOURCES = {name: _source(module) for name, module in MODULES.items()}
 
 
@@ -304,6 +310,85 @@ def header_caps(m):
     return _read(m, 63, None), _read(m, 64, None), _read(m, 1, 1), _read(m, 2, 1)
 
 
+_CERTIFICATE = "".join(werner.serialize.certificate_chunks(class_decomposition(WernerParams(1, 0.6))))
+_FACTOR = '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
+_ENTRY = "0.72360679774997894"  # the first entry of the first factor, ending row 0 with ", 0]"
+# each refused, each by one check of the batched reader (or of what surrounds it)
+_BROKEN_TEXTS = [
+    _CERTIFICATE.replace(f"[{_ENTRY}", "[+1", 1),  # no JSON number
+    _CERTIFICATE.replace(f"[{_ENTRY}", "[1e400", 1),  # no finite number
+    _CERTIFICATE.replace(", 0],\n          [0, ", "],\n          [0, 0, ", 1),  # an entry moved
+    _CERTIFICATE.replace("0],\n          [0", "0]\n          [0", 1),  # rows with no comma
+    _CERTIFICATE.replace("106]\n        ],", "106] 5\n        ],", 1),  # a number after the rows
+    _CERTIFICATE.replace('"im": [\n          [0, 0],\n', '"im": [\n', 1),  # im a row short
+    '"dim": 3'.join(_CERTIFICATE.rsplit('"dim": 2', 1)),  # the last factor's dim
+    _CERTIFICATE.replace('"im":', '"xx":', 1),  # no im
+    _CERTIFICATE.replace('"class:0:0"', f'"a{_FACTOR}"', 1),  # a factor cut out of a label
+    re.sub(r'"state_a": \{[^{}]*\}', f'"state_a": {werner.serialize._SLOT}0',  # a forged slot
+           _CERTIFICATE.replace('"p": 1,', f'"x": {_FACTOR}, "p": 1,', 1), count=1),
+]
+
+
+def reader_verdicts(m):
+    # the honest certificate is read, and every broken text refused with an
+    # error the CLI reports (any other escapes as a traceback)
+    def read(text):
+        try:
+            m.parse_decomposition(text, 5)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return False
+        except Exception as exc:
+            return type(exc).__name__
+        return True
+
+    return tuple(map(read, [_CERTIFICATE, *_BROKEN_TEXTS]))
+
+
+# --- probes on partition.validate_partition -------------------------------------------
+
+
+def _cls(*labels):
+    members = tuple(tuple(DIGIT_LETTERS.index(c) for c in s) for s in labels)
+    return CommutingClass(members, members[:1])
+
+
+def _cut_class_2():
+    part = build_partition(2)
+    pair = part.classes[2].members[:2]
+    return Partition(2, part.classes[:2] + (CommutingClass(pair, pair),) + part.classes[3:])
+
+
+def _with_last_member(last):
+    part = build_partition(2)
+    head = part.classes[0]
+    return Partition(2, (CommutingClass(head.members[:-1] + (last,), head.generators),)
+                     + part.classes[1:])
+
+
+_PROBLEM_KINDS = ["classes, found", "members, expected", "wrong length", "digit outside",
+                  "identity string", "appears in classes", "anticommute", "imaginary phase",
+                  "not closed", "not covered"]
+_BROKEN_PARTITIONS = [
+    Partition(1, (_cls("X"), _cls("Y"), CommutingClass(((1,), (3,)), ((1,),)))),  # X, Z merged
+    Partition(1, (_cls("I"), _cls("X"), _cls("Z"))),
+    Partition(1, (_cls("X"), _cls("Y"), _cls("ZZ"))),
+    _with_last_member((1, 4)),
+    _cut_class_2(),
+    Partition(1, (_cls("X"), _cls("Y"))),
+]
+
+
+def partition_problems(m):
+    def kinds(part):
+        try:
+            problems = m.validate_partition(part).problems
+        except Exception as exc:  # a validator that raises has judged nothing
+            return type(exc).__name__
+        return tuple(k for k in _PROBLEM_KINDS if any(k in msg for msg in problems))
+
+    return tuple(map(kinds, _BROKEN_PARTITIONS))
+
+
 PROBES = {"verify": [
     (honest_document, (True, True, True, False)),
     (negative_weight, (False, False, True, False)),
@@ -326,6 +411,17 @@ PROBES = {"verify": [
     (ppt_verdicts, (False, True, False, True, False)),
 ], "serialize": [
     (header_caps, (True, False, True, False)),
+    (reader_verdicts, (True,) + (False,) * len(_BROKEN_TEXTS)),
+], "partition": [
+    (partition_problems, (
+        ("members, expected", "appears in classes", "anticommute", "imaginary phase",
+         "not closed"),
+        ("identity string", "not covered"),
+        ("wrong length", "not covered"),
+        ("digit outside", "not covered"),
+        ("members, expected", "not closed", "not covered"),
+        ("classes, found", "not covered"),
+    )),
 ]}
 
 # (name, module, exact text of its source, the replacement)
@@ -389,6 +485,43 @@ MUTANTS = [
     ("the reader admits one p above the cap", "serialize",
      "p > max_p:", "p > max_p + 1:"),
     ("the reader refuses p at the cap", "serialize", "p > max_p:", "p >= max_p:"),
+    # the batched certificate reader's checks, and the placeholders' own
+    ("the reader takes any number text", "serialize",
+     "if not number.fullmatch(cell):", "if False:"),
+    ("the reader takes a number that is not finite", "serialize",
+     "if not math.isfinite(values[cell]):", "if False:"),
+    ("the reader counts no row's numbers", "serialize", " or len(split) != n", ""),
+    ("the reader takes any text before a row", "serialize",
+     'lead.strip(_BLANKS) != "," or ', ""),
+    ("the reader takes any text after the rows", "serialize",
+     " or (pieces[n] + pieces[2 * n + 1] + pieces[2 * n + 2]).strip(_BLANKS)", ""),
+    ("the reader counts no rows", "serialize", "len(pieces) == 2 * n + 3 and ", ""),
+    ("the reader takes factors of other dims", "serialize", "head[1] == str(n) and ", ""),
+    ("the reader takes any key for im", "serialize",
+     '"im"{_B}', '"\\w+"{_B}'),
+    ("the reader returns with a placeholder left over", "serialize",
+     "if placed == n_cut:", "if True:"),
+    ("the reader trusts a text that holds a placeholder", "serialize",
+     "if _SLOT[1:] not in text:", "if True:"),
+    # validate_partition's class checks
+    ("the validator counts no classes", "partition",
+     "if len(part.classes) != expected_classes:", "if False:"),
+    ("the validator counts no members", "partition",
+     "if len(members) != expected_size:", "if False:"),
+    ("the validator takes members of any length", "partition", "if len(m) != p:", "if False:"),
+    ("the validator takes any digit", "partition",
+     "if not set(m) <= {0, 1, 2, 3}:", "if False:"),
+    ("the validator takes the identity string", "partition", "if m == identity:", "if False:"),
+    ("the validator takes a string twice", "partition", "if m in seen:", "if False:"),
+    ("the validator skips the class-wide checks", "partition",
+     "problems.extend(_class_problems(idx, members))", "pass"),
+    ("the validator takes anticommuting members", "partition",
+     'problems.append(f"class {idx}: {a} and {b} anticommute")', "pass"),
+    ("the validator takes imaginary phases", "partition",
+     'problems.append(f"class {idx}: product of commuting members has imaginary phase")', "pass"),
+    ("the validator takes a class not closed under products", "partition",
+     "closed = np.isin(keys[:, None] ^ keys, keys)", "closed = np.ones(keys.shape * 2, bool)"),
+    ("the validator takes strings left uncovered", "partition", "if missing:", "if False:"),
 ]
 
 

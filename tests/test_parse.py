@@ -1,10 +1,10 @@
 """The text-memoized certificate parse against the plain one it replaced.
 
-serialize.parse_decomposition cuts each factor whose text is plain numbers
-out of the text, parses the skeleton, and converts each distinct factor
-text once. Whatever the text, the CLI must read what json.loads plus one
-conversion per factor object read: the same decomposition bit for bit, or a
-refusal of the same kind.
+serialize.parse_decomposition cuts each factor object out of the text,
+parses the skeleton, and converts the distinct factor texts in one batch.
+Whatever the text, the CLI must read what json.loads plus one conversion
+per factor object read: the same decomposition bit for bit, or a refusal
+of the same kind.
 """
 import json
 import re
@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certificate_oracle import assert_read_alike, cli_read
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
@@ -174,3 +176,61 @@ def test_refined_per_string_factors_are_shared_read_only_arrays():
         factors[-1] *= 2
     assert sum(1 for _ in _eigensystems(parsed)) == 232
     assert np.array_equal(factors[0], dec.terms[0].state_a)
+
+
+# --- fuzzed edits of a p = 2 certificate -----------------------------------
+
+_BAD_NUMBERS = ["01", "+1", "1.", ".5", "1e400", "-", "NaN"]
+
+
+def _signed(text):
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
+_LAYOUTS = {
+    "emitted": lambda text: text,
+    "compact": lambda text: json.dumps(_signed(text), separators=(",", ":")),
+    "indented": lambda text: json.dumps(_signed(text), indent=4),
+}
+
+
+@st.composite
+def _edited_certificate(draw):
+    """A p = 2 certificate of either scheme, in one of three layouts, with
+    one edit: a number swapped for text that is no JSON number or no finite
+    one, a row entry dropped or moved to the next row, or a dim off by one."""
+    dec = _raw(2, draw(st.sampled_from(SCHEMES)))
+    text = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](_text(dec))
+    kind = draw(st.sampled_from(["number", "drop", "move", "dim"]))
+    if kind == "dim":
+        dims = list(re.finditer(r'"dim": ?(\d+)', text))
+        at = draw(st.sampled_from(dims)).span(1)
+        new = int(text[at[0] : at[1]]) + draw(st.sampled_from([-1, 1]))
+        return text[: at[0]] + str(new) + text[at[1] :]
+    rows = list(re.finditer(r"\[([^\[\]]*)\]", text))  # the innermost arrays are rows
+    k = draw(st.integers(0, len(rows) - 1))
+    start, end = rows[k].span(1)
+    entries = text[start:end].split(",")
+    j = draw(st.integers(0, len(entries) - 1))
+    if kind == "number":
+        blank = re.match(r"\s*", entries[j]).group()
+        entries[j] = blank + draw(st.sampled_from(_BAD_NUMBERS))
+        return text[:start] + ",".join(entries) + text[end:]
+    if kind == "drop":
+        del entries[j]
+        return text[:start] + ",".join(entries) + text[end:]
+    # move the last entry to the front of the next row of the same array
+    nxt = rows[k + 1] if k + 1 < len(rows) else None
+    if nxt is None or not re.fullmatch(r"\s*,\s*", text[rows[k].end() : nxt.start()]):
+        return text  # no next row: the unedited certificate
+    last = entries.pop()
+    return (
+        text[:start] + ",".join(entries) + text[end : nxt.start(1)]
+        + last.strip() + "," + text[nxt.start(1) :]
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=_edited_certificate())
+def test_edited_certificates_read_as_the_plain_parse_reads_them(text):
+    assert_read_alike(text)
