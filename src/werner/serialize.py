@@ -9,9 +9,13 @@ distinct value formatted once; the bytes are those of formatting every
 entry in place.
 
 Certificates cost what their distinct factors and their terms cost, both
-ways: certificate_chunks renders each distinct factor and weight once, and
-parse_decomposition converts each distinct factor text, row and number
-once, into read-only arrays that every term holding the text shares.
+ways. certificate_chunks renders each distinct factor, re or im part and
+weight once, and hands the document out a term at a time, never as one
+string. parse_decomposition cuts each factor object out of the text and
+converts the distinct factor texts in one batch, each distinct row split
+once and each distinct number converted once, into read-only arrays that
+every term holding the text shares. Any JSON layout is read, and the
+emitter's "-0" reads back as -0.0.
 
 The verification and separability documents are the report dataclasses of
 verify.py as dicts: their keys are those classes' fields in declaration
@@ -120,25 +124,33 @@ def dumps(obj) -> str:
     return _emit(obj, "", "  ")
 
 
-# The certificate document as dumps renders it, around its terms.
+# The certificate document as dumps renders it, around its terms and factors.
 _HEAD = '{\n  "p": %s,\n  "f": %s,\n  "scheme": %s,\n  "scale": %s,\n  "terms": ['
 _TERM = ',\n    {\n      "weight": %s,\n      "label": %s,\n'
 _TERM += '      "state_a": %s,\n      "state_b": %s\n    }'
+_FACTOR = '{\n        "dim": %d,\n        "re": %s,\n        "im": %s\n      }'
 
 
 def certificate_chunks(dec: Decomposition) -> Iterator[str]:
     """dumps of dec's certificate document, and a newline, a term a chunk.
-    Each distinct factor and weight is rendered once, and all of them (a
-    non-finite one refused) before this returns, so an output opened after
-    the call is never left half written by a refusal."""
-    by_id, by_content = {}, {}  # dec keeps every factor alive, so no id is reused
+    Each distinct factor, re or im part and weight is rendered once, and all
+    of them (a non-finite one refused) before this returns, so an output
+    opened after the call is never left half written by a refusal."""
+    parts, factors, by_id = {}, {}, {}  # part content, (re, im) texts, id -> text
+
+    def part(x):
+        key = (x.shape, x.tobytes())
+        if key not in parts:
+            parts[key] = _matrix_text(x, " " * 8, "  ")
+        return parts[key]
+
     for m in chain.from_iterable((t.state_a, t.state_b) for t in dec.terms):
-        if id(m) not in by_id:
+        if id(m) not in by_id:  # dec keeps every factor alive, so no id is reused
             a = np.asarray(m, dtype=complex)
-            key = (a.shape, a.tobytes())
-            if key not in by_content:
-                by_content[key] = _emit(matrix_doc(a), " " * 6, "  ")
-            by_id[id(m)] = by_content[key]
+            pair = part(a.real), part(a.imag)
+            if pair not in factors:
+                factors[pair] = _FACTOR % (len(a), *pair)
+            by_id[id(m)] = factors[pair]
     weights = _float_texts(np.array(dec.weights, dtype=float)).tolist()
     head = _HEAD % tuple(map(_scalar_text, (dec.params.p, dec.params.f, dec.scheme, dec.scale)))
     rows = [
