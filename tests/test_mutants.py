@@ -310,7 +310,9 @@ def header_caps(m):
     return _read(m, 63, None), _read(m, 64, None), _read(m, 1, 1), _read(m, 2, 1)
 
 
-_CERTIFICATE = "".join(werner.serialize.certificate_chunks(class_decomposition(WernerParams(1, 0.6))))
+_CERTIFICATE = "".join(
+    werner.serialize.certificate_chunks(class_decomposition(WernerParams(1, 0.6)))
+)
 _FACTOR = '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
 _ENTRY = "0.72360679774997894"  # the first entry of the first factor, ending row 0 with ", 0]"
 # each refused, each by one check of the batched reader (or of what surrounds it)
