@@ -244,7 +244,7 @@ def _cmd_spectrum(args) -> int:
     if args.check_invariance:
         doc["seed"] = args.seed
         doc["invariance_residual"] = invariance_residual(
-            werner_dense(params), random_unitary(params.d, args.seed)
+            params, random_unitary(params.d, args.seed)
         )
     _write(args, serialize.dumps(doc))
     return 0

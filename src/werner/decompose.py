@@ -24,7 +24,6 @@ out-of-range constructions are allowed and simply fail verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import sqrt
 from typing import Tuple
 
@@ -120,35 +119,36 @@ def _class_sums(cls: CommutingClass) -> np.ndarray:
 
     The class with the identity is the group generated by its p commuting
     generators G_j, so I + T_eps = prod_j (I + (-1)^eps_j G_j): each
-    generator doubles the stack of partial products. Every entry is a small
-    Gaussian integer, so the products are exact, and exact again in
-    complex64.
+    generator doubles the stack of partial products. G_j is a signed
+    permutation, nonzero at (c ^ x_j, c) in column c, so a product with it
+    is a column gather times that column's entry. Every entry is a small
+    Gaussian integer, so the products are exact in complex64.
     """
     _, x, z = packed(cls.generators)
     if bit_parity((x[:, None] & z) ^ (x & z[:, None])).any():
         raise ValueError("class generators do not pairwise commute")
-    eye = np.eye(2**cls.p, dtype=complex)
-    prods = eye[None]
-    for g in pauli_matrices(cls.generators):
-        prods = np.concatenate([prods @ (eye + g), prods @ (eye - g)])
-    return (prods - eye).astype(np.complex64)
+    cols = np.arange(2**cls.p)
+    prods = np.eye(len(cols), dtype=np.complex64)[None]
+    for g, mask in zip(pauli_matrices(cls.generators, np.complex64), x):
+        rows = cols ^ mask
+        step = prods[:, :, rows] * g[rows, cols]  # prods @ G_j
+        prods = np.concatenate([prods + step, prods - step])
+    prods[:, cols, cols] -= 1
+    return prods
 
 
-@cache
 def _class_sum_stack(p: int) -> np.ndarray:
     """The class sums of every class of build_partition(p), class by class,
-    as one read-only ((d + 1) d, d, d) complex64 stack: row k d + e is class
-    k's T_eps. It is held once per p (8.7 MB at p = 5), since it does not
-    depend on f; class_decomposition slices it, and the family verifier
-    checks it whole. Each class is built into its rows, so no second copy
-    exists.
+    as one ((d + 1) d, d, d) complex64 stack: row k d + e is class k's
+    T_eps (8.7 MB at p = 5). class_decomposition slices it and the family
+    verifier checks it whole; each builds its own, so it is freed with the
+    last use. Each class is built into its rows, so no second copy exists.
     """
     classes = build_partition(p).classes
     d = 2**p
     stack = np.empty((len(classes) * d, d, d), dtype=np.complex64)
     for k, cls in enumerate(classes):
         stack[k * d : (k + 1) * d] = _class_sums(cls)
-    stack.flags.writeable = False
     return stack
 
 

@@ -238,35 +238,33 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     return q * ph
 
 
-def invariance_residual(rho, u) -> float:
-    """Frobenius norm of (U (x) U) rho (U (x) U)^dag - rho.
-
-    U acts on each of the four tensor indices of one copy of rho, viewed as
-    (d, d, d, d): u on i1, u on i2, conj(u) on j1, conj(u) on j2. Each step
-    is a run of block products of at most _CHUNK_BYTES, written back in
-    place, so the probe holds rho, its copy and one block: 4 d^5
-    multiply-adds against the 2 d^6 of two GEMMs with the d^2 x d^2
-    kron(u, u), which is never formed. At p <= 3 each step is one product;
-    at p = 4 and 5 the blocks are whole batches or 1,024 to 2,048 columns or
-    rows wide, and every entry keeps the bits one product over the step
-    gives it (one-column blocks change the last bits).
+def _conjugate_in_place(x: np.ndarray, u) -> None:
+    """Overwrite x, a C-ordered complex (d^2, d^2) array viewed as
+    (d, d, d, d), with (U (x) U) x (U (x) U)^dag: u on i1 and i2, conj(u) on
+    j1 and j2. Each step is a run of block products of at most _CHUNK_BYTES,
+    written back in place, so the conjugation holds x and one block: 4 d^5
+    multiply-adds against the 2 d^6 of two GEMMs with kron(u, u), which is
+    never formed. At p <= 3 each step is one product; at p = 4 and 5 the
+    blocks are whole batches or 1,024 to 2,048 columns or rows wide, and
+    every entry keeps the bits one product over the step gives it
+    (one-column blocks change the last bits).
     """
-    rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"expected a square unitary, got shape {u.shape}")
     d = u.shape[0]
-    if rho.shape != (d * d, d * d):
+    if x.shape != (d * d, d * d):
         raise DimensionMismatch(
-            f"state of shape {rho.shape} does not match local dimension {d}"
+            f"state of shape {x.shape} does not match local dimension {d}"
         )
-    if not (np.isfinite(u).all() and np.isfinite(rho).all()):
+    x2 = x.reshape(-1, d)
+    wide = _CHUNK_BYTES // (16 * d)  # columns or rows of a (d, wide) block
+    rows = range(0, len(x2), wide)
+    if not (np.isfinite(u).all() and all(np.isfinite(x2[r : r + wide]).all() for r in rows)):
         raise MalformedInput("matrix has non-finite entries")
     if not np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-9:
         raise WernerError("matrix is not unitary within 1e-9")
     uc = u.conj()
-    x = np.array(rho, order="C")
-    wide = _CHUNK_BYTES // (16 * d)  # columns or rows of a (d, wide) block
     # u on i1 and i2, conj(u) on j1: (d, d) @ (d, cols), batched
     steps = (u, x.reshape(1, d, -1)), (u, x.reshape(d, d, -1)), (uc, x.reshape(d * d, d, d))
     for m, x3 in steps:
@@ -277,8 +275,17 @@ def invariance_residual(rho, u) -> float:
                 block = x3[a : a + step, :, c : c + cols]
                 block[...] = m @ block
     # conj(u) on j2: (rows, d) @ conj(u)^T
-    x2 = x.reshape(-1, d)
-    for r in range(0, len(x2), wide):
+    for r in rows:
         x2[r : r + wide] = x2[r : r + wide] @ uc.T
-    x -= rho
+
+
+def invariance_residual(params: WernerParams, u) -> float:
+    """Frobenius norm of (U (x) U) rho (U (x) U)^dag - rho for the Werner
+    state at params, conjugated in the one buffer it is built into. rho is 0
+    off its three values, so subtracting them in place keeps x - rho's bits.
+    """
+    x = werner_dense(params)
+    _conjugate_in_place(x, u)
+    for (rows, cols), value in zip(_eye_flip_entries(params.d), _werner_values(params)):
+        x[rows, cols] -= value
     return sqrt(np.vdot(x, x).real)

@@ -198,11 +198,7 @@ def _class_problems(idx: int, members: Sequence[Digits]) -> List[str]:
     for i, j in zip(*np.nonzero(imaginary | ~closed)):
         if imaginary[i, j]:
             problems.append(f"class {idx}: product of commuting members has imaginary phase")
-        if closed[i, j]:
-            continue
-        if i == j:
-            problems.append(f"class {idx}: member does not square to the identity")
-        else:
+        if not closed[i, j]:
             problems.append(
                 f"class {idx}: not closed under products "
                 f"({format_label(members[i])} . {format_label(members[j])})"

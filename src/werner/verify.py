@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import sqrt
+from math import isqrt, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -268,7 +268,7 @@ class Family:
     scheme: str
     n_generators: int
     spectrum: np.ndarray  # (d,): the eigenvalues of every G_t, ascending
-    swap_sum: np.ndarray  # S = sum_t G_t (x) G_t, float64, in the kron layout
+    swap_sum: np.ndarray  # S = sum_t G_t (x) G_t, float32, in the kron layout
     problems: Tuple[str, ...]  # the exact identities the G_t and S fail
 
     @property
@@ -326,18 +326,19 @@ def _spectrum(gens, scheme: str):
 
 
 def _swap_sum(gens, scheme: str):
-    """(S, problems): S = sum_t G_t (x) G_t in float64, and the exact
+    """(S, problems): S = sum_t G_t (x) G_t in float32, and the exact
     identities that fail.
 
-    S is one complex64 product, (G_flat^T G_flat)[(i,j),(k,l)] put in the
-    kron layout [(i,k),(j,l)]. It is exact when every entry of every G_t is
-    a Gaussian integer and every partial sum is an integer below 2^24,
-    which 2 n max|Re, Im|^2 < 2^24 bounds. The closed forms are
-    d SWAP - I for the strings and d (d SWAP - I) for the class sums, whose
-    stack must also sum to 0 so that the terms linear in s cancel. S is
-    compared with its closed form at _eye_flip_entries and, since none of
-    the form's three values is 0, by its count of nonzeros, after the
-    complex64 product is freed: S is the only (d^2, d^2) array then.
+    S is the complex64 product (G_flat^T G_flat)[(i,j),(k,l)] put in the
+    kron layout [(i,k),(j,l)], formed in blocks of at most _CHUNK_BYTES on
+    and above its diagonal; it is symmetric, so each block is also written
+    transposed. It is exact when every entry of every G_t is a Gaussian
+    integer and every partial sum is an integer below 2^24, which
+    2 n max|Re, Im|^2 < 2^24 bounds. The closed forms are d SWAP - I for the
+    strings and d (d SWAP - I) for the class sums, whose stack must also
+    sum to 0 so that the terms linear in s cancel. S is compared with its
+    closed form at _eye_flip_entries and, since none of the form's three
+    values is 0, by its count of nonzeros.
     """
     n, d, _ = gens.shape
     flat = gens.reshape(n, d * d)
@@ -349,12 +350,18 @@ def _swap_sum(gens, scheme: str):
         problems.append("the G_t are not Gaussian integers small enough for an exact S")
     if scheme == COMMUTING_CLASS and flat.sum(axis=0).any():
         problems.append("the class sums do not sum to 0")
-    product = flat.T @ flat
-    kron = product.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    if kron.imag.any():
+    swap_sum = np.empty((d * d, d * d), dtype=np.float32)
+    kron = swap_sum.reshape(d, d, d, d)
+    w = min(d, max(1, isqrt(_CHUNK_BYTES // 8) // d))  # values of i in a block
+    real = True
+    for a in range(0, d, w):
+        for b in range(a, d, w):
+            block = flat[:, a * d : (a + w) * d].T @ flat[:, b * d : (b + w) * d]
+            real = real and not block.imag.any()
+            kron[a : a + w, b : b + w] = block.real.reshape(w, d, w, d).transpose(0, 2, 1, 3)
+            kron[b : b + w, a : a + w] = kron[a : a + w, b : b + w].transpose(1, 0, 3, 2)
+    if not real:
         problems.append("S = sum_t G_t (x) G_t is not real")
-    swap_sum = kron.real.astype(np.float64, order="C").reshape(d * d, d * d)
-    del product, kron
     a = d if scheme == COMMUTING_CLASS else 1
     entries = _eye_flip_entries(d)
     closed = zip(entries, (-a, a * d, a * (d - 1)))
@@ -396,7 +403,8 @@ def verify_family(
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms = family.n_terms
     vals = (1.0 + scale * family.spectrum) / d
-    gap = family.swap_sum * (family.signs * sign * scale * scale)
+    # an np.float64 factor makes gap float64; a Python float would keep float32
+    gap = family.swap_sum * np.float64(family.signs * sign * scale * scale)
     gap.flat[:: d * d + 1] += n_terms
     gap *= weight / (d * d)
     # the state is zero off its three values, so they are subtracted in place
@@ -493,8 +501,8 @@ def separability_report(
     params.require_physical()
     pt_min = pt_spectrum_closed_form(params).min()
     ppt = ppt_check(params, tol)
-    # taken first, so that the probe's d^4 buffers are freed before S is formed
-    inv_res = invariance_residual(werner_dense(params), random_unitary(params.d, seed))
+    # taken first, so that the probe's state is freed before S is formed
+    inv_res = invariance_residual(params, random_unitary(params.d, seed))
     if not (ppt and params.f >= 0):
         report = SeparabilityReport(
             p=params.p,

@@ -294,9 +294,8 @@ def test_criterion_08_local_unitary_invariance(capsys):
         for p in (1, 2, 3):
             d = 2**p
             for f in (-0.6, 0.37):
-                rho = werner_dense(WernerParams(p, f))
                 for seed in range(20):
-                    assert invariance_residual(rho, random_unitary(d, seed)) < 1e-9
+                    assert invariance_residual(WernerParams(p, f), random_unitary(d, seed)) < 1e-9
 
 
 def test_criterion_09_pure_refinement(capsys):

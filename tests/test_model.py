@@ -1,6 +1,7 @@
 """State constructions, the three spectrum routes, and the PPT boundary."""
 import tracemalloc
 import warnings
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from werner.model import (
     TRANSFORM_M,
     WernerParams,
     _CHUNK_BYTES,
+    _conjugate_in_place,
     _eye_flip,
     invariance_residual,
     ppt_check,
@@ -276,13 +278,20 @@ def test_random_unitary_properties():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_invariance_under_uxu(p, seed):
     params = WernerParams(p, 0.37)
-    rho = werner_dense(params)
-    assert invariance_residual(rho, random_unitary(params.d, seed)) < 1e-12
+    assert invariance_residual(params, random_unitary(params.d, seed)) < 1e-12
+
+
+def _residual(rho, u):
+    """The probe on any rho: the in-place conjugation of a copy, minus rho."""
+    x = np.array(rho, dtype=complex, order="C")
+    _conjugate_in_place(x, u)
+    x -= rho
+    return sqrt(np.vdot(x, x).real)
 
 
 def test_invariance_residual_detects_noninvariant_state():
     rho = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
-    assert invariance_residual(rho, random_unitary(2, 5)) > 1e-3
+    assert _residual(rho, random_unitary(2, 5)) > 1e-3
 
 
 def _kron_residual(rho, u):
@@ -306,7 +315,7 @@ def test_invariance_residual_matches_the_kron_conjugation(p):
         u = random_unitary(d, seed)
         ref = _kron_residual(rho, u)
         assert ref > 1e-3
-        assert abs(invariance_residual(rho, u) - ref) <= 1e-12 * ref
+        assert abs(_residual(rho, u) - ref) <= 1e-12 * ref
 
 
 def test_invariance_residual_reads_a_strided_view():
@@ -316,26 +325,28 @@ def test_invariance_residual_reads_a_strided_view():
     assert not rho.flags.c_contiguous and not rho.flags.f_contiguous
     u = random_unitary(4, 1)
     ref = _kron_residual(rho, u)
-    assert abs(invariance_residual(rho, u) - ref) <= 1e-12 * ref
-    assert invariance_residual(rho.T, u) == pytest.approx(_kron_residual(rho.T, u), rel=1e-12)
+    assert abs(_residual(rho, u) - ref) <= 1e-12 * ref
+    assert _residual(rho.T, u) == pytest.approx(_kron_residual(rho.T, u), rel=1e-12)
 
 
 def test_invariance_rejects_non_unitary():
-    rho = werner_dense(WernerParams(1, 0.0))
+    params = WernerParams(1, 0.0)
     with pytest.raises(WernerError):
-        invariance_residual(rho, np.ones((2, 2)))
+        invariance_residual(params, np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
-        invariance_residual(rho, np.eye(3))
+        invariance_residual(params, np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        _conjugate_in_place(np.zeros((4, 4), dtype=complex), np.ones((2, 3)))
 
 
 def test_invariance_rejects_a_nan_unitary():
     # a norm test of the form norm > 1e-9 is false for NaN
-    rho = werner_dense(WernerParams(1, 0.0))
+    params = WernerParams(1, 0.0)
     for u in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [0.0, np.nan]])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(WernerError, match="non-finite"):
-                invariance_residual(rho, u)
+                invariance_residual(params, u)
 
 
 def test_invariance_rejects_a_state_with_an_infinite_entry():
@@ -347,34 +358,42 @@ def test_invariance_rejects_a_state_with_an_infinite_entry():
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(MalformedInput, match="matrix has non-finite entries"):
-                invariance_residual(broken, u)
+                _residual(broken, u)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_the_in_place_probe_keeps_the_two_buffer_bits(p):
     # Werner, non-Werner and strided inputs; the blocks of the in-place probe
-    # must give every entry the bits of the whole products
+    # must give every entry the bits of the whole products, and the Werner
+    # probe, which subtracts the state's three values in place, the bits of
+    # the whole difference
     d = 2**p
     rng = np.random.default_rng(p)
-    states = [werner_dense(WernerParams(p, 0.37)), _random_matrix(rng, d * d)]
+    params = [WernerParams(p, f) for f in (0.37, 0.02, -0.94, 1.0)]
+    states = [werner_dense(params[0]), _random_matrix(rng, d * d)]
     for seed in (0, 3, 42):
         u = random_unitary(d, seed)
         for rho in states:
             for view in (rho, rho.T, rho[::-1]):
-                assert invariance_residual(view, u) == two_buffer_invariance_residual(view, u)
+                assert _residual(view, u) == two_buffer_invariance_residual(view, u)
+        for at in params:
+            want = two_buffer_invariance_residual(werner_dense(at), u)
+            assert invariance_residual(at, u) == want
 
 
 def test_the_p5_probe_holds_one_working_copy():
-    # rho, one (d^2, d^2) copy and one block; the two-buffer probe held two copies
-    rho = werner_dense(WernerParams(5, 0.3))
+    # the state, built into the buffer that is conjugated, and one block; the
+    # caller holds no state (the two-buffer probe held the caller's state and
+    # two copies)
+    params = WernerParams(5, 0.3)
     u = random_unitary(32, 42)
     tracemalloc.start()
     try:
-        invariance_residual(rho, u)
+        invariance_residual(params, u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= rho.nbytes + _CHUNK_BYTES + (1 << 17)
+    assert peak <= 16 * params.d**4 + _CHUNK_BYTES + (1 << 17)
 
 
 def test_kron_convention_consistency():

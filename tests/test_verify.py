@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 import werner.verify
 from werner.decompose import (
     _CHUNK_BYTES,
-    _class_sum_stack,
     COMMUTING_CLASS,
     PER_STRING,
     Decomposition,
     ProductTerm,
     auto_scheme,
     class_decomposition,
+    class_range,
     decompose_auto,
     per_string_decomposition,
+    per_string_range,
     reconstruct,
     scheme_scalars,
 )
@@ -573,6 +574,23 @@ def test_a_family_of_another_p_is_refused():
         verify_family(_family(1, COMMUTING_CLASS), WernerParams(2, 0.6))
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
+    # S holds exact integers, so its float64 copy holds the same values, and
+    # each report must keep its bits: a float32 product would change them
+    family = _family(p, scheme)
+    assert family.swap_sum.dtype == np.float32
+    wide = replace(family, swap_sum=family.swap_sum.astype(np.float64))
+    lo, hi = (per_string_range if scheme == PER_STRING else class_range)(p)
+    corpus = (0.0, 2.0**-p, 2.0 ** (1 - p), 0.02, 0.05, 0.3, 0.6, 0.73, *np.linspace(0, 1, 21))
+    fs = [f for f in corpus if lo <= f <= hi]
+    assert len(fs) >= 5
+    for f in fs:
+        params = WernerParams(p, f)
+        assert verify_family(family, params) == verify_family(wide, params)
+
+
 def test_component_dedup_by_identity():
     # symmetric terms share one factor object; verification must not count
     # the same matrix twice but must still scan both slots of mixed pairs
@@ -723,8 +741,10 @@ def test_factor_keys_hold_no_copy_of_the_factors():
 
 @pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
 def test_a_p5_report_holds_the_state_and_one_working_copy(f):
-    # the state and the probe's copy of it are the peak: the two-buffer probe
-    # and the family's whole-stack temporaries reached 50-51 MB
+    # the probe's state (16 MiB, conjugated in place) and one block, or the
+    # generators and S, set the peak, with the class sums built in it: the
+    # caller's state beside the probe's copy reached 33.3 MiB, the two-buffer
+    # probe and the family's whole-stack temporaries 50-51 MB
     params = WernerParams(5, f)
     tracemalloc.start()
     try:
@@ -732,14 +752,13 @@ def test_a_p5_report_holds_the_state_and_one_working_copy(f):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 36e6
+    assert peak <= 22 * 2**20
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_p5_family_holds_its_stack_and_two_swap_sums_at_most(scheme):
-    # the generators (8 MB, built here), the complex64 product and the
-    # float64 S; a complex128 string stack or a second stack would add 8-17 MB
-    _class_sum_stack.cache_clear()
+    # the generators (8 MB, built here), the float32 S and one block of the
+    # product; a complex128 string stack or a second stack would add 8-17 MB
     tracemalloc.start()
     try:
         scheme_family(5, scheme)
@@ -786,7 +805,7 @@ def _recording(monkeypatch, names):
     return calls
 
 
-_P5_STAGES = ("_spectrum", "invariance_residual", "_swap_sum", "_component_stats")
+_P5_STAGES = ("invariance_residual", "_spectrum", "_swap_sum", "_component_stats")
 
 
 @pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
