@@ -354,12 +354,12 @@ def _swap_sum(gens, scheme: str):
     kron = swap_sum.reshape(d, d, d, d)
     w = min(d, max(1, isqrt(_CHUNK_BYTES // 8) // d))  # values of i in a block
     real = True
-    for a in range(0, d, w):
-        for b in range(a, d, w):
-            block = flat[:, a * d : (a + w) * d].T @ flat[:, b * d : (b + w) * d]
+    for i in range(0, d, w):
+        for k in range(i, d, w):
+            block = flat[:, i * d : (i + w) * d].T @ flat[:, k * d : (k + w) * d]
             real = real and not block.imag.any()
-            kron[a : a + w, b : b + w] = block.real.reshape(w, d, w, d).transpose(0, 2, 1, 3)
-            kron[b : b + w, a : a + w] = kron[a : a + w, b : b + w].transpose(1, 0, 3, 2)
+            kron[i : i + w, k : k + w] = block.real.reshape(w, d, w, d).transpose(0, 2, 1, 3)
+            kron[k : k + w, i : i + w] = kron[i : i + w, k : k + w].transpose(1, 0, 3, 2)
     if not real:
         problems.append("S = sum_t G_t (x) G_t is not real")
     a = d if scheme == COMMUTING_CLASS else 1
