@@ -281,9 +281,8 @@ class Family:
 
 
 def _generators(p: int, scheme: str) -> np.ndarray:
-    """The (n, d, d) complex64 stack of G_t: the shared read-only stack of
-    the class sums, class by class, or the nontrivial strings in term
-    order."""
+    """The (n, d, d) complex64 stack of G_t, built for this call: the class
+    sums, class by class, or the nontrivial strings in term order."""
     if scheme == COMMUTING_CLASS:
         return _class_sum_stack(p)
     if scheme == PER_STRING:
@@ -403,8 +402,8 @@ def verify_family(
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms = family.n_terms
     vals = (1.0 + scale * family.spectrum) / d
-    # an np.float64 factor makes gap float64; a Python float would keep float32
-    gap = family.swap_sum * np.float64(family.signs * sign * scale * scale)
+    c = family.signs * sign * scale * scale
+    gap = np.multiply(family.swap_sum, c, dtype=np.float64)
     gap.flat[:: d * d + 1] += n_terms
     gap *= weight / (d * d)
     # the state is zero off its three values, so they are subtracted in place
