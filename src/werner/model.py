@@ -92,10 +92,10 @@ def _eye_flip_entries(d: int):
     return (one, one), (one, one % d * d + one // d), (both, both)
 
 
-def _eye_flip(d: int, values, dtype=complex) -> np.ndarray:
-    """The (d^2, d^2) combination of I and P with its three values at
+def _eye_flip(d: int, values) -> np.ndarray:
+    """The complex (d^2, d^2) combination of I and P with its three values at
     _eye_flip_entries, by index writes."""
-    out = np.zeros((d * d, d * d), dtype=dtype)
+    out = np.zeros((d * d, d * d), dtype=complex)
     for (rows, cols), value in zip(_eye_flip_entries(d), values):
         out[rows, cols] = value
     return out

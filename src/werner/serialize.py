@@ -93,9 +93,10 @@ def _float_texts(a: np.ndarray) -> np.ndarray:
 
 
 def _matrix_text(a: np.ndarray, pad: str, step: str) -> str:
-    """A 2-D float64 array as a list of one-line rows."""
+    """A 2-D float64 array as a list of one-line rows, _CELLS numbers at a time."""
     inner = pad + step
-    rows = _float_texts(a).tolist()
+    block = max(1, _CELLS // a.shape[1])
+    rows = [r for k in range(0, len(a), block) for r in _float_texts(a[k : k + block]).tolist()]
     return _lines("[", [f"{inner}[{', '.join(r)}]" for r in rows], pad, "]")
 
 
@@ -260,7 +261,7 @@ _B = f"[{_BLANKS}]*"
 _RE_HEAD = rf'{_B}"dim"{_B}:{_B}([1-9][0-9]*){_B},{_B}"re"{_B}:{_B}\[{_B}\['
 _IM_HEAD = rf'{_B},{_B}"im"{_B}:{_B}\[{_B}\['
 _NUMBER = rf"{_B}-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?{_B}"
-_CELLS = 1 << 16  # number texts a batch holds at once
+_CELLS = 1 << 16  # number texts a batch holds at once, read or written
 
 
 def _json_int(text: str):

@@ -22,7 +22,7 @@ has T^2 = (d - 2) T + (d - 1) I and trace 0, so eigenvalue d - 1 once and
 has sigma^2 = I and trace 0, so +-1 d/2 times each. A factor's eigenvalues
 are (1 + s lambda)/d (Golub & Van Loan, Matrix Computations, section 8.5),
 and the reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t an
-exact integer matrix checked against its closed form. A point costs O(d^4).
+exact integer matrix proven equal to its closed form. A point costs O(1).
 
 refine_to_pure spectrally splits each mixed factor so the certificate uses
 only rank-1 factors, at the cost of more terms.
@@ -254,7 +254,7 @@ def verify_decomposition(
     )
 
 
-@dataclass(frozen=True, eq=False)  # holds arrays
+@dataclass(frozen=True, eq=False)  # holds an array
 class Family:
     """What the certificates of one scheme at one p share for every f.
 
@@ -266,9 +266,9 @@ class Family:
     """
 
     scheme: str
+    p: int
     n_generators: int
     spectrum: np.ndarray  # (d,): the eigenvalues of every G_t, ascending
-    swap_sum: np.ndarray  # S = sum_t G_t (x) G_t, float32, in the kron layout
     problems: Tuple[str, ...]  # the exact identities the G_t and S fail
 
     @property
@@ -325,8 +325,7 @@ def _spectrum(gens, scheme: str):
 
 
 def _swap_sum(gens, scheme: str):
-    """(S, problems): S = sum_t G_t (x) G_t in float32, and the exact
-    identities that fail.
+    """The exact identities that fail, with S = sum_t G_t (x) G_t freed on return.
 
     S is the complex64 product (G_flat^T G_flat)[(i,j),(k,l)] put in the
     kron layout [(i,k),(j,l)], formed in blocks of at most _CHUNK_BYTES on
@@ -369,51 +368,50 @@ def _swap_sum(gens, scheme: str):
         and np.count_nonzero(swap_sum) == sum(len(rows) for rows, _ in entries)
     ):
         problems.append("S = sum_t G_t (x) G_t differs from its closed form")
-    return swap_sum, tuple(problems)
+    return tuple(problems)
 
 
 def scheme_family(p: int, scheme: str) -> Family:
     """The scheme's family at p, proven from its G_t by exact identities."""
     gens = _generators(p, scheme)
     spectrum, problems = _spectrum(gens, scheme)
-    swap_sum, more = _swap_sum(gens, scheme)
-    return Family(scheme, len(gens), spectrum, swap_sum, problems + more)
+    return Family(scheme, p, len(gens), spectrum, problems + _swap_sum(gens, scheme))
 
 
 def verify_family(
     family: Family, params: WernerParams, tol: float = 1e-9
 ) -> VerificationReport:
     """verify_decomposition's checks on the family's certificate for the
-    Werner state at params.f, in O(d^4) from the family's f-independent data.
+    Werner state at params.f, in O(1) from the family's f-independent data.
 
     The weights are the certificate's n_terms copies of w. The factor
     eigenvalues are (1 + s lambda)/d over the family's spectrum; for
     per_string that spectrum is symmetric, so (1 - s lambda)/d gives the
     same values. The terms linear in s cancel, so the reconstruction is
-    w/d^2 (n_terms I + c S) with c = signs * sign * s^2. Its residual is taken
-    in float64 against the state's three distinct entries, whose bits are
-    werner_dense's.
+    w/d^2 (n_terms I + c S) with c = signs * sign * s^2. The proven S, a
+    (d SWAP - I), and the state are one value on each of _eye_flip_entries'
+    three groups, the first and third on the diagonal, and 0 elsewhere; so is
+    the float64 gap, whose values take the dense gap's operations in order.
     """
     d = params.d
-    if family.swap_sum.shape != (d * d, d * d):
-        raise DimensionMismatch(
-            f"family of shape {family.swap_sum.shape} does not match p = {params.p}"
-        )
+    if family.p != params.p:
+        raise DimensionMismatch(f"family of p = {family.p} does not match p = {params.p}")
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms = family.n_terms
     vals = (1.0 + scale * family.spectrum) / d
     c = family.signs * sign * scale * scale
-    gap = np.multiply(family.swap_sum, c, dtype=np.float64)
-    gap.flat[:: d * d + 1] += n_terms
-    gap *= weight / (d * d)
-    # the state is zero off its three values, so they are subtracted in place
-    for (rows, cols), value in zip(_eye_flip_entries(d), _werner_values(params).real):
-        gap[rows, cols] -= value
+    a = d if family.scheme == COMMUTING_CLASS else 1
+    w = weight / (d * d)
+    rho = _werner_values(params).real
+    only_i = (-a * c + n_terms) * w - rho[0]
+    only_p = a * d * c * w - rho[1]
+    both = (a * (d - 1) * c + n_terms) * w - rho[2]
+    off = d * d - d  # the size of each off-|i>|i> group
     return _report(
         np.full(n_terms, weight),
         float(vals.min()),
         abs(float(np.sum(vals * vals)) - 1.0),
-        sqrt(float(np.vdot(gap, gap))),
+        sqrt(off * (only_i * only_i) + off * (only_p * only_p) + d * (both * both)),
         tol,
         family.problems,
     )

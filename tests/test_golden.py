@@ -1,9 +1,12 @@
 """Pinned bytes of the documents whose every digit is fixed by exact arithmetic.
 
 Factors, partitions and states are elementwise numpy on exact inputs (or on
-integer-valued sums), so their bytes do not depend on the BLAS build. The
-`report` and `verify` documents are left out: the last digits of their
-residuals follow the GEMM summation order.
+integer-valued sums), so their bytes do not depend on the BLAS build. A
+`sweep` row takes no BLAS sum either: its family's S is an exact integer
+matrix proven equal to its closed form, and its residual is a scalar float64
+sum over three groups. The `report` and `verify` documents are left out: the
+last digits of the invariance probe's residual and of a document's
+reconstruction residual follow the GEMM summation order.
 """
 import hashlib
 
@@ -46,6 +49,19 @@ GOLDEN = [
      "0c4290b86932538ccdcfa7c76f6a9a7676b027d7effa1a8ea92c0c6940dd3e6e"),
     ("build --p 3 --f 0.6",
      "f609fd75a5bb9023be51f8a7d65012fa06f22b913b18c4f802b4db5bef6e98a7"),
+    ("sweep --p 1 --f-start -1 --f-end 1 --f-step 0.125",
+     "5ae6a81d426f4fbda4276befdb7a4f79493b321dcb507e732951ebd65e9e054a"),
+    ("sweep --p 2 --f-start -1 --f-end 1 --f-step 0.125",
+     "6471410e51f294591310a74723e9533671127bce24f5f77992ae03f2c96ff01d"),
+    ("sweep --p 3 --f-start -1 --f-end 1 --f-step 0.125",
+     "8d365499172ca70f049a3c554b82bbbf8434c106e0bfb7eba645a5c3e644c442"),
+    ("sweep --p 4 --f-start -1 --f-end 1 --f-step 0.125",
+     "5d50bcc1925b52414ce21dbe6f48d13aa30adbe30e561cc7b9ebbb2151907a3b"),
+    ("sweep --p 5 --f-start -1 --f-end 1 --f-step 0.125",
+     "f86073d8fb29efe1f19de7cdf14ff9c9ca6dc34778e22a8a3972aa2b667b425a"),
+    # under --tol 0 the rows whose residual is a few 1e-17 are INVALID
+    ("sweep --p 3 --f-start -1 --f-end 1 --f-step 0.125 --tol 0",
+     "ff2d39725f86fe8a78590eaefc922c442301a3278ae0621b3fa2a4fa3e5298cd"),
 ]
 
 

@@ -250,6 +250,18 @@ def mixed_commuting_strings(m):
     return _family(m, 3, 0.0, PER_STRING, mix)
 
 
+def shifted_state(m):
+    # every value of the state moves by eps, so at p = 1 each of the three
+    # groups of the gap, of 2 entries each, carries a third of the squared
+    # residual 6 eps^2. tol sits between that residual and sqrt(5) eps, the
+    # residual with a group counted once, so a group dropped or counted once
+    # passes the verdict
+    eps, values = 1e-10, m._werner_values
+    m._werner_values = lambda params: values(params) + eps
+    family = m.scheme_family(1, COMMUTING_CLASS)
+    return _judgements(m.verify_family(family, WernerParams(1, 0.6), 2.35 * eps))
+
+
 def _closed_form_changed(m, change):
     """verify_family's judgements on an honest family whose S was held to a
     closed form with one entry changed by change(only_i, only_p, both)."""
@@ -409,6 +421,7 @@ PROBES = {"verify": [
     (similar_strings, (False, True, True, False)),
     (traced_string, (False, True, True, False)),
     (mixed_commuting_strings, (False, True, True, False)),
+    (shifted_state, (False, True, True, False)),
 ], "model": [
     (ppt_verdicts, (False, True, False, True, False)),
 ], "serialize": [
@@ -476,6 +489,17 @@ MUTANTS = [
      ""),
     ("S held to its closed form only where that is nonzero", "verify",
      "\n        and np.count_nonzero(swap_sum) == sum(len(rows) for rows, _ in entries)", ""),
+    # the family's residual over the three groups of the gap
+    ("no n_terms on the first diagonal group", "verify",
+     "+ n_terms) * w - rho[0]", ") * w - rho[0]"),
+    ("no n_terms on the third diagonal group", "verify",
+     "+ n_terms) * w - rho[2]", ") * w - rho[2]"),
+    ("the first group dropped", "verify", "off * (only_i * only_i) + ", ""),
+    ("the second group dropped", "verify", " + off * (only_p * only_p)", ""),
+    ("the third group dropped", "verify", " + d * (both * both)", ""),
+    ("the first group counted once", "verify", "off * (only_i * only_i)", "(only_i * only_i)"),
+    ("the second group counted once", "verify", "off * (only_p * only_p)", "(only_p * only_p)"),
+    ("the third group counted once", "verify", "d * (both * both)", "(both * both)"),
     # the PPT verdict
     ("ppt_check ignores tol", "model",
      "_pt_pairs(params)) >= -tol", "_pt_pairs(params)) >= -1e-6"),

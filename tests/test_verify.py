@@ -2,7 +2,7 @@
 import json
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from math import sqrt
 
@@ -438,15 +438,17 @@ def _negate_matrix(gens):
 )
 def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamper, problems):
     params = WernerParams(2, f)
+    honest = verify_family(_family(2, auto_scheme(params)), params)
     family = _tampered_family(monkeypatch, 2, auto_scheme(params), tamper)
     rep = verify_family(family, params)
     assert not rep.verdict
-    # a changed S moves the reconstruction too; a negated class sum leaves S
+    # the residual reads S's proven closed form, never the tampered S, so the
+    # family's problems alone fail the verdict; a negated class sum leaves S
     # as it was, and only the sum check and its square identity see it
-    assert (rep.reconstruction_residual > 1e-6) is (tamper is _negate_entry)
+    assert rep.diagnostics == family.problems
+    assert rep.reconstruction_residual == honest.reconstruction_residual
     assert len(family.problems) == len(problems)
     assert all(want in got for want, got in zip(problems, family.problems))
-    assert rep.diagnostics[-len(problems):] == family.problems
 
 
 def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatch):
@@ -577,18 +579,53 @@ def test_a_family_of_another_p_is_refused():
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
-    # S holds exact integers, so its float64 copy holds the same values, and
-    # each report must keep its bits: a float32 product would change them
+    # the family keeps no S: its report reads the closed form that S was
+    # proven to equal. S formed here from the G_t by one complex64 product,
+    # and the dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4
+    # entries, must give the same report, residual bits included
     family = _family(p, scheme)
-    assert family.swap_sum.dtype == np.float32
-    wide = replace(family, swap_sum=family.swap_sum.astype(np.float64))
+    gens = werner.verify._generators(p, scheme)
+    d, flat = 2**p, gens.reshape(len(gens), -1)
+    swap_sum = (flat.T @ flat).real.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
     lo, hi = (per_string_range if scheme == PER_STRING else class_range)(p)
     corpus = (0.0, 2.0**-p, 2.0 ** (1 - p), 0.02, 0.05, 0.3, 0.6, 0.73, *np.linspace(0, 1, 21))
     fs = [f for f in corpus if lo <= f <= hi]
     assert len(fs) >= 5
     for f in fs:
         params = WernerParams(p, f)
-        assert verify_family(family, params) == verify_family(wide, params)
+        scale, weight, sign = scheme_scalars(params, scheme)
+        gap = np.multiply(swap_sum, family.signs * sign * scale * scale, dtype=np.float64)
+        gap.flat[:: d * d + 1] += family.n_terms
+        gap *= weight / (d * d)
+        gap -= werner_dense(params).real
+        vals = (1.0 + scale * family.spectrum) / d
+        for tol in (1e-9, 0.0):
+            dense = werner.verify._report(
+                np.full(family.n_terms, weight),
+                float(vals.min()),
+                abs(float(np.sum(vals * vals)) - 1.0),
+                sqrt(float(np.vdot(gap, gap))),
+                tol,
+                family.problems,
+            )
+            assert verify_family(family, params, tol) == dense
+
+
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+def test_a_p5_family_point_costs_o1(scheme):
+    # no field of the family holds more than d entries, and a point makes no
+    # d^4 array: a dense float64 gap alone would take 8 MiB
+    family = _family(5, scheme)
+    assert all(np.size(getattr(family, field.name)) <= 32 for field in fields(family))
+    params = WernerParams(5, 0.02 if scheme == PER_STRING else 0.6)
+    tracemalloc.start()
+    try:
+        rep = verify_family(family, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict
+    assert peak < 64 * 2**10
 
 
 def test_component_dedup_by_identity():
