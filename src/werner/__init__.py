@@ -5,36 +5,40 @@ diagonalizes them three independent ways, and (on the separable range)
 produces explicit convex decompositions into product states that an
 oracle-grade verifier re-checks from scratch. Only the documented API is
 exported here; everything else is imported from its submodule.
+
+`import werner` loads no submodule and no numpy: each exported name is
+imported from its home module on first access (PEP 562).
 """
-from .decompose import decompose_auto
-from .errors import WernerError
-from .linalg import hermitian_eigenvalues
-from .model import (
-    WernerParams,
-    ppt_check,
-    spectrum_closed_form,
-    spectrum_via_transform,
-    werner_dense,
-    werner_spinor,
-)
-from .partition import build_partition, validate_partition
-from .verify import refine_to_pure, separability_report, verify_decomposition
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WernerError",
-    "WernerParams",
-    "build_partition",
-    "decompose_auto",
-    "hermitian_eigenvalues",
-    "ppt_check",
-    "refine_to_pure",
-    "separability_report",
-    "spectrum_closed_form",
-    "spectrum_via_transform",
-    "validate_partition",
-    "verify_decomposition",
-    "werner_dense",
-    "werner_spinor",
-]
+# each exported name -> the submodule that defines it
+_HOME = {
+    "WernerError": "errors",
+    "WernerParams": "model",
+    "build_partition": "partition",
+    "decompose_auto": "decompose",
+    "hermitian_eigenvalues": "linalg",
+    "ppt_check": "model",
+    "refine_to_pure": "verify",
+    "separability_report": "verify",
+    "spectrum_closed_form": "model",
+    "spectrum_via_transform": "model",
+    "validate_partition": "partition",
+    "verify_decomposition": "verify",
+    "werner_dense": "model",
+    "werner_spinor": "model",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

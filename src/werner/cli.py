@@ -4,7 +4,8 @@ Exit codes: 0 on success (or a verified certificate), 1 on usage errors,
 2 on verification failures and out-of-range parameters, with a
 machine-readable JSON diagnostic on stderr. Output is byte-identical for
 identical (argv, seed); the WERNER_SEED environment variable overrides
---seed wherever a seed is consumed (report and spectrum).
+--seed wherever a seed is consumed (report and spectrum). Each handler
+imports what it runs, so a call loads only its subcommand's modules.
 """
 from __future__ import annotations
 
@@ -16,33 +17,11 @@ import re
 import sys
 from itertools import chain
 
-from . import serialize
-from .decompose import COMMUTING_CLASS, PER_STRING, auto_scheme, decompose_auto
 from .errors import MalformedInput, WernerError
-from .linalg import hermitian_eigenvalues
-from .model import (
-    WernerParams,
-    invariance_residual,
-    ppt_check,
-    pt_spectrum_closed_form,
-    random_unitary,
-    spectrum_closed_form,
-    spectrum_via_transform,
-    werner_dense,
-)
-from .partition import build_partition, validate_partition
-from .pauli import format_label
-from .verify import (
-    refine_to_pure,
-    scheme_family,
-    separability_report,
-    verify_decomposition,
-    verify_family,
-)
 
 __all__ = ["main"]
 
-_SCHEME_FLAGS = {"auto": "auto", "per-string": PER_STRING, "class": COMMUTING_CLASS}
+_SCHEME_FLAGS = ("auto", "class", "per-string")
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here
 # a refined p = 5 certificate has about a million terms and tens of GB of text
@@ -88,7 +67,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--p", type=int, required=True, choices=range(1, _MAX_P + 1))
         sp.add_argument("--f", type=float, required=True)
         if "scheme" in extra:
-            sp.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS), default="auto")
+            sp.add_argument("--scheme", choices=_SCHEME_FLAGS, default="auto")
         if "seed" in extra:
             sp.add_argument("--seed", type=int, default=42)
         if "tol" in extra:
@@ -126,7 +105,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", default=None, help="decomposition JSON path, or - for stdin")
     sp.add_argument("--p", type=int, choices=range(1, _MAX_P + 1))
     sp.add_argument("--f", type=float)
-    sp.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS))  # None: auto, unless --input
+    sp.add_argument("--scheme", choices=_SCHEME_FLAGS)  # None: auto, unless --input
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--output", default=None)
 
@@ -166,6 +145,12 @@ def _check_args(args) -> None:
             raise _UsageError(f"the seed must be nonnegative, got {args.seed}")
 
 
+def _scheme(flag: str) -> str:
+    """The decompose_auto scheme a --scheme value names."""
+    from .decompose import COMMUTING_CLASS, PER_STRING
+    return {"auto": "auto", "per-string": PER_STRING, "class": COMMUTING_CLASS}[flag]
+
+
 def _check_refine_cap(p: int) -> None:
     if p > _REFINE_CLI_MAX_P:
         raise _UsageError(f"refinement is capped at p = {_REFINE_CLI_MAX_P}, got p = {p}")
@@ -194,16 +179,17 @@ def _read_certificate(path: str, max_p: int = _MAX_P):
     """The decomposition in a certificate file (- for stdin). A document that
     is not one, from unparsable JSON to a missing key, raises MalformedInput,
     and so does one above max_p, before any of its factors is converted."""
+    from .serialize import parse_decomposition
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path) as fh:
                 text = fh.read()
-        return serialize.parse_decomposition(text, max_p)
+        return parse_decomposition(text, max_p)
     except MalformedInput:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise MalformedInput(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 
@@ -213,13 +199,19 @@ def _read_certificate(path: str, max_p: int = _MAX_P):
 
 
 def _cmd_build(args) -> int:
+    from .model import WernerParams, werner_dense
+    from .serialize import dumps, matrix_doc
     params = WernerParams(args.p, args.f)
-    doc = {"p": params.p, "f": params.f, "state": serialize.matrix_doc(werner_dense(params))}
-    _write(args, serialize.dumps(doc))
+    doc = {"p": params.p, "f": params.f, "state": matrix_doc(werner_dense(params))}
+    _write(args, dumps(doc))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    from .linalg import hermitian_eigenvalues
+    from .model import WernerParams, invariance_residual, random_unitary, werner_dense
+    from .model import spectrum_closed_form, spectrum_via_transform
+    from .serialize import dumps, spectrum_rows
     params = WernerParams(args.p, args.f).require_physical()
     closed = spectrum_closed_form(params)
     transform = spectrum_via_transform(params)
@@ -235,9 +227,9 @@ def _cmd_spectrum(args) -> int:
     doc = {
         "p": params.p,
         "f": params.f,
-        "closed_form": serialize.spectrum_rows(closed),
-        "transform": serialize.spectrum_rows(transform),
-        "jacobi": serialize.spectrum_rows(jacobi) if jacobi is not None else None,
+        "closed_form": spectrum_rows(closed),
+        "transform": spectrum_rows(transform),
+        "jacobi": spectrum_rows(jacobi) if jacobi is not None else None,
         "unit_trace_error": unit_trace_error,
         "agree": agree,
     }
@@ -246,11 +238,13 @@ def _cmd_spectrum(args) -> int:
         doc["invariance_residual"] = invariance_residual(
             params, random_unitary(params.d, args.seed)
         )
-    _write(args, serialize.dumps(doc))
+    _write(args, dumps(doc))
     return 0
 
 
 def _cmd_ppt(args) -> int:
+    from .model import WernerParams, ppt_check, pt_spectrum_closed_form
+    from .serialize import dumps, spectrum_rows
     params = WernerParams(args.p, args.f)
     ok = ppt_check(params, args.tol)  # raises on an unphysical f
     spec = pt_spectrum_closed_form(params)
@@ -260,9 +254,9 @@ def _cmd_ppt(args) -> int:
         "verdict": "PPT" if ok else "NOT PPT",
         "ppt": ok,
         "min_pt_eigenvalue": spec.min(),
-        "pt_spectrum": serialize.spectrum_rows(spec),
+        "pt_spectrum": spectrum_rows(spec),
     }
-    _write(args, serialize.dumps(doc))
+    _write(args, dumps(doc))
     if not ok:
         _diag("NotPPT", f"minimum partial-transpose eigenvalue {spec.min():.6e} < 0",
               p=params.p, f=params.f, min_pt_eigenvalue=spec.min())
@@ -271,6 +265,9 @@ def _cmd_ppt(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from .partition import build_partition, validate_partition
+    from .pauli import format_label
+    from .serialize import dumps
     part = build_partition(args.p)
     result = validate_partition(part)
     if args.format == "json":
@@ -284,7 +281,7 @@ def _cmd_partition(args) -> int:
                 [format_label(g) for g in cls.generators] for cls in part.classes
             ],
         }
-        _write(args, serialize.dumps(doc))
+        _write(args, dumps(doc))
     else:
         lines = [" ".join(cls.labels()) for cls in part.classes]
         _write(args, "\n".join(lines))
@@ -295,18 +292,24 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme])
-    _write(args, serialize.certificate_chunks(dec), end="")
+    from .decompose import decompose_auto
+    from .model import WernerParams
+    from .serialize import certificate_chunks
+    dec = decompose_auto(WernerParams(args.p, args.f), _scheme(args.scheme))
+    _write(args, certificate_chunks(dec), end="")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .model import werner_dense
+    from .serialize import dumps, verification_doc
+    from .verify import verify_decomposition
     dec = _read_certificate(args.input)
     target = werner_dense(dec.params)
     rep = verify_decomposition(target, dec, args.tol)
     out = {"p": dec.params.p, "f": dec.params.f, "scheme": dec.scheme}
-    out.update(serialize.verification_doc(rep))
-    _write(args, serialize.dumps(out))
+    out.update(verification_doc(rep))
+    _write(args, dumps(out))
     if not rep.verdict:
         _diag("VerificationFailed", "; ".join(rep.diagnostics) or "verdict false",
               p=dec.params.p, f=dec.params.f)
@@ -315,6 +318,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    from .decompose import decompose_auto
+    from .model import WernerParams
+    from .serialize import certificate_chunks
+    from .verify import refine_to_pure
     if args.input is not None:
         if (args.p, args.f, args.scheme) != (None, None, None):
             raise _UsageError("refine takes --input or --p/--f/--scheme, not both")
@@ -324,25 +331,28 @@ def _cmd_refine(args) -> int:
             _diag("MissingInput", "refine needs --input or both --p and --f")
             return 1
         _check_refine_cap(args.p)
-        dec = decompose_auto(WernerParams(args.p, args.f), _SCHEME_FLAGS[args.scheme or "auto"])
+        dec = decompose_auto(WernerParams(args.p, args.f), _scheme(args.scheme or "auto"))
     refined = refine_to_pure(dec, args.tol)
-    _write(args, serialize.certificate_chunks(refined), end="")
+    _write(args, certificate_chunks(refined), end="")
     return 0
 
 
 def _cmd_report(args) -> int:
+    from .model import WernerParams
+    from .serialize import dumps, separability_doc
+    from .verify import separability_report
     if args.refine:
         _check_refine_cap(args.p)
     params = WernerParams(args.p, args.f)
     rep, refinement = separability_report(
         params, seed=args.seed, tol=args.tol, refine=args.refine
     )
-    doc = serialize.separability_doc(rep, refinement)
+    doc = separability_doc(rep, refinement)
     if args.format == "text":
-        lines = [f"{k}: {serialize.dumps(v) if isinstance(v, dict) else v}" for k, v in doc.items()]
+        lines = [f"{k}: {dumps(v) if isinstance(v, dict) else v}" for k, v in doc.items()]
         _write(args, "\n".join(lines))
     else:
-        _write(args, serialize.dumps(doc))
+        _write(args, dumps(doc))
     if rep.verdict != "SEPARABLE":
         _diag(
             "NotSeparable" if rep.verdict == "ENTANGLED" else "VerificationFailed",
@@ -382,6 +392,10 @@ def _sweep_points(start: float, end: float, step: float) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .decompose import auto_scheme
+    from .model import WernerParams, ppt_check, pt_spectrum_closed_form, spectrum_closed_form
+    from .serialize import csv_text
+    from .verify import scheme_family, verify_family
     if args.f_step <= 0:
         _diag("InvalidRange", "f-step must be positive")
         return 2
@@ -424,7 +438,7 @@ def _cmd_sweep(args) -> int:
             rows.append(
                 [params.f, spec.min(), pt.min(), ok, None, 0, None, None, "ENTANGLED"]
             )
-    _write(args, serialize.csv_text(_SWEEP_HEADER, rows), end="")
+    _write(args, csv_text(_SWEEP_HEADER, rows), end="")
     return 0
 
 

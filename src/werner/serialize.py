@@ -29,15 +29,16 @@ import re
 from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii  # json.dumps of a str
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .decompose import COMMUTING_CLASS, PER_STRING, Decomposition, ProductTerm
 from .errors import MalformedInput
-from .linalg import Spectrum
-from .model import WernerParams
-from .verify import SeparabilityReport, VerificationReport
+
+if TYPE_CHECKING:  # annotations only: the reader imports what it builds as it runs
+    from .decompose import Decomposition
+    from .linalg import Spectrum
+    from .verify import SeparabilityReport, VerificationReport
 
 __all__ = [
     "certificate_chunks",
@@ -206,6 +207,8 @@ def spectrum_rows(spec: Spectrum) -> List[dict]:
 def _header(doc, max_p):
     """The certificate's (params, scheme, scale), checked before any factor
     is read, so a refused p never costs a factor conversion."""
+    from .decompose import COMMUTING_CLASS, PER_STRING
+    from .model import WernerParams
     p, f = _field(doc, "p", int), float(_field(doc, "f", (int, float)))
     scheme, scale = _field(doc, "scheme", str), float(_field(doc, "scale", (int, float)))
     if not (math.isfinite(f) and math.isfinite(scale)):
@@ -221,6 +224,7 @@ def _header(doc, max_p):
 
 def _decomposition(doc, max_p, factor) -> Decomposition:
     """doc's decomposition, with factor(t[side]) as each factor matrix."""
+    from .decompose import Decomposition, ProductTerm
     params, scheme, scale = _header(doc, max_p)
     terms = tuple(
         ProductTerm(

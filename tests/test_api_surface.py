@@ -1,14 +1,18 @@
 """The exported surface of the package: no name that nothing calls.
 
 Every module-level definition in src/werner must be reachable from the
-fourteen names that `import werner` exports or from the CLI's `main`,
+fourteen names that `import werner` exports, from the CLI's `main` or from
+the package's `__getattr__`, which Python calls to resolve those names,
 through the names each reached definition uses. A helper only the tests
 call, or only another unreached helper calls, does not belong in the
 package.
 """
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import werner
 
@@ -68,7 +72,8 @@ def test_every_module_level_name_is_reachable_from_the_public_names():
     for module, tree in _trees().items():
         for name, node in _definitions(tree):
             sites.setdefault(name, []).append((module, node))
-    reached, todo = set(), ["main", *PUBLIC]  # cli.main and the fourteen names
+    # cli.main, the fourteen names and the lazy lookup behind them
+    reached, todo = set(), ["main", "__getattr__", *PUBLIC]
     while todo:
         name = todo.pop()
         if name in reached or name not in sites:
@@ -92,3 +97,12 @@ def test_the_package_exports_exactly_the_public_names():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Public API", 1)[1].split("\n## ", 1)[0]
     assert PUBLIC <= set(re.findall(r"`(\w+)`", section))
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_each_public_name_is_the_object_its_home_module_defines(name):
+    obj = getattr(werner, name)  # resolved on first access
+    home = importlib.import_module(obj.__module__)
+    assert home.__name__.startswith("werner.")
+    assert vars(home)[name] is obj
+    assert name in dir(werner)

@@ -170,8 +170,8 @@ def _never(*args, **kwargs):
 )
 def test_refinement_above_p4_is_refused_up_front(capsys, monkeypatch, argv):
     # a refined p = 5 certificate would hold about a million terms
-    monkeypatch.setattr("werner.cli.decompose_auto", _never)
-    monkeypatch.setattr("werner.cli.separability_report", _never)
+    monkeypatch.setattr("werner.decompose.decompose_auto", _never)
+    monkeypatch.setattr("werner.verify.separability_report", _never)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -190,7 +190,7 @@ def test_a_refused_certificate_leaves_no_file(monkeypatch, tmp_path, field):
     nan = float("nan") if field == "weight" else np.full((2, 2), np.nan, dtype=complex)
     last = replace(dec.terms[-1], **{field: nan})
     broken = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:-1] + (last,))
-    monkeypatch.setattr("werner.cli.decompose_auto", lambda *args: broken)
+    monkeypatch.setattr("werner.decompose.decompose_auto", lambda *args: broken)
     path = tmp_path / "cert.json"
     with pytest.raises(ValueError, match="non-finite"):
         main(["decompose", "--p", "1", "--f", "0.6", "--output", str(path)])
@@ -329,7 +329,7 @@ def test_sweep_rejects_oversized_grid_before_any_row(capsys, monkeypatch):
     def no_rows(params):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr("werner.cli.spectrum_closed_form", no_rows)
+    monkeypatch.setattr("werner.model.spectrum_closed_form", no_rows)
     code, out, err = run(capsys, "sweep", "--p", "1", "--f-start", "-1", "--f-end", "1", "--f-step=1e-12")
     assert code == 2
     assert out == ""

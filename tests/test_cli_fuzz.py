@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,28 @@ def test_mutated_certificate_ends_in_one_diagnostic(text, cmd):
             fh.write(text)
         code, err = _run([cmd, "--input", path])
     _assert_one_diagnostic(code, err)
+
+
+_DEEP = {
+    "arrays": "[" * 200_000,
+    "terms": '{"p": 1, "f": 0.5, "scheme": "per_string", "scale": 1, "terms": '
+    + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("cmd", ["verify", "refine"])
+@pytest.mark.parametrize("deep", sorted(_DEEP))
+def test_deeply_nested_certificate_is_malformed_input(monkeypatch, tmp_path, deep, cmd, source):
+    # the JSON parser gives up on such nesting with a RecursionError
+    path = tmp_path / "cert.json"
+    path.write_text(_DEEP[deep])
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(_DEEP[deep]))
+    code, err = _run([cmd, "--input", "-" if source == "stdin" else str(path)])
+    _assert_one_diagnostic(code, err)
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedInput"
 
 
 @lru_cache(maxsize=None)

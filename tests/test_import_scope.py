@@ -1,0 +1,67 @@
+"""Each CLI call imports only the modules its subcommand runs, and `import
+werner` imports no submodule and no numpy: the pinned sets are exact, so a
+stray eager import anywhere fails here."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import werner
+from werner.cli import main
+
+_ARRAYS = {"cli", "errors", "serialize", "model", "linalg", "pauli"}
+_EVERY = _ARRAYS | {"decompose", "partition", "verify"}
+
+SCOPES = {
+    ("build", "--p", "1", "--f", "0.5"): _ARRAYS,
+    ("spectrum", "--p", "1", "--f", "0.5"): _ARRAYS,
+    ("ppt", "--p", "1", "--f", "0.5"): _ARRAYS,
+    ("partition", "--p", "2"): {"cli", "errors", "serialize", "partition", "pauli"},
+    ("decompose", "--p", "1", "--f", "0.5"): _EVERY - {"verify"},
+    ("verify", "--input", "cert.json"): _EVERY,
+    ("refine", "--p", "1", "--f", "0.5"): _EVERY,
+    ("report", "--p", "1", "--f", "0.5"): _EVERY,
+    ("sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "0.5"): _EVERY,
+}
+
+# runs argv through the CLI, then prints the werner submodules it loaded
+_PROBE = """\
+import json, sys
+from werner.cli import main
+code = main(sys.argv[1:] + ["--output", "out.txt"])
+print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("werner."))]))
+"""
+
+
+def _fresh(code, *argv, cwd):
+    """The JSON that code prints, run with argv in a fresh interpreter that
+    imports this werner."""
+    env = dict(os.environ, PYTHONPATH=str(Path(werner.__file__).parents[1]))
+    env.pop("WERNER_SEED", None)
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv", list(SCOPES), ids=[argv[0] for argv in SCOPES])
+def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv):
+    if argv[0] == "verify":
+        main(["decompose", "--p", "1", "--f", "0.5", "--output", str(tmp_path / "cert.json")])
+    code, loaded = _fresh(_PROBE, *argv, cwd=tmp_path)
+    assert code == 0
+    assert set(loaded) == SCOPES[argv]
+
+
+def test_import_werner_loads_no_submodule_and_no_numpy(tmp_path):
+    probe = "import json, sys, werner; print(json.dumps(sorted(sys.modules)))"
+    loaded = _fresh(probe, cwd=tmp_path)
+    assert "numpy" not in loaded
+    assert [m for m in loaded if m.startswith("werner")] == ["werner"]
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        werner.no_such_name
