@@ -200,10 +200,10 @@ def _read_certificate(path: str, max_p: int = _MAX_P):
 
 def _cmd_build(args) -> int:
     from .model import WernerParams, werner_dense
-    from .serialize import dumps, matrix_doc
+    from .serialize import dump_chunks, matrix_doc
     params = WernerParams(args.p, args.f)
     doc = {"p": params.p, "f": params.f, "state": matrix_doc(werner_dense(params))}
-    _write(args, dumps(doc))
+    _write(args, dump_chunks(doc))  # a row at a time: the text is never whole
     return 0
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import SchemeRangeError
 from .model import _CHUNK_BYTES, WernerParams
 from .partition import CommutingClass, build_partition
-from .pauli import all_strings, bit_parity, format_label, packed, pauli_matrices
+from .pauli import all_strings, format_label, masks, pauli_matrices
 
 __all__ = [
     "COMMUTING_CLASS",
@@ -124,8 +124,8 @@ def _class_sums(cls: CommutingClass) -> np.ndarray:
     is a column gather times that column's entry. Every entry is a small
     Gaussian integer, so the products are exact in complex64.
     """
-    _, x, z = packed(cls.generators)
-    if bit_parity((x[:, None] & z) ^ (x & z[:, None])).any():
+    _, x, z = masks(cls.generators)
+    if any(((a & d) ^ (b & c)).bit_count() & 1 for a, c in zip(x, z) for b, d in zip(x, z)):
         raise ValueError("class generators do not pairwise commute")
     cols = np.arange(2**cls.p)
     prods = np.eye(len(cols), dtype=np.complex64)[None]

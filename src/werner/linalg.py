@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, sin
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import ConvergenceError, DimensionMismatch, MalformedInput
+
+if TYPE_CHECKING:  # annotations only: each function that builds an array imports numpy
+    import numpy as np
 
 __all__ = [
     "Spectrum",
@@ -117,6 +118,7 @@ class Spectrum:
 
 def _offdiag_norms(work: np.ndarray) -> np.ndarray:
     """Frobenius norm of the off-diagonal part of each matrix in a stack."""
+    import numpy as np
     sq = np.abs(work)
     sq *= sq
     diag = np.arange(work.shape[-1])
@@ -145,6 +147,7 @@ def hermitian_eigensystem(
     values has shape (n,) or (m, n); vectors is None unless requested, and
     column k of a matrix of vectors is the eigenvector for its values[k].
     """
+    import numpy as np
     a = np.asarray(a, dtype=complex)
     stack = a[None] if a.ndim == 2 else a
     if stack.ndim != 3 or not stack.shape[1] == stack.shape[2] > 0:

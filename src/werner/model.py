@@ -6,18 +6,21 @@ on [-1, 1], where P is the swap P|i>|j> = |j>|i>. Three independent routes
 to the spectrum are provided: the dense construction fed to the in-house
 eigensolver, a closed form, and a 4x4 sign-kernel transform applied to the
 string expansion coefficients axis by axis. The three must agree; tests
-hold them to 1e-9.
+hold them to 1e-9. numpy is imported only by the functions that build
+arrays: WernerParams, the closed forms and ppt_check run without it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-
-import numpy as np
+from math import isfinite, sqrt
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from .linalg import Spectrum
 from .pauli import all_strings, pauli_matrices
+
+if TYPE_CHECKING:  # annotations only: each function that builds an array imports numpy
+    import numpy as np
 
 __all__ = [
     "TRANSFORM_H",
@@ -47,7 +50,7 @@ class WernerParams:
             raise ValueError(f"p must be a positive integer, got {self.p!r}")
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "f", float(self.f))
-        if not np.isfinite(self.f):
+        if not isfinite(self.f):
             raise ValueError("f must be finite")
 
     @property
@@ -64,16 +67,13 @@ class WernerParams:
 
 # Sign kernel of the coefficient-to-eigenvalue transform. H carries the
 # character table of the single-factor strings; M flips the z column.
-TRANSFORM_H = np.array(
-    [
-        [1, 1, 1, 1],
-        [1, -1, 1, -1],
-        [1, 1, -1, -1],
-        [1, -1, -1, 1],
-    ],
-    dtype=int,
+TRANSFORM_H = (
+    (1, 1, 1, 1),
+    (1, -1, 1, -1),
+    (1, 1, -1, -1),
+    (1, -1, -1, 1),
 )
-TRANSFORM_M = np.diag([1, 1, 1, -1]).astype(int)
+TRANSFORM_M = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,7 @@ def _eye_flip_entries(d: int):
     combination of I and the swap P where only I is 1, where only P is 1,
     and the d diagonal entries |i>|i> where both are; every other entry is 0.
     """
+    import numpy as np
     k = np.arange(d * d)
     one = k[k % (d + 1) != 0]  # |i>|i> is k = i (d + 1)
     both = k[:: d + 1]
@@ -95,6 +96,7 @@ def _eye_flip_entries(d: int):
 def _eye_flip(d: int, values) -> np.ndarray:
     """The complex (d^2, d^2) combination of I and P with its three values at
     _eye_flip_entries, by index writes."""
+    import numpy as np
     out = np.zeros((d * d, d * d), dtype=complex)
     for (rows, cols), value in zip(_eye_flip_entries(d), values):
         out[rows, cols] = value
@@ -103,6 +105,7 @@ def _eye_flip(d: int, values) -> np.ndarray:
 
 def _werner_values(params: WernerParams) -> np.ndarray:
     """werner_dense's three distinct entries, in _eye_flip's order."""
+    import numpy as np
     params.require_physical()
     d = params.d
     f = params.f
@@ -124,6 +127,7 @@ def werner_dense(params: WernerParams) -> np.ndarray:
 
 def werner_spinor(params: WernerParams) -> np.ndarray:
     """Same state assembled from the string basis sigma_s (x) sigma_s."""
+    import numpy as np
     params.require_physical()
     p, f = params.p, params.f
     d = params.d
@@ -140,6 +144,7 @@ def spinor_coefficients(params: WernerParams) -> np.ndarray:
     Index r runs over base-4 string values; r = 0 is the identity string.
     a[0] = 1/4^p and a[r] = (2^p f - 1)/(2^(4p) - 2^(2p)) for r > 0.
     """
+    import numpy as np
     p, f = params.p, params.f
     d = params.d
     a = np.full(4**p, (d * f - 1.0) / (2 ** (4 * p) - 2 ** (2 * p)))
@@ -158,8 +163,9 @@ def spectrum_via_transform(params: WernerParams) -> Spectrum:
     The 4^p x 4^p transform (H M)^(x p) is never materialized; the kernel is
     contracted along each base-4 axis of the coefficient tensor.
     """
+    import numpy as np
     p = params.p
-    kernel = (TRANSFORM_H @ TRANSFORM_M).astype(float)
+    kernel = (np.array(TRANSFORM_H) @ np.array(TRANSFORM_M)).astype(float)
     t = spinor_coefficients(params).reshape((4,) * p)
     for axis in range(p):
         t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [axis])), 0, axis)
@@ -230,6 +236,7 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     the draw independent of the QR sign convention; the result is exactly
     reproducible for a given seed.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z / sqrt(2.0))
@@ -249,6 +256,7 @@ def _conjugate_in_place(x: np.ndarray, u) -> None:
     every entry keeps the bits one product over the step gives it
     (one-column blocks change the last bits).
     """
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"expected a square unitary, got shape {u.shape}")
@@ -284,6 +292,7 @@ def invariance_residual(params: WernerParams, u) -> float:
     state at params, conjugated in the one buffer it is built into. rho is 0
     off its three values, so subtracting them in place keeps x - rho's bits.
     """
+    import numpy as np
     x = werner_dense(params)
     _conjugate_in_place(x, u)
     for (rows, cols), value in zip(_eye_flip_entries(params.d), _werner_values(params)):

@@ -13,22 +13,21 @@ class, and the x = 0 strings supply one more. The classes are exactly the
 lines through the origin of a 2-dimensional GF(2^p) vector space, which is
 why they tile the nonzero strings with nothing left over.
 
-The field arithmetic is two tables per p, built once from one pinned
-irreducible polynomial so the partition is reproducible byte for byte: the
-multiplication table and the trace-pairing mask of each element.
-build_partition reads them; the validator checks each class on packed
-(x, z) bit masks.
+The field arithmetic is two tables per p, tuples of ints built once from
+one pinned irreducible polynomial so the partition is reproducible byte
+for byte: the multiplication table and the trace-pairing mask of each
+element. build_partition reads them; the validator checks each class on
+the (x, z) int masks of its members, and neither needs numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from itertools import islice
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import UnsupportedFieldSize, WernerError
-from .pauli import _PHASE, _XZ_DIGIT, Digits, bit_parity, format_label, packed
+from .pauli import Digits, all_strings, format_label, masks
 
 __all__ = [
     "IRREDUCIBLE_POLY",
@@ -50,8 +49,6 @@ IRREDUCIBLE_POLY = {
     7: 0b10000011,  # t^7 + t + 1
     8: 0b100011011,  # t^8 + t^4 + t^3 + t + 1
 }
-
-_PHASE_TABLE = np.array(_PHASE, dtype=float)  # BLAS sums these small integers exactly
 
 
 def _poly(p: int) -> int:
@@ -91,23 +88,15 @@ class Partition:
     classes: Tuple[CommutingClass, ...]
 
 
-def _independent_generators(members: Sequence[Digits], p: int) -> Tuple[Digits, ...]:
-    basis: Dict[int, int] = {}  # leading bit -> reduced vector
-    gens: List[Digits] = []
-    # base-4 string values are GF(2)-linear: a product's digits are the xor
-    for m, v in zip(members, (np.array(members) @ 4 ** np.arange(p)[::-1]).tolist()):
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                gens.append(m)
-                break
-            v ^= basis[lead]
-        if len(gens) == p:
-            break
-    if len(gens) != p:
-        raise WernerError("class members do not span p independent directions")
-    return tuple(gens)
+def _spanning(keys: Sequence[int]) -> Iterator[int]:
+    """Indices of the keys that each leave the GF(2) span of those before them."""
+    basis: Dict[int, int] = {}  # bit length -> reduced key
+    for k, v in enumerate(keys):
+        while v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+            yield k
 
 
 def build_partition(p: int) -> Partition:
@@ -126,40 +115,45 @@ def build_partition(p: int) -> Partition:
 def _field_tables(p: int):
     """GF(2^p) multiplication table and the trace-pairing mask of each element.
 
-    The only field arithmetic of the module: mul[a, b] is the carry-less
+    The only field arithmetic of the module: mul[a][b] is the carry-less
     product of a and b reduced by the pinned polynomial, and bit i of
-    dual[a] is Tr(t^i a). Built once per p and returned read-only.
+    dual[a] is Tr(t^i a). Built once per p, as tuples of ints.
     """
     poly = _poly(p)
-    a = np.arange(1 << p)
-    mul, shifted = np.zeros((a.size, a.size), dtype=np.int64), a
-    for k in range(p):  # carry-less shift-and-add, over every (a, b) at once
-        mul ^= shifted[:, None] * ((a >> k) & 1)
-        shifted = shifted << 1
-        shifted = shifted ^ ((shifted >> p) & 1) * poly
-    trace, power = a, a
+    mul = []
+    for a in range(1 << p):
+        row = [0]
+        for _ in range(p):  # b with bit k set: row[b] = row[b - 2^k] ^ a t^k
+            row += [v ^ a for v in row]
+            a <<= 1
+            a ^= (a >> p) * poly
+        mul.append(tuple(row))
+    trace = power = range(1 << p)
     for _ in range(p - 1):
-        power = mul[power, power]
-        trace = trace ^ power
-    dual = (trace[mul[1 << np.arange(p)]] << np.arange(p)[:, None]).sum(0)
-    mul.flags.writeable = dual.flags.writeable = False
-    return mul, dual
+        power = [mul[v][v] for v in power]
+        trace = [t ^ v for t, v in zip(trace, power)]
+    dual = tuple(sum(trace[mul[1 << i][a]] << i for i in range(p)) for a in range(1 << p))
+    return tuple(mul), dual
 
 
 @cache
 def _spread_partition(p: int) -> Partition:
     mul, dual = _field_tables(p)
-    a = np.arange(1, 1 << p)
-    # x and z masks of every class in polynomial-basis order: bit k is digit k
-    x = np.vstack([0 * a, np.tile(a, (len(mul), 1))])
-    z = np.vstack([a, dual[mul[:, 1:]]])
-    k = np.arange(p)
-    digits = np.array(_XZ_DIGIT)[(x[..., None] >> k) & 1, (z[..., None] >> k) & 1]
-    order = np.argsort(digits @ (4 ** k[::-1]), axis=1)
+    strings = list(all_strings(p))  # indexed by base-4 value
+    # bit k of a mask is digit k, at base-4 place p - 1 - k; digit d is 2 z + (x ^ z)
+    place = [sum((m >> k & 1) << 2 * (p - 1 - k) for k in range(p)) for m in range(1 << p)]
+    nonzero = range(1, 1 << p)
+    # (x, z) masks of every class in polynomial-basis order
+    lines = [[(0, a) for a in nonzero]] + [[(a, dual[row[a]]) for a in nonzero] for row in mul]
     classes = []
-    for members in np.take_along_axis(digits, order[..., None], 1).tolist():
-        ordered = tuple(map(tuple, members))
-        classes.append(CommutingClass(ordered, _independent_generators(ordered, p)))
+    for line in lines:
+        values = sorted(place[z] << 1 | place[x ^ z] for x, z in line)
+        members = tuple(strings[v] for v in values)
+        # base-4 values are GF(2)-linear: a product's digits are the xor
+        gens = tuple(members[k] for k in islice(_spanning(values), p))
+        if len(gens) != p:
+            raise WernerError("class members do not span p independent directions")
+        classes.append(CommutingClass(members, gens))
     return Partition(p, tuple(classes))
 
 
@@ -181,28 +175,38 @@ def _class_problems(idx: int, members: Sequence[Digits]) -> List[str]:
     """Commutation, product-phase and closure problems of one class of
     length-p strings, in the order of its member pairs (i < j), then of its
     ordered products (i, j)."""
-    digits, x, z = packed(members)
-    p = digits.shape[1]
-    anti = bit_parity((x[:, None] & z) ^ (x & z[:, None])) == 1
-    problems = []
-    for i, j in zip(*np.nonzero(np.triu(anti, 1))):
-        a, b = format_label(members[i]), format_label(members[j])
-        problems.append(f"class {idx}: {a} and {b} anticommute")
+    p, x, z = masks(members)
+    # bit j of cols[k] is bit k of string j's x mask, and of its z mask
+    cols = [[sum((v >> k & 1) << j for j, v in enumerate(m)) for m in (x, z)] for k in range(p)]
+    problems, phases = [], []
+    for i, (xi, zi) in enumerate(zip(x, z)):
+        anti = imaginary = 0  # bit j: string i's symplectic form, phase parity with string j
+        for k, (xk, zk) in enumerate(cols):
+            a, b = -(xi >> k & 1), -(zi >> k & 1)  # every bit set, or none
+            anti ^= a & zk ^ b & xk
+            # sigma_c . sigma_e has 1 or 3 quarter turns iff c, e are nontrivial and differ
+            imaginary ^= (a | b) & (xk | zk) & (a ^ xk | b ^ zk)
+        phases.append(imaginary)
+        for j in range(i + 1, len(members)):
+            if anti >> j & 1:
+                a, b = format_label(members[i]), format_label(members[j])
+                problems.append(f"class {idx}: {a} and {b} anticommute")
 
-    # sum_k _PHASE[d_ik][d_jk] as one product: table rows of i against one-hot digits of j
-    onehot = (digits[..., None] == np.arange(4)).reshape(len(members), -1)
-    imaginary = _PHASE_TABLE[digits].reshape(onehot.shape) @ onehot.T % 2 == 1
-    keys = x << p | z  # a product's masks are the xor of its factors' masks
-    closed = np.isin(keys[:, None] ^ keys, keys)
-    np.fill_diagonal(closed, True)  # a square is the identity
-    for i, j in zip(*np.nonzero(imaginary | ~closed)):
-        if imaginary[i, j]:
-            problems.append(f"class {idx}: product of commuting members has imaginary phase")
-        if not closed[i, j]:
-            problems.append(
-                f"class {idx}: not closed under products "
-                f"({format_label(members[i])} . {format_label(members[j])})"
-            )
+    keys = [a << p | b for a, b in zip(x, z)]  # a product's key is the xor of its factors'
+    known = set(keys)
+    # distinct nonidentity keys, with the identity, are a group iff they span no more
+    group = 0 not in known and len(known) == len(keys) == (1 << len(list(_spanning(keys)))) - 1
+    for i, (key, imaginary) in enumerate(zip(keys, phases)):
+        if group and not imaginary:
+            continue
+        for j, other in enumerate(keys):
+            if imaginary >> j & 1:
+                problems.append(f"class {idx}: product of commuting members has imaginary phase")
+            if i != j and key ^ other not in known:  # a square is the identity
+                problems.append(
+                    f"class {idx}: not closed under products "
+                    f"({format_label(members[i])} . {format_label(members[j])})"
+                )
     return problems
 
 
@@ -218,18 +222,14 @@ def validate_partition(part: Partition) -> ValidationResult:
     expected_classes = 2**p + 1
     expected_size = 2**p - 1
     if len(part.classes) != expected_classes:
-        problems.append(
-            f"expected {expected_classes} classes, found {len(part.classes)}"
-        )
+        problems.append(f"expected {expected_classes} classes, found {len(part.classes)}")
 
     seen: Dict[Digits, int] = {}
     identity = (0,) * p
     for idx, cls in enumerate(part.classes):
         members = tuple(map(tuple, cls.members))
         if len(members) != expected_size:
-            problems.append(
-                f"class {idx} has {len(members)} members, expected {expected_size}"
-            )
+            problems.append(f"class {idx} has {len(members)} members, expected {expected_size}")
         # the class-wide checks pack the members: length p, digits in 0..3
         packable = bool(members)
         for m in members:

@@ -6,7 +6,10 @@ pinned to that format, hence the small emitter here. Dict insertion order
 is the emission order, so identical inputs yield identical bytes. A 2-D
 float64 array, such as a factor's re or im part, is rendered with each
 distinct value formatted once; the bytes are those of formatting every
-entry in place.
+entry in place. dump_chunks hands the same text out in pieces, a block of
+rows at a time, so a large state is written without ever being one
+string. The emitter imports no numpy: it looks for numpy values only once
+numpy is loaded, since no value can be a numpy object before that.
 
 Certificates cost what their distinct factors and their terms cost, both
 ways. certificate_chunks renders each distinct factor, re or im part and
@@ -26,16 +29,17 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii  # json.dumps of a str
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from .errors import MalformedInput
 
 if TYPE_CHECKING:  # annotations only: the reader imports what it builds as it runs
+    import numpy as np
+
     from .decompose import Decomposition
     from .linalg import Spectrum
     from .verify import SeparabilityReport, VerificationReport
@@ -44,6 +48,7 @@ __all__ = [
     "certificate_chunks",
     "csv_text",
     "doc_decomposition",
+    "dump_chunks",
     "dumps",
     "format_float",
     "matrix_doc",
@@ -63,67 +68,83 @@ def format_float(x) -> str:
 
 
 def _scalar_text(v) -> str:
-    if isinstance(v, (float, np.floating)):
+    np = sys.modules.get("numpy")  # no value is a numpy object before numpy is imported
+    if isinstance(v, float) or np and isinstance(v, np.floating):
         return format_float(v)
     if v is None:
         return "null"
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool) or np and isinstance(v, np.bool_):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int) or np and isinstance(v, np.integer):
         return str(int(v))
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-_CONTAINERS = (dict, list, tuple, np.ndarray)  # a list holding none is one line
-
-
-def _lines(opening: str, parts: List[str], pad: str, closing: str) -> str:
-    """opening, each part on a line of its own, then closing at indent pad."""
-    return opening + "\n" + ",\n".join(parts) + "\n" + pad + closing
+def _lines(opening: str, items: Iterable[Iterable[str]], pad: str, closing: str):
+    """opening, the pieces of each item on a line of its own, then closing at
+    indent pad."""
+    sep = opening + "\n"
+    for pieces in items:
+        yield sep
+        yield from pieces
+        sep = ",\n"
+    yield "\n" + pad + closing
 
 
 def _float_texts(a: np.ndarray) -> np.ndarray:
     """format_float of each entry of a float64 array, as an object array of
     a's shape, formatting each distinct value once. Keys are bit patterns, so
     -0.0 and 0.0 stay apart."""
+    import numpy as np
     keys, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
     texts = np.array([format_float(v) for v in keys.view(np.float64)], dtype=object)
     return texts[inverse].reshape(a.shape)
 
 
-def _matrix_text(a: np.ndarray, pad: str, step: str) -> str:
-    """A 2-D float64 array as a list of one-line rows, _CELLS numbers at a time."""
+def _matrix_lines(a: np.ndarray, pad: str, step: str) -> Iterator[str]:
+    """A 2-D float64 array as a list of one-line rows, in pieces of _CELLS
+    numbers or fewer."""
     inner = pad + step
     block = max(1, _CELLS // a.shape[1])
-    rows = [r for k in range(0, len(a), block) for r in _float_texts(a[k : k + block]).tolist()]
-    return _lines("[", [f"{inner}[{', '.join(r)}]" for r in rows], pad, "]")
+    yield "[\n"
+    for k in range(0, len(a), block):
+        rows = _float_texts(a[k : k + block]).tolist()
+        yield (",\n" if k else "") + ",\n".join(f"{inner}[{', '.join(r)}]" for r in rows)
+    yield "\n" + pad + "]"
 
 
-def _emit(obj, pad: str, step: str) -> str:
-    """obj's text at indent pad."""
+def _emit(obj, pad: str, step: str) -> Iterator[str]:
+    """obj's text at indent pad, in pieces of at most a line each."""
+    np = sys.modules.get("numpy")  # no value is a numpy object before numpy is imported
+    if np and isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+            return _matrix_lines(obj, pad, step)
+        obj = obj.tolist()
+    inner = pad + step
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        inner = pad + step
-        parts = [f"{inner}{json.dumps(str(k))}: {_emit(v, inner, step)}" for k, v in obj.items()]
-        return _lines("{", parts, pad, "}")
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
-            return _matrix_text(obj, pad, step)
-        obj = obj.tolist()
+            return iter(["{}"])
+        items = (chain([f"{inner}{json.dumps(str(k))}: "], _emit(v, inner, step))
+                 for k, v in obj.items())
+        return _lines("{", items, pad, "}")
     if isinstance(obj, (list, tuple)):
-        if not any(isinstance(v, _CONTAINERS) for v in obj):
-            return "[" + ", ".join(_scalar_text(v) for v in obj) + "]"
-        inner = pad + step
-        return _lines("[", [f"{inner}{_emit(v, inner, step)}" for v in obj], pad, "]")
-    return _scalar_text(obj)
+        containers = (dict, list, tuple, np.ndarray) if np else (dict, list, tuple)
+        if not any(isinstance(v, containers) for v in obj):  # one line
+            return iter(["[" + ", ".join(_scalar_text(v) for v in obj) + "]"])
+        return _lines("[", (chain([inner], _emit(v, inner, step)) for v in obj), pad, "]")
+    return iter([_scalar_text(obj)])
+
+
+def dump_chunks(obj) -> Iterator[str]:
+    """dumps(obj) in pieces, so that a large array is never one string."""
+    return _emit(obj, "", "  ")
 
 
 def dumps(obj) -> str:
     """JSON text (no trailing newline); parseable by json.loads."""
-    return _emit(obj, "", "  ")
+    return "".join(_emit(obj, "", "  "))
 
 
 # The certificate document as dumps renders it, around its terms and factors.
@@ -138,12 +159,13 @@ def certificate_chunks(dec: Decomposition) -> Iterator[str]:
     Each distinct factor, re or im part and weight is rendered once, and all
     of them (a non-finite one refused) before this returns, so an output
     opened after the call is never left half written by a refusal."""
+    import numpy as np
     parts, factors, by_id = {}, {}, {}  # part content, (re, im) texts, id -> text
 
     def part(x):
         key = (x.shape, x.tobytes())
         if key not in parts:
-            parts[key] = _matrix_text(x, " " * 8, "  ")
+            parts[key] = "".join(_matrix_lines(x, " " * 8, "  "))
         return parts[key]
 
     for m in chain.from_iterable((t.state_a, t.state_b) for t in dec.terms):
@@ -170,6 +192,7 @@ def certificate_chunks(dec: Decomposition) -> Iterator[str]:
 
 
 def matrix_doc(m) -> dict:
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     return {"dim": int(m.shape[0]), "re": m.real, "im": m.imag}
 
@@ -184,6 +207,7 @@ def _field(doc, key: str, kind):
 
 
 def doc_matrix(doc) -> np.ndarray:
+    import numpy as np
     dim = _field(doc, "dim", int)
     shape = (dim, dim)
     real = np.array(doc["re"], dtype=float)
@@ -302,6 +326,7 @@ def _factor_arrays(texts: List[Optional[str]]) -> List[np.ndarray]:
     with one n for all and n rows of n finite JSON numbers. A text is
     dropped once its rows are taken, and _CELLS numbers are split at a time,
     so the texts, the rows and the numbers are never all held at once."""
+    import numpy as np
     re_head, im_head, number = map(re.compile, (_RE_HEAD, _IM_HEAD, _NUMBER))
     ids, slots = {}, []  # distinct row -> index; each text's 2n row indices
     n = int(re_head.match(texts[0])[1])

@@ -10,6 +10,15 @@ from math import sqrt
 
 import numpy as np
 
+# Quarter-turn phase of sigma_a . sigma_b (row a, column b), e.g. X.Y = i Z:
+# sigma_a . sigma_b = i^PHASE[a][b] sigma_(a ^ b)
+PHASE = (
+    (0, 0, 0, 0),
+    (0, 0, 1, 3),
+    (0, 3, 0, 1),
+    (0, 1, 3, 0),
+)
+
 
 def partial_transpose_b(m, d_a, d_b):
     """Transpose the second tensor factor: <i,j|M'|k,l> = <i,l|M|k,j>."""

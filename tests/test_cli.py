@@ -3,6 +3,7 @@ import argparse
 import inspect
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,24 @@ def test_build_emits_the_state(capsys):
     assert doc["p"] == 1 and doc["f"] == 0.5
     state = doc_matrix(doc["state"])
     assert np.array_equal(state, werner_dense(WernerParams(1, 0.5)))
+
+
+def test_build_writes_the_p5_state_a_block_of_rows_at_a_time(tmp_path):
+    # the state and one block of row texts are live, never the whole 6.3 MB
+    # document (which the writer of one string held several times: 36 MiB)
+    path = tmp_path / "state.json"
+    main(["build", "--p", "1", "--f", "0.6", "--output", str(path)])  # imports
+    tracemalloc.start()
+    try:
+        code = main(["build", "--p", "5", "--f", "0.6", "--output", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    state = werner_dense(WernerParams(5, 0.6))
+    assert peak < state.nbytes + (5 << 20)
+    doc = {"p": 5, "f": 0.6, "state": serialize.matrix_doc(state)}
+    assert path.read_text() == serialize.dumps(doc) + "\n"
 
 
 def test_spectrum_routes_agree(capsys):

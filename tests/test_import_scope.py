@@ -1,6 +1,8 @@
 """Each CLI call imports only the modules its subcommand runs, and `import
 werner` imports no submodule and no numpy: the pinned sets are exact, so a
-stray eager import anywhere fails here."""
+stray eager import anywhere fails here. `ppt` and `partition` run on Python
+ints and floats alone: they import no numpy, and print the same bytes where
+numpy cannot be imported at all."""
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from werner.cli import main
 
 _ARRAYS = {"cli", "errors", "serialize", "model", "linalg", "pauli"}
 _EVERY = _ARRAYS | {"decompose", "partition", "verify"}
+_NUMPY_FREE = {"ppt", "partition"}
 
 SCOPES = {
     ("build", "--p", "1", "--f", "0.5"): _ARRAYS,
@@ -27,12 +30,30 @@ SCOPES = {
     ("sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "0.5"): _EVERY,
 }
 
-# runs argv through the CLI, then prints the werner submodules it loaded
+# runs argv through the CLI, then prints the werner submodules it loaded and
+# whether numpy is loaded
 _PROBE = """\
 import json, sys
 from werner.cli import main
 code = main(sys.argv[1:] + ["--output", "out.txt"])
-print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("werner."))]))
+loaded = sorted(m[7:] for m in sys.modules if m.startswith("werner."))
+print(json.dumps([code, loaded, "numpy" in sys.modules]))
+"""
+
+# runs each JSON-encoded argv through the CLI in one interpreter, then prints
+# each call's exit code, stdout and stderr; BLOCK makes numpy unimportable
+_OUTPUTS = """\
+import io, json, sys
+if sys.argv[1] == "BLOCK":
+    sys.modules["numpy"] = None  # import numpy now raises ImportError
+from werner.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    code = main(argv)
+    runs.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(json.dumps(runs))
 """
 
 
@@ -50,9 +71,23 @@ def _fresh(code, *argv, cwd):
 def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv):
     if argv[0] == "verify":
         main(["decompose", "--p", "1", "--f", "0.5", "--output", str(tmp_path / "cert.json")])
-    code, loaded = _fresh(_PROBE, *argv, cwd=tmp_path)
+    code, loaded, numpy_loaded = _fresh(_PROBE, *argv, cwd=tmp_path)
     assert code == 0
     assert set(loaded) == SCOPES[argv]
+    assert numpy_loaded == (argv[0] not in _NUMPY_FREE)
+
+
+def test_ppt_and_partition_print_the_same_bytes_without_numpy(tmp_path):
+    argvs = [["ppt", "--p", str(p), "--f", f] for p in range(1, 6) for f in ("0.5", "-0.5")]
+    argvs += [["partition", "--p", str(p), "--format", fmt]
+              for p in range(1, 6) for fmt in ("json", "text")]
+    normal = _fresh(_OUTPUTS, "RUN", json.dumps(argvs), cwd=tmp_path)
+    blocked = _fresh(_OUTPUTS, "BLOCK", json.dumps(argvs), cwd=tmp_path)
+    assert blocked == normal
+    assert [code for code, _, _ in normal] == [0, 2] * 5 + [0] * 10
+    # the guard holds: where numpy is needed, its absence is an ImportError
+    with pytest.raises(subprocess.CalledProcessError, match="exit status 1"):
+        _fresh(_OUTPUTS, "BLOCK", json.dumps([["build", "--p", "1", "--f", "0.5"]]), cwd=tmp_path)
 
 
 def test_import_werner_loads_no_submodule_and_no_numpy(tmp_path):

@@ -470,7 +470,7 @@ def _hex_pairs(spec):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_numeric_routes_cluster_as_before(p):
     d = 2**p
-    kernel = (TRANSFORM_H @ TRANSFORM_M).astype(float)
+    kernel = (np.array(TRANSFORM_H) @ np.array(TRANSFORM_M)).astype(float)
     fs = [-1.0, -0.3, 0.0, 1 / d - 1e-9, 1 / d, 1 / d + 1e-9, 0.6, 1.0]
     for f in fs:
         params = WernerParams(p, f)

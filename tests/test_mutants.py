@@ -546,7 +546,7 @@ MUTANTS = [
     ("the validator takes imaginary phases", "partition",
      'problems.append(f"class {idx}: product of commuting members has imaginary phase")', "pass"),
     ("the validator takes a class not closed under products", "partition",
-     "closed = np.isin(keys[:, None] ^ keys, keys)", "closed = np.ones(keys.shape * 2, bool)"),
+     "if i != j and key ^ other not in known:", "if False:"),
     ("the validator takes strings left uncovered", "partition", "if missing:", "if False:"),
 ]
 

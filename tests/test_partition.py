@@ -1,20 +1,26 @@
 """Field arithmetic and the maximal commuting partition."""
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import werner.partition
+from dense_reference import PHASE
 from werner.errors import UnsupportedFieldSize, WernerError
 from werner.partition import (
     IRREDUCIBLE_POLY,
     CommutingClass,
     Partition,
+    _class_problems,
     _field_tables,
+    _spanning,
     _spread_partition,
     build_partition,
     validate_partition,
 )
-from werner.pauli import DIGIT_LETTERS, all_strings, bit_parity, packed, pauli_matrices
+from werner.pauli import DIGIT_LETTERS, all_strings, masks, pauli_matrices
 
 # --- GF(2^p) --------------------------------------------------------------
 
@@ -43,7 +49,7 @@ def _square_trace(a, p):
 
 def _dual_basis(dual, p):
     # b*_j is the one element whose trace-pairing mask is the unit vector e_j
-    return tuple(int(np.flatnonzero(dual == 1 << j)[0]) for j in range(p))
+    return tuple(dual.index(1 << j) for j in range(p))
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -51,23 +57,25 @@ def test_field_tables_match_the_scalar_references(p):
     mul, dual = _field_tables(p)
     n = 1 << p
     want = [[_clmul(a, b, p) for b in range(n)] for a in range(n)]
-    assert mul.tolist() == want
+    assert [list(row) for row in mul] == want
     traces = [_square_trace(a, p) for a in range(n)]
     assert set(traces) <= {0, 1}
-    assert [int(dual[a]) & 1 for a in range(n)] == traces  # bit 0 is Tr(t^0 a)
+    assert [dual[a] & 1 for a in range(n)] == traces  # bit 0 is Tr(t^0 a)
     for a in range(n):
         coords = tuple(_square_trace(_clmul(1 << i, a, p), p) for i in range(p))
-        assert int(dual[a]) == sum(bit << i for i, bit in enumerate(coords))
+        assert dual[a] == sum(bit << i for i, bit in enumerate(coords))
     assert _field_tables(p) is _field_tables(p)
-    assert not mul.flags.writeable and not dual.flags.writeable
+    # read-only: tuples of ints
+    assert all(type(t) is tuple for t in (mul, dual, *mul))
+    assert all(type(v) is int for v in (*dual, *mul[-1]))
 
 
 def test_gf4_frozen():
     # in GF(4) with modulus x^2 + x + 1: x . x = x + 1
     mul, dual = _field_tables(2)
-    assert mul[2, 2] == 3
-    assert mul[2, 3] == 1  # x (x + 1) = x^2 + x = 1
-    assert [int(t) & 1 for t in dual] == [0, 0, 1, 1]  # Tr(1) = 1 + 1 = 0, Tr(x) = 1
+    assert mul[2][2] == 3
+    assert mul[2][3] == 1  # x (x + 1) = x^2 + x = 1
+    assert [t & 1 for t in dual] == [0, 0, 1, 1]  # Tr(1) = 1 + 1 = 0, Tr(x) = 1
 
 
 def test_unsupported_field():
@@ -80,11 +88,11 @@ def test_unsupported_field():
 def test_gf_is_a_field(p):
     mul, _ = _field_tables(p)
     n = 1 << p
-    assert mul[:, 1].tolist() == list(range(n))
-    assert not mul[0].any()
+    assert [row[1] for row in mul] == list(range(n))
+    assert not any(mul[0])
     # every nonzero row of the multiplication table is a permutation
     for a in range(1, n):
-        assert sorted(mul[a].tolist()) == list(range(n))
+        assert sorted(mul[a]) == list(range(n))
 
 
 @settings(deadline=None, max_examples=60)
@@ -93,9 +101,9 @@ def test_gf_ring_axioms(p, a, b, c):
     mul, _ = _field_tables(p)
     n = 1 << p
     a, b, c = a % n, b % n, c % n
-    assert mul[a, b] == mul[b, a]
-    assert mul[mul[a, b], c] == mul[a, mul[b, c]]
-    assert mul[a, b ^ c] == mul[a, b] ^ mul[a, c]
+    assert mul[a][b] == mul[b][a]
+    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+    assert mul[a][b ^ c] == mul[a][b] ^ mul[a][c]
 
 
 @settings(deadline=None, max_examples=60)
@@ -104,9 +112,9 @@ def test_gf_trace_properties(p, a, b):
     mul, dual = _field_tables(p)
     n = 1 << p
     a, b = a % n, b % n
-    trace = dual & 1
+    trace = [t & 1 for t in dual]
     assert trace[a ^ b] == trace[a] ^ trace[b]
-    assert trace[mul[a, a]] == trace[a]  # Frobenius-invariant
+    assert trace[mul[a][a]] == trace[a]  # Frobenius-invariant
 
 
 @settings(deadline=None, max_examples=60)
@@ -116,7 +124,7 @@ def test_coordinate_pairing(p, a, b):
     mul, dual = _field_tables(p)
     n = 1 << p
     a, b = a % n, b % n
-    assert bin(b & int(dual[a])).count("1") % 2 == int(dual[mul[a, b]]) & 1
+    assert bin(b & dual[a]).count("1") % 2 == dual[mul[a][b]] & 1
 
 
 def test_dual_basis_frozen_p2():
@@ -202,8 +210,8 @@ def test_dense_commutation_on_small_p():
     for cls in part.classes:
         m = pauli_matrices(cls.members)
         assert np.array_equal(m[:, None] @ m, m @ m[:, None])
-        _, x, z = packed(cls.members)
-        assert not bit_parity((x[:, None] & z) ^ (x & z[:, None])).any()
+        _, x, z = masks(cls.members)
+        assert not any(((a & d) ^ (b & c)).bit_count() & 1 for a, c in zip(x, z) for b, d in zip(x, z))
 
 
 # --- validator catches corruption ------------------------------------------
@@ -320,8 +328,25 @@ def test_validator_reports_malformed_members_without_raising(part, problems):
     assert res.problems == problems
 
 
-def test_generator_independence_check():
-    from werner.partition import _independent_generators
-
+def test_generator_independence_check(monkeypatch):
+    # ZI twice spans one direction: the second leaves nothing new
+    assert list(_spanning([int("30", 4)] * 2)) == [0]
+    # a class whose members span fewer than p directions is refused
+    monkeypatch.setattr(werner.partition, "_spanning", lambda values: iter([0]))
     with pytest.raises(WernerError):
-        _independent_generators([(3, 0), (3, 0)], 2)
+        _spread_partition.__wrapped__(2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_phase_parity_is_the_phase_table_sum_and_the_symplectic_form(p):
+    # the validator's integer parity counts the positions where both digits
+    # are nontrivial and differ; the PHASE table sum is odd exactly there.
+    # Per position, such digits anticommute, so the parity is always the
+    # symplectic form's: an imaginary phase comes only with anticommuting pairs
+    for a, b in product(all_strings(p), repeat=2):
+        if a == b:
+            continue
+        problems = _class_problems(0, (a, b))
+        odd = sum(PHASE[c][e] for c, e in zip(a, b)) % 2
+        assert sum("imaginary phase" in msg for msg in problems) == 2 * odd, (a, b)
+        assert sum("anticommute" in msg for msg in problems) == odd, (a, b)

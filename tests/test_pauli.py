@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import PHASE
 from werner.decompose import _class_sums, per_string_decomposition
 from werner.errors import DimensionMismatch
 from werner.model import WernerParams
 from werner.partition import build_partition
 from werner.pauli import (
-    _PHASE,
-    _XZ_DIGIT,
+    _XZ_BITS,
     DIGIT_LETTERS,
     all_strings,
-    bit_parity,
     check_digits,
     format_label,
-    packed,
+    masks,
     pauli_matrices,
 )
 
@@ -30,8 +29,8 @@ def _base4(s):
 
 
 def _product(a, b):
-    """sigma_a . sigma_b as (quarter turns, digits), from the single-factor _PHASE table."""
-    return sum(_PHASE[x][y] for x, y in zip(a, b)) % 4, tuple(x ^ y for x, y in zip(a, b))
+    """sigma_a . sigma_b as (quarter turns, digits), from the single-factor PHASE table."""
+    return sum(PHASE[x][y] for x, y in zip(a, b)) % 4, tuple(x ^ y for x, y in zip(a, b))
 
 
 def test_single_factor_matrices():
@@ -94,29 +93,29 @@ def test_every_string_squares_to_identity():
 
 
 def test_commutes_matches_dense_exhaustively_p2():
-    # the symplectic form on packed masks, as the partition code evaluates it
+    # the symplectic form on the int masks, as the class-sum check evaluates it
     strings = list(all_strings(2))
-    _, x, z = packed(strings)
-    anti = bit_parity((x[:, None] & z) ^ (x & z[:, None]))
+    _, x, z = masks(strings)
     m = pauli_matrices(strings)
     for i, ma in enumerate(m):
         for j, mb in enumerate(m):
-            assert (not anti[i, j]) == np.allclose(ma @ mb, mb @ ma)
+            anti = ((x[i] & z[j]) ^ (x[j] & z[i])).bit_count() & 1
+            assert (not anti) == np.allclose(ma @ mb, mb @ ma)
 
 
 def test_commutes_rejects_unequal_lengths():
     with pytest.raises(DimensionMismatch):
-        packed([(1,), (1, 3)])
+        masks([(1,), (1, 3)])
 
 
 @settings(deadline=None)
 @given(digit_strings)
 def test_symplectic_roundtrip(s):
-    # packed's masks read back through the [x][z] -> digit table
-    digits, x, z = packed([s])
-    bits = [(int(x[0]) >> k & 1, int(z[0]) >> k & 1) for k in range(len(s))][::-1]
-    assert tuple(_XZ_DIGIT[a][b] for a, b in bits) == s
-    assert tuple(digits[0]) == s
+    # the masks read back through the digit -> (x, z) table
+    p, x, z = masks([s])
+    bits = [(x[0] >> k & 1, z[0] >> k & 1) for k in range(len(s))][::-1]
+    assert tuple(_XZ_BITS.index(xz) for xz in bits) == s
+    assert p == len(s)
 
 
 def test_y_count():
