@@ -23,9 +23,12 @@ Gaussian-integer entries and no Kronecker products.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
+
+if TYPE_CHECKING:  # annotations only: pauli_matrices imports numpy as it runs
+    import numpy as np
 
 __all__ = [
     "DIGIT_LETTERS",
@@ -80,14 +83,14 @@ def masks(strings: Iterable[Sequence[int]]) -> Tuple[int, List[int], List[int]]:
     return p, x, z
 
 
-def bit_parity(v):
+def bit_parity(v: np.ndarray) -> np.ndarray:
     """Parity of the set bits of each entry of a nonnegative int64 array."""
     for shift in (32, 16, 8, 4, 2, 1):
         v = v ^ (v >> shift)
     return v & 1
 
 
-def pauli_matrices(strings: Iterable[Sequence[int]], dtype=complex):
+def pauli_matrices(strings: Iterable[Sequence[int]], dtype=complex) -> np.ndarray:
     """Dense (m, 2^p, 2^p) stack of signed permutations, digit 0 as the
     leftmost Kronecker factor; its entries are exact in complex64 too."""
     import numpy as np

@@ -211,7 +211,8 @@ def test_dense_commutation_on_small_p():
         m = pauli_matrices(cls.members)
         assert np.array_equal(m[:, None] @ m, m @ m[:, None])
         _, x, z = masks(cls.members)
-        assert not any(((a & d) ^ (b & c)).bit_count() & 1 for a, c in zip(x, z) for b, d in zip(x, z))
+        pairs = [(i, j) for i in range(len(x)) for j in range(len(x))]
+        assert not any(((x[i] & z[j]) ^ (x[j] & z[i])).bit_count() & 1 for i, j in pairs)
 
 
 # --- validator catches corruption ------------------------------------------
