@@ -21,8 +21,8 @@ has T^2 = (d - 2) T + (d - 1) I and trace 0, so eigenvalue d - 1 once and
 -1 d - 1 times (Bandyopadhyay et al., Algorithmica 34 (2002) 512); a string
 has sigma^2 = I and trace 0, so +-1 d/2 times each. A factor's eigenvalues
 are (1 + s lambda)/d (Golub & Van Loan, Matrix Computations, section 8.5),
-and the reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t an
-exact integer matrix proven equal to its closed form. A point costs O(1).
+and the reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t
+proven equal to its closed form in O(n d^2), never formed. A point costs O(1).
 
 refine_to_pure spectrally splits each mixed factor so the certificate uses
 only rank-1 factors, at the cost of more terms.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import isqrt, sqrt
+from math import sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -299,21 +299,23 @@ def _chunks(stack):
 
 def _spectrum(gens, scheme: str):
     """(spectrum, problems): the eigenvalues every G_t has, ascending, and
-    which identities fail: Hermitian, trace 0, and G_t^2 = a G_t + b I, whose
-    roots the trace counts. The complex64 products are exact under
-    _swap_sum's bound 2 n max|Re, Im|^2 < 2^24, since d <= n."""
-    d = gens.shape[1]
+    which identities fail: Hermitian, trace 0, G_t^2 = a G_t + b I, whose
+    roots the trace counts, and Gaussian integers with 2 n max|Re, Im|^2 <
+    2^24, under which the complex64 products here and in _swap_sum are exact."""
+    n, d, _ = gens.shape
     if scheme == COMMUTING_CLASS:
         (a, b), spectrum = (d - 2, d - 1), np.repeat([-1.0, d - 1.0], [d - 1, 1])
     else:
         (a, b), spectrum = (0, 1), np.repeat([-1.0, 1.0], d // 2)
-    hermitian = traceless = squares = True
+    hermitian = traceless = squares = exact = True
     for g in _chunks(gens):
         hermitian = hermitian and np.array_equal(g, g.conj().swapaxes(1, 2))
         traceless = traceless and not np.trace(g, axis1=1, axis2=2).any()
         square = g * np.complex64(a)
         square[:, range(d), range(d)] += b
         squares = squares and np.array_equal(g @ g, square)
+        parts = np.abs(g.view(np.float32))  # |Re| and |Im|
+        exact = exact and n * parts.max() ** 2 < 2**23 and np.array_equal(np.rint(parts), parts)
     problems = []
     if not hermitian:
         problems.append("a G_t is not Hermitian")
@@ -321,52 +323,50 @@ def _spectrum(gens, scheme: str):
         problems.append("a G_t has a nonzero trace")
     if not squares:
         problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")
+    if not exact:
+        problems.append("the G_t are not Gaussian integers small enough for an exact S")
     return spectrum, tuple(problems)
 
 
 def _swap_sum(gens, scheme: str):
-    """The exact identities that fail, with S = sum_t G_t (x) G_t freed on return.
-
-    S is the complex64 product (G_flat^T G_flat)[(i,j),(k,l)] put in the
-    kron layout [(i,k),(j,l)], formed in blocks of at most _CHUNK_BYTES on
-    and above its diagonal; it is symmetric, so each block is also written
-    transposed. It is exact when every entry of every G_t is a Gaussian
-    integer and every partial sum is an integer below 2^24, which
-    2 n max|Re, Im|^2 < 2^24 bounds. The closed forms are d SWAP - I for the
-    strings and d (d SWAP - I) for the class sums, whose stack must also
-    sum to 0 so that the terms linear in s cancel. S is compared with its
-    closed form at _eye_flip_entries and, since none of the form's three
-    values is 0, by its count of nonzeros.
+    """The exact identities that fail, with S = sum_t G_t (x) G_t proven
+    equal to its closed form in O(n d^2), never formed: d SWAP - I for the
+    strings, d (d SWAP - I) for the class sums, whose stack must sum to 0.
+    A class's d sums T_e sign its Pauli strings (Bandyopadhyay et al.,
+    Algorithmica 34 (2002) 512): its fold V = H T by the Sylvester matrix
+    H[s, e] = (-1)^|s & e| is d times each, exact as |V| <= d max|Re, Im|,
+    and as H^T H = d I, d S = sum_V V (x) V. A string is its own V. Each V
+    must lie on one XOR pattern, V[r, r ^ x] = D[r] with x read at its first
+    nonzero entry, so c S (c = d or 1) is the exact complex128 Gram matrix
+    sum_{V: x_V = x} D D^T at ((i, k), (i ^ x, k ^ x)) and 0 elsewhere. It is
+    compared with the closed form, whose entries must lie on XOR patterns.
     """
     n, d, _ = gens.shape
-    flat = gens.reshape(n, d * d)
+    c = d if scheme == COMMUTING_CLASS else 1
     problems = []
-    parts = flat.view(np.float32)  # the real and imaginary parts
-    top = max(float(parts.max()), -float(parts.min()))
-    integral = all(np.array_equal(np.rint(c), c) for c in _chunks(parts))
-    if not (integral and 2 * n * top * top < 2**24):
-        problems.append("the G_t are not Gaussian integers small enough for an exact S")
-    if scheme == COMMUTING_CLASS and flat.sum(axis=0).any():
+    if scheme == COMMUTING_CLASS and gens.reshape(n, -1).sum(axis=0).any():
         problems.append("the class sums do not sum to 0")
-    swap_sum = np.empty((d * d, d * d), dtype=np.float32)
-    kron = swap_sum.reshape(d, d, d, d)
-    w = min(d, max(1, isqrt(_CHUNK_BYTES // 8) // d))  # values of i in a block
-    real = True
-    for i in range(0, d, w):
-        for k in range(i, d, w):
-            block = flat[:, i * d : (i + w) * d].T @ flat[:, k * d : (k + w) * d]
-            real = real and not block.imag.any()
-            kron[i : i + w, k : k + w] = block.real.reshape(w, d, w, d).transpose(0, 2, 1, 3)
-            kron[k : k + w, i : i + w] = kron[i : i + w, k : k + w].transpose(1, 0, 3, 2)
-    if not real:
+    hadamard = np.float32(-1) ** np.bitwise_count(np.bitwise_and.outer(range(c), range(c)))
+    rows, off, found = np.arange(d), 0, []  # off: entries off their XOR pattern
+    for chunk in _chunks(gens.view(np.float32).reshape(n // c, c, 2 * d * d)):
+        v = (hadamard @ chunk if c > 1 else chunk).view(np.complex64).reshape(-1, d, d)
+        nonzero = v.reshape(len(v), -1).view(np.float32) != 0  # real and imaginary parts
+        x = np.bitwise_xor(*np.divmod(np.argmax(nonzero, axis=1) // 2, d))
+        diagonal = v[np.arange(len(v))[:, None], rows, rows ^ x[:, None]]
+        off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))
+        found.append((x, diagonal))
+    patterns, diagonals = (np.concatenate(parts) for parts in zip(*found))
+    gram = np.empty((d, d, d), dtype=complex)
+    for x in range(d):
+        on = diagonals[patterns == x].astype(complex)
+        gram[x] = on.T @ on
+    if gram.imag.any():
         problems.append("S = sum_t G_t (x) G_t is not real")
-    a = d if scheme == COMMUTING_CLASS else 1
-    entries = _eye_flip_entries(d)
-    closed = zip(entries, (-a, a * d, a * (d - 1)))
-    if not (
-        all((swap_sum[rows, cols] == value).all() for (rows, cols), value in closed)
-        and np.count_nonzero(swap_sum) == sum(len(rows) for rows, _ in entries)
-    ):
+    closed = np.zeros((d, d, d))  # at [x, i, k], c S at ((i, k), (i ^ x, k ^ x))
+    for (into, out), value in zip(_eye_flip_entries(d), (-c, c * d, c * (d - 1))):
+        off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)
+        closed[(into ^ out) // d, into // d, into % d] = c * value
+    if not (off == 0 and np.array_equal(gram.real, closed)):
         problems.append("S = sum_t G_t (x) G_t differs from its closed form")
     return tuple(problems)
 

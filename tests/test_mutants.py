@@ -169,10 +169,21 @@ def honest_strings(m):
     return _family(m, 2, 0.1, PER_STRING)
 
 
+def _honest_swap_sum(m, p, scheme):
+    # S's checks answer as for the honest family: faithful wherever the
+    # dense S of the changed G_t is still its closed form
+    honest = m._swap_sum(werner.verify._generators(p, scheme), scheme)
+    m._swap_sum = lambda gens, scheme: honest
+
+
 def rotated_strings(m):
     # U G_t U^T for the real orthogonal U = H/2 (+) I, H the 4 x 4 Hadamard
-    # matrix: every identity holds exactly, but some entries are +-1/2, so
-    # the premise of the exact products fails
+    # matrix: every identity holds exactly, and S keeps its closed form since
+    # U (x) U commutes with the swap, but some entries are +-1/2, so the
+    # premise of the exact products fails. The G_t also leave their XOR
+    # patterns, which the proof of S refuses, so S's checks are stubbed to
+    # show that the premise alone reaches the verdict
+    _honest_swap_sum(m, 3, PER_STRING)
     u = np.eye(8)
     u[:4, :4] = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2
 
@@ -211,7 +222,9 @@ def non_real_swap_sum(m):
 def similar_strings(m):
     # M G_t M^-1 for the integer M = [[1, 1], [0, 1]]: no longer Hermitian,
     # and every other identity still holds, S included, since M (x) M
-    # commutes with the swap
+    # commutes with the swap. The proof of S refuses G_t off their XOR
+    # patterns, so S's checks are stubbed, as for rotated_strings
+    _honest_swap_sum(m, 1, PER_STRING)
     mat, inverse = np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]])
 
     def conjugate(gens):
@@ -225,8 +238,7 @@ def traced_string(m):
     # family whose S has its closed form has traces 0 (tr_1 S = sum_t
     # tr(G_t) G_t = 0, so sum_t tr(G_t)^2 = 0), so S's checks are stubbed
     # to show that the trace identity alone reaches the verdict
-    honest = m._swap_sum(werner.verify._generators(1, PER_STRING), PER_STRING)
-    m._swap_sum = lambda gens, scheme: honest
+    _honest_swap_sum(m, 1, PER_STRING)
 
     def lift(gens):
         (at,) = np.flatnonzero((gens == _string("Z")).all(axis=(1, 2)))
@@ -287,10 +299,37 @@ def changed_closed_form(m):
 
 
 def dropped_closed_form_entry(m):
-    # the first entry where only I is 1 is 0: only the count of S's nonzeros sees it
+    # the first entry where only I is 1 is 0: only S's comparison with 0 off
+    # the closed form's entries sees it
     return _closed_form_changed(
         m, lambda only_i, only_p, both: ((only_i[0][1:], only_i[1][1:]), only_p, both)
     )
+
+
+def off_pattern_closed_form(m):
+    # the first entry where only P is 1, ((0, 1), (1, 0)), moves to ((0, 1),
+    # (1, 1)), off every XOR pattern ((i, k), (i ^ x, k ^ x)); filed under
+    # the x of its first index, it would land where the old entry was
+    def change(only_i, only_p, both):
+        rows, cols = only_p
+        return only_i, (rows, np.append(cols[0] + 1, cols[1:])), both
+
+    return _closed_form_changed(m, change)
+
+
+def off_pattern_string(m):
+    # ZI gains 1 at (0, 1) and (1, 0), off its XOR pattern x = 0: its pattern
+    # part, and so the Gram matrices of S, are as before, but S is not. The
+    # square identity sees it too, so the G_t's own checks are stubbed to
+    # show that S's support check alone reaches the verdict
+    honest = m._spectrum(werner.verify._generators(2, PER_STRING), PER_STRING)
+    m._spectrum = lambda gens, scheme: honest
+
+    def spread(gens):
+        (at,) = np.flatnonzero((gens == _string("ZI")).all(axis=(1, 2)))
+        gens[at, 0, 1] = gens[at, 1, 0] = 1
+
+    return _family(m, 2, 0.1, PER_STRING, spread)
 
 
 # --- probes on model.ppt_check ------------------------------------------------
@@ -418,6 +457,8 @@ PROBES = {"verify": [
     (non_real_swap_sum, (False, True, True, False)),
     (changed_closed_form, (False, True, True, False)),
     (dropped_closed_form_entry, (False, True, True, False)),
+    (off_pattern_closed_form, (False, True, True, False)),
+    (off_pattern_string, (False, True, True, False)),
     (similar_strings, (False, True, True, False)),
     (traced_string, (False, True, True, False)),
     (mixed_commuting_strings, (False, True, True, False)),
@@ -484,11 +525,15 @@ MUTANTS = [
      "square = g * np.complex64(a)", "square = g * np.complex64(a + 1)"),
     ("the class sums' multiplicities swapped", "verify",
      "np.repeat([-1.0, d - 1.0], [d - 1, 1])", "np.repeat([-1.0, d - 1.0], [1, d - 1])"),
-    ("S held to its closed form by its nonzero count alone", "verify",
-     "all((swap_sum[rows, cols] == value).all() for (rows, cols), value in closed)\n        and ",
-     ""),
+    ("S held to its closed form by its nonzero count off the XOR patterns alone", "verify",
+     "off == 0 and np.array_equal(gram.real, closed))", "off == 0)"),
     ("S held to its closed form only where that is nonzero", "verify",
-     "\n        and np.count_nonzero(swap_sum) == sum(len(rows) for rows, _ in entries)", ""),
+     "np.array_equal(gram.real, closed)",
+     "np.array_equal(gram.real[closed != 0], closed[closed != 0])"),
+    ("S held to its closed form without its support check", "verify",
+     "off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))", "pass"),
+    ("a closed-form entry off every XOR pattern is taken", "verify",
+     "off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)", "pass"),
     # the family's residual over the three groups of the gap
     ("no n_terms on the first diagonal group", "verify",
      "+ n_terms) * w - rho[0]", ") * w - rho[0]"),

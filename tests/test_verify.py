@@ -538,8 +538,8 @@ def _entry_dropped(only_i, only_p, both):
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_one_entry_change_to_the_closed_form_fails_the_family(monkeypatch, scheme):
-    # S is held to its closed form at _eye_flip_entries, and by its count of
-    # nonzeros elsewhere: one value changed, or one entry dropped to 0, fails
+    # S is held to its closed form at _eye_flip_entries, and to 0 elsewhere:
+    # one value changed, or one entry dropped to 0, fails
     entries = werner.verify._eye_flip_entries
     params = WernerParams(2, 0.1 if scheme == PER_STRING else 0.6)
     for change in (_value_changed, _entry_dropped):
@@ -576,17 +576,89 @@ def test_a_family_of_another_p_is_refused():
         verify_family(_family(1, COMMUTING_CLASS), WernerParams(2, 0.6))
 
 
+def _dense_swap_sum(gens):
+    """S = sum_t G_t (x) G_t by one complex64 product, (G_flat^T G_flat)
+    [(i, j), (k, l)] put in the kron layout [(i, k), (j, l)]."""
+    d, flat = gens.shape[1], gens.reshape(len(gens), -1)
+    return (flat.T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+
+
+def _closed_swap_sum(p, scheme):
+    d = 2**p
+    a = d if scheme == COMMUTING_CLASS else 1
+    return werner.model._eye_flip(d, (-a, a * d, a * (d - 1)))
+
+
+def _s_problems(gens, scheme):
+    return [x for x in werner.verify._swap_sum(gens, scheme) if x.startswith("S = ")]
+
+
+def _at_first_nonzero(gens, t, real=False):
+    g = gens[t].real if real else gens[t]
+    return np.unravel_index(np.flatnonzero(g)[0], g.shape)
+
+
+def _sign_flipped(gens, t):
+    gens[(t, *_at_first_nonzero(gens, t))] *= -1
+
+
+def _entry_moved(gens, t):
+    # to the first zero of its row, off every XOR pattern the entry was on
+    r, c = _at_first_nonzero(gens, t)
+    gens[t, r, np.flatnonzero(gens[t, r] == 0)[0]] = gens[t, r, c]
+    gens[t, r, c] = 0
+
+
+def _row_doubled(gens, t):
+    gens[t] *= 2
+
+
+def _i_added(gens, t):
+    t = next(s for s in range(t, len(gens)) if gens[s].real.any())
+    gens[(t, *_at_first_nonzero(gens, t, real=True))] += 1j
+
+
+def _rows_swapped(gens, t):
+    # the first two rows of the first class (of d rows) that is not diagonal;
+    # the two strings there for per_string
+    d = gens.shape[1]
+    k = next(k for k in range(0, len(gens), d) if np.count_nonzero(gens[k] * (1 - np.eye(d))))
+    gens[[k, k + 1]] = gens[[k + 1, k]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+@pytest.mark.parametrize(
+    "tamper", [_sign_flipped, _entry_moved, _row_doubled, _i_added, _rows_swapped]
+)
+def test_no_tampered_stack_passes_with_a_wrong_s(p, scheme, tamper):
+    gens = werner.verify._generators(p, scheme).copy()
+    tamper(gens, len(gens) // 2)
+    held = np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p, scheme))
+    refused = bool(_s_problems(gens, scheme))
+    assert held or refused
+    assert held is (tamper is _rows_swapped)
+    # the proof asks more than the dense S does: a class with two rows
+    # swapped keeps S, but from p = 3 its fold is no longer d times single
+    # strings. At p = 2 every permutation of a class's 4 rows is an affine
+    # map of its sign patterns, which only permutes and negates the V_s
+    assert refused is (not held or (scheme == COMMUTING_CLASS and p >= 3))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
     # the family keeps no S: its report reads the closed form that S was
-    # proven to equal. S formed here from the G_t by one complex64 product,
-    # and the dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4
-    # entries, must give the same report, residual bits included
+    # proven to equal. S formed here from the G_t by one complex64 product
+    # must be that closed form, and the dense float64 gap w/d^2 (n_terms I +
+    # c S) - rho over all d^4 entries must give the same report, residual
+    # bits included
     family = _family(p, scheme)
     gens = werner.verify._generators(p, scheme)
-    d, flat = 2**p, gens.reshape(len(gens), -1)
-    swap_sum = (flat.T @ flat).real.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+    d, swap_sum = 2**p, _dense_swap_sum(gens)
+    assert werner.verify._swap_sum(gens, scheme) == ()
+    assert np.array_equal(swap_sum, _closed_swap_sum(p, scheme))
+    swap_sum = swap_sum.real
     lo, hi = (per_string_range if scheme == PER_STRING else class_range)(p)
     corpus = (0.0, 2.0**-p, 2.0 ** (1 - p), 0.02, 0.05, 0.3, 0.6, 0.73, *np.linspace(0, 1, 21))
     fs = [f for f in corpus if lo <= f <= hi]
@@ -793,16 +865,18 @@ def test_a_p5_report_holds_the_state_and_one_working_copy(f):
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
-def test_a_p5_family_holds_its_stack_and_two_swap_sums_at_most(scheme):
-    # the generators (8 MB, built here), the float32 S and one block of the
-    # product; a complex128 string stack or a second stack would add 8-17 MB
+def test_a_p5_family_holds_its_stack_and_chunk_sized_work_at_most(scheme):
+    # the generators (8.4-8.7 MB, built here) and a few chunks of work: the
+    # identities' products, one fold of whole classes, the Gram matrices. A
+    # (d^2, d^2) float32 S alone would add 4 MiB, a second stack 8 MB
+    stack = werner.verify._generators(5, scheme).nbytes
     tracemalloc.start()
     try:
         scheme_family(5, scheme)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 26e6
+    assert peak <= stack + 5 * _CHUNK_BYTES
 
 
 def _halve(gens):
