@@ -346,7 +346,7 @@ def _swap_sum(gens, scheme: str):
     problems = []
     if scheme == COMMUTING_CLASS and gens.reshape(n, -1).sum(axis=0).any():
         problems.append("the class sums do not sum to 0")
-    hadamard = np.float32(-1) ** np.bitwise_count(np.bitwise_and.outer(range(c), range(c)))
+    hadamard = np.array([[(-1) ** (s & e).bit_count() for e in range(c)] for s in range(c)], np.float32)
     rows, off, found = np.arange(d), 0, []  # off: entries off their XOR pattern
     for chunk in _chunks(gens.view(np.float32).reshape(n // c, c, 2 * d * d)):
         v = (hadamard @ chunk if c > 1 else chunk).view(np.complex64).reshape(-1, d, d)
