@@ -10,6 +10,7 @@ imports what it runs, so a call loads only its subcommand's modules.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from itertools import chain
 
 from .errors import MalformedInput, WernerError
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _SCHEME_FLAGS = ("auto", "class", "per-string")
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
@@ -483,5 +484,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: main, then the heap frozen, so the interpreter's
+    exit-time collections skip the objects the run left alive. In-process
+    callers use main, which never freezes."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

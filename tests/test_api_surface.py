@@ -1,11 +1,11 @@
 """The exported surface of the package: no name that nothing calls.
 
 Every module-level definition in src/werner must be reachable from the
-fourteen names that `import werner` exports, from the CLI's `main` or from
-the package's `__getattr__`, which Python calls to resolve those names,
-through the names each reached definition uses. A helper only the tests
-call, or only another unreached helper calls, does not belong in the
-package.
+fourteen names that `import werner` exports, from the CLI's `main`, from the
+functions that pyproject.toml's console scripts call, or from the package's
+`__getattr__`, which Python calls to resolve those names, through the names
+each reached definition uses. A helper only the tests call, or only another
+unreached helper calls, does not belong in the package.
 """
 import ast
 import importlib
@@ -35,6 +35,14 @@ PUBLIC = {
     "werner_dense",
     "werner_spinor",
 }
+
+
+def _script_targets():
+    """The function names that pyproject.toml's [project.scripts] entries
+    call: the scripts are their callers."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    return re.findall(r'=\s*"[\w.]+:(\w+)"', section)
 
 
 def _trees():
@@ -72,8 +80,11 @@ def test_every_module_level_name_is_reachable_from_the_public_names():
     for module, tree in _trees().items():
         for name, node in _definitions(tree):
             sites.setdefault(name, []).append((module, node))
-    # cli.main, the fourteen names and the lazy lookup behind them
-    reached, todo = set(), ["main", "__getattr__", *PUBLIC]
+    # cli.main, the console scripts' targets, the fourteen names and the
+    # lazy lookup behind them
+    scripts = _script_targets()
+    assert scripts
+    reached, todo = set(), ["main", *scripts, "__getattr__", *PUBLIC]
     while todo:
         name = todo.pop()
         if name in reached or name not in sites:

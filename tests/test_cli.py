@@ -1,15 +1,21 @@
 """Command-line behavior: exit codes, document schemas, determinism."""
 import argparse
+import ast
+import gc
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from werner import serialize
+from werner import cli, serialize
 from werner.cli import _DISPATCH, _build_parser, _sweep_points, main
 from werner.decompose import Decomposition, class_decomposition
 from werner.model import WernerParams, werner_dense
@@ -690,3 +696,51 @@ def test_repeat_runs_identical(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+# a pass, a verification failure, a certificate written and read back, and a
+# usage error: the exit codes are 0, 2, 0, 0 and 1
+_ENTRY_CORPUS = [
+    ("report", "--p", "2", "--f", "0.6"),
+    ("ppt", "--p", "3", "--f", "-0.5"),
+    ("decompose", "--p", "2", "--f", "0.6", "--output", "cert.json"),
+    ("verify", "--input", "cert.json"),
+    ("build", "--p", "1", "--f", "0.5", "--seed", "1"),
+]
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys, tmp_path, monkeypatch):
+    # only the process entry freezes the heap: a freeze in main would make
+    # every cycle alive in a long-lived caller uncollectable
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count(), gc.isenabled()
+    codes = [run(capsys, *argv)[0] for argv in _ENTRY_CORPUS]
+    assert codes == [0, 2, 0, 0, 1]
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_console_script_and_python_m_werner_call_run():
+    pyproject = (Path(cli.__file__).parents[2] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["werner", "=", '"werner.cli:run"']
+    tree = ast.parse(Path(cli.__file__).with_name("__main__.py").read_text())
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {"SystemExit", "run"}
+
+
+def test_python_m_werner_prints_and_writes_what_main_does(capsys, tmp_path, monkeypatch):
+    # nothing the run wrote is lost when the process exits with a frozen heap
+    monkeypatch.delenv("WERNER_SEED", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    process, in_process = tmp_path / "process", tmp_path / "main"
+    process.mkdir()
+    in_process.mkdir()
+    monkeypatch.chdir(in_process)
+    for argv in _ENTRY_CORPUS:
+        done = subprocess.run([sys.executable, "-m", "werner", *argv], cwd=process,
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    written = [{f.name: f.read_bytes() for f in d.iterdir()} for d in (process, in_process)]
+    assert written[0] == written[1]
+    assert list(written[0]) == ["cert.json"]
