@@ -491,7 +491,3 @@ def run() -> int:
     status = main()
     gc.freeze()
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(run())

@@ -13,9 +13,11 @@ Two schemes cover [0, 1] between them:
                   over the maximal commuting partition, component
                   (I + s T_eps)/2^p with s = sqrt((2^p f - 1)/(2^p - 1)) and
                   T_eps the character-signed sum over the class. The class
-                  is the group of its p commuting generators G_j, so
-                  I + T_eps = prod_j (I + (-1)^eps_j G_j), and at s = 1
-                  every component is a rank-1 projector.
+                  is the group of its p commuting generators G_j: its
+                  products V_s in fold order give T_eps = sum_s
+                  (-1)^|eps & s| V_s - I, so I + T_eps = prod_j (I +
+                  (-1)^eps_j G_j), and at s = 1 every component is a rank-1
+                  projector.
 
 Both schemes use equal weights and reconstruct the state exactly; the
 verifier, not the constructor, is the authority on positivity, so forced
@@ -25,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import SchemeRangeError
 from .model import _CHUNK_BYTES, WernerParams
 from .partition import CommutingClass, build_partition
-from .pauli import all_strings, format_label, masks, pauli_matrices
+from .pauli import all_strings, format_label, masks, pauli_matrices, signed_permutations
 
 __all__ = [
     "COMMUTING_CLASS",
@@ -113,43 +115,28 @@ def per_string_decomposition(params: WernerParams, force: bool = False) -> Decom
     return Decomposition(params, PER_STRING, scale, tuple(terms))
 
 
-def _class_sums(cls: CommutingClass) -> np.ndarray:
-    """T_eps for every sign pattern of one class, as a (d, d, d) complex64
-    stack; bit j of the index is eps_j.
+def _class_products(classes: Sequence[CommutingClass]) -> np.ndarray:
+    """V: each class's d products in fold order, class by class, as one
+    ((d + 1) d, d, d) complex64 stack of signed permutations for the
+    2^p + 1 classes of build_partition(p). Row k d + s is class k's
+    V_s = prod_j G_j^(s_j) over ascending j, so V_0 = I.
 
-    The class with the identity is the group generated by its p commuting
-    generators G_j, so I + T_eps = prod_j (I + (-1)^eps_j G_j): each
-    generator doubles the stack of partial products. G_j is a signed
-    permutation, nonzero at (c ^ x_j, c) in column c, so a product with it
-    is a column gather times that column's entry. Every entry is a small
-    Gaussian integer, so the products are exact in complex64.
+    The products are taken on masks, with Python ints: as (-i)^t Z^z X^x,
+    V_s G_j = (-i)^(t + y_j + 2 |x_s & z_j|) Z^(z_s ^ z_j) X^(x_s ^ x_j),
+    since X^x Z^z = (-1)^|x & z| Z^z X^x, with y_j the y count of G_j. One
+    scatter realizes them all.
     """
-    _, x, z = masks(cls.generators)
-    if any(((a & d) ^ (b & c)).bit_count() & 1 for a, c in zip(x, z) for b, d in zip(x, z)):
-        raise ValueError("class generators do not pairwise commute")
-    cols = np.arange(2**cls.p)
-    prods = np.eye(len(cols), dtype=np.complex64)[None]
-    for g, mask in zip(pauli_matrices(cls.generators, np.complex64), x):
-        rows = cols ^ mask
-        step = prods[:, :, rows] * g[rows, cols]  # prods @ G_j
-        prods = np.concatenate([prods + step, prods - step])
-    prods[:, cols, cols] -= 1
-    return prods
-
-
-def _class_sum_stack(p: int) -> np.ndarray:
-    """The class sums of every class of build_partition(p), class by class,
-    as one ((d + 1) d, d, d) complex64 stack: row k d + e is class k's
-    T_eps (8.7 MB at p = 5). class_decomposition slices it and the family
-    verifier checks it whole; each builds its own, so it is freed with the
-    last use. Each class is built into its rows, so no second copy exists.
-    """
-    classes = build_partition(p).classes
-    d = 2**p
-    stack = np.empty((len(classes) * d, d, d), dtype=np.complex64)
-    for k, cls in enumerate(classes):
-        stack[k * d : (k + 1) * d] = _class_sums(cls)
-    return stack
+    prods = []  # (x, z, t) of each V_s
+    for cls in classes:
+        _, x, z = masks(cls.generators)
+        if any(((a & d) ^ (b & c)).bit_count() & 1 for a, c in zip(x, z) for b, d in zip(x, z)):
+            raise ValueError("class generators do not pairwise commute")
+        first = len(prods)
+        prods.append((0, 0, 0))
+        for a, c in zip(x, z):
+            prods += [(px ^ a, pz ^ c, (t + (a & c).bit_count() + 2 * (px & c).bit_count()) % 4)
+                      for px, pz, t in prods[first:]]
+    return signed_permutations(classes[0].p, *map(list, zip(*prods)), np.complex64)
 
 
 def class_decomposition(params: WernerParams, force: bool = False) -> Decomposition:
@@ -171,9 +158,15 @@ def class_decomposition(params: WernerParams, force: bool = False) -> Decomposit
         )
     scale, weight, _ = scheme_scalars(params, COMMUTING_CLASS)
 
+    # T_e = sum_s H[e, s] V_s - I with the Sylvester matrix H[s, e] =
+    # (-1)^|s & e|, so I + T_e = prod_j (I + (-1)^e_j G_j); its entries are
+    # small integers, exact in float32
+    hadamard = np.array([[(-1) ** (s & e).bit_count() for e in range(d)] for s in range(d)], np.float32)
     eye = np.eye(d, dtype=complex)
     terms = []
-    for k, sums in enumerate(_class_sum_stack(p).reshape(-1, d, d, d)):
+    for k, prods in enumerate(_class_products(build_partition(p).classes).reshape(-1, d, d, d)):
+        sums = (hadamard @ prods.view(np.float32).reshape(d, -1)).view(np.complex64).reshape(d, d, d)
+        sums[:, range(d), range(d)] -= 1
         comps = (eye + scale * sums.astype(complex)) / d
         for e, comp in enumerate(comps):
             bits = "".join(str((e >> j) & 1) for j in range(p))

@@ -14,11 +14,12 @@ The symplectic encoding maps each digit to an (x, z) bit pair,
 and two strings commute iff the symplectic form x_a.z_b + x_b.z_a
 vanishes mod 2. masks packs a string into two p-bit Python ints, with
 digit 0 as the most significant bit; the helpers here other than
-pauli_matrices need no numpy. As masks a string is (-i)^(y count) Z^z X^x
-(since Y = -i Z X), so its matrix is a signed permutation: row r holds one
-entry, at column r ^ x, with value (-i)^(y count) (-1)^|r & z|.
-pauli_matrices realizes a whole stack of strings that way, with
-Gaussian-integer entries and no Kronecker products.
+signed_permutations and pauli_matrices need no numpy. As masks a string is
+(-i)^(y count) Z^z X^x (since Y = -i Z X), so its matrix is a signed
+permutation: row r holds one entry, at column r ^ x, with value
+(-i)^(y count) (-1)^|r & z|. signed_permutations realizes a whole stack of
+(-i)^turns Z^z X^x that way, with entries 1, -1, i and -i and no Kronecker
+products, and pauli_matrices realizes strings through it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
-if TYPE_CHECKING:  # annotations only: pauli_matrices imports numpy as it runs
+if TYPE_CHECKING:  # annotations only: signed_permutations imports numpy as it runs
     import numpy as np
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "format_label",
     "masks",
     "pauli_matrices",
+    "signed_permutations",
 ]
 
 Digits = Tuple[int, ...]
@@ -90,18 +92,26 @@ def bit_parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def pauli_matrices(strings: Iterable[Sequence[int]], dtype=complex) -> np.ndarray:
-    """Dense (m, 2^p, 2^p) stack of signed permutations, digit 0 as the
-    leftmost Kronecker factor; its entries are exact in complex64 too."""
+def signed_permutations(
+    p: int, x: Sequence[int], z: Sequence[int], turns: Sequence[int], dtype=complex
+) -> np.ndarray:
+    """Dense (m, 2^p, 2^p) stack of the (-i)^turns Z^z X^x over the masks:
+    row r holds (-i)^turns (-1)^|r & z| at column r ^ x. Its entries are
+    exact in complex64 too."""
     import numpy as np
-    p, x, z = masks(strings)
-    turns = [(a & b).bit_count() % 4 for a, b in zip(x, z)]  # y count
     x, z = np.array(x), np.array(z)
     r = np.arange(1 << p)
     values = np.array((1, -1j, -1, 1j))[turns, None] * (1 - 2 * bit_parity(r & z[:, None]))
     out = np.zeros((len(x), 1 << p, 1 << p), dtype=dtype)
     out[np.arange(len(x))[:, None], r, r ^ x[:, None]] = values
     return out
+
+
+def pauli_matrices(strings: Iterable[Sequence[int]], dtype=complex) -> np.ndarray:
+    """Dense (m, 2^p, 2^p) stack of the strings, digit 0 as the leftmost
+    Kronecker factor, as signed_permutations with turns the y count."""
+    p, x, z = masks(strings)
+    return signed_permutations(p, x, z, [(a & b).bit_count() % 4 for a, b in zip(x, z)], dtype)
 
 
 def format_label(digits: Sequence[int]) -> str:

@@ -9,27 +9,27 @@ and trusts nothing about how it was built: it re-derives the weight
 statistics, re-diagonalizes every distinct factor with the in-house
 eigensolver, and measures the Frobenius gap of the reconstruction to the
 target. `verify --input`, `refine` and the refinement half of `report
---refine` use it. At p = 5 its Jacobi runs on a worker thread while this
-thread reconstructs.
+--refine` use it.
 
 scheme_family and verify_family check the toolkit's own certificates, as
 `report` (separability_report) and `sweep` build them. Each factor is
-(I + s G_t)/d, for per_string also (I - s G_t)/d, with G_t a class sum or a
-Pauli string; only the scale s and the weights depend on f. Exact integer
-identities prove every G_t's spectrum with no eigensolver: a class sum T
-has T^2 = (d - 2) T + (d - 1) I and trace 0, so eigenvalue d - 1 once and
--1 d - 1 times (Bandyopadhyay et al., Algorithmica 34 (2002) 512); a string
-has sigma^2 = I and trace 0, so +-1 d/2 times each. A factor's eigenvalues
-are (1 + s lambda)/d (Golub & Van Loan, Matrix Computations, section 8.5),
-and the reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t
-proven equal to its closed form in O(n d^2), never formed. A point costs O(1).
+(I + s G_t)/d, for per_string also (I - s G_t)/d, with G_t a Pauli string
+or a class sum T_e = sum_s (-1)^|e & s| V_s - I over its class's products
+V_s; only the scale s and the weights depend on f. The strings and the V_s
+are signed permutations, V[r, r ^ x] = D[r], and exact identities on each
+(x, D) prove every G_t's spectrum in O(p n d), with no eigensolver and no
+matrix product: a string has eigenvalues +-1 d/2 times each, and a class
+sum d - 1 once and -1 d - 1 times (Bandyopadhyay et al., Algorithmica 34
+(2002) 512). A factor's eigenvalues are (1 + s lambda)/d (Golub & Van Loan,
+Matrix Computations, section 8.5), and the reconstruction is w/d^2 (N I +
+c S), with S = sum_t G_t (x) G_t proven equal to its closed form in
+O(n d^2), never formed. A point costs O(1).
 
 refine_to_pure spectrally splits each mixed factor so the certificate uses
 only rank-1 factors, at the cost of more terms.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import sqrt
 from typing import List, Optional, Tuple
@@ -42,7 +42,7 @@ from .decompose import (
     PER_STRING,
     Decomposition,
     ProductTerm,
-    _class_sum_stack,
+    _class_products,
     auto_scheme,
     decompose_auto,
     reconstruct,
@@ -60,6 +60,7 @@ from .model import (
     random_unitary,
     werner_dense,
 )
+from .partition import build_partition
 from .pauli import all_strings, pauli_matrices
 
 __all__ = [
@@ -157,34 +158,6 @@ def _component_stats(dec: Decomposition):
     return float(min_eig), float(max_purity_dev)
 
 
-def _overlapped(first, second, overlap: bool):
-    """(first(), second()), called in that order, or with first on a worker
-    thread while this thread runs second when overlap is true.
-
-    Either way an error of first wins over one of second, as in the inline
-    order, and the worker is joined before anything is returned or raised.
-    """
-    if not overlap:
-        return first(), second()
-    outcome = {}
-
-    def work():
-        try:
-            outcome["value"] = first()
-        except BaseException as exc:  # handed to this thread, which raises it
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        later = second()
-    finally:
-        worker.join()
-        if "error" in outcome:
-            raise outcome["error"]
-    return outcome["value"], later
-
-
 def _report(
     weights, min_component_eigenvalue, max_purity_deviation, residual, tol, problems=()
 ) -> VerificationReport:
@@ -235,16 +208,8 @@ def verify_decomposition(
             f"target shape {target.shape} does not match term dimension {dim}"
         )
 
-    # at p = 5, where reconstruct's chunks are accumulator-sized, its GEMMs
-    # leave the GIL free for the GIL-bound Jacobi stage on a worker. Jacobi
-    # makes only small allocations, so the big buffers stay in this thread's
-    # malloc arena. At p <= 4 the reconstruction takes milliseconds, so
-    # there is little to hide, and the stages run inline in their order.
-    (min_component_eigenvalue, max_purity_deviation), gap = _overlapped(
-        lambda: _component_stats(dec),
-        lambda: reconstruct(dec),
-        target.nbytes // 4 > _CHUNK_BYTES,
-    )
+    min_component_eigenvalue, max_purity_deviation = _component_stats(dec)
+    gap = reconstruct(dec)
     # the Frobenius residual, taken in the reconstruction's own buffer: a
     # separate difference array would set the peak memory at p = 5
     gap -= target
@@ -269,7 +234,7 @@ class Family:
     p: int
     n_generators: int
     spectrum: np.ndarray  # (d,): the eigenvalues of every G_t, ascending
-    problems: Tuple[str, ...]  # the exact identities the G_t and S fail
+    problems: Tuple[str, ...]  # the exact identities the V and S fail
 
     @property
     def signs(self) -> int:
@@ -281,101 +246,109 @@ class Family:
 
 
 def _generators(p: int, scheme: str) -> np.ndarray:
-    """The (n, d, d) complex64 stack of G_t, built for this call: the class
-    sums, class by class, or the nontrivial strings in term order."""
+    """The (n, d, d) complex64 stack of the family's signed permutations V,
+    built for this call: each class's products V_s in fold order, class by
+    class, or the nontrivial strings in term order."""
     if scheme == COMMUTING_CLASS:
-        return _class_sum_stack(p)
+        return _class_products(build_partition(p).classes)
     if scheme == PER_STRING:
         return pauli_matrices(list(all_strings(p))[1:], np.complex64)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _chunks(stack):
-    """Consecutive slices of stack of at most _CHUNK_BYTES (one row at least),
-    so that a check over the stack makes no stack-sized temporary."""
+def _monomials(stack):
+    """(x, D, off): each V's XOR pattern x, read at its first nonzero entry,
+    its entries D[r] = V[r, r ^ x] on that pattern, and the count of nonzero
+    entries off their patterns over the stack. The stack is read in slices
+    of at most _CHUNK_BYTES (one V at least), so no stack-sized temporary
+    is made."""
+    d = stack.shape[1]
+    rows, off, found = np.arange(d), 0, []
     step = max(1, _CHUNK_BYTES // stack[0].nbytes)
-    return (stack[k : k + step] for k in range(0, len(stack), step))
-
-
-def _spectrum(gens, scheme: str):
-    """(spectrum, problems): the eigenvalues every G_t has, ascending, and
-    which identities fail: Hermitian, trace 0, G_t^2 = a G_t + b I, whose
-    roots the trace counts, and Gaussian integers with 2 n max|Re, Im|^2 <
-    2^24, under which the complex64 products here and in _swap_sum are exact."""
-    n, d, _ = gens.shape
-    if scheme == COMMUTING_CLASS:
-        (a, b), spectrum = (d - 2, d - 1), np.repeat([-1.0, d - 1.0], [d - 1, 1])
-    else:
-        (a, b), spectrum = (0, 1), np.repeat([-1.0, 1.0], d // 2)
-    hermitian = traceless = squares = exact = True
-    for g in _chunks(gens):
-        hermitian = hermitian and np.array_equal(g, g.conj().swapaxes(1, 2))
-        traceless = traceless and not np.trace(g, axis1=1, axis2=2).any()
-        square = g * np.complex64(a)
-        square[:, range(d), range(d)] += b
-        squares = squares and np.array_equal(g @ g, square)
-        parts = np.abs(g.view(np.float32))  # |Re| and |Im|
-        exact = exact and n * parts.max() ** 2 < 2**23 and np.array_equal(np.rint(parts), parts)
-    problems = []
-    if not hermitian:
-        problems.append("a G_t is not Hermitian")
-    if not traceless:
-        problems.append("a G_t has a nonzero trace")
-    if not squares:
-        problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")
-    if not exact:
-        problems.append("the G_t are not Gaussian integers small enough for an exact S")
-    return spectrum, tuple(problems)
-
-
-def _swap_sum(gens, scheme: str):
-    """The exact identities that fail, with S = sum_t G_t (x) G_t proven
-    equal to its closed form in O(n d^2), never formed: d SWAP - I for the
-    strings, d (d SWAP - I) for the class sums, whose stack must sum to 0.
-    A class's d sums T_e sign its Pauli strings (Bandyopadhyay et al.,
-    Algorithmica 34 (2002) 512): its fold V = H T by the Sylvester matrix
-    H[s, e] = (-1)^|s & e| is d times each, exact as |V| <= d max|Re, Im|,
-    and as H^T H = d I, d S = sum_V V (x) V. A string is its own V. Each V
-    must lie on one XOR pattern, V[r, r ^ x] = D[r] with x read at its first
-    nonzero entry, so c S (c = d or 1) is the exact complex128 Gram matrix
-    sum_{V: x_V = x} D D^T at ((i, k), (i ^ x, k ^ x)) and 0 elsewhere. It is
-    compared with the closed form, whose entries must lie on XOR patterns.
-    """
-    n, d, _ = gens.shape
-    c = d if scheme == COMMUTING_CLASS else 1
-    problems = []
-    if scheme == COMMUTING_CLASS and gens.reshape(n, -1).sum(axis=0).any():
-        problems.append("the class sums do not sum to 0")
-    hadamard = np.array([[(-1) ** (s & e).bit_count() for e in range(c)] for s in range(c)], np.float32)
-    rows, off, found = np.arange(d), 0, []  # off: entries off their XOR pattern
-    for chunk in _chunks(gens.view(np.float32).reshape(n // c, c, 2 * d * d)):
-        v = (hadamard @ chunk if c > 1 else chunk).view(np.complex64).reshape(-1, d, d)
+    for v in (stack[k : k + step] for k in range(0, len(stack), step)):
         nonzero = v.reshape(len(v), -1).view(np.float32) != 0  # real and imaginary parts
         x = np.bitwise_xor(*np.divmod(np.argmax(nonzero, axis=1) // 2, d))
         diagonal = v[np.arange(len(v))[:, None], rows, rows ^ x[:, None]]
         off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))
         found.append((x, diagonal))
-    patterns, diagonals = (np.concatenate(parts) for parts in zip(*found))
+    x, diagonals = (np.concatenate(parts) for parts in zip(*found))
+    return x, diagonals, off
+
+
+def _identities(x, diagonals, off, scheme: str):
+    """(spectrum, problems): the eigenvalues every G_t has, ascending, and
+    which identities of the V fail, from each V's (x, D) in O(p n d).
+
+    Each V must be a signed permutation of 1, -1, i and -i, Hermitian
+    (D[r ^ x] = conj D[r]), so an involution, and of trace 0 (x != 0 or
+    sum D = 0): a string then has eigenvalues +-1, d/2 times each. A class's
+    V_s must also satisfy V_s V_g = V_(s ^ g) for each generator g = 2^j,
+    that is x_s ^ x_g = x_(s ^ g) and D_s[r] D_g[r ^ x_s] = D_(s ^ g)[r].
+    At s = 0 this holds V_0 to I, which is why V_0 alone may have trace d.
+    The V_s then represent Z_2^p by commuting involutions, so (I + T_e)/d
+    = sum_s (-1)^|e & s| V_s / d is a projector of trace 1, and T_e has
+    eigenvalue d - 1 once and -1 d - 1 times (Bandyopadhyay et al.,
+    Algorithmica 34 (2002) 512). The products of units are exact in
+    complex64.
+    """
+    n, d = diagonals.shape
+    rows = np.arange(d)
+    problems = []
+    if off or not np.isin(diagonals, (1, -1, 1j, -1j)).all():
+        problems.append("a V is not a signed permutation of 1, -1, i and -i")
+    if not np.array_equal(np.take_along_axis(diagonals, rows ^ x[:, None], axis=1), diagonals.conj()):
+        problems.append("a V is not Hermitian")
+    ones = (np.arange(n) % d == 0) & (scheme == COMMUTING_CLASS)  # each class's V_0
+    if np.any((x == 0) & diagonals.sum(axis=1).astype(bool) & ~ones):
+        problems.append("a V other than a class's V_0 has a nonzero trace")
+    if scheme == PER_STRING:
+        return np.repeat([-1.0, 1.0], d // 2), tuple(problems)
+    xs, ds = x.reshape(-1, d), diagonals.reshape(-1, d, d)  # [class, s] and [class, s, r]
+    classes, partner = np.arange(len(xs))[:, None, None], rows ^ xs[:, :, None]  # r ^ x_s
+    law = True
+    for j in range(d.bit_length() - 1):
+        g = 1 << j
+        law = law and np.array_equal(xs ^ xs[:, g, None], xs[:, rows ^ g])
+        law = law and np.array_equal(ds * ds[classes, g, partner], ds[:, rows ^ g])
+    if not law:
+        problems.append("a class's V fail V_s V_g = V_(s ^ g) for a generator g")
+    return np.repeat([-1.0, d - 1.0], [d - 1, 1]), tuple(problems)
+
+
+def _swap_sum(x, diagonals, scheme: str):
+    """The exact identities that fail, with S = sum_t G_t (x) G_t proven
+    equal to its closed form a (d SWAP - I) in O(n d^2), never formed: a = 1
+    for the strings, and a = d for the class sums. With V_0 = I a class sum
+    is T_e = sum_{s != 0} H[e, s] V_s for the Sylvester matrix H[e, s] =
+    (-1)^|e & s|, and H^T H = d I, so its S is d sum_{s != 0} V_s (x) V_s.
+    Every V lies on one XOR pattern, V[r, r ^ x] = D[r], so S / a is the
+    exact complex128 Gram matrix sum_{V: x_V = x} D D^T at ((i, k),
+    (i ^ x, k ^ x)) and 0 elsewhere. It is compared with the closed form,
+    whose entries must lie on XOR patterns.
+    """
+    n, d = diagonals.shape
+    ones = (np.arange(n) % d == 0) & (scheme == COMMUTING_CLASS)  # each class's V_0
+    problems = []
     gram = np.empty((d, d, d), dtype=complex)
-    for x in range(d):
-        on = diagonals[patterns == x].astype(complex)
-        gram[x] = on.T @ on
+    for pattern in range(d):
+        on = diagonals[(x == pattern) & ~ones].astype(complex)
+        gram[pattern] = on.T @ on
     if gram.imag.any():
         problems.append("S = sum_t G_t (x) G_t is not real")
-    closed = np.zeros((d, d, d))  # at [x, i, k], c S at ((i, k), (i ^ x, k ^ x))
-    for (into, out), value in zip(_eye_flip_entries(d), (-c, c * d, c * (d - 1))):
+    closed, off = np.zeros((d, d, d)), 0  # at [x, i, k], S / a at ((i, k), (i ^ x, k ^ x))
+    for (into, out), value in zip(_eye_flip_entries(d), (-1, d, d - 1)):
         off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)
-        closed[(into ^ out) // d, into // d, into % d] = c * value
+        closed[(into ^ out) // d, into // d, into % d] = value
     if not (off == 0 and np.array_equal(gram.real, closed)):
         problems.append("S = sum_t G_t (x) G_t differs from its closed form")
     return tuple(problems)
 
 
 def scheme_family(p: int, scheme: str) -> Family:
-    """The scheme's family at p, proven from its G_t by exact identities."""
-    gens = _generators(p, scheme)
-    spectrum, problems = _spectrum(gens, scheme)
-    return Family(scheme, p, len(gens), spectrum, problems + _swap_sum(gens, scheme))
+    """The scheme's family at p, proven from its V by exact identities."""
+    x, diagonals, off = _monomials(_generators(p, scheme))
+    spectrum, problems = _identities(x, diagonals, off, scheme)
+    return Family(scheme, p, len(x), spectrum, problems + _swap_sum(x, diagonals, scheme))
 
 
 def verify_family(

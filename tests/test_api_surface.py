@@ -38,26 +38,102 @@ PUBLIC = {
 
 
 def _script_targets():
-    """The function names that pyproject.toml's [project.scripts] entries
-    call: the scripts are their callers."""
+    """The (module, function) that pyproject.toml's [project.scripts]
+    entries call: the scripts are their callers."""
     text = (ROOT / "pyproject.toml").read_text()
     section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-    return re.findall(r'=\s*"[\w.]+:(\w+)"', section)
+    return re.findall(r'=\s*"werner\.(\w+):(\w+)"', section)
 
 
 def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _uses(node):
-    """Names loaded and attributes read anywhere inside node."""
-    found = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-            found.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            found.add(child.attr)
-    return found
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bindings(nodes):
+    """The names that code binds in its own scope, each to the (module, name)
+    it imports from the package, or to None: a local variable, a parameter,
+    an outside import. Nested scopes bind only their own names here."""
+    out, todo = {}, list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = None
+            continue
+        if isinstance(node, _SCOPES):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out[node.id] = None
+        elif isinstance(node, ast.arg):
+            out[node.arg] = None
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out[node.name] = None
+        elif isinstance(node, ast.Import):
+            out.update((alias.asname or alias.name.split(".")[0], None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            home = node.module if node.level == 1 else None
+            out.update((alias.asname or alias.name, home and (home, alias.name))
+                       for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+class _References(ast.NodeVisitor):
+    """The (module, name) of each package definition that the names loaded
+    in some code refer to, each resolved in the scopes that enclose it."""
+
+    def __init__(self, table):
+        self.scopes, self.found = [(False, table)], set()
+
+    def _enter(self, node, outer, inner):
+        for child in outer:
+            self.visit(child)
+        is_class = isinstance(node, ast.ClassDef)
+        self.scopes.append((is_class, _bindings(inner if is_class else [node.args, *inner])))
+        for child in inner:
+            self.visit(child)
+        self.scopes.pop()
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        outer = [*node.decorator_list, *args.defaults, *filter(None, args.kw_defaults)]
+        outer += [a.annotation for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg] if a and a.annotation]
+        self._enter(node, outer + ([node.returns] if node.returns else []), node.body)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self._enter(node, [*node.args.defaults, *filter(None, node.args.kw_defaults)], [node.body])
+
+    def visit_ClassDef(self, node):
+        self._enter(node, [*node.decorator_list, *node.bases, *node.keywords], node.body)
+
+    def _comprehension(self, node):
+        first, *rest = node.generators
+        parts = [*first.ifs, *(g for c in rest for g in (c.target, c.iter, *c.ifs))]
+        parts += [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        self.visit(first.iter)  # evaluated in the enclosing scope
+        self.scopes.append((False, _bindings([g.target for g in node.generators])))
+        for part in parts:
+            self.visit(part)
+        self.scopes.pop()
+
+    visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = _comprehension
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            # a class body's names are not seen from the functions inside it
+            visible = [names for k, (is_class, names) in enumerate(self.scopes)
+                       if not is_class or k == len(self.scopes) - 1]
+            for names in reversed(visible):
+                if node.id in names:
+                    if names[node.id] is not None:
+                        self.found.add(names[node.id])
+                    break
 
 
 def _definitions(tree):
@@ -75,28 +151,42 @@ def _definitions(tree):
 
 
 def test_every_module_level_name_is_reachable_from_the_public_names():
-    # by name: a definition is reached once a reached definition uses its name
-    sites = {}
-    for module, tree in _trees().items():
+    # by qualified name: a definition is reached once a reached definition
+    # loads a name that resolves to it, through the scopes around the load
+    # and the package imports, re-exports followed
+    trees = _trees()
+    sites, tables = {}, {}
+    for module, tree in trees.items():
+        tables[module] = _bindings(tree.body)
         for name, node in _definitions(tree):
-            sites.setdefault(name, []).append((module, node))
-    # cli.main, the console scripts' targets, the fourteen names and the
-    # lazy lookup behind them
+            sites.setdefault((module, name), []).append(node)
+            tables[module][name] = (module, name)
+
+    def resolve(site):
+        while site is not None and site not in sites:
+            site = tables.get(site[0], {}).get(site[1])
+        return site
+
+    # cli.main, the console scripts' targets, the lazy lookup behind the
+    # fourteen names, and the fourteen names in their home modules
     scripts = _script_targets()
     assert scripts
-    reached, todo = set(), ["main", *scripts, "__getattr__", *PUBLIC]
+    todo = [("cli", "main"), *scripts, ("__init__", "__getattr__"),
+            *((werner._HOME[name], name) for name in PUBLIC)]
+    reached = set()
     while todo:
-        name = todo.pop()
-        if name in reached or name not in sites:
+        site = resolve(todo.pop())
+        if site is None or site in reached:
             continue
-        reached.add(name)
-        for _, node in sites[name]:
-            todo.extend(_uses(node))
+        reached.add(site)
+        for node in sites[site]:
+            refs = _References(tables[site[0]])
+            refs.visit(node)
+            todo.extend(refs.found)
     unreached = [
         f"{module}.{name}"
-        for name, where in sites.items()
-        for module, _ in where
-        if name not in reached and not (name.startswith("__") and name.endswith("__"))
+        for module, name in sites
+        if (module, name) not in reached and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unreached == []
 

@@ -727,6 +727,10 @@ def test_the_console_script_and_python_m_werner_call_run():
     called = {node.func.id for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert called == {"SystemExit", "run"}
+    # and these two are the only process entries: cli.py runs nothing as a script
+    guards = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+              if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert guards == []
 
 
 def test_python_m_werner_prints_and_writes_what_main_does(capsys, tmp_path, monkeypatch):

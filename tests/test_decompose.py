@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from werner.decompose import (
     _CHUNK_BYTES,
-    _class_sum_stack,
-    _class_sums,
+    _class_products,
     COMMUTING_CLASS,
     PER_STRING,
     Decomposition,
@@ -147,7 +146,7 @@ def test_class_component_refuses_anticommuting_generators():
     # X and Z anticommute, so no sign pattern makes (I +- X)(I +- Z) Hermitian
     cls = CommutingClass(((1, 0), (3, 0), (2, 0)), ((1, 0), (3, 0)))
     with pytest.raises(ValueError, match="do not pairwise commute"):
-        _class_sums(cls)
+        _class_products([cls])
 
 
 @settings(deadline=None, max_examples=25)
@@ -217,9 +216,19 @@ def test_component_spectrum_is_the_formula_bit_for_bit(p):
     for sigma in pauli_matrices([(k,) * p for k in (1, 2, 3)]):
         assert np.array_equal(sigma @ sigma, eye) and np.trace(sigma) == 0
     for cls in (build_partition(p).classes[0], build_partition(p).classes[-1]):
-        for t in _class_sums(cls).astype(complex):
+        for t in _class_sums(cls):
             assert np.array_equal(t @ t, (d - 2) * t + (d - 1) * eye)
             assert np.trace(t) == 0
+
+
+def _class_sums(cls):
+    # T_e = sum_s (-1)^|e & s| V_s - I over one class's products V_s, the
+    # class sums that class_decomposition takes
+    d = 2**cls.p
+    chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(d)] for e in range(d)])
+    sums = np.tensordot(chi, _class_products([cls]), 1)
+    sums[:, range(d), range(d)] -= 1
+    return sums
 
 
 def test_reconstruct_requires_terms():
@@ -242,16 +251,22 @@ def _loop_class_sum(cls, e):
     return acc
 
 
-def test_the_class_sum_stack_holds_each_class_in_order():
-    # one stack per call, class by class; row k d + e is class k's T_eps
+def test_the_class_products_hold_each_class_in_fold_order():
+    # one stack per call, class by class; row k d + s is class k's V_s, the
+    # ordered product of the generators the bits of s select
     for p in (1, 2, 3):
-        stack = _class_sum_stack(p)
+        classes = build_partition(p).classes
+        stack = _class_products(classes)
         assert stack.shape == ((2**p + 1) * 2**p, 2**p, 2**p)
         assert stack.dtype == np.complex64
-        for k, cls in enumerate(build_partition(p).classes):
-            sums = stack[k * 2**p : (k + 1) * 2**p]
-            for e in range(2**p):
-                assert np.array_equal(sums[e], _loop_class_sum(cls, e))
+        for k, cls in enumerate(classes):
+            gens = pauli_matrices(cls.generators)
+            for s in range(2**p):
+                member = np.eye(2**p, dtype=complex)
+                for j in range(p):
+                    if (s >> j) & 1:
+                        member = member @ gens[j]
+                assert np.array_equal(stack[k * 2**p + s], member)
 
 
 def _same_terms(a, b):
@@ -272,7 +287,7 @@ def test_shared_paths_are_bit_identical(p):
         _, k, bits = term.label.split(":")
         cls = part.classes[int(k)]
         mask = sum(int(b) << j for j, b in enumerate(bits))  # label bit j is eps_j
-        comp = (eye + dec.scale * _class_sums(cls)[mask].astype(complex)) / 2**p
+        comp = (eye + dec.scale * _class_sums(cls)[mask]) / 2**p
         assert np.array_equal(comp, term.state_a)
         loop = (eye + dec.scale * _loop_class_sum(cls, e % 2**p)) / 2**p
         assert np.array_equal(loop, term.state_a)

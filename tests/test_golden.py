@@ -33,6 +33,10 @@ GOLDEN = [
      "3dfff7523fb8a925eebdba322223ab40b9cb02d76795511524721392f6f861cf"),
     ("decompose --p 4 --f 0.6 --scheme class",
      "b2d685843a7dbae5651089924d41c87f56f45811f506a74701232d4907e42c3b"),
+    ("decompose --p 5 --f 0.015625 --scheme per-string",
+     "77e58ca358bafd51e9e527a3a3e8d7eac1d9897be9aced8bad8265e2c49d3281"),
+    ("decompose --p 5 --f 0.6 --scheme class",
+     "4a24a09a6ec79084a18efeff43ee11a33381206bf6acf67da6b7a5172ad0ae3e"),
     ("partition --p 1 --format json",
      "1a8bae7767664080d3bd9fd4d86caaf179250bf60c340f1c6c2eb7cfde03a1ed"),
     ("partition --p 2 --format json",

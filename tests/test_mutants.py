@@ -169,42 +169,39 @@ def honest_strings(m):
     return _family(m, 2, 0.1, PER_STRING)
 
 
-def _honest_swap_sum(m, p, scheme):
-    # S's checks answer as for the honest family: faithful wherever the
-    # dense S of the changed G_t is still its closed form
-    honest = m._swap_sum(werner.verify._generators(p, scheme), scheme)
-    m._swap_sum = lambda gens, scheme: honest
+def _honest_swap_sum(m):
+    # S's checks answer as for the honest family, which passes them
+    m._swap_sum = lambda x, diagonals, scheme: ()
 
 
-def rotated_strings(m):
-    # U G_t U^T for the real orthogonal U = H/2 (+) I, H the 4 x 4 Hadamard
-    # matrix: every identity holds exactly, and S keeps its closed form since
-    # U (x) U commutes with the swap, but some entries are +-1/2, so the
-    # premise of the exact products fails. The G_t also leave their XOR
-    # patterns, which the proof of S refuses, so S's checks are stubbed to
-    # show that the premise alone reaches the verdict
-    _honest_swap_sum(m, 3, PER_STRING)
-    u = np.eye(8)
-    u[:4, :4] = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2
-
-    def rotate(gens):
-        gens[:] = u @ gens @ u.T
-
-    return _family(m, 3, 0.1, PER_STRING, rotate)
-
-
-def negated_class_sum(m):
-    # at p = 1 a class sum is +-sigma: its negation keeps S and the spectrum
+def negated_identity(m):
+    # at p = 1 a class's V_0 = I becomes -I, so V_1 V_1 is no longer V_0. No
+    # other check reads V_0: its trace may be d, and S sums over s != 0
     def negate(gens):
-        gens[1] *= -1
+        gens[0] *= -1
 
     return _family(m, 1, 0.6, COMMUTING_CLASS, negate)
 
 
+def repeated_product(m):
+    # the class of IX, XI and XX at p = 2: V_3 = XX becomes a second IX.
+    # Every entry of the class is 1, and IX has trace 0, so only the
+    # patterns show that V_1 V_2 is not V_3. S changes too, so its checks
+    # are stubbed
+    _honest_swap_sum(m)
+
+    def repeat(gens):
+        (at,) = np.flatnonzero((gens == _string("XX")).all(axis=(1, 2)))
+        gens[at] = _string("IX")
+
+    return _family(m, 2, 0.6, COMMUTING_CLASS, repeat)
+
+
 def non_real_swap_sum(m):
     # IX, ZX, IY, ZY become A, A, C, D with A = P0 X + P1 Y, C = P0 Y + P1 X,
-    # D = P0 Y - P1 X: the real part of S is unchanged, and 2 A (x) A adds the
-    # imaginary 2 (P0 X (x) P1 Y + P1 Y (x) P0 X)
+    # D = P0 Y - P1 X: Hermitian signed permutations of units with trace 0,
+    # the real part of S is unchanged, and 2 A (x) A adds the imaginary
+    # 2 (P0 X (x) P1 Y + P1 Y (x) P0 X)
     p0, p1 = np.diag([1, 0]), np.diag([0, 1])
     x, y = _string("X"), _string("Y")
     a = np.kron(p0, x) + np.kron(p1, y)
@@ -219,18 +216,18 @@ def non_real_swap_sum(m):
     return _family(m, 2, 0.1, PER_STRING, mix)
 
 
-def similar_strings(m):
-    # M G_t M^-1 for the integer M = [[1, 1], [0, 1]]: no longer Hermitian,
-    # and every other identity still holds, S included, since M (x) M
-    # commutes with the swap. The proof of S refuses G_t off their XOR
-    # patterns, so S's checks are stubbed, as for rotated_strings
-    _honest_swap_sum(m, 1, PER_STRING)
-    mat, inverse = np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]])
+def imaginary_string(m):
+    # X becomes iX: a signed permutation of units with trace 0, but not
+    # Hermitian, so (I + s iX)/2 is no state. S changes sign in X (x) X, so
+    # its checks are stubbed to show that the Hermitian check alone reaches
+    # the verdict
+    _honest_swap_sum(m)
 
-    def conjugate(gens):
-        gens[:] = mat @ gens @ inverse
+    def rotate(gens):
+        (at,) = np.flatnonzero((gens == _string("X")).all(axis=(1, 2)))
+        gens[at] *= 1j
 
-    return _family(m, 1, 0.3, PER_STRING, conjugate)
+    return _family(m, 1, 0.3, PER_STRING, rotate)
 
 
 def traced_string(m):
@@ -238,7 +235,7 @@ def traced_string(m):
     # family whose S has its closed form has traces 0 (tr_1 S = sum_t
     # tr(G_t) G_t = 0, so sum_t tr(G_t)^2 = 0), so S's checks are stubbed
     # to show that the trace identity alone reaches the verdict
-    _honest_swap_sum(m, 1, PER_STRING)
+    _honest_swap_sum(m)
 
     def lift(gens):
         (at,) = np.flatnonzero((gens == _string("Z")).all(axis=(1, 2)))
@@ -249,9 +246,9 @@ def traced_string(m):
 
 def mixed_commuting_strings(m):
     # ZII, IZI, IIZ and ZZZ commute, and become (1/2) sum_b H_ab sigma_b for
-    # the 4 x 4 Hadamard matrix H: integer, Hermitian, traceless, with the
-    # same S, but (ZII + IZI + IIZ + ZZZ)/2 has eigenvalue 2, so its factor
-    # (I - s G)/d is not positive
+    # the 4 x 4 Hadamard matrix H: diagonal, real, traceless, with the same
+    # S, but (ZII + IZI + IIZ + ZZZ)/2 has entries 0 and 2 and eigenvalue 2,
+    # so its factor (I - s G)/d is not positive
     labels = ["ZII", "IZI", "IIZ", "ZZZ"]
     hadamard = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
 
@@ -319,11 +316,8 @@ def off_pattern_closed_form(m):
 
 def off_pattern_string(m):
     # ZI gains 1 at (0, 1) and (1, 0), off its XOR pattern x = 0: its pattern
-    # part, and so the Gram matrices of S, are as before, but S is not. The
-    # square identity sees it too, so the G_t's own checks are stubbed to
-    # show that S's support check alone reaches the verdict
-    honest = m._spectrum(werner.verify._generators(2, PER_STRING), PER_STRING)
-    m._spectrum = lambda gens, scheme: honest
+    # part, and so every identity read on it and the Gram matrices of S, are
+    # as before, but ZI is no signed permutation, and S is not as before
 
     def spread(gens):
         (at,) = np.flatnonzero((gens == _string("ZI")).all(axis=(1, 2)))
@@ -452,14 +446,14 @@ PROBES = {"verify": [
     (wrong_in_the_first_entry, (False, True, True, False)),
     (honest_classes, (True, True, True, True)),
     (honest_strings, (True, True, True, False)),
-    (rotated_strings, (False, True, True, False)),
-    (negated_class_sum, (False, True, True, False)),
+    (negated_identity, (False, True, True, False)),
+    (repeated_product, (False, True, True, False)),
     (non_real_swap_sum, (False, True, True, False)),
     (changed_closed_form, (False, True, True, False)),
     (dropped_closed_form_entry, (False, True, True, False)),
     (off_pattern_closed_form, (False, True, True, False)),
     (off_pattern_string, (False, True, True, False)),
-    (similar_strings, (False, True, True, False)),
+    (imaginary_string, (False, True, True, False)),
     (traced_string, (False, True, True, False)),
     (mixed_commuting_strings, (False, True, True, False)),
     (shifted_state, (False, True, True, False)),
@@ -505,24 +499,27 @@ MUTANTS = [
     # the family's own checks
     ("the family's problems do not reach the verdict", "verify",
      "        family.problems,\n", "        (),\n"),
-    ("no check that the G_t are small Gaussian integers", "verify",
-     'problems.append("the G_t are not Gaussian integers small enough for an exact S")',
-     "pass"),
-    ("no check that the class sums sum to 0", "verify",
-     'problems.append("the class sums do not sum to 0")', "pass"),
     ("no check that S is real", "verify",
      'problems.append("S = sum_t G_t (x) G_t is not real")', "pass"),
     ("no check of S against its closed form", "verify",
      'problems.append("S = sum_t G_t (x) G_t differs from its closed form")', "pass"),
     # the identities that prove the spectrum
+    ("no check that the V are signed permutations of units", "verify",
+     'problems.append("a V is not a signed permutation of 1, -1, i and -i")', "pass"),
+    ("a V with entries off its pattern is taken", "verify",
+     "off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))", "pass"),
+    ("the V's entries are not held to 1, -1, i and -i", "verify",
+     "not np.isin(diagonals, (1, -1, 1j, -1j)).all()", "False"),
     ("no check that the G_t are Hermitian", "verify",
-     'problems.append("a G_t is not Hermitian")', "pass"),
+     'problems.append("a V is not Hermitian")', "pass"),
     ("no check of the traces", "verify",
-     'problems.append("a G_t has a nonzero trace")', "pass"),
-    ("no check of the squares", "verify",
-     'problems.append(f"a G_t fails G_t^2 = {a} G_t + {b} I")', "pass"),
-    ("G_t^2 held to (a + 1) G_t + b I", "verify",
-     "square = g * np.complex64(a)", "square = g * np.complex64(a + 1)"),
+     """problems.append("a V other than a class's V_0 has a nonzero trace")""", "pass"),
+    ("no check of the class products", "verify",
+     """problems.append("a class's V fail V_s V_g = V_(s ^ g) for a generator g")""", "pass"),
+    ("the class products held by their patterns alone", "verify",
+     "law = law and np.array_equal(ds * ds[classes, g, partner], ds[:, rows ^ g])", "pass"),
+    ("the class products held by their entries alone", "verify",
+     "law = law and np.array_equal(xs ^ xs[:, g, None], xs[:, rows ^ g])", "pass"),
     ("the class sums' multiplicities swapped", "verify",
      "np.repeat([-1.0, d - 1.0], [d - 1, 1])", "np.repeat([-1.0, d - 1.0], [1, d - 1])"),
     ("S held to its closed form by its nonzero count off the XOR patterns alone", "verify",
@@ -530,8 +527,6 @@ MUTANTS = [
     ("S held to its closed form only where that is nonzero", "verify",
      "np.array_equal(gram.real, closed)",
      "np.array_equal(gram.real[closed != 0], closed[closed != 0])"),
-    ("S held to its closed form without its support check", "verify",
-     "off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))", "pass"),
     ("a closed-form entry off every XOR pattern is taken", "verify",
      "off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)", "pass"),
     # the family's residual over the three groups of the gap

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import PHASE
-from werner.decompose import _class_sums, per_string_decomposition
+from werner.decompose import _class_products, class_decomposition, per_string_decomposition
 from werner.errors import DimensionMismatch
 from werner.model import WernerParams
 from werner.partition import build_partition
@@ -207,14 +207,21 @@ def test_realizer_rejects_mixed_lengths_and_bad_digits():
 def test_class_sums_are_bit_identical_to_kron_sums(p):
     n = 2**p
     chi = np.array([[(-1.0) ** bin(e & c).count("1") for c in range(1, n)] for e in range(n)])
-    for cls in build_partition(p).classes:
+    # at f = 1 the scale is 1, so term k n + e has the factor (I + T_e)/n of
+    # class k, and n A - I is T_e exactly
+    dec, eye = class_decomposition(WernerParams(p, 1.0)), np.eye(n)
+    assert dec.scale == 1.0
+    for k, cls in enumerate(build_partition(p).classes):
         gens = [_kron_matrix(g) for g in cls.generators]
         # member c is the ordered product of the generators its bits select
         members = np.array(
             [reduce(np.matmul, (g for j, g in enumerate(gens) if c >> j & 1)) for c in range(1, n)]
         )
         want = np.tensordot(chi, members, 1).astype(np.complex64)
-        assert _class_sums(cls).tobytes() == want.tobytes()
+        prods = _class_products([cls])
+        assert np.array_equal(prods[0], eye) and np.array_equal(prods[1:], members)
+        sums = np.array([n * t.state_a - eye for t in dec.terms[k * n : (k + 1) * n]])
+        assert sums.astype(np.complex64).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])

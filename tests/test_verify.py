@@ -408,6 +408,22 @@ def test_the_family_agrees_with_the_built_certificate_on_a_sample(p, f):
     _assert_agree(WernerParams(p, f))
 
 
+def _class_sums(prods):
+    """T_e = sum_s (-1)^|e & s| V_s - I for each class of a stack of V, as
+    class_decomposition takes them, in complex128."""
+    d = prods.shape[1]
+    chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(d)] for e in range(d)])
+    sums = np.matmul(chi, prods.reshape(-1, d, d * d)).reshape(-1, d, d)
+    sums[:, range(d), range(d)] -= 1
+    return sums
+
+
+def _family_generators(p, scheme):
+    """The family's G_t: the strings, or the class sums of the class products."""
+    gens = werner.verify._generators(p, scheme)
+    return _class_sums(gens) if scheme == COMMUTING_CLASS else gens.astype(complex)
+
+
 def _tampered_family(monkeypatch, p, scheme, tamper):
     gens = werner.verify._generators(p, scheme).copy()
     tamper(gens)
@@ -416,7 +432,11 @@ def _tampered_family(monkeypatch, p, scheme, tamper):
 
 
 def _first_diagonal(gens):
-    return next(t for t, g in enumerate(gens) if not np.count_nonzero(g - np.diag(np.diag(g))))
+    # the first diagonal V of trace 0: a string, or a class's V_s with s != 0
+    return next(
+        t for t, g in enumerate(gens)
+        if not np.count_nonzero(g - np.diag(np.diag(g))) and np.trace(g) == 0
+    )
 
 
 def _negate_entry(gens):
@@ -430,9 +450,8 @@ def _negate_matrix(gens):
 @pytest.mark.parametrize(
     "f,tamper,problems",
     [
-        (0.6, _negate_entry,
-         ["nonzero trace", "G_t^2 = 2 G_t + 3 I", "the class sums do not sum to 0", "closed form"]),
-        (0.6, _negate_matrix, ["G_t^2 = 2 G_t + 3 I", "the class sums do not sum to 0"]),
+        (0.6, _negate_entry, ["nonzero trace", "V_s V_g = V_(s ^ g)", "closed form"]),
+        (0.6, _negate_matrix, ["V_s V_g = V_(s ^ g)"]),
         (0.1, _negate_entry, ["nonzero trace", "closed form"]),
     ],
 )
@@ -443,8 +462,9 @@ def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamp
     rep = verify_family(family, params)
     assert not rep.verdict
     # the residual reads S's proven closed form, never the tampered S, so the
-    # family's problems alone fail the verdict; a negated class sum leaves S
-    # as it was, and only the sum check and its square identity see it
+    # family's problems alone fail the verdict; a class's negated V_1 leaves
+    # S as it was, and only the class's products see it: V_1 V_2 is V_3, not
+    # -V_3
     assert rep.diagnostics == family.problems
     assert rep.reconstruction_residual == honest.reconstruction_residual
     assert len(family.problems) == len(problems)
@@ -462,7 +482,9 @@ def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatc
 
 def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
     # diag(1, -1, 1, -1) becomes diag(3, -1, 1, -1), whose (I - s G)/d has a
-    # negative eigenvalue; no eigensolver runs, the identities see it
+    # negative eigenvalue; no eigensolver runs, the identities see it. A
+    # Hermitian signed permutation squares to I exactly when its entries are
+    # 1, -1, i or -i, so the unit check is the square identity
     params = WernerParams(2, 0.1)
 
     def lift(gens):
@@ -470,8 +492,8 @@ def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
 
     family = _tampered_family(monkeypatch, 2, PER_STRING, lift)
     assert family.problems == (
-        "a G_t has a nonzero trace",
-        "a G_t fails G_t^2 = 0 G_t + 1 I",
+        "a V is not a signed permutation of 1, -1, i and -i",
+        "a V other than a class's V_0 has a nonzero trace",
         "S = sum_t G_t (x) G_t differs from its closed form",
     )
     rep = verify_family(family, params)
@@ -482,7 +504,7 @@ def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_the_proven_spectrum_is_jacobi_s_on_every_generator(p, scheme):
-    gens = werner.verify._generators(p, scheme).astype(complex)
+    gens = _family_generators(p, scheme)
     family = _family(p, scheme)
     assert family.problems == ()
     assert family.n_generators == len(gens)
@@ -577,16 +599,19 @@ def test_a_family_of_another_p_is_refused():
 
 
 def _dense_swap_sum(gens):
-    """S = sum_t G_t (x) G_t by one complex64 product, (G_flat^T G_flat)
+    """sum_t G_t (x) G_t over a stack by one product, (G_flat^T G_flat)
     [(i, j), (k, l)] put in the kron layout [(i, k), (j, l)]."""
     d, flat = gens.shape[1], gens.reshape(len(gens), -1)
     return (flat.T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 
 def _closed_swap_sum(p, scheme):
+    """sum_V V (x) V over the family's stack: d SWAP - I over the strings,
+    and over the class products (d + 1) I more from the classes' V_0 = I."""
     d = 2**p
-    a = d if scheme == COMMUTING_CLASS else 1
-    return werner.model._eye_flip(d, (-a, a * d, a * (d - 1)))
+    if scheme == COMMUTING_CLASS:
+        return werner.model._eye_flip(d, (d, d, 2 * d))
+    return werner.model._eye_flip(d, (-1, d, d - 1))
 
 
 def _at_first_nonzero(gens, t, real=False):
@@ -615,11 +640,11 @@ def _i_added(gens, t):
 
 
 def _rows_swapped(gens, t):
-    # the first two rows of the first class (of d rows) that is not diagonal;
+    # V_1 and V_2 of the first class (of d rows) whose V_1 is not diagonal;
     # the two strings there for per_string
     d = gens.shape[1]
-    k = next(k for k in range(0, len(gens), d) if np.count_nonzero(gens[k] * (1 - np.eye(d))))
-    gens[[k, k + 1]] = gens[[k + 1, k]]
+    k = next(k for k in range(0, len(gens), d) if np.count_nonzero(gens[k + 1] * (1 - np.eye(d))))
+    gens[[k + 1, k + 2]] = gens[[k + 2, k + 1]]
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -627,17 +652,21 @@ def _rows_swapped(gens, t):
 @pytest.mark.parametrize(
     "tamper", [_sign_flipped, _entry_moved, _row_doubled, _i_added, _rows_swapped]
 )
-def test_no_tampered_stack_passes_with_a_wrong_s(p, scheme, tamper):
+def test_no_tampered_stack_passes_with_a_wrong_s(monkeypatch, p, scheme, tamper):
+    # the proof of S reads each V's pattern only, so it stands on the other
+    # identities: whenever the family reports no problem, sum_V V (x) V over
+    # the stack, V_0 rows included, is its closed form
     gens = werner.verify._generators(p, scheme).copy()
     tamper(gens, len(gens) // 2)
     held = np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p, scheme))
-    refused = any(x.startswith("S = ") for x in werner.verify._swap_sum(gens, scheme))
+    monkeypatch.setattr("werner.verify._generators", lambda p, scheme: gens)
+    refused = bool(scheme_family(p, scheme).problems)
     assert held or refused
     assert held is (tamper is _rows_swapped)
-    # the proof asks more than the dense S does: a class with two rows
-    # swapped keeps S, but from p = 3 its fold is no longer d times single
-    # strings. At p = 2 every permutation of a class's 4 rows is an affine
-    # map of its sign patterns, which only permutes and negates the V_s
+    # the proof asks more than the dense sum does: a class with V_1 and V_2
+    # swapped keeps it, but from p = 3 its products no longer follow its
+    # generators (V_5 is V_4 V_1). At p = 2 the swap is an automorphism of
+    # Z_2^2, which only relabels the V_s
     assert refused is (not held or (scheme == COMMUTING_CLASS and p >= 3))
 
 
@@ -645,15 +674,17 @@ def test_no_tampered_stack_passes_with_a_wrong_s(p, scheme, tamper):
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
     # the family keeps no S: its report reads the closed form that S was
-    # proven to equal. S formed here from the G_t by one complex64 product
-    # must be that closed form, and the dense float64 gap w/d^2 (n_terms I +
-    # c S) - rho over all d^4 entries must give the same report, residual
-    # bits included
+    # proven to equal. S formed here from the G_t (the class sums folded
+    # from the V) by one complex64 product must be that closed form, and the
+    # dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4 entries
+    # must give the same report, residual bits included
     family = _family(p, scheme)
     gens = werner.verify._generators(p, scheme)
-    d, swap_sum = 2**p, _dense_swap_sum(gens)
-    assert werner.verify._swap_sum(gens, scheme) == ()
-    assert np.array_equal(swap_sum, _closed_swap_sum(p, scheme))
+    d, swap_sum = 2**p, _dense_swap_sum(_family_generators(p, scheme).astype(np.complex64))
+    assert family.problems == ()
+    assert np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p, scheme))
+    a = d if scheme == COMMUTING_CLASS else 1
+    assert np.array_equal(swap_sum, werner.model._eye_flip(d, (-a, a * d, a * (d - 1))))
     swap_sum = swap_sum.real
     lo, hi = (per_string_range if scheme == PER_STRING else class_range)(p)
     corpus = (0.0, 2.0**-p, 2.0 ** (1 - p), 0.02, 0.05, 0.3, 0.6, 0.73, *np.linspace(0, 1, 21))
@@ -890,11 +921,8 @@ def test_the_identities_see_a_change_in_the_last_chunk(monkeypatch, scheme, tamp
     whole = _tampered_family(monkeypatch, 2, scheme, tamper).problems
     monkeypatch.setattr("werner.verify._CHUNK_BYTES", 1)
     assert scheme_family(2, scheme).problems == whole
-    assert whole and ("nonzero trace" in whole[0]) is (tamper is _lift_last_corner)
-
-
-def _inline(first, second, overlap):
-    return first(), second()
+    assert whole[0] == "a V is not a signed permutation of 1, -1, i and -i"
+    assert any("nonzero trace" in x for x in whole) is (tamper is _lift_last_corner)
 
 
 def _recording(monkeypatch, names):
@@ -912,56 +940,62 @@ def _recording(monkeypatch, names):
     return calls
 
 
-_P5_STAGES = ("invariance_residual", "_spectrum", "_swap_sum", "_component_stats")
+_P5_STAGES = (
+    "invariance_residual", "_monomials", "_identities", "_swap_sum", "_component_stats",
+    "reconstruct",
+)
 
 
 @pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
 def test_p5_overlap_keeps_its_bits(monkeypatch, f):
+    # no stage overlaps another: each runs on this thread, in its order, and
+    # no thread starts, so the reports are those of the plain calls
     params = WernerParams(5, f)
     # a separable report carries verify_family's report; the entangled point
     # has none, so a forced certificate goes through verify_decomposition
     forced = per_string_decomposition(params, force=True) if f < 0 else None
+    plain = (
+        separability_report(params),
+        forced and verify_decomposition(werner_dense(params), forced),
+    )
     calls = _recording(monkeypatch, _P5_STAGES)
+    monkeypatch.setattr("threading.Thread", _refusing)
     before = threading.active_count()
-    overlapped = (
+    recorded = (
         separability_report(params),
         forced and verify_decomposition(werner_dense(params), forced),
     )
     assert threading.active_count() == before
     if f >= 0:
-        # no family stage runs on a worker: the probe, the identities, then S
+        # the probe, the read of each V, its identities, then S
         assert calls == [
-            ("invariance_residual", False), ("_spectrum", False), ("_swap_sum", False)
+            ("invariance_residual", False), ("_monomials", False), ("_identities", False),
+            ("_swap_sum", False),
         ]
     else:
-        # the probe runs inline, and the forced certificate's Jacobi on a worker
-        assert calls == [("invariance_residual", False), ("_component_stats", True)]
-    monkeypatch.setattr("werner.verify._overlapped", _inline)
-    del calls[:]
-    inline = (
-        separability_report(params),
-        forced and verify_decomposition(werner_dense(params), forced),
-    )
-    assert not any(worker for _, worker in calls)
-    assert inline == overlapped
-    assert overlapped[0][0].verdict == ("SEPARABLE" if f >= 0 else "ENTANGLED")
-    assert forced is None or not overlapped[1].verdict
+        # the probe, then the forced certificate's Jacobi, then its reconstruction
+        assert calls == [
+            ("invariance_residual", False), ("_component_stats", False), ("reconstruct", False)
+        ]
+    assert recorded == plain
+    assert plain[0][0].verdict == ("SEPARABLE" if f >= 0 else "ENTANGLED")
+    assert forced is None or not plain[1].verdict
 
 
 def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
     # entangled, per-string and two class rows: each family is built once
     argv = ["sweep", "--p", "5", "--f-start", "-0.5", "--f-end", "1", "--f-step", "0.5"]
-    calls = _recording(monkeypatch, _P5_STAGES)
-    before = threading.active_count()
     assert main(argv) == 0
-    overlapped = capsys.readouterr()
-    assert threading.active_count() == before
-    # each family is built once, and no family stage runs on a worker
-    assert sorted(calls) == [("_spectrum", False)] * 2 + [("_swap_sum", False)] * 2
+    plain = capsys.readouterr()
+    calls = _recording(monkeypatch, _P5_STAGES)
     monkeypatch.setattr("threading.Thread", _refusing)
     assert main(argv) == 0
-    assert capsys.readouterr() == overlapped
-    rows = [row.split(",") for row in overlapped.out.splitlines()[1:]]
+    assert capsys.readouterr() == plain
+    # each family is built once, on this thread
+    assert sorted(calls) == sorted(
+        [("_monomials", False), ("_identities", False), ("_swap_sum", False)] * 2
+    )
+    rows = [row.split(",") for row in plain.out.splitlines()[1:]]
     assert [(row[4], row[8]) for row in rows] == [
         ("", "ENTANGLED"),
         ("per_string", "SEPARABLE"),
@@ -981,17 +1015,17 @@ def _with_non_hermitian_factor(params, at):
 
 @pytest.mark.parametrize("at", [0, 1055])  # Jacobi's first stack, or its last
 def test_p5_overlap_raises_the_inline_error(monkeypatch, capfd, at):
+    # Jacobi's error ends the call on this thread before the reconstruction
+    # starts, and no thread starts
     params = WernerParams(5, 0.6)
     target = werner_dense(params)
     dec = _with_non_hermitian_factor(params, at)
-    before = threading.active_count()
-    with pytest.raises(MalformedInput) as overlapped:
+    calls = _recording(monkeypatch, ("_component_stats", "reconstruct"))
+    monkeypatch.setattr("threading.Thread", _refusing)
+    with pytest.raises(MalformedInput) as raised:
         verify_decomposition(target, dec)
-    assert threading.active_count() == before
-    monkeypatch.setattr("werner.verify._overlapped", _inline)
-    with pytest.raises(MalformedInput) as inline:
-        verify_decomposition(target, dec)
-    assert str(overlapped.value) == str(inline.value) == "matrix is not Hermitian within 1e-10"
+    assert str(raised.value) == "matrix is not Hermitian within 1e-10"
+    assert calls == [("_component_stats", False)]
     assert capfd.readouterr().err == ""
 
 
@@ -1003,20 +1037,16 @@ def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
     def failing(*args):
         raise MemoryError("second stage failed")
 
+    monkeypatch.setattr("threading.Thread", _refusing)
     monkeypatch.setattr("werner.verify.reconstruct", failing)
-    before = threading.active_count()
     with pytest.raises(MalformedInput, match="not Hermitian"):
         verify_decomposition(target, dec)
-    assert threading.active_count() == before
-    # the second stage's error alone still surfaces, after the join
+    # the second stage's error alone still surfaces
     with pytest.raises(MemoryError, match="second stage failed"):
         verify_decomposition(target, class_decomposition(params))
-    assert threading.active_count() == before
-    # separability_report starts no worker: the probe comes first, then the
-    # family's identities
+    # separability_report runs the probe first, then the family's identities
     probe = werner.verify.invariance_residual
-    monkeypatch.setattr("threading.Thread", _refusing)
-    monkeypatch.setattr("werner.verify._spectrum", failing)
+    monkeypatch.setattr("werner.verify._identities", failing)
     monkeypatch.setattr("werner.verify.invariance_residual", lambda *args: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         separability_report(params)
