@@ -22,6 +22,8 @@ from .errors import MalformedInput, WernerError
 
 __all__ = ["main", "run"]
 
+# "auto" and the flags of decompose.SCHEMES, spelled out so that building
+# the parser imports no numpy; tests/test_cli.py holds them to the table
 _SCHEME_FLAGS = ("auto", "class", "per-string")
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here
@@ -147,9 +149,10 @@ def _check_args(args) -> None:
 
 
 def _scheme(flag: str) -> str:
-    """The decompose_auto scheme a --scheme value names."""
-    from .decompose import COMMUTING_CLASS, PER_STRING
-    return {"auto": "auto", "per-string": PER_STRING, "class": COMMUTING_CLASS}[flag]
+    """The decompose_auto scheme a --scheme value names: "auto", or the
+    name of the scheme with that flag."""
+    from .decompose import SCHEMES
+    return next((s.name for s in SCHEMES.values() if s.flag == flag), flag)
 
 
 def _check_refine_cap(p: int) -> None:

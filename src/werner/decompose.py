@@ -1,58 +1,59 @@
 """Convex product-state decompositions over the separable parameter range.
 
-Two schemes cover [0, 1] between them:
+Both schemes are one construction over groups of order m: each group is an
+abelian group of signed Pauli strings with k commuting generators G_j
+(m = 2^k), and its non-identity products V_s = prod_j G_j^(s_j) (ascending
+j, fold order) are m - 1 distinct nontrivial strings. The groups of a
+scheme hold each of the 4^p - 1 nontrivial strings once. Each group and
+each character e of Z_2^k give one term of weight w = 1/(groups m), with
 
-  per_string      valid on [0, 2^(1-p)]; one pair of signed terms per
-                  nontrivial Pauli string, component (I +- s' sigma)/2^p
-                  with s' = sqrt(|2^p f - 1|). When 2^p f - 1 < 0 the second
-                  party takes the opposite sign, which is what absorbs the
-                  negative expansion coefficient while both factors stay
-                  positive.
+    A_e = (I + s T_e)/2^p,   T_e = sum_{s != 0} (-1)^|e & s| V_s,
 
-  commuting_class valid on [1/2^p, 1]; one term per (class, sign pattern)
-                  over the maximal commuting partition, component
-                  (I + s T_eps)/2^p with s = sqrt((2^p f - 1)/(2^p - 1)) and
-                  T_eps the character-signed sum over the class. The class
-                  is the group of its p commuting generators G_j: its
-                  products V_s in fold order give T_eps = sum_s
-                  (-1)^|eps & s| V_s - I, so I + T_eps = prod_j (I +
-                  (-1)^eps_j G_j), and at s = 1 every component is a rank-1
-                  projector.
+so that I + T_e = prod_j (I + (-1)^e_j G_j) is m times a projector
+(Bandyopadhyay, Boykin, Roychowdhury & Vatan, Algorithmica 34 (2002) 512),
+and s = sqrt(|2^p f - 1|/(m - 1)). The second party takes A_e itself, or,
+when 2^p f < 1, the partner term's A_(e ^ 1), which absorbs the negative
+coefficient while both factors stay positive; only order-2 groups, where
+T_(e ^ 1) = -T_e, may do so.
 
-Both schemes use equal weights and reconstruct the state exactly; the
-verifier, not the constructor, is the authority on positivity, so forced
-out-of-range constructions are allowed and simply fail verification.
+  per_string      the groups {I, sigma}, m = 2; valid on [0, 2^(1-p)].
+  commuting_class the 2^p + 1 classes of the maximal commuting partition,
+                  m = 2^p; valid on [1/2^p, 1], rank-1 factors at s = 1.
+
+Both reconstruct the state exactly. The verifier, not the constructor, is
+the authority on positivity: the unguarded builder makes out-of-range
+(forced) certificates, and they simply fail verification.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import sqrt
-from typing import Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SchemeRangeError
 from .model import _CHUNK_BYTES, WernerParams
-from .partition import CommutingClass, build_partition
-from .pauli import all_strings, format_label, masks, pauli_matrices, signed_permutations
+from .partition import build_partition
+from .pauli import Digits, all_strings, bit_parity, format_label, masks, signed_permutations
 
 __all__ = [
     "COMMUTING_CLASS",
     "PER_STRING",
     "Decomposition",
     "ProductTerm",
+    "SCHEMES",
+    "Scheme",
     "auto_scheme",
-    "class_decomposition",
-    "class_range",
     "decompose_auto",
-    "per_string_decomposition",
-    "per_string_range",
     "reconstruct",
     "scheme_scalars",
 ]
 
 PER_STRING = "per_string"
 COMMUTING_CLASS = "commuting_class"
+
 
 @dataclass(frozen=True)
 class ProductTerm:
@@ -78,143 +79,129 @@ class Decomposition:
         return tuple(t.weight for t in self.terms)
 
 
-def per_string_range(p: int) -> Tuple[float, float]:
-    return 0.0, 2.0 ** (1 - p)
+class Scheme(NamedTuple):
+    """A scheme's certificate name, its --scheme flag, the order m of its
+    groups, its f range, and the generators of each of its groups at p; the
+    label of group k's term e is label(k, generators) + ":" + marks(p)[e]."""
+
+    name: str
+    flag: str
+    order: Callable[[int], int]
+    f_range: Callable[[int], Tuple[float, float]]
+    groups: Callable[[int], List[Sequence[Digits]]]
+    label: Callable[[int, Sequence[Digits]], str]
+    marks: Callable[[int], Sequence[str]]
 
 
-def class_range(p: int) -> Tuple[float, float]:
-    return 2.0**-p, 1.0
+SCHEMES = {
+    scheme.name: scheme
+    for scheme in (
+        Scheme(PER_STRING, "per-string", lambda p: 2, lambda p: (0.0, 2.0 ** (1 - p)),
+               lambda p: list(zip(all_strings(p)))[1:],
+               lambda k, gens: f"per_string:{format_label(gens[0])}", lambda p: "+-"),
+        # a class term's mark is its character's bits e_0 .. e_(p-1)
+        Scheme(COMMUTING_CLASS, "class", lambda p: 2**p, lambda p: (2.0**-p, 1.0),
+               lambda p: [cls.generators for cls in build_partition(p).classes],
+               lambda k, gens: f"class:{k}",
+               lambda p: ["".join(str((e >> j) & 1) for j in range(p)) for e in range(2**p)]),
+    )
+}
 
 
-def per_string_decomposition(params: WernerParams, force: bool = False) -> Decomposition:
-    """Two signed terms of weight (1/2)/(4^p - 1) per nontrivial string."""
-    p, f = params.p, params.f
-    d = params.d
-    lo, hi = per_string_range(p)
-    if not force and not lo <= f <= hi:
-        raise SchemeRangeError(
-            f"per_string needs f in [{lo}, {hi}], got {f}",
-            f=f,
-            valid_range=(lo, hi),
-        )
-    scale, weight, sign = scheme_scalars(params, PER_STRING)
-    eye = np.eye(d, dtype=complex)
+def _products(p: int, scheme: str) -> np.ndarray:
+    """V: each group's m - 1 non-identity products V_s (s = 1 .. m - 1) in
+    fold order, group by group, as one (4^p - 1, 2^p, 2^p) complex64 stack
+    of signed permutations; V_s = prod_j G_j^(s_j) over ascending j.
 
-    strings = list(all_strings(p))[1:]
-    step = pauli_matrices(strings)
-    step *= scale
-    pluses, minuses = eye + step, eye - step
-    pluses /= d
-    minuses /= d
-    seconds = (minuses, pluses) if sign < 0 else (pluses, minuses)
-    terms = []
-    for s, plus, minus, b_plus, b_minus in zip(strings, pluses, minuses, *seconds):
-        name = format_label(s)
-        terms.append(ProductTerm(weight, plus, b_plus, f"per_string:{name}:+"))
-        terms.append(ProductTerm(weight, minus, b_minus, f"per_string:{name}:-"))
-    return Decomposition(params, PER_STRING, scale, tuple(terms))
-
-
-def _class_products(classes: Sequence[CommutingClass]) -> np.ndarray:
-    """V: each class's d products in fold order, class by class, as one
-    ((d + 1) d, d, d) complex64 stack of signed permutations for the
-    2^p + 1 classes of build_partition(p). Row k d + s is class k's
-    V_s = prod_j G_j^(s_j) over ascending j, so V_0 = I.
-
-    The products are taken on masks, with Python ints: as (-i)^t Z^z X^x,
-    V_s G_j = (-i)^(t + y_j + 2 |x_s & z_j|) Z^(z_s ^ z_j) X^(x_s ^ x_j),
-    since X^x Z^z = (-1)^|x & z| Z^z X^x, with y_j the y count of G_j. One
-    scatter realizes them all.
+    The products are taken on the masks of all groups at once: as (-i)^t
+    Z^z X^x, V_s G_j = (-i)^(t + y_j + 2 |x_s & z_j|) Z^(z_s ^ z_j)
+    X^(x_s ^ x_j), since X^x Z^z = (-1)^|x & z| Z^z X^x, with y_j the y count
+    of G_j. One scatter realizes them all.
     """
-    prods = []  # (x, z, t) of each V_s
-    for cls in classes:
-        _, x, z = masks(cls.generators)
-        if any(((a & d) ^ (b & c)).bit_count() & 1 for a, c in zip(x, z) for b, d in zip(x, z)):
-            raise ValueError("class generators do not pairwise commute")
-        first = len(prods)
-        prods.append((0, 0, 0))
-        for a, c in zip(x, z):
-            prods += [(px ^ a, pz ^ c, (t + (a & c).bit_count() + 2 * (px & c).bit_count()) % 4)
-                      for px, pz, t in prods[first:]]
-    return signed_permutations(classes[0].p, *map(list, zip(*prods)), np.complex64)
+    groups = SCHEMES[scheme].groups(p)
+    _, x, z = masks(chain.from_iterable(groups))
+    y = np.array([(a & c).bit_count() for a, c in zip(x, z)]).reshape(len(groups), -1)
+    x, z = np.array(x).reshape(y.shape), np.array(z).reshape(y.shape)  # [group, j]
+    if bit_parity((x[:, :, None] & z[:, None]) ^ (x[:, None] & z[:, :, None])).any():
+        raise ValueError("group generators do not pairwise commute")
+    px = pz = t = np.zeros((len(groups), 1), np.int64)  # [group, s]: V_0 = I
+    for a, c, y_j in zip(x.T[..., None], z.T[..., None], y.T[..., None]):  # each [group, 1]
+        t = np.hstack((t, (t + y_j + 2 * bit_parity(px & c)) % 4))
+        px, pz = np.hstack((px, px ^ a)), np.hstack((pz, pz ^ c))
+    return signed_permutations(p, px[:, 1:].ravel(), pz[:, 1:].ravel(), t[:, 1:].ravel(), np.complex64)
 
 
-def class_decomposition(params: WernerParams, force: bool = False) -> Decomposition:
-    """One term per (class, sign pattern): (2^p + 1) 2^p equal weights."""
-    p, f = params.p, params.f
-    d = params.d
-    lo, hi = class_range(p)
-    if not force and not lo <= f <= hi:
-        raise SchemeRangeError(
-            f"commuting_class needs f in [{lo}, {hi}], got {f}",
-            f=f,
-            valid_range=(lo, hi),
-        )
-    if d * f - 1.0 < 0:
-        raise SchemeRangeError(
-            f"class scale is undefined below f = {lo}",
-            f=f,
-            valid_range=(lo, hi),
-        )
-    scale, weight, _ = scheme_scalars(params, COMMUTING_CLASS)
-
-    # T_e = sum_s H[e, s] V_s - I with the Sylvester matrix H[s, e] =
-    # (-1)^|s & e|, so I + T_e = prod_j (I + (-1)^e_j G_j); its entries are
-    # small integers, exact in float32
-    hadamard = np.array([[(-1) ** (s & e).bit_count() for e in range(d)] for s in range(d)], np.float32)
-    eye = np.eye(d, dtype=complex)
-    terms = []
-    for k, prods in enumerate(_class_products(build_partition(p).classes).reshape(-1, d, d, d)):
-        sums = (hadamard @ prods.view(np.float32).reshape(d, -1)).view(np.complex64).reshape(d, d, d)
-        sums[:, range(d), range(d)] -= 1
-        comps = (eye + scale * sums.astype(complex)) / d
-        for e, comp in enumerate(comps):
-            bits = "".join(str((e >> j) & 1) for j in range(p))
-            terms.append(ProductTerm(weight, comp, comp, f"class:{k}:{bits}"))
-    return Decomposition(params, COMMUTING_CLASS, scale, tuple(terms))
+def _build(params: WernerParams, scheme: str) -> Decomposition:
+    """The scheme's certificate at params.f with no range check, so that a
+    forced (out-of-range) certificate fails only verification: group k's
+    term e has A = (I + s T_e)/d, and B = A, or the partner term's A_(e ^ 1)
+    when sign < 0."""
+    p, d, table = params.p, params.d, SCHEMES[scheme]
+    m, (scale, weight, sign) = table.order(p), scheme_scalars(params, scheme)
+    # T = H' V with the Sylvester matrix H'[e, s] = (-1)^|e & s|, s >= 1, is
+    # exact in float32. A chunk of groups becomes A in cache, on the float
+    # parts: once I's are added, the bits are the complex products' bits
+    hadamard = np.array([[(-1) ** (e & s).bit_count() for s in range(1, m)] for e in range(m)], np.float32)
+    prods = _products(p, scheme).view(np.float32).reshape(-1, m - 1, 2 * d * d)
+    comps = np.empty((len(prods) * m, d, d), complex)
+    eye = np.eye(d, dtype=complex).view(np.float64)
+    step = max(1, _CHUNK_BYTES // comps[:m].nbytes)
+    for start in range(0, len(prods), step):
+        sums = np.matmul(hadamard, prods[start : start + step])
+        parts = comps[start * m : (start + step) * m].view(np.float64)
+        np.multiply(sums.reshape(parts.shape), scale, out=parts, dtype=np.float64)
+        parts += eye
+        parts /= d
+    comps, marks = list(comps), table.marks(p)
+    labels = [f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
+              for label in (table.label(k, gens),) for mark in marks]
+    terms = tuple(ProductTerm(weight, a, comps[t ^ 1] if sign < 0 else a, label)
+                  for t, (a, label) in enumerate(zip(comps, labels)))
+    return Decomposition(params, scheme, scale, terms)
 
 
 def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
-    """Build the decomposition of the named scheme, or pick one when "auto".
+    """Build the decomposition of the named scheme, or of the one "auto"
+    picks (auto_scheme), refusing f outside the scheme's interval.
 
-    PER_STRING and COMMUTING_CLASS go straight to their builders, which
-    enforce their own validity intervals. "auto" picks the scheme whose
-    interval holds f and rejects f outside [0, 1]. The intervals overlap on
-    [1/2^p, 2^(1-p)]; the boundary f = 1/2^p goes to the class scheme (both
-    reduce to maximally mixed components there).
+    The intervals overlap on [1/2^p, 2^(1-p)]; the boundary f = 1/2^p goes
+    to the class scheme under "auto" (both reduce to maximally mixed
+    components there).
     """
-    if scheme == "auto":
-        scheme = auto_scheme(params)
-    if scheme == PER_STRING:
-        return per_string_decomposition(params)
-    if scheme == COMMUTING_CLASS:
-        return class_decomposition(params)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    scheme = auto_scheme(params, scheme)
+    f, (lo, hi) = params.f, SCHEMES[scheme].f_range(params.p)
+    if not lo <= f <= hi:
+        raise SchemeRangeError(f"{scheme} needs f in [{lo}, {hi}], got {f}", f=f, valid_range=(lo, hi))
+    return _build(params, scheme)
 
 
-def auto_scheme(params: WernerParams) -> str:
-    """The scheme "auto" picks at params.f; f outside [0, 1] is refused."""
+def auto_scheme(params: WernerParams, scheme: str = "auto") -> str:
+    """The scheme named, or the one "auto" picks at params.f, where f
+    outside [0, 1] is refused. An unknown name raises ValueError."""
+    if scheme != "auto":
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        return scheme
     f = params.f
     if not 0.0 <= f <= 1.0:
-        raise SchemeRangeError(
-            f"f={f} is outside [0, 1]; no product decomposition exists "
-            "(the partial transpose is negative for f < 0)",
-            f=f,
-            valid_range=(0.0, 1.0),
-        )
+        raise SchemeRangeError(f"f={f} is outside [0, 1]; no product decomposition exists (the "
+                               "partial transpose is negative for f < 0)", f=f, valid_range=(0.0, 1.0))
     return PER_STRING if f < 2.0**-params.p else COMMUTING_CLASS
 
 
 def scheme_scalars(params: WernerParams, scheme: str) -> Tuple[float, float, float]:
-    """(s, w, sign): the scale s and the equal weight w of the scheme's terms
-    at params.f, and the sign of the second party's s (per_string: the sign
-    of 2^p f - 1; always 1 for commuting_class). The builders and the family
-    verifier share these bits."""
+    """(s, w, sign): the scale s = sqrt(|2^p f - 1|/(m - 1)) and the equal
+    weight w = 1/(groups m) of the scheme's terms at params.f, and the sign
+    of 2^p f - 1, which the second party's s takes. Below f = 1/2^p only
+    groups of order 2 have a certificate: the class scale is refused there.
+    The builder and the family verifier share these bits."""
     d, f = params.d, params.f
-    if scheme == PER_STRING:
-        delta = d * f - 1.0
-        return sqrt(abs(delta)), 0.5 / (4**params.p - 1), -1.0 if delta < 0 else 1.0
-    return sqrt((d * f - 1.0) / (d - 1.0)), 1.0 / ((d + 1) * d), 1.0
+    m = SCHEMES[scheme].order(params.p)
+    delta = d * f - 1.0
+    if delta < 0 and m > 2:
+        lo, hi = SCHEMES[scheme].f_range(params.p)
+        raise SchemeRangeError(f"class scale is undefined below f = {lo}", f=f, valid_range=(lo, hi))
+    return sqrt(abs(delta) / (m - 1)), 1.0 / ((d * d - 1) // (m - 1) * m), -1.0 if delta < 0 else 1.0
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:

@@ -231,13 +231,13 @@ def spectrum_rows(spec: Spectrum) -> List[dict]:
 def _header(doc, max_p):
     """The certificate's (params, scheme, scale), checked before any factor
     is read, so a refused p never costs a factor conversion."""
-    from .decompose import COMMUTING_CLASS, PER_STRING
+    from .decompose import SCHEMES
     from .model import WernerParams
     p, f = _field(doc, "p", int), float(_field(doc, "f", (int, float)))
     scheme, scale = _field(doc, "scheme", str), float(_field(doc, "scale", (int, float)))
     if not (math.isfinite(f) and math.isfinite(scale)):
         raise MalformedInput("certificate f and scale must be finite")
-    if scheme not in (PER_STRING, COMMUTING_CLASS):
+    if scheme not in SCHEMES:
         raise MalformedInput(f"unknown scheme {scheme!r}")
     if p >= 64:  # no parsed factor has 2**64 rows, and 2**p of a huge p never ends
         raise MalformedInput(f"certificate p={p} is too large")

@@ -12,18 +12,18 @@ target. `verify --input`, `refine` and the refinement half of `report
 --refine` use it.
 
 scheme_family and verify_family check the toolkit's own certificates, as
-`report` (separability_report) and `sweep` build them. Each factor is
-(I + s G_t)/d, for per_string also (I - s G_t)/d, with G_t a Pauli string
-or a class sum T_e = sum_s (-1)^|e & s| V_s - I over its class's products
-V_s; only the scale s and the weights depend on f. The strings and the V_s
-are signed permutations, V[r, r ^ x] = D[r], and exact identities on each
-(x, D) prove every G_t's spectrum in O(p n d), with no eigensolver and no
-matrix product: a string has eigenvalues +-1 d/2 times each, and a class
-sum d - 1 once and -1 d - 1 times (Bandyopadhyay et al., Algorithmica 34
-(2002) 512). A factor's eigenvalues are (1 + s lambda)/d (Golub & Van Loan,
-Matrix Computations, section 8.5), and the reconstruction is w/d^2 (N I +
-c S), with S = sum_t G_t (x) G_t proven equal to its closed form in
-O(n d^2), never formed. A point costs O(1).
+`report` (separability_report) and `sweep` build them. Both schemes are one
+construction (see decompose): each factor is (I + s T)/d, with T = sum_{s
+!= 0} (-1)^|e & s| V_s a character sum over the non-identity products V_s
+of an abelian group of order m; only the scale s and the weights depend on
+f. The V_s are signed permutations, V[r, r ^ x] = D[r], and exact
+identities on each (x, D) prove every T's spectrum in O(p n d), with no
+eigensolver and no matrix product: T has eigenvalue m - 1 d/m times and -1
+d - d/m times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). A
+factor's eigenvalues are (1 + s lambda)/d (Golub & Van Loan, Matrix
+Computations, section 8.5), and the reconstruction is w/d^2 (N I + c S),
+with S = sum_t G_t (x) G_t over the terms' T proven equal to its closed
+form in O(n d^2), never formed. A point costs O(1).
 
 refine_to_pure spectrally splits each mixed factor so the certificate uses
 only rank-1 factors, at the cost of more terms.
@@ -38,11 +38,10 @@ import numpy as np
 
 from .decompose import (
     _CHUNK_BYTES,
-    COMMUTING_CLASS,
-    PER_STRING,
+    SCHEMES,
     Decomposition,
     ProductTerm,
-    _class_products,
+    _products,
     auto_scheme,
     decompose_auto,
     reconstruct,
@@ -60,8 +59,6 @@ from .model import (
     random_unitary,
     werner_dense,
 )
-from .partition import build_partition
-from .pauli import all_strings, pauli_matrices
 
 __all__ = [
     "Family",
@@ -223,37 +220,22 @@ def verify_decomposition(
 class Family:
     """What the certificates of one scheme at one p share for every f.
 
-    The certificate at f has, for each G_t, the term (w, (I + s G_t)/d,
-    (I + s G_t)/d) under commuting_class, and the two terms
-    (w, (I + s G_t)/d, (I + sign s G_t)/d) and (w, (I - s G_t)/d,
-    (I - sign s G_t)/d) under per_string, with (s, w, sign) from
-    scheme_scalars.
+    The certificate at f has, for each group and each character e of it,
+    the term (w, (I + s T_e)/d, (I + s T_e)/d), or (w, (I + s T_e)/d,
+    (I + s T_(e ^ 1))/d) when sign < 0 (groups of order 2, T_(e ^ 1) =
+    -T_e), with (s, w, sign) from scheme_scalars.
     """
 
     scheme: str
     p: int
-    n_generators: int
-    spectrum: np.ndarray  # (d,): the eigenvalues of every G_t, ascending
+    m: int  # the order of each group
+    n_generators: int  # the count of V: groups (m - 1)
+    spectrum: np.ndarray  # (d,): the eigenvalues of every T, ascending
     problems: Tuple[str, ...]  # the exact identities the V and S fail
 
     @property
-    def signs(self) -> int:
-        return 2 if self.scheme == PER_STRING else 1
-
-    @property
     def n_terms(self) -> int:
-        return self.signs * self.n_generators
-
-
-def _generators(p: int, scheme: str) -> np.ndarray:
-    """The (n, d, d) complex64 stack of the family's signed permutations V,
-    built for this call: each class's products V_s in fold order, class by
-    class, or the nontrivial strings in term order."""
-    if scheme == COMMUTING_CLASS:
-        return _class_products(build_partition(p).classes)
-    if scheme == PER_STRING:
-        return pauli_matrices(list(all_strings(p))[1:], np.complex64)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        return self.n_generators // (self.m - 1) * self.m
 
 
 def _monomials(stack):
@@ -275,67 +257,61 @@ def _monomials(stack):
     return x, diagonals, off
 
 
-def _identities(x, diagonals, off, scheme: str):
-    """(spectrum, problems): the eigenvalues every G_t has, ascending, and
+def _identities(x, diagonals, off, m: int):
+    """(spectrum, problems): the eigenvalues every T has, ascending, and
     which identities of the V fail, from each V's (x, D) in O(p n d).
 
     Each V must be a signed permutation of 1, -1, i and -i, Hermitian
     (D[r ^ x] = conj D[r]), so an involution, and of trace 0 (x != 0 or
-    sum D = 0): a string then has eigenvalues +-1, d/2 times each. A class's
-    V_s must also satisfy V_s V_g = V_(s ^ g) for each generator g = 2^j,
-    that is x_s ^ x_g = x_(s ^ g) and D_s[r] D_g[r ^ x_s] = D_(s ^ g)[r].
-    At s = 0 this holds V_0 to I, which is why V_0 alone may have trace d.
-    The V_s then represent Z_2^p by commuting involutions, so (I + T_e)/d
-    = sum_s (-1)^|e & s| V_s / d is a projector of trace 1, and T_e has
-    eigenvalue d - 1 once and -1 d - 1 times (Bandyopadhyay et al.,
-    Algorithmica 34 (2002) 512). The products of units are exact in
-    complex64.
+    sum D = 0). The rows of each group, V_1 .. V_(m - 1), must also satisfy
+    V_s V_g = V_(s ^ g) for each generator g = 2^j and s != g, that is
+    x_s ^ x_g = x_(s ^ g) and D_s[r] D_g[r ^ x_s] = D_(s ^ g)[r]; V_g^2 = I
+    is the involution. With V_0 = I they then represent Z_2^k by commuting
+    involutions, so (I + T_e)/m = sum_s (-1)^|e & s| V_s / m is a projector
+    of trace d/m, and T_e has eigenvalue m - 1 d/m times and -1 d - d/m
+    times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). The products
+    of units are exact in complex64.
     """
-    n, d = diagonals.shape
-    rows = np.arange(d)
-    problems = []
-    if off or not np.isin(diagonals, (1, -1, 1j, -1j)).all():
+    d = diagonals.shape[1]
+    rows, problems = np.arange(d), []
+    re, im = diagonals.real, diagonals.imag  # a unit has one part 0, the other +-1
+    if off or not ((abs(re) + abs(im) == 1) & (re * im == 0)).all():
         problems.append("a V is not a signed permutation of 1, -1, i and -i")
     if not np.array_equal(np.take_along_axis(diagonals, rows ^ x[:, None], axis=1), diagonals.conj()):
         problems.append("a V is not Hermitian")
-    ones = (np.arange(n) % d == 0) & (scheme == COMMUTING_CLASS)  # each class's V_0
-    if np.any((x == 0) & diagonals.sum(axis=1).astype(bool) & ~ones):
-        problems.append("a V other than a class's V_0 has a nonzero trace")
-    if scheme == PER_STRING:
-        return np.repeat([-1.0, 1.0], d // 2), tuple(problems)
-    xs, ds = x.reshape(-1, d), diagonals.reshape(-1, d, d)  # [class, s] and [class, s, r]
-    classes, partner = np.arange(len(xs))[:, None, None], rows ^ xs[:, :, None]  # r ^ x_s
-    law = True
-    for j in range(d.bit_length() - 1):
-        g = 1 << j
-        law = law and np.array_equal(xs ^ xs[:, g, None], xs[:, rows ^ g])
-        law = law and np.array_equal(ds * ds[classes, g, partner], ds[:, rows ^ g])
+    if np.any((x == 0) & diagonals.sum(axis=1).astype(bool)):
+        problems.append("a V has a nonzero trace")
+    xs, ds = x.reshape(-1, m - 1), diagonals.reshape(-1, m - 1, d)  # row s - 1 of a group is V_s
+    groups, law = np.arange(len(xs))[:, None, None], True
+    for g in (1 << j for j in range(m.bit_length() - 1)):
+        s = np.array([s for s in range(1, m) if s != g], int)
+        law = law and np.array_equal(xs[:, s - 1] ^ xs[:, g - 1, None], xs[:, (s ^ g) - 1])
+        partner = rows ^ xs[:, s - 1, None]  # r ^ x_s
+        law = law and np.array_equal(ds[:, s - 1] * ds[groups, g - 1, partner], ds[:, (s ^ g) - 1])
     if not law:
-        problems.append("a class's V fail V_s V_g = V_(s ^ g) for a generator g")
-    return np.repeat([-1.0, d - 1.0], [d - 1, 1]), tuple(problems)
+        problems.append("a group's V fail V_s V_g = V_(s ^ g) for a generator g")
+    return np.repeat([-1.0, m - 1.0], [d - d // m, d // m]), tuple(problems)
 
 
-def _swap_sum(x, diagonals, scheme: str):
-    """The exact identities that fail, with S = sum_t G_t (x) G_t proven
-    equal to its closed form a (d SWAP - I) in O(n d^2), never formed: a = 1
-    for the strings, and a = d for the class sums. With V_0 = I a class sum
-    is T_e = sum_{s != 0} H[e, s] V_s for the Sylvester matrix H[e, s] =
-    (-1)^|e & s|, and H^T H = d I, so its S is d sum_{s != 0} V_s (x) V_s.
-    Every V lies on one XOR pattern, V[r, r ^ x] = D[r], so S / a is the
-    exact complex128 Gram matrix sum_{V: x_V = x} D D^T at ((i, k),
-    (i ^ x, k ^ x)) and 0 elsewhere. It is compared with the closed form,
-    whose entries must lie on XOR patterns.
+def _swap_sum(x, diagonals):
+    """The exact identities that fail, with S = sum_t G_t (x) G_t over the
+    terms' T_e proven equal to its closed form m (d SWAP - I) in O(n d^2),
+    never formed. A group's T_e = sum_{s != 0} H[e, s] V_s for the
+    Sylvester matrix H[e, s] = (-1)^|e & s|, and H^T H = m I, so S = m
+    sum_V V (x) V. Every V lies on one XOR pattern, V[r, r ^ x] = D[r], so
+    S / m is the exact complex128 Gram matrix sum_{V: x_V = x} D D^T at
+    ((i, k), (i ^ x, k ^ x)) and 0 elsewhere. It is compared with the
+    closed form, whose entries must lie on XOR patterns.
     """
-    n, d = diagonals.shape
-    ones = (np.arange(n) % d == 0) & (scheme == COMMUTING_CLASS)  # each class's V_0
+    d = diagonals.shape[1]
     problems = []
     gram = np.empty((d, d, d), dtype=complex)
     for pattern in range(d):
-        on = diagonals[(x == pattern) & ~ones].astype(complex)
+        on = diagonals[x == pattern].astype(complex)
         gram[pattern] = on.T @ on
     if gram.imag.any():
         problems.append("S = sum_t G_t (x) G_t is not real")
-    closed, off = np.zeros((d, d, d)), 0  # at [x, i, k], S / a at ((i, k), (i ^ x, k ^ x))
+    closed, off = np.zeros((d, d, d)), 0  # at [x, i, k], S / m at ((i, k), (i ^ x, k ^ x))
     for (into, out), value in zip(_eye_flip_entries(d), (-1, d, d - 1)):
         off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)
         closed[(into ^ out) // d, into // d, into % d] = value
@@ -346,9 +322,10 @@ def _swap_sum(x, diagonals, scheme: str):
 
 def scheme_family(p: int, scheme: str) -> Family:
     """The scheme's family at p, proven from its V by exact identities."""
-    x, diagonals, off = _monomials(_generators(p, scheme))
-    spectrum, problems = _identities(x, diagonals, off, scheme)
-    return Family(scheme, p, len(x), spectrum, problems + _swap_sum(x, diagonals, scheme))
+    x, diagonals, off = _monomials(_products(p, scheme))
+    m = SCHEMES[scheme].order(p)
+    spectrum, problems = _identities(x, diagonals, off, m)
+    return Family(scheme, p, m, len(x), spectrum, problems + _swap_sum(x, diagonals))
 
 
 def verify_family(
@@ -358,13 +335,13 @@ def verify_family(
     Werner state at params.f, in O(1) from the family's f-independent data.
 
     The weights are the certificate's n_terms copies of w. The factor
-    eigenvalues are (1 + s lambda)/d over the family's spectrum; for
-    per_string that spectrum is symmetric, so (1 - s lambda)/d gives the
-    same values. The terms linear in s cancel, so the reconstruction is
-    w/d^2 (n_terms I + c S) with c = signs * sign * s^2. The proven S, a
-    (d SWAP - I), and the state are one value on each of _eye_flip_entries'
-    three groups, the first and third on the diagonal, and 0 elsewhere; so is
-    the float64 gap, whose values take the dense gap's operations in order.
+    eigenvalues are (1 + s lambda)/d over the family's spectrum; a second
+    party's (I - s T)/d = (I + s T_(e ^ 1))/d is another term's first. The
+    terms linear in s cancel (sum_e T_e = 0), so the reconstruction is
+    w/d^2 (n_terms I + c S) with c = sign * s^2. The proven S, m (d SWAP -
+    I), and the state are one value on each of _eye_flip_entries' three
+    groups, the first and third on the diagonal, and 0 elsewhere; so is the
+    float64 gap, whose values take the dense gap's operations in order.
     """
     d = params.d
     if family.p != params.p:
@@ -372,8 +349,8 @@ def verify_family(
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms = family.n_terms
     vals = (1.0 + scale * family.spectrum) / d
-    c = family.signs * sign * scale * scale
-    a = d if family.scheme == COMMUTING_CLASS else 1
+    c = sign * scale * scale
+    a = family.m
     w = weight / (d * d)
     rho = _werner_values(params).real
     only_i = (-a * c + n_terms) * w - rho[0]

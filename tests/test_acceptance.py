@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from dense_reference import partial_transpose_b
-from werner.decompose import (
-    class_decomposition,
-    decompose_auto,
-    per_string_decomposition,
-    reconstruct,
-)
+from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto, reconstruct
 from werner.linalg import Spectrum, hermitian_eigenvalues
 from werner.model import (
     WernerParams,
@@ -188,14 +183,14 @@ def test_criterion_05_scheme_ranges(capsys):
             for f in f_grid(0.0, hi, 5):
                 params = WernerParams(p, f)
                 rep = verify_decomposition(
-                    werner_dense(params), per_string_decomposition(params)
+                    werner_dense(params), decompose_auto(params, PER_STRING)
                 )
                 assert rep.verdict, (p, f)
             lo = 2.0**-p
             for f in f_grid(lo, 1.0, 5):
                 params = WernerParams(p, f)
                 rep = verify_decomposition(
-                    werner_dense(params), class_decomposition(params)
+                    werner_dense(params), decompose_auto(params, COMMUTING_CLASS)
                 )
                 assert rep.verdict, (p, f)
 
@@ -203,7 +198,7 @@ def test_criterion_05_scheme_ranges(capsys):
             # at p=1 that point is unphysical (f > 1), so the target is the
             # formal reconstruction rather than a state
             probe = WernerParams(p, hi + 0.01)
-            dec = per_string_decomposition(probe, force=True)
+            dec = _build(probe, PER_STRING)
             target = werner_dense(probe) if probe.f <= 1.0 else reconstruct(dec)
             rep = verify_decomposition(target, dec)
             assert not rep.positivity_ok
@@ -213,8 +208,8 @@ def test_criterion_05_scheme_ranges(capsys):
         # both apply
         for f in f_grid(0.5, 1.0, 5):
             params = WernerParams(1, f)
-            per = per_string_decomposition(params)
-            cls = class_decomposition(params)
+            per = decompose_auto(params, PER_STRING)
+            cls = decompose_auto(params, COMMUTING_CLASS)
 
             def multiset(dec):
                 return sorted(
@@ -232,7 +227,7 @@ def test_criterion_06_hand_coded_anchors(capsys):
         # hand-built (I + s T)/4
         gen_labels = [("IZ", "ZI"), ("IX", "XI"), ("XZ", "YX"), ("XY", "YZ"), ("IY", "YI")]
         for f in (0.25, 0.4, 0.7, 1.0):
-            dec = class_decomposition(WernerParams(2, f))
+            dec = decompose_auto(WernerParams(2, f), COMMUTING_CLASS)
             assert dec.n_terms == 20
             assert all(w == 1.0 / 20.0 for w in dec.weights)
             s = sqrt((4 * f - 1.0) / 3.0)

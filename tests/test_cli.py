@@ -17,7 +17,7 @@ import pytest
 
 from werner import cli, serialize
 from werner.cli import _DISPATCH, _build_parser, _sweep_points, main
-from werner.decompose import Decomposition, class_decomposition
+from werner.decompose import COMMUTING_CLASS, SCHEMES, Decomposition, decompose_auto
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
 
@@ -132,6 +132,13 @@ def test_decompose_schemes(capsys):
     assert json.loads(out)["scheme"] == "per_string"
 
 
+def test_the_scheme_flags_are_the_tables():
+    # the parser spells the flags out, so that building it imports no numpy
+    assert cli._SCHEME_FLAGS == ("auto", *sorted(s.flag for s in SCHEMES.values()))
+    assert {cli._scheme(s.flag) for s in SCHEMES.values()} == set(SCHEMES)
+    assert cli._scheme("auto") == "auto"
+
+
 def test_decompose_out_of_range_exits_2(capsys):
     code, out, err = run(capsys, "decompose", "--p", "1", "--f", "-0.2")
     assert code == 2
@@ -211,7 +218,7 @@ def test_refinement_above_p4_is_refused_up_front(capsys, monkeypatch, argv):
 def test_a_refused_certificate_leaves_no_file(monkeypatch, tmp_path, field):
     # the writer renders and checks every weight and factor before the
     # output is opened
-    dec = class_decomposition(WernerParams(1, 0.6))
+    dec = decompose_auto(WernerParams(1, 0.6), COMMUTING_CLASS)
     nan = float("nan") if field == "weight" else np.full((2, 2), np.nan, dtype=complex)
     last = replace(dec.terms[-1], **{field: nan})
     broken = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:-1] + (last,))
@@ -225,7 +232,7 @@ def test_a_refused_certificate_leaves_no_file(monkeypatch, tmp_path, field):
 def test_refine_input_above_p4_is_refused_before_its_factors_convert(
     capsys, monkeypatch, tmp_path
 ):
-    dec = class_decomposition(WernerParams(5, 0.6))
+    dec = decompose_auto(WernerParams(5, 0.6), COMMUTING_CLASS)
     path = tmp_path / "cert5.json"
     one_term = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:1])
     path.write_text("".join(serialize.certificate_chunks(one_term)))

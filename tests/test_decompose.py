@@ -6,29 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import werner.decompose
 from werner.decompose import (
     _CHUNK_BYTES,
-    _class_products,
+    _build,
+    _products,
     COMMUTING_CLASS,
     PER_STRING,
+    SCHEMES,
     Decomposition,
     ProductTerm,
-    class_decomposition,
-    class_range,
     decompose_auto,
-    per_string_decomposition,
-    per_string_range,
     reconstruct,
 )
 from werner.errors import SchemeRangeError
 from werner.linalg import Spectrum, hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, build_partition
-from werner.pauli import pauli_matrices
+from werner.pauli import all_strings, pauli_matrices
 from werner.verify import refine_to_pure
 
 
 def test_ranges():
+    per_string_range, class_range = SCHEMES[PER_STRING].f_range, SCHEMES[COMMUTING_CLASS].f_range
     assert per_string_range(1) == (0.0, 1.0)
     assert per_string_range(2) == (0.0, 0.5)
     assert per_string_range(3) == (0.0, 0.25)
@@ -38,14 +38,14 @@ def test_ranges():
 
 def test_per_string_component_frozen():
     # p = 1, f = 0.625: scale sqrt(2 f - 1) = 1/2, first term (I + X/2)/2
-    dec = per_string_decomposition(WernerParams(1, 0.625))
+    dec = decompose_auto(WernerParams(1, 0.625), PER_STRING)
     assert dec.scale == 0.5
     comp = dec.terms[0].state_a
     assert np.array_equal(comp, np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
 
 
 def test_per_string_structure_p1():
-    dec = per_string_decomposition(WernerParams(1, 0.0))
+    dec = decompose_auto(WernerParams(1, 0.0), PER_STRING)
     assert dec.scheme == PER_STRING
     assert dec.n_terms == 6
     assert dec.scale == 1.0
@@ -65,28 +65,30 @@ def test_per_string_structure_p1():
 
 def test_per_string_sign_flip_below_boundary():
     # f < 1/d: the B factor takes the opposite sign to absorb the negative
-    # expansion coefficient
-    dec = per_string_decomposition(WernerParams(2, 0.1))
-    for t in dec.terms:
+    # expansion coefficient: it is the partner term's first factor
+    dec = decompose_auto(WernerParams(2, 0.1), PER_STRING)
+    for t, partner in zip(dec.terms, (dec.terms[k ^ 1] for k in range(dec.n_terms))):
         assert not np.array_equal(t.state_a, t.state_b)
-    # f > 1/d (forced): both factors identical
-    dec = per_string_decomposition(WernerParams(2, 0.4), force=True)
+        assert t.state_b is partner.state_a
+    # f > 1/d: both factors are one object
+    dec = decompose_auto(WernerParams(2, 0.4), PER_STRING)
     for t in dec.terms:
-        assert t.state_a is t.state_b or np.array_equal(t.state_a, t.state_b)
+        assert t.state_a is t.state_b
 
 
 def test_per_string_range_enforcement():
     with pytest.raises(SchemeRangeError) as exc:
-        per_string_decomposition(WernerParams(2, 0.6))
+        decompose_auto(WernerParams(2, 0.6), PER_STRING)
     assert exc.value.valid_range == (0.0, 0.5)
     assert exc.value.f == 0.6
-    # force bypasses the gate; the verifier is the authority on positivity
-    dec = per_string_decomposition(WernerParams(2, 0.6), force=True)
+    # the unguarded builder skips the gate; the verifier is the authority on
+    # positivity
+    dec = _build(WernerParams(2, 0.6), PER_STRING)
     assert dec.scale > 1.0
 
 
 def test_class_structure_p2():
-    dec = class_decomposition(WernerParams(2, 1.0))
+    dec = decompose_auto(WernerParams(2, 1.0), COMMUTING_CLASS)
     assert dec.scheme == COMMUTING_CLASS
     assert dec.n_terms == 20
     assert set(dec.weights) == {0.05}
@@ -100,7 +102,7 @@ def test_class_structure_p2():
 
 
 def test_class_components_are_projectors_at_f1():
-    dec = class_decomposition(WernerParams(2, 1.0))
+    dec = decompose_auto(WernerParams(2, 1.0), COMMUTING_CLASS)
     for t in dec.terms:
         c = t.state_a
         assert np.allclose(c @ c, c, atol=1e-13)
@@ -108,7 +110,7 @@ def test_class_components_are_projectors_at_f1():
 
 
 def test_class_boundary_is_maximally_mixed():
-    dec = class_decomposition(WernerParams(2, 0.25))
+    dec = decompose_auto(WernerParams(2, 0.25), COMMUTING_CLASS)
     assert dec.scale == 0.0
     for t in dec.terms:
         assert np.array_equal(t.state_a, np.eye(4) / 4)
@@ -116,16 +118,17 @@ def test_class_boundary_is_maximally_mixed():
 
 def test_class_range_enforcement():
     with pytest.raises(SchemeRangeError):
-        class_decomposition(WernerParams(2, 0.1))
-    # the scale is undefined below 1/d even when forced
-    with pytest.raises(SchemeRangeError):
-        class_decomposition(WernerParams(2, 0.1), force=True)
-    dec = class_decomposition(WernerParams(2, 0.3), force=False)
+        decompose_auto(WernerParams(2, 0.1), COMMUTING_CLASS)
+    # the scale is undefined below 1/d even unguarded: only groups of order 2
+    # have a partner term to take the sign
+    with pytest.raises(SchemeRangeError, match="class scale is undefined below f = 0.25"):
+        _build(WernerParams(2, 0.1), COMMUTING_CLASS)
+    dec = decompose_auto(WernerParams(2, 0.3), COMMUTING_CLASS)
     assert dec.scale == pytest.approx(sqrt((4 * 0.3 - 1) / 3))
 
 
 def test_class_component_validation():
-    dec = class_decomposition(WernerParams(2, 0.5))
+    dec = decompose_auto(WernerParams(2, 0.5), COMMUTING_CLASS)
     for t in dec.terms:
         comp = t.state_a
         assert np.allclose(comp, comp.conj().T, atol=0)
@@ -134,7 +137,7 @@ def test_class_component_validation():
 
 def test_class_component_signs():
     # pure-Z class of p=1: label bits 0 give (I + s Z)/2, bits 1 the flip
-    dec = class_decomposition(WernerParams(1, 0.745))
+    dec = decompose_auto(WernerParams(1, 0.745), COMMUTING_CLASS)
     s = dec.scale
     (z,) = pauli_matrices([(3,)])
     assert [t.label for t in dec.terms[:2]] == ["class:0:0", "class:0:1"]
@@ -142,11 +145,13 @@ def test_class_component_signs():
     assert np.allclose(dec.terms[1].state_a, (np.eye(2) - s * z) / 2, atol=0)
 
 
-def test_class_component_refuses_anticommuting_generators():
+def test_class_component_refuses_anticommuting_generators(monkeypatch):
     # X and Z anticommute, so no sign pattern makes (I +- X)(I +- Z) Hermitian
     cls = CommutingClass(((1, 0), (3, 0), (2, 0)), ((1, 0), (3, 0)))
+    table = SCHEMES[COMMUTING_CLASS]._replace(groups=lambda p: [cls.generators])
+    monkeypatch.setitem(werner.decompose.SCHEMES, COMMUTING_CLASS, table)
     with pytest.raises(ValueError, match="do not pairwise commute"):
-        _class_products([cls])
+        _products(2, COMMUTING_CLASS)
 
 
 @settings(deadline=None, max_examples=25)
@@ -155,7 +160,7 @@ def test_per_string_reconstructs_everywhere(p, f):
     # the algebraic identity holds for every f in [0, 1]; only positivity
     # of the factors breaks outside the scheme range
     params = WernerParams(p, f)
-    dec = per_string_decomposition(params, force=True)
+    dec = _build(params, PER_STRING)
     assert np.allclose(reconstruct(dec), werner_dense(params), atol=1e-12)
     assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -163,10 +168,10 @@ def test_per_string_reconstructs_everywhere(p, f):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(1, 2), st.floats(0, 1, allow_nan=False))
 def test_class_reconstructs_on_range(p, f):
-    lo, hi = class_range(p)
+    lo, hi = SCHEMES[COMMUTING_CLASS].f_range(p)
     f = lo + (hi - lo) * f
     params = WernerParams(p, f)
-    dec = class_decomposition(params)
+    dec = decompose_auto(params, COMMUTING_CLASS)
     assert np.allclose(reconstruct(dec), werner_dense(params), atol=1e-12)
     assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -215,20 +220,18 @@ def test_component_spectrum_is_the_formula_bit_for_bit(p):
     eye = np.eye(d)
     for sigma in pauli_matrices([(k,) * p for k in (1, 2, 3)]):
         assert np.array_equal(sigma @ sigma, eye) and np.trace(sigma) == 0
-    for cls in (build_partition(p).classes[0], build_partition(p).classes[-1]):
-        for t in _class_sums(cls):
+    for k in (0, 2**p):  # the first and last classes
+        for t in _class_sums(p, k):
             assert np.array_equal(t @ t, (d - 2) * t + (d - 1) * eye)
             assert np.trace(t) == 0
 
 
-def _class_sums(cls):
-    # T_e = sum_s (-1)^|e & s| V_s - I over one class's products V_s, the
-    # class sums that class_decomposition takes
-    d = 2**cls.p
-    chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(d)] for e in range(d)])
-    sums = np.tensordot(chi, _class_products([cls]), 1)
-    sums[:, range(d), range(d)] -= 1
-    return sums
+def _class_sums(p, k):
+    # T_e = sum_{s != 0} (-1)^|e & s| V_s over class k's products V_s, the
+    # class sums that the builder takes
+    d = 2**p
+    chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, d)] for e in range(d)])
+    return np.tensordot(chi, _products(p, COMMUTING_CLASS)[k * (d - 1) : (k + 1) * (d - 1)], 1)
 
 
 def test_reconstruct_requires_terms():
@@ -252,21 +255,29 @@ def _loop_class_sum(cls, e):
 
 
 def test_the_class_products_hold_each_class_in_fold_order():
-    # one stack per call, class by class; row k d + s is class k's V_s, the
-    # ordered product of the generators the bits of s select
+    # one stack per call, class by class; row k (d - 1) + s - 1 is class k's
+    # V_s (s != 0), the ordered product of the generators the bits of s select
     for p in (1, 2, 3):
-        classes = build_partition(p).classes
-        stack = _class_products(classes)
-        assert stack.shape == ((2**p + 1) * 2**p, 2**p, 2**p)
+        d = 2**p
+        stack = _products(p, COMMUTING_CLASS)
+        assert stack.shape == (d * d - 1, d, d)
         assert stack.dtype == np.complex64
-        for k, cls in enumerate(classes):
+        for k, cls in enumerate(build_partition(p).classes):
             gens = pauli_matrices(cls.generators)
-            for s in range(2**p):
-                member = np.eye(2**p, dtype=complex)
+            for s in range(1, d):
+                member = np.eye(d, dtype=complex)
                 for j in range(p):
                     if (s >> j) & 1:
                         member = member @ gens[j]
-                assert np.array_equal(stack[k * 2**p + s], member)
+                assert np.array_equal(stack[k * (d - 1) + s - 1], member)
+
+
+def test_the_per_string_products_are_the_strings_in_order():
+    # a group {I, sigma} has the one product V_1 = sigma
+    for p in (1, 2, 3):
+        stack = _products(p, PER_STRING)
+        assert stack.dtype == np.complex64
+        assert np.array_equal(stack, pauli_matrices(list(all_strings(p))[1:]))
 
 
 def _same_terms(a, b):
@@ -281,34 +292,30 @@ def _same_terms(a, b):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_shared_paths_are_bit_identical(p):
     part = build_partition(p)
-    dec = class_decomposition(WernerParams(p, 0.9))
+    dec = decompose_auto(WernerParams(p, 0.9), COMMUTING_CLASS)
     eye = np.eye(2**p, dtype=complex)
     for e, term in enumerate(dec.terms):
         _, k, bits = term.label.split(":")
         cls = part.classes[int(k)]
         mask = sum(int(b) << j for j, b in enumerate(bits))  # label bit j is eps_j
-        comp = (eye + dec.scale * _class_sums(cls)[mask]) / 2**p
+        comp = (eye + dec.scale * _class_sums(p, int(k))[mask]) / 2**p
         assert np.array_equal(comp, term.state_a)
         loop = (eye + dec.scale * _loop_class_sum(cls, e % 2**p)) / 2**p
         assert np.array_equal(loop, term.state_a)
 
     low, high = WernerParams(p, 2.0**-p / 2), WernerParams(p, 0.9)
-    assert _same_terms(decompose_auto(low, PER_STRING), per_string_decomposition(low))
-    assert _same_terms(decompose_auto(high, COMMUTING_CLASS), class_decomposition(high))
-    assert _same_terms(decompose_auto(low, "auto"), per_string_decomposition(low))
-    assert _same_terms(decompose_auto(high), class_decomposition(high))
+    assert _same_terms(decompose_auto(low, PER_STRING), _build(low, PER_STRING))
+    assert _same_terms(decompose_auto(high, COMMUTING_CLASS), _build(high, COMMUTING_CLASS))
+    assert _same_terms(decompose_auto(low, "auto"), _build(low, PER_STRING))
+    assert _same_terms(decompose_auto(high), _build(high, COMMUTING_CLASS))
 
-    # an explicit scheme keeps its builder's range error, not auto's [0, 1]
-    for scheme, builder, f in (
-        (PER_STRING, per_string_decomposition, -0.5),
-        (COMMUTING_CLASS, class_decomposition, 0.0),
-    ):
-        with pytest.raises(SchemeRangeError) as direct:
-            builder(WernerParams(p, f))
+    # an explicit scheme keeps its own range error, not auto's [0, 1]
+    for scheme, f in ((PER_STRING, -0.5), (COMMUTING_CLASS, 0.0)):
+        lo, hi = SCHEMES[scheme].f_range(p)
         with pytest.raises(SchemeRangeError) as dispatched:
             decompose_auto(WernerParams(p, f), scheme)
-        assert str(dispatched.value) == str(direct.value)
-        assert dispatched.value.valid_range == direct.value.valid_range
+        assert str(dispatched.value) == f"{scheme} needs f in [{lo}, {hi}], got {f}"
+        assert dispatched.value.valid_range == (lo, hi)
     with pytest.raises(ValueError):
         decompose_auto(high, "bogus")
 
@@ -346,12 +353,15 @@ def _chunk_terms(da, db):
 
 _RECONSTRUCT_CASES = {
     **{
-        f"per_string-p{p}": lambda p=p: per_string_decomposition(WernerParams(p, 0.5 / 2**p))
+        f"per_string-p{p}": lambda p=p: decompose_auto(WernerParams(p, 0.5 / 2**p), PER_STRING)
         for p in (1, 2, 3, 4)
     },
-    **{f"class-p{p}": lambda p=p: class_decomposition(WernerParams(p, 0.7)) for p in (1, 2, 3, 4)},
-    "refined-p2": lambda: refine_to_pure(class_decomposition(WernerParams(2, 0.6))),
-    "forced-p2": lambda: per_string_decomposition(WernerParams(2, 0.9), force=True),
+    **{
+        f"class-p{p}": lambda p=p: decompose_auto(WernerParams(p, 0.7), COMMUTING_CLASS)
+        for p in (1, 2, 3, 4)
+    },
+    "refined-p2": lambda: refine_to_pure(decompose_auto(WernerParams(2, 0.6), COMMUTING_CLASS)),
+    "forced-p2": lambda: _build(WernerParams(2, 0.9), PER_STRING),
     "chunks-plus-3": lambda: _hand_built(8, 8, 2 * _chunk_terms(8, 8) + 3),
     "da2-db8": lambda: _hand_built(2, 8, 50, seed=1),
     "da8-db2": lambda: _hand_built(8, 2, 50, seed=2),
@@ -389,7 +399,7 @@ def _one_block_reconstruct(dec):
 def test_reconstruct_keeps_its_bits_up_to_p4(p):
     # at p <= 4 the chunks stay at 512 KiB; the row blocks must not move a bit
     for dec in (
-        per_string_decomposition(WernerParams(p, 0.5 / 2**p)),
-        class_decomposition(WernerParams(p, 0.7)),
+        decompose_auto(WernerParams(p, 0.5 / 2**p), PER_STRING),
+        decompose_auto(WernerParams(p, 0.7), COMMUTING_CLASS),
     ):
         assert reconstruct(dec).tobytes() == _one_block_reconstruct(dec).tobytes()

@@ -15,7 +15,8 @@ import pytest
 from werner.cli import main
 
 # (argv, sha256 of the written file); per-string at f = 0.5/d takes the
-# flipped-second-party branch, the class scheme runs at f = 0.6
+# flipped-second-party branch and at f = 1.5/d the unflipped one, the class
+# scheme runs at f = 0.6, and both schemes meet at scale 0 at f = 1/d
 GOLDEN = [
     ("decompose --p 1 --f 0.25 --scheme per-string",
      "67adfe54c9a839ca2e19150af28d2b79f694d466eaa5b439a130817ea212cf59"),
@@ -37,6 +38,16 @@ GOLDEN = [
      "77e58ca358bafd51e9e527a3a3e8d7eac1d9897be9aced8bad8265e2c49d3281"),
     ("decompose --p 5 --f 0.6 --scheme class",
      "4a24a09a6ec79084a18efeff43ee11a33381206bf6acf67da6b7a5172ad0ae3e"),
+    ("decompose --p 2 --f 0.375 --scheme per-string",
+     "9a4b94c5ebc017cb741586c102d386159ce7ce120d7f8c316ab5ca844f7e7eee"),
+    ("decompose --p 3 --f 0.1875 --scheme per-string",
+     "827c578f89b6033e92161d21f80a7e3b93372abe054b37e4ee97d2f8b5efaa77"),
+    ("decompose --p 5 --f 0.046875 --scheme per-string",
+     "8715d152c42646a4c97ac6a0c074646192b20c39ac0b6155430d8fd254edced1"),
+    ("decompose --p 3 --f 0.125 --scheme per-string",
+     "4d439279ed5d6b089994ebeb8aae011380f5e06e685167b195d9d1f329531e90"),
+    ("decompose --p 3 --f 0.125 --scheme class",
+     "dd4f2e1634131710c3d44e155435ceb82121b913cd1c710ee3cc355ce540a333"),
     ("partition --p 1 --format json",
      "1a8bae7767664080d3bd9fd4d86caaf179250bf60c340f1c6c2eb7cfde03a1ed"),
     ("partition --p 2 --format json",

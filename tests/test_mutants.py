@@ -31,8 +31,8 @@ from werner.decompose import (
     PER_STRING,
     Decomposition,
     ProductTerm,
-    class_decomposition,
-    per_string_decomposition,
+    _build,
+    decompose_auto,
 )
 from werner.errors import MalformedInput
 from werner.model import WernerParams, werner_dense
@@ -78,12 +78,12 @@ def _with_terms(dec, terms):
 
 
 def honest_document(m):
-    return _document(m, class_decomposition(WernerParams(2, 0.9)))
+    return _document(m, decompose_auto(WernerParams(2, 0.9), COMMUTING_CLASS))
 
 
 def negative_weight(m):
     # term 0 split into (w + 1e-10, A, B) and (-1e-10, A, B): the same state
-    dec = class_decomposition(WernerParams(2, 0.9))
+    dec = decompose_auto(WernerParams(2, 0.9), COMMUTING_CLASS)
     first = dec.terms[0]
     return _document(m, _with_terms(
         dec,
@@ -93,7 +93,7 @@ def negative_weight(m):
 
 
 def weight_sum_off(m):
-    dec = class_decomposition(WernerParams(2, 0.9))
+    dec = decompose_auto(WernerParams(2, 0.9), COMMUTING_CLASS)
     first = dec.terms[0]
     return _document(m, _with_terms(
         dec, [replace(first, weight=first.weight + 2e-12)] + list(dec.terms[1:])
@@ -103,7 +103,7 @@ def weight_sum_off(m):
 def _least_eigenvalue_certificate(least):
     # forced p = 1 per-string factors (I +- s sigma)/2 with (1 - s)/2 = least
     s = 1.0 - 2.0 * least
-    return per_string_decomposition(WernerParams(1, (1.0 - s * s) / 2.0), force=True)
+    return _build(WernerParams(1, (1.0 - s * s) / 2.0), PER_STRING)
 
 
 def negative_factor(m):
@@ -120,7 +120,7 @@ def negative_factor_under_colliding_keys(m):
     # only the exact fallback keeps the negative factors apart from the
     # positive one seen first
     m.hash = lambda data: 0
-    good = class_decomposition(WernerParams(1, 0.9))
+    good = decompose_auto(WernerParams(1, 0.9), COMMUTING_CLASS)
     bad = _least_eigenvalue_certificate(-2e-9)
     params = WernerParams(1, (good.params.f + bad.params.f) / 2)
     terms = [replace(t, weight=t.weight / 2) for t in good.terms + bad.terms]
@@ -130,7 +130,7 @@ def negative_factor_under_colliding_keys(m):
 def wrong_in_the_first_entry(m):
     # weight x moves from term 0 to a spike |00><00| (x) |00><00|, and term
     # 0's first factor grows by w / (w - x): only rho[0, 0] moves, by x
-    dec = class_decomposition(WernerParams(2, 0.9))
+    dec = decompose_auto(WernerParams(2, 0.9), COMMUTING_CLASS)
     x, first = 5e-9, dec.terms[0]
     spike = np.zeros((4, 4), dtype=complex)
     spike[0, 0] = 1.0
@@ -151,12 +151,12 @@ def _string(label):
 
 
 def _family(m, p, f, scheme, tamper=None):
-    """The judgements of verify_family on the scheme's family at p, its G_t
+    """The judgements of verify_family on the scheme's family at p, its V
     first changed in place by tamper."""
     if tamper is not None:
-        gens = werner.verify._generators(p, scheme).astype(np.complex64)
+        gens = werner.verify._products(p, scheme)
         tamper(gens)
-        m._generators = lambda p, scheme: gens
+        m._products = lambda p, scheme: gens
     return _judgements(m.verify_family(m.scheme_family(p, scheme), WernerParams(p, f)))
 
 
@@ -171,16 +171,18 @@ def honest_strings(m):
 
 def _honest_swap_sum(m):
     # S's checks answer as for the honest family, which passes them
-    m._swap_sum = lambda x, diagonals, scheme: ()
+    m._swap_sum = lambda x, diagonals: ()
 
 
-def negated_identity(m):
-    # at p = 1 a class's V_0 = I becomes -I, so V_1 V_1 is no longer V_0. No
-    # other check reads V_0: its trace may be d, and S sums over s != 0
+def negated_product(m):
+    # the class of IX, XI and XX at p = 2: V_3 = XX becomes -XX, so V_1 V_2
+    # is no longer V_3. -XX is a Hermitian signed permutation of trace 0,
+    # and S sums V (x) V = (-V) (x) (-V), so only the law's entries see it
     def negate(gens):
-        gens[0] *= -1
+        (at,) = np.flatnonzero((gens == _string("XX")).all(axis=(1, 2)))
+        gens[at] *= -1
 
-    return _family(m, 1, 0.6, COMMUTING_CLASS, negate)
+    return _family(m, 2, 0.6, COMMUTING_CLASS, negate)
 
 
 def repeated_product(m):
@@ -356,7 +358,7 @@ def header_caps(m):
 
 
 _CERTIFICATE = "".join(
-    werner.serialize.certificate_chunks(class_decomposition(WernerParams(1, 0.6)))
+    werner.serialize.certificate_chunks(decompose_auto(WernerParams(1, 0.6), COMMUTING_CLASS))
 )
 _FACTOR = '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
 _ENTRY = "0.72360679774997894"  # the first entry of the first factor, ending row 0 with ", 0]"
@@ -446,7 +448,7 @@ PROBES = {"verify": [
     (wrong_in_the_first_entry, (False, True, True, False)),
     (honest_classes, (True, True, True, True)),
     (honest_strings, (True, True, True, False)),
-    (negated_identity, (False, True, True, False)),
+    (negated_product, (False, True, True, False)),
     (repeated_product, (False, True, True, False)),
     (non_real_swap_sum, (False, True, True, False)),
     (changed_closed_form, (False, True, True, False)),
@@ -509,19 +511,24 @@ MUTANTS = [
     ("a V with entries off its pattern is taken", "verify",
      "off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))", "pass"),
     ("the V's entries are not held to 1, -1, i and -i", "verify",
-     "not np.isin(diagonals, (1, -1, 1j, -1j)).all()", "False"),
+     "not ((abs(re) + abs(im) == 1) & (re * im == 0)).all()", "False"),
     ("no check that the G_t are Hermitian", "verify",
      'problems.append("a V is not Hermitian")', "pass"),
     ("no check of the traces", "verify",
-     """problems.append("a V other than a class's V_0 has a nonzero trace")""", "pass"),
+     'problems.append("a V has a nonzero trace")', "pass"),
     ("no check of the class products", "verify",
-     """problems.append("a class's V fail V_s V_g = V_(s ^ g) for a generator g")""", "pass"),
+     """problems.append("a group's V fail V_s V_g = V_(s ^ g) for a generator g")""", "pass"),
     ("the class products held by their patterns alone", "verify",
-     "law = law and np.array_equal(ds * ds[classes, g, partner], ds[:, rows ^ g])", "pass"),
+     "law = law and np.array_equal(ds[:, s - 1] * ds[groups, g - 1, partner], ds[:, (s ^ g) - 1])",
+     "pass"),
     ("the class products held by their entries alone", "verify",
-     "law = law and np.array_equal(xs ^ xs[:, g, None], xs[:, rows ^ g])", "pass"),
+     "law = law and np.array_equal(xs[:, s - 1] ^ xs[:, g - 1, None], xs[:, (s ^ g) - 1])", "pass"),
     ("the class sums' multiplicities swapped", "verify",
-     "np.repeat([-1.0, d - 1.0], [d - 1, 1])", "np.repeat([-1.0, d - 1.0], [1, d - 1])"),
+     "[d - d // m, d // m]", "[d // m, d - d // m]"),
+    ("the spectrum's top eigenvalue is m", "verify", "[-1.0, m - 1.0]", "[-1.0, float(m)]"),
+    # a group {I, sigma} has no V_0 row: V_1 V_1 read as V_0 is its V_1
+    ("the group law asks V_g V_g = V_0 of a per-string group", "verify",
+     "[s for s in range(1, m) if s != g]", "list(range(1, m))"),
     ("S held to its closed form by its nonzero count off the XOR patterns alone", "verify",
      "off == 0 and np.array_equal(gram.real, closed))", "off == 0)"),
     ("S held to its closed form only where that is nonzero", "verify",

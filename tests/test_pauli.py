@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import PHASE
-from werner.decompose import _class_products, class_decomposition, per_string_decomposition
+from werner.decompose import COMMUTING_CLASS, PER_STRING, _products, decompose_auto
 from werner.errors import DimensionMismatch
 from werner.model import WernerParams
 from werner.partition import build_partition
@@ -209,8 +209,9 @@ def test_class_sums_are_bit_identical_to_kron_sums(p):
     chi = np.array([[(-1.0) ** bin(e & c).count("1") for c in range(1, n)] for e in range(n)])
     # at f = 1 the scale is 1, so term k n + e has the factor (I + T_e)/n of
     # class k, and n A - I is T_e exactly
-    dec, eye = class_decomposition(WernerParams(p, 1.0)), np.eye(n)
+    dec, eye = decompose_auto(WernerParams(p, 1.0), COMMUTING_CLASS), np.eye(n)
     assert dec.scale == 1.0
+    stack = _products(p, COMMUTING_CLASS)
     for k, cls in enumerate(build_partition(p).classes):
         gens = [_kron_matrix(g) for g in cls.generators]
         # member c is the ordered product of the generators its bits select
@@ -218,8 +219,7 @@ def test_class_sums_are_bit_identical_to_kron_sums(p):
             [reduce(np.matmul, (g for j, g in enumerate(gens) if c >> j & 1)) for c in range(1, n)]
         )
         want = np.tensordot(chi, members, 1).astype(np.complex64)
-        prods = _class_products([cls])
-        assert np.array_equal(prods[0], eye) and np.array_equal(prods[1:], members)
+        assert np.array_equal(stack[k * (n - 1) : (k + 1) * (n - 1)], members)
         sums = np.array([n * t.state_a - eye for t in dec.terms[k * n : (k + 1) * n]])
         assert sums.astype(np.complex64).tobytes() == want.tobytes()
 
@@ -229,7 +229,7 @@ def test_per_string_factors_are_bit_identical_to_kron_factors(p):
     d = 2**p
     eye = np.eye(d, dtype=complex)
     for f in (0.0, 0.3 * 2.0 ** (1 - p), 2.0 ** (1 - p)):  # flipped, flipped, scale 1
-        dec = per_string_decomposition(WernerParams(p, f))
+        dec = decompose_auto(WernerParams(p, f), PER_STRING)
         want = []
         for s in list(all_strings(p))[1:]:
             sig = _kron_matrix(s)

@@ -18,12 +18,10 @@ from werner.decompose import (
     PER_STRING,
     Decomposition,
     ProductTerm,
+    SCHEMES,
+    _build,
     auto_scheme,
-    class_decomposition,
-    class_range,
     decompose_auto,
-    per_string_decomposition,
-    per_string_range,
     reconstruct,
     scheme_scalars,
 )
@@ -70,7 +68,7 @@ def test_perturbed_weight_breaks_convexity():
 def test_forced_out_of_range_fails_positivity():
     # p=1, f=-0.5: scale sqrt(2), min component eigenvalue (1 - sqrt 2)/2
     params = WernerParams(1, -0.5)
-    dec = per_string_decomposition(params, force=True)
+    dec = _build(params, PER_STRING)
     rep = verify_decomposition(werner_dense(params), dec)
     assert not rep.positivity_ok
     assert rep.min_component_eigenvalue == pytest.approx((1 - sqrt(2)) / 2, abs=1e-12)
@@ -172,7 +170,7 @@ def _least_eigenvalue_certificate(least: float):
     """A forced p = 1 per-string certificate whose factors' least eigenvalue
     is (1 - s)/2 = least; it reconstructs its own state exactly."""
     s = 1.0 - 2.0 * least
-    return per_string_decomposition(WernerParams(1, (1.0 - s * s) / 2.0), force=True)
+    return _build(WernerParams(1, (1.0 - s * s) / 2.0), PER_STRING)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
@@ -244,7 +242,7 @@ def test_refine_labels_extend_parent():
 
 
 def test_refine_rejects_invalid_input():
-    dec = per_string_decomposition(WernerParams(1, -0.5), force=True)
+    dec = _build(WernerParams(1, -0.5), PER_STRING)
     with pytest.raises(VerificationFailure) as exc:
         refine_to_pure(dec)
     assert exc.value.report is not None
@@ -408,31 +406,25 @@ def test_the_family_agrees_with_the_built_certificate_on_a_sample(p, f):
     _assert_agree(WernerParams(p, f))
 
 
-def _class_sums(prods):
-    """T_e = sum_s (-1)^|e & s| V_s - I for each class of a stack of V, as
-    class_decomposition takes them, in complex128."""
-    d = prods.shape[1]
-    chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(d)] for e in range(d)])
-    sums = np.matmul(chi, prods.reshape(-1, d, d * d)).reshape(-1, d, d)
-    sums[:, range(d), range(d)] -= 1
-    return sums
-
-
 def _family_generators(p, scheme):
-    """The family's G_t: the strings, or the class sums of the class products."""
-    gens = werner.verify._generators(p, scheme)
-    return _class_sums(gens) if scheme == COMMUTING_CLASS else gens.astype(complex)
+    """The family's G_t, term by term: each group's T_e = sum_{s != 0}
+    (-1)^|e & s| V_s over its products V_s, as the builder takes them, in
+    complex128; +-sigma for the groups {I, sigma}."""
+    d, m = 2**p, SCHEMES[scheme].order(p)
+    chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, m)] for e in range(m)])
+    prods = werner.verify._products(p, scheme).reshape(-1, m - 1, d * d)
+    return np.matmul(chi, prods).reshape(-1, d, d)
 
 
 def _tampered_family(monkeypatch, p, scheme, tamper):
-    gens = werner.verify._generators(p, scheme).copy()
+    gens = werner.verify._products(p, scheme)
     tamper(gens)
-    monkeypatch.setattr("werner.verify._generators", lambda p, scheme: gens)
+    monkeypatch.setattr("werner.verify._products", lambda p, scheme: gens)
     return scheme_family(p, scheme)
 
 
 def _first_diagonal(gens):
-    # the first diagonal V of trace 0: a string, or a class's V_s with s != 0
+    # the first diagonal V; every V has trace 0
     return next(
         t for t, g in enumerate(gens)
         if not np.count_nonzero(g - np.diag(np.diag(g))) and np.trace(g) == 0
@@ -464,7 +456,7 @@ def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamp
     # the residual reads S's proven closed form, never the tampered S, so the
     # family's problems alone fail the verdict; a class's negated V_1 leaves
     # S as it was, and only the class's products see it: V_1 V_2 is V_3, not
-    # -V_3
+    # -V_3 (row 1 is the first class's V_2)
     assert rep.diagnostics == family.problems
     assert rep.reconstruction_residual == honest.reconstruction_residual
     assert len(family.problems) == len(problems)
@@ -493,7 +485,7 @@ def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
     family = _tampered_family(monkeypatch, 2, PER_STRING, lift)
     assert family.problems == (
         "a V is not a signed permutation of 1, -1, i and -i",
-        "a V other than a class's V_0 has a nonzero trace",
+        "a V has a nonzero trace",
         "S = sum_t G_t (x) G_t differs from its closed form",
     )
     rep = verify_family(family, params)
@@ -507,7 +499,8 @@ def test_the_proven_spectrum_is_jacobi_s_on_every_generator(p, scheme):
     gens = _family_generators(p, scheme)
     family = _family(p, scheme)
     assert family.problems == ()
-    assert family.n_generators == len(gens)
+    assert family.n_terms == len(gens)
+    assert family.n_generators == 4**p - 1
     d = 2**p
     step = _CHUNK_BYTES // (16 * d * d)
     vals = d * np.concatenate(
@@ -605,12 +598,10 @@ def _dense_swap_sum(gens):
     return (flat.T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 
-def _closed_swap_sum(p, scheme):
-    """sum_V V (x) V over the family's stack: d SWAP - I over the strings,
-    and over the class products (d + 1) I more from the classes' V_0 = I."""
+def _closed_swap_sum(p):
+    """sum_V V (x) V over the family's stack, where each nontrivial string
+    appears once up to sign: d SWAP - I."""
     d = 2**p
-    if scheme == COMMUTING_CLASS:
-        return werner.model._eye_flip(d, (d, d, 2 * d))
     return werner.model._eye_flip(d, (-1, d, d - 1))
 
 
@@ -640,11 +631,11 @@ def _i_added(gens, t):
 
 
 def _rows_swapped(gens, t):
-    # V_1 and V_2 of the first class (of d rows) whose V_1 is not diagonal;
-    # the two strings there for per_string
+    # V_1 and V_2 of the first class (of d - 1 rows) whose V_1 is not
+    # diagonal; the two strings there for per_string
     d = gens.shape[1]
-    k = next(k for k in range(0, len(gens), d) if np.count_nonzero(gens[k + 1] * (1 - np.eye(d))))
-    gens[[k + 1, k + 2]] = gens[[k + 2, k + 1]]
+    k = next(k for k in range(0, len(gens), d - 1) if np.count_nonzero(gens[k] * (1 - np.eye(d))))
+    gens[[k, k + 1]] = gens[[k + 1, k]]
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -655,11 +646,11 @@ def _rows_swapped(gens, t):
 def test_no_tampered_stack_passes_with_a_wrong_s(monkeypatch, p, scheme, tamper):
     # the proof of S reads each V's pattern only, so it stands on the other
     # identities: whenever the family reports no problem, sum_V V (x) V over
-    # the stack, V_0 rows included, is its closed form
-    gens = werner.verify._generators(p, scheme).copy()
+    # the stack is its closed form
+    gens = werner.verify._products(p, scheme)
     tamper(gens, len(gens) // 2)
-    held = np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p, scheme))
-    monkeypatch.setattr("werner.verify._generators", lambda p, scheme: gens)
+    held = np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p))
+    monkeypatch.setattr("werner.verify._products", lambda p, scheme: gens)
     refused = bool(scheme_family(p, scheme).problems)
     assert held or refused
     assert held is (tamper is _rows_swapped)
@@ -679,21 +670,21 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
     # dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4 entries
     # must give the same report, residual bits included
     family = _family(p, scheme)
-    gens = werner.verify._generators(p, scheme)
+    gens = werner.verify._products(p, scheme)
     d, swap_sum = 2**p, _dense_swap_sum(_family_generators(p, scheme).astype(np.complex64))
     assert family.problems == ()
-    assert np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p, scheme))
-    a = d if scheme == COMMUTING_CLASS else 1
+    assert np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p))
+    a = family.m
     assert np.array_equal(swap_sum, werner.model._eye_flip(d, (-a, a * d, a * (d - 1))))
     swap_sum = swap_sum.real
-    lo, hi = (per_string_range if scheme == PER_STRING else class_range)(p)
+    lo, hi = SCHEMES[scheme].f_range(p)
     corpus = (0.0, 2.0**-p, 2.0 ** (1 - p), 0.02, 0.05, 0.3, 0.6, 0.73, *np.linspace(0, 1, 21))
     fs = [f for f in corpus if lo <= f <= hi]
     assert len(fs) >= 5
     for f in fs:
         params = WernerParams(p, f)
         scale, weight, sign = scheme_scalars(params, scheme)
-        gap = np.multiply(swap_sum, family.signs * sign * scale * scale, dtype=np.float64)
+        gap = np.multiply(swap_sum, sign * scale * scale, dtype=np.float64)
         gap.flat[:: d * d + 1] += family.n_terms
         gap *= weight / (d * d)
         gap -= werner_dense(params).real
@@ -731,10 +722,10 @@ def test_component_dedup_by_identity():
     # symmetric terms share one factor object; verification must not count
     # the same matrix twice but must still scan both slots of mixed pairs
     params = WernerParams(1, 0.2)
-    dec = per_string_decomposition(params)  # flipped: A and B differ
+    dec = decompose_auto(params, PER_STRING)  # flipped: A and B differ
     rep = verify_decomposition(werner_dense(params), dec)
     assert rep.verdict
-    sym = class_decomposition(WernerParams(1, 0.9))
+    sym = decompose_auto(WernerParams(1, 0.9), COMMUTING_CLASS)
     rep = verify_decomposition(werner_dense(WernerParams(1, 0.9)), sym)
     assert rep.verdict
 
@@ -753,7 +744,7 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     # state_a and state_b of a class term are the same factor
     params = WernerParams(3, 0.7)
     target = werner_dense(params)
-    dec = class_decomposition(params)
+    dec = decompose_auto(params, COMMUTING_CLASS)
     parsed = doc_decomposition(json.loads("".join(certificate_chunks(dec))))
     assert parsed.n_terms == 72
     in_memory = verify_decomposition(target, dec)
@@ -784,7 +775,7 @@ def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
     # all within one chunk; each matrix alone gives the stack's bits
     params = WernerParams(3, 0.1)
     target = werner_dense(params)
-    dec = per_string_decomposition(params)
+    dec = decompose_auto(params, PER_STRING)
     patterns = []
 
     def recording(a, *args, **kwargs):
@@ -827,7 +818,7 @@ def _copied(dec):
 def test_equal_factors_in_distinct_objects_are_solved_once(monkeypatch):
     params = WernerParams(2, 0.6)
     target = werner_dense(params)
-    dec = class_decomposition(params)  # 20 terms, each one factor object twice
+    dec = decompose_auto(params, COMMUTING_CLASS)  # 20 terms, each one factor object twice
     shared = verify_decomposition(target, dec)
     rows = _counting_rows(monkeypatch)
     assert verify_decomposition(target, _copied(dec)) == shared
@@ -847,7 +838,7 @@ def test_equal_factors_in_distinct_objects_are_solved_once(monkeypatch):
 def test_a_forced_key_collision_keeps_different_factors_apart(monkeypatch):
     params = WernerParams(2, 0.6)
     target = werner_dense(params)
-    dec = class_decomposition(params)
+    dec = decompose_auto(params, COMMUTING_CLASS)
     honest = verify_decomposition(target, dec), _exact(refine_to_pure(dec))
     # every compact key collides; the exact fallback must tell the factors apart
     monkeypatch.setattr("werner.verify.hash", lambda data: 0, raising=False)
@@ -864,7 +855,7 @@ def test_a_forced_key_collision_keeps_different_factors_apart(monkeypatch):
 
 def test_factor_keys_hold_no_copy_of_the_factors():
     # exact keys held the bytes of every distinct 32 x 32 factor: 17 MB
-    dec = class_decomposition(WernerParams(5, 0.6))
+    dec = decompose_auto(WernerParams(5, 0.6), COMMUTING_CLASS)
     tracemalloc.start()
     try:
         groups, keys = _distinct_factors(dec)
@@ -896,7 +887,7 @@ def test_a_p5_family_holds_its_stack_and_chunk_sized_work_at_most(scheme):
     # the generators (8.4-8.7 MB, built here) and a few chunks of work: the
     # identities' products, one fold of whole classes, the Gram matrices. A
     # (d^2, d^2) float32 S alone would add 4 MiB, a second stack 8 MB
-    stack = werner.verify._generators(5, scheme).nbytes
+    stack = werner.verify._products(5, scheme).nbytes
     tracemalloc.start()
     try:
         scheme_family(5, scheme)
@@ -953,7 +944,7 @@ def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     params = WernerParams(5, f)
     # a separable report carries verify_family's report; the entangled point
     # has none, so a forced certificate goes through verify_decomposition
-    forced = per_string_decomposition(params, force=True) if f < 0 else None
+    forced = _build(params, PER_STRING) if f < 0 else None
     plain = (
         separability_report(params),
         forced and verify_decomposition(werner_dense(params), forced),
@@ -1005,7 +996,7 @@ def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
 
 
 def _with_non_hermitian_factor(params, at):
-    dec = class_decomposition(params)
+    dec = decompose_auto(params, COMMUTING_CLASS)
     bad = dec.terms[at].state_a.copy()
     bad[0, 1] += 1e-3
     terms = list(dec.terms)
@@ -1043,7 +1034,7 @@ def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
         verify_decomposition(target, dec)
     # the second stage's error alone still surfaces
     with pytest.raises(MemoryError, match="second stage failed"):
-        verify_decomposition(target, class_decomposition(params))
+        verify_decomposition(target, decompose_auto(params, COMMUTING_CLASS))
     # separability_report runs the probe first, then the family's identities
     probe = werner.verify.invariance_residual
     monkeypatch.setattr("werner.verify._identities", failing)
