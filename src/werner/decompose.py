@@ -151,7 +151,7 @@ def _build(params: WernerParams, scheme: str) -> Decomposition:
         parts = comps[start * m : (start + step) * m].view(np.float64)
         np.multiply(sums.reshape(parts.shape), scale, out=parts, dtype=np.float64)
         parts += eye
-        parts /= d
+        parts *= 1 / d  # d = 2^p, so this is the quotient, exactly
     comps, marks = list(comps), table.marks(p)
     labels = [f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
               for label in (table.label(k, gens),) for mark in marks]
