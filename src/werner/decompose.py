@@ -23,6 +23,10 @@ T_(e ^ 1) = -T_e, may do so.
 Both reconstruct the state exactly. The verifier, not the constructor, is
 the authority on positivity: the unguarded builder makes out-of-range
 (forced) certificates, and they simply fail verification.
+
+A Decomposition holds each factor once, in a table that its terms index:
+the builder's table is its stack of the A_e, and term t takes row t as its
+first factor and row t, or t ^ 1 when sign < 0, as its second.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ __all__ = [
     "COMMUTING_CLASS",
     "PER_STRING",
     "Decomposition",
-    "ProductTerm",
     "SCHEMES",
     "Scheme",
     "auto_scheme",
@@ -55,28 +58,23 @@ PER_STRING = "per_string"
 COMMUTING_CLASS = "commuting_class"
 
 
-@dataclass(frozen=True)
-class ProductTerm:
-    weight: float
-    state_a: np.ndarray
-    state_b: np.ndarray
-    label: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays
 class Decomposition:
+    """A certificate: term t is weights[t] factors[pairs[t, 0]] (x)
+    factors[pairs[t, 1]], labelled labels[t]. Each factor is a (d, d)
+    complex array held once, for every term that indexes its row."""
+
     params: WernerParams
     scheme: str
     scale: float
-    terms: Tuple[ProductTerm, ...]
+    factors: Sequence[np.ndarray]
+    pairs: np.ndarray  # (n, 2) int
+    weights: np.ndarray  # (n,) float64
+    labels: Tuple[str, ...]
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
-
-    @property
-    def weights(self) -> Tuple[float, ...]:
-        return tuple(t.weight for t in self.terms)
+        return len(self.weights)
 
 
 class Scheme(NamedTuple):
@@ -152,12 +150,11 @@ def _build(params: WernerParams, scheme: str) -> Decomposition:
         np.multiply(sums.reshape(parts.shape), scale, out=parts, dtype=np.float64)
         parts += eye
         parts *= 1 / d  # d = 2^p, so this is the quotient, exactly
-    comps, marks = list(comps), table.marks(p)
-    labels = [f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
-              for label in (table.label(k, gens),) for mark in marks]
-    terms = tuple(ProductTerm(weight, a, comps[t ^ 1] if sign < 0 else a, label)
-                  for t, (a, label) in enumerate(zip(comps, labels)))
-    return Decomposition(params, scheme, scale, terms)
+    marks, rows = table.marks(p), np.arange(len(comps))
+    labels = tuple(f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
+                   for label in (table.label(k, gens),) for mark in marks)
+    pairs = np.stack((rows, rows ^ 1 if sign < 0 else rows), axis=1)
+    return Decomposition(params, scheme, scale, comps, pairs, np.full(len(rows), weight), labels)
 
 
 def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
@@ -205,7 +202,8 @@ def scheme_scalars(params: WernerParams, scheme: str) -> Tuple[float, float, flo
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:
-    """Sum of weight * state_a (x) state_b over all terms.
+    """Sum of w_t A_t (x) B_t over all terms, A_t and B_t gathered from the
+    factor table by the term's pair of rows.
 
     One GEMM per chunk of terms: acc[(i,j),(k,l)] = sum_t w_t A_t[i,j] B_t[k,l]
     is (w A_flat).T @ B_flat, and one transpose puts it in the kron layout.
@@ -214,19 +212,18 @@ def reconstruct(dec: Decomposition) -> np.ndarray:
     at p = 5, unchanged at p <= 4. The product goes into the accumulator in
     row blocks of that size, so no accumulator-sized temporary exists.
     """
-    if not dec.terms:
+    if not dec.n_terms:
         raise ValueError("decomposition has no terms")
-    first = dec.terms[0]
-    da, db = first.state_a.shape[0], first.state_b.shape[0]
-    acc = np.zeros((da * da, db * db), dtype=complex)
+    d = len(dec.factors[0])
+    acc = np.zeros((d * d, d * d), dtype=complex)
     block = max(_CHUNK_BYTES, acc.nbytes // 4)
-    step = max(1, block // (16 * (da * da + db * db)))
-    rows = max(1, block // (16 * db * db))
-    for start in range(0, len(dec.terms), step):
-        chunk = dec.terms[start : start + step]
-        a = np.array([t.state_a for t in chunk], dtype=complex).reshape(len(chunk), da * da)
-        b = np.array([t.state_b for t in chunk]).reshape(len(chunk), db * db)
-        a *= np.array([t.weight for t in chunk])[:, None]
-        for r in range(0, da * da, rows):
+    step = max(1, block // (32 * d * d))
+    rows = max(1, block // (16 * d * d))
+    for start in range(0, dec.n_terms, step):
+        at_a, at_b = dec.pairs[start : start + step].T.tolist()
+        a = np.array([dec.factors[k] for k in at_a], dtype=complex).reshape(-1, d * d)
+        b = np.array([dec.factors[k] for k in at_b], dtype=complex).reshape(-1, d * d)
+        a *= dec.weights[start : start + step, None]
+        for r in range(0, d * d, rows):
             acc[r : r + rows] += a[:, r : r + rows].T @ b
-    return acc.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+    return acc.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)

@@ -12,13 +12,13 @@ string. The emitter imports no numpy: it looks for numpy values only once
 numpy is loaded, since no value can be a numpy object before that.
 
 Certificates cost what their distinct factors and their terms cost, both
-ways. certificate_chunks renders each distinct factor, re or im part and
-weight once, and hands the document out a term at a time, never as one
-string. parse_decomposition cuts each factor object out of the text and
-converts the distinct factor texts in one batch, each distinct row split
-once and each distinct number converted once, into read-only arrays that
-every term holding the text shares. Any JSON layout is read, and the
-emitter's "-0" reads back as -0.0.
+ways. certificate_chunks renders each row of the decomposition's factor
+table, each distinct re or im part and weight once, and hands the document
+out a term at a time, never as one string. parse_decomposition cuts each
+factor object out of the text and converts the distinct factor texts in
+one batch, each distinct row split once and each distinct number converted
+once, into one read-only table row per distinct text, which the terms
+index. Any JSON layout is read, and the emitter's "-0" reads back as -0.0.
 
 The verification and separability documents are the report dataclasses of
 verify.py as dicts: their keys are those classes' fields in declaration
@@ -156,34 +156,32 @@ _FACTOR = '{\n        "dim": %d,\n        "re": %s,\n        "im": %s\n      }'
 
 def certificate_chunks(dec: Decomposition) -> Iterator[str]:
     """dumps of dec's certificate document, and a newline, a term a chunk.
-    Each distinct factor, re or im part and weight is rendered once, and all
-    of them (a non-finite one refused) before this returns, so an output
-    opened after the call is never left half written by a refusal."""
+    Each row of dec's factor table is rendered once, each distinct re or im
+    part and weight once, and all of them (a non-finite one refused) before
+    this returns, so an output opened after the call is never left half
+    written by a refusal."""
     import numpy as np
-    parts, factors, by_id = {}, {}, {}  # part content, (re, im) texts, id -> text
+    parts, factors = {}, {}  # part content -> its text; (re, im) texts -> the factor's
 
     def part(x):
-        key = (x.shape, x.tobytes())
+        key = x.tobytes()
         if key not in parts:
             parts[key] = "".join(_matrix_lines(x, " " * 8, "  "))
         return parts[key]
 
-    for m in chain.from_iterable((t.state_a, t.state_b) for t in dec.terms):
-        if id(m) not in by_id:  # dec keeps every factor alive, so no id is reused
-            a = np.asarray(m, dtype=complex)
-            pair = part(a.real), part(a.imag)
-            if pair not in factors:
-                factors[pair] = _FACTOR % (len(a), *pair)
-            by_id[id(m)] = factors[pair]
-    weights = _float_texts(np.array(dec.weights, dtype=float)).tolist()
+    def factor(a):
+        pair = part(a.real), part(a.imag)
+        if pair not in factors:
+            factors[pair] = _FACTOR % (len(a), *pair)
+        return factors[pair]
+
+    rows = [factor(np.asarray(m, dtype=complex)) for m in dec.factors]
+    weights = _float_texts(np.asarray(dec.weights, dtype=float)).tolist()
     head = _HEAD % tuple(map(_scalar_text, (dec.params.p, dec.params.f, dec.scheme, dec.scale)))
-    rows = [
-        (w, encode_basestring_ascii(t.label), by_id[id(t.state_a)], by_id[id(t.state_b)])
-        for w, t in zip(weights, dec.terms)
-    ]
-    terms = (_TERM % row for row in rows)
+    terms = (_TERM % (w, encode_basestring_ascii(label), rows[a], rows[b])
+             for w, label, a, b in zip(weights, dec.labels, *dec.pairs.T.tolist()))
     # the first term follows "[" with no comma; no term at all leaves "[]"
-    return chain((head, next(terms, ",")[1:]), terms, ["\n  ]\n}\n" if rows else "]\n}\n"])
+    return chain((head, next(terms, ",")[1:]), terms, ["\n  ]\n}\n" if weights else "]\n}\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +244,40 @@ def _header(doc, max_p):
     return WernerParams(p, f), scheme, scale
 
 
-def _decomposition(doc, max_p, factor) -> Decomposition:
-    """doc's decomposition, with factor(t[side]) as each factor matrix."""
-    from .decompose import Decomposition, ProductTerm
+def _decomposition(doc, max_p, row, table) -> Decomposition:
+    """doc's decomposition: row(t[side]) is each factor's row in the table
+    that table() gives once every term is read."""
+    import numpy as np
+
+    from .decompose import Decomposition
     params, scheme, scale = _header(doc, max_p)
-    terms = tuple(
-        ProductTerm(
-            weight=float(_field(t, "weight", (int, float))),
-            state_a=factor(t["state_a"]),
-            state_b=factor(t["state_b"]),
-            label=_field(t, "label", str),
-        )
+    terms = [
+        (float(_field(t, "weight", (int, float))), row(t["state_a"]), row(t["state_b"]),
+         _field(t, "label", str))
         for t in doc["terms"]
-    )
+    ]
     if not terms:
         raise MalformedInput("certificate has no terms")
-    if not all(math.isfinite(t.weight) for t in terms):
+    weights, a, b, labels = zip(*terms)
+    if not all(map(math.isfinite, weights)):
         raise MalformedInput("certificate weights must be finite")
-    d = params.d
-    if any(m.shape != (d, d) for t in terms for m in (t.state_a, t.state_b)):
+    factors, d = table(), params.d
+    if any(m.shape != (d, d) for m in factors):
         raise MalformedInput(f"certificate factors must all be {d}x{d} for p={params.p}")
-    return Decomposition(params, scheme, scale, terms)
+    return Decomposition(params, scheme, scale, factors, np.stack((a, b), axis=1), np.array(weights), labels)
 
 
 def doc_decomposition(doc, max_p: Optional[int] = None) -> Decomposition:
-    """The decomposition in a parsed certificate document; a p above max_p
-    is refused before any factor is converted."""
-    return _decomposition(doc, max_p, doc_matrix)
+    """The decomposition in a parsed certificate document, one factor row
+    per factor value; a p above max_p is refused before any factor is
+    converted."""
+    factors = []
+
+    def row(value):
+        factors.append(doc_matrix(value))
+        return len(factors) - 1
+
+    return _decomposition(doc, max_p, row, lambda: factors)
 
 
 # A factor text, what stands between the braces of an object that holds no
@@ -369,30 +374,29 @@ def _factor_arrays(texts: List[Optional[str]]) -> List[np.ndarray]:
 
 def parse_decomposition(text: str, max_p: Optional[int] = None) -> Decomposition:
     """doc_decomposition(json.loads(text, parse_int=_json_int), max_p), in
-    which the terms holding one factor text share one read-only array.
+    which the factor table holds one read-only row per distinct factor text.
 
-    Only an accepted text is read that way. A refusal, a factor text the
-    batch does not take, or a placeholder found anywhere but at a factor (a
-    cut-out object that stood in a label, an ignored field or no value
-    position at all) leaves the last word to the plain parse of the whole
-    text, so every diagnostic is the plain one.
+    Only an accepted text is read that way. A refusal, a factor value the
+    cut did not take, a factor text the batch does not take, or a
+    placeholder found anywhere but at a factor (a cut-out object that stood
+    in a label, an ignored field or no value position at all) leaves the
+    last word to the plain parse of the whole text, so every diagnostic is
+    the plain one.
     """
     if _SLOT[1:] not in text:
         skeleton, texts, n_cut = _cut(text)
-        arrays = []  # filled at the first factor, after the header's checks
         placed = 0
 
-        def factor(value):
+        def row(value):
             nonlocal placed
             if type(value) is not tuple:
-                return doc_matrix(value)
-            if not arrays:
-                arrays.extend(_factor_arrays(texts))
+                raise TypeError("a factor the cut did not take")
             placed += 1
-            return arrays[value[0]]
+            return value[0]
 
         try:
-            dec = _decomposition(json.loads(skeleton, parse_int=_int_or_slot), max_p, factor)
+            doc = json.loads(skeleton, parse_int=_int_or_slot)
+            dec = _decomposition(doc, max_p, row, lambda: _factor_arrays(texts))
             if placed == n_cut:
                 return dec
         except (KeyError, TypeError, ValueError, OverflowError):

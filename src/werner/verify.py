@@ -6,10 +6,10 @@ when the verdict is true.
 
 verify_decomposition checks a decomposition as a document, term by term,
 and trusts nothing about how it was built: it re-derives the weight
-statistics, re-diagonalizes every distinct factor with the in-house
-eigensolver, and measures the Frobenius gap of the reconstruction to the
-target. `verify --input`, `refine` and the refinement half of `report
---refine` use it.
+statistics, re-diagonalizes every distinct factor of the table (distinct by
+content, whatever rows hold it) with the in-house eigensolver, and
+measures the Frobenius gap of the reconstruction to the target. `verify
+--input` and the refinement half of `report --refine` use it.
 
 scheme_family and verify_family check the toolkit's own certificates, as
 `report` (separability_report) and `sweep` build them. Both schemes are one
@@ -25,8 +25,9 @@ Computations, section 8.5), and the reconstruction is w/d^2 (N I + c S),
 with S = sum_t G_t (x) G_t over the terms' T proven equal to its closed
 form in O(n d^2), never formed. A point costs O(1).
 
-refine_to_pure spectrally splits each mixed factor so the certificate uses
-only rank-1 factors, at the cost of more terms.
+refine_to_pure spectrally splits each factor so the certificate uses only
+rank-1 factors, at the cost of more terms; the same Jacobi pass gives its
+input's verdict and the split.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .decompose import (
     _CHUNK_BYTES,
     SCHEMES,
     Decomposition,
-    ProductTerm,
     _products,
     auto_scheme,
     decompose_auto,
@@ -90,69 +90,45 @@ class VerificationReport:
     diagnostics: Tuple[str, ...]
 
 
-def _content_key(mat):
-    """A compact key of mat's content: its dtype, shape and bytes' hash."""
-    return mat.dtype.str, mat.shape, hash(mat.tobytes())
-
-
-def _distinct_factors(dec: Decomposition):
-    """(groups, keys): the distinct factors of dec by shape, then by key, in
-    first-seen order, and the key of each factor object by id.
-
-    Each object is keyed once; dec keeps every one alive, so no id is
-    reused. A compact key that hits a different matrix falls back to the
-    exact (dtype, shape, bytes) key, so equal keys still mean equal bytes.
-    """
-    groups, keys = {}, {}
-    for term in dec.terms:
-        for mat in (term.state_a, term.state_b):
-            if id(mat) in keys:
-                continue
-            by_key = groups.setdefault(mat.shape, {})
-            key = _content_key(mat)
-            kept = by_key.setdefault(key, mat)
-            if kept is not mat and kept.tobytes() != mat.tobytes():
-                key = mat.dtype.str, mat.shape, mat.tobytes()
-                by_key.setdefault(key, mat)
-            keys[id(mat)] = key
-    return groups, keys
-
-
 def _eigensystems(dec: Decomposition, compute_vectors: bool = False):
-    """Yield (key, values, vectors) once for each distinct factor of dec.
-
-    The distinct factors go to the eigensolver in stacks of at most
-    _CHUNK_BYTES, of one shape and one nonzero pattern each: 33 calls for a
+    """(rows, values, vectors): each factor row's index among dec's distinct
+    factors, and the ascending eigenvalues (and vectors, if asked) of each,
+    in stack order. Rows are one factor when their bytes are: a row is keyed
+    by its bytes' hash, and a hash that hits a different matrix falls back
+    to the bytes themselves. The distinct factors go to the eigensolver in stacks
+    of at most _CHUNK_BYTES, of one nonzero pattern each: 33 calls for a
     p = 5 certificate's 1,056 factors, whose stacks rotate at one set of
     pivots (2,046 per-string factors: 0.13 s, against 0.30 s in first-seen
     stacks). A matrix's results do not depend on its stack.
     """
-    groups, _ = _distinct_factors(dec)
-    runs = {}
-    for by_key in groups.values():
-        for key, mat in by_key.items():
-            runs.setdefault((mat.shape, (mat != 0).tobytes()), []).append((key, mat))
+    keys, distinct, rows = {}, [], []
+    for mat in dec.factors:
+        data = mat.tobytes()
+        k = keys.setdefault(hash(data), len(distinct))
+        if k < len(distinct) and distinct[k].tobytes() != data:  # a hash collision
+            k = keys.setdefault(data, len(distinct))
+        if k == len(distinct):
+            distinct.append(mat)
+        rows.append(k)
+    runs = {}  # nonzero pattern -> its distinct factors
+    for k, mat in enumerate(distinct):
+        runs.setdefault((mat != 0).tobytes(), []).append(k)
+    n, at = len(distinct[0]), 0
+    vals = np.empty((len(distinct), n))
+    vecs = np.empty((len(distinct), n, n), dtype=complex) if compute_vectors else None
+    place = np.empty(len(distinct), dtype=int)  # each distinct factor's stack order
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
     for run in runs.values():
-        step = max(1, _CHUNK_BYTES // (16 * run[0][1].size))
         for start in range(0, len(run), step):
             chunk = run[start : start + step]
-            vals, vecs = hermitian_eigensystem(
-                np.array([mat for _, mat in chunk], dtype=complex),
-                compute_vectors=compute_vectors,
+            place[chunk], stop = range(at, at + len(chunk)), at + len(chunk)
+            vals[at:stop], found = hermitian_eigensystem(
+                np.array([distinct[k] for k in chunk]), compute_vectors=compute_vectors
             )
-            for k, (key, _) in enumerate(chunk):
-                yield key, vals[k], None if vecs is None else vecs[k]
-
-
-def _component_stats(dec: Decomposition):
-    """Min eigenvalue and max purity deviation over all distinct factors."""
-    min_eig = np.inf
-    max_purity_dev = 0.0
-    for _, vals, _ in _eigensystems(dec):
-        purity = float(np.sum(vals * vals))  # trace of the square
-        min_eig = min(min_eig, float(vals[0]))
-        max_purity_dev = max(max_purity_dev, abs(purity - 1.0))
-    return float(min_eig), float(max_purity_dev)
+            if compute_vectors:
+                vecs[at:stop] = found
+            at = stop
+    return place[rows], vals, vecs
 
 
 def _report(
@@ -192,28 +168,33 @@ def _report(
     )
 
 
-def verify_decomposition(
-    target, dec: Decomposition, tol: float = 1e-9
-) -> VerificationReport:
+def verify_decomposition(target, dec: Decomposition, tol: float = 1e-9) -> VerificationReport:
     """Convexity, factor positivity, and exact reconstruction, all re-derived."""
-    target = np.asarray(target, dtype=complex)
-    if not dec.terms:
-        raise ValueError("decomposition has no terms")
-    dim = dec.terms[0].state_a.shape[0] * dec.terms[0].state_b.shape[0]
-    if target.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"target shape {target.shape} does not match term dimension {dim}"
-        )
+    return _verify(target, dec, tol)[0]
 
-    min_component_eigenvalue, max_purity_deviation = _component_stats(dec)
+
+def _verify(target, dec: Decomposition, tol: float, compute_vectors: bool = False):
+    """(verify_decomposition's report, _eigensystems(dec, compute_vectors)),
+    from one Jacobi pass: the vectors never feed the values' bits."""
+    target = np.asarray(target, dtype=complex)
+    if not dec.n_terms:
+        raise ValueError("decomposition has no terms")
+    dim = len(dec.factors[0]) ** 2
+    if target.shape != (dim, dim):
+        raise DimensionMismatch(f"target shape {target.shape} does not match term dimension {dim}")
+
+    found = _eigensystems(dec, compute_vectors)
+    vals = found[1]
+    least = min(vals[:, 0].tolist())  # the first in stack order: a zero keeps the stacks' sign
+    deviation = float(np.abs(np.sum(vals * vals, axis=1) - 1.0).max())  # tr A^2 against 1
+    if not compute_vectors:
+        found = vals = None  # the reconstruction sets the peak: hold no values through it
     gap = reconstruct(dec)
     # the Frobenius residual, taken in the reconstruction's own buffer: a
     # separate difference array would set the peak memory at p = 5
     gap -= target
     residual = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
-    return _report(
-        np.array(dec.weights), min_component_eigenvalue, max_purity_deviation, residual, tol
-    )
+    return _report(dec.weights, least, deviation, residual, tol), found
 
 
 @dataclass(frozen=True, eq=False)  # holds an array
@@ -368,14 +349,14 @@ def verify_family(
 
 
 def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
-    """Split every mixed factor into its eigenpairs; purity is informational
-    on input and mandatory on output.
-
-    Term (w, A, B) becomes the family (w a_j b_k, |a_j><a_j|, |b_k><b_k|)
-    over eigenpairs above the spectral floor. Requires the input to verify
-    against its own parameters first.
-    """
-    report = verify_decomposition(werner_dense(dec.params), dec, tol)
+    """Split every factor into its eigenpairs above the spectral floor: term
+    (w, A, B) becomes (w a_j b_k, |a_j><a_j|, |b_k><b_k|), labelled
+    label:a{j}b{k}, so the certificate has rank-1 factors and more terms.
+    The input must verify against its own parameters first; its verdict and
+    its split come from one Jacobi pass. Nothing checks the output's purity:
+    each projector has rank 1 by construction, and only `report --refine`
+    re-verifies the refined certificate."""
+    report, (rows, vals, vecs) = _verify(werner_dense(dec.params), dec, tol, compute_vectors=True)
     if not report.verdict:
         raise VerificationFailure(
             "refusing to refine a decomposition that fails verification: "
@@ -383,31 +364,21 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
             report=report,
         )
 
-    _, keys = _distinct_factors(dec)
-    eig_cache = {}
-    for key, vals, vecs in _eigensystems(dec, compute_vectors=True):
-        keep = []
-        for k in range(len(vals)):
-            if vals[k] > _EIGENVALUE_FLOOR:
-                v = vecs[:, k]
-                v = v / np.sqrt(np.sum(np.abs(v) ** 2))
-                keep.append((float(vals[k]), np.outer(v, v.conj())))
-        eig_cache[key] = keep
-
-    terms: List[ProductTerm] = []
-    for term in dec.terms:
-        pairs_b = eig_cache[keys[id(term.state_b)]]
-        for j, (alpha, proj_a) in enumerate(eig_cache[keys[id(term.state_a)]]):
-            for k, (beta, proj_b) in enumerate(pairs_b):
-                terms.append(
-                    ProductTerm(
-                        term.weight * alpha * beta,
-                        proj_a,
-                        proj_b,
-                        f"{term.label}:a{j}b{k}",
-                    )
-                )
-    return Decomposition(dec.params, dec.scheme, dec.scale, tuple(terms))
+    keep = vals > _EIGENVALUE_FLOOR  # [distinct factor, eigenpair]
+    v = vecs.transpose(0, 2, 1)[keep]  # the kept eigenvectors, factor by factor
+    v /= np.sqrt(np.sum(np.abs(v) ** 2, axis=1))[:, None]
+    count, values = keep.sum(axis=1), vals[keep]
+    first = np.cumsum(count) - count  # each distinct factor's first projector
+    a, b = rows[dec.pairs].T
+    size = count[a] * count[b]  # the refined terms of each term
+    term = np.repeat(np.arange(dec.n_terms), size)
+    j, k = np.divmod(np.arange(len(term)) - np.repeat(np.cumsum(size) - size, size), count[b][term])
+    pairs = np.stack((first[a][term] + j, first[b][term] + k), axis=1)
+    spans = zip(dec.labels, count[a].tolist(), count[b].tolist())
+    labels = tuple(f"{t}:a{j}b{k}" for t, n_a, n_b in spans for j in range(n_a) for k in range(n_b))
+    projectors = v[:, :, None] * v.conj()[:, None, :]
+    weights = dec.weights[term] * values[pairs[:, 0]] * values[pairs[:, 1]]
+    return Decomposition(dec.params, dec.scheme, dec.scale, projectors, pairs, weights, labels)
 
 
 @dataclass(frozen=True)

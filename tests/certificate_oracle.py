@@ -8,22 +8,54 @@ cap. Its integer hook reads the "-0" that werner writes for -0.0 back as
 tests hold werner's reader to it: the same decomposition, bit for bit, or a
 refusal of the same kind (whose message is that of werner's own plain
 parse, which checks the header before any factor).
+
+A decomposition holds a factor table that its terms index; expand and
+from_terms give the tests its terms one by one, and exact compares them.
 """
 import io
 import json
 import math
 import sys
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from werner.cli import _read_certificate
-from werner.decompose import COMMUTING_CLASS, PER_STRING, Decomposition, ProductTerm
+from werner.decompose import COMMUTING_CLASS, PER_STRING, Decomposition
 from werner.errors import MalformedInput
 from werner.model import WernerParams
 from werner.serialize import doc_decomposition
 
 MAX_P = 5  # the CLI's --p cap
+
+
+class Term(NamedTuple):
+    """One term of a decomposition, its two factors read from the table."""
+
+    weight: float
+    state_a: np.ndarray
+    state_b: np.ndarray
+    label: str
+
+
+def expand(dec: Decomposition):
+    """dec's terms, in order, each factor the table row the term indexes."""
+    return [
+        Term(w, dec.factors[a], dec.factors[b], label)
+        for w, (a, b), label in zip(dec.weights.tolist(), dec.pairs.tolist(), dec.labels, strict=True)
+    ]
+
+
+def from_terms(params, scheme, scale, terms) -> Decomposition:
+    """The decomposition of (weight, state_a, state_b, label) terms, with one
+    factor row per factor value."""
+    terms = list(terms)
+    factors = [m for t in terms for m in (t[1], t[2])]
+    return Decomposition(
+        params, scheme, scale, factors, np.arange(len(factors)).reshape(-1, 2),
+        np.array([t[0] for t in terms], dtype=float), tuple(t[3] for t in terms),
+    )
 
 
 def _int(text):
@@ -61,15 +93,15 @@ def _decomposition(doc):
     if scheme not in (PER_STRING, COMMUTING_CLASS):
         raise MalformedInput(f"unknown scheme {scheme!r}")
     params = WernerParams(p, f)
-    terms = tuple(
-        ProductTerm(
+    terms = [
+        Term(
             weight=float(_field(t, "weight", (int, float))),
             state_a=_matrix(t["state_a"]),
             state_b=_matrix(t["state_b"]),
             label=_field(t, "label", str),
         )
         for t in doc["terms"]
-    )
+    ]
     if not terms:
         raise MalformedInput("certificate has no terms")
     if not all(math.isfinite(t.weight) for t in terms):
@@ -79,7 +111,7 @@ def _decomposition(doc):
     d = params.d
     if any(m.shape != (d, d) for t in terms for m in (t.state_a, t.state_b)):
         raise MalformedInput(f"certificate factors must all be {d}x{d} for p={params.p}")
-    return Decomposition(params, scheme, scale, terms)
+    return from_terms(params, scheme, scale, terms)
 
 
 def oracle_read(text: str) -> Decomposition:
@@ -105,10 +137,12 @@ def cli_read(text: str) -> Decomposition:
 
 
 def exact(dec: Decomposition):
-    """Everything a decomposition holds, comparable bit for bit."""
+    """Everything a decomposition holds, comparable bit for bit: each term
+    expanded from the table, with its weight's bits, its label and both of
+    its factors' bytes."""
     terms = [
         (float(t.weight).hex(), t.label, t.state_a.tobytes(), t.state_b.tobytes())
-        for t in dec.terms
+        for t in expand(dec)
     ]
     return dec.params, dec.scheme, float(dec.scale).hex(), terms
 

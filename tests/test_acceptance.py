@@ -15,6 +15,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from certificate_oracle import expand
 from dense_reference import partial_transpose_b
 from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto, reconstruct
 from werner.linalg import Spectrum, hermitian_eigenvalues
@@ -214,7 +215,7 @@ def test_criterion_05_scheme_ranges(capsys):
             def multiset(dec):
                 return sorted(
                     (t.weight, t.state_a.tobytes(), t.state_b.tobytes())
-                    for t in dec.terms
+                    for t in expand(dec)
                 )
 
             assert multiset(per) == multiset(cls), f
@@ -244,7 +245,7 @@ def test_criterion_06_hand_coded_anchors(capsys):
                     acc = s1 * m1 + s2 * m2 + (s1 * s2) * m3
                     hand.append((np.eye(4, dtype=complex) + s * acc) / 4)
             assert len(hand) == 20
-            for t, h in zip(dec.terms, hand):
+            for t, h in zip(expand(dec), hand):
                 assert np.array_equal(t.state_a, h), t.label
                 assert np.array_equal(t.state_b, h), t.label
 
@@ -269,7 +270,7 @@ def test_criterion_06_hand_coded_anchors(capsys):
                     minus = (np.eye(2, dtype=complex) - s * sig) / 2
                     hand.append((plus, plus))
                     hand.append((minus, minus))
-            for t, (ha, hb) in zip(dec.terms, hand):
+            for t, (ha, hb) in zip(expand(dec), hand):
                 assert np.array_equal(t.state_a, ha), (f, t.label)
                 assert np.array_equal(t.state_b, hb), (f, t.label)
 

@@ -9,15 +9,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from certificate_oracle import expand, from_terms
 from werner import cli, serialize
 from werner.cli import _DISPATCH, _build_parser, _sweep_points, main
-from werner.decompose import COMMUTING_CLASS, SCHEMES, Decomposition, decompose_auto
+from werner.decompose import COMMUTING_CLASS, SCHEMES, decompose_auto
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
 
@@ -220,8 +220,8 @@ def test_a_refused_certificate_leaves_no_file(monkeypatch, tmp_path, field):
     # output is opened
     dec = decompose_auto(WernerParams(1, 0.6), COMMUTING_CLASS)
     nan = float("nan") if field == "weight" else np.full((2, 2), np.nan, dtype=complex)
-    last = replace(dec.terms[-1], **{field: nan})
-    broken = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:-1] + (last,))
+    *head, last = expand(dec)
+    broken = from_terms(dec.params, dec.scheme, dec.scale, [*head, last._replace(**{field: nan})])
     monkeypatch.setattr("werner.decompose.decompose_auto", lambda *args: broken)
     path = tmp_path / "cert.json"
     with pytest.raises(ValueError, match="non-finite"):
@@ -234,7 +234,7 @@ def test_refine_input_above_p4_is_refused_before_its_factors_convert(
 ):
     dec = decompose_auto(WernerParams(5, 0.6), COMMUTING_CLASS)
     path = tmp_path / "cert5.json"
-    one_term = Decomposition(dec.params, dec.scheme, dec.scale, dec.terms[:1])
+    one_term = from_terms(dec.params, dec.scheme, dec.scale, expand(dec)[:1])
     path.write_text("".join(serialize.certificate_chunks(one_term)))
     monkeypatch.setattr("werner.serialize.doc_matrix", _never)
     monkeypatch.setattr("werner.serialize._factor_arrays", _never)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import werner.decompose
+from certificate_oracle import expand, from_terms
 from werner.decompose import (
     _CHUNK_BYTES,
     _build,
@@ -14,8 +15,6 @@ from werner.decompose import (
     COMMUTING_CLASS,
     PER_STRING,
     SCHEMES,
-    Decomposition,
-    ProductTerm,
     decompose_auto,
     reconstruct,
 )
@@ -40,7 +39,7 @@ def test_per_string_component_frozen():
     # p = 1, f = 0.625: scale sqrt(2 f - 1) = 1/2, first term (I + X/2)/2
     dec = decompose_auto(WernerParams(1, 0.625), PER_STRING)
     assert dec.scale == 0.5
-    comp = dec.terms[0].state_a
+    comp = expand(dec)[0].state_a
     assert np.array_equal(comp, np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
 
 
@@ -50,7 +49,7 @@ def test_per_string_structure_p1():
     assert dec.n_terms == 6
     assert dec.scale == 1.0
     assert set(dec.weights) == {1 / 6}
-    assert [t.label for t in dec.terms] == [
+    assert list(dec.labels) == [
         "per_string:X:+",
         "per_string:X:-",
         "per_string:Y:+",
@@ -59,21 +58,22 @@ def test_per_string_structure_p1():
         "per_string:Z:-",
     ]
     # at scale 1 the components are rank-1 projectors
-    for t in dec.terms:
+    for t in expand(dec):
         assert np.allclose(t.state_a @ t.state_a, t.state_a, atol=1e-14)
 
 
 def test_per_string_sign_flip_below_boundary():
     # f < 1/d: the B factor takes the opposite sign to absorb the negative
-    # expansion coefficient: it is the partner term's first factor
+    # expansion coefficient: it is the partner term's first factor, one row
     dec = decompose_auto(WernerParams(2, 0.1), PER_STRING)
-    for t, partner in zip(dec.terms, (dec.terms[k ^ 1] for k in range(dec.n_terms))):
+    rows = np.arange(dec.n_terms)
+    assert np.array_equal(dec.pairs, np.stack((rows, rows ^ 1), axis=1))
+    for t in expand(dec):
         assert not np.array_equal(t.state_a, t.state_b)
-        assert t.state_b is partner.state_a
-    # f > 1/d: both factors are one object
+    # f > 1/d: both factors are one row
     dec = decompose_auto(WernerParams(2, 0.4), PER_STRING)
-    for t in dec.terms:
-        assert t.state_a is t.state_b
+    assert np.array_equal(dec.pairs, np.stack((rows, rows), axis=1))
+    assert len(dec.factors) == dec.n_terms
 
 
 def test_per_string_range_enforcement():
@@ -93,17 +93,17 @@ def test_class_structure_p2():
     assert dec.n_terms == 20
     assert set(dec.weights) == {0.05}
     assert dec.scale == 1.0
-    assert dec.terms[0].label == "class:0:00"
-    assert dec.terms[3].label == "class:0:11"
-    assert dec.terms[19].label == "class:4:11"
-    # every factor pair is the same object (symmetric scheme)
-    for t in dec.terms:
-        assert t.state_a is t.state_b
+    assert dec.labels[0] == "class:0:00"
+    assert dec.labels[3] == "class:0:11"
+    assert dec.labels[19] == "class:4:11"
+    # every factor pair is one row (symmetric scheme)
+    assert np.array_equal(dec.pairs[:, 0], dec.pairs[:, 1])
+    assert len(dec.factors) == dec.n_terms
 
 
 def test_class_components_are_projectors_at_f1():
     dec = decompose_auto(WernerParams(2, 1.0), COMMUTING_CLASS)
-    for t in dec.terms:
+    for t in expand(dec):
         c = t.state_a
         assert np.allclose(c @ c, c, atol=1e-13)
         assert np.trace(c).real == pytest.approx(1.0, abs=1e-13)
@@ -112,7 +112,7 @@ def test_class_components_are_projectors_at_f1():
 def test_class_boundary_is_maximally_mixed():
     dec = decompose_auto(WernerParams(2, 0.25), COMMUTING_CLASS)
     assert dec.scale == 0.0
-    for t in dec.terms:
+    for t in expand(dec):
         assert np.array_equal(t.state_a, np.eye(4) / 4)
 
 
@@ -129,7 +129,7 @@ def test_class_range_enforcement():
 
 def test_class_component_validation():
     dec = decompose_auto(WernerParams(2, 0.5), COMMUTING_CLASS)
-    for t in dec.terms:
+    for t in expand(dec):
         comp = t.state_a
         assert np.allclose(comp, comp.conj().T, atol=0)
         assert np.trace(comp).real == pytest.approx(1.0)
@@ -140,9 +140,10 @@ def test_class_component_signs():
     dec = decompose_auto(WernerParams(1, 0.745), COMMUTING_CLASS)
     s = dec.scale
     (z,) = pauli_matrices([(3,)])
-    assert [t.label for t in dec.terms[:2]] == ["class:0:0", "class:0:1"]
-    assert np.allclose(dec.terms[0].state_a, (np.eye(2) + s * z) / 2, atol=0)
-    assert np.allclose(dec.terms[1].state_a, (np.eye(2) - s * z) / 2, atol=0)
+    terms = expand(dec)
+    assert [t.label for t in terms[:2]] == ["class:0:0", "class:0:1"]
+    assert np.allclose(terms[0].state_a, (np.eye(2) + s * z) / 2, atol=0)
+    assert np.allclose(terms[1].state_a, (np.eye(2) - s * z) / 2, atol=0)
 
 
 def test_class_component_refuses_anticommuting_generators(monkeypatch):
@@ -207,7 +208,7 @@ def test_component_spectrum_matches_dense():
     ]:
         dec = decompose_auto(WernerParams(p, f), scheme)
         closed = Spectrum.from_pairs(_component_pairs(scheme, p, dec.scale))
-        for t in dec.terms[:3]:
+        for t in expand(dec)[:3]:
             assert hermitian_eigenvalues(t.state_a).isclose(closed, 1e-9)
 
 
@@ -236,7 +237,7 @@ def _class_sums(p, k):
 
 def test_reconstruct_requires_terms():
     with pytest.raises(ValueError):
-        reconstruct(Decomposition(WernerParams(1, 0.5), PER_STRING, 0.0, ()))
+        reconstruct(from_terms(WernerParams(1, 0.5), PER_STRING, 0.0, ()))
 
 
 def _loop_class_sum(cls, e):
@@ -281,11 +282,12 @@ def test_the_per_string_products_are_the_strings_in_order():
 
 
 def _same_terms(a, b):
-    return (a.scheme, a.scale, a.weights) == (b.scheme, b.scale, b.weights) and all(
-        s.label == t.label
+    return (a.scheme, a.scale) == (b.scheme, b.scale) and all(
+        s.weight == t.weight
+        and s.label == t.label
         and np.array_equal(s.state_a, t.state_a)
         and np.array_equal(s.state_b, t.state_b)
-        for s, t in zip(a.terms, b.terms, strict=True)
+        for s, t in zip(expand(a), expand(b), strict=True)
     )
 
 
@@ -294,7 +296,7 @@ def test_shared_paths_are_bit_identical(p):
     part = build_partition(p)
     dec = decompose_auto(WernerParams(p, 0.9), COMMUTING_CLASS)
     eye = np.eye(2**p, dtype=complex)
-    for e, term in enumerate(dec.terms):
+    for e, term in enumerate(expand(dec)):
         _, k, bits = term.label.split(":")
         cls = part.classes[int(k)]
         mask = sum(int(b) << j for j, b in enumerate(bits))  # label bit j is eps_j
@@ -322,10 +324,10 @@ def test_shared_paths_are_bit_identical(p):
 
 def _loop_reconstruct(dec):
     # reference: one kron per term, accumulated in term order
-    first = dec.terms[0]
-    dim = first.state_a.shape[0] * first.state_b.shape[0]
+    terms = expand(dec)
+    dim = terms[0].state_a.shape[0] * terms[0].state_b.shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
-    for t in dec.terms:
+    for t in terms:
         acc += t.weight * np.kron(t.state_a, t.state_b)
     return acc
 
@@ -336,19 +338,18 @@ def _random_state(rng, d):
     return rho / np.trace(rho).real
 
 
-def _hand_built(da, db, n_terms, seed=0):
+def _hand_built(d, n_terms, seed=0):
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_terms))
-    terms = tuple(
-        ProductTerm(w, _random_state(rng, da), _random_state(rng, db), f"t{k}")
-        for k, w in enumerate(weights)
-    )
-    return Decomposition(WernerParams(1, 0.5), PER_STRING, 0.0, terms)
+    terms = [
+        (w, _random_state(rng, d), _random_state(rng, d), f"t{k}") for k, w in enumerate(weights)
+    ]
+    return from_terms(WernerParams(1, 0.5), PER_STRING, 0.0, terms)
 
 
-def _chunk_terms(da, db):
+def _chunk_terms(d):
     # reconstruct's chunk: at least _CHUNK_BYTES, else a quarter of the accumulator
-    return max(_CHUNK_BYTES, (da * db) ** 2 * 4) // (16 * (da * da + db * db))
+    return max(_CHUNK_BYTES, d**4 * 4) // (32 * d * d)
 
 
 _RECONSTRUCT_CASES = {
@@ -362,12 +363,12 @@ _RECONSTRUCT_CASES = {
     },
     "refined-p2": lambda: refine_to_pure(decompose_auto(WernerParams(2, 0.6), COMMUTING_CLASS)),
     "forced-p2": lambda: _build(WernerParams(2, 0.9), PER_STRING),
-    "chunks-plus-3": lambda: _hand_built(8, 8, 2 * _chunk_terms(8, 8) + 3),
-    "da2-db8": lambda: _hand_built(2, 8, 50, seed=1),
-    "da8-db2": lambda: _hand_built(8, 2, 50, seed=2),
+    "chunks-plus-3": lambda: _hand_built(8, 2 * _chunk_terms(8) + 3),
+    # 4,099 terms: one chunk of 4,096 2x2 factor pairs, then a ragged 3
+    "d2-chunk-plus-3": lambda: _hand_built(2, _chunk_terms(2) + 3, seed=1),
     # 131 terms: one accumulator-sized chunk of 128, then a ragged 3, each
     # added in four row blocks
-    "da32-db32-chunk-plus-3": lambda: _hand_built(32, 32, _chunk_terms(32, 32) + 3, seed=3),
+    "da32-db32-chunk-plus-3": lambda: _hand_built(32, _chunk_terms(32) + 3, seed=3),
 }
 
 
@@ -382,12 +383,12 @@ def test_reconstruct_matches_the_kron_loop(case):
 
 def _one_block_reconstruct(dec):
     # reconstruct as it was before row blocks: 512 KiB chunks, one a.T @ b each
-    first = dec.terms[0]
-    da, db = first.state_a.shape[0], first.state_b.shape[0]
+    terms = expand(dec)
+    da, db = terms[0].state_a.shape[0], terms[0].state_b.shape[0]
     step = max(1, _CHUNK_BYTES // (16 * (da * da + db * db)))
     acc = np.zeros((da * da, db * db), dtype=complex)
-    for start in range(0, len(dec.terms), step):
-        chunk = dec.terms[start : start + step]
+    for start in range(0, len(terms), step):
+        chunk = terms[start : start + step]
         a = np.array([t.state_a for t in chunk], dtype=complex).reshape(len(chunk), da * da)
         b = np.array([t.state_b for t in chunk]).reshape(len(chunk), db * db)
         a *= np.array([t.weight for t in chunk])[:, None]

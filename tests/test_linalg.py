@@ -8,19 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import from_terms
 from dense_reference import partial_transpose_b
-from werner.decompose import (
-    _CHUNK_BYTES,
-    COMMUTING_CLASS,
-    PER_STRING,
-    Decomposition,
-    ProductTerm,
-    decompose_auto,
-)
+from werner.decompose import _CHUNK_BYTES, COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.errors import ConvergenceError, DimensionMismatch, MalformedInput
 from werner.linalg import Spectrum, hermitian_eigensystem, hermitian_eigenvalues
 from werner.model import WernerParams
-from werner.verify import _component_stats, _content_key, _eigensystems
+from werner.verify import _eigensystems, verify_decomposition
 
 
 def random_hermitian(n, seed):
@@ -213,13 +207,11 @@ def test_certificate_factors_match_the_loop_bit_for_bit(p, scheme):
     # the verifier's own path: distinct factors, chunked stacks
     f = 0.3 * 2.0**-p if scheme == PER_STRING else 0.6
     dec = decompose_auto(WernerParams(p, f), scheme)
-    factors = {_content_key(m): m for t in dec.terms for m in (t.state_a, t.state_b)}
     for compute_vectors in (True,) if p == 5 else (False, True):
-        solved = 0
-        for key, vals, vecs in _eigensystems(dec, compute_vectors):
-            _assert_loop_bits(factors[key], vals, vecs)
-            solved += 1
-        assert solved == len(factors)
+        rows, vals, vecs = _eigensystems(dec, compute_vectors)
+        assert len(vals) == len({m.tobytes() for m in dec.factors})
+        for mat, k in zip(dec.factors, rows, strict=True):
+            _assert_loop_bits(mat, vals[k], None if vecs is None else vecs[k])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -249,17 +241,16 @@ def _sparse_coupled(rng, n, pairs):
 
 
 def test_component_stats_chunks_each_shape(monkeypatch):
-    # 2x2 and 8x8 factors, and 2 chunks + 3 of the 8x8 ones; the 8x8 ones
-    # share one nonzero pattern, since stacks also split at a pattern change
+    # 8x8 factors of two nonzero patterns: 5 dense ones, each repeated, and
+    # 2 chunks + 3 of sparse ones, since stacks split at a chunk's end and at
+    # a pattern change
     rng = np.random.default_rng(11)
     chunk = _CHUNK_BYTES // (16 * 8 * 8)
-    small = [random_hermitian(2, s) for s in range(5)]
+    dense = [random_hermitian(8, s) for s in range(5)]
     pairs = [rng.choice(8, 2, replace=False) for _ in range(3)]
-    large = [_sparse_coupled(rng, 8, pairs) for _ in range(2 * chunk + 3)]
-    terms = tuple(
-        ProductTerm(1.0 / len(large), small[k % 5], b, f"t{k}") for k, b in enumerate(large)
-    )
-    dec = Decomposition(WernerParams(1, 0.5), PER_STRING, 0.0, terms)
+    sparse = [_sparse_coupled(rng, 8, pairs) for _ in range(2 * chunk + 3)]
+    terms = [(1.0 / len(sparse), dense[k % 5], b, f"t{k}") for k, b in enumerate(sparse)]
+    dec = from_terms(WernerParams(3, 0.5), PER_STRING, 0.0, terms)
 
     stacks = []
 
@@ -268,15 +259,15 @@ def test_component_stats_chunks_each_shape(monkeypatch):
         return hermitian_eigensystem(a, *args, **kwargs)
 
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
-    min_eig, purity_dev = _component_stats(dec)
-    assert sorted(stacks) == sorted([(5, 2, 2), (chunk, 8, 8), (chunk, 8, 8), (3, 8, 8)])
+    report = verify_decomposition(np.zeros((64, 64)), dec)
+    assert sorted(stacks) == sorted([(5, 8, 8), (chunk, 8, 8), (chunk, 8, 8), (3, 8, 8)])
 
-    ref = [_reference_eigensystem(m)[0] for m in small + large]
-    assert min_eig == min(float(v[0]) for v in ref)
-    assert purity_dev == max(abs(float(np.sum(v * v)) - 1.0) for v in ref)
-    by_key = {_content_key(m): m for m in small + large}
-    for key, vals, vecs in _eigensystems(dec, compute_vectors=True):
-        _assert_loop_bits(by_key[key], vals, vecs)
+    ref = [_reference_eigensystem(m)[0] for m in dense + sparse]
+    assert report.min_component_eigenvalue == min(float(v[0]) for v in ref)
+    assert report.max_purity_deviation == max(abs(float(np.sum(v * v)) - 1.0) for v in ref)
+    rows, vals, vecs = _eigensystems(dec, compute_vectors=True)
+    for mat, k in zip(dec.factors, rows, strict=True):
+        _assert_loop_bits(mat, vals[k], vecs[k])
 
 
 @pytest.mark.parametrize("vector_above", [True, False])

@@ -50,29 +50,27 @@ def _refused_alike(text):
     assert assert_read_alike(text)[0] == "MalformedInput"
 
 
-def _shares_by_text(dec):
-    """Whether factors with equal bytes are one array that cannot be written to."""
-    by_bytes = {}
-    for t in dec.terms:
-        for m in (t.state_a, t.state_b):
-            by_bytes.setdefault(m.tobytes(), {})[id(m)] = m
-    return all(
-        len(arrays) == 1 and not m.flags.writeable
-        for arrays in by_bytes.values()
-        for m in arrays.values()
+def _one_row_per_text(dec):
+    """Whether the factor table holds one read-only row per distinct factor
+    (an emitted text is one factor's), each indexed by some term."""
+    rows = {m.tobytes() for m in dec.factors}
+    return (
+        len(rows) == len(dec.factors)
+        and not any(m.flags.writeable for m in dec.factors)
+        and set(dec.pairs.ravel().tolist()) == set(range(len(dec.factors)))
     )
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_raw_certificates_read_as_the_plain_parse_reads_them(p, scheme):
-    assert _shares_by_text(_agree(_text(_raw(p, scheme))))
+    assert _one_row_per_text(_agree(_text(_raw(p, scheme))))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_refined_certificates_read_as_the_plain_parse_reads_them(p, scheme):
-    assert _shares_by_text(_agree(_text(_refined(p, scheme))))
+    assert _one_row_per_text(_agree(_text(_refined(p, scheme))))
 
 
 def _reordered(doc):
@@ -96,9 +94,10 @@ def _reordered(doc):
 def test_other_layouts_read_alike(layout, cut):
     doc = json.loads(_text(_refined(2, COMMUTING_CLASS)))
     dec = _agree(layout(doc))
-    factors = [m for t in dec.terms for m in (t.state_a, t.state_b)]
-    distinct = {m.tobytes() for m in factors}
-    assert len({id(m) for m in factors}) == (len(distinct) if cut else len(factors))
+    distinct = {m.tobytes() for m in dec.factors}
+    # the cut gives one row per distinct text, the plain parse one per value
+    assert len(dec.factors) == (len(distinct) if cut else 2 * dec.n_terms)
+    assert _one_row_per_text(dec) == cut
 
 
 def test_label_holding_matrix_text_stays_a_label():
@@ -106,15 +105,15 @@ def test_label_holding_matrix_text_stays_a_label():
     factor_text = json.dumps(doc["terms"][1]["state_a"])
     doc["terms"][0]["label"] = factor_text
     dec = _agree(json.dumps(doc))
-    assert dec.terms[0].label == factor_text
+    assert dec.labels[0] == factor_text
 
 
 def test_text_holding_the_marker_is_parsed_whole():
     doc = json.loads(_text(_raw(2, COMMUTING_CLASS)))
     doc["terms"][0]["label"] = f"x{_SLOT}0"
     dec = _agree(json.dumps(doc))
-    assert dec.terms[0].label == f"x{_SLOT}0"
-    assert not _shares_by_text(dec)  # the plain path: one array per object
+    assert dec.labels[0] == f"x{_SLOT}0"
+    assert len(dec.factors) == 2 * dec.n_terms  # the plain path: one row per value
 
 
 @pytest.mark.parametrize("forged", [f"{_SLOT}0", f"{_SLOT}1", f" {_SLOT}0 ", f'"{_SLOT}0"'])
@@ -166,16 +165,15 @@ def test_refined_per_string_factors_are_shared_read_only_arrays():
     # the refined p = 3 per-string certificate: 16,128 factor slots, 232 texts
     dec = refine_to_pure(decompose_auto(WernerParams(3, 0.1), PER_STRING))
     parsed = parse_decomposition(_text(dec))
-    factors = [m for t in parsed.terms for m in (t.state_a, t.state_b)]
-    assert len(factors) == 16128
-    assert len({id(m) for m in factors}) == len({m.tobytes() for m in factors}) == 232
-    assert _shares_by_text(parsed)
+    assert parsed.pairs.shape == (8064, 2)
+    assert len(parsed.factors) == len({m.tobytes() for m in parsed.factors}) == 232
+    assert _one_row_per_text(parsed)
     with pytest.raises(ValueError):
-        factors[0][0, 0] = 1.0
+        parsed.factors[0][0, 0] = 1.0
     with pytest.raises(ValueError):
-        factors[-1] *= 2
-    assert sum(1 for _ in _eigensystems(parsed)) == 232
-    assert np.array_equal(factors[0], dec.terms[0].state_a)
+        parsed.factors[-1] *= 2
+    assert len(_eigensystems(parsed)[1]) == 232
+    assert np.array_equal(parsed.factors[parsed.pairs[0, 0]], dec.factors[dec.pairs[0, 0]])
 
 
 # --- fuzzed edits of a p = 2 certificate -----------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import expand
 from dense_reference import PHASE
 from werner.decompose import COMMUTING_CLASS, PER_STRING, _products, decompose_auto
 from werner.errors import DimensionMismatch
@@ -220,7 +221,7 @@ def test_class_sums_are_bit_identical_to_kron_sums(p):
         )
         want = np.tensordot(chi, members, 1).astype(np.complex64)
         assert np.array_equal(stack[k * (n - 1) : (k + 1) * (n - 1)], members)
-        sums = np.array([n * t.state_a - eye for t in dec.terms[k * n : (k + 1) * n]])
+        sums = np.array([n * t.state_a - eye for t in expand(dec)[k * n : (k + 1) * n]])
         assert sums.astype(np.complex64).tobytes() == want.tobytes()
 
 
@@ -236,5 +237,5 @@ def test_per_string_factors_are_bit_identical_to_kron_factors(p):
             plus, minus = (eye + dec.scale * sig) / d, (eye - dec.scale * sig) / d
             want += [(plus, minus), (minus, plus)] if d * f < 1 else [(plus, plus), (minus, minus)]
         assert len(want) == dec.n_terms
-        for t, (a, b) in zip(dec.terms, want):
+        for t, (a, b) in zip(expand(dec), want):
             assert t.state_a.tobytes() == a.tobytes() and t.state_b.tobytes() == b.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import expand
 from werner.cli import _read_certificate
 from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
 from werner.errors import MalformedInput
@@ -273,7 +274,7 @@ def _certificate_doc(dec):
                 "state_a": matrix_doc(t.state_a),
                 "state_b": matrix_doc(t.state_b),
             }
-            for t in dec.terms
+            for t in expand(dec)
         ],
     }
 

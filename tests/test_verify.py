@@ -2,7 +2,7 @@
 import json
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import cache
 from math import sqrt
 
@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import werner.verify
+from certificate_oracle import Term, exact, expand, from_terms
 from werner.decompose import (
     _CHUNK_BYTES,
     COMMUTING_CLASS,
     PER_STRING,
-    Decomposition,
-    ProductTerm,
     SCHEMES,
     _build,
     auto_scheme,
@@ -29,9 +28,9 @@ from werner.cli import main
 from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
 from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
-from werner.serialize import certificate_chunks, doc_decomposition
+from werner.serialize import certificate_chunks, doc_decomposition, parse_decomposition
 from werner.verify import (
-    _distinct_factors,
+    _eigensystems,
     refine_to_pure,
     scheme_family,
     separability_report,
@@ -53,12 +52,8 @@ def test_good_certificate_verifies():
 def test_perturbed_weight_breaks_convexity():
     params = WernerParams(2, 0.9)
     dec = decompose_auto(params)
-    tampered = Decomposition(
-        dec.params,
-        dec.scheme,
-        dec.scale,
-        (replace(dec.terms[0], weight=dec.terms[0].weight + 0.01),) + dec.terms[1:],
-    )
+    first, *rest = expand(dec)
+    tampered = _with_terms(dec, [first._replace(weight=first.weight + 0.01)] + rest)
     rep = verify_decomposition(werner_dense(params), tampered)
     assert not rep.convex_ok
     assert not rep.verdict
@@ -103,9 +98,7 @@ def test_verify_shape_and_empty_checks():
     with pytest.raises(DimensionMismatch):
         verify_decomposition(np.eye(16) / 16, dec)
     with pytest.raises(ValueError):
-        verify_decomposition(
-            np.eye(4) / 4, Decomposition(WernerParams(1, 0.5), "per_string", 0.0, ())
-        )
+        verify_decomposition(np.eye(4) / 4, from_terms(WernerParams(1, 0.5), "per_string", 0.0, ()))
 
 
 def test_purity_reported_not_enforced():
@@ -120,7 +113,7 @@ def test_purity_reported_not_enforced():
 
 
 def _with_terms(dec, terms):
-    return Decomposition(dec.params, dec.scheme, dec.scale, tuple(terms))
+    return from_terms(dec.params, dec.scheme, dec.scale, terms)
 
 
 def _verify_both(tmp_path, capsys, dec, tol=1e-9):
@@ -140,11 +133,9 @@ def _verify_both(tmp_path, capsys, dec, tol=1e-9):
 def test_a_negative_weight_fails_though_the_weights_sum_to_1(tmp_path, capsys, shift):
     # term 0 split into (w + shift, A, B) and (-shift, A, B): the same state
     dec = decompose_auto(WernerParams(2, 0.9))
-    first = dec.terms[0]
+    first, *rest = expand(dec)
     bad = _with_terms(
-        dec,
-        [replace(first, weight=first.weight + shift), replace(first, weight=-shift)]
-        + list(dec.terms[1:]),
+        dec, [first._replace(weight=first.weight + shift), first._replace(weight=-shift)] + rest
     )
     rep, doc = _verify_both(tmp_path, capsys, bad)
     assert rep.min_weight == doc["min_weight"] == -shift
@@ -157,8 +148,8 @@ def test_a_negative_weight_fails_though_the_weights_sum_to_1(tmp_path, capsys, s
 @pytest.mark.parametrize("off,ok", [(2e-12, False), (5e-13, True)])
 def test_a_weight_sum_off_by_more_than_1e_12_fails(tmp_path, capsys, off, ok):
     dec = decompose_auto(WernerParams(2, 0.9))
-    first = dec.terms[0]
-    bad = _with_terms(dec, [replace(first, weight=first.weight + off)] + list(dec.terms[1:]))
+    first, *rest = expand(dec)
+    bad = _with_terms(dec, [first._replace(weight=first.weight + off)] + rest)
     rep, doc = _verify_both(tmp_path, capsys, bad)
     assert rep.weight_sum_error == pytest.approx(off, rel=1e-3)
     assert rep.min_weight >= 0 and rep.positivity_ok
@@ -190,16 +181,16 @@ def test_a_certificate_wrong_in_one_corner_entry_fails(tmp_path, capsys, corner)
     # the reconstruction moves, by x
     params = WernerParams(2, 0.9)
     dec = decompose_auto(params)
-    d, x, first = params.d, 1e-6, dec.terms[0]
+    d, x, (first, *rest) = params.d, 1e-6, expand(dec)
     k = 0 if corner == "first" else d - 1
     spike = np.zeros((d, d), dtype=complex)
     spike[k, k] = 1.0
     bad = _with_terms(
         dec,
-        [replace(first, weight=first.weight - x,
-                 state_a=first.state_a * (first.weight / (first.weight - x)))]
-        + list(dec.terms[1:])
-        + [ProductTerm(x, spike, spike, "spike")],
+        [first._replace(weight=first.weight - x,
+                        state_a=first.state_a * (first.weight / (first.weight - x)))]
+        + rest
+        + [Term(x, spike, spike, "spike")],
     )
     gap = np.abs(reconstruct(bad) - werner_dense(params))
     assert [tuple(ix) for ix in np.argwhere(gap > 1e-15)] == [(k * d + k, k * d + k)]
@@ -236,9 +227,9 @@ def test_refine_yields_pure_factors(p, f):
 
 def test_refine_labels_extend_parent():
     refined = refine_to_pure(decompose_auto(WernerParams(1, 0.3)))
-    assert all(":a" in t.label and "b" in t.label for t in refined.terms)
-    parent_labels = {t.label.split(":a")[0] for t in refined.terms}
-    assert parent_labels == {t.label for t in decompose_auto(WernerParams(1, 0.3)).terms}
+    assert all(":a" in label and "b" in label for label in refined.labels)
+    parent_labels = {label.split(":a")[0] for label in refined.labels}
+    assert parent_labels == set(decompose_auto(WernerParams(1, 0.3)).labels)
 
 
 def test_refine_rejects_invalid_input():
@@ -294,8 +285,8 @@ def test_report_with_refinement():
 def _tampered_refinement(dec, tol=1e-9):
     # a refinement whose first weight moves by 1e-6: no longer convex
     refined = refine_to_pure(dec, tol)
-    first = refined.terms[0]
-    return _with_terms(refined, (replace(first, weight=first.weight + 1e-6),) + refined.terms[1:])
+    first, *rest = expand(refined)
+    return _with_terms(refined, [first._replace(weight=first.weight + 1e-6)] + rest)
 
 
 def test_a_failing_refinement_fails_the_report(monkeypatch, capsys):
@@ -719,7 +710,7 @@ def test_a_p5_family_point_costs_o1(scheme):
 
 
 def test_component_dedup_by_identity():
-    # symmetric terms share one factor object; verification must not count
+    # symmetric terms index one factor row twice; verification must not count
     # the same matrix twice but must still scan both slots of mixed pairs
     params = WernerParams(1, 0.2)
     dec = decompose_auto(params, PER_STRING)  # flipped: A and B differ
@@ -730,25 +721,16 @@ def test_component_dedup_by_identity():
     assert rep.verdict
 
 
-def _exact(dec):
-    # everything the certificate emitter writes, compared bit for bit
-    terms = [
-        (float(t.weight).hex(), t.label, t.state_a.tobytes(), t.state_b.tobytes())
-        for t in dec.terms
-    ]
-    return dec.params, dec.scheme, float(dec.scale).hex(), terms
-
-
 def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
-    # parsing gives every slot its own array, so only content can tell that
-    # state_a and state_b of a class term are the same factor
+    # the plain parse gives every slot its own row, so only content can tell
+    # that state_a and state_b of a class term are the same factor
     params = WernerParams(3, 0.7)
     target = werner_dense(params)
     dec = decompose_auto(params, COMMUTING_CLASS)
     parsed = doc_decomposition(json.loads("".join(certificate_chunks(dec))))
     assert parsed.n_terms == 72
     in_memory = verify_decomposition(target, dec)
-    in_memory_refined = _exact(refine_to_pure(dec))
+    in_memory_refined = exact(refine_to_pure(dec))
 
     calls = []  # matrices per kernel call
 
@@ -759,15 +741,15 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     # the 72 distinct 8x8 factors take one stack per nonzero pattern, each
     # within one chunk of _CHUNK_BYTES
     assert 72 <= _CHUNK_BYTES // (16 * 8 * 8)
-    chunks = len({(m != 0).tobytes() for t in dec.terms for m in (t.state_a, t.state_b)})
+    chunks = len({(m != 0).tobytes() for m in dec.factors})
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
     assert verify_decomposition(target, parsed) == in_memory
     assert sum(calls) == 72
     assert len(calls) <= chunks
     del calls[:]
-    assert _exact(refine_to_pure(parsed)) == in_memory_refined
-    assert sum(calls) == 2 * 72  # verification, then one eigenpair split each
-    assert len(calls) <= 2 * chunks
+    assert exact(refine_to_pure(parsed)) == in_memory_refined
+    assert sum(calls) == 72  # one pass gives the verification and the split
+    assert len(calls) <= chunks
 
 
 def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
@@ -783,8 +765,8 @@ def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
         return hermitian_eigensystem(a, *args, **kwargs)
 
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", recording)
-    stacked = verify_decomposition(target, dec), _exact(refine_to_pure(dec))
-    assert len(patterns) == 3 * 8  # verify; refine's verification and split
+    stacked = verify_decomposition(target, dec), exact(refine_to_pure(dec))
+    assert len(patterns) == 2 * 8  # verify; refine's verification and split in one pass
     assert all(len(seen) == 1 for seen in patterns)
 
     def alone(a, compute_vectors=False):
@@ -793,7 +775,7 @@ def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
         return vals, np.array([v for _, v in solved]) if compute_vectors else None
 
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", alone)
-    assert (verify_decomposition(target, dec), _exact(refine_to_pure(dec))) == stacked
+    assert (verify_decomposition(target, dec), exact(refine_to_pure(dec))) == stacked
 
 
 def _counting_rows(monkeypatch):
@@ -808,22 +790,20 @@ def _counting_rows(monkeypatch):
 
 
 def _copied(dec):
-    # every factor slot its own object, with the same bytes
-    terms = tuple(
-        replace(t, state_a=t.state_a.copy(), state_b=t.state_b.copy()) for t in dec.terms
-    )
-    return Decomposition(dec.params, dec.scheme, dec.scale, terms)
+    # every factor slot its own row, with the same bytes
+    terms = [t._replace(state_a=t.state_a.copy(), state_b=t.state_b.copy()) for t in expand(dec)]
+    return _with_terms(dec, terms)
 
 
 def test_equal_factors_in_distinct_objects_are_solved_once(monkeypatch):
     params = WernerParams(2, 0.6)
     target = werner_dense(params)
-    dec = decompose_auto(params, COMMUTING_CLASS)  # 20 terms, each one factor object twice
+    dec = decompose_auto(params, COMMUTING_CLASS)  # 20 terms, each one factor row twice
     shared = verify_decomposition(target, dec)
     rows = _counting_rows(monkeypatch)
     assert verify_decomposition(target, _copied(dec)) == shared
     assert sum(rows) == 20
-    # an object held in both slots of a term is keyed once
+    # a row held in both slots of a term is keyed once
     hashed = []
 
     def counting_hash(data):
@@ -831,39 +811,67 @@ def test_equal_factors_in_distinct_objects_are_solved_once(monkeypatch):
         return hash(data)
 
     monkeypatch.setattr("werner.verify.hash", counting_hash, raising=False)
-    _distinct_factors(dec)
+    _eigensystems(dec)
     assert len(hashed) == 20
+
+
+def test_repeated_rows_are_solved_once_per_distinct_content(monkeypatch):
+    # the plain parse of a key-reordered file has one row per factor value, a
+    # class term's two equal factors included; the builder at f = 1/d has 20
+    # rows, each I/d
+    params, low = WernerParams(2, 0.6), WernerParams(2, 0.25)
+    dec = decompose_auto(params, COMMUTING_CLASS)
+    doc = json.loads("".join(certificate_chunks(dec)), parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    for t in doc["terms"]:
+        for side in ("state_a", "state_b"):
+            t[side] = {key: t[side][key] for key in ("re", "im", "dim")}
+    parsed = parse_decomposition(json.dumps(doc))
+    assert len(parsed.factors) == 40
+    mixed = decompose_auto(low, COMMUTING_CLASS)
+    assert len(mixed.factors) == 20
+    assert all(np.array_equal(m, np.eye(4) / 4) for m in mixed.factors)
+    want = [verify_decomposition(werner_dense(params), dec), exact(refine_to_pure(dec)),
+            verify_decomposition(werner_dense(low), mixed), exact(refine_to_pure(mixed))]
+    rows = _counting_rows(monkeypatch)
+    assert verify_decomposition(werner_dense(params), parsed) == want[0]
+    assert exact(refine_to_pure(parsed)) == want[1]
+    assert sum(rows) == 2 * 20  # verify; refine's verification and split in one pass
+    del rows[:]
+    assert verify_decomposition(werner_dense(low), mixed) == want[2]
+    assert exact(refine_to_pure(mixed)) == want[3]
+    assert rows == [1, 1]
 
 
 def test_a_forced_key_collision_keeps_different_factors_apart(monkeypatch):
     params = WernerParams(2, 0.6)
     target = werner_dense(params)
     dec = decompose_auto(params, COMMUTING_CLASS)
-    honest = verify_decomposition(target, dec), _exact(refine_to_pure(dec))
+    honest = verify_decomposition(target, dec), exact(refine_to_pure(dec))
     # every compact key collides; the exact fallback must tell the factors apart
     monkeypatch.setattr("werner.verify.hash", lambda data: 0, raising=False)
     copies = _copied(dec)
-    groups, keys = _distinct_factors(copies)
+    keys, vals, _ = _eigensystems(copies)
     assert len(keys) == 40
-    (by_key,) = groups.values()
-    assert len(by_key) == len(set(keys.values())) == 20
-    assert all(keys[id(t.state_a)] == keys[id(t.state_b)] for t in copies.terms)
+    assert len(vals) == len(set(keys.tolist())) == 20
+    assert np.array_equal(keys[copies.pairs[:, 0]], keys[copies.pairs[:, 1]])
     rows = _counting_rows(monkeypatch)
-    assert (verify_decomposition(target, copies), _exact(refine_to_pure(copies))) == honest
-    assert sum(rows) == 3 * 20  # verify; refine's own verification, then its split
+    assert (verify_decomposition(target, copies), exact(refine_to_pure(copies))) == honest
+    assert sum(rows) == 2 * 20  # verify; refine's verification and split in one pass
 
 
 def test_factor_keys_hold_no_copy_of_the_factors():
-    # exact keys held the bytes of every distinct 32 x 32 factor: 17 MB
+    # exact keys held the bytes of every distinct 32 x 32 factor: 17 MB; the
+    # whole Jacobi pass, keys and stacks, peaks at 2.3 MiB
     dec = decompose_auto(WernerParams(5, 0.6), COMMUTING_CLASS)
     tracemalloc.start()
     try:
-        groups, keys = _distinct_factors(dec)
-        held, _ = tracemalloc.get_traced_memory()
+        keys, vals, _ = _eigensystems(dec)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(keys) == len(groups[(32, 32)]) == 1056
+    assert len(keys) == len(vals) == 1056
     assert held < 1 << 20
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("f", [0.6, 0.02, -0.4])  # class, per-string, entangled
@@ -932,7 +940,7 @@ def _recording(monkeypatch, names):
 
 
 _P5_STAGES = (
-    "invariance_residual", "_monomials", "_identities", "_swap_sum", "_component_stats",
+    "invariance_residual", "_monomials", "_identities", "_swap_sum", "_eigensystems",
     "reconstruct",
 )
 
@@ -966,7 +974,7 @@ def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     else:
         # the probe, then the forced certificate's Jacobi, then its reconstruction
         assert calls == [
-            ("invariance_residual", False), ("_component_stats", False), ("reconstruct", False)
+            ("invariance_residual", False), ("_eigensystems", False), ("reconstruct", False)
         ]
     assert recorded == plain
     assert plain[0][0].verdict == ("SEPARABLE" if f >= 0 else "ENTANGLED")
@@ -997,11 +1005,11 @@ def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
 
 def _with_non_hermitian_factor(params, at):
     dec = decompose_auto(params, COMMUTING_CLASS)
-    bad = dec.terms[at].state_a.copy()
+    terms = expand(dec)
+    bad = terms[at].state_a.copy()
     bad[0, 1] += 1e-3
-    terms = list(dec.terms)
-    terms[at] = replace(terms[at], state_a=bad)
-    return Decomposition(params, dec.scheme, dec.scale, tuple(terms))
+    terms[at] = terms[at]._replace(state_a=bad)
+    return _with_terms(dec, terms)
 
 
 @pytest.mark.parametrize("at", [0, 1055])  # Jacobi's first stack, or its last
@@ -1011,12 +1019,12 @@ def test_p5_overlap_raises_the_inline_error(monkeypatch, capfd, at):
     params = WernerParams(5, 0.6)
     target = werner_dense(params)
     dec = _with_non_hermitian_factor(params, at)
-    calls = _recording(monkeypatch, ("_component_stats", "reconstruct"))
+    calls = _recording(monkeypatch, ("_eigensystems", "reconstruct"))
     monkeypatch.setattr("threading.Thread", _refusing)
     with pytest.raises(MalformedInput) as raised:
         verify_decomposition(target, dec)
     assert str(raised.value) == "matrix is not Hermitian within 1e-10"
-    assert calls == [("_component_stats", False)]
+    assert calls == [("_eigensystems", False)]
     assert capfd.readouterr().err == ""
 
 
