@@ -488,9 +488,12 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The process entry: main, then the heap frozen, so the interpreter's
-    exit-time collections skip the objects the run left alive. In-process
-    callers use main, which never freezes."""
+    """The process entry: main with the cyclic collector off, then the heap
+    frozen, so the interpreter's exit-time collections skip the objects the
+    run left alive. A run is one short command whose cycles die with the
+    process. In-process callers use main, which leaves the collector
+    alone."""
+    gc.disable()
     status = main()
     gc.freeze()
     return status

@@ -30,7 +30,6 @@ first factor and row t, or t ^ 1 when sign < 0, as its second.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import sqrt
 from typing import Callable, List, NamedTuple, Sequence, Tuple
@@ -58,8 +57,7 @@ PER_STRING = "per_string"
 COMMUTING_CLASS = "commuting_class"
 
 
-@dataclass(frozen=True, eq=False)  # holds arrays
-class Decomposition:
+class Decomposition(NamedTuple):
     """A certificate: term t is weights[t] factors[pairs[t, 0]] (x)
     factors[pairs[t, 1]], labelled labels[t]. Each factor is a (d, d)
     complex array held once, for every term that indexes its row."""
@@ -71,6 +69,9 @@ class Decomposition:
     pairs: np.ndarray  # (n, 2) int
     weights: np.ndarray  # (n,) float64
     labels: Tuple[str, ...]
+
+    # equal only to itself, as tuple equality cannot compare arrays
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def n_terms(self) -> int:

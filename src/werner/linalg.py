@@ -29,9 +29,8 @@ rest. The eigenvalues and eigenvectors do not depend on what else is stacked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import atan2, cos, sin
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DimensionMismatch, MalformedInput
 
@@ -49,8 +48,7 @@ _HERMITICITY_TOL = 1e-10
 _PROPOSE = 1.0 - 1e-9  # relative margin of the vector abs that proposes pivots
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Multiset of (eigenvalue, multiplicity) pairs in ascending order.
 
     Neighbouring values within DEFAULT_CLUSTER_TOL times the largest |value|

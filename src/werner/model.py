@@ -11,9 +11,8 @@ arrays: WernerParams, the closed forms and ppt_check run without it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from .linalg import Spectrum
@@ -38,20 +37,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WernerParams:
+class WernerParams(NamedTuple("WernerParams", [("p", int), ("f", float)])):
     """(p, f) pair: local dimension d = 2^p and flip expectation f."""
 
-    p: int
-    f: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.p) != self.p or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "f", float(self.f))
-        if not isfinite(self.f):
+    def __new__(cls, p, f):
+        if int(p) != p or p < 1:
+            raise ValueError(f"p must be a positive integer, got {p!r}")
+        f = float(f)
+        if not isfinite(f):
             raise ValueError("f must be finite")
+        return super().__new__(cls, int(p), f)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its values too
+        return cls(*iterable)
 
     @property
     def d(self) -> int:

@@ -21,10 +21,9 @@ the (x, z) int masks of its members, and neither needs numpy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import UnsupportedFieldSize, WernerError
 from .pauli import Digits, all_strings, format_label, masks
@@ -65,8 +64,7 @@ def _poly(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutingClass:
+class CommutingClass(NamedTuple):
     """2^p - 1 pairwise commuting strings; generators are p independent members."""
 
     members: Tuple[Digits, ...]
@@ -80,8 +78,7 @@ class CommutingClass:
         return tuple(format_label(m) for m in self.members)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """The 2^p + 1 disjoint maximal commuting classes of nontrivial strings."""
 
     p: int
@@ -162,8 +159,7 @@ def _spread_partition(p: int) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     problems: Tuple[str, ...]
 

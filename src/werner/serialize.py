@@ -20,8 +20,8 @@ one batch, each distinct row split once and each distinct number converted
 once, into one read-only table row per distinct text, which the terms
 index. Any JSON layout is read, and the emitter's "-0" reads back as -0.0.
 
-The verification and separability documents are the report dataclasses of
-verify.py as dicts: their keys are those classes' fields in declaration
+The verification and separability documents are the report named tuples
+of verify.py as dicts: their keys are those classes' fields in declaration
 order, and the separability document appends a "refined" key.
 """
 from __future__ import annotations
@@ -30,7 +30,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii  # json.dumps of a str
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
@@ -405,14 +404,14 @@ def parse_decomposition(text: str, max_p: Optional[int] = None) -> Decomposition
 
 
 def verification_doc(rep: VerificationReport) -> dict:
-    return dict(asdict(rep), diagnostics=list(rep.diagnostics))
+    return dict(rep._asdict(), diagnostics=list(rep.diagnostics))
 
 
 def separability_doc(rep: SeparabilityReport, refinement=None) -> dict:
-    doc = asdict(rep)
+    doc = rep._asdict()
     if rep.verification is not None:
         doc["verification"] = verification_doc(rep.verification)
-    doc["refined"] = None if refinement is None else asdict(refinement)
+    doc["refined"] = None if refinement is None else refinement._asdict()
     return doc
 
 

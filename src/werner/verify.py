@@ -31,9 +31,8 @@ input's verdict and the split.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -76,8 +75,7 @@ _WEIGHT_TOL = 1e-12
 _EIGENVALUE_FLOOR = 1e-12  # refinement discards spectral weight below this
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     convex_ok: bool
     min_weight: float
     weight_sum_error: float
@@ -197,8 +195,7 @@ def _verify(target, dec: Decomposition, tol: float, compute_vectors: bool = Fals
     return _report(dec.weights, least, deviation, residual, tol), found
 
 
-@dataclass(frozen=True, eq=False)  # holds an array
-class Family:
+class Family(NamedTuple):
     """What the certificates of one scheme at one p share for every f.
 
     The certificate at f has, for each group and each character e of it,
@@ -213,6 +210,9 @@ class Family:
     n_generators: int  # the count of V: groups (m - 1)
     spectrum: np.ndarray  # (d,): the eigenvalues of every T, ascending
     problems: Tuple[str, ...]  # the exact identities the V and S fail
+
+    # equal only to itself, as tuple equality cannot compare arrays
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def n_terms(self) -> int:
@@ -381,15 +381,13 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
     return Decomposition(dec.params, dec.scheme, dec.scale, projectors, pairs, weights, labels)
 
 
-@dataclass(frozen=True)
-class RefinementSummary:
+class RefinementSummary(NamedTuple):
     n_terms: int
     max_purity_deviation: float
     reconstruction_residual: float
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
+class SeparabilityReport(NamedTuple):
     p: int
     f: float
     verdict: str  # SEPARABLE, ENTANGLED, or INVALID

@@ -716,14 +716,37 @@ _ENTRY_CORPUS = [
 ]
 
 
+def _collector():
+    return gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+
+
 def test_main_in_process_leaves_the_collector_as_it_was(capsys, tmp_path, monkeypatch):
-    # only the process entry freezes the heap: a freeze in main would make
-    # every cycle alive in a long-lived caller uncollectable
+    # only the process entry turns the collector off and freezes the heap: in
+    # a long-lived caller, either would leave its cycles uncollected
     monkeypatch.chdir(tmp_path)
-    before = gc.get_freeze_count(), gc.isenabled()
+    before = _collector()
     codes = [run(capsys, *argv)[0] for argv in _ENTRY_CORPUS]
     assert codes == [0, 2, 0, 0, 1]
-    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    assert _collector() == before
+
+
+# calls run with main replaced, then prints whether the collector was on
+# while main ran, and the collector's state once run returned
+_RUN_PROBE = """\
+import gc, json
+from werner import cli
+seen = []
+cli.main = lambda: seen.append(gc.isenabled()) or 3
+status = cli.run()
+print(json.dumps([status, seen, gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+
+
+def test_the_process_entry_runs_main_with_the_collector_off(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _RUN_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [3, [False], False, True]
 
 
 def test_the_console_script_and_python_m_werner_call_run():

@@ -1,8 +1,10 @@
 """Each CLI call imports only the modules its subcommand runs, and `import
 werner` imports no submodule and no numpy: the pinned sets are exact, so a
-stray eager import anywhere fails here. `ppt` and `partition` run on Python
-ints and floats alone: they import no numpy, and print the same bytes where
-numpy cannot be imported at all."""
+stray eager import anywhere fails here. No call loads `dataclasses` (the
+value types are named tuples) or `numpy.ma` (which a bare np.unique
+imports). `ppt` and `partition` run on Python ints and floats alone: they
+import no numpy, and print the same bytes where numpy cannot be imported at
+all."""
 import json
 import os
 import subprocess
@@ -30,14 +32,16 @@ SCOPES = {
     ("sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "0.5"): _EVERY,
 }
 
-# runs argv through the CLI, then prints the werner submodules it loaded and
-# whether numpy is loaded
+# runs argv through the CLI, then prints the werner submodules it loaded,
+# whether numpy is loaded, and which of two modules that no call needs are:
+# each costs milliseconds of import
 _PROBE = """\
 import json, sys
 from werner.cli import main
 code = main(sys.argv[1:] + ["--output", "out.txt"])
 loaded = sorted(m[7:] for m in sys.modules if m.startswith("werner."))
-print(json.dumps([code, loaded, "numpy" in sys.modules]))
+never = [m for m in ("dataclasses", "numpy.ma") if m in sys.modules]
+print(json.dumps([code, loaded, "numpy" in sys.modules, never]))
 """
 
 # runs each JSON-encoded argv through the CLI in one interpreter, then prints
@@ -71,10 +75,11 @@ def _fresh(code, *argv, cwd):
 def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv):
     if argv[0] == "verify":
         main(["decompose", "--p", "1", "--f", "0.5", "--output", str(tmp_path / "cert.json")])
-    code, loaded, numpy_loaded = _fresh(_PROBE, *argv, cwd=tmp_path)
+    code, loaded, numpy_loaded, never = _fresh(_PROBE, *argv, cwd=tmp_path)
     assert code == 0
     assert set(loaded) == SCOPES[argv]
     assert numpy_loaded == (argv[0] not in _NUMPY_FREE)
+    assert never == []
 
 
 def test_ppt_and_partition_print_the_same_bytes_without_numpy(tmp_path):

@@ -43,6 +43,9 @@ def test_params_validation():
         WernerParams(1, float("nan"))
     params = WernerParams(3, 0.25)
     assert params.d == 8
+    with pytest.raises(ValueError):
+        params._replace(p=0)
+    assert params._replace(p=2.0, f=1) == (2, 1.0) and type(params._replace(p=2.0).p) is int
     assert params.require_physical() is params
     with pytest.raises(PhysicalRangeError):
         WernerParams(1, 1.0000001).require_physical()

@@ -2,7 +2,6 @@
 import json
 import threading
 import tracemalloc
-from dataclasses import fields
 from functools import cache
 from math import sqrt
 
@@ -697,7 +696,7 @@ def test_a_p5_family_point_costs_o1(scheme):
     # no field of the family holds more than d entries, and a point makes no
     # d^4 array: a dense float64 gap alone would take 8 MiB
     family = _family(5, scheme)
-    assert all(np.size(getattr(family, field.name)) <= 32 for field in fields(family))
+    assert all(np.size(getattr(family, name)) <= 32 for name in family._fields)
     params = WernerParams(5, 0.02 if scheme == PER_STRING else 0.6)
     tracemalloc.start()
     try:
