@@ -396,10 +396,9 @@ def _sweep_points(start: float, end: float, step: float) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .decompose import auto_scheme
-    from .model import WernerParams, ppt_check, pt_spectrum_closed_form, spectrum_closed_form
+    from .model import WernerParams, pt_spectrum_closed_form, spectrum_closed_form
     from .serialize import csv_text
-    from .verify import scheme_family, verify_family
+    from .verify import _point
     if args.f_step <= 0:
         _diag("InvalidRange", "f-step must be positive")
         return 2
@@ -414,34 +413,11 @@ def _cmd_sweep(args) -> int:
     families = {}  # scheme -> its family at p, built by the first row that needs it
     for k in range(n_points):
         params = WernerParams(args.p, min(args.f_start + k * args.f_step, 1.0))
-        spec = spectrum_closed_form(params)
-        pt = pt_spectrum_closed_form(params)
-        ok = ppt_check(params, args.tol)
-        # f < 0 has no product decomposition: f/d is an exact witness, even
-        # inside the PPT tolerance band
-        if ok and params.f >= 0:
-            scheme = auto_scheme(params)
-            if scheme not in families:
-                families[scheme] = scheme_family(params.p, scheme)
-            family = families[scheme]
-            ver = verify_family(family, params, args.tol)
-            rows.append(
-                [
-                    params.f,
-                    spec.min(),
-                    pt.min(),
-                    ok,
-                    scheme,
-                    family.n_terms,
-                    ver.min_component_eigenvalue,
-                    ver.reconstruction_residual,
-                    "SEPARABLE" if ver.verdict else "INVALID",
-                ]
-            )
-        else:
-            rows.append(
-                [params.f, spec.min(), pt.min(), ok, None, 0, None, None, "ENTANGLED"]
-            )
+        row = [params.f, spectrum_closed_form(params).min(), pt_spectrum_closed_form(params).min()]
+        verdict, ppt, family, ver = _point(params, args.tol, families)
+        row += [ppt, None, 0, None, None] if family is None else [
+            ppt, family.scheme, family.n_terms, ver.min_component_eigenvalue, ver.reconstruction_residual]
+        rows.append(row + [verdict])
     _write(args, csv_text(_SWEEP_HEADER, rows), end="")
     return 0
 

@@ -11,19 +11,21 @@ content, whatever rows hold it) with the in-house eigensolver, and
 measures the Frobenius gap of the reconstruction to the target. `verify
 --input` and the refinement half of `report --refine` use it.
 
-scheme_family and verify_family check the toolkit's own certificates, as
-`report` (separability_report) and `sweep` build them. Both schemes are one
-construction (see decompose): each factor is (I + s T)/d, with T = sum_{s
-!= 0} (-1)^|e & s| V_s a character sum over the non-identity products V_s
-of an abelian group of order m; only the scale s and the weights depend on
-f. The V_s are signed permutations, V[r, r ^ x] = D[r], and exact
-identities on each (x, D) prove every T's spectrum in O(p n d), with no
-eigensolver and no matrix product: T has eigenvalue m - 1 d/m times and -1
-d - d/m times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). A
-factor's eigenvalues are (1 + s lambda)/d (Golub & Van Loan, Matrix
-Computations, section 8.5), and the reconstruction is w/d^2 (N I + c S),
-with S = sum_t G_t (x) G_t over the terms' T proven equal to its closed
-form in O(n d^2), never formed. A point costs O(1).
+scheme_family and verify_family check the toolkit's own certificates, and
+_point is the one decision at a point of both `report`
+(separability_report) and `sweep`: entangled by the PPT witness, else the
+family's verdict. Both schemes are one construction (see decompose): each
+factor is (I + s T)/d, with T = sum_{s != 0} (-1)^|e & s| V_s a character
+sum over the non-identity products V_s of an abelian group of order m; only
+the scale s and the weights depend on f. The V_s are signed permutations,
+V[r, r ^ x] = D[r], and exact identities on each (x, D) prove every T's
+spectrum in O(p n d), with no eigensolver and no matrix product: T has
+eigenvalue m - 1 d/m times and -1 d - d/m times (Bandyopadhyay et al.,
+Algorithmica 34 (2002) 512). A factor's eigenvalues are (1 + s lambda)/d
+(Golub & Van Loan, Matrix Computations, section 8.5), and the
+reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t over the
+terms' T proven equal to its closed form in O(n d^2), never formed. A point
+costs O(1).
 
 refine_to_pure spectrally splits each factor so the certificate uses only
 rank-1 factors, at the cost of more terms; the same Jacobi pass gives its
@@ -402,6 +404,22 @@ class SeparabilityReport(NamedTuple):
     seed: int
 
 
+def _point(params: WernerParams, tol: float, families: dict):
+    """report's and sweep's one decision at params: (verdict, ppt, family,
+    its check), the last two None where the point is entangled: off the PPT
+    band, or at f < 0 in it, where f/d is an exact witness. families maps a
+    scheme to its family at params.p, and one missing there is built into it."""
+    ppt = ppt_check(params, tol)
+    if not (ppt and params.f >= 0):
+        return "ENTANGLED", ppt, None, None
+    scheme = auto_scheme(params)
+    if scheme not in families:
+        families[scheme] = scheme_family(params.p, scheme)
+    family = families[scheme]
+    ver = verify_family(family, params, tol)
+    return ("SEPARABLE" if ver.verdict else "INVALID"), ppt, family, ver
+
+
 def separability_report(
     params: WernerParams,
     seed: int = 42,
@@ -415,32 +433,12 @@ def separability_report(
     raises VerificationFailure.
     """
     params.require_physical()
-    pt_min = pt_spectrum_closed_form(params).min()
-    ppt = ppt_check(params, tol)
-    # taken first, so that the probe's state is freed before S is formed
+    pt_min = float(pt_spectrum_closed_form(params).min())
+    # the probe first, so that its state is freed before the family's V stack is built
     inv_res = invariance_residual(params, random_unitary(params.d, seed))
-    if not (ppt and params.f >= 0):
-        report = SeparabilityReport(
-            p=params.p,
-            f=params.f,
-            verdict="ENTANGLED",
-            ppt=ppt,
-            min_pt_eigenvalue=float(pt_min),
-            witness=float(pt_min),
-            scheme=None,
-            scale=None,
-            n_terms=0,
-            verification=None,
-            invariance_residual=inv_res,
-            seed=seed,
-        )
-        return report, None
-
-    family = scheme_family(params.p, auto_scheme(params))
-    ver = verify_family(family, params, tol)
-    verdict = "SEPARABLE" if ver.verdict else "INVALID"
+    verdict, ppt, family, ver = _point(params, tol, {})
     refinement = None
-    if refine and ver.verdict:
+    if refine and verdict == "SEPARABLE":
         refined = refine_to_pure(decompose_auto(params), tol)
         refined_ver = verify_decomposition(werner_dense(params), refined, tol)
         if not refined_ver.verdict:
@@ -454,16 +452,17 @@ def separability_report(
             max_purity_deviation=refined_ver.max_purity_deviation,
             reconstruction_residual=refined_ver.reconstruction_residual,
         )
+    entangled = family is None
     report = SeparabilityReport(
         p=params.p,
         f=params.f,
         verdict=verdict,
-        ppt=True,
-        min_pt_eigenvalue=float(pt_min),
-        witness=None,
-        scheme=family.scheme,
-        scale=scheme_scalars(params, family.scheme)[0],
-        n_terms=family.n_terms,
+        ppt=ppt,
+        min_pt_eigenvalue=pt_min,
+        witness=pt_min if entangled else None,
+        scheme=None if entangled else family.scheme,
+        scale=None if entangled else scheme_scalars(params, family.scheme)[0],
+        n_terms=0 if entangled else family.n_terms,
         verification=ver,
         invariance_residual=inv_res,
         seed=seed,

@@ -320,6 +320,35 @@ def test_sweep_entangled_rows(capsys):
 
 
 def test_sweep_row_agrees_with_report_inside_the_ppt_band(capsys):
+    # a sweep row holds report's judgement at its point and tol, bit for bit
+    def bits(value):
+        return None if value in ("", None) else float(value).hex()
+
+    verdicts = set()
+    for p in range(1, 6):
+        for f in (-0.4, -1e-10, 0.0, 2.0**-p, 2.0 ** (1 - p), 0.6, 1.0):
+            for tol in ((), ("--tol", "0")):
+                code, out, _ = run(capsys, "sweep", "--p", str(p), f"--f-start={f!r}",
+                                   "--f-end", repr(f), "--f-step", "1", *tol)
+                assert code == 0
+                header, line = out.splitlines()
+                row = dict(zip(header.split(","), line.split(",")))
+                code, out, _ = run(capsys, "report", "--p", str(p), f"--f={f!r}", *tol)
+                doc = json.loads(out)
+                ver = doc["verification"] or {}
+                assert code == (0 if doc["verdict"] == "SEPARABLE" else 2)
+                assert (row["ppt"], row["verdict"]) == (json.dumps(doc["ppt"]), doc["verdict"])
+                assert bits(row["min_eig_pt"]) == bits(doc["min_pt_eigenvalue"])
+                assert int(row["n_terms"]) == doc["n_terms"]
+                assert row["scheme"] == (doc["scheme"] or "")
+                if doc["scheme"] is None:
+                    assert doc["n_terms"] == 0 and doc["verification"] is None
+                for column, key in (("min_component_eig", "min_component_eigenvalue"),
+                                    ("reconstruction_residual", "reconstruction_residual")):
+                    assert bits(row[column]) == bits(ver.get(key))
+                verdicts.add(doc["verdict"])
+    # --tol 0 holds some family rows to INVALID, as the golden sweep --p 3 --tol 0
+    assert verdicts == {"SEPARABLE", "INVALID", "ENTANGLED"}
     # f = -1e-10 is PPT within tol, but f/d < 0 witnesses entanglement
     code, out, _ = run(capsys, "sweep", "--p", "2", "--f-start=-1e-10", "--f-end", "0", "--f-step", "1")
     assert code == 0

@@ -8,11 +8,11 @@ that removes it fails here and the list has to follow. The edited source is
 exec'd into a fresh module object (no file is written), and a fixed set of
 small probes of that module runs against it. A verify probe returns the
 boolean judgements of one report: verdict, convex_ok, positivity_ok and
-purity_ok; a model probe, ppt_check's verdicts; a serialize probe, which
-certificate headers and which certificate texts are read; a partition probe,
-the kinds of problem validate_partition reports for each broken partition.
-An edit is killed when some probe's judgements differ from those of the
-unedited source.
+purity_ok, or the verdicts of separability_report at a few points; a model
+probe, ppt_check's verdicts; a serialize probe, which certificate headers and
+which certificate texts are read; a partition probe, the kinds of problem
+validate_partition reports for each broken partition. An edit is killed when
+some probe's judgements differ from those of the unedited source.
 """
 import re
 import types
@@ -25,7 +25,7 @@ import werner.serialize
 import werner.verify
 from certificate_oracle import Term, expand, from_terms
 from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto
-from werner.errors import MalformedInput
+from werner.errors import MalformedInput, WernerError
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
 from werner.pauli import DIGIT_LETTERS, pauli_matrices
@@ -310,6 +310,22 @@ def off_pattern_string(m):
     return _family(m, 2, 0.1, PER_STRING, spread)
 
 
+# --- probes on the decision at a point (_point, through separability_report) ---
+
+
+def report_verdicts(m):
+    # f = -1e-10 at p = 2 is PPT within tol, but f/d < 0 witnesses
+    # entanglement; under tol 0 the p = 3 class family at f = 1/4 misses rho
+    # by about 1e-17, so it is INVALID; f = 0.6 at p = 2 is SEPARABLE
+    def verdict(p, f, tol=1e-9):
+        try:
+            return m.separability_report(WernerParams(p, f), tol=tol)[0].verdict
+        except WernerError as exc:
+            return type(exc).__name__
+
+    return verdict(2, -1e-10), verdict(3, 0.25, 0.0), verdict(2, 0.6)
+
+
 # --- probes on model.ppt_check ------------------------------------------------
 
 
@@ -441,6 +457,7 @@ PROBES = {"verify": [
     (traced_string, (False, True, True, False)),
     (mixed_commuting_strings, (False, True, True, False)),
     (shifted_state, (False, True, True, False)),
+    (report_verdicts, ("ENTANGLED", "INVALID", "SEPARABLE")),
 ], "model": [
     (ppt_verdicts, (False, True, False, True, False)),
 ], "serialize": [
@@ -529,6 +546,10 @@ MUTANTS = [
     ("the first group counted once", "verify", "off * (only_i * only_i)", "(only_i * only_i)"),
     ("the second group counted once", "verify", "off * (only_p * only_p)", "(only_p * only_p)"),
     ("the third group counted once", "verify", "d * (both * both)", "(both * both)"),
+    # the one decision at a point, of report and sweep alike
+    ("the PPT band is taken as separable", "verify", " and params.f >= 0", ""),
+    ("an INVALID family is reported SEPARABLE", "verify",
+     '"SEPARABLE" if ver.verdict else "INVALID"', '"SEPARABLE"'),
     # the PPT verdict
     ("ppt_check ignores tol", "model",
      "_pt_pairs(params)) >= -tol", "_pt_pairs(params)) >= -1e-6"),
