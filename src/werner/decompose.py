@@ -39,7 +39,7 @@ import numpy as np
 from .errors import SchemeRangeError
 from .model import _CHUNK_BYTES, WernerParams
 from .partition import build_partition
-from .pauli import Digits, all_strings, bit_parity, format_label, masks, signed_permutations
+from .pauli import Digits, all_strings, bit_parity, format_label, masks, pattern_values, signed_permutations
 
 __all__ = [
     "COMMUTING_CLASS",
@@ -107,15 +107,15 @@ SCHEMES = {
 }
 
 
-def _products(p: int, scheme: str) -> np.ndarray:
-    """V: each group's m - 1 non-identity products V_s (s = 1 .. m - 1) in
-    fold order, group by group, as one (4^p - 1, 2^p, 2^p) complex64 stack
-    of signed permutations; V_s = prod_j G_j^(s_j) over ascending j.
+def _products(p: int, scheme: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, D): each group's m - 1 non-identity products V_s (s = 1 .. m - 1)
+    in fold order, group by group, as signed permutations V[r, r ^ x] = D[r]
+    with int64 x and complex64 D; V_s = prod_j G_j^(s_j) over ascending j.
 
     The products are taken on the masks of all groups at once: as (-i)^t
     Z^z X^x, V_s G_j = (-i)^(t + y_j + 2 |x_s & z_j|) Z^(z_s ^ z_j)
     X^(x_s ^ x_j), since X^x Z^z = (-1)^|x & z| Z^z X^x, with y_j the y count
-    of G_j. One scatter realizes them all.
+    of G_j.
     """
     groups = SCHEMES[scheme].groups(p)
     _, x, z = masks(chain.from_iterable(groups))
@@ -127,7 +127,7 @@ def _products(p: int, scheme: str) -> np.ndarray:
     for a, c, y_j in zip(x.T[..., None], z.T[..., None], y.T[..., None]):  # each [group, 1]
         t = np.hstack((t, (t + y_j + 2 * bit_parity(px & c)) % 4))
         px, pz = np.hstack((px, px ^ a)), np.hstack((pz, pz ^ c))
-    return signed_permutations(p, px[:, 1:].ravel(), pz[:, 1:].ravel(), t[:, 1:].ravel(), np.complex64)
+    return px[:, 1:].ravel(), pattern_values(p, pz[:, 1:].ravel(), t[:, 1:].ravel()).astype(np.complex64)
 
 
 def _build(params: WernerParams, scheme: str) -> Decomposition:
@@ -137,17 +137,18 @@ def _build(params: WernerParams, scheme: str) -> Decomposition:
     when sign < 0."""
     p, d, table = params.p, params.d, SCHEMES[scheme]
     m, (scale, weight, sign) = table.order(p), scheme_scalars(params, scheme)
-    # T = H' V with the Sylvester matrix H'[e, s] = (-1)^|e & s|, s >= 1, is
-    # exact in float32. A chunk of groups becomes A in cache, on the float
-    # parts: once I's are added, the bits are the complex products' bits
+    # T = H' V with the Sylvester matrix H'[e, s] = (-1)^|e & s|, s >= 1, is exact
+    # in float32. A chunk of groups is realized and becomes A in cache, on the
+    # float parts: once I's are added, the bits are the complex products' bits
     hadamard = np.array([[(-1) ** (e & s).bit_count() for s in range(1, m)] for e in range(m)], np.float32)
-    prods = _products(p, scheme).view(np.float32).reshape(-1, m - 1, 2 * d * d)
-    comps = np.empty((len(prods) * m, d, d), complex)
+    x, values = _products(p, scheme)
+    comps = np.empty((len(x) // (m - 1) * m, d, d), complex)
     eye = np.eye(d, dtype=complex).view(np.float64)
-    step = max(1, _CHUNK_BYTES // comps[:m].nbytes)
-    for start in range(0, len(prods), step):
-        sums = np.matmul(hadamard, prods[start : start + step])
-        parts = comps[start * m : (start + step) * m].view(np.float64)
+    step = max(1, _CHUNK_BYTES // comps[:m].nbytes) * (m - 1)  # in V, whole groups
+    for start in range(0, len(x), step):
+        prods = signed_permutations(x[start : start + step], values[start : start + step], np.complex64)
+        sums = np.matmul(hadamard, prods.view(np.float32).reshape(-1, m - 1, 2 * d * d))
+        parts = comps[start // (m - 1) * m : (start + step) // (m - 1) * m].view(np.float64)
         np.multiply(sums.reshape(parts.shape), scale, out=parts, dtype=np.float64)
         parts += eye
         parts *= 1 / d  # d = 2^p, so this is the quotient, exactly

@@ -14,12 +14,12 @@ The symplectic encoding maps each digit to an (x, z) bit pair,
 and two strings commute iff the symplectic form x_a.z_b + x_b.z_a
 vanishes mod 2. masks packs a string into two p-bit Python ints, with
 digit 0 as the most significant bit; the helpers here other than
-signed_permutations and pauli_matrices need no numpy. As masks a string is
+the three that realize matrices need no numpy. As masks a string is
 (-i)^(y count) Z^z X^x (since Y = -i Z X), so its matrix is a signed
-permutation: row r holds one entry, at column r ^ x, with value
-(-i)^(y count) (-1)^|r & z|. signed_permutations realizes a whole stack of
-(-i)^turns Z^z X^x that way, with entries 1, -1, i and -i and no Kronecker
-products, and pauli_matrices realizes strings through it.
+permutation: row r holds one entry D[r] = (-i)^(y count) (-1)^|r & z|, at
+column r ^ x. pattern_values gives the D of a stack of (-i)^turns Z^z X^x,
+and signed_permutations is the one scatter that realizes any stack held as
+(x, D), with no Kronecker products; pauli_matrices realizes strings so.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
-if TYPE_CHECKING:  # annotations only: signed_permutations imports numpy as it runs
+if TYPE_CHECKING:  # annotations only: the numpy helpers import it as they run
     import numpy as np
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "check_digits",
     "format_label",
     "masks",
+    "pattern_values",
     "pauli_matrices",
     "signed_permutations",
 ]
@@ -47,7 +48,7 @@ Digits = Tuple[int, ...]
 DIGIT_LETTERS = "IXYZ"
 
 _XZ_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))  # digit -> (x, z)
-_DIGITS = frozenset(range(4))
+_BITS = dict(enumerate(_XZ_BITS))
 
 
 def check_digits(digits: Sequence[int]) -> Digits:
@@ -55,7 +56,7 @@ def check_digits(digits: Sequence[int]) -> Digits:
     out = tuple(map(int, digits))
     if not out:
         raise ValueError("a Pauli string needs at least one factor")
-    if not _DIGITS.issuperset(out):
+    if not set(out) <= _BITS.keys():
         raise ValueError(f"digits must be in 0..3, got {out!r}")
     return out
 
@@ -64,20 +65,24 @@ def masks(strings: Iterable[Sequence[int]]) -> Tuple[int, List[int], List[int]]:
     """(p, x, z): the factor count and the x and z masks, as ints, of one
     or more equal-length strings.
 
-    Bit p - 1 - k of a mask belongs to digit k. Strings are checked in
-    order: a bad digit raises ValueError, and a length other than the first
-    string's raises DimensionMismatch.
+    Bit p - 1 - k of a mask belongs to digit k. Each digit is checked as it
+    is packed: a bad digit or an empty string raises ValueError, and a
+    length other than the first string's raises DimensionMismatch.
     """
     p, x, z = None, [], []
     for s in strings:
-        s = check_digits(s)
+        xs = zs = 0
+        try:
+            for a, b in map(_BITS.__getitem__, s):
+                xs, zs = xs << 1 | a, zs << 1 | b
+        except KeyError:
+            raise ValueError(f"digits must be in 0..3, got {tuple(s)!r}") from None
+        if not s:
+            raise ValueError("a Pauli string needs at least one factor")
         if p is None:
             p = len(s)
         elif len(s) != p:
             raise DimensionMismatch(f"strings act on {p} and {len(s)} factors")
-        xs = zs = 0
-        for d in s:
-            xs, zs = xs << 1 | _XZ_BITS[d][0], zs << 1 | _XZ_BITS[d][1]
         x.append(xs)
         z.append(zs)
     if p is None:
@@ -92,26 +97,29 @@ def bit_parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def signed_permutations(
-    p: int, x: Sequence[int], z: Sequence[int], turns: Sequence[int], dtype=complex
-) -> np.ndarray:
-    """Dense (m, 2^p, 2^p) stack of the (-i)^turns Z^z X^x over the masks:
-    row r holds (-i)^turns (-1)^|r & z| at column r ^ x. Its entries are
-    exact in complex64 too."""
+def pattern_values(p: int, z: Sequence[int], turns: Sequence[int]) -> np.ndarray:
+    """The (m, 2^p) entries D[r] = (-i)^turns (-1)^|r & z| of the (-i)^turns Z^z X^x."""
     import numpy as np
-    x, z = np.array(x), np.array(z)
     r = np.arange(1 << p)
-    values = np.array((1, -1j, -1, 1j))[turns, None] * (1 - 2 * bit_parity(r & z[:, None]))
-    out = np.zeros((len(x), 1 << p, 1 << p), dtype=dtype)
-    out[np.arange(len(x))[:, None], r, r ^ x[:, None]] = values
+    return np.array((1, -1j, -1, 1j))[turns, None] * (1 - 2 * bit_parity(r & np.array(z)[:, None]))
+
+
+def signed_permutations(x: Sequence[int], values: np.ndarray, dtype=complex) -> np.ndarray:
+    """Dense (m, d, d) stack of the V[r, r ^ x] = D[r] over the patterns x and
+    the (m, d) entries D; entries 1, -1, i and -i are exact in complex64."""
+    import numpy as np
+    m, d = np.shape(values)
+    out = np.zeros((m, d, d), dtype=dtype)
+    out[np.arange(m)[:, None], np.arange(d), np.arange(d) ^ np.asarray(x)[:, None]] = values
     return out
 
 
 def pauli_matrices(strings: Iterable[Sequence[int]], dtype=complex) -> np.ndarray:
     """Dense (m, 2^p, 2^p) stack of the strings, digit 0 as the leftmost
-    Kronecker factor, as signed_permutations with turns the y count."""
+    Kronecker factor: the signed permutations with turns the y count."""
     p, x, z = masks(strings)
-    return signed_permutations(p, x, z, [(a & b).bit_count() % 4 for a, b in zip(x, z)], dtype)
+    turns = [(a & b).bit_count() % 4 for a, b in zip(x, z)]
+    return signed_permutations(x, pattern_values(p, z, turns), dtype)
 
 
 def format_label(digits: Sequence[int]) -> str:

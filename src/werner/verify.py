@@ -18,14 +18,14 @@ family's verdict. Both schemes are one construction (see decompose): each
 factor is (I + s T)/d, with T = sum_{s != 0} (-1)^|e & s| V_s a character
 sum over the non-identity products V_s of an abelian group of order m; only
 the scale s and the weights depend on f. The V_s are signed permutations,
-V[r, r ^ x] = D[r], and exact identities on each (x, D) prove every T's
-spectrum in O(p n d), with no eigensolver and no matrix product: T has
-eigenvalue m - 1 d/m times and -1 d - d/m times (Bandyopadhyay et al.,
-Algorithmica 34 (2002) 512). A factor's eigenvalues are (1 + s lambda)/d
-(Golub & Van Loan, Matrix Computations, section 8.5), and the
-reconstruction is w/d^2 (N I + c S), with S = sum_t G_t (x) G_t over the
-terms' T proven equal to its closed form in O(n d^2), never formed. A point
-costs O(1).
+V[r, r ^ x] = D[r], held only as their (x, D), and exact identities on
+each (x, D) prove every T's spectrum in O(p n d), with no eigensolver, no
+matrix product and no dense V: T has eigenvalue m - 1 d/m times and -1
+d - d/m times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). A
+factor's eigenvalues are (1 + s lambda)/d (Golub & Van Loan, Matrix
+Computations, section 8.5), and the reconstruction is w/d^2 (N I + c S),
+with S = sum_t G_t (x) G_t over the terms' T proven equal to its closed form
+in O(n d^2), never formed. A point costs O(1).
 
 refine_to_pure spectrally splits each factor so the certificate uses only
 rank-1 factors, at the cost of more terms; the same Jacobi pass gives its
@@ -221,35 +221,17 @@ class Family(NamedTuple):
         return self.n_generators // (self.m - 1) * self.m
 
 
-def _monomials(stack):
-    """(x, D, off): each V's XOR pattern x, read at its first nonzero entry,
-    its entries D[r] = V[r, r ^ x] on that pattern, and the count of nonzero
-    entries off their patterns over the stack. The stack is read in slices
-    of at most _CHUNK_BYTES (one V at least), so no stack-sized temporary
-    is made."""
-    d = stack.shape[1]
-    rows, off, found = np.arange(d), 0, []
-    step = max(1, _CHUNK_BYTES // stack[0].nbytes)
-    for v in (stack[k : k + step] for k in range(0, len(stack), step)):
-        nonzero = v.reshape(len(v), -1).view(np.float32) != 0  # real and imaginary parts
-        x = np.bitwise_xor(*np.divmod(np.argmax(nonzero, axis=1) // 2, d))
-        diagonal = v[np.arange(len(v))[:, None], rows, rows ^ x[:, None]]
-        off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))
-        found.append((x, diagonal))
-    x, diagonals = (np.concatenate(parts) for parts in zip(*found))
-    return x, diagonals, off
-
-
-def _identities(x, diagonals, off, m: int):
+def _identities(x, diagonals, m: int):
     """(spectrum, problems): the eigenvalues every T has, ascending, and
     which identities of the V fail, from each V's (x, D) in O(p n d).
 
-    Each V must be a signed permutation of 1, -1, i and -i, Hermitian
-    (D[r ^ x] = conj D[r]), so an involution, and of trace 0 (x != 0 or
-    sum D = 0). The rows of each group, V_1 .. V_(m - 1), must also satisfy
-    V_s V_g = V_(s ^ g) for each generator g = 2^j and s != g, that is
-    x_s ^ x_g = x_(s ^ g) and D_s[r] D_g[r ^ x_s] = D_(s ^ g)[r]; V_g^2 = I
-    is the involution. With V_0 = I they then represent Z_2^k by commuting
+    Each V is held as (x, D), so it is a signed permutation by its form; its
+    entries must be 1, -1, i and -i, and it must be Hermitian (D[r ^ x] =
+    conj D[r]), so an involution, and of trace 0 (x != 0 or sum D = 0). The
+    rows of each group, V_1 .. V_(m - 1), must also satisfy V_s V_g =
+    V_(s ^ g) for each generator g = 2^j and s != g, that is x_s ^ x_g =
+    x_(s ^ g) and D_s[r] D_g[r ^ x_s] = D_(s ^ g)[r]; V_g^2 = I is the
+    involution. With V_0 = I they then represent Z_2^k by commuting
     involutions, so (I + T_e)/m = sum_s (-1)^|e & s| V_s / m is a projector
     of trace d/m, and T_e has eigenvalue m - 1 d/m times and -1 d - d/m
     times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). The products
@@ -258,7 +240,7 @@ def _identities(x, diagonals, off, m: int):
     d = diagonals.shape[1]
     rows, problems = np.arange(d), []
     re, im = diagonals.real, diagonals.imag  # a unit has one part 0, the other +-1
-    if off or not ((abs(re) + abs(im) == 1) & (re * im == 0)).all():
+    if not ((abs(re) + abs(im) == 1) & (re * im == 0)).all():
         problems.append("a V is not a signed permutation of 1, -1, i and -i")
     if not np.array_equal(np.take_along_axis(diagonals, rows ^ x[:, None], axis=1), diagonals.conj()):
         problems.append("a V is not Hermitian")
@@ -286,8 +268,7 @@ def _swap_sum(x, diagonals):
     ((i, k), (i ^ x, k ^ x)) and 0 elsewhere. It is compared with the
     closed form, whose entries must lie on XOR patterns.
     """
-    d = diagonals.shape[1]
-    problems = []
+    d, problems = diagonals.shape[1], []
     gram = np.empty((d, d, d), dtype=complex)
     for pattern in range(d):
         on = diagonals[x == pattern].astype(complex)
@@ -305,9 +286,8 @@ def _swap_sum(x, diagonals):
 
 def scheme_family(p: int, scheme: str) -> Family:
     """The scheme's family at p, proven from its V by exact identities."""
-    x, diagonals, off = _monomials(_products(p, scheme))
-    m = SCHEMES[scheme].order(p)
-    spectrum, problems = _identities(x, diagonals, off, m)
+    (x, diagonals), m = _products(p, scheme), SCHEMES[scheme].order(p)
+    spectrum, problems = _identities(x, diagonals, m)
     return Family(scheme, p, m, len(x), spectrum, problems + _swap_sum(x, diagonals))
 
 
@@ -434,7 +414,7 @@ def separability_report(
     """
     params.require_physical()
     pt_min = float(pt_spectrum_closed_form(params).min())
-    # the probe first, so that its state is freed before the family's V stack is built
+    # the probe first, so that its state is freed before the family is built
     inv_res = invariance_residual(params, random_unitary(params.d, seed))
     verdict, ppt, family, ver = _point(params, tol, {})
     refinement = None

@@ -22,7 +22,7 @@ from werner.errors import SchemeRangeError
 from werner.linalg import Spectrum, hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, build_partition
-from werner.pauli import all_strings, pauli_matrices
+from werner.pauli import all_strings, pauli_matrices, signed_permutations
 from werner.verify import refine_to_pure
 
 
@@ -232,7 +232,9 @@ def _class_sums(p, k):
     # class sums that the builder takes
     d = 2**p
     chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, d)] for e in range(d)])
-    return np.tensordot(chi, _products(p, COMMUTING_CLASS)[k * (d - 1) : (k + 1) * (d - 1)], 1)
+    x, diagonals = _products(p, COMMUTING_CLASS)
+    rows = slice(k * (d - 1), (k + 1) * (d - 1))
+    return np.tensordot(chi, signed_permutations(x[rows], diagonals[rows], np.complex64), 1)
 
 
 def test_reconstruct_requires_terms():
@@ -256,13 +258,14 @@ def _loop_class_sum(cls, e):
 
 
 def test_the_class_products_hold_each_class_in_fold_order():
-    # one stack per call, class by class; row k (d - 1) + s - 1 is class k's
+    # one (x, D) per call, class by class; row k (d - 1) + s - 1 is class k's
     # V_s (s != 0), the ordered product of the generators the bits of s select
     for p in (1, 2, 3):
         d = 2**p
-        stack = _products(p, COMMUTING_CLASS)
-        assert stack.shape == (d * d - 1, d, d)
-        assert stack.dtype == np.complex64
+        x, diagonals = _products(p, COMMUTING_CLASS)
+        assert x.shape == (d * d - 1,) and x.dtype == np.int64
+        assert diagonals.shape == (d * d - 1, d) and diagonals.dtype == np.complex64
+        stack = signed_permutations(x, diagonals, np.complex64)
         for k, cls in enumerate(build_partition(p).classes):
             gens = pauli_matrices(cls.generators)
             for s in range(1, d):
@@ -276,9 +279,9 @@ def test_the_class_products_hold_each_class_in_fold_order():
 def test_the_per_string_products_are_the_strings_in_order():
     # a group {I, sigma} has the one product V_1 = sigma
     for p in (1, 2, 3):
-        stack = _products(p, PER_STRING)
-        assert stack.dtype == np.complex64
-        assert np.array_equal(stack, pauli_matrices(list(all_strings(p))[1:]))
+        x, diagonals = _products(p, PER_STRING)
+        assert diagonals.dtype == np.complex64
+        assert np.array_equal(signed_permutations(x, diagonals), pauli_matrices(list(all_strings(p))[1:]))
 
 
 def _same_terms(a, b):

@@ -6,12 +6,21 @@ integer-valued sums), so their bytes do not depend on the BLAS build. A
 matrix proven equal to its closed form, and its residual is a scalar float64
 sum over three groups. The `report` and `verify` documents are left out: the
 last digits of the invariance probe's residual and of a document's
-reconstruction residual follow the GEMM summation order.
+reconstruction residual follow the GEMM summation order. Where numpy's BLAS
+is an OpenBLAS that picks its kernel at run time, the corpus is also
+written under another kernel and must keep its digests.
 """
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import werner
 from werner.cli import main
 
 # (argv, sha256 of the written file); per-string at f = 0.5/d takes the
@@ -86,3 +95,40 @@ def test_document_bytes_are_pinned(argv, digest, tmp_path, capsys):
     assert main(argv.split() + ["--output", str(path)]) == 0
     assert capsys.readouterr() == ("", "")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# writes each document of its argv into the working directory, and prints its digest
+_DIGESTS = """
+import hashlib, sys
+from werner.cli import main
+for argv in sys.argv[1:]:
+    assert main(argv.split() + ["--output", "out.json"]) == 0, argv
+    print(hashlib.sha256(open("out.json", "rb").read()).hexdigest())
+"""
+
+
+def _runtime_openblas():
+    """Whether numpy's BLAS is an OpenBLAS on x86-64 that picks its kernel
+    at run time, so that OPENBLAS_CORETYPE selects another one."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that cannot report its BLAS as data
+        return False
+    return "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(not _runtime_openblas(), reason="needs OpenBLAS with DYNAMIC_ARCH on x86-64")
+def test_document_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    src = str(Path(werner.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, *(argv for argv, _ in GOLDEN)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [digest for _, digest in GOLDEN]

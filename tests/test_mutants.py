@@ -1,24 +1,29 @@
 """Mutation tests of the verdict: named edits to verify.py, to model.ppt_check,
-to serialize's certificate reader and to partition.validate_partition, that a
-probe must see.
+to serialize's certificate reader, to partition.validate_partition and to
+decompose.reconstruct, that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
-serialize.py or partition.py. The text must occur exactly once, so a refactor
-that removes it fails here and the list has to follow. The edited source is
-exec'd into a fresh module object (no file is written), and a fixed set of
-small probes of that module runs against it. A verify probe returns the
-boolean judgements of one report: verdict, convex_ok, positivity_ok and
-purity_ok, or the verdicts of separability_report at a few points; a model
-probe, ppt_check's verdicts; a serialize probe, which certificate headers and
-which certificate texts are read; a partition probe, the kinds of problem
-validate_partition reports for each broken partition. An edit is killed when
-some probe's judgements differ from those of the unedited source.
+serialize.py, partition.py or decompose.py. The text must occur exactly
+once, so a refactor that removes it fails here and the list has to follow.
+The edited source is exec'd into a fresh module object (no file is
+written), and a fixed set of small probes of that module runs against it. A
+verify probe returns the boolean judgements of one report: verdict,
+convex_ok, positivity_ok and purity_ok, or the verdicts of
+separability_report at a few points; a model probe, ppt_check's verdicts; a
+serialize probe, which certificate headers and which certificate texts are
+read; a partition probe, the kinds of problem validate_partition reports for
+each broken partition; a decompose probe, which certificates reconstruct
+their state. An edit is killed when some probe's judgements differ from
+those of the unedited source.
 """
 import re
 import types
+from functools import cache
+
 import numpy as np
 import pytest
 
+import werner.decompose
 import werner.model
 import werner.partition
 import werner.serialize
@@ -29,6 +34,7 @@ from werner.errors import MalformedInput, WernerError
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
 from werner.pauli import DIGIT_LETTERS, pauli_matrices
+from werner.verify import refine_to_pure
 
 
 def _source(module):
@@ -36,7 +42,9 @@ def _source(module):
         return fh.read()
 
 
-MODULES = {name: getattr(werner, name) for name in ("verify", "model", "serialize", "partition")}
+MODULES = {
+    name: getattr(werner, name) for name in ("verify", "model", "serialize", "partition", "decompose")
+}
 SOURCES = {name: _source(module) for name, module in MODULES.items()}
 
 
@@ -132,13 +140,27 @@ def _string(label):
     return pauli_matrices([[DIGIT_LETTERS.index(c) for c in label]])[0]
 
 
+def _pattern_form(mat):
+    """(x, D) of a dense signed permutation with a nonzero first row:
+    mat[r, r ^ x] = D[r]."""
+    x = int(np.flatnonzero(mat[0])[0])
+    return x, mat[np.arange(len(mat)), np.arange(len(mat)) ^ x]
+
+
+def _at(x, diagonals, label):
+    """The index of the V that is the string named by label."""
+    want, values = _pattern_form(_string(label))
+    (at,) = np.flatnonzero((x == want) & (diagonals == values).all(axis=1))
+    return at
+
+
 def _family(m, p, f, scheme, tamper=None):
-    """The judgements of verify_family on the scheme's family at p, its V
-    first changed in place by tamper."""
+    """The judgements of verify_family on the scheme's family at p, its V =
+    (x, D) first changed in place by tamper(x, D)."""
     if tamper is not None:
-        gens = werner.verify._products(p, scheme)
-        tamper(gens)
-        m._products = lambda p, scheme: gens
+        x, diagonals = werner.verify._products(p, scheme)
+        tamper(x, diagonals)
+        m._products = lambda p, scheme: (x, diagonals)
     return _judgements(m.verify_family(m.scheme_family(p, scheme), WernerParams(p, f)))
 
 
@@ -160,9 +182,8 @@ def negated_product(m):
     # the class of IX, XI and XX at p = 2: V_3 = XX becomes -XX, so V_1 V_2
     # is no longer V_3. -XX is a Hermitian signed permutation of trace 0,
     # and S sums V (x) V = (-V) (x) (-V), so only the law's entries see it
-    def negate(gens):
-        (at,) = np.flatnonzero((gens == _string("XX")).all(axis=(1, 2)))
-        gens[at] *= -1
+    def negate(x, diagonals):
+        diagonals[_at(x, diagonals, "XX")] *= -1
 
     return _family(m, 2, 0.6, COMMUTING_CLASS, negate)
 
@@ -174,9 +195,9 @@ def repeated_product(m):
     # are stubbed
     _honest_swap_sum(m)
 
-    def repeat(gens):
-        (at,) = np.flatnonzero((gens == _string("XX")).all(axis=(1, 2)))
-        gens[at] = _string("IX")
+    def repeat(x, diagonals):
+        at = _at(x, diagonals, "XX")
+        x[at], diagonals[at] = _pattern_form(_string("IX"))
 
     return _family(m, 2, 0.6, COMMUTING_CLASS, repeat)
 
@@ -192,10 +213,10 @@ def non_real_swap_sum(m):
     swaps = {"IX": a, "ZX": a, "IY": np.kron(p0, y) + np.kron(p1, x),
              "ZY": np.kron(p0, y) - np.kron(p1, x)}
 
-    def mix(gens):
+    def mix(x, diagonals):
         for label, new in swaps.items():
-            (at,) = np.flatnonzero((gens == _string(label)).all(axis=(1, 2)))
-            gens[at] = new
+            at = _at(x, diagonals, label)
+            x[at], diagonals[at] = _pattern_form(new)
 
     return _family(m, 2, 0.1, PER_STRING, mix)
 
@@ -207,9 +228,8 @@ def imaginary_string(m):
     # the verdict
     _honest_swap_sum(m)
 
-    def rotate(gens):
-        (at,) = np.flatnonzero((gens == _string("X")).all(axis=(1, 2)))
-        gens[at] *= 1j
+    def rotate(x, diagonals):
+        diagonals[_at(x, diagonals, "X")] *= 1j
 
     return _family(m, 1, 0.3, PER_STRING, rotate)
 
@@ -221,9 +241,8 @@ def traced_string(m):
     # to show that the trace identity alone reaches the verdict
     _honest_swap_sum(m)
 
-    def lift(gens):
-        (at,) = np.flatnonzero((gens == _string("Z")).all(axis=(1, 2)))
-        gens[at] = np.eye(2)
+    def lift(x, diagonals):
+        diagonals[_at(x, diagonals, "Z")] = 1
 
     return _family(m, 1, 0.3, PER_STRING, lift)
 
@@ -236,9 +255,10 @@ def mixed_commuting_strings(m):
     labels = ["ZII", "IZI", "IIZ", "ZZZ"]
     hadamard = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
 
-    def mix(gens):
-        at = [np.flatnonzero((gens == _string(x)).all(axis=(1, 2)))[0] for x in labels]
-        gens[at] = np.tensordot(hadamard / 2, gens[at], axes=1)
+    def mix(x, diagonals):
+        # all four are diagonal, so only their entries D mix
+        at = [_at(x, diagonals, label) for label in labels]
+        diagonals[at] = np.tensordot(hadamard / 2, diagonals[at], axes=1)
 
     return _family(m, 3, 0.0, PER_STRING, mix)
 
@@ -296,18 +316,6 @@ def off_pattern_closed_form(m):
         return only_i, (rows, np.append(cols[0] + 1, cols[1:])), both
 
     return _closed_form_changed(m, change)
-
-
-def off_pattern_string(m):
-    # ZI gains 1 at (0, 1) and (1, 0), off its XOR pattern x = 0: its pattern
-    # part, and so every identity read on it and the Gram matrices of S, are
-    # as before, but ZI is no signed permutation, and S is not as before
-
-    def spread(gens):
-        (at,) = np.flatnonzero((gens == _string("ZI")).all(axis=(1, 2)))
-        gens[at, 0, 1] = gens[at, 1, 0] = 1
-
-    return _family(m, 2, 0.1, PER_STRING, spread)
 
 
 # --- probes on the decision at a point (_point, through separability_report) ---
@@ -436,6 +444,28 @@ def partition_problems(m):
     return tuple(map(kinds, _BROKEN_PARTITIONS))
 
 
+# --- probes on decompose.reconstruct -------------------------------------------
+
+
+@cache
+def _reconstructed():
+    """Certificates and their states: a raw p = 2 class one (16 terms, one
+    chunk), and a refined p = 3 per-string one of 8,064 terms, 32 chunks of
+    256 terms. Their factors are complex, and their pairs take the partner
+    term's factor as the second."""
+    raw = decompose_auto(WernerParams(2, 0.6), COMMUTING_CLASS)
+    refined = refine_to_pure(decompose_auto(WernerParams(3, 0.1), PER_STRING))
+    assert refined.n_terms == 8064
+    return [(dec, werner_dense(dec.params)) for dec in (raw, refined)]
+
+
+def reconstruct_gaps(m):
+    # whether each certificate reconstructs its state to 1e-12 in every entry
+    return tuple(
+        float(np.abs(m.reconstruct(dec) - target).max()) <= 1e-12 for dec, target in _reconstructed()
+    )
+
+
 PROBES = {"verify": [
     (honest_document, (True, True, True, False)),
     (negative_weight, (False, False, True, False)),
@@ -452,7 +482,6 @@ PROBES = {"verify": [
     (changed_closed_form, (False, True, True, False)),
     (dropped_closed_form_entry, (False, True, True, False)),
     (off_pattern_closed_form, (False, True, True, False)),
-    (off_pattern_string, (False, True, True, False)),
     (imaginary_string, (False, True, True, False)),
     (traced_string, (False, True, True, False)),
     (mixed_commuting_strings, (False, True, True, False)),
@@ -473,6 +502,8 @@ PROBES = {"verify": [
         ("members, expected", "not closed", "not covered"),
         ("classes, found", "not covered"),
     )),
+], "decompose": [
+    (reconstruct_gaps, (True, True)),
 ]}
 
 # (name, module, exact text of its source, the replacement)
@@ -507,8 +538,6 @@ MUTANTS = [
     # the identities that prove the spectrum
     ("no check that the V are signed permutations of units", "verify",
      'problems.append("a V is not a signed permutation of 1, -1, i and -i")', "pass"),
-    ("a V with entries off its pattern is taken", "verify",
-     "off += np.count_nonzero(nonzero) - np.count_nonzero(diagonal.view(np.float32))", "pass"),
     ("the V's entries are not held to 1, -1, i and -i", "verify",
      "not ((abs(re) + abs(im) == 1) & (re * im == 0)).all()", "False"),
     ("no check that the G_t are Hermitian", "verify",
@@ -598,6 +627,17 @@ MUTANTS = [
     ("the validator takes a class not closed under products", "partition",
      "if i != j and key ^ other not in known:", "if False:"),
     ("the validator takes strings left uncovered", "partition", "if missing:", "if False:"),
+    # the reconstruction of a document's certificate
+    ("reconstruct drops the weights", "decompose",
+     "        a *= dec.weights[start : start + step, None]\n", ""),
+    # reconstruct holds no conjugation to drop: the edit takes the conjugate
+    # transpose of the first factors where the plain one belongs
+    ("reconstruct conjugates the first factors", "decompose",
+     "a[:, r : r + rows].T @ b", "a[:, r : r + rows].conj().T @ b"),
+    ("reconstruct leaves out the kron transpose", "decompose",
+     ".transpose(0, 2, 1, 3)", ""),
+    ("reconstruct skips one term between chunks", "decompose",
+     "range(0, dec.n_terms, step)", "range(0, dec.n_terms, step + 1)"),
 ]
 
 

@@ -20,6 +20,7 @@ from werner.pauli import (
     format_label,
     masks,
     pauli_matrices,
+    signed_permutations,
 )
 
 digit_strings = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
@@ -212,7 +213,7 @@ def test_class_sums_are_bit_identical_to_kron_sums(p):
     # class k, and n A - I is T_e exactly
     dec, eye = decompose_auto(WernerParams(p, 1.0), COMMUTING_CLASS), np.eye(n)
     assert dec.scale == 1.0
-    stack = _products(p, COMMUTING_CLASS)
+    stack = signed_permutations(*_products(p, COMMUTING_CLASS), np.complex64)
     for k, cls in enumerate(build_partition(p).classes):
         gens = [_kron_matrix(g) for g in cls.generators]
         # member c is the ordered product of the generators its bits select

@@ -27,6 +27,7 @@ from werner.cli import main
 from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
 from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
+from werner.pauli import signed_permutations
 from werner.serialize import certificate_chunks, doc_decomposition, parse_decomposition
 from werner.verify import (
     _eigensystems,
@@ -402,31 +403,30 @@ def _family_generators(p, scheme):
     complex128; +-sigma for the groups {I, sigma}."""
     d, m = 2**p, SCHEMES[scheme].order(p)
     chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, m)] for e in range(m)])
-    prods = werner.verify._products(p, scheme).reshape(-1, m - 1, d * d)
+    prods = signed_permutations(*werner.verify._products(p, scheme)).reshape(-1, m - 1, d * d)
     return np.matmul(chi, prods).reshape(-1, d, d)
 
 
 def _tampered_family(monkeypatch, p, scheme, tamper):
-    gens = werner.verify._products(p, scheme)
-    tamper(gens)
-    monkeypatch.setattr("werner.verify._products", lambda p, scheme: gens)
+    """scheme_family on the scheme's V = (x, D), first changed in place by
+    tamper(x, D)."""
+    x, diagonals = werner.verify._products(p, scheme)
+    tamper(x, diagonals)
+    monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, diagonals))
     return scheme_family(p, scheme)
 
 
-def _first_diagonal(gens):
-    # the first diagonal V; every V has trace 0
-    return next(
-        t for t, g in enumerate(gens)
-        if not np.count_nonzero(g - np.diag(np.diag(g))) and np.trace(g) == 0
-    )
+def _first_diagonal(x):
+    # the first diagonal V, x = 0; every V has trace 0
+    return np.flatnonzero(x == 0)[0]
 
 
-def _negate_entry(gens):
-    gens[_first_diagonal(gens), 0, 0] *= -1  # a diagonal entry: still Hermitian
+def _negate_entry(x, diagonals):
+    diagonals[_first_diagonal(x), 0] *= -1  # a diagonal entry: still Hermitian
 
 
-def _negate_matrix(gens):
-    gens[1] *= -1
+def _negate_matrix(x, diagonals):
+    diagonals[1] *= -1
 
 
 @pytest.mark.parametrize(
@@ -469,8 +469,8 @@ def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
     # 1, -1, i or -i, so the unit check is the square identity
     params = WernerParams(2, 0.1)
 
-    def lift(gens):
-        gens[_first_diagonal(gens), 0, 0] += 2
+    def lift(x, diagonals):
+        diagonals[_first_diagonal(x), 0] += 2
 
     family = _tampered_family(monkeypatch, 2, PER_STRING, lift)
     assert family.problems == (
@@ -595,37 +595,33 @@ def _closed_swap_sum(p):
     return werner.model._eye_flip(d, (-1, d, d - 1))
 
 
-def _at_first_nonzero(gens, t, real=False):
-    g = gens[t].real if real else gens[t]
-    return np.unravel_index(np.flatnonzero(g)[0], g.shape)
+# each tamper changes V number t of the (x, D) in place
 
 
-def _sign_flipped(gens, t):
-    gens[(t, *_at_first_nonzero(gens, t))] *= -1
+def _sign_flipped(x, diagonals, t):
+    diagonals[t, 0] *= -1
 
 
-def _entry_moved(gens, t):
-    # to the first zero of its row, off every XOR pattern the entry was on
-    r, c = _at_first_nonzero(gens, t)
-    gens[t, r, np.flatnonzero(gens[t, r] == 0)[0]] = gens[t, r, c]
-    gens[t, r, c] = 0
+def _entry_moved(x, diagonals, t):
+    # every entry of the V, to the next XOR pattern
+    x[t] ^= 1
 
 
-def _row_doubled(gens, t):
-    gens[t] *= 2
+def _row_doubled(x, diagonals, t):
+    diagonals[t] *= 2
 
 
-def _i_added(gens, t):
-    t = next(s for s in range(t, len(gens)) if gens[s].real.any())
-    gens[(t, *_at_first_nonzero(gens, t, real=True))] += 1j
+def _i_added(x, diagonals, t):
+    t = next(s for s in range(t, len(x)) if diagonals[s].real.any())
+    diagonals[t, np.flatnonzero(diagonals[t].real)[0]] += 1j
 
 
-def _rows_swapped(gens, t):
+def _rows_swapped(x, diagonals, t):
     # V_1 and V_2 of the first class (of d - 1 rows) whose V_1 is not
     # diagonal; the two strings there for per_string
-    d = gens.shape[1]
-    k = next(k for k in range(0, len(gens), d - 1) if np.count_nonzero(gens[k] * (1 - np.eye(d))))
-    gens[[k, k + 1]] = gens[[k + 1, k]]
+    d = diagonals.shape[1]
+    k = next(k for k in range(0, len(x), d - 1) if x[k])
+    x[[k, k + 1]], diagonals[[k, k + 1]] = x[[k + 1, k]], diagonals[[k + 1, k]]
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -636,11 +632,11 @@ def _rows_swapped(gens, t):
 def test_no_tampered_stack_passes_with_a_wrong_s(monkeypatch, p, scheme, tamper):
     # the proof of S reads each V's pattern only, so it stands on the other
     # identities: whenever the family reports no problem, sum_V V (x) V over
-    # the stack is its closed form
-    gens = werner.verify._products(p, scheme)
-    tamper(gens, len(gens) // 2)
-    held = np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p))
-    monkeypatch.setattr("werner.verify._products", lambda p, scheme: gens)
+    # the realized stack is its closed form
+    x, diagonals = werner.verify._products(p, scheme)
+    tamper(x, diagonals, len(x) // 2)
+    held = np.array_equal(_dense_swap_sum(signed_permutations(x, diagonals)), _closed_swap_sum(p))
+    monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, diagonals))
     refused = bool(scheme_family(p, scheme).problems)
     assert held or refused
     assert held is (tamper is _rows_swapped)
@@ -660,7 +656,7 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
     # dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4 entries
     # must give the same report, residual bits included
     family = _family(p, scheme)
-    gens = werner.verify._products(p, scheme)
+    gens = signed_permutations(*werner.verify._products(p, scheme), np.complex64)
     d, swap_sum = 2**p, _dense_swap_sum(_family_generators(p, scheme).astype(np.complex64))
     assert family.problems == ()
     assert np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p))
@@ -891,34 +887,47 @@ def test_a_p5_report_holds_the_state_and_one_working_copy(f):
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 def test_a_p5_family_holds_its_stack_and_chunk_sized_work_at_most(scheme):
-    # the generators (8.4-8.7 MB, built here) and a few chunks of work: the
-    # identities' products, one fold of whole classes, the Gram matrices. A
-    # (d^2, d^2) float32 S alone would add 4 MiB, a second stack 8 MB
-    stack = werner.verify._products(5, scheme).nbytes
+    # its stack of V held as (x, D), 0.26 MB, and a few chunks of work: the
+    # identities' products, the Gram matrices. A dense (4^p - 1, d, d)
+    # complex64 stack of the V alone would take 8.4 MB, a (d^2, d^2) float32
+    # S 4 MiB
     tracemalloc.start()
     try:
         scheme_family(5, scheme)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= stack + 5 * _CHUNK_BYTES
+    assert peak <= 4 * _CHUNK_BYTES
 
 
-def _halve(gens):
-    gens[-1] *= 0.5
+@pytest.mark.parametrize("f,scheme", [(0.02, PER_STRING), (0.6, COMMUTING_CLASS)])
+def test_a_p5_build_holds_its_factors_and_chunk_sized_work_at_most(f, scheme):
+    # the factors (33.5 and 17.3 MB) and the realized V and sums of one
+    # chunk of groups: a dense stack of every V would add 8.4 MB
+    params = WernerParams(5, f)
+    tracemalloc.start()
+    try:
+        factors = _build(params, scheme).factors.nbytes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= factors + 3 * _CHUNK_BYTES
 
 
-def _lift_last_corner(gens):
-    gens[-1, 0, 0] += 2
+def _halve(x, diagonals):
+    diagonals[-1] *= 0.5
+
+
+def _lift_last_corner(x, diagonals):
+    # the last V onto the diagonal pattern, with corner entry 2
+    x[-1], diagonals[-1, 0] = 0, 2
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
 @pytest.mark.parametrize("tamper", [_halve, _lift_last_corner])
 def test_the_identities_see_a_change_in_the_last_chunk(monkeypatch, scheme, tamper):
-    # chunks of one matrix each give the problems of one check over the stack
+    # the identities read every V to the last: no chunk of (x, D) is left out
     whole = _tampered_family(monkeypatch, 2, scheme, tamper).problems
-    monkeypatch.setattr("werner.verify._CHUNK_BYTES", 1)
-    assert scheme_family(2, scheme).problems == whole
     assert whole[0] == "a V is not a signed permutation of 1, -1, i and -i"
     assert any("nonzero trace" in x for x in whole) is (tamper is _lift_last_corner)
 
@@ -939,7 +948,7 @@ def _recording(monkeypatch, names):
 
 
 _P5_STAGES = (
-    "invariance_residual", "_monomials", "_identities", "_swap_sum", "_eigensystems",
+    "invariance_residual", "_products", "_identities", "_swap_sum", "_eigensystems",
     "reconstruct",
 )
 
@@ -967,7 +976,7 @@ def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     if f >= 0:
         # the probe, the read of each V, its identities, then S
         assert calls == [
-            ("invariance_residual", False), ("_monomials", False), ("_identities", False),
+            ("invariance_residual", False), ("_products", False), ("_identities", False),
             ("_swap_sum", False),
         ]
     else:
@@ -991,7 +1000,7 @@ def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
     assert capsys.readouterr() == plain
     # each family is built once, on this thread
     assert sorted(calls) == sorted(
-        [("_monomials", False), ("_identities", False), ("_swap_sum", False)] * 2
+        [("_products", False), ("_identities", False), ("_swap_sum", False)] * 2
     )
     rows = [row.split(",") for row in plain.out.splitlines()[1:]]
     assert [(row[4], row[8]) for row in rows] == [
