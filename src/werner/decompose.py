@@ -30,16 +30,17 @@ first factor and row t, or t ^ 1 when sign < 0, as its second.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 from math import sqrt
-from typing import Callable, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import SchemeRangeError
 from .model import _CHUNK_BYTES, WernerParams
 from .partition import build_partition
-from .pauli import Digits, all_strings, bit_parity, format_label, masks, pattern_values, signed_permutations
+from .pauli import Digits, all_strings, format_label, masks, pattern_values, signed_permutations
+
+if TYPE_CHECKING:  # annotations only: the builder and reconstruct import numpy as they run
+    import numpy as np
 
 __all__ = [
     "COMMUTING_CLASS",
@@ -107,27 +108,29 @@ SCHEMES = {
 }
 
 
-def _products(p: int, scheme: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, D): each group's m - 1 non-identity products V_s (s = 1 .. m - 1)
-    in fold order, group by group, as signed permutations V[r, r ^ x] = D[r]
-    with int64 x and complex64 D; V_s = prod_j G_j^(s_j) over ascending j.
+def _products(p: int, scheme: str) -> Tuple[List[int], List[int], List[int]]:
+    """(x, z, t): the int masks of each group's m - 1 non-identity products
+    V_s = (-i)^t Z^z X^x = prod_j G_j^(s_j) over ascending j (s = 1 .. m -
+    1), in fold order, group by group, as lists.
 
-    The products are taken on the masks of all groups at once: as (-i)^t
-    Z^z X^x, V_s G_j = (-i)^(t + y_j + 2 |x_s & z_j|) Z^(z_s ^ z_j)
-    X^(x_s ^ x_j), since X^x Z^z = (-1)^|x & z| Z^z X^x, with y_j the y count
-    of G_j.
+    The products are taken on the masks of all groups at once: V_s G_j =
+    (-i)^(t + y_j + 2 |x_s & z_j|) Z^(z_s ^ z_j) X^(x_s ^ x_j), since X^x
+    Z^z = (-1)^|x & z| Z^z X^x, with y_j the y count of G_j.
     """
     groups = SCHEMES[scheme].groups(p)
-    _, x, z = masks(chain.from_iterable(groups))
-    y = np.array([(a & c).bit_count() for a, c in zip(x, z)]).reshape(len(groups), -1)
-    x, z = np.array(x).reshape(y.shape), np.array(z).reshape(y.shape)  # [group, j]
-    if bit_parity((x[:, :, None] & z[:, None]) ^ (x[:, None] & z[:, :, None])).any():
-        raise ValueError("group generators do not pairwise commute")
-    px = pz = t = np.zeros((len(groups), 1), np.int64)  # [group, s]: V_0 = I
-    for a, c, y_j in zip(x.T[..., None], z.T[..., None], y.T[..., None]):  # each [group, 1]
-        t = np.hstack((t, (t + y_j + 2 * bit_parity(px & c)) % 4))
-        px, pz = np.hstack((px, px ^ a)), np.hstack((pz, pz ^ c))
-    return px[:, 1:].ravel(), pattern_values(p, pz[:, 1:].ravel(), t[:, 1:].ravel()).astype(np.complex64)
+    _, gx, gz = masks(chain.from_iterable(groups))
+    k = len(gx) // len(groups)
+    gens = [(gx[j::k], gz[j::k]) for j in range(k)]  # generator j of every group
+    for (xa, za), (xb, zb) in combinations(gens, 2):
+        if any(((a & d) ^ (b & c)).bit_count() & 1 for a, c, b, d in zip(xa, za, xb, zb)):
+            raise ValueError("group generators do not pairwise commute")
+    xs, zs, ts = ([[0] * len(groups)] for _ in range(3))  # [s][group]: V_0 = I
+    for a, c in gens:
+        ts += [[(tv + (xj & zj).bit_count() + 2 * (xv & zj).bit_count()) % 4
+                for tv, xv, xj, zj in zip(t_s, x_s, a, c)] for t_s, x_s in zip(ts, xs)]
+        xs += [[u ^ v for u, v in zip(x_s, a)] for x_s in xs]
+        zs += [[u ^ v for u, v in zip(z_s, c)] for z_s in zs]
+    return tuple(list(chain.from_iterable(zip(*rows[1:]))) for rows in (xs, zs, ts))
 
 
 def _build(params: WernerParams, scheme: str) -> Decomposition:
@@ -135,13 +138,15 @@ def _build(params: WernerParams, scheme: str) -> Decomposition:
     forced (out-of-range) certificate fails only verification: group k's
     term e has A = (I + s T_e)/d, and B = A, or the partner term's A_(e ^ 1)
     when sign < 0."""
+    import numpy as np
     p, d, table = params.p, params.d, SCHEMES[scheme]
     m, (scale, weight, sign) = table.order(p), scheme_scalars(params, scheme)
     # T = H' V with the Sylvester matrix H'[e, s] = (-1)^|e & s|, s >= 1, is exact
     # in float32. A chunk of groups is realized and becomes A in cache, on the
     # float parts: once I's are added, the bits are the complex products' bits
     hadamard = np.array([[(-1) ** (e & s).bit_count() for s in range(1, m)] for e in range(m)], np.float32)
-    x, values = _products(p, scheme)
+    x, z, t = _products(p, scheme)
+    values = pattern_values(p, z, t).astype(np.complex64)
     comps = np.empty((len(x) // (m - 1) * m, d, d), complex)
     eye = np.eye(d, dtype=complex).view(np.float64)
     step = max(1, _CHUNK_BYTES // comps[:m].nbytes) * (m - 1)  # in V, whole groups
@@ -214,6 +219,7 @@ def reconstruct(dec: Decomposition) -> np.ndarray:
     at p = 5, unchanged at p <= 4. The product goes into the accumulator in
     row blocks of that size, so no accumulator-sized temporary exists.
     """
+    import numpy as np
     if not dec.n_terms:
         raise ValueError("decomposition has no terms")
     d = len(dec.factors[0])

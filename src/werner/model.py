@@ -12,7 +12,7 @@ arrays: WernerParams, the closed forms and ppt_check run without it.
 from __future__ import annotations
 
 from math import isfinite, sqrt
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from .linalg import Spectrum
@@ -104,24 +104,22 @@ def _eye_flip(d: int, values) -> np.ndarray:
     return out
 
 
-def _werner_values(params: WernerParams) -> np.ndarray:
-    """werner_dense's three distinct entries, in _eye_flip's order."""
-    import numpy as np
+def _werner_values(params: WernerParams) -> Tuple[float, float, float]:
+    """werner_dense's three distinct entries, in _eye_flip's order: the
+    values of ((d - f) I + (d f - 1) P) on the (I, P) patterns (1, 0), (0,
+    1) and (1, 1), each times 1/(d^3 - d), the bits of numpy's complex
+    quotient by d^3 - d."""
     params.require_physical()
-    d = params.d
-    f = params.f
-    return (
-        (d - f) * np.array([1, 0, 1], dtype=complex)
-        + (d * f - 1.0) * np.array([0, 1, 1], dtype=complex)
-    ) / (d**3 - d)
+    d, f = params.d, params.f
+    inverse = 1 / (d**3 - d)
+    return (d - f) * inverse, (d * f - 1.0) * inverse, ((d - f) + (d * f - 1.0)) * inverse
 
 
 def werner_dense(params: WernerParams) -> np.ndarray:
     """((d - f) I + (d f - 1) P) / (d^3 - d); unit trace, PSD for f in [-1, 1].
 
-    The three distinct entries are that expression evaluated in complex
-    arithmetic on the (I, P) patterns (1, 0), (0, 1) and (1, 1), so they
-    carry its bits; the matrix is filled without forming I or P.
+    The matrix holds _werner_values at _eye_flip_entries, filled without
+    forming I or P.
     """
     return _eye_flip(params.d, _werner_values(params))
 

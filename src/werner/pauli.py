@@ -15,11 +15,11 @@ and two strings commute iff the symplectic form x_a.z_b + x_b.z_a
 vanishes mod 2. masks packs a string into two p-bit Python ints, with
 digit 0 as the most significant bit; the helpers here other than
 the three that realize matrices need no numpy. As masks a string is
-(-i)^(y count) Z^z X^x (since Y = -i Z X), so its matrix is a signed
-permutation: row r holds one entry D[r] = (-i)^(y count) (-1)^|r & z|, at
-column r ^ x. pattern_values gives the D of a stack of (-i)^turns Z^z X^x,
-and signed_permutations is the one scatter that realizes any stack held as
-(x, D), with no Kronecker products; pauli_matrices realizes strings so.
+(-i)^(y count) Z^z X^x (since Y = -i Z X), and a product of strings is
+(-i)^turns Z^z X^x (X^x Z^z = (-1)^|x & z| Z^z X^x), whose row r holds one
+entry D[r] = (-i)^turns (-1)^|r & z|, at column r ^ x. pattern_values gives
+the D of a stack of them, and signed_permutations is the one scatter that
+realizes any stack held as (x, D), with no Kronecker products.
 """
 from __future__ import annotations
 

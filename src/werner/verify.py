@@ -17,15 +17,16 @@ _point is the one decision at a point of both `report`
 family's verdict. Both schemes are one construction (see decompose): each
 factor is (I + s T)/d, with T = sum_{s != 0} (-1)^|e & s| V_s a character
 sum over the non-identity products V_s of an abelian group of order m; only
-the scale s and the weights depend on f. The V_s are signed permutations,
-V[r, r ^ x] = D[r], held only as their (x, D), and exact identities on
-each (x, D) prove every T's spectrum in O(p n d), with no eigensolver, no
-matrix product and no dense V: T has eigenvalue m - 1 d/m times and -1
-d - d/m times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). A
+the scale s and the weights depend on f. Each V_s = (-i)^t Z^z X^x is held
+as its int masks (x, z, t) (Gottesman, quant-ph/9705052), and exact
+identities on the masks prove every T's spectrum in O(n p), with no
+eigensolver, no array and no matrix: T has eigenvalue m - 1 d/m times and
+-1 d - d/m times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). A
 factor's eigenvalues are (1 + s lambda)/d (Golub & Van Loan, Matrix
 Computations, section 8.5), and the reconstruction is w/d^2 (N I + c S),
-with S = sum_t G_t (x) G_t over the terms' T proven equal to its closed form
-in O(n d^2), never formed. A point costs O(1).
+with S = sum_t G_t (x) G_t over the terms' T proven equal to its closed
+form, never formed. A point costs O(1), in Python floats: `sweep` needs no
+numpy, which only the functions that build arrays import.
 
 refine_to_pure spectrally splits each factor so the certificate uses only
 rank-1 factors, at the cost of more terms; the same Jacobi pass gives its
@@ -33,10 +34,11 @@ input's verdict and the split.
 """
 from __future__ import annotations
 
+from functools import cache, reduce
+from itertools import product
 from math import sqrt
+from operator import add
 from typing import List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from .decompose import (
     _CHUNK_BYTES,
@@ -52,7 +54,6 @@ from .errors import DimensionMismatch, VerificationFailure
 from .linalg import hermitian_eigensystem
 from .model import (
     WernerParams,
-    _eye_flip_entries,
     _werner_values,
     invariance_residual,
     ppt_check,
@@ -101,6 +102,7 @@ def _eigensystems(dec: Decomposition, compute_vectors: bool = False):
     pivots (2,046 per-string factors: 0.13 s, against 0.30 s in first-seen
     stacks). A matrix's results do not depend on its stack.
     """
+    import numpy as np
     keys, distinct, rows = {}, [], []
     for mat in dec.factors:
         data = mat.tobytes()
@@ -131,13 +133,12 @@ def _eigensystems(dec: Decomposition, compute_vectors: bool = False):
     return place[rows], vals, vecs
 
 
-def _report(
-    weights, min_component_eigenvalue, max_purity_deviation, residual, tol, problems=()
-) -> VerificationReport:
-    """The verdict on a certificate from its weights and its measured
-    factor spectra and residual; problems are failed checks of its own."""
-    min_weight = float(weights.min())
-    weight_sum_error = abs(float(weights.sum()) - 1.0)
+def _report(min_weight, weight_sum, min_component_eigenvalue, max_purity_deviation, residual, tol,
+            problems=()) -> VerificationReport:
+    """The verdict on a certificate from its least weight, its weight sum and
+    its measured factor spectra and residual; problems are failed checks of
+    its own."""
+    weight_sum_error = abs(weight_sum - 1.0)
     convex_ok = min_weight >= -_WEIGHT_TOL and weight_sum_error <= _WEIGHT_TOL
     positivity_ok = min_component_eigenvalue >= -tol
     recon_ok = residual <= tol
@@ -176,6 +177,7 @@ def verify_decomposition(target, dec: Decomposition, tol: float = 1e-9) -> Verif
 def _verify(target, dec: Decomposition, tol: float, compute_vectors: bool = False):
     """(verify_decomposition's report, _eigensystems(dec, compute_vectors)),
     from one Jacobi pass: the vectors never feed the values' bits."""
+    import numpy as np
     target = np.asarray(target, dtype=complex)
     if not dec.n_terms:
         raise ValueError("decomposition has no terms")
@@ -194,7 +196,7 @@ def _verify(target, dec: Decomposition, tol: float, compute_vectors: bool = Fals
     # separate difference array would set the peak memory at p = 5
     gap -= target
     residual = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
-    return _report(dec.weights, least, deviation, residual, tol), found
+    return _report(float(dec.weights.min()), float(dec.weights.sum()), least, deviation, residual, tol), found
 
 
 class Family(NamedTuple):
@@ -210,85 +212,85 @@ class Family(NamedTuple):
     p: int
     m: int  # the order of each group
     n_generators: int  # the count of V: groups (m - 1)
-    spectrum: np.ndarray  # (d,): the eigenvalues of every T, ascending
+    spectrum: Tuple[float, ...]  # (d,): the eigenvalues of every T, ascending
     problems: Tuple[str, ...]  # the exact identities the V and S fail
-
-    # equal only to itself, as tuple equality cannot compare arrays
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def n_terms(self) -> int:
         return self.n_generators // (self.m - 1) * self.m
 
 
-def _identities(x, diagonals, m: int):
-    """(spectrum, problems): the eigenvalues every T has, ascending, and
-    which identities of the V fail, from each V's (x, D) in O(p n d).
-
-    Each V is held as (x, D), so it is a signed permutation by its form; its
-    entries must be 1, -1, i and -i, and it must be Hermitian (D[r ^ x] =
-    conj D[r]), so an involution, and of trace 0 (x != 0 or sum D = 0). The
-    rows of each group, V_1 .. V_(m - 1), must also satisfy V_s V_g =
-    V_(s ^ g) for each generator g = 2^j and s != g, that is x_s ^ x_g =
-    x_(s ^ g) and D_s[r] D_g[r ^ x_s] = D_(s ^ g)[r]; V_g^2 = I is the
-    involution. With V_0 = I they then represent Z_2^k by commuting
-    involutions, so (I + T_e)/m = sum_s (-1)^|e & s| V_s / m is a projector
-    of trace d/m, and T_e has eigenvalue m - 1 d/m times and -1 d - d/m
-    times (Bandyopadhyay et al., Algorithmica 34 (2002) 512). The products
-    of units are exact in complex64.
-    """
-    d = diagonals.shape[1]
-    rows, problems = np.arange(d), []
-    re, im = diagonals.real, diagonals.imag  # a unit has one part 0, the other +-1
-    if not ((abs(re) + abs(im) == 1) & (re * im == 0)).all():
-        problems.append("a V is not a signed permutation of 1, -1, i and -i")
-    if not np.array_equal(np.take_along_axis(diagonals, rows ^ x[:, None], axis=1), diagonals.conj()):
-        problems.append("a V is not Hermitian")
-    if np.any((x == 0) & diagonals.sum(axis=1).astype(bool)):
-        problems.append("a V has a nonzero trace")
-    xs, ds = x.reshape(-1, m - 1), diagonals.reshape(-1, m - 1, d)  # row s - 1 of a group is V_s
-    groups, law = np.arange(len(xs))[:, None, None], True
+def _group_law(x, z, t, m: int) -> bool:
+    """Whether each group's rows V_1 .. V_(m - 1) satisfy V_s V_g = V_(s ^ g)
+    for each generator g = 2^j and s != g: x_s ^ x_g = x_(s ^ g), z likewise,
+    and t_(s ^ g) = t_s + t_g + 2 |x_s & z_g| (mod 4)."""
+    groups = list(zip(*[iter(zip(x, z, t))] * (m - 1)))  # group k's row s - 1 is its V_s
     for g in (1 << j for j in range(m.bit_length() - 1)):
-        s = np.array([s for s in range(1, m) if s != g], int)
-        law = law and np.array_equal(xs[:, s - 1] ^ xs[:, g - 1, None], xs[:, (s ^ g) - 1])
-        partner = rows ^ xs[:, s - 1, None]  # r ^ x_s
-        law = law and np.array_equal(ds[:, s - 1] * ds[groups, g - 1, partner], ds[:, (s ^ g) - 1])
-    if not law:
-        problems.append("a group's V fail V_s V_g = V_(s ^ g) for a generator g")
-    return np.repeat([-1.0, m - 1.0], [d - d // m, d // m]), tuple(problems)
+        pairs = [(s - 1, (s ^ g) - 1) for s in range(1, m) if s != g]
+        for group in groups:
+            xg, zg, tg = group[g - 1]
+            if not all(
+                xs ^ xg == xu
+                and zs ^ zg == zu and (ts + tg + 2 * (xs & zg).bit_count() - tu) % 4 == 0
+                for (xs, zs, ts), (xu, zu, tu) in ((group[v], group[u]) for v, u in pairs)
+            ):
+                return False
+    return True
 
 
-def _swap_sum(x, diagonals):
+def _swap_sum(p: int, x, z, hermitian: bool):
     """The exact identities that fail, with S = sum_t G_t (x) G_t over the
-    terms' T_e proven equal to its closed form m (d SWAP - I) in O(n d^2),
-    never formed. A group's T_e = sum_{s != 0} H[e, s] V_s for the
-    Sylvester matrix H[e, s] = (-1)^|e & s|, and H^T H = m I, so S = m
-    sum_V V (x) V. Every V lies on one XOR pattern, V[r, r ^ x] = D[r], so
-    S / m is the exact complex128 Gram matrix sum_{V: x_V = x} D D^T at
-    ((i, k), (i ^ x, k ^ x)) and 0 elsewhere. It is compared with the
-    closed form, whose entries must lie on XOR patterns.
-    """
-    d, problems = diagonals.shape[1], []
-    gram = np.empty((d, d, d), dtype=complex)
-    for pattern in range(d):
-        on = diagonals[x == pattern].astype(complex)
-        gram[pattern] = on.T @ on
-    if gram.imag.any():
-        problems.append("S = sum_t G_t (x) G_t is not real")
-    closed, off = np.zeros((d, d, d)), 0  # at [x, i, k], S / m at ((i, k), (i ^ x, k ^ x))
-    for (into, out), value in zip(_eye_flip_entries(d), (-1, d, d - 1)):
-        off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)
-        closed[(into ^ out) // d, into // d, into % d] = value
-    if not (off == 0 and np.array_equal(gram.real, closed)):
-        problems.append("S = sum_t G_t (x) G_t differs from its closed form")
-    return tuple(problems)
+    terms' T_e proven equal to its closed form m (d SWAP - I), never formed.
+    A group's T_e = sum_{s != 0} H[e, s] V_s for the Sylvester matrix H[e,
+    s] = (-1)^|e & s|, and H^T H = m I, so S = m sum_V V (x) V. A Hermitian V
+    is +-P for a Pauli string P, and the P (x) P over the 4^p - 1 nontrivial
+    strings sum to d SWAP - I: S is held to every V Hermitian and the (x, z)
+    covering those strings once each."""
+    covered = sorted(zip(x, z)) == list(product(range(1 << p), repeat=2))[1:]
+    return () if hermitian and covered else ("S = sum_t G_t (x) G_t differs from its closed form",)
 
 
 def scheme_family(p: int, scheme: str) -> Family:
-    """The scheme's family at p, proven from its V by exact identities."""
-    (x, diagonals), m = _products(p, scheme), SCHEMES[scheme].order(p)
-    spectrum, problems = _identities(x, diagonals, m)
-    return Family(scheme, p, m, len(x), spectrum, problems + _swap_sum(x, diagonals))
+    """The scheme's family at p, proven from the masks (x, z, t) of its V =
+    (-i)^t Z^z X^x in O(n p): a signed permutation of units by its form, so
+    S is real. Each V must be Hermitian, t = |x & z| (mod 2), so an
+    involution, and of trace 0, (x, z) != 0, and each group's V must follow
+    _group_law. With V_0 = I they then represent Z_2^k by commuting
+    involutions, so (I + T_e)/m = sum_s (-1)^|e & s| V_s / m is a projector
+    of trace d/m: T_e has eigenvalue m - 1 d/m times and -1 d - d/m times
+    (Bandyopadhyay et al., Algorithmica 34 (2002) 512)."""
+    x, z, t = _products(p, scheme)
+    d, m = 1 << p, SCHEMES[scheme].order(p)
+    hermitian = all((u - (a & c).bit_count()) % 2 == 0 for a, c, u in zip(x, z, t))
+    problems = [] if hermitian else ["a V is not Hermitian"]
+    if not all(a or c for a, c in zip(x, z)):
+        problems.append("a V has a nonzero trace")
+    if not _group_law(x, z, t, m):
+        problems.append("a group's V fail V_s V_g = V_(s ^ g) for a generator g")
+    problems += _swap_sum(p, x, z, hermitian)
+    spectrum = (-1.0,) * (d - d // m) + (m - 1.0,) * (d // m)
+    return Family(scheme, p, m, len(x), spectrum, tuple(problems))
+
+
+def _pairwise(values) -> float:
+    """numpy's pairwise sum of a float64 vector (pairwise_sum_DOUBLE): under
+    8 values a loop from 0.0; up to 128, eight accumulators over strided
+    runs, added pairwise, then the rest in turn; above that, the sums of two
+    halves, split at a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        stop = n - n % 8
+        r = [reduce(add, values[j:stop:8]) for j in range(8)]
+        return reduce(add, values[stop:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values[:half]) + _pairwise(values[half:])
+
+
+@cache
+def _weight_sum(weight: float, n_terms: int) -> float:
+    return _pairwise([weight] * n_terms)  # once per family and weight
 
 
 def verify_family(
@@ -302,32 +304,25 @@ def verify_family(
     party's (I - s T)/d = (I + s T_(e ^ 1))/d is another term's first. The
     terms linear in s cancel (sum_e T_e = 0), so the reconstruction is
     w/d^2 (n_terms I + c S) with c = sign * s^2. The proven S, m (d SWAP -
-    I), and the state are one value on each of _eye_flip_entries' three
-    groups, the first and third on the diagonal, and 0 elsewhere; so is the
-    float64 gap, whose values take the dense gap's operations in order.
+    I), and the state are one value on each of model._eye_flip_entries'
+    three groups, the first and third on the diagonal, and 0 elsewhere; so
+    is the float64 gap, whose values take the dense gap's operations in
+    order, in Python floats; the two sums are numpy's (_pairwise).
     """
     d = params.d
     if family.p != params.p:
         raise DimensionMismatch(f"family of p = {family.p} does not match p = {params.p}")
     scale, weight, sign = scheme_scalars(params, family.scheme)
-    n_terms = family.n_terms
-    vals = (1.0 + scale * family.spectrum) / d
-    c = sign * scale * scale
-    a = family.m
-    w = weight / (d * d)
-    rho = _werner_values(params).real
+    n_terms, a, c, w = family.n_terms, family.m, sign * scale * scale, weight / (d * d)
+    vals = [(1.0 + scale * v) / d for v in family.spectrum]
+    rho = _werner_values(params)
     only_i = (-a * c + n_terms) * w - rho[0]
     only_p = a * d * c * w - rho[1]
     both = (a * (d - 1) * c + n_terms) * w - rho[2]
     off = d * d - d  # the size of each off-|i>|i> group
-    return _report(
-        np.full(n_terms, weight),
-        float(vals.min()),
-        abs(float(np.sum(vals * vals)) - 1.0),
-        sqrt(off * (only_i * only_i) + off * (only_p * only_p) + d * (both * both)),
-        tol,
-        family.problems,
-    )
+    deviation = abs(_pairwise([v * v for v in vals]) - 1.0)
+    residual = sqrt(off * (only_i * only_i) + off * (only_p * only_p) + d * (both * both))
+    return _report(weight, _weight_sum(weight, n_terms), min(vals), deviation, residual, tol, family.problems)
 
 
 def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
@@ -338,6 +333,7 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
     its split come from one Jacobi pass. Nothing checks the output's purity:
     each projector has rank 1 by construction, and only `report --refine`
     re-verifies the refined certificate."""
+    import numpy as np
     report, (rows, vals, vecs) = _verify(werner_dense(dec.params), dec, tol, compute_vectors=True)
     if not report.verdict:
         raise VerificationFailure(

@@ -22,7 +22,7 @@ from werner.errors import SchemeRangeError
 from werner.linalg import Spectrum, hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, build_partition
-from werner.pauli import all_strings, pauli_matrices, signed_permutations
+from werner.pauli import all_strings, masks, pattern_values, pauli_matrices, signed_permutations
 from werner.verify import refine_to_pure
 
 
@@ -227,14 +227,19 @@ def test_component_spectrum_is_the_formula_bit_for_bit(p):
             assert np.trace(t) == 0
 
 
+def _realized(p, scheme, dtype=complex):
+    """The dense stack of the scheme's products V_s, from their masks."""
+    x, z, t = _products(p, scheme)
+    return signed_permutations(x, pattern_values(p, z, t), dtype)
+
+
 def _class_sums(p, k):
     # T_e = sum_{s != 0} (-1)^|e & s| V_s over class k's products V_s, the
     # class sums that the builder takes
     d = 2**p
     chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, d)] for e in range(d)])
-    x, diagonals = _products(p, COMMUTING_CLASS)
     rows = slice(k * (d - 1), (k + 1) * (d - 1))
-    return np.tensordot(chi, signed_permutations(x[rows], diagonals[rows], np.complex64), 1)
+    return np.tensordot(chi, _realized(p, COMMUTING_CLASS, np.complex64)[rows], 1)
 
 
 def test_reconstruct_requires_terms():
@@ -258,14 +263,16 @@ def _loop_class_sum(cls, e):
 
 
 def test_the_class_products_hold_each_class_in_fold_order():
-    # one (x, D) per call, class by class; row k (d - 1) + s - 1 is class k's
-    # V_s (s != 0), the ordered product of the generators the bits of s select
+    # one (x, z, t) per call, class by class; row k (d - 1) + s - 1 is class
+    # k's V_s (s != 0), the ordered product of the generators the bits of s
+    # select
     for p in (1, 2, 3):
         d = 2**p
-        x, diagonals = _products(p, COMMUTING_CLASS)
-        assert x.shape == (d * d - 1,) and x.dtype == np.int64
-        assert diagonals.shape == (d * d - 1, d) and diagonals.dtype == np.complex64
-        stack = signed_permutations(x, diagonals, np.complex64)
+        x, z, t = _products(p, COMMUTING_CLASS)
+        assert len(x) == len(z) == len(t) == d * d - 1
+        assert all(type(v) is int for v in x + z + t)
+        assert all(0 <= v < 4 for v in t)
+        stack = _realized(p, COMMUTING_CLASS, np.complex64)
         for k, cls in enumerate(build_partition(p).classes):
             gens = pauli_matrices(cls.generators)
             for s in range(1, d):
@@ -277,11 +284,12 @@ def test_the_class_products_hold_each_class_in_fold_order():
 
 
 def test_the_per_string_products_are_the_strings_in_order():
-    # a group {I, sigma} has the one product V_1 = sigma
+    # a group {I, sigma} has the one product V_1 = sigma, (-i)^(y count) Z^z X^x
     for p in (1, 2, 3):
-        x, diagonals = _products(p, PER_STRING)
-        assert diagonals.dtype == np.complex64
-        assert np.array_equal(signed_permutations(x, diagonals), pauli_matrices(list(all_strings(p))[1:]))
+        x, z, t = _products(p, PER_STRING)
+        _, xs, zs = masks(list(all_strings(p))[1:])
+        assert (x, z, t) == (xs, zs, [(a & c).bit_count() % 4 for a, c in zip(xs, zs)])
+        assert np.array_equal(_realized(p, PER_STRING), pauli_matrices(list(all_strings(p))[1:]))
 
 
 def _same_terms(a, b):

@@ -2,9 +2,9 @@
 werner` imports no submodule and no numpy: the pinned sets are exact, so a
 stray eager import anywhere fails here. No call loads `dataclasses` (the
 value types are named tuples) or `numpy.ma` (which a bare np.unique
-imports). `ppt` and `partition` run on Python ints and floats alone: they
-import no numpy, and print the same bytes where numpy cannot be imported at
-all."""
+imports). `ppt`, `partition` and `sweep` run on Python ints and floats
+alone: they import no numpy, and print the same bytes where numpy cannot be
+imported at all."""
 import json
 import os
 import subprocess
@@ -18,7 +18,7 @@ from werner.cli import main
 
 _ARRAYS = {"cli", "errors", "serialize", "model", "linalg", "pauli"}
 _EVERY = _ARRAYS | {"decompose", "partition", "verify"}
-_NUMPY_FREE = {"ppt", "partition"}
+_NUMPY_FREE = {"ppt", "partition", "sweep"}
 
 SCOPES = {
     ("build", "--p", "1", "--f", "0.5"): _ARRAYS,
@@ -93,6 +93,25 @@ def test_ppt_and_partition_print_the_same_bytes_without_numpy(tmp_path):
     # the guard holds: where numpy is needed, its absence is an ImportError
     with pytest.raises(subprocess.CalledProcessError, match="exit status 1"):
         _fresh(_OUTPUTS, "BLOCK", json.dumps([["build", "--p", "1", "--f", "0.5"]]), cwd=tmp_path)
+
+
+def test_sweep_prints_the_same_bytes_without_numpy(tmp_path):
+    # both families and the entangled rows at the default tol and at tol 0,
+    # where some family points are INVALID, and a range that is all
+    # entangled, which builds no family
+    grid = ["--f-start", "-1", "--f-end", "1", "--f-step", "0.05"]
+    argvs = [["sweep", "--p", str(p), *grid, *tol] for p in range(1, 6) for tol in ([], ["--tol", "0"])]
+    argvs += [["sweep", "--p", str(p), "--f-start", "-1", "--f-end", "-0.1", "--f-step", "0.3"]
+              for p in range(1, 6)]
+    normal = _fresh(_OUTPUTS, "RUN", json.dumps(argvs), cwd=tmp_path)
+    blocked = _fresh(_OUTPUTS, "BLOCK", json.dumps(argvs), cwd=tmp_path)
+    assert blocked == normal
+    assert [code for code, _, _ in normal] == [0] * 15
+    rows = [out.splitlines()[1:] for _, out, _ in normal]
+    assert [len(r) for r in rows] == [41] * 10 + [4] * 5
+    verdicts = {"ENTANGLED", "SEPARABLE", "INVALID"}
+    assert {row.rsplit(",", 1)[1] for r in rows[:10] for row in r} == verdicts
+    assert {row.rsplit(",", 1)[1] for r in rows[10:] for row in r} == {"ENTANGLED"}
 
 
 def test_import_werner_loads_no_submodule_and_no_numpy(tmp_path):

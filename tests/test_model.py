@@ -18,6 +18,7 @@ from werner.model import (
     _CHUNK_BYTES,
     _conjugate_in_place,
     _eye_flip,
+    _werner_values,
     invariance_residual,
     ppt_check,
     pt_spectrum_closed_form,
@@ -126,6 +127,18 @@ def test_werner_dense_is_the_expression_bit_for_bit(p):
     for f in grid:
         params = WernerParams(p, f)
         assert werner_dense(params).tobytes() == _reference_dense(params, flip).tobytes(), f
+
+
+def test_the_werner_values_are_the_complex_quotient_bit_for_bit():
+    # Python floats a (1/(d^3 - d)) carry the bits of numpy's complex quotient
+    # of the expression by d^3 - d; a plain a/(d^3 - d) differs at about a
+    # third of these points
+    for p in range(1, 6):
+        d = 2**p
+        for f in np.linspace(-1.0, 1.0, 3001).tolist():
+            want = ((d - f) * np.array([1, 0, 1], dtype=complex)
+                    + (d * f - 1.0) * np.array([0, 1, 1], dtype=complex)) / (d**3 - d)
+            assert _werner_values(WernerParams(p, f)) == tuple(want.real.tolist()), (p, f)
 
 
 @settings(deadline=None, max_examples=30)

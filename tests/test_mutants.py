@@ -1,11 +1,11 @@
 """Mutation tests of the verdict: named edits to verify.py, to model.ppt_check,
-to serialize's certificate reader, to partition.validate_partition and to
-decompose.reconstruct, that a probe must see.
+to serialize's certificate reader, to partition.validate_partition, to
+decompose.reconstruct and to cli.py's exit codes, that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
-serialize.py, partition.py or decompose.py. The text must occur exactly
-once, so a refactor that removes it fails here and the list has to follow.
-The edited source is exec'd into a fresh module object (no file is
+serialize.py, partition.py, decompose.py or cli.py. The text must occur
+exactly once, so a refactor that removes it fails here and the list has to
+follow. The edited source is exec'd into a fresh module object (no file is
 written), and a fixed set of small probes of that module runs against it. A
 verify probe returns the boolean judgements of one report: verdict,
 convex_ok, positivity_ok and purity_ok, or the verdicts of
@@ -13,16 +13,23 @@ separability_report at a few points; a model probe, ppt_check's verdicts; a
 serialize probe, which certificate headers and which certificate texts are
 read; a partition probe, the kinds of problem validate_partition reports for
 each broken partition; a decompose probe, which certificates reconstruct
-their state. An edit is killed when some probe's judgements differ from
-those of the unedited source.
+their state; a cli probe, the exit code and the error name on stderr of
+calls of main, run in process. An edit is killed when some probe's
+judgements differ from those of the unedited source.
 """
+import io
+import json
+import os
 import re
+import tempfile
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 
 import numpy as np
 import pytest
 
+import werner.cli
 import werner.decompose
 import werner.model
 import werner.partition
@@ -33,7 +40,7 @@ from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto
 from werner.errors import MalformedInput, WernerError
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
-from werner.pauli import DIGIT_LETTERS, pauli_matrices
+from werner.pauli import DIGIT_LETTERS, masks
 from werner.verify import refine_to_pure
 
 
@@ -43,7 +50,8 @@ def _source(module):
 
 
 MODULES = {
-    name: getattr(werner, name) for name in ("verify", "model", "serialize", "partition", "decompose")
+    name: getattr(werner, name)
+    for name in ("verify", "model", "serialize", "partition", "decompose", "cli")
 }
 SOURCES = {name: _source(module) for name, module in MODULES.items()}
 
@@ -136,31 +144,19 @@ def wrong_in_the_first_entry(m):
 # --- probes on families (scheme_family, verify_family) ---------------------------
 
 
-def _string(label):
-    return pauli_matrices([[DIGIT_LETTERS.index(c) for c in label]])[0]
-
-
-def _pattern_form(mat):
-    """(x, D) of a dense signed permutation with a nonzero first row:
-    mat[r, r ^ x] = D[r]."""
-    x = int(np.flatnonzero(mat[0])[0])
-    return x, mat[np.arange(len(mat)), np.arange(len(mat)) ^ x]
-
-
-def _at(x, diagonals, label):
-    """The index of the V that is the string named by label."""
-    want, values = _pattern_form(_string(label))
-    (at,) = np.flatnonzero((x == want) & (diagonals == values).all(axis=1))
-    return at
+def _at(x, z, label):
+    """The index of the V on the (x, z) masks of the string named by label."""
+    _, (want_x,), (want_z,) = masks([[DIGIT_LETTERS.index(c) for c in label]])
+    return next(k for k, (a, c) in enumerate(zip(x, z)) if (a, c) == (want_x, want_z))
 
 
 def _family(m, p, f, scheme, tamper=None):
-    """The judgements of verify_family on the scheme's family at p, its V =
-    (x, D) first changed in place by tamper(x, D)."""
+    """The judgements of verify_family on the scheme's family at p, the masks
+    (x, z, t) of its V first changed in place by tamper(x, z, t)."""
     if tamper is not None:
-        x, diagonals = werner.verify._products(p, scheme)
-        tamper(x, diagonals)
-        m._products = lambda p, scheme: (x, diagonals)
+        x, z, t = werner.verify._products(p, scheme)
+        tamper(x, z, t)
+        m._products = lambda p, scheme: (x, z, t)
     return _judgements(m.verify_family(m.scheme_family(p, scheme), WernerParams(p, f)))
 
 
@@ -173,63 +169,72 @@ def honest_strings(m):
     return _family(m, 2, 0.1, PER_STRING)
 
 
+def honest_p4_strings(m):
+    # 510 weights: the pairwise sum splits them into halves
+    return _family(m, 4, 0.05, PER_STRING)
+
+
 def _honest_swap_sum(m):
-    # S's checks answer as for the honest family, which passes them
-    m._swap_sum = lambda x, diagonals: ()
+    # S's check answers as for the honest family, which passes it
+    m._swap_sum = lambda p, x, z, hermitian: ()
 
 
 def negated_product(m):
-    # the class of IX, XI and XX at p = 2: V_3 = XX becomes -XX, so V_1 V_2
-    # is no longer V_3. -XX is a Hermitian signed permutation of trace 0,
-    # and S sums V (x) V = (-V) (x) (-V), so only the law's entries see it
-    def negate(x, diagonals):
-        diagonals[_at(x, diagonals, "XX")] *= -1
+    # the class of IX, XI and XX at p = 2: V_3 = XX becomes -XX (t + 2), so
+    # V_1 V_2 is no longer V_3. -XX is Hermitian with trace 0, and S sums V
+    # (x) V = (-V) (x) (-V), so only the law's turns see it
+    def negate(x, z, t):
+        k = _at(x, z, "XX")
+        t[k] = (t[k] + 2) % 4
 
     return _family(m, 2, 0.6, COMMUTING_CLASS, negate)
 
 
 def repeated_product(m):
-    # the class of IX, XI and XX at p = 2: V_3 = XX becomes a second IX.
-    # Every entry of the class is 1, and IX has trace 0, so only the
-    # patterns show that V_1 V_2 is not V_3. S changes too, so its checks
-    # are stubbed
+    # the class of IX, XI and XX at p = 2: V_3 = XX becomes a second IX, and
+    # only its x mask changes, so only the law's x masks show that V_1 V_2
+    # is not V_3. S changes too, so its check is stubbed
     _honest_swap_sum(m)
 
-    def repeat(x, diagonals):
-        at = _at(x, diagonals, "XX")
-        x[at], diagonals[at] = _pattern_form(_string("IX"))
+    def repeat(x, z, t):
+        x[_at(x, z, "XX")] = x[_at(x, z, "IX")]
 
     return _family(m, 2, 0.6, COMMUTING_CLASS, repeat)
 
 
-def non_real_swap_sum(m):
-    # IX, ZX, IY, ZY become A, A, C, D with A = P0 X + P1 Y, C = P0 Y + P1 X,
-    # D = P0 Y - P1 X: Hermitian signed permutations of units with trace 0,
-    # the real part of S is unchanged, and 2 A (x) A adds the imaginary
-    # 2 (P0 X (x) P1 Y + P1 Y (x) P0 X)
-    p0, p1 = np.diag([1, 0]), np.diag([0, 1])
-    x, y = _string("X"), _string("Y")
-    a = np.kron(p0, x) + np.kron(p1, y)
-    swaps = {"IX": a, "ZX": a, "IY": np.kron(p0, y) + np.kron(p1, x),
-             "ZY": np.kron(p0, y) - np.kron(p1, x)}
+def repeated_diagonal_product(m):
+    # the class of IZ, ZI and ZZ at p = 2: V_3 = ZZ becomes a second IZ, and
+    # only its z mask changes, so only the law's z masks show that V_1 V_2
+    # is not V_3. S changes too, so its check is stubbed
+    _honest_swap_sum(m)
 
-    def mix(x, diagonals):
-        for label, new in swaps.items():
-            at = _at(x, diagonals, label)
-            x[at], diagonals[at] = _pattern_form(new)
+    def repeat(x, z, t):
+        z[_at(x, z, "ZZ")] = z[_at(x, z, "IZ")]
 
-    return _family(m, 2, 0.1, PER_STRING, mix)
+    return _family(m, 2, 0.6, COMMUTING_CLASS, repeat)
+
+
+def doubled_string(m):
+    # the string ZZ becomes a second XX: every V is Hermitian of trace 0 and
+    # the groups {I, sigma} have no law, so only S's cover of the strings
+    # sees that XX is counted twice and ZZ never
+    def double(x, z, t):
+        k, j = _at(x, z, "ZZ"), _at(x, z, "XX")
+        x[k], z[k], t[k] = x[j], z[j], t[j]
+
+    return _family(m, 2, 0.1, PER_STRING, double)
 
 
 def imaginary_string(m):
-    # X becomes iX: a signed permutation of units with trace 0, but not
-    # Hermitian, so (I + s iX)/2 is no state. S changes sign in X (x) X, so
-    # its checks are stubbed to show that the Hermitian check alone reaches
-    # the verdict
+    # X becomes -iX (t + 1): a signed permutation of units with trace 0, but
+    # not Hermitian, so (I + s (-iX))/2 is no state. S changes sign in X (x)
+    # X, so its check is stubbed to show that the Hermitian check alone
+    # reaches the verdict
     _honest_swap_sum(m)
 
-    def rotate(x, diagonals):
-        diagonals[_at(x, diagonals, "X")] *= 1j
+    def rotate(x, z, t):
+        k = _at(x, z, "X")
+        t[k] = (t[k] + 1) % 4
 
     return _family(m, 1, 0.3, PER_STRING, rotate)
 
@@ -237,30 +242,14 @@ def imaginary_string(m):
 def traced_string(m):
     # Z becomes I: Hermitian, and I^2 = I, but its trace is 2. A Hermitian
     # family whose S has its closed form has traces 0 (tr_1 S = sum_t
-    # tr(G_t) G_t = 0, so sum_t tr(G_t)^2 = 0), so S's checks are stubbed
-    # to show that the trace identity alone reaches the verdict
+    # tr(G_t) G_t = 0, so sum_t tr(G_t)^2 = 0), so S's check is stubbed to
+    # show that the trace identity alone reaches the verdict
     _honest_swap_sum(m)
 
-    def lift(x, diagonals):
-        diagonals[_at(x, diagonals, "Z")] = 1
+    def lift(x, z, t):
+        z[_at(x, z, "Z")] = 0
 
     return _family(m, 1, 0.3, PER_STRING, lift)
-
-
-def mixed_commuting_strings(m):
-    # ZII, IZI, IIZ and ZZZ commute, and become (1/2) sum_b H_ab sigma_b for
-    # the 4 x 4 Hadamard matrix H: diagonal, real, traceless, with the same
-    # S, but (ZII + IZI + IIZ + ZZZ)/2 has entries 0 and 2 and eigenvalue 2,
-    # so its factor (I - s G)/d is not positive
-    labels = ["ZII", "IZI", "IIZ", "ZZZ"]
-    hadamard = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
-
-    def mix(x, diagonals):
-        # all four are diagonal, so only their entries D mix
-        at = [_at(x, diagonals, label) for label in labels]
-        diagonals[at] = np.tensordot(hadamard / 2, diagonals[at], axes=1)
-
-    return _family(m, 3, 0.0, PER_STRING, mix)
 
 
 def shifted_state(m):
@@ -270,52 +259,9 @@ def shifted_state(m):
     # residual with a group counted once, so a group dropped or counted once
     # passes the verdict
     eps, values = 1e-10, m._werner_values
-    m._werner_values = lambda params: values(params) + eps
+    m._werner_values = lambda params: tuple(v + eps for v in values(params))
     family = m.scheme_family(1, COMMUTING_CLASS)
     return _judgements(m.verify_family(family, WernerParams(1, 0.6), 2.35 * eps))
-
-
-def _closed_form_changed(m, change):
-    """verify_family's judgements on an honest family whose S was held to a
-    closed form with one entry changed by change(only_i, only_p, both)."""
-    entries = m._eye_flip_entries
-
-    def changed(d):
-        return change(*entries(d))
-
-    m._eye_flip_entries = changed
-    family = m.scheme_family(2, PER_STRING)
-    m._eye_flip_entries = entries
-    return _judgements(m.verify_family(family, WernerParams(2, 0.1)))
-
-
-def changed_closed_form(m):
-    # the first entry where only I is 1 holds the value of the |i>|i> entries
-    def change(only_i, only_p, both):
-        (rows, cols), (b_rows, b_cols) = only_i, both
-        moved = np.append(b_rows, rows[0]), np.append(b_cols, cols[0])
-        return (rows[1:], cols[1:]), only_p, moved
-
-    return _closed_form_changed(m, change)
-
-
-def dropped_closed_form_entry(m):
-    # the first entry where only I is 1 is 0: only S's comparison with 0 off
-    # the closed form's entries sees it
-    return _closed_form_changed(
-        m, lambda only_i, only_p, both: ((only_i[0][1:], only_i[1][1:]), only_p, both)
-    )
-
-
-def off_pattern_closed_form(m):
-    # the first entry where only P is 1, ((0, 1), (1, 0)), moves to ((0, 1),
-    # (1, 1)), off every XOR pattern ((i, k), (i ^ x, k ^ x)); filed under
-    # the x of its first index, it would land where the old entry was
-    def change(only_i, only_p, both):
-        rows, cols = only_p
-        return only_i, (rows, np.append(cols[0] + 1, cols[1:])), both
-
-    return _closed_form_changed(m, change)
 
 
 # --- probes on the decision at a point (_point, through separability_report) ---
@@ -466,6 +412,34 @@ def reconstruct_gaps(m):
     )
 
 
+# --- probes on cli.main -------------------------------------------------------
+
+
+def _call(m, *argv):
+    """(exit code, the error named on stderr or None) of main(argv)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = m.main(list(argv))
+    return code, json.loads(err.getvalue())["error"] if err.getvalue() else None
+
+
+def exit_codes(m):
+    # verify of an honest certificate and of one with a factor eigenvalue of
+    # -2e-9, then report at a SEPARABLE point, at an INVALID one (the p = 3
+    # class family at f = 1/4 under tol 0) and at an ENTANGLED one
+    certificates = decompose_auto(WernerParams(1, 0.6)), _least_eigenvalue_certificate(-2e-9)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = []
+        for k, dec in enumerate(certificates):
+            path = os.path.join(tmp, f"{k}.json")
+            with open(path, "w") as fh:
+                fh.writelines(werner.serialize.certificate_chunks(dec))
+            calls.append(_call(m, "verify", "--input", path))
+    return (*calls, _call(m, "report", "--p", "2", "--f", "0.6"),
+            _call(m, "report", "--p", "3", "--f", "0.25", "--tol", "0"),
+            _call(m, "report", "--p", "2", "--f", "-0.5"))
+
+
 PROBES = {"verify": [
     (honest_document, (True, True, True, False)),
     (negative_weight, (False, False, True, False)),
@@ -476,15 +450,13 @@ PROBES = {"verify": [
     (wrong_in_the_first_entry, (False, True, True, False)),
     (honest_classes, (True, True, True, True)),
     (honest_strings, (True, True, True, False)),
+    (honest_p4_strings, (True, True, True, False)),
     (negated_product, (False, True, True, False)),
     (repeated_product, (False, True, True, False)),
-    (non_real_swap_sum, (False, True, True, False)),
-    (changed_closed_form, (False, True, True, False)),
-    (dropped_closed_form_entry, (False, True, True, False)),
-    (off_pattern_closed_form, (False, True, True, False)),
+    (repeated_diagonal_product, (False, True, True, False)),
+    (doubled_string, (False, True, True, False)),
     (imaginary_string, (False, True, True, False)),
     (traced_string, (False, True, True, False)),
-    (mixed_commuting_strings, (False, True, True, False)),
     (shifted_state, (False, True, True, False)),
     (report_verdicts, ("ENTANGLED", "INVALID", "SEPARABLE")),
 ], "model": [
@@ -504,6 +476,9 @@ PROBES = {"verify": [
     )),
 ], "decompose": [
     (reconstruct_gaps, (True, True)),
+], "cli": [
+    (exit_codes, ((0, None), (2, "VerificationFailed"), (0, None), (2, "VerificationFailed"),
+                  (2, "NotSeparable"))),
 ]}
 
 # (name, module, exact text of its source, the replacement)
@@ -530,40 +505,38 @@ MUTANTS = [
      "if k < len(distinct) and distinct[k].tobytes() != data:", "if False:"),
     # the family's own checks
     ("the family's problems do not reach the verdict", "verify",
-     "        family.problems,\n", "        (),\n"),
-    ("no check that S is real", "verify",
-     'problems.append("S = sum_t G_t (x) G_t is not real")', "pass"),
+     "tol, family.problems)", "tol, ())"),
     ("no check of S against its closed form", "verify",
-     'problems.append("S = sum_t G_t (x) G_t differs from its closed form")', "pass"),
+     '("S = sum_t G_t (x) G_t differs from its closed form",)', "()"),
+    ("S held to its closed form by the count of its strings alone", "verify",
+     "sorted(zip(x, z)) == list(product(range(1 << p), repeat=2))[1:]", "len(x) == 4**p - 1"),
     # the identities that prove the spectrum
-    ("no check that the V are signed permutations of units", "verify",
-     'problems.append("a V is not a signed permutation of 1, -1, i and -i")', "pass"),
-    ("the V's entries are not held to 1, -1, i and -i", "verify",
-     "not ((abs(re) + abs(im) == 1) & (re * im == 0)).all()", "False"),
     ("no check that the G_t are Hermitian", "verify",
-     'problems.append("a V is not Hermitian")', "pass"),
+     'problems = [] if hermitian else ["a V is not Hermitian"]', "problems = []"),
     ("no check of the traces", "verify",
      'problems.append("a V has a nonzero trace")', "pass"),
     ("no check of the class products", "verify",
      """problems.append("a group's V fail V_s V_g = V_(s ^ g) for a generator g")""", "pass"),
     ("the class products held by their patterns alone", "verify",
-     "law = law and np.array_equal(ds[:, s - 1] * ds[groups, g - 1, partner], ds[:, (s ^ g) - 1])",
-     "pass"),
+     "\n                and zs ^ zg == zu and (ts + tg + 2 * (xs & zg).bit_count() - tu) % 4 == 0", ""),
     ("the class products held by their entries alone", "verify",
-     "law = law and np.array_equal(xs[:, s - 1] ^ xs[:, g - 1, None], xs[:, (s ^ g) - 1])", "pass"),
+     "xs ^ xg == xu\n                and ", ""),
+    ("the class products' z masks not held", "verify", "zs ^ zg == zu and ", ""),
+    ("the class products' turns not held", "verify",
+     " and (ts + tg + 2 * (xs & zg).bit_count() - tu) % 4 == 0", ""),
+    ("the turns of a product ignore that X^x Z^z = (-1)^|x & z| Z^z X^x", "verify",
+     " + 2 * (xs & zg).bit_count()", ""),
     ("the class sums' multiplicities swapped", "verify",
-     "[d - d // m, d // m]", "[d // m, d - d // m]"),
-    ("the spectrum's top eigenvalue is m", "verify", "[-1.0, m - 1.0]", "[-1.0, float(m)]"),
+     "(-1.0,) * (d - d // m) + (m - 1.0,) * (d // m)", "(-1.0,) * (d // m) + (m - 1.0,) * (d - d // m)"),
+    ("the spectrum's top eigenvalue is m", "verify", "(m - 1.0,)", "(float(m),)"),
     # a group {I, sigma} has no V_0 row: V_1 V_1 read as V_0 is its V_1
     ("the group law asks V_g V_g = V_0 of a per-string group", "verify",
-     "[s for s in range(1, m) if s != g]", "list(range(1, m))"),
-    ("S held to its closed form by its nonzero count off the XOR patterns alone", "verify",
-     "off == 0 and np.array_equal(gram.real, closed))", "off == 0)"),
-    ("S held to its closed form only where that is nonzero", "verify",
-     "np.array_equal(gram.real, closed)",
-     "np.array_equal(gram.real[closed != 0], closed[closed != 0])"),
-    ("a closed-form entry off every XOR pattern is taken", "verify",
-     "off += np.count_nonzero((into ^ out) // d != (into ^ out) % d)", "pass"),
+     "for s in range(1, m) if s != g]", "for s in range(1, m)]"),
+    # the family's two sums, in numpy's pairwise order
+    ("the pairwise sum drops the values after the last block of 8", "verify",
+     "reduce(add, values[stop:], ", "reduce(add, [], "),
+    ("the pairwise sum drops its second half", "verify",
+     "_pairwise(values[:half]) + _pairwise(values[half:])", "_pairwise(values[:half])"),
     # the family's residual over the three groups of the gap
     ("no n_terms on the first diagonal group", "verify",
      "+ n_terms) * w - rho[0]", ") * w - rho[0]"),
@@ -638,6 +611,11 @@ MUTANTS = [
      ".transpose(0, 2, 1, 3)", ""),
     ("reconstruct skips one term between chunks", "decompose",
      "range(0, dec.n_terms, step)", "range(0, dec.n_terms, step + 1)"),
+    # the CLI's exit codes and error names on a verdict
+    ("verify exits 0 on a failed verdict", "cli",
+     "p=dec.params.p, f=dec.params.f)\n        return 2", "p=dec.params.p, f=dec.params.f)\n        return 0"),
+    ("report names INVALID as NotSeparable", "cli",
+     '"NotSeparable" if rep.verdict == "ENTANGLED" else "VerificationFailed"', '"NotSeparable"'),
 ]
 
 

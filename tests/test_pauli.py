@@ -19,6 +19,7 @@ from werner.pauli import (
     check_digits,
     format_label,
     masks,
+    pattern_values,
     pauli_matrices,
     signed_permutations,
 )
@@ -213,7 +214,8 @@ def test_class_sums_are_bit_identical_to_kron_sums(p):
     # class k, and n A - I is T_e exactly
     dec, eye = decompose_auto(WernerParams(p, 1.0), COMMUTING_CLASS), np.eye(n)
     assert dec.scale == 1.0
-    stack = signed_permutations(*_products(p, COMMUTING_CLASS), np.complex64)
+    x, z, t = _products(p, COMMUTING_CLASS)
+    stack = signed_permutations(x, pattern_values(p, z, t), np.complex64)
     for k, cls in enumerate(build_partition(p).classes):
         gens = [_kron_matrix(g) for g in cls.generators]
         # member c is the ordered product of the generators its bits select

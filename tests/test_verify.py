@@ -27,7 +27,7 @@ from werner.cli import main
 from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
 from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
-from werner.pauli import signed_permutations
+from werner.pauli import pattern_values, signed_permutations
 from werner.serialize import certificate_chunks, doc_decomposition, parse_decomposition
 from werner.verify import (
     _eigensystems,
@@ -397,44 +397,46 @@ def test_the_family_agrees_with_the_built_certificate_on_a_sample(p, f):
     _assert_agree(WernerParams(p, f))
 
 
+def _realized(p, x, z, t, dtype=complex):
+    """The dense stack of the V = (-i)^t Z^z X^x over masks x, z and t."""
+    return signed_permutations(x, pattern_values(p, z, t), dtype)
+
+
 def _family_generators(p, scheme):
     """The family's G_t, term by term: each group's T_e = sum_{s != 0}
     (-1)^|e & s| V_s over its products V_s, as the builder takes them, in
     complex128; +-sigma for the groups {I, sigma}."""
     d, m = 2**p, SCHEMES[scheme].order(p)
     chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, m)] for e in range(m)])
-    prods = signed_permutations(*werner.verify._products(p, scheme)).reshape(-1, m - 1, d * d)
+    prods = _realized(p, *werner.verify._products(p, scheme)).reshape(-1, m - 1, d * d)
     return np.matmul(chi, prods).reshape(-1, d, d)
 
 
 def _tampered_family(monkeypatch, p, scheme, tamper):
-    """scheme_family on the scheme's V = (x, D), first changed in place by
-    tamper(x, D)."""
-    x, diagonals = werner.verify._products(p, scheme)
-    tamper(x, diagonals)
-    monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, diagonals))
+    """scheme_family on the masks (x, z, t) of the scheme's V, first changed
+    in place by tamper(x, z, t)."""
+    x, z, t = werner.verify._products(p, scheme)
+    tamper(x, z, t)
+    monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, z, t))
     return scheme_family(p, scheme)
 
 
-def _first_diagonal(x):
-    # the first diagonal V, x = 0; every V has trace 0
-    return np.flatnonzero(x == 0)[0]
+def _negate_odd_entries(x, z, t):
+    # the first diagonal V (x = 0) negated on its odd rows: z ^= 1 makes it
+    # another string, still Hermitian
+    z[x.index(0)] ^= 1
 
 
-def _negate_entry(x, diagonals):
-    diagonals[_first_diagonal(x), 0] *= -1  # a diagonal entry: still Hermitian
-
-
-def _negate_matrix(x, diagonals):
-    diagonals[1] *= -1
+def _negate_matrix(x, z, t):
+    t[1] = (t[1] + 2) % 4  # (-i)^2 = -1
 
 
 @pytest.mark.parametrize(
     "f,tamper,problems",
     [
-        (0.6, _negate_entry, ["nonzero trace", "V_s V_g = V_(s ^ g)", "closed form"]),
+        (0.6, _negate_odd_entries, ["nonzero trace", "V_s V_g = V_(s ^ g)", "closed form"]),
         (0.6, _negate_matrix, ["V_s V_g = V_(s ^ g)"]),
-        (0.1, _negate_entry, ["nonzero trace", "closed form"]),
+        (0.1, _negate_odd_entries, ["nonzero trace", "closed form"]),
     ],
 )
 def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamper, problems):
@@ -446,7 +448,9 @@ def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamp
     # the residual reads S's proven closed form, never the tampered S, so the
     # family's problems alone fail the verdict; a class's negated V_1 leaves
     # S as it was, and only the class's products see it: V_1 V_2 is V_3, not
-    # -V_3 (row 1 is the first class's V_2)
+    # -V_3 (row 1 is the first class's V_2). In both schemes the first
+    # diagonal V at p = 2 is IZ, and it becomes I, of trace 4, which leaves
+    # IZ out of S
     assert rep.diagnostics == family.problems
     assert rep.reconstruction_residual == honest.reconstruction_residual
     assert len(family.problems) == len(problems)
@@ -460,27 +464,6 @@ def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatc
     family = _tampered_family(monkeypatch, 2, PER_STRING, _negate_matrix)
     assert family.problems == ()
     assert verify_family(family, params) == honest
-
-
-def test_a_lifted_string_fails_the_trace_and_square_identities(monkeypatch):
-    # diag(1, -1, 1, -1) becomes diag(3, -1, 1, -1), whose (I - s G)/d has a
-    # negative eigenvalue; no eigensolver runs, the identities see it. A
-    # Hermitian signed permutation squares to I exactly when its entries are
-    # 1, -1, i or -i, so the unit check is the square identity
-    params = WernerParams(2, 0.1)
-
-    def lift(x, diagonals):
-        diagonals[_first_diagonal(x), 0] += 2
-
-    family = _tampered_family(monkeypatch, 2, PER_STRING, lift)
-    assert family.problems == (
-        "a V is not a signed permutation of 1, -1, i and -i",
-        "a V has a nonzero trace",
-        "S = sum_t G_t (x) G_t differs from its closed form",
-    )
-    rep = verify_family(family, params)
-    assert not rep.verdict
-    assert rep.diagnostics[-3:] == family.problems
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -529,35 +512,6 @@ def test_report_and_sweep_need_no_eigensolver_and_no_thread(monkeypatch, capsys)
         assert [row[8] for row in rows] == ["ENTANGLED"] * 4 + ["SEPARABLE"] * 5
 
 
-def _value_changed(only_i, only_p, both):
-    # the first entry where only I is 1 holds the value of the |i>|i> entries
-    (rows, cols), (b_rows, b_cols) = only_i, both
-    moved = np.append(b_rows, rows[0]), np.append(b_cols, cols[0])
-    return (rows[1:], cols[1:]), only_p, moved
-
-
-def _entry_dropped(only_i, only_p, both):
-    # the first entry where only I is 1 is 0
-    return (only_i[0][1:], only_i[1][1:]), only_p, both
-
-
-@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
-def test_a_one_entry_change_to_the_closed_form_fails_the_family(monkeypatch, scheme):
-    # S is held to its closed form at _eye_flip_entries, and to 0 elsewhere:
-    # one value changed, or one entry dropped to 0, fails
-    entries = werner.verify._eye_flip_entries
-    params = WernerParams(2, 0.1 if scheme == PER_STRING else 0.6)
-    for change in (_value_changed, _entry_dropped):
-        with monkeypatch.context() as patched:
-            patched.setattr("werner.verify._eye_flip_entries", lambda d: change(*entries(d)))
-            family = scheme_family(2, scheme)
-        assert family.problems == ("S = sum_t G_t (x) G_t differs from its closed form",)
-        rep = verify_family(family, params)
-        assert rep.convex_ok and rep.positivity_ok and rep.reconstruction_residual <= 1e-15
-        assert not rep.verdict
-        assert rep.diagnostics == family.problems
-
-
 @pytest.mark.parametrize("shift", [1e-12, 1e-6])
 @pytest.mark.parametrize("f", [0.1, 0.6])
 def test_weights_that_do_not_sum_to_1_fail_the_family(monkeypatch, f, shift):
@@ -595,33 +549,34 @@ def _closed_swap_sum(p):
     return werner.model._eye_flip(d, (-1, d, d - 1))
 
 
-# each tamper changes V number t of the (x, D) in place
+# each tamper changes V number k of the masks (x, z, t) in place
 
 
-def _sign_flipped(x, diagonals, t):
-    diagonals[t, 0] *= -1
+def _sign_flipped(x, z, t, k):
+    t[k] = (t[k] + 2) % 4
 
 
-def _entry_moved(x, diagonals, t):
+def _entry_moved(x, z, t, k):
     # every entry of the V, to the next XOR pattern
-    x[t] ^= 1
+    x[k] ^= 1
 
 
-def _row_doubled(x, diagonals, t):
-    diagonals[t] *= 2
+def _row_doubled(x, z, t, k):
+    # the V before it, again: its string twice, and the V's string left out
+    x[k], z[k], t[k] = x[k - 1], z[k - 1], t[k - 1]
 
 
-def _i_added(x, diagonals, t):
-    t = next(s for s in range(t, len(x)) if diagonals[s].real.any())
-    diagonals[t, np.flatnonzero(diagonals[t].real)[0]] += 1j
+def _i_added(x, z, t, k):
+    t[k] = (t[k] + 1) % 4
 
 
-def _rows_swapped(x, diagonals, t):
+def _rows_swapped(x, z, t, k):
     # V_1 and V_2 of the first class (of d - 1 rows) whose V_1 is not
     # diagonal; the two strings there for per_string
-    d = diagonals.shape[1]
+    d = 2 ** (len(x).bit_length() // 2)  # len(x) = d^2 - 1
     k = next(k for k in range(0, len(x), d - 1) if x[k])
-    x[[k, k + 1]], diagonals[[k, k + 1]] = x[[k + 1, k]], diagonals[[k + 1, k]]
+    for v in (x, z, t):
+        v[k], v[k + 1] = v[k + 1], v[k]
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -630,21 +585,24 @@ def _rows_swapped(x, diagonals, t):
     "tamper", [_sign_flipped, _entry_moved, _row_doubled, _i_added, _rows_swapped]
 )
 def test_no_tampered_stack_passes_with_a_wrong_s(monkeypatch, p, scheme, tamper):
-    # the proof of S reads each V's pattern only, so it stands on the other
-    # identities: whenever the family reports no problem, sum_V V (x) V over
-    # the realized stack is its closed form
-    x, diagonals = werner.verify._products(p, scheme)
-    tamper(x, diagonals, len(x) // 2)
-    held = np.array_equal(_dense_swap_sum(signed_permutations(x, diagonals)), _closed_swap_sum(p))
-    monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, diagonals))
+    # the proof of S reads each V's (x, z) and whether it is Hermitian, so
+    # it stands on the other identities: whenever the family reports no
+    # problem, sum_V V (x) V over the realized stack is its closed form
+    x, z, t = werner.verify._products(p, scheme)
+    tamper(x, z, t, len(x) // 2)
+    held = np.array_equal(_dense_swap_sum(_realized(p, x, z, t)), _closed_swap_sum(p))
+    monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, z, t))
     refused = bool(scheme_family(p, scheme).problems)
     assert held or refused
-    assert held is (tamper is _rows_swapped)
-    # the proof asks more than the dense sum does: a class with V_1 and V_2
-    # swapped keeps it, but from p = 3 its products no longer follow its
-    # generators (V_5 is V_4 V_1). At p = 2 the swap is an automorphism of
-    # Z_2^2, which only relabels the V_s
-    assert refused is (not held or (scheme == COMMUTING_CLASS and p >= 3))
+    # V (x) V = (-V) (x) (-V), so a V of the other sign keeps S
+    assert held is (tamper in (_sign_flipped, _rows_swapped))
+    # the proof asks more than the dense sum does. A group {I, -sigma} is as
+    # good as {I, sigma}, but a class with one V negated no longer follows
+    # its generators. A class with V_1 and V_2 swapped keeps S, but from p =
+    # 3 its products no longer follow its generators (V_5 is V_4 V_1). At p
+    # = 2 the swap is an automorphism of Z_2^2, which only relabels the V_s
+    relabelled = tamper is _rows_swapped and p == 2
+    assert refused is (not held or (scheme == COMMUTING_CLASS and not relabelled))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -656,7 +614,7 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
     # dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4 entries
     # must give the same report, residual bits included
     family = _family(p, scheme)
-    gens = signed_permutations(*werner.verify._products(p, scheme), np.complex64)
+    gens = _realized(p, *werner.verify._products(p, scheme), np.complex64)
     d, swap_sum = 2**p, _dense_swap_sum(_family_generators(p, scheme).astype(np.complex64))
     assert family.problems == ()
     assert np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p))
@@ -674,10 +632,12 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
         gap.flat[:: d * d + 1] += family.n_terms
         gap *= weight / (d * d)
         gap -= werner_dense(params).real
-        vals = (1.0 + scale * family.spectrum) / d
+        vals = (1.0 + scale * np.array(family.spectrum)) / d
+        weights = np.full(family.n_terms, weight)
         for tol in (1e-9, 0.0):
             dense = werner.verify._report(
-                np.full(family.n_terms, weight),
+                float(weights.min()),
+                float(weights.sum()),
                 float(vals.min()),
                 abs(float(np.sum(vals * vals)) - 1.0),
                 sqrt(float(np.vdot(gap, gap))),
@@ -685,6 +645,16 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
                 family.problems,
             )
             assert verify_family(family, params, tol) == dense
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 127, 128, 129, 136, 256, 257, 1056, 2046, 4095])
+def test_the_pairwise_sum_is_numpy_s_to_the_bit(n):
+    # numpy's reduction adds the pairwise sum to 0.0: blocks of 8
+    # accumulators up to 128 values, halves split at a multiple of 8 above
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
+        assert (0.0 + werner.verify._pairwise(values.tolist())).hex() == float(np.sum(values)).hex()
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
@@ -914,22 +884,23 @@ def test_a_p5_build_holds_its_factors_and_chunk_sized_work_at_most(f, scheme):
     assert peak <= factors + 3 * _CHUNK_BYTES
 
 
-def _halve(x, diagonals):
-    diagonals[-1] *= 0.5
+def _turn_last(x, z, t):
+    t[-1] = (t[-1] + 1) % 4
 
 
-def _lift_last_corner(x, diagonals):
-    # the last V onto the diagonal pattern, with corner entry 2
-    x[-1], diagonals[-1, 0] = 0, 2
+def _lift_last(x, z, t):
+    # the last V onto the identity string
+    x[-1] = z[-1] = t[-1] = 0
 
 
 @pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
-@pytest.mark.parametrize("tamper", [_halve, _lift_last_corner])
-def test_the_identities_see_a_change_in_the_last_chunk(monkeypatch, scheme, tamper):
-    # the identities read every V to the last: no chunk of (x, D) is left out
-    whole = _tampered_family(monkeypatch, 2, scheme, tamper).problems
-    assert whole[0] == "a V is not a signed permutation of 1, -1, i and -i"
-    assert any("nonzero trace" in x for x in whole) is (tamper is _lift_last_corner)
+@pytest.mark.parametrize("tamper", [_turn_last, _lift_last])
+def test_the_identities_see_a_change_in_the_last_v(monkeypatch, scheme, tamper):
+    # the identities read every V to the last
+    problems = _tampered_family(monkeypatch, 2, scheme, tamper).problems
+    assert (problems[0] == "a V is not Hermitian") is (tamper is _turn_last)
+    assert any("nonzero trace" in x for x in problems) is (tamper is _lift_last)
+    assert problems[-1] == "S = sum_t G_t (x) G_t differs from its closed form"
 
 
 def _recording(monkeypatch, names):
@@ -948,7 +919,7 @@ def _recording(monkeypatch, names):
 
 
 _P5_STAGES = (
-    "invariance_residual", "_products", "_identities", "_swap_sum", "_eigensystems",
+    "invariance_residual", "_products", "_group_law", "_swap_sum", "_eigensystems",
     "reconstruct",
 )
 
@@ -974,9 +945,9 @@ def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     )
     assert threading.active_count() == before
     if f >= 0:
-        # the probe, the read of each V, its identities, then S
+        # the probe, the masks of each V, its group law, then S
         assert calls == [
-            ("invariance_residual", False), ("_products", False), ("_identities", False),
+            ("invariance_residual", False), ("_products", False), ("_group_law", False),
             ("_swap_sum", False),
         ]
     else:
@@ -1000,7 +971,7 @@ def test_p5_sweep_prints_the_same_bytes_inline(monkeypatch, capsys):
     assert capsys.readouterr() == plain
     # each family is built once, on this thread
     assert sorted(calls) == sorted(
-        [("_products", False), ("_identities", False), ("_swap_sum", False)] * 2
+        [("_products", False), ("_group_law", False), ("_swap_sum", False)] * 2
     )
     rows = [row.split(",") for row in plain.out.splitlines()[1:]]
     assert [(row[4], row[8]) for row in rows] == [
@@ -1051,9 +1022,9 @@ def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
     # the second stage's error alone still surfaces
     with pytest.raises(MemoryError, match="second stage failed"):
         verify_decomposition(target, decompose_auto(params, COMMUTING_CLASS))
-    # separability_report runs the probe first, then the family's identities
+    # separability_report runs the probe first, then the family's group law
     probe = werner.verify.invariance_residual
-    monkeypatch.setattr("werner.verify._identities", failing)
+    monkeypatch.setattr("werner.verify._group_law", failing)
     monkeypatch.setattr("werner.verify.invariance_residual", lambda *args: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         separability_report(params)
