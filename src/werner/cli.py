@@ -383,13 +383,10 @@ _SWEEP_HEADER = [
 
 
 def _sweep_points(start: float, end: float, step: float) -> int:
-    """How many f = start + k * step, k = 0, 1, ..., stay within end + 1e-12,
-    counted by that float rule itself (f only grows with k), capped just
-    above _SWEEP_MAX_ROWS."""
-    limit = end + 1e-12
-    n = math.floor(min((limit - start) / step, _SWEEP_MAX_ROWS)) + 1
-    while n > 0 and start + (n - 1) * step > limit:
-        n -= 1
+    """How many f = start + k * step, k = 0, 1, ..., stay within end + 1e-12
+    (f only grows with k), counted point by point up to one above
+    _SWEEP_MAX_ROWS."""
+    n, limit = 0, end + 1e-12
     while n <= _SWEEP_MAX_ROWS and start + n * step <= limit:
         n += 1
     return n

@@ -21,7 +21,7 @@ One call solves a whole stack of matrices with one cyclic (i, j) schedule
 matrices that are still unsettled and whose |beta| exceeds the pivot floor
 rotate, and a rotation rewrites only the two rows, the two columns and the two
 eigenvector columns it touches, in those matrices. A matrix leaves the
-schedule once its own off-diagonal norm is within tol, exactly where it would
+schedule once its own off-diagonal norm is within _TOL, exactly where it would
 stop if solved alone. Every matrix therefore sees the same IEEE operations,
 in the same order, as in a solve of its own: |beta| from the scalar complex
 abs, the angle from math.atan2, cos and sin, and elementwise numpy for the
@@ -45,6 +45,8 @@ __all__ = [
 
 DEFAULT_CLUSTER_TOL = 1e-8  # relative to the spectrum's largest |value|
 _HERMITICITY_TOL = 1e-10
+_TOL = 1e-12
+_MAX_SWEEPS = 100
 _PROPOSE = 1.0 - 1e-9  # relative margin of the vector abs that proposes pivots
 
 
@@ -132,18 +134,15 @@ def _rotate(x, at_i, at_j, c, p, q) -> None:
     x[at_j] = -q * x_i + c * x_j
 
 
-def hermitian_eigensystem(
-    a,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-    compute_vectors: bool = False,
-):
+def hermitian_eigensystem(a, compute_vectors: bool = False):
     """Eigenvalues (ascending) of a Hermitian matrix, or of each matrix of a
     stack, by cyclic Jacobi rotations.
 
     a is one (n, n) matrix or an (m, n, n) stack. Returns (values, vectors):
     values has shape (n,) or (m, n); vectors is None unless requested, and
     column k of a matrix of vectors is the eigenvector for its values[k].
+    A matrix is settled once its off-diagonal norm is within _TOL, and
+    ConvergenceError is raised if one is not after _MAX_SWEEPS sweeps.
     """
     import numpy as np
     a = np.asarray(a, dtype=complex)
@@ -168,17 +167,17 @@ def hermitian_eigensystem(
     vecs = np.tile(np.eye(n, dtype=complex), (m, 1, 1)) if compute_vectors else None
 
     # skip pivots too small to matter; if all are skipped the sweep check passes
-    pivot_floor = tol / (2.0 * n * n)
+    pivot_floor = _TOL / (2.0 * n * n)
 
     live = np.arange(m)
     sel = slice(None)  # a basic slice while every matrix is live: fancy indexing copies
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_MAX_SWEEPS + 1):
         off = _offdiag_norms(work[sel])
-        unsettled = ~(off <= tol)
+        unsettled = ~(off <= _TOL)
         live = live[unsettled]
         if not live.size:
             break
-        if sweep == max_sweeps:
+        if sweep == _MAX_SWEEPS:
             residual = float(off[unsettled].max())
             raise ConvergenceError(
                 f"Jacobi sweeps exhausted with off-diagonal residual {residual:.3e}",

@@ -220,11 +220,12 @@ def ppt_check(params: WernerParams, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 # bytes of the blocks that the d^4 and stacked stages work in: the probe's
-# block products here; in decompose and verify the factor stacks per GEMM
-# (256 terms at p = 3, 64 at p = 4), reconstruct's row blocks (at least this
-# many bytes) and the generator checks. A refined certificate (69,632 terms
-# at p = 4) is never stacked whole, and small runs stay within a megabyte of
-# the per-term loop's peak RSS.
+# block products here; in decompose the groups _build realizes at a time,
+# the factors of reconstruct's GEMMs (256 terms at p = 3, 64 at p = 4) and
+# its row blocks (at least this many bytes); in verify the factor stacks of
+# the eigensolver. A refined certificate (69,632 terms at p = 4) is never
+# stacked whole, and small runs stay within a megabyte of the per-term
+# loop's peak RSS.
 _CHUNK_BYTES = 1 << 19
 
 

@@ -176,13 +176,13 @@ def _class_problems(idx: int, members: Sequence[Digits]) -> List[str]:
     cols = [[sum((v >> k & 1) << j for j, v in enumerate(m)) for m in (x, z)] for k in range(p)]
     problems, phases = [], []
     for i, (xi, zi) in enumerate(zip(x, z)):
-        anti = imaginary = 0  # bit j: string i's symplectic form, phase parity with string j
+        anti = 0  # bit j: string i's symplectic form with string j
         for k, (xk, zk) in enumerate(cols):
             a, b = -(xi >> k & 1), -(zi >> k & 1)  # every bit set, or none
             anti ^= a & zk ^ b & xk
-            # sigma_c . sigma_e has 1 or 3 quarter turns iff c, e are nontrivial and differ
-            imaginary ^= (a | b) & (xk | zk) & (a ^ xk | b ^ zk)
-        phases.append(imaginary)
+        # the product of strings i and j has an odd number of quarter turns,
+        # an imaginary phase, exactly where they anticommute
+        phases.append(anti)
         for j in range(i + 1, len(members)):
             if anti >> j & 1:
                 a, b = format_label(members[i]), format_label(members[j])

@@ -104,9 +104,9 @@ def pattern_values(p: int, z: Sequence[int], turns: Sequence[int]) -> np.ndarray
     return np.array((1, -1j, -1, 1j))[turns, None] * (1 - 2 * bit_parity(r & np.array(z)[:, None]))
 
 
-def signed_permutations(x: Sequence[int], values: np.ndarray, dtype=complex) -> np.ndarray:
-    """Dense (m, d, d) stack of the V[r, r ^ x] = D[r] over the patterns x and
-    the (m, d) entries D; entries 1, -1, i and -i are exact in complex64."""
+def signed_permutations(x: Sequence[int], values: np.ndarray, dtype) -> np.ndarray:
+    """Dense (m, d, d) dtype stack of the V[r, r ^ x] = D[r] over the patterns
+    x and the (m, d) entries D; entries 1, -1, i and -i are exact in complex64."""
     import numpy as np
     m, d = np.shape(values)
     out = np.zeros((m, d, d), dtype=dtype)
@@ -114,12 +114,12 @@ def signed_permutations(x: Sequence[int], values: np.ndarray, dtype=complex) -> 
     return out
 
 
-def pauli_matrices(strings: Iterable[Sequence[int]], dtype=complex) -> np.ndarray:
+def pauli_matrices(strings: Iterable[Sequence[int]]) -> np.ndarray:
     """Dense (m, 2^p, 2^p) stack of the strings, digit 0 as the leftmost
     Kronecker factor: the signed permutations with turns the y count."""
     p, x, z = masks(strings)
     turns = [(a & b).bit_count() % 4 for a, b in zip(x, z)]
-    return signed_permutations(x, pattern_values(p, z, turns), dtype)
+    return signed_permutations(x, pattern_values(p, z, turns), complex)
 
 
 def format_label(digits: Sequence[int]) -> str:

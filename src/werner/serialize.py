@@ -3,13 +3,14 @@
 Floating-point numbers are written as decimal text with 17 significant
 digits, which round-trips binary64 exactly; the stdlib encoder cannot be
 pinned to that format, hence the small emitter here. Dict insertion order
-is the emission order, so identical inputs yield identical bytes. A 2-D
-float64 array, such as a factor's re or im part, is rendered with each
-distinct value formatted once; the bytes are those of formatting every
-entry in place. dump_chunks hands the same text out in pieces, a block of
-rows at a time, so a large state is written without ever being one
-string. The emitter imports no numpy: it looks for numpy values only once
-numpy is loaded, since no value can be a numpy object before that.
+is the emission order, so identical inputs yield identical bytes. Values
+are dicts, lists, tuples, Python scalars and matrix parts. A matrix part is
+a non-empty 2-D float64 array, such as a factor's re or im part; each of
+its distinct values is formatted once, and the bytes are those of
+formatting every entry in place. dump_chunks hands the same text out in
+pieces, a block of rows at a time, so a large state is written without
+ever being one string. The emitter imports no numpy: it looks for arrays
+only once numpy is loaded.
 
 Certificates cost what their distinct factors and their terms cost, both
 ways. certificate_chunks renders each row of the decomposition's factor
@@ -67,14 +68,13 @@ def format_float(x) -> str:
 
 
 def _scalar_text(v) -> str:
-    np = sys.modules.get("numpy")  # no value is a numpy object before numpy is imported
-    if isinstance(v, float) or np and isinstance(v, np.floating):
+    if isinstance(v, float):
         return format_float(v)
     if v is None:
         return "null"
-    if isinstance(v, bool) or np and isinstance(v, np.bool_):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int) or np and isinstance(v, np.integer):
+    if isinstance(v, int):
         return str(int(v))
     if isinstance(v, str):
         return json.dumps(v)
@@ -117,10 +117,9 @@ def _matrix_lines(a: np.ndarray, pad: str, step: str) -> Iterator[str]:
 def _emit(obj, pad: str, step: str) -> Iterator[str]:
     """obj's text at indent pad, in pieces of at most a line each."""
     np = sys.modules.get("numpy")  # no value is a numpy object before numpy is imported
-    if np and isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
-            return _matrix_lines(obj, pad, step)
-        obj = obj.tolist()
+    is_array = np and isinstance(obj, np.ndarray)
+    if is_array and obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+        return _matrix_lines(obj, pad, step)
     inner = pad + step
     if isinstance(obj, dict):
         if not obj:

@@ -6,6 +6,10 @@ functions that pyproject.toml's console scripts call, or from the package's
 `__getattr__`, which Python calls to resolve those names, through the names
 each reached definition uses. A helper only the tests call, or only another
 unreached helper calls, does not belong in the package.
+
+The same holds for parameters. Outside the public names and the entry
+points, a parameter with a default must be passed by some call in the
+package; one that only the tests set is a setting the program never sets.
 """
 import ast
 import importlib
@@ -207,3 +211,60 @@ def test_each_public_name_is_the_object_its_home_module_defines(name):
     assert home.__name__.startswith("werner.")
     assert vars(home)[name] is obj
     assert name in dir(werner)
+
+
+def _defaulted(fn, shift):
+    """(name, index among the positions a call fills, or None) of each
+    parameter of fn that has a default; shift drops self or cls."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, k - shift) for k, a in enumerate(positional) if k >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def _passes(call, name, index):
+    """Whether the call passes the parameter: by keyword, by position, or
+    through * or **."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def _functions(tree):
+    """(the name its calls use, the def, the positions a call does not fill)
+    of each def: a method's calls skip self or cls, and a class's __init__
+    is called by the class name."""
+    methods = {
+        f: node.name if f.name == "__init__" else f.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for f in node.body if isinstance(f, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield (methods[node], node, 1) if node in methods else (node.name, node, 0)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # a default that no call in the package overrides is a setting nothing
+    # sets. A call is matched to a def by the name it calls, so the defs of
+    # one name share their calls. The public names, main and run are called
+    # from outside the package, so their callers are not here to see
+    calls, functions = {}, []
+    for tree in _trees().values():
+        functions += _functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unset = [
+        f"{callee}({name}=)"
+        for callee, fn, shift in functions
+        if callee not in PUBLIC | {"main", "run"}
+        for name, index in _defaulted(fn, shift)
+        if not any(_passes(call, name, index) for call in calls.get(callee, []))
+    ]
+    assert unset == []

@@ -107,14 +107,21 @@ def test_jacobi_eigenvectors(n, seed):
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the tolerance is 1e-10: one entry moved 1e-9 (1.4e-9 from the adjoint)
+    # is refused, and one moved 1e-11 is noise that the symmetrization removes
+    with pytest.raises(MalformedInput, match="not Hermitian"):
+        hermitian_eigensystem(np.array([[1.0, 1e-9], [0.0, 1.0]]))
+    vals, _ = hermitian_eigensystem(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+    assert vals.tolist() == pytest.approx([1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         hermitian_eigensystem(np.ones((2, 3)))
 
 
-def test_sweep_exhaustion_raises():
+def test_sweep_exhaustion_raises(monkeypatch):
     a = random_hermitian(4, 1)
+    monkeypatch.setattr("werner.linalg._MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError) as exc:
-        hermitian_eigensystem(a, max_sweeps=0)
+        hermitian_eigensystem(a)
     assert exc.value.residual > 0
 
 
@@ -271,7 +278,7 @@ def test_component_stats_chunks_each_shape(monkeypatch):
 
 
 @pytest.mark.parametrize("vector_above", [True, False])
-def test_pivot_at_the_floor_is_decided_by_the_scalar_abs(vector_above):
+def test_pivot_at_the_floor_is_decided_by_the_scalar_abs(vector_above, monkeypatch):
     # numpy's vector abs of z and the scalar abs differ in the last bit, and
     # the pivot floor tol / 18 of a 3x3 is the smaller of the two: the loop
     # skips that pivot when the scalar abs is the floor, else rotates it
@@ -287,7 +294,8 @@ def test_pivot_at_the_floor_is_decided_by_the_scalar_abs(vector_above):
         pytest.fail("no candidate found")
     big = 20.0 * floor  # so the first sweep runs
     a = np.array([[1.0, z, 0.0], [z.conjugate(), 2.0, big], [0.0, big, 3.0]])
-    vals, vecs = hermitian_eigensystem(np.array([a, a]), tol=tol, compute_vectors=True)
+    monkeypatch.setattr("werner.linalg._TOL", tol)
+    vals, vecs = hermitian_eigensystem(np.array([a, a]), compute_vectors=True)
     ref_vals, ref_vecs = _reference_eigensystem(a, tol=tol, compute_vectors=True)
     for k in range(2):
         assert vals[k].tobytes() == ref_vals.tobytes()
@@ -314,15 +322,16 @@ def test_stack_rejects_a_bad_member_up_front():
             hermitian_eigensystem(np.zeros(shape))
 
 
-def test_stack_exhaustion_reports_the_largest_residual():
+def test_stack_exhaustion_reports_the_largest_residual(monkeypatch):
     stack = np.array([np.diag([1.0, 2.0, 3.0]), random_hermitian(3, 1), random_hermitian(3, 2)])
+    monkeypatch.setattr("werner.linalg._MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError) as exc:
-        hermitian_eigensystem(stack, max_sweeps=0)
+        hermitian_eigensystem(stack)
     offs = [np.linalg.norm(m - np.diag(np.diag(m))) for m in stack]
     assert exc.value.residual == pytest.approx(max(offs), rel=1e-12)
     assert exc.value.residual > 0
     # the diagonal member alone is settled before any sweep
-    vals, _ = hermitian_eigensystem(stack[:1], max_sweeps=0)
+    vals, _ = hermitian_eigensystem(stack[:1])
     assert vals.tolist() == [[1.0, 2.0, 3.0]]
 
 

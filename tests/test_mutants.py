@@ -1,21 +1,23 @@
 """Mutation tests of the verdict: named edits to verify.py, to model.ppt_check,
 to serialize's certificate reader, to partition.validate_partition, to
-decompose.reconstruct and to cli.py's exit codes, that a probe must see.
+decompose.reconstruct, to linalg's Jacobi kernel and to cli.py's exit codes,
+that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
-serialize.py, partition.py, decompose.py or cli.py. The text must occur
-exactly once, so a refactor that removes it fails here and the list has to
-follow. The edited source is exec'd into a fresh module object (no file is
-written), and a fixed set of small probes of that module runs against it. A
-verify probe returns the boolean judgements of one report: verdict,
-convex_ok, positivity_ok and purity_ok, or the verdicts of
+serialize.py, partition.py, decompose.py, linalg.py or cli.py. The text must
+occur exactly once, so a refactor that removes it fails here and the list
+has to follow. The edited source is exec'd into a fresh module object (no
+file is written), and a fixed set of small probes of that module runs
+against it. A verify probe returns the boolean judgements of one report:
+verdict, convex_ok, positivity_ok and purity_ok, or the verdicts of
 separability_report at a few points; a model probe, ppt_check's verdicts; a
 serialize probe, which certificate headers and which certificate texts are
 read; a partition probe, the kinds of problem validate_partition reports for
 each broken partition; a decompose probe, which certificates reconstruct
-their state; a cli probe, the exit code and the error name on stderr of
-calls of main, run in process. An edit is killed when some probe's
-judgements differ from those of the unedited source.
+their state; a linalg probe, the judgements of the document verifier run on
+the edited kernel, or the error it raises; a cli probe, the exit code and
+the error name on stderr of calls of main, run in process. An edit is killed
+when some probe's judgements differ from those of the unedited source.
 """
 import io
 import json
@@ -31,12 +33,13 @@ import pytest
 
 import werner.cli
 import werner.decompose
+import werner.linalg
 import werner.model
 import werner.partition
 import werner.serialize
 import werner.verify
 from certificate_oracle import Term, expand, from_terms
-from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto
+from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto, reconstruct
 from werner.errors import MalformedInput, WernerError
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
@@ -51,7 +54,7 @@ def _source(module):
 
 MODULES = {
     name: getattr(werner, name)
-    for name in ("verify", "model", "serialize", "partition", "decompose", "cli")
+    for name in ("verify", "model", "serialize", "partition", "decompose", "linalg", "cli")
 }
 SOURCES = {name: _source(module) for name, module in MODULES.items()}
 
@@ -139,6 +142,22 @@ def wrong_in_the_first_entry(m):
         + rest
         + [Term(x, spike, spike, "spike")],
     ))
+
+
+def stacks_by_pattern(m):
+    # whether every stack the eigensolver gets holds one nonzero pattern: the
+    # p = 2 per-string factors fall on 4 patterns. No verdict depends on the
+    # stacks, since a matrix's results do not
+    solve, shared = m.hermitian_eigensystem, []
+
+    def recording(a, compute_vectors=False):
+        shared.append(len({(x != 0).tobytes() for x in a}) == 1)
+        return solve(a, compute_vectors)
+
+    m.hermitian_eigensystem = recording
+    dec = decompose_auto(WernerParams(2, 0.1), PER_STRING)
+    m.verify_decomposition(werner_dense(dec.params), dec)
+    return len(shared) > 1 and all(shared)
 
 
 # --- probes on families (scheme_family, verify_family) ---------------------------
@@ -412,6 +431,64 @@ def reconstruct_gaps(m):
     )
 
 
+# --- probes on linalg.hermitian_eigensystem, through the document verifier ------
+
+
+def _verified(m, dec, target, tol=1e-9):
+    """The judgements of a fresh verify module that solves dec's factors with
+    m's kernel, or the name of the error it raises."""
+    v = _module("verify", compile(SOURCES["verify"], MODULES["verify"].__file__, "exec"))
+    v.hermitian_eigensystem = m.hermitian_eigensystem
+    try:
+        return _judgements(v.verify_decomposition(target, dec, tol))
+    except WernerError as exc:
+        return type(exc).__name__
+
+
+def _one_term(m, factor, tol):
+    """The judgements of factor (x) factor against its own reconstruction,
+    under tol: only the factor's spectrum can fail it."""
+    p = len(factor).bit_length() - 1
+    dec = from_terms(WernerParams(p, 0.5), PER_STRING, 1.0, [Term(1.0, factor, factor, "x")])
+    return _verified(m, dec, reconstruct(dec), tol)
+
+
+def pure_factors(m):
+    # the p = 2 class certificate at f = 1: rank-1 projectors, so purity_ok
+    # holds only while the eigenvalues are 0 and 1
+    dec = decompose_auto(WernerParams(2, 1.0), COMMUTING_CLASS)
+    return _verified(m, dec, werner_dense(dec.params))
+
+
+def dense_factor(m):
+    # a dense 8x8 density matrix: it settles after 5 sweeps
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    a = g @ g.conj().T
+    return _one_term(m, a / np.trace(a).real, 1e-9)
+
+
+def nearly_hermitian_factor(m):
+    # I/2 with one entry moved by 1e-6: 1.4e-6 from its adjoint, so not
+    # Hermitian within 1e-10, and refused
+    a = np.eye(2, dtype=complex) / 2
+    a[0, 1] = 1e-6
+    return _one_term(m, a, 1e-9)
+
+
+def small_pivots(m):
+    # under tol 0, positivity sees the least eigenvalue -beta of a block
+    # [[0, beta], [beta, 0]] that rotates: one of 1e-10 (off-diagonal norm
+    # 1.4e-10, above the settle test's 1e-12), and one of 1e-13 beside a
+    # block that needs a sweep (above the 4x4 pivot floor 1e-12 / 32); a
+    # block left unrotated reads 0 and passes
+    unsettled = np.array([[0, 1e-10], [1e-10, 0]], dtype=complex)
+    floor = np.zeros((4, 4), dtype=complex)
+    floor[:2, :2] = [[1, 0.5], [0.5, 1]]
+    floor[2, 3] = floor[3, 2] = 1e-13
+    return tuple(_one_term(m, a, 0.0) for a in (unsettled, floor))
+
+
 # --- probes on cli.main -------------------------------------------------------
 
 
@@ -448,6 +525,7 @@ PROBES = {"verify": [
     (negative_factor_within_tol, (True, True, True, False)),
     (negative_factor_under_colliding_keys, (False, True, False, False)),
     (wrong_in_the_first_entry, (False, True, True, False)),
+    (stacks_by_pattern, True),
     (honest_classes, (True, True, True, True)),
     (honest_strings, (True, True, True, False)),
     (honest_p4_strings, (True, True, True, False)),
@@ -476,6 +554,11 @@ PROBES = {"verify": [
     )),
 ], "decompose": [
     (reconstruct_gaps, (True, True)),
+], "linalg": [
+    (pure_factors, (True, True, True, True)),
+    (dense_factor, (True, True, True, False)),
+    (nearly_hermitian_factor, "MalformedInput"),
+    (small_pivots, ((False, True, False, False), (False, True, False, False))),
 ], "cli": [
     (exit_codes, ((0, None), (2, "VerificationFailed"), (0, None), (2, "VerificationFailed"),
                   (2, "NotSeparable"))),
@@ -552,6 +635,9 @@ MUTANTS = [
     ("the PPT band is taken as separable", "verify", " and params.f >= 0", ""),
     ("an INVALID family is reported SEPARABLE", "verify",
      '"SEPARABLE" if ver.verdict else "INVALID"', '"SEPARABLE"'),
+    # the factor stacks of a document's eigen-checks
+    ("the factor stacks ignore the nonzero pattern", "verify",
+     "runs.setdefault((mat != 0).tobytes(), [])", "runs.setdefault(0, [])"),
     # the PPT verdict
     ("ppt_check ignores tol", "model",
      "_pt_pairs(params)) >= -tol", "_pt_pairs(params)) >= -1e-6"),
@@ -611,6 +697,16 @@ MUTANTS = [
      ".transpose(0, 2, 1, 3)", ""),
     ("reconstruct skips one term between chunks", "decompose",
      "range(0, dec.n_terms, step)", "range(0, dec.n_terms, step + 1)"),
+    # the Jacobi kernel behind a document's factor spectra
+    ("the Hermiticity tolerance is 1e-3", "linalg",
+     "_HERMITICITY_TOL = 1e-10", "_HERMITICITY_TOL = 1e-3"),
+    ("the symmetrization drops the matrix", "linalg", "    work += stack\n", ""),
+    ("the symmetrization drops the halving", "linalg", "    work *= 0.5\n", ""),
+    ("a rotation's sign flipped", "linalg", "-q * x_i + c * x_j", "q * x_i + c * x_j"),
+    ("the pivot floor is tol / 2n", "linalg",
+     "_TOL / (2.0 * n * n)", "_TOL / (2.0 * n)"),
+    ("the settle test is 1e3 tol", "linalg", "off <= _TOL", "off <= 1e3 * _TOL"),
+    ("the sweep cap is 3", "linalg", "_MAX_SWEEPS = 100", "_MAX_SWEEPS = 3"),
     # the CLI's exit codes and error names on a verdict
     ("verify exits 0 on a failed verdict", "cli",
      "p=dec.params.p, f=dec.params.f)\n        return 2", "p=dec.params.p, f=dec.params.f)\n        return 0"),

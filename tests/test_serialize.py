@@ -47,11 +47,11 @@ def test_dumps_scalars():
     assert dumps(3) == "3"
     assert dumps(0.5) == "0.5"
     assert dumps("a\"b") == '"a\\"b"'
-    assert dumps(np.float64(0.25)) == "0.25"
-    assert dumps(np.int64(7)) == "7"
-    assert dumps(np.bool_(True)) == "true"
-    with pytest.raises(TypeError):
-        dumps(1 + 2j)
+    assert dumps(np.float64(0.25)) == "0.25"  # a float
+    # documents hold Python scalars: no other numpy scalar is taken
+    for bad in (1 + 2j, np.int64(7), np.bool_(True), np.float32(0.25)):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps(bad)
 
 
 def test_dumps_layout():
@@ -63,12 +63,12 @@ def test_dumps_layout():
 
 
 def test_dumps_is_loadable_and_stable():
-    doc = {"x": 1 / 3, "flags": [True, False], "arr": np.arange(3.0)}
+    doc = {"x": 1 / 3, "flags": [True, False], "arr": np.arange(3.0).reshape(1, 3)}
     a, b = dumps(doc), dumps(doc)
     assert a == b
     back = json.loads(a)
     assert back["x"] == 1 / 3
-    assert back["arr"] == [0.0, 1.0, 2.0]
+    assert back["arr"] == [[0.0, 1.0, 2.0]]
 
 
 def test_matrix_roundtrip_exact():
@@ -311,13 +311,16 @@ def test_array_edge_cases_match_the_per_scalar_emitter():
         "repeated": [signed, signed.copy(), -signed],
         "column": np.arange(3.0).reshape(3, 1),
         "row": np.array([[1 / 3, -1 / 3]]),
-        "one_d": np.array([0.5, -0.0]),
-        "empty": np.zeros((0, 0)),
-        "no_columns": np.zeros((2, 0)),
-        "ints": np.arange(4).reshape(2, 2),
         "nested": {"m": matrix_doc(factor)},
     }
     assert dumps(doc) == _reference_emit(doc)
+    # the one array a document holds is a matrix part: any other is refused,
+    # as a value and inside a list
+    for bad in (np.array([0.5, -0.0]), np.zeros((0, 0)), np.zeros((2, 0)),
+                np.arange(4).reshape(2, 2), np.zeros((1, 1, 1)), np.eye(2, dtype=complex)):
+        for doc in ({"bad": bad}, [signed, bad]):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                dumps(doc)
 
 
 def test_report_document_bytes_match_the_per_scalar_emitter():
