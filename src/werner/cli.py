@@ -185,10 +185,11 @@ def _read_certificate(path: str, max_p: int = _MAX_P):
     and so does one above max_p, before any of its factors is converted."""
     from .serialize import parse_decomposition
     try:
-        if path == "-":
-            text = sys.stdin.read()
+        if path == "-":  # JSON is UTF-8 (RFC 8259), whatever the locale
+            stdin = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         return parse_decomposition(text, max_p)
     except MalformedInput:
@@ -296,11 +297,11 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from .decompose import decompose_auto
+    from .decompose import _in_range
     from .model import WernerParams
-    from .serialize import certificate_chunks
-    dec = decompose_auto(WernerParams(args.p, args.f), _scheme(args.scheme))
-    _write(args, certificate_chunks(dec), end="")
+    from .serialize import scheme_certificate_chunks
+    params = WernerParams(args.p, args.f)
+    _write(args, scheme_certificate_chunks(params, _in_range(params, _scheme(args.scheme))), end="")
     return 0
 
 

@@ -26,18 +26,21 @@ the authority on positivity: the unguarded builder makes out-of-range
 
 A Decomposition holds each factor once, in a table that its terms index:
 the builder's table is its stack of the A_e, and term t takes row t as its
-first factor and row t, or t ^ 1 when sign < 0, as its second.
+first factor and row t, or t ^ 1 when sign < 0, as its second. The entries
+of T_e are computed once per group from the masks of its V_s, as integer
+codes (_group_codes): _build realizes the A_e from them as arrays, and
+serialize.scheme_certificate_chunks writes them as text with no numpy.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import sqrt
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import SchemeRangeError
 from .model import _CHUNK_BYTES, WernerParams
 from .partition import build_partition
-from .pauli import Digits, all_strings, format_label, masks, pattern_values, signed_permutations
+from .pauli import Digits, all_strings, format_label, masks
 
 if TYPE_CHECKING:  # annotations only: the builder and reconstruct import numpy as they run
     import numpy as np
@@ -133,35 +136,81 @@ def _products(p: int, scheme: str) -> Tuple[List[int], List[int], List[int]]:
     return tuple(list(chain.from_iterable(zip(*rows[1:]))) for rows in (xs, zs, ts))
 
 
+_UNITS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^t as (re, im)
+
+
+def _group_codes(p: int, scheme: str) -> Iterator[Tuple[List[int], List[Tuple[Tuple[int, ...], ...]]]]:
+    """(phi, rows) for each group in order: the integer codes of its m
+    character sums, entry T_e[r, r ^ o] = a + b i with a = rows[f][0][o]
+    and b = rows[f][1][o] at f = e ^ phi[r].
+
+    Row r of V_s holds (-i)^t_s (-1)^|r & z_s| at column r ^ x_s. Since
+    V_(2^j) = G_j and z is additive over s, |r & z_s| = |phi(r) & s| mod 2,
+    with bit j of phi(r) the parity of r & z_(2^j). So row r of T_e is the
+    offset row f = e ^ phi(r), sum_{s != 0} (-1)^|f & s| (-i)^t_s at
+    offset x_s, read at column r ^ offset: m offset rows of d codes hold
+    a group's m d^2 entries, each |a|, |b| <= m - 1.
+    """
+    d, m = 1 << p, SCHEMES[scheme].order(p)
+    x, z, t = _products(p, scheme)
+    parity = [v.bit_count() & 1 for v in range(d)]
+    for k in range(0, len(x), m - 1):
+        phi = [0] * d
+        for j in range(m.bit_length() - 1):
+            c = z[k + (1 << j) - 1]
+            phi = [v | parity[r & c] << j for r, v in enumerate(phi)]
+        rows = []
+        for f in range(m):
+            re, im = [0] * d, [0] * d
+            for s, o, u in zip(range(1, m), x[k : k + m - 1], t[k : k + m - 1]):
+                a, b = _UNITS[(u + 2 * (f & s).bit_count()) % 4]
+                re[o] += a
+                im[o] += b
+            rows.append((tuple(re), tuple(im)))
+        yield phi, rows
+
+
+def _labels(p: int, scheme: str) -> Tuple[str, ...]:
+    """Each term's label, group by group: the group's label, ":", the mark
+    of its character."""
+    table = SCHEMES[scheme]
+    marks = table.marks(p)
+    return tuple(f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
+                 for label in (table.label(k, gens),) for mark in marks)
+
+
 def _build(params: WernerParams, scheme: str) -> Decomposition:
     """The scheme's certificate at params.f with no range check, so that a
     forced (out-of-range) certificate fails only verification: group k's
     term e has A = (I + s T_e)/d, and B = A, or the partner term's A_(e ^ 1)
     when sign < 0."""
     import numpy as np
-    p, d, table = params.p, params.d, SCHEMES[scheme]
-    m, (scale, weight, sign) = table.order(p), scheme_scalars(params, scheme)
-    # T = H' V with the Sylvester matrix H'[e, s] = (-1)^|e & s|, s >= 1, is exact
-    # in float32. A chunk of groups is realized and becomes A in cache, on the
-    # float parts: once I's are added, the bits are the complex products' bits
-    hadamard = np.array([[(-1) ** (e & s).bit_count() for s in range(1, m)] for e in range(m)], np.float32)
-    x, z, t = _products(p, scheme)
-    values = pattern_values(p, z, t).astype(np.complex64)
-    comps = np.empty((len(x) // (m - 1) * m, d, d), complex)
+    p, d = params.p, params.d
+    m, (scale, weight, sign) = SCHEMES[scheme].order(p), scheme_scalars(params, scheme)
+    labels = _labels(p, scheme)
+    comps = np.empty((len(labels), d, d), complex)
+    # A chunk of groups is gathered from its codes (int8, |a| <= m - 1 < 32)
+    # and becomes A in cache, on the float parts: (a s + delta)/d, delta
+    # the I's part, rounded as serialize.scheme_certificate_chunks rounds it
     eye = np.eye(d, dtype=complex).view(np.float64)
-    step = max(1, _CHUNK_BYTES // comps[:m].nbytes) * (m - 1)  # in V, whole groups
-    for start in range(0, len(x), step):
-        prods = signed_permutations(x[start : start + step], values[start : start + step], np.complex64)
-        sums = np.matmul(hadamard, prods.view(np.float32).reshape(-1, m - 1, 2 * d * d))
-        parts = comps[start // (m - 1) * m : (start + step) // (m - 1) * m].view(np.float64)
-        np.multiply(sums.reshape(parts.shape), scale, out=parts, dtype=np.float64)
+    r = np.arange(d)
+    offsets = r[:, None] ^ r  # row r's column c is at offset r ^ c
+    chars = np.arange(m)[:, None]
+    step = max(1, _CHUNK_BYTES // comps[:m].nbytes)  # in groups
+    groups = _group_codes(p, scheme)
+    for start in range(0, len(comps), step * m):
+        phis, rows = zip(*islice(groups, step))
+        # each code's (a, b) as one int16, at [group, e ^ phi, offset]
+        codes = np.ascontiguousarray(np.array(rows, np.int8).transpose(0, 1, 3, 2)).view(np.int16).ravel()
+        at = np.arange(0, len(codes), m * d)[:, None, None] + (chars ^ np.array(phis)[:, None]) * d
+        parts = comps[start : start + len(rows) * m].view(np.float64)
+        gathered = codes[at[..., None] + offsets].view(np.int8)  # [group, e, r, 2c + (0 | 1)]
+        np.multiply(gathered.reshape(parts.shape), scale, out=parts, dtype=np.float64)
         parts += eye
         parts *= 1 / d  # d = 2^p, so this is the quotient, exactly
-    marks, rows = table.marks(p), np.arange(len(comps))
-    labels = tuple(f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
-                   for label in (table.label(k, gens),) for mark in marks)
-    pairs = np.stack((rows, rows ^ 1 if sign < 0 else rows), axis=1)
-    return Decomposition(params, scheme, scale, comps, pairs, np.full(len(rows), weight), labels)
+    terms = np.arange(len(comps))
+    pairs = np.stack((terms, terms ^ 1 if sign < 0 else terms), axis=1)
+    return Decomposition(params, scheme, scale, comps, pairs, np.full(len(terms), weight), labels)
 
 
 def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
@@ -172,11 +221,17 @@ def decompose_auto(params: WernerParams, scheme: str = "auto") -> Decomposition:
     to the class scheme under "auto" (both reduce to maximally mixed
     components there).
     """
+    return _build(params, _in_range(params, scheme))
+
+
+def _in_range(params: WernerParams, scheme: str) -> str:
+    """The scheme decompose_auto builds at params: auto_scheme's, refused
+    outside its f interval."""
     scheme = auto_scheme(params, scheme)
     f, (lo, hi) = params.f, SCHEMES[scheme].f_range(params.p)
     if not lo <= f <= hi:
         raise SchemeRangeError(f"{scheme} needs f in [{lo}, {hi}], got {f}", f=f, valid_range=(lo, hi))
-    return _build(params, scheme)
+    return scheme
 
 
 def auto_scheme(params: WernerParams, scheme: str = "auto") -> str:

@@ -20,6 +20,9 @@ factor object out of the text and converts the distinct factor texts in
 one batch, each distinct row split once and each distinct number converted
 once, into one read-only table row per distinct text, which the terms
 index. Any JSON layout is read, and the emitter's "-0" reads back as -0.0.
+scheme_certificate_chunks writes the toolkit's own certificate at (p, f)
+with no numpy, from the integer codes of its factors' entries: the bytes
+that certificate_chunks writes of the built certificate.
 
 The verification and separability documents are the report named tuples
 of verify.py as dicts: their keys are those classes' fields in declaration
@@ -31,8 +34,10 @@ import json
 import math
 import re
 import sys
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii  # json.dumps of a str
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 from .errors import MalformedInput
@@ -42,6 +47,7 @@ if TYPE_CHECKING:  # annotations only: the reader imports what it builds as it r
 
     from .decompose import Decomposition
     from .linalg import Spectrum
+    from .model import WernerParams
     from .verify import SeparabilityReport, VerificationReport
 
 __all__ = [
@@ -54,6 +60,7 @@ __all__ = [
     "matrix_doc",
     "doc_matrix",
     "parse_decomposition",
+    "scheme_certificate_chunks",
     "separability_doc",
     "spectrum_rows",
     "verification_doc",
@@ -175,11 +182,60 @@ def certificate_chunks(dec: Decomposition) -> Iterator[str]:
 
     rows = [factor(np.asarray(m, dtype=complex)) for m in dec.factors]
     weights = _float_texts(np.asarray(dec.weights, dtype=float)).tolist()
-    head = _HEAD % tuple(map(_scalar_text, (dec.params.p, dec.params.f, dec.scheme, dec.scale)))
     terms = (_TERM % (w, encode_basestring_ascii(label), rows[a], rows[b])
              for w, label, a, b in zip(weights, dec.labels, *dec.pairs.T.tolist()))
-    # the first term follows "[" with no comma; no term at all leaves "[]"
-    return chain((head, next(terms, ",")[1:]), terms, ["\n  ]\n}\n" if weights else "]\n}\n"])
+    return _document((dec.params.p, dec.params.f, dec.scheme, dec.scale), terms)
+
+
+def scheme_certificate_chunks(params: WernerParams, scheme: str) -> Iterator[str]:
+    """certificate_chunks(decompose._build(params, scheme)), a term a chunk,
+    written with no numpy from the codes of decompose._group_codes. Entry
+    (r, c) of a factor's re or im part is (a s + delta)(1/d), rounded as
+    _build rounds it, with a the code of T_e's entry there and delta 1 on
+    re's diagonal, else 0. Each (a, delta) is formatted once, keyed by the
+    integers, never by the value, and each offset row's d rows are rendered
+    once while it is among the last 4 d rendered, which hold the 4 d
+    distinct offset rows of a per-string certificate. scheme_scalars'
+    refusal and a non-finite scale raise before this returns."""
+    from .decompose import SCHEMES, _group_codes, _labels, scheme_scalars
+    p, d = params.p, params.d
+    scale, weight, sign = scheme_scalars(params, scheme)
+    m, labels = SCHEMES[scheme].order(p), _labels(p, scheme)
+    texts = {}  # (a, delta) -> the entry's text
+    getters = [itemgetter(*[r ^ c for c in range(d)]) for r in range(d)]  # row r's column c: offset r ^ c
+
+    def text(a, delta):
+        if (a, delta) not in texts:
+            texts[a, delta] = format_float((a * scale + delta) * (1 / d))
+        return texts[a, delta]
+
+    @lru_cache(maxsize=4 * d)
+    def rendered(delta, codes):  # each row r's text of the offset row codes; offset 0 is the diagonal
+        cells = [text(codes[0], delta), *[text(a, 0) for a in codes[1:]]]
+        return [f"          [{', '.join(at(cells))}]" for at in getters]
+
+    def part(rows, e, phi):
+        return "[\n" + ",\n".join([rows[e ^ f][r] for r, f in enumerate(phi)]) + "\n        ]"
+
+    def groups():
+        w, flip = format_float(weight), 1 if sign < 0 else 0
+        names = iter(labels)
+        for phi, rows in _group_codes(p, scheme):
+            real = [rendered(1, a) for a, _ in rows]
+            imag = [rendered(0, b) for _, b in rows]
+            factors = [_FACTOR % (d, part(real, e, phi), part(imag, e, phi)) for e in range(m)]
+            for e, a in enumerate(factors):
+                yield _TERM % (w, encode_basestring_ascii(next(names)), a, factors[e ^ flip])
+
+    return _document((p, params.f, scheme, scale), groups())
+
+
+def _document(head: Sequence, terms: Iterator[str]) -> Iterator[str]:
+    """The certificate document with head's p, f, scheme and scale around
+    terms, each a _TERM with its leading comma, and a newline."""
+    head = _HEAD % tuple(map(_scalar_text, head))
+    first = next(terms, ",")  # the first term follows "[" with no comma; no term at all leaves "[]"
+    return chain((head, first[1:]), terms, ["]\n}\n" if first == "," else "\n  ]\n}\n"])
 
 
 # ---------------------------------------------------------------------------

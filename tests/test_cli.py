@@ -222,10 +222,10 @@ def test_a_refused_certificate_leaves_no_file(monkeypatch, tmp_path, field):
     nan = float("nan") if field == "weight" else np.full((2, 2), np.nan, dtype=complex)
     *head, last = expand(dec)
     broken = from_terms(dec.params, dec.scheme, dec.scale, [*head, last._replace(**{field: nan})])
-    monkeypatch.setattr("werner.decompose.decompose_auto", lambda *args: broken)
+    monkeypatch.setattr("werner.verify.refine_to_pure", lambda *args: broken)
     path = tmp_path / "cert.json"
     with pytest.raises(ValueError, match="non-finite"):
-        main(["decompose", "--p", "1", "--f", "0.6", "--output", str(path)])
+        main(["refine", "--p", "1", "--f", "0.6", "--output", str(path)])
     assert not path.exists()
 
 
@@ -807,3 +807,30 @@ def test_python_m_werner_prints_and_writes_what_main_does(capsys, tmp_path, monk
     written = [{f.name: f.read_bytes() for f in d.iterdir()} for d in (process, in_process)]
     assert written[0] == written[1]
     assert list(written[0]) == ["cert.json"]
+
+
+def test_a_utf8_certificate_reads_under_a_non_utf8_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259): under the C locale, whose encoding is ASCII,
+    # a label outside ASCII reads from a file and from stdin as in UTF-8
+    # mode, and the output stays the same ASCII bytes
+    main(["decompose", "--p", "1", "--f", "0.6", "--output", str(tmp_path / "cert.json")])
+    doc = json.loads((tmp_path / "cert.json").read_text())
+    doc["terms"][0]["label"] = "café"
+    text = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    (tmp_path / "u8.json").write_bytes(text)
+    calls = [(cmd, source) for cmd in ("refine", "verify") for source in ("u8.json", "-")]
+    runs = {}
+    for mode, extra in (("utf-8", {"PYTHONUTF8": "1"}),
+                        ("C", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **extra)
+        runs[mode] = [
+            subprocess.run([sys.executable, "-m", "werner", cmd, "--input", source], cwd=tmp_path,
+                           env=env, input=text if source == "-" else b"", capture_output=True)
+            for cmd, source in calls
+        ]
+    got = [[(done.returncode, done.stdout, done.stderr) for done in runs[mode]] for mode in runs]
+    assert got[0] == got[1]
+    assert [code for code, _, _ in got[0]] == [0, 0, 0, 0]
+    refined = got[0][0][1]
+    assert refined.isascii() and b'"label": "caf\\u00e9:a0b0"' in refined
+    assert got[0][1][1] == refined

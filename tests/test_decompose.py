@@ -230,7 +230,7 @@ def test_component_spectrum_is_the_formula_bit_for_bit(p):
 def _realized(p, scheme, dtype=complex):
     """The dense stack of the scheme's products V_s, from their masks."""
     x, z, t = _products(p, scheme)
-    return signed_permutations(x, pattern_values(p, z, t), dtype)
+    return signed_permutations(x, pattern_values(p, z, t)).astype(dtype)
 
 
 def _class_sums(p, k):

@@ -1,4 +1,5 @@
 """Byte-stable JSON/CSV emission and document round-trips."""
+import hashlib
 import io
 import json
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from certificate_oracle import expand
 from werner.cli import _read_certificate
-from werner.decompose import COMMUTING_CLASS, PER_STRING, decompose_auto
-from werner.errors import MalformedInput
+from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto
+from werner.errors import MalformedInput, SchemeRangeError
 from werner.model import WernerParams, werner_dense
 from werner.serialize import (
     certificate_chunks,
@@ -20,6 +21,7 @@ from werner.serialize import (
     dumps,
     format_float,
     matrix_doc,
+    scheme_certificate_chunks,
     separability_doc,
     spectrum_rows,
     verification_doc,
@@ -289,6 +291,32 @@ def _assert_written_as_the_per_scalar_emitter_writes(dec):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_certificate_bytes_match_the_per_scalar_emitter(p, scheme):
     _assert_written_as_the_per_scalar_emitter_writes(_certificate(p, scheme))
+
+
+def _digest(chunks):
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("scheme", [PER_STRING, COMMUTING_CLASS])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_the_code_writer_writes_the_bytes_of_the_built_certificate(p, scheme):
+    # each scheme in and out of its range (forced certificates, f < 0
+    # included), the scale-0 point f = 1/d, the flipped per-string branch
+    # f < 1/d, and s = 1 at f = 0 and f = 1; below 1/d both refuse the
+    # class scale of p > 1 (groups of order 2^p)
+    for f in (-0.3, 0.0, 2.0**-p, 0.02, 0.11, 0.3, 2.0 ** (1 - p), 0.6, 0.9, 1.0):
+        params = WernerParams(p, f)
+        if scheme == COMMUTING_CLASS and p > 1 and f < 2.0**-p:
+            with pytest.raises(SchemeRangeError):
+                scheme_certificate_chunks(params, scheme)
+            with pytest.raises(SchemeRangeError):
+                _build(params, scheme)
+            continue
+        written = _digest(scheme_certificate_chunks(params, scheme))
+        assert written == _digest(certificate_chunks(_build(params, scheme))), f
 
 
 def _refined_certificate(p):

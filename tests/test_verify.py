@@ -399,7 +399,7 @@ def test_the_family_agrees_with_the_built_certificate_on_a_sample(p, f):
 
 def _realized(p, x, z, t, dtype=complex):
     """The dense stack of the V = (-i)^t Z^z X^x over masks x, z and t."""
-    return signed_permutations(x, pattern_values(p, z, t), dtype)
+    return signed_permutations(x, pattern_values(p, z, t)).astype(dtype)
 
 
 def _family_generators(p, scheme):
