@@ -167,6 +167,8 @@ def _write(args, text, end: str = "\n") -> None:
     chunks = chain([text] if isinstance(text, str) else text, [end])
     path = getattr(args, "output", None)
     if path is None:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="") as fh:
@@ -186,6 +188,8 @@ def _read_certificate(path: str, max_p: int = _MAX_P):
     from .serialize import parse_decomposition
     try:
         if path == "-":  # JSON is UTF-8 (RFC 8259), whatever the locale
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
             stdin = getattr(sys.stdin, "buffer", None)
             text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         else:
@@ -458,6 +462,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         _diag("IOError", str(exc))
+        return 1
+    except MemoryError as exc:
+        _diag("ResourceError", str(exc) or "out of memory")
         return 1
 
 

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from .linalg import Spectrum
-from .pauli import all_strings, pauli_matrices
 
 if TYPE_CHECKING:  # annotations only: each function that builds an array imports numpy
     import numpy as np
@@ -125,14 +124,23 @@ def werner_dense(params: WernerParams) -> np.ndarray:
 
 
 def werner_spinor(params: WernerParams) -> np.ndarray:
-    """Same state assembled from the string basis sigma_s (x) sigma_s."""
+    """Same state assembled from the string basis sigma_s (x) sigma_s, summed
+    on the masks of the strings (-i)^|x & z| Z^z X^x. Row r of one holds
+    (-i)^(|x & z| + 2 |r & z|) at column r ^ x, so the d strings of one x,
+    with D[z, r] their entries, add (D^T D)[i, k] at row ik, column
+    ik ^ x (d + 1). Every entry is a small integer, so the sum is exact.
+    """
     import numpy as np
     params.require_physical()
     p, f = params.p, params.f
     d = params.d
-    m = pauli_matrices(all_strings(p)).reshape(4**p, d * d)
-    # sum_s sigma_s[i, j] sigma_s[k, l] in the kron layout (ik, jl)
-    acc = (m.T @ m).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    count = np.array([[(a & b).bit_count() for b in range(d)] for a in range(d)])
+    unit = np.array((1, -1j, -1, 1j))
+    ik = np.arange(d * d)
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for x in range(d):
+        D = unit[(count[x, :, None] + 2 * count) % 4]
+        acc[ik, ik ^ x * (d + 1)] = (D.T @ D).reshape(-1)
     eye = np.eye(d * d, dtype=complex)
     return ((d - f) * eye + ((d * f - 1.0) / d) * acc) / (2 ** (3 * p) - d)
 

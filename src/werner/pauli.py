@@ -1,11 +1,10 @@
-"""Pauli strings on p tensor factors: (x, z) bit masks and dense matrices.
+"""Pauli strings on p tensor factors as (x, z) bit masks.
 
 A Pauli string is a length-p tuple of base-4 digits, one digit per factor:
 
     0 -> identity, 1 -> sigma_x, 2 -> sigma_y, 3 -> sigma_z
 
-Digit 0 of the tuple is the leftmost (most significant) Kronecker factor;
-that convention is fixed once here and every dense realization follows it.
+Digit 0 of the tuple is the leftmost (most significant) Kronecker factor.
 
 The symplectic encoding maps each digit to an (x, z) bit pair,
 
@@ -13,34 +12,24 @@ The symplectic encoding maps each digit to an (x, z) bit pair,
 
 and two strings commute iff the symplectic form x_a.z_b + x_b.z_a
 vanishes mod 2. masks packs a string into two p-bit Python ints, with
-digit 0 as the most significant bit; the helpers here other than
-the three that realize matrices need no numpy. As masks a string is
+digit 0 as the most significant bit. As masks a string is
 (-i)^(y count) Z^z X^x (since Y = -i Z X), and a product of strings is
 (-i)^turns Z^z X^x (X^x Z^z = (-1)^|x & z| Z^z X^x), whose row r holds one
-entry D[r] = (-i)^turns (-1)^|r & z|, at column r ^ x. pattern_values gives
-the D of a stack of them, and signed_permutations is the one scatter that
-realizes any stack held as (x, D), with no Kronecker products.
+entry (-i)^turns (-1)^|r & z|, at column r ^ x.
 """
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
-
-if TYPE_CHECKING:  # annotations only: the numpy helpers import it as they run
-    import numpy as np
 
 __all__ = [
     "DIGIT_LETTERS",
     "all_strings",
-    "bit_parity",
     "check_digits",
     "format_label",
     "masks",
-    "pattern_values",
-    "pauli_matrices",
-    "signed_permutations",
 ]
 
 Digits = Tuple[int, ...]
@@ -88,38 +77,6 @@ def masks(strings: Iterable[Sequence[int]]) -> Tuple[int, List[int], List[int]]:
     if p is None:
         raise ValueError("no strings given")
     return p, x, z
-
-
-def bit_parity(v: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry of a nonnegative int64 array."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
-
-
-def pattern_values(p: int, z: Sequence[int], turns: Sequence[int]) -> np.ndarray:
-    """The (m, 2^p) entries D[r] = (-i)^turns (-1)^|r & z| of the (-i)^turns Z^z X^x."""
-    import numpy as np
-    r = np.arange(1 << p)
-    return np.array((1, -1j, -1, 1j))[turns, None] * (1 - 2 * bit_parity(r & np.array(z)[:, None]))
-
-
-def signed_permutations(x: Sequence[int], values: np.ndarray) -> np.ndarray:
-    """Dense (m, d, d) complex stack of the V[r, r ^ x] = D[r] over the
-    patterns x and the (m, d) entries D."""
-    import numpy as np
-    m, d = np.shape(values)
-    out = np.zeros((m, d, d), dtype=complex)
-    out[np.arange(m)[:, None], np.arange(d), np.arange(d) ^ np.asarray(x)[:, None]] = values
-    return out
-
-
-def pauli_matrices(strings: Iterable[Sequence[int]]) -> np.ndarray:
-    """Dense (m, 2^p, 2^p) stack of the strings, digit 0 as the leftmost
-    Kronecker factor: the signed permutations with turns the y count."""
-    p, x, z = masks(strings)
-    turns = [(a & b).bit_count() % 4 for a, b in zip(x, z)]
-    return signed_permutations(x, pattern_values(p, z, turns))
 
 
 def format_label(digits: Sequence[int]) -> str:

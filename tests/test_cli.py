@@ -690,6 +690,65 @@ def test_unreadable_input_exits_1_with_json(capsys, tmp_path):
     assert json.loads(line)["error"] == "IOError"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("stage,argv", [
+    ("werner.serialize.parse_decomposition", ["verify", "--input"]),
+    ("werner.verify.refine_to_pure", ["refine", "--input"]),
+    ("werner.verify.refine_to_pure", ["report", "--p", "1", "--f", "0.6", "--refine"]),
+], ids=["verify", "refine", "report"])
+def test_running_out_of_memory_exits_1_with_json(capsys, monkeypatch, tmp_path, stage, argv):
+    path = tmp_path / "cert.json"
+    main(["decompose", "--p", "1", "--f", "0.6", "--output", str(path)])
+    monkeypatch.setattr(stage, _out_of_memory)
+    code, out, err = run(capsys, *argv, *([str(path)] if argv[-1] == "--input" else []))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "ResourceError", "message": "out of memory"}
+
+
+def test_running_out_of_memory_in_a_child_prints_no_traceback(tmp_path):
+    # the child caps its own address space once its imports are done, then
+    # reads a p = 5 certificate (a 55 MB text) that does not fit under the cap
+    main(["decompose", "--p", "5", "--f", "0.6", "--output", str(tmp_path / "cert.json")])
+    code = """\
+import resource, sys
+import numpy
+from werner.cli import main
+import werner.decompose, werner.serialize, werner.verify
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + (24 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["verify", "--input", "cert.json"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    (tmp_path / "cert.json").unlink()
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "ResourceError"
+
+
+@pytest.mark.parametrize("stream,argv", [
+    ("stdin", ["verify", "--input", "-"]),
+    ("stdout", ["report", "--p", "1", "--f", "0.5"]),
+])
+def test_a_closed_stream_exits_1_with_json(capsys, monkeypatch, stream, argv):
+    # a process started with its stdin or stdout closed holds None there
+    monkeypatch.setattr(f"sys.{stream}", None)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "IOError", "message": f"{stream} is closed"}
+
+
 def test_diagnostic_is_one_json_line(capsys):
     code, _, err = run(capsys, "report", "--p", "2", "--f", "-0.3")
     assert code == 2

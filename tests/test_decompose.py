@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import werner.decompose
 from certificate_oracle import expand, from_terms
+from dense_reference import pauli_matrices, realized
 from werner.decompose import (
     _CHUNK_BYTES,
     _build,
@@ -22,7 +23,7 @@ from werner.errors import SchemeRangeError
 from werner.linalg import Spectrum, hermitian_eigenvalues
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, build_partition
-from werner.pauli import all_strings, masks, pattern_values, pauli_matrices, signed_permutations
+from werner.pauli import all_strings, masks
 from werner.verify import refine_to_pure
 
 
@@ -230,7 +231,7 @@ def test_component_spectrum_is_the_formula_bit_for_bit(p):
 def _realized(p, scheme, dtype=complex):
     """The dense stack of the scheme's products V_s, from their masks."""
     x, z, t = _products(p, scheme)
-    return signed_permutations(x, pattern_values(p, z, t)).astype(dtype)
+    return realized(p, x, z, t).astype(dtype)
 
 
 def _class_sums(p, k):

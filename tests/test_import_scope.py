@@ -4,7 +4,7 @@ stray eager import anywhere fails here. No call loads `dataclasses` (the
 value types are named tuples) or `numpy.ma` (which a bare np.unique
 imports). `ppt`, `partition`, `decompose` and `sweep` run on Python ints
 and floats alone: they import no numpy, and print and write the same bytes
-where numpy cannot be imported at all."""
+where numpy cannot be imported at all. Neither does any name of `pauli`."""
 import filecmp
 import json
 import os
@@ -17,8 +17,8 @@ import pytest
 import werner
 from werner.cli import main
 
-_ARRAYS = {"cli", "errors", "serialize", "model", "linalg", "pauli"}
-_EVERY = _ARRAYS | {"decompose", "partition", "verify"}
+_ARRAYS = {"cli", "errors", "serialize", "model", "linalg"}
+_EVERY = _ARRAYS | {"decompose", "partition", "pauli", "verify"}
 _NUMPY_FREE = {"ppt", "partition", "decompose", "sweep"}
 
 SCOPES = {
@@ -149,6 +149,27 @@ def test_decompose_prints_and_writes_the_same_bytes_without_numpy(tmp_path):
         assert filecmp.cmp(tmp_path / "RUN" / name, tmp_path / "BLOCK" / name, shallow=False), name
         (tmp_path / "RUN" / name).unlink()
         (tmp_path / "BLOCK" / name).unlink()
+
+
+def test_every_pauli_name_runs_without_numpy(tmp_path):
+    # each name in pauli.__all__ is used once, where numpy cannot be imported
+    probe = """\
+import json, sys
+sys.modules["numpy"] = None
+from werner import pauli
+runs = {
+    "DIGIT_LETTERS": pauli.DIGIT_LETTERS,
+    "all_strings": list(pauli.all_strings(1)),
+    "check_digits": pauli.check_digits([1, 3]),
+    "format_label": pauli.format_label((0, 2)),
+    "masks": pauli.masks([(1, 2), (3, 0)]),
+}
+print(json.dumps([sorted(pauli.__all__), runs]))
+"""
+    names, runs = _fresh(probe, cwd=tmp_path)
+    assert names == sorted(runs)
+    assert runs == {"DIGIT_LETTERS": "IXYZ", "all_strings": [[0], [1], [2], [3]],
+                    "check_digits": [1, 3], "format_label": "IY", "masks": [2, [3, 0], [1, 2]]}
 
 
 def test_import_werner_loads_no_submodule_and_no_numpy(tmp_path):

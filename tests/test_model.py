@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import partial_transpose_b, two_buffer_invariance_residual
+from dense_reference import pauli_matrices, partial_transpose_b, two_buffer_invariance_residual
 from werner.errors import DimensionMismatch, MalformedInput, PhysicalRangeError, WernerError
 from werner.linalg import hermitian_eigensystem, hermitian_eigenvalues
 from werner.model import (
@@ -29,7 +29,7 @@ from werner.model import (
     werner_dense,
     werner_spinor,
 )
-from werner.pauli import all_strings, pauli_matrices
+from werner.pauli import all_strings
 
 fs = st.floats(-1.0, 1.0, allow_nan=False)
 ps = st.integers(1, 2)
@@ -148,7 +148,7 @@ def test_dense_and_spinor_agree(p, f):
     assert werner_dense(params).tobytes() == werner_spinor(params).tobytes()
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("f", [-1.0, -0.3, 0.0, "1/d", 0.77, 1.0])
 def test_dense_and_spinor_agree_bit_for_bit(p, f):
     params = WernerParams(p, 1.0 / 2**p if f == "1/d" else f)

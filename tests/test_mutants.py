@@ -1,7 +1,7 @@
-"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check,
-to serialize's certificate reader, to partition.validate_partition, to
-decompose.reconstruct, to linalg's Jacobi kernel and to cli.py's exit codes,
-that a probe must see.
+"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check
+and model.werner_spinor, to serialize's certificate reader, to
+partition.validate_partition, to decompose.reconstruct, to linalg's Jacobi
+kernel and to cli.py's exit codes, that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
 serialize.py, partition.py, decompose.py, linalg.py or cli.py. The text must
@@ -10,10 +10,11 @@ has to follow. The edited source is exec'd into a fresh module object (no
 file is written), and a fixed set of small probes of that module runs
 against it. A verify probe returns the boolean judgements of one report:
 verdict, convex_ok, positivity_ok and purity_ok, or the verdicts of
-separability_report at a few points; a model probe, ppt_check's verdicts; a
-serialize probe, which certificate headers and which certificate texts are
-read; a partition probe, the kinds of problem validate_partition reports for
-each broken partition; a decompose probe, which certificates reconstruct
+separability_report at a few points; a model probe, ppt_check's verdicts or
+whether werner_spinor keeps werner_dense's bytes; a serialize probe, which
+certificate headers and which certificate texts are read; a partition probe,
+the kinds of problem validate_partition reports for each broken partition; a
+decompose probe, which certificates reconstruct
 their state; a linalg probe, the judgements of the document verifier run on
 the edited kernel, or the error it raises; a cli probe, the exit code and
 the error name on stderr of calls of main, run in process. An edit is killed
@@ -299,7 +300,7 @@ def report_verdicts(m):
     return verdict(2, -1e-10), verdict(3, 0.25, 0.0), verdict(2, 0.6)
 
 
-# --- probes on model.ppt_check ------------------------------------------------
+# --- probes on model.ppt_check and model.werner_spinor ---------------------------
 
 
 def ppt_verdicts(m):
@@ -308,6 +309,12 @@ def ppt_verdicts(m):
     return tuple(
         m.ppt_check(WernerParams(2, 4 * x * tol), tol) for tol in (1e-9, 1e-6) for x in (-2, -0.5)
     ) + (m.ppt_check(WernerParams(2, -0.5)),)
+
+
+def spinor_bits(m):
+    # the string sum keeps werner_dense's bytes at p = 1..3
+    return tuple(m.werner_spinor(WernerParams(p, 0.6)).tobytes()
+                 == werner_dense(WernerParams(p, 0.6)).tobytes() for p in (1, 2, 3))
 
 
 # --- probes on serialize._header -------------------------------------------------
@@ -539,6 +546,7 @@ PROBES = {"verify": [
     (report_verdicts, ("ENTANGLED", "INVALID", "SEPARABLE")),
 ], "model": [
     (ppt_verdicts, (False, True, False, True, False)),
+    (spinor_bits, (True, True, True)),
 ], "serialize": [
     (header_caps, (True, False, True, False)),
     (reader_verdicts, (True,) + (False,) * len(_BROKEN_TEXTS)),
@@ -643,6 +651,9 @@ MUTANTS = [
      "_pt_pairs(params)) >= -tol", "_pt_pairs(params)) >= -1e-6"),
     ("ppt_check reads the greater PT eigenvalue", "model",
      "min(v for v, _ in _pt_pairs(params))", "max(v for v, _ in _pt_pairs(params))"),
+    # the string sum of werner_spinor
+    ("the string sum drops the sign (-1)^|r & z|", "model", "2 * count", "count"),
+    ("the string sum scatters at column ik ^ x", "model", "ik ^ x * (d + 1)", "ik ^ x"),
     # the certificate reader's caps on p
     ("the reader admits p = 64", "serialize", "if p >= 64:", "if p > 64:"),
     ("the reader refuses p = 63", "serialize", "if p >= 64:", "if p >= 63:"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import werner.partition
-from dense_reference import PHASE
+from dense_reference import PHASE, pauli_matrices
 from werner.errors import UnsupportedFieldSize, WernerError
 from werner.partition import (
     IRREDUCIBLE_POLY,
@@ -20,7 +20,7 @@ from werner.partition import (
     build_partition,
     validate_partition,
 )
-from werner.pauli import DIGIT_LETTERS, all_strings, masks, pauli_matrices
+from werner.pauli import DIGIT_LETTERS, all_strings, masks
 
 # --- GF(2^p) --------------------------------------------------------------
 

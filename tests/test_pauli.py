@@ -1,4 +1,5 @@
-"""Pauli strings against dense-matrix ground truth."""
+"""Pauli strings against dense-matrix ground truth: the tests' Kronecker
+products of I, X, Y and Z."""
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certificate_oracle import expand
-from dense_reference import PHASE
+from dense_reference import PHASE, pauli_matrices, realized
 from werner.decompose import COMMUTING_CLASS, PER_STRING, _products, decompose_auto
 from werner.errors import DimensionMismatch
 from werner.model import WernerParams
@@ -19,9 +20,6 @@ from werner.pauli import (
     check_digits,
     format_label,
     masks,
-    pattern_values,
-    pauli_matrices,
-    signed_permutations,
 )
 
 digit_strings = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
@@ -71,7 +69,7 @@ def test_product_xx_times_xz_frozen():
 def test_product_matches_dense(a, b):
     if len(a) != len(b):
         with pytest.raises(DimensionMismatch):
-            pauli_matrices([a, b])
+            masks([a, b])
         return
     turns, digits = _product(a, b)
     ma, mb, mc = pauli_matrices([a, b, digits])
@@ -174,36 +172,25 @@ def test_matrix_utilities():
     assert np.array_equal(np.kron(x, z), pauli_matrices([(1, 3)])[0])
 
 
-# --- the signed-permutation realizer against the Kronecker product ----------
-
-
-_SINGLE_FACTOR = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-
-def _kron_matrix(digits):
-    """Reference realization: digit 0 is the leftmost Kronecker factor."""
-    return reduce(np.kron, [_SINGLE_FACTOR[d] for d in digits])
+# --- the mask rule against the Kronecker product ------------------------------
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_realizer_matches_kron_for_every_string(p):
+    # as masks a string is (-i)^(y count) Z^z X^x
     strings = list(all_strings(p))
-    stack = pauli_matrices(strings)
+    _, x, z = masks(strings)
+    stack = realized(p, x, z, [(a & b).bit_count() for a, b in zip(x, z)])
     assert stack.shape == (4**p, 2**p, 2**p) and stack.dtype == complex
-    for s, m in zip(strings, stack):
-        assert np.array_equal(m, _kron_matrix(s)), s
+    for s, m, want in zip(strings, stack, pauli_matrices(strings)):
+        assert np.array_equal(m, want), s
 
 
-def test_realizer_rejects_mixed_lengths_and_bad_digits():
+def test_masks_reject_mixed_lengths_and_bad_digits():
     with pytest.raises(DimensionMismatch):
-        pauli_matrices([(1,), (1, 3)])
+        masks([(1,), (1, 3)])
     with pytest.raises(ValueError):
-        pauli_matrices([(1, 4)])
+        masks([(1, 4)])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -215,9 +202,9 @@ def test_class_sums_are_bit_identical_to_kron_sums(p):
     dec, eye = decompose_auto(WernerParams(p, 1.0), COMMUTING_CLASS), np.eye(n)
     assert dec.scale == 1.0
     x, z, t = _products(p, COMMUTING_CLASS)
-    stack = signed_permutations(x, pattern_values(p, z, t)).astype(np.complex64)
+    stack = realized(p, x, z, t).astype(np.complex64)
     for k, cls in enumerate(build_partition(p).classes):
-        gens = [_kron_matrix(g) for g in cls.generators]
+        gens = pauli_matrices(cls.generators)
         # member c is the ordered product of the generators its bits select
         members = np.array(
             [reduce(np.matmul, (g for j, g in enumerate(gens) if c >> j & 1)) for c in range(1, n)]
@@ -235,8 +222,7 @@ def test_per_string_factors_are_bit_identical_to_kron_factors(p):
     for f in (0.0, 0.3 * 2.0 ** (1 - p), 2.0 ** (1 - p)):  # flipped, flipped, scale 1
         dec = decompose_auto(WernerParams(p, f), PER_STRING)
         want = []
-        for s in list(all_strings(p))[1:]:
-            sig = _kron_matrix(s)
+        for sig in pauli_matrices(list(all_strings(p))[1:]):
             plus, minus = (eye + dec.scale * sig) / d, (eye - dec.scale * sig) / d
             want += [(plus, minus), (minus, plus)] if d * f < 1 else [(plus, plus), (minus, minus)]
         assert len(want) == dec.n_terms

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import werner.verify
 from certificate_oracle import Term, exact, expand, from_terms
+from dense_reference import realized
 from werner.decompose import (
     _CHUNK_BYTES,
     COMMUTING_CLASS,
@@ -27,7 +28,6 @@ from werner.cli import main
 from werner.errors import DimensionMismatch, MalformedInput, VerificationFailure
 from werner.linalg import hermitian_eigensystem
 from werner.model import WernerParams, ppt_check, werner_dense
-from werner.pauli import pattern_values, signed_permutations
 from werner.serialize import certificate_chunks, doc_decomposition, parse_decomposition
 from werner.verify import (
     _eigensystems,
@@ -397,18 +397,13 @@ def test_the_family_agrees_with_the_built_certificate_on_a_sample(p, f):
     _assert_agree(WernerParams(p, f))
 
 
-def _realized(p, x, z, t, dtype=complex):
-    """The dense stack of the V = (-i)^t Z^z X^x over masks x, z and t."""
-    return signed_permutations(x, pattern_values(p, z, t)).astype(dtype)
-
-
 def _family_generators(p, scheme):
     """The family's G_t, term by term: each group's T_e = sum_{s != 0}
     (-1)^|e & s| V_s over its products V_s, as the builder takes them, in
     complex128; +-sigma for the groups {I, sigma}."""
     d, m = 2**p, SCHEMES[scheme].order(p)
     chi = np.array([[(-1) ** bin(e & s).count("1") for s in range(1, m)] for e in range(m)])
-    prods = _realized(p, *werner.verify._products(p, scheme)).reshape(-1, m - 1, d * d)
+    prods = realized(p, *werner.verify._products(p, scheme)).reshape(-1, m - 1, d * d)
     return np.matmul(chi, prods).reshape(-1, d, d)
 
 
@@ -590,7 +585,7 @@ def test_no_tampered_stack_passes_with_a_wrong_s(monkeypatch, p, scheme, tamper)
     # problem, sum_V V (x) V over the realized stack is its closed form
     x, z, t = werner.verify._products(p, scheme)
     tamper(x, z, t, len(x) // 2)
-    held = np.array_equal(_dense_swap_sum(_realized(p, x, z, t)), _closed_swap_sum(p))
+    held = np.array_equal(_dense_swap_sum(realized(p, x, z, t)), _closed_swap_sum(p))
     monkeypatch.setattr("werner.verify._products", lambda p, scheme: (x, z, t))
     refused = bool(scheme_family(p, scheme).problems)
     assert held or refused
@@ -614,7 +609,7 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
     # dense float64 gap w/d^2 (n_terms I + c S) - rho over all d^4 entries
     # must give the same report, residual bits included
     family = _family(p, scheme)
-    gens = _realized(p, *werner.verify._products(p, scheme), np.complex64)
+    gens = realized(p, *werner.verify._products(p, scheme)).astype(np.complex64)
     d, swap_sum = 2**p, _dense_swap_sum(_family_generators(p, scheme).astype(np.complex64))
     assert family.problems == ()
     assert np.array_equal(_dense_swap_sum(gens), _closed_swap_sum(p))
