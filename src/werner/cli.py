@@ -176,9 +176,16 @@ def _write(args, text, end: str = "\n") -> None:
 
 
 def _diag(kind: str, message: str, **extra) -> None:
+    """One JSON line on stderr. A closed stderr (None, as under 2>&-) or one
+    that refuses the write drops the line: the exit code still reports."""
+    if sys.stderr is None:
+        return
     doc = {"error": kind, "message": message}
     doc.update(extra)
-    sys.stderr.write(json.dumps(doc) + "\n")
+    try:
+        sys.stderr.write(json.dumps(doc) + "\n")
+    except OSError:
+        pass
 
 
 def _read_certificate(path: str, max_p: int = _MAX_P):

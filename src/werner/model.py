@@ -240,13 +240,18 @@ _CHUNK_BYTES = 1 << 19
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-like d x d unitary from a seeded complex Gaussian matrix.
 
-    QR with the phases of the triangular diagonal pushed back into Q makes
-    the draw independent of the QR sign convention; the result is exactly
-    reproducible for a given seed.
+    The matrix's real parts are the first d^2 draws of
+    numpy.random.default_rng(seed).standard_normal and its imaginary parts
+    the next d^2, taken from rng.standard_normal, the toolkit's bit-exact
+    port of that stream, so numpy.random is never imported. QR with the
+    phases of the triangular diagonal pushed back into Q makes the draw
+    independent of the QR sign convention; for a given seed the result is
+    exactly reproducible under one LAPACK.
     """
     import numpy as np
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    from .rng import standard_normal
+    re, im = np.array(standard_normal(seed, 2 * d * d)).reshape(2, d, d)
+    z = re + 1j * im
     q, r = np.linalg.qr(z / sqrt(2.0))
     ph = np.diag(r).copy()
     ph = ph / np.abs(ph)

@@ -3,6 +3,7 @@ import argparse
 import ast
 import gc
 import inspect
+import io
 import json
 import os
 import re
@@ -747,6 +748,32 @@ def test_a_closed_stream_exits_1_with_json(capsys, monkeypatch, stream, argv):
     assert code == 1
     (line,) = err.splitlines()
     assert json.loads(line) == {"error": "IOError", "message": f"{stream} is closed"}
+
+
+class _RefusingStream(io.StringIO):
+    """A stream whose writes fail, as on an fd opened read-only."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _RefusingStream()], ids=["closed", "refusing"])
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("ppt", "--p", "1", "--f", "-0.5"), 2),  # NOT PPT
+        (("report", "--p", "1", "--f", "-0.5"), 2),  # NotSeparable
+        (("ppt", "--p", "1", "--f", "9"), 2),  # outside [-1, 1]
+        (("ppt", "--p", "1", "--no-such-flag"), 1),  # a usage error
+    ],
+    ids=["not-ppt", "not-separable", "out-of-range", "usage"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(capsys, monkeypatch, stderr, argv, want):
+    # a process started with stderr closed holds None there; the diagnostic
+    # line is dropped and the exit code alone reports
+    monkeypatch.setattr("sys.stderr", stderr)
+    assert main(list(argv)) == want
+    assert capsys.readouterr().out.startswith("{") == (argv[-1] == "-0.5")
 
 
 def test_diagnostic_is_one_json_line(capsys):

@@ -1,10 +1,12 @@
 """Each CLI call imports only the modules its subcommand runs, and `import
 werner` imports no submodule and no numpy: the pinned sets are exact, so a
 stray eager import anywhere fails here. No call loads `dataclasses` (the
-value types are named tuples) or `numpy.ma` (which a bare np.unique
-imports). `ppt`, `partition`, `decompose` and `sweep` run on Python ints
-and floats alone: they import no numpy, and print and write the same bytes
-where numpy cannot be imported at all. Neither does any name of `pauli`."""
+value types are named tuples), `numpy.ma` (which a bare np.unique imports)
+or `numpy.random` (the invariance probe draws from `rng`, a port of its
+stream that only `report` and `spectrum --check-invariance` load). `ppt`,
+`partition`, `decompose` and `sweep` run on Python ints and floats alone:
+they import no numpy, and print and write the same bytes where numpy cannot
+be imported at all. Neither does any name of `pauli`."""
 import filecmp
 import json
 import os
@@ -24,24 +26,25 @@ _NUMPY_FREE = {"ppt", "partition", "decompose", "sweep"}
 SCOPES = {
     ("build", "--p", "1", "--f", "0.5"): _ARRAYS,
     ("spectrum", "--p", "1", "--f", "0.5"): _ARRAYS,
+    ("spectrum", "--p", "1", "--f", "0.5", "--check-invariance"): _ARRAYS | {"rng"},
     ("ppt", "--p", "1", "--f", "0.5"): _ARRAYS,
     ("partition", "--p", "2"): {"cli", "errors", "serialize", "partition", "pauli"},
     ("decompose", "--p", "1", "--f", "0.5"): _EVERY - {"verify"},
     ("verify", "--input", "cert.json"): _EVERY,
     ("refine", "--p", "1", "--f", "0.5"): _EVERY,
-    ("report", "--p", "1", "--f", "0.5"): _EVERY,
+    ("report", "--p", "1", "--f", "0.5"): _EVERY | {"rng"},
     ("sweep", "--p", "1", "--f-start", "0", "--f-end", "1", "--f-step", "0.5"): _EVERY,
 }
 
 # runs argv through the CLI, then prints the werner submodules it loaded,
-# whether numpy is loaded, and which of two modules that no call needs are:
-# each costs milliseconds of import
+# whether numpy is loaded, and which of three modules that no call needs are:
+# each costs milliseconds of import, numpy.random 6 MB
 _PROBE = """\
 import json, sys
 from werner.cli import main
 code = main(sys.argv[1:] + ["--output", "out.txt"])
 loaded = sorted(m[7:] for m in sys.modules if m.startswith("werner."))
-never = [m for m in ("dataclasses", "numpy.ma") if m in sys.modules]
+never = [m for m in ("dataclasses", "numpy.ma", "numpy.random") if m in sys.modules]
 print(json.dumps([code, loaded, "numpy" in sys.modules, never]))
 """
 
@@ -81,7 +84,8 @@ def _outputs(mode, argvs, cwd):
     return runs
 
 
-@pytest.mark.parametrize("argv", list(SCOPES), ids=[argv[0] for argv in SCOPES])
+@pytest.mark.parametrize(
+    "argv", list(SCOPES), ids=[argv[0] + "-invariance" * ("--check-invariance" in argv) for argv in SCOPES])
 def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv):
     if argv[0] == "verify":
         main(["decompose", "--p", "1", "--f", "0.5", "--output", str(tmp_path / "cert.json")])

@@ -30,6 +30,7 @@ from werner.model import (
     werner_spinor,
 )
 from werner.pauli import all_strings
+from werner.rng import standard_normal
 
 fs = st.floats(-1.0, 1.0, allow_nan=False)
 ps = st.integers(1, 2)
@@ -288,6 +289,57 @@ def test_random_unitary_properties():
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
     assert np.array_equal(u, random_unitary(4, 42))
     assert not np.allclose(u, random_unitary(4, 43))
+
+
+# the seeds of the draws: 0..199, the edges of one and two 32-bit words, 60
+# drawn ones, and seeds of up to thirteen words, whose words past the pool's
+# four are mixed in last
+_SEEDS = sorted(
+    {*range(200), 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 7, 2**63 + 5, 2**64 - 1,
+     2**64 + 5, 2**96, 2**128 + 1, 2**200 + 12345}
+    | {int(w) for w in np.random.default_rng(38).integers(1, 2**62, 60)}
+    | {(7**k * 0x9E3779B97F4A7C15) % 2**k for k in range(70, 400, 7)}
+)
+
+
+def test_standard_normal_matches_numpy_bit_for_bit():
+    assert len(_SEEDS) >= 300
+    for seed in _SEEDS:
+        want = np.random.default_rng(seed).standard_normal(640)
+        assert np.array(standard_normal(seed, 640)).tobytes() == want.tobytes(), seed
+    # n is a prefix of the stream, whatever n is
+    assert standard_normal(5, 0) == []
+    assert standard_normal(5, 3) == standard_normal(5, 10)[:3]
+
+
+def test_standard_normal_matches_numpy_through_the_tail():
+    # a million draws hold a few hundred beyond the ziggurat's base layer,
+    # which only the log1p tail returns
+    want = np.random.default_rng(2**64 + 5).standard_normal(10**6)
+    got = np.array(standard_normal(2**64 + 5, 10**6))
+    assert got.tobytes() == want.tobytes()
+    assert (got < -3.6541528853610088).any() and (got > 3.6541528853610088).any()
+
+
+def test_a_negative_seed_is_refused_as_numpy_refuses_it():
+    for draw in (np.random.default_rng, lambda seed: standard_normal(seed, 1)):
+        with pytest.raises(ValueError):
+            draw(-1)
+
+
+def _numpy_unitary(d, seed):
+    """random_unitary as it is built on numpy.random."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z / sqrt(2.0))
+    ph = np.diag(r).copy()
+    return q * (ph / np.abs(ph))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**200 + 12345])
+def test_random_unitary_is_the_numpy_construction(seed):
+    for d in range(2, 33):
+        assert random_unitary(d, seed).tobytes() == _numpy_unitary(d, seed).tobytes(), d
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -1,12 +1,13 @@
 """Mutation tests of the verdict: named edits to verify.py, to model.ppt_check
 and model.werner_spinor, to serialize's certificate reader, to
 partition.validate_partition, to decompose.reconstruct, to linalg's Jacobi
-kernel and to cli.py's exit codes, that a probe must see.
+kernel, to cli.py's exit codes and to rng's port of NumPy's normal stream,
+that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
-serialize.py, partition.py, decompose.py, linalg.py or cli.py. The text must
-occur exactly once, so a refactor that removes it fails here and the list
-has to follow. The edited source is exec'd into a fresh module object (no
+serialize.py, partition.py, decompose.py, linalg.py, cli.py or rng.py. The
+text must occur exactly once, so a refactor that removes it fails here and
+the list has to follow. The edited source is exec'd into a fresh module object (no
 file is written), and a fixed set of small probes of that module runs
 against it. A verify probe returns the boolean judgements of one report:
 verdict, convex_ok, positivity_ok and purity_ok, or the verdicts of
@@ -17,7 +18,8 @@ the kinds of problem validate_partition reports for each broken partition; a
 decompose probe, which certificates reconstruct
 their state; a linalg probe, the judgements of the document verifier run on
 the edited kernel, or the error it raises; a cli probe, the exit code and
-the error name on stderr of calls of main, run in process. An edit is killed
+the error name on stderr of calls of main, run in process; an rng probe,
+whether the draws of a few seeds are NumPy's. An edit is killed
 when some probe's judgements differ from those of the unedited source.
 """
 import io
@@ -37,6 +39,7 @@ import werner.decompose
 import werner.linalg
 import werner.model
 import werner.partition
+import werner.rng
 import werner.serialize
 import werner.verify
 from certificate_oracle import Term, expand, from_terms
@@ -55,7 +58,7 @@ def _source(module):
 
 MODULES = {
     name: getattr(werner, name)
-    for name in ("verify", "model", "serialize", "partition", "decompose", "linalg", "cli")
+    for name in ("verify", "model", "serialize", "partition", "decompose", "linalg", "cli", "rng")
 }
 SOURCES = {name: _source(module) for name, module in MODULES.items()}
 
@@ -524,6 +527,19 @@ def exit_codes(m):
             _call(m, "report", "--p", "2", "--f", "-0.5"))
 
 
+# --- probes on rng.standard_normal ------------------------------------------------
+
+
+def normal_draws(m):
+    # the 2,048 draws of the p = 5 probe at three seeds: seed 0 draws from the
+    # tail below -3.65 at 303 and 478, and 2^200 + 12345 has seven words,
+    # three more than SeedSequence's pool
+    return tuple(
+        m.standard_normal(seed, 2048) == np.random.default_rng(seed).standard_normal(2048).tolist()
+        for seed in (0, 42, 2**200 + 12345)
+    )
+
+
 PROBES = {"verify": [
     (honest_document, (True, True, True, False)),
     (negative_weight, (False, False, True, False)),
@@ -570,6 +586,8 @@ PROBES = {"verify": [
 ], "cli": [
     (exit_codes, ((0, None), (2, "VerificationFailed"), (0, None), (2, "VerificationFailed"),
                   (2, "NotSeparable"))),
+], "rng": [
+    (normal_draws, (True, True, True)),
 ]}
 
 # (name, module, exact text of its source, the replacement)
@@ -723,6 +741,17 @@ MUTANTS = [
      "p=dec.params.p, f=dec.params.f)\n        return 2", "p=dec.params.p, f=dec.params.f)\n        return 0"),
     ("report names INVALID as NotSeparable", "cli",
      '"NotSeparable" if rep.verdict == "ENTANGLED" else "VerificationFailed"', '"NotSeparable"'),
+    # the port of NumPy's seed-to-normals stream
+    ("PCG64 outputs its state before the step", "rng",
+     "        state = (state * _PCG_MULT + increment) & _M128\n"
+     "        value = (state >> 64 ^ state) & _M64\n        rot = state >> 122\n",
+     "        value, rot = (state >> 64 ^ state) & _M64, state >> 122\n"
+     "        state = (state * _PCG_MULT + increment) & _M128\n"),
+    ("the tail drops its sign bit", "rng", "-(_R + xx) if rabs >> 8 & 1 else _R + xx", "_R + xx"),
+    ("the rejection test's layer gap is negated", "rng",
+     "_FI[idx - 1] - _FI[idx]", "_FI[idx] - _FI[idx - 1]"),
+    ("SeedSequence's mix swaps its multipliers", "rng",
+     "0xCA01F9DD * x - 0x4973F715 * y", "0x4973F715 * x - 0xCA01F9DD * y"),
 ]
 
 
