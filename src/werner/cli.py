@@ -22,8 +22,9 @@ from .errors import MalformedInput, WernerError
 
 __all__ = ["main", "run"]
 
-# "auto" and the flags of decompose.SCHEMES, spelled out so that building
-# the parser imports no numpy; tests/test_cli.py holds them to the table
+# "auto" and the flags of decompose.SCHEMES, spelled out so that ppt's import
+# set, which tests/test_import_scope.py pins, does not grow by decompose,
+# partition and pauli; tests/test_cli.py holds them to the table
 _SCHEME_FLAGS = ("auto", "class", "per-string")
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here

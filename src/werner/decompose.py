@@ -27,13 +27,13 @@ the authority on positivity: the unguarded builder makes out-of-range
 A Decomposition holds each factor once, in a table that its terms index:
 the builder's table is its stack of the A_e, and term t takes row t as its
 first factor and row t, or t ^ 1 when sign < 0, as its second. The entries
-of T_e are computed once per group from the masks of its V_s, as integer
-codes (_group_codes): _build realizes the A_e from them as arrays, and
-serialize.scheme_certificate_chunks writes them as text with no numpy.
+of the A_e are computed once, in _entries, from the masks of each group's
+V_s: _build only places them in arrays, and
+serialize.scheme_certificate_chunks only formats them, with no numpy.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -139,77 +139,75 @@ def _products(p: int, scheme: str) -> Tuple[List[int], List[int], List[int]]:
 _UNITS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^t as (re, im)
 
 
-def _group_codes(p: int, scheme: str) -> Iterator[Tuple[List[int], List[Tuple[Tuple[int, ...], ...]]]]:
-    """(phi, rows) for each group in order: the integer codes of its m
-    character sums, entry T_e[r, r ^ o] = a + b i with a = rows[f][0][o]
-    and b = rows[f][1][o] at f = e ^ phi[r].
+def _entries(params: WernerParams, scheme: str) -> Tuple[float, float, int, Tuple[str, ...], Iterator[tuple]]:
+    """(s, w, flip, labels, groups): scheme_scalars' s and w; flip, 1 where
+    sign < 0 (term e's second factor is A_(e ^ flip)), else 0; each term's
+    label, the group's label, ":" and the mark of its character; and for
+    each group in order its (phi, rows), phi a list of d ints and rows m
+    pairs of tuples of d floats: entry (r, c) of A_e is rows[f][0][r ^ c] +
+    rows[f][1][r ^ c] i at f = e ^ phi[r].
 
     Row r of V_s holds (-i)^t_s (-1)^|r & z_s| at column r ^ x_s. Since
     V_(2^j) = G_j and z is additive over s, |r & z_s| = |phi(r) & s| mod 2,
     with bit j of phi(r) the parity of r & z_(2^j). So row r of T_e is the
     offset row f = e ^ phi(r), sum_{s != 0} (-1)^|f & s| (-i)^t_s at
-    offset x_s, read at column r ^ offset: m offset rows of d codes hold
-    a group's m d^2 entries, each |a|, |b| <= m - 1.
+    offset x_s, read at column r ^ offset: m offset rows of d integer codes
+    a + b i, each |a|, |b| <= m - 1, hold a group's m d^2 entries. Code a
+    has the value (a s + delta)(1/d), delta 1 at offset 0 of the real part
+    (the diagonal) and 0 elsewhere; the + 0 makes the -0.0 of a < 0 at
+    s = 0 a 0.0, so no value is -0.0.
     """
-    d, m = 1 << p, SCHEMES[scheme].order(p)
-    x, z, t = _products(p, scheme)
-    parity = [v.bit_count() & 1 for v in range(d)]
-    for k in range(0, len(x), m - 1):
-        phi = [0] * d
-        for j in range(m.bit_length() - 1):
-            c = z[k + (1 << j) - 1]
-            phi = [v | parity[r & c] << j for r, v in enumerate(phi)]
-        rows = []
-        for f in range(m):
-            re, im = [0] * d, [0] * d
-            for s, o, u in zip(range(1, m), x[k : k + m - 1], t[k : k + m - 1]):
-                a, b = _UNITS[(u + 2 * (f & s).bit_count()) % 4]
-                re[o] += a
-                im[o] += b
-            rows.append((tuple(re), tuple(im)))
-        yield phi, rows
-
-
-def _labels(p: int, scheme: str) -> Tuple[str, ...]:
-    """Each term's label, group by group: the group's label, ":", the mark
-    of its character."""
+    p, d = params.p, params.d
     table = SCHEMES[scheme]
-    marks = table.marks(p)
-    return tuple(f"{label}:{mark}" for k, gens in enumerate(table.groups(p))
-                 for label in (table.label(k, gens),) for mark in marks)
+    m, marks, groups = table.order(p), table.marks(p), table.groups(p)
+    scale, weight, sign = scheme_scalars(params, scheme)
+    labels = tuple(f"{table.label(k, gens)}:{mark}" for k, gens in enumerate(groups) for mark in marks)
+    value = [{a: (a * scale + delta) * (1 / d) for a in range(1 - m, m)} for delta in (0, 1)]
+
+    def values(codes, delta):  # an offset row's values; offset 0 is the diagonal
+        return (value[delta][codes[0]], *map(value[0].get, codes[1:]))
+
+    def rows():
+        x, z, t = _products(p, scheme)
+        parity = [v.bit_count() & 1 for v in range(d)]
+        for k in range(0, len(x), m - 1):
+            phi = [0] * d
+            for j in range(m.bit_length() - 1):
+                c = z[k + (1 << j) - 1]
+                phi = [v | parity[r & c] << j for r, v in enumerate(phi)]
+            offset_rows = []
+            for f in range(m):
+                re, im = [0] * d, [0] * d
+                for s, o, u in zip(range(1, m), x[k : k + m - 1], t[k : k + m - 1]):
+                    a, b = _UNITS[(u + 2 * (f & s).bit_count()) % 4]
+                    re[o] += a
+                    im[o] += b
+                offset_rows.append((values(re, 1), values(im, 0)))
+            yield phi, offset_rows
+
+    return scale, weight, 1 if sign < 0 else 0, labels, rows()
 
 
 def _build(params: WernerParams, scheme: str) -> Decomposition:
     """The scheme's certificate at params.f with no range check, so that a
     forced (out-of-range) certificate fails only verification: group k's
-    term e has A = (I + s T_e)/d, and B = A, or the partner term's A_(e ^ 1)
-    when sign < 0."""
+    term e has A = (I + s T_e)/d, and B = A_(e ^ flip), placed from the
+    entries of _entries a group at a time."""
     import numpy as np
-    p, d = params.p, params.d
-    m, (scale, weight, sign) = SCHEMES[scheme].order(p), scheme_scalars(params, scheme)
-    labels = _labels(p, scheme)
+    d = params.d
+    scale, weight, flip, labels, groups = _entries(params, scheme)
     comps = np.empty((len(labels), d, d), complex)
-    # A chunk of groups is gathered from its codes (int8, |a| <= m - 1 < 32)
-    # and becomes A in cache, on the float parts: (a s + delta)/d, delta
-    # the I's part, rounded as serialize.scheme_certificate_chunks rounds it
-    eye = np.eye(d, dtype=complex).view(np.float64)
     r = np.arange(d)
     offsets = r[:, None] ^ r  # row r's column c is at offset r ^ c
-    chars = np.arange(m)[:, None]
-    step = max(1, _CHUNK_BYTES // comps[:m].nbytes)  # in groups
-    groups = _group_codes(p, scheme)
-    for start in range(0, len(comps), step * m):
-        phis, rows = zip(*islice(groups, step))
-        # each code's (a, b) as one int16, at [group, e ^ phi, offset]
-        codes = np.ascontiguousarray(np.array(rows, np.int8).transpose(0, 1, 3, 2)).view(np.int16).ravel()
-        at = np.arange(0, len(codes), m * d)[:, None, None] + (chars ^ np.array(phis)[:, None]) * d
-        parts = comps[start : start + len(rows) * m].view(np.float64)
-        gathered = codes[at[..., None] + offsets].view(np.int8)  # [group, e, r, 2c + (0 | 1)]
-        np.multiply(gathered.reshape(parts.shape), scale, out=parts, dtype=np.float64)
-        parts += eye
-        parts *= 1 / d  # d = 2^p, so this is the quotient, exactly
+    start = 0
+    for phi, rows in groups:
+        m = len(rows)
+        table = np.empty((m, d), complex)
+        table.real, table.imag = np.array(rows).transpose(1, 0, 2)
+        comps[start : start + m] = table[(np.arange(m)[:, None] ^ phi)[..., None], offsets]
+        start += m
     terms = np.arange(len(comps))
-    pairs = np.stack((terms, terms ^ 1 if sign < 0 else terms), axis=1)
+    pairs = np.stack((terms, terms ^ flip), axis=1)
     return Decomposition(params, scheme, scale, comps, pairs, np.full(len(terms), weight), labels)
 
 

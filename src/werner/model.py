@@ -228,12 +228,11 @@ def ppt_check(params: WernerParams, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 # bytes of the blocks that the d^4 and stacked stages work in: the probe's
-# block products here; in decompose the factors of the groups that _build
-# gathers from their codes at a time, and reconstruct's GEMM factors (256
-# terms at p = 3, 64 at p = 4) and row blocks (at least this many bytes);
-# in verify the factor stacks of the eigensolver. A refined certificate (69,632 terms at p = 4) is never
-# stacked whole, and small runs stay within a megabyte of the per-term
-# loop's peak RSS.
+# block products here; in decompose reconstruct's GEMM factors (256 terms
+# at p = 3, 64 at p = 4) and row blocks (at least this many bytes); in
+# verify the factor stacks of the eigensolver. A refined certificate
+# (69,632 terms at p = 4) is never stacked whole, and small runs stay
+# within a megabyte of the per-term loop's peak RSS.
 _CHUNK_BYTES = 1 << 19
 
 

@@ -48,6 +48,16 @@ def realized(p, x, z, t):
                      for a, c, u in zip(x, z, t)])
 
 
+def character_factors(p, m, x, z, t, s):
+    """Dense (n, 2^p, 2^p) stack of the (I + s T_e)/2^p of each group of m - 1
+    consecutive (x, z, t) and each character e of Z_2^k (m = 2^k), group by
+    group, with T_e = sum_{j != 0} (-1)^|e & j| V_j over the group's V_j."""
+    d = 2**p
+    chi = np.array([[(-1) ** (e & j).bit_count() for j in range(1, m)] for e in range(m)])
+    sums = np.einsum("ej,gjab->geab", chi, realized(p, x, z, t).reshape(-1, m - 1, d, d))
+    return ((np.eye(d) + s * sums) / d).reshape(-1, d, d)
+
+
 def partial_transpose_b(m, d_a, d_b):
     """Transpose the second tensor factor: <i,j|M'|k,l> = <i,l|M|k,j>."""
     m = np.asarray(m, dtype=complex)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import werner.decompose
 from certificate_oracle import expand, from_terms
-from dense_reference import pauli_matrices, realized
+from dense_reference import character_factors, pauli_matrices, realized
 from werner.decompose import (
     _CHUNK_BYTES,
     _build,
@@ -303,16 +303,34 @@ def _same_terms(a, b):
     )
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_shared_paths_are_bit_identical(p):
+    # _build's factors are (I + s T_e)/d to the bit, signed zeros included,
+    # at the points of the code writer's test: forced ones, s = 0 at
+    # f = 1/d, the flipped per-string branch f < 1/d and s = 1; the second
+    # factor of term t is row t ^ 1 exactly in that branch
+    d = 2**p
+    for scheme in (PER_STRING, COMMUTING_CLASS):
+        m, products = SCHEMES[scheme].order(p), _products(p, scheme)
+        for f in (-0.3, 0.0, 2.0**-p, 0.02, 0.11, 0.3, 2.0 ** (1 - p), 0.6, 0.9, 1.0):
+            if scheme == COMMUTING_CLASS and p > 1 and f < 2.0**-p:
+                continue  # the class scale is refused there
+            dec = _build(WernerParams(p, f), scheme)
+            want = character_factors(p, m, *products, sqrt(abs(d * f - 1) / (m - 1)))
+            assert dec.factors.tobytes() == want.tobytes(), (scheme, f)
+            terms = np.arange(len(want))
+            assert np.array_equal(dec.pairs, np.stack((terms, terms ^ (d * f < 1)), axis=1)), (scheme, f)
+            assert dec.weights.tolist() == [1 / len(want)] * len(want), (scheme, f)
+
     part = build_partition(p)
     dec = decompose_auto(WernerParams(p, 0.9), COMMUTING_CLASS)
     eye = np.eye(2**p, dtype=complex)
+    sums = [_class_sums(p, k) for k in range(len(part.classes))]
     for e, term in enumerate(expand(dec)):
         _, k, bits = term.label.split(":")
         cls = part.classes[int(k)]
         mask = sum(int(b) << j for j, b in enumerate(bits))  # label bit j is eps_j
-        comp = (eye + dec.scale * _class_sums(p, int(k))[mask]) / 2**p
+        comp = (eye + dec.scale * sums[int(k)][mask]) / 2**p
         assert np.array_equal(comp, term.state_a)
         loop = (eye + dec.scale * _loop_class_sum(cls, e % 2**p)) / 2**p
         assert np.array_equal(loop, term.state_a)

@@ -1,8 +1,8 @@
 """Mutation tests of the verdict: named edits to verify.py, to model.ppt_check
 and model.werner_spinor, to serialize's certificate reader, to
-partition.validate_partition, to decompose.reconstruct, to linalg's Jacobi
-kernel, to cli.py's exit codes and to rng's port of NumPy's normal stream,
-that a probe must see.
+partition.validate_partition, to decompose.reconstruct and decompose's
+certificate entries, to linalg's Jacobi kernel, to cli.py's exit codes and
+to rng's port of NumPy's normal stream, that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
 serialize.py, partition.py, decompose.py, linalg.py, cli.py or rng.py. The
@@ -15,11 +15,12 @@ separability_report at a few points; a model probe, ppt_check's verdicts or
 whether werner_spinor keeps werner_dense's bytes; a serialize probe, which
 certificate headers and which certificate texts are read; a partition probe,
 the kinds of problem validate_partition reports for each broken partition; a
-decompose probe, which certificates reconstruct
-their state; a linalg probe, the judgements of the document verifier run on
-the edited kernel, or the error it raises; a cli probe, the exit code and
-the error name on stderr of calls of main, run in process; an rng probe,
-whether the draws of a few seeds are NumPy's. An edit is killed
+decompose probe, which certificates reconstruct their state, or whether
+_build's factors and pairs are the dense (I + s T_e)/d and their partner
+rows, bit for bit; a linalg probe, the judgements of the document verifier
+run on the edited kernel, or the error it raises; a cli probe, the exit
+code and the error name on stderr of calls of main, run in process; an rng
+probe, whether the draws of a few seeds are NumPy's. An edit is killed
 when some probe's judgements differ from those of the unedited source.
 """
 import io
@@ -30,6 +31,7 @@ import tempfile
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -43,7 +45,8 @@ import werner.rng
 import werner.serialize
 import werner.verify
 from certificate_oracle import Term, expand, from_terms
-from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto, reconstruct
+from dense_reference import character_factors
+from werner.decompose import COMMUTING_CLASS, PER_STRING, SCHEMES, _build, _products, decompose_auto, reconstruct
 from werner.errors import MalformedInput, WernerError
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
@@ -441,6 +444,24 @@ def reconstruct_gaps(m):
     )
 
 
+def built_factors(m):
+    # at p = 1 and 2, both schemes at f = 1/d (s = 0, where a < 0 makes
+    # a s = -0.0) and 0.6, and per-string in its flipped branch f < 1/d:
+    # whether the factors are (I + s T_e)/d to the bit and term t's second
+    # factor is row t, or t ^ 1 in that branch
+    judged = []
+    for p in (1, 2):
+        d = 2**p
+        for scheme, f in ((PER_STRING, 1 / d), (COMMUTING_CLASS, 1 / d), (PER_STRING, 0.4 / d),
+                          (PER_STRING, 0.6), (COMMUTING_CLASS, 0.6)):
+            dec, order = m._build(WernerParams(p, f), scheme), SCHEMES[scheme].order(p)
+            want = character_factors(p, order, *_products(p, scheme), sqrt(abs(d * f - 1) / (order - 1)))
+            terms = np.arange(len(want))
+            judged.append(dec.factors.tobytes() == want.tobytes()
+                          and np.array_equal(dec.pairs, np.stack((terms, terms ^ (d * f < 1)), axis=1)))
+    return tuple(judged)
+
+
 # --- probes on linalg.hermitian_eigensystem, through the document verifier ------
 
 
@@ -578,6 +599,7 @@ PROBES = {"verify": [
     )),
 ], "decompose": [
     (reconstruct_gaps, (True, True)),
+    (built_factors, (True,) * 10),
 ], "linalg": [
     (pure_factors, (True, True, True, True)),
     (dense_factor, (True, True, True, False)),
@@ -726,6 +748,14 @@ MUTANTS = [
      ".transpose(0, 2, 1, 3)", ""),
     ("reconstruct skips one term between chunks", "decompose",
      "range(0, dec.n_terms, step)", "range(0, dec.n_terms, step + 1)"),
+    # the certificate's entries, computed once, and the builder's placing of them
+    ("an entry's + 0 dropped, so a s = -0.0 stays -0.0", "decompose",
+     "(a * scale + delta) * (1 / d)", "(a * scale + delta if delta else a * scale) * (1 / d)"),
+    ("the identity's part put on the imaginary diagonal", "decompose",
+     "(values(re, 1), values(im, 0))", "(values(re, 0), values(im, 1))"),
+    ("row r of A_e read from offset row e, not e ^ phi[r]", "decompose",
+     "(np.arange(m)[:, None] ^ phi)[..., None]", "np.arange(m)[:, None, None]"),
+    ("the partner flip dropped", "decompose", "terms ^ flip", "terms"),
     # the Jacobi kernel behind a document's factor spectra
     ("the Hermiticity tolerance is 1e-3", "linalg",
      "_HERMITICITY_TOL = 1e-10", "_HERMITICITY_TOL = 1e-3"),
