@@ -22,10 +22,10 @@ from .errors import MalformedInput, WernerError
 
 __all__ = ["main", "run"]
 
-# "auto" and the flags of decompose.SCHEMES, spelled out so that ppt's import
-# set, which tests/test_import_scope.py pins, does not grow by decompose,
-# partition and pauli; tests/test_cli.py holds them to the table
-_SCHEME_FLAGS = ("auto", "class", "per-string")
+# each --scheme value and the decompose_auto scheme it names, spelled out so
+# that ppt's import set, which tests/test_import_scope.py pins, does not grow
+# by decompose, partition and pauli; tests/test_cli.py holds them to the table
+_SCHEMES = {"auto": "auto", "class": "commuting_class", "per-string": "per_string"}
 _MAX_P = 5  # dense pair operators reach 1024x1024 here; plenty for a desk run
 _JACOBI_CLI_MAX_P = 3  # full-state Jacobi in `spectrum` stays desk-fast up to here
 # a refined p = 5 certificate has about a million terms and tens of GB of text
@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--p", type=int, required=True, choices=range(1, _MAX_P + 1))
         sp.add_argument("--f", type=float, required=True)
         if "scheme" in extra:
-            sp.add_argument("--scheme", choices=_SCHEME_FLAGS, default="auto")
+            sp.add_argument("--scheme", choices=_SCHEMES, default="auto")
         if "seed" in extra:
             sp.add_argument("--seed", type=int, default=42)
         if "tol" in extra:
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", default=None, help="decomposition JSON path, or - for stdin")
     sp.add_argument("--p", type=int, choices=range(1, _MAX_P + 1))
     sp.add_argument("--f", type=float)
-    sp.add_argument("--scheme", choices=_SCHEME_FLAGS)  # None: auto, unless --input
+    sp.add_argument("--scheme", choices=_SCHEMES)  # None: auto, unless --input
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--output", default=None)
 
@@ -147,13 +147,6 @@ def _check_args(args) -> None:
             raise _UsageError(f"WERNER_SEED must be an integer, got {env!r}") from None
         if args.seed < 0:
             raise _UsageError(f"the seed must be nonnegative, got {args.seed}")
-
-
-def _scheme(flag: str) -> str:
-    """The decompose_auto scheme a --scheme value names: "auto", or the
-    name of the scheme with that flag."""
-    from .decompose import SCHEMES
-    return next((s.name for s in SCHEMES.values() if s.flag == flag), flag)
 
 
 def _check_refine_cap(p: int) -> None:
@@ -313,17 +306,15 @@ def _cmd_decompose(args) -> int:
     from .model import WernerParams
     from .serialize import scheme_certificate_chunks
     params = WernerParams(args.p, args.f)
-    _write(args, scheme_certificate_chunks(params, _in_range(params, _scheme(args.scheme))), end="")
+    _write(args, scheme_certificate_chunks(params, _in_range(params, _SCHEMES[args.scheme])), end="")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from .model import werner_dense
     from .serialize import dumps, verification_doc
     from .verify import verify_decomposition
     dec = _read_certificate(args.input)
-    target = werner_dense(dec.params)
-    rep = verify_decomposition(target, dec, args.tol)
+    rep = verify_decomposition(dec, args.tol)
     out = {"p": dec.params.p, "f": dec.params.f, "scheme": dec.scheme}
     out.update(verification_doc(rep))
     _write(args, dumps(out))
@@ -348,7 +339,7 @@ def _cmd_refine(args) -> int:
             _diag("MissingInput", "refine needs --input or both --p and --f")
             return 1
         _check_refine_cap(args.p)
-        dec = decompose_auto(WernerParams(args.p, args.f), _scheme(args.scheme or "auto"))
+        dec = decompose_auto(WernerParams(args.p, args.f), _SCHEMES[args.scheme or "auto"])
     refined = refine_to_pure(dec, args.tol)
     _write(args, certificate_chunks(refined), end="")
     return 0

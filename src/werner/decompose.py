@@ -83,12 +83,11 @@ class Decomposition(NamedTuple):
 
 
 class Scheme(NamedTuple):
-    """A scheme's certificate name, its --scheme flag, the order m of its
-    groups, its f range, and the generators of each of its groups at p; the
-    label of group k's term e is label(k, generators) + ":" + marks(p)[e]."""
+    """A scheme's certificate name, the order m of its groups, its f range,
+    and the generators of each of its groups at p; the label of group k's
+    term e is label(k, generators) + ":" + marks(p)[e]."""
 
     name: str
-    flag: str
     order: Callable[[int], int]
     f_range: Callable[[int], Tuple[float, float]]
     groups: Callable[[int], List[Sequence[Digits]]]
@@ -99,11 +98,11 @@ class Scheme(NamedTuple):
 SCHEMES = {
     scheme.name: scheme
     for scheme in (
-        Scheme(PER_STRING, "per-string", lambda p: 2, lambda p: (0.0, 2.0 ** (1 - p)),
+        Scheme(PER_STRING, lambda p: 2, lambda p: (0.0, 2.0 ** (1 - p)),
                lambda p: list(zip(all_strings(p)))[1:],
                lambda k, gens: f"per_string:{format_label(gens[0])}", lambda p: "+-"),
         # a class term's mark is its character's bits e_0 .. e_(p-1)
-        Scheme(COMMUTING_CLASS, "class", lambda p: 2**p, lambda p: (2.0**-p, 1.0),
+        Scheme(COMMUTING_CLASS, lambda p: 2**p, lambda p: (2.0**-p, 1.0),
                lambda p: [cls.generators for cls in build_partition(p).classes],
                lambda k, gens: f"class:{k}",
                lambda p: ["".join(str((e >> j) & 1) for j in range(p)) for e in range(2**p)]),

@@ -114,6 +114,14 @@ def _werner_values(params: WernerParams) -> Tuple[float, float, float]:
     return (d - f) * inverse, (d * f - 1.0) * inverse, ((d - f) + (d * f - 1.0)) * inverse
 
 
+def _subtract_werner(x: np.ndarray, params: WernerParams) -> None:
+    """Subtract the Werner state at params from x, a complex (d^2, d^2)
+    array, in place: x - werner_dense(params) to the bit, as the state is 0
+    off its three values at _eye_flip_entries and x - 0 = x."""
+    for (rows, cols), value in zip(_eye_flip_entries(params.d), _werner_values(params)):
+        x[rows, cols] -= value
+
+
 def werner_dense(params: WernerParams) -> np.ndarray:
     """((d - f) I + (d f - 1) P) / (d^3 - d); unit trace, PSD for f in [-1, 1].
 
@@ -301,12 +309,11 @@ def _conjugate_in_place(x: np.ndarray, u) -> None:
 
 def invariance_residual(params: WernerParams, u) -> float:
     """Frobenius norm of (U (x) U) rho (U (x) U)^dag - rho for the Werner
-    state at params, conjugated in the one buffer it is built into. rho is 0
-    off its three values, so subtracting them in place keeps x - rho's bits.
+    state at params, conjugated in the one buffer it is built into, and rho
+    subtracted there by _subtract_werner.
     """
     import numpy as np
     x = werner_dense(params)
     _conjugate_in_place(x, u)
-    for (rows, cols), value in zip(_eye_flip_entries(params.d), _werner_values(params)):
-        x[rows, cols] -= value
+    _subtract_werner(x, params)
     return sqrt(np.vdot(x, x).real)

@@ -8,8 +8,9 @@ verify_decomposition checks a decomposition as a document, term by term,
 and trusts nothing about how it was built: it re-derives the weight
 statistics, re-diagonalizes every distinct factor of the table (distinct by
 content, whatever rows hold it) with the in-house eigensolver, and
-measures the Frobenius gap of the reconstruction to the target. `verify
---input` and the refinement half of `report --refine` use it.
+measures the Frobenius gap of the reconstruction to the Werner state that
+its params name. `verify --input` and the refinement half of `report
+--refine` use it.
 
 scheme_family and verify_family check the toolkit's own certificates, and
 _point is the one decision at a point of both `report`
@@ -54,12 +55,12 @@ from .errors import DimensionMismatch, VerificationFailure
 from .linalg import hermitian_eigensystem
 from .model import (
     WernerParams,
+    _subtract_werner,
     _werner_values,
     invariance_residual,
     ppt_check,
     pt_spectrum_closed_form,
     random_unitary,
-    werner_dense,
 )
 
 __all__ = [
@@ -169,21 +170,21 @@ def _report(min_weight, weight_sum, min_component_eigenvalue, max_purity_deviati
     )
 
 
-def verify_decomposition(target, dec: Decomposition, tol: float = 1e-9) -> VerificationReport:
-    """Convexity, factor positivity, and exact reconstruction, all re-derived."""
-    return _verify(target, dec, tol)[0]
+def verify_decomposition(dec: Decomposition, tol: float = 1e-9) -> VerificationReport:
+    """Convexity, factor positivity, and exact reconstruction of the Werner
+    state at dec.params, all re-derived."""
+    return _verify(dec, tol)[0]
 
 
-def _verify(target, dec: Decomposition, tol: float, compute_vectors: bool = False):
+def _verify(dec: Decomposition, tol: float, compute_vectors: bool = False):
     """(verify_decomposition's report, _eigensystems(dec, compute_vectors)),
     from one Jacobi pass: the vectors never feed the values' bits."""
     import numpy as np
-    target = np.asarray(target, dtype=complex)
     if not dec.n_terms:
         raise ValueError("decomposition has no terms")
-    dim = len(dec.factors[0]) ** 2
-    if target.shape != (dim, dim):
-        raise DimensionMismatch(f"target shape {target.shape} does not match term dimension {dim}")
+    shape, d = np.shape(dec.factors[0]), dec.params.d
+    if shape != (d, d):
+        raise DimensionMismatch(f"factor shape {shape} does not match p = {dec.params.p}")
 
     found = _eigensystems(dec, compute_vectors)
     vals = found[1]
@@ -194,7 +195,7 @@ def _verify(target, dec: Decomposition, tol: float, compute_vectors: bool = Fals
     gap = reconstruct(dec)
     # the Frobenius residual, taken in the reconstruction's own buffer: a
     # separate difference array would set the peak memory at p = 5
-    gap -= target
+    _subtract_werner(gap, dec.params)
     residual = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
     return _report(float(dec.weights.min()), float(dec.weights.sum()), least, deviation, residual, tol), found
 
@@ -293,11 +294,10 @@ def _weight_sum(weight: float, n_terms: int) -> float:
     return _pairwise([weight] * n_terms)  # once per family and weight
 
 
-def verify_family(
-    family: Family, params: WernerParams, tol: float = 1e-9
-) -> VerificationReport:
+def verify_family(family: Family, f: float, tol: float = 1e-9) -> VerificationReport:
     """verify_decomposition's checks on the family's certificate for the
-    Werner state at params.f, in O(1) from the family's f-independent data.
+    Werner state at (family.p, f), in O(1) from the family's f-independent
+    data.
 
     The weights are the certificate's n_terms copies of w. The factor
     eigenvalues are (1 + s lambda)/d over the family's spectrum; a second
@@ -309,9 +309,8 @@ def verify_family(
     is the float64 gap, whose values take the dense gap's operations in
     order, in Python floats; the two sums are numpy's (_pairwise).
     """
+    params = WernerParams(family.p, f)
     d = params.d
-    if family.p != params.p:
-        raise DimensionMismatch(f"family of p = {family.p} does not match p = {params.p}")
     scale, weight, sign = scheme_scalars(params, family.scheme)
     n_terms, a, c, w = family.n_terms, family.m, sign * scale * scale, weight / (d * d)
     vals = [(1.0 + scale * v) / d for v in family.spectrum]
@@ -334,7 +333,7 @@ def refine_to_pure(dec: Decomposition, tol: float = 1e-9) -> Decomposition:
     each projector has rank 1 by construction, and only `report --refine`
     re-verifies the refined certificate."""
     import numpy as np
-    report, (rows, vals, vecs) = _verify(werner_dense(dec.params), dec, tol, compute_vectors=True)
+    report, (rows, vals, vecs) = _verify(dec, tol, compute_vectors=True)
     if not report.verdict:
         raise VerificationFailure(
             "refusing to refine a decomposition that fails verification: "
@@ -392,7 +391,7 @@ def _point(params: WernerParams, tol: float, families: dict):
     if scheme not in families:
         families[scheme] = scheme_family(params.p, scheme)
     family = families[scheme]
-    ver = verify_family(family, params, tol)
+    ver = verify_family(family, params.f, tol)
     return ("SEPARABLE" if ver.verdict else "INVALID"), ppt, family, ver
 
 
@@ -416,7 +415,7 @@ def separability_report(
     refinement = None
     if refine and verdict == "SEPARABLE":
         refined = refine_to_pure(decompose_auto(params), tol)
-        refined_ver = verify_decomposition(werner_dense(params), refined, tol)
+        refined_ver = verify_decomposition(refined, tol)
         if not refined_ver.verdict:
             raise VerificationFailure(
                 "the refined certificate fails verification: "

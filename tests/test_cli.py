@@ -18,7 +18,7 @@ import pytest
 from certificate_oracle import expand, from_terms
 from werner import cli, serialize
 from werner.cli import _DISPATCH, _build_parser, _sweep_points, main
-from werner.decompose import COMMUTING_CLASS, SCHEMES, decompose_auto
+from werner.decompose import COMMUTING_CLASS, PER_STRING, SCHEMES, decompose_auto
 from werner.model import WernerParams, werner_dense
 from werner.serialize import doc_matrix, format_float
 
@@ -134,10 +134,11 @@ def test_decompose_schemes(capsys):
 
 
 def test_the_scheme_flags_are_the_tables():
-    # the parser spells the flags out, so that building it imports no numpy
-    assert cli._SCHEME_FLAGS == ("auto", *sorted(s.flag for s in SCHEMES.values()))
-    assert {cli._scheme(s.flag) for s in SCHEMES.values()} == set(SCHEMES)
-    assert cli._scheme("auto") == "auto"
+    # the parser spells the flags out, so that building it imports no numpy;
+    # argparse lists them in the dict's order
+    assert list(cli._SCHEMES) == ["auto", "class", "per-string"]
+    assert cli._SCHEMES == {"auto": "auto", "class": COMMUTING_CLASS, "per-string": PER_STRING}
+    assert set(SCHEMES) == {COMMUTING_CLASS, PER_STRING}
 
 
 def test_decompose_out_of_range_exits_2(capsys):

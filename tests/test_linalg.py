@@ -266,7 +266,7 @@ def test_component_stats_chunks_each_shape(monkeypatch):
         return hermitian_eigensystem(a, *args, **kwargs)
 
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
-    report = verify_decomposition(np.zeros((64, 64)), dec)
+    report = verify_decomposition(dec)
     assert sorted(stacks) == sorted([(5, 8, 8), (chunk, 8, 8), (chunk, 8, 8), (3, 8, 8)])
 
     ref = [_reference_eigensystem(m)[0] for m in dense + sparse]

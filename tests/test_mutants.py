@@ -1,8 +1,8 @@
-"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check
-and model.werner_spinor, to serialize's certificate reader, to
-partition.validate_partition, to decompose.reconstruct and decompose's
-certificate entries, to linalg's Jacobi kernel, to cli.py's exit codes and
-to rng's port of NumPy's normal stream, that a probe must see.
+"""Mutation tests of the verdict: named edits to verify.py, to model.ppt_check,
+model._subtract_werner and model.werner_spinor, to serialize's certificate
+reader, to partition.validate_partition, to decompose.reconstruct and
+decompose's certificate entries, to linalg's Jacobi kernel, to cli.py's exit
+codes and to rng's port of NumPy's normal stream, that a probe must see.
 
 Each edit replaces one exact text of src/werner/verify.py, model.py,
 serialize.py, partition.py, decompose.py, linalg.py, cli.py or rng.py. The
@@ -11,17 +11,19 @@ the list has to follow. The edited source is exec'd into a fresh module object (
 file is written), and a fixed set of small probes of that module runs
 against it. A verify probe returns the boolean judgements of one report:
 verdict, convex_ok, positivity_ok and purity_ok, or the verdicts of
-separability_report at a few points; a model probe, ppt_check's verdicts or
-whether werner_spinor keeps werner_dense's bytes; a serialize probe, which
-certificate headers and which certificate texts are read; a partition probe,
+separability_report at a few points; a model probe, ppt_check's verdicts,
+whether the invariance probe reads 0 under U = I, or whether werner_spinor
+keeps werner_dense's bytes; a serialize probe, which certificate headers and
+which certificate texts are read; a partition probe,
 the kinds of problem validate_partition reports for each broken partition; a
 decompose probe, which certificates reconstruct their state, or whether
 _build's factors and pairs are the dense (I + s T_e)/d and their partner
-rows, bit for bit; a linalg probe, the judgements of the document verifier
-run on the edited kernel, or the error it raises; a cli probe, the exit
-code and the error name on stderr of calls of main, run in process; an rng
-probe, whether the draws of a few seeds are NumPy's. An edit is killed
-when some probe's judgements differ from those of the unedited source.
+rows, bit for bit; a linalg probe, the positivity and purity judgements of
+the document verifier run on the edited kernel, or the error it raises; a
+cli probe, the exit code and the error name on stderr of calls of main, run
+in process; an rng probe, whether the draws of a few seeds are NumPy's. An
+edit is killed when some probe's judgements differ from those of the
+unedited source.
 """
 import io
 import json
@@ -46,7 +48,7 @@ import werner.serialize
 import werner.verify
 from certificate_oracle import Term, expand, from_terms
 from dense_reference import character_factors
-from werner.decompose import COMMUTING_CLASS, PER_STRING, SCHEMES, _build, _products, decompose_auto, reconstruct
+from werner.decompose import COMMUTING_CLASS, PER_STRING, SCHEMES, _build, _products, decompose_auto
 from werner.errors import MalformedInput, WernerError
 from werner.model import WernerParams, werner_dense
 from werner.partition import CommutingClass, Partition, build_partition
@@ -82,7 +84,7 @@ def _judgements(rep):
 
 
 def _document(m, dec, tol=1e-9):
-    return _judgements(m.verify_decomposition(werner_dense(dec.params), dec, tol))
+    return _judgements(m.verify_decomposition(dec, tol))
 
 
 def _with_terms(dec, terms):
@@ -163,7 +165,7 @@ def stacks_by_pattern(m):
 
     m.hermitian_eigensystem = recording
     dec = decompose_auto(WernerParams(2, 0.1), PER_STRING)
-    m.verify_decomposition(werner_dense(dec.params), dec)
+    m.verify_decomposition(dec)
     return len(shared) > 1 and all(shared)
 
 
@@ -183,7 +185,7 @@ def _family(m, p, f, scheme, tamper=None):
         x, z, t = werner.verify._products(p, scheme)
         tamper(x, z, t)
         m._products = lambda p, scheme: (x, z, t)
-    return _judgements(m.verify_family(m.scheme_family(p, scheme), WernerParams(p, f)))
+    return _judgements(m.verify_family(m.scheme_family(p, scheme), f))
 
 
 def honest_classes(m):
@@ -287,7 +289,7 @@ def shifted_state(m):
     eps, values = 1e-10, m._werner_values
     m._werner_values = lambda params: tuple(v + eps for v in values(params))
     family = m.scheme_family(1, COMMUTING_CLASS)
-    return _judgements(m.verify_family(family, WernerParams(1, 0.6), 2.35 * eps))
+    return _judgements(m.verify_family(family, 0.6, 2.35 * eps))
 
 
 # --- probes on the decision at a point (_point, through separability_report) ---
@@ -315,6 +317,12 @@ def ppt_verdicts(m):
     return tuple(
         m.ppt_check(WernerParams(2, 4 * x * tol), tol) for tol in (1e-9, 1e-6) for x in (-2, -0.5)
     ) + (m.ppt_check(WernerParams(2, -0.5)),)
+
+
+def subtracted_states(m):
+    # whether the invariance probe reads 0 under U = I at p = 1..3, where the
+    # conjugation keeps the state's values and subtracting rho clears them
+    return tuple(m.invariance_residual(WernerParams(p, 0.6), np.eye(2**p)) == 0.0 for p in (1, 2, 3))
 
 
 def spinor_bits(m):
@@ -465,30 +473,30 @@ def built_factors(m):
 # --- probes on linalg.hermitian_eigensystem, through the document verifier ------
 
 
-def _verified(m, dec, target, tol=1e-9):
-    """The judgements of a fresh verify module that solves dec's factors with
-    m's kernel, or the name of the error it raises."""
+def _verified(m, dec, tol=1e-9):
+    """positivity_ok and purity_ok of a fresh verify module that solves dec's
+    factors with m's kernel, or the name of the error it raises: only the
+    factor spectra depend on the kernel."""
     v = _module("verify", compile(SOURCES["verify"], MODULES["verify"].__file__, "exec"))
     v.hermitian_eigensystem = m.hermitian_eigensystem
     try:
-        return _judgements(v.verify_decomposition(target, dec, tol))
+        rep = v.verify_decomposition(dec, tol)
     except WernerError as exc:
         return type(exc).__name__
+    return rep.positivity_ok, rep.purity_ok
 
 
 def _one_term(m, factor, tol):
-    """The judgements of factor (x) factor against its own reconstruction,
-    under tol: only the factor's spectrum can fail it."""
+    """_verified on the one term factor (x) factor under tol."""
     p = len(factor).bit_length() - 1
     dec = from_terms(WernerParams(p, 0.5), PER_STRING, 1.0, [Term(1.0, factor, factor, "x")])
-    return _verified(m, dec, reconstruct(dec), tol)
+    return _verified(m, dec, tol)
 
 
 def pure_factors(m):
     # the p = 2 class certificate at f = 1: rank-1 projectors, so purity_ok
     # holds only while the eigenvalues are 0 and 1
-    dec = decompose_auto(WernerParams(2, 1.0), COMMUTING_CLASS)
-    return _verified(m, dec, werner_dense(dec.params))
+    return _verified(m, decompose_auto(WernerParams(2, 1.0), COMMUTING_CLASS))
 
 
 def dense_factor(m):
@@ -583,6 +591,7 @@ PROBES = {"verify": [
     (report_verdicts, ("ENTANGLED", "INVALID", "SEPARABLE")),
 ], "model": [
     (ppt_verdicts, (False, True, False, True, False)),
+    (subtracted_states, (True, True, True)),
     (spinor_bits, (True, True, True)),
 ], "serialize": [
     (header_caps, (True, False, True, False)),
@@ -601,10 +610,10 @@ PROBES = {"verify": [
     (reconstruct_gaps, (True, True)),
     (built_factors, (True,) * 10),
 ], "linalg": [
-    (pure_factors, (True, True, True, True)),
-    (dense_factor, (True, True, True, False)),
+    (pure_factors, (True, True)),
+    (dense_factor, (True, False)),
     (nearly_hermitian_factor, "MalformedInput"),
-    (small_pivots, ((False, True, False, False), (False, True, False, False))),
+    (small_pivots, ((False, False), (False, False))),
 ], "cli": [
     (exit_codes, ((0, None), (2, "VerificationFailed"), (0, None), (2, "VerificationFailed"),
                   (2, "NotSeparable"))),
@@ -624,7 +633,9 @@ MUTANTS = [
     ("positivity ignores tol", "verify",
      "min_component_eigenvalue >= -tol", "min_component_eigenvalue >= -1e-6"),
     ("the residual skips entry (0, 0)", "verify",
-     "    gap -= target\n", "    gap -= target\n    gap[0, 0] = 0\n"),
+     "    _subtract_werner(gap, dec.params)\n", "    _subtract_werner(gap, dec.params)\n    gap[0, 0] = 0\n"),
+    ("the residual is taken against the state at f = 0", "verify",
+     "_subtract_werner(gap, dec.params)", "_subtract_werner(gap, dec.params._replace(f=0.0))"),
     # the four the suite already killed then
     ("the residual bound is 10 tol", "verify",
      "recon_ok = residual <= tol", "recon_ok = residual <= 10 * tol"),
@@ -691,6 +702,10 @@ MUTANTS = [
      "_pt_pairs(params)) >= -tol", "_pt_pairs(params)) >= -1e-6"),
     ("ppt_check reads the greater PT eigenvalue", "model",
      "min(v for v, _ in _pt_pairs(params))", "max(v for v, _ in _pt_pairs(params))"),
+    # the state's three value groups, subtracted in place
+    ("the swap's value group left unsubtracted", "model",
+     "zip(_eye_flip_entries(params.d), _werner_values(params))",
+     "zip(_eye_flip_entries(params.d)[::2], _werner_values(params)[::2])"),
     # the string sum of werner_spinor
     ("the string sum drops the sign (-1)^|r & z|", "model", "2 * count", "count"),
     ("the string sum scatters at column ik ^ x", "model", "ik ^ x * (d + 1)", "ik ^ x"),

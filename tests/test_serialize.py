@@ -12,7 +12,7 @@ from certificate_oracle import expand
 from werner.cli import _read_certificate
 from werner.decompose import COMMUTING_CLASS, PER_STRING, _build, decompose_auto
 from werner.errors import MalformedInput, SchemeRangeError
-from werner.model import WernerParams, werner_dense
+from werner.model import WernerParams
 from werner.serialize import (
     certificate_chunks,
     csv_text,
@@ -139,7 +139,7 @@ def test_decomposition_roundtrip_reverifies():
     assert back.scheme == dec.scheme
     assert back.scale == dec.scale
     assert back.n_terms == dec.n_terms
-    rep = verify_decomposition(werner_dense(params), back)
+    rep = verify_decomposition(back)
     assert rep.verdict
 
 
@@ -174,7 +174,7 @@ SEPARABILITY_KEYS = [
 
 def test_verification_document():
     params = WernerParams(1, 0.6)
-    rep = verify_decomposition(werner_dense(params), decompose_auto(params))
+    rep = verify_decomposition(decompose_auto(params))
     doc = verification_doc(rep)
     assert doc["verdict"] is True
     assert doc["diagnostics"] == []

@@ -41,7 +41,7 @@ from werner.verify import (
 
 def test_good_certificate_verifies():
     params = WernerParams(2, 0.9)
-    rep = verify_decomposition(werner_dense(params), decompose_auto(params))
+    rep = verify_decomposition(decompose_auto(params))
     assert rep.verdict
     assert rep.convex_ok and rep.positivity_ok
     assert rep.reconstruction_residual < 1e-9
@@ -54,7 +54,7 @@ def test_perturbed_weight_breaks_convexity():
     dec = decompose_auto(params)
     first, *rest = expand(dec)
     tampered = _with_terms(dec, [first._replace(weight=first.weight + 0.01)] + rest)
-    rep = verify_decomposition(werner_dense(params), tampered)
+    rep = verify_decomposition(tampered)
     assert not rep.convex_ok
     assert not rep.verdict
     assert any("convex" in msg for msg in rep.diagnostics)
@@ -64,7 +64,7 @@ def test_forced_out_of_range_fails_positivity():
     # p=1, f=-0.5: scale sqrt(2), min component eigenvalue (1 - sqrt 2)/2
     params = WernerParams(1, -0.5)
     dec = _build(params, PER_STRING)
-    rep = verify_decomposition(werner_dense(params), dec)
+    rep = verify_decomposition(dec)
     assert not rep.positivity_ok
     assert rep.min_component_eigenvalue == pytest.approx((1 - sqrt(2)) / 2, abs=1e-12)
     assert not rep.verdict
@@ -74,36 +74,38 @@ def test_forced_out_of_range_fails_positivity():
 
 def test_residual_equal_to_tol_passes():
     # inclusive, like the positivity check and ppt_check
-    dec = decompose_auto(WernerParams(2, 0.9))
-    target = werner_dense(WernerParams(2, 0.9 + 1e-6))
-    residual = verify_decomposition(target, dec, 1.0).reconstruction_residual
+    # the certificate of f = 0.9, measured against the state of f = 0.9 + 1e-6
+    dec = decompose_auto(WernerParams(2, 0.9))._replace(params=WernerParams(2, 0.9 + 1e-6))
+    residual = verify_decomposition(dec, 1.0).reconstruction_residual
     assert residual > 0
-    assert verify_decomposition(target, dec, residual).verdict
+    assert verify_decomposition(dec, residual).verdict
     below = float(np.nextafter(residual, 0.0))
-    rep = verify_decomposition(target, dec, below)
+    rep = verify_decomposition(dec, below)
     assert not rep.verdict
     assert rep.diagnostics == (f"reconstruction residual {residual:.6e} > {below:g}",)
 
 
 def test_wrong_target_fails_reconstruction():
-    dec = decompose_auto(WernerParams(2, 0.9))
-    rep = verify_decomposition(werner_dense(WernerParams(2, 0.5)), dec)
+    # the certificate of f = 0.9 under a header that names f = 0.5
+    dec = decompose_auto(WernerParams(2, 0.9))._replace(params=WernerParams(2, 0.5))
+    rep = verify_decomposition(dec)
     assert not rep.verdict
     assert rep.reconstruction_residual > 1e-3
     assert rep.convex_ok and rep.positivity_ok
 
 
 def test_verify_shape_and_empty_checks():
-    dec = decompose_auto(WernerParams(1, 0.5))
-    with pytest.raises(DimensionMismatch):
-        verify_decomposition(np.eye(16) / 16, dec)
+    # 2 x 2 factors under a header of p = 2, whose factors are 4 x 4
+    dec = decompose_auto(WernerParams(1, 0.5))._replace(params=WernerParams(2, 0.5))
+    with pytest.raises(DimensionMismatch, match=r"factor shape \(2, 2\) does not match p = 2"):
+        verify_decomposition(dec)
     with pytest.raises(ValueError):
-        verify_decomposition(np.eye(4) / 4, from_terms(WernerParams(1, 0.5), "per_string", 0.0, ()))
+        verify_decomposition(from_terms(WernerParams(1, 0.5), "per_string", 0.0, ()))
 
 
 def test_purity_reported_not_enforced():
     params = WernerParams(2, 0.6)
-    rep = verify_decomposition(werner_dense(params), decompose_auto(params))
+    rep = verify_decomposition(decompose_auto(params))
     assert rep.verdict  # mixed factors are still a valid certificate
     assert not rep.purity_ok
     assert rep.max_purity_deviation > 1e-3
@@ -119,7 +121,7 @@ def _with_terms(dec, terms):
 def _verify_both(tmp_path, capsys, dec, tol=1e-9):
     """verify_decomposition's report on dec, and the verdict, exit code and
     stdout document of `verify --input` on dec's certificate file."""
-    rep = verify_decomposition(werner_dense(dec.params), dec, tol)
+    rep = verify_decomposition(dec, tol)
     path = tmp_path / "cert.json"
     path.write_text("".join(certificate_chunks(dec)))
     code = main(["verify", "--input", str(path), "--tol", repr(tol)])
@@ -218,7 +220,7 @@ def test_refine_yields_pure_factors(p, f):
     params = WernerParams(p, f)
     dec = decompose_auto(params)
     refined = refine_to_pure(dec)
-    rep = verify_decomposition(werner_dense(params), refined, tol=1e-8)
+    rep = verify_decomposition(refined, tol=1e-8)
     assert rep.verdict
     assert rep.max_purity_deviation < 1e-9
     assert rep.purity_ok
@@ -230,6 +232,33 @@ def test_refine_labels_extend_parent():
     assert all(":a" in label and "b" in label for label in refined.labels)
     parent_labels = {label.split(":a")[0] for label in refined.labels}
     assert parent_labels == set(decompose_auto(WernerParams(1, 0.3)).labels)
+
+
+@pytest.mark.parametrize("scheme,f", [("class", "0.6"), ("per-string", "0.1")])
+def test_no_dense_state_on_the_verify_path(tmp_path, capsys, monkeypatch, scheme, f):
+    # a certificate is measured against the three values of the state its
+    # header names: verify, refine and report's refinement build no dense
+    # target, and print the same bytes. The report's invariance probe
+    # conjugates the dense state by design, so it answers with its own value
+    cert = tmp_path / "cert.json"
+    assert main(["decompose", "--p", "2", "--f", f, "--scheme", scheme, "--output", str(cert)]) == 0
+    calls = [["verify", "--input", str(cert)], ["refine", "--input", str(cert)],
+             ["report", "--p", "2", "--f", f, "--refine"]]
+    want = []
+    for argv in calls:
+        assert main(argv) == 0, argv
+        want.append(capsys.readouterr())
+    probe = json.loads(want[2].out)["invariance_residual"]
+
+    def dense(params):
+        raise AssertionError("a dense Werner state was built")
+
+    monkeypatch.setattr("werner.model.werner_dense", dense)
+    monkeypatch.setattr("werner.verify.werner_dense", dense, raising=False)
+    monkeypatch.setattr("werner.verify.invariance_residual", lambda params, u: probe)
+    for argv, out in zip(calls, want):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr() == out, argv
 
 
 def test_refine_rejects_invalid_input():
@@ -311,8 +340,8 @@ def test_the_refinement_is_checked_at_tol(f):
     # tol 0, and the refinement's residual is not 0, so tol 0 refuses it
     params = WernerParams(1, f)
     dec = decompose_auto(params)
-    assert verify_decomposition(werner_dense(params), dec, 0.0).verdict
-    refined = verify_decomposition(werner_dense(params), refine_to_pure(dec), 0.0)
+    assert verify_decomposition(dec, 0.0).verdict
+    refined = verify_decomposition(refine_to_pure(dec), 0.0)
     assert 0 < refined.reconstruction_residual < 1e-15
     _, refinement = separability_report(params, refine=True)
     assert refinement.reconstruction_residual == refined.reconstruction_residual
@@ -363,13 +392,12 @@ def _family(p, scheme):
 def _both_verifiers(params):
     """verify_family's report on the point, with the family's scheme, n_terms
     and scale, and verify_decomposition's on the same certificate, built."""
-    target = werner_dense(params)
     family = _family(params.p, auto_scheme(params))
     scale = scheme_scalars(params, family.scheme)[0]
     dec = decompose_auto(params)
     return (
-        (verify_family(family, params), family.scheme, family.n_terms, scale),
-        (verify_decomposition(target, dec), dec.scheme, dec.n_terms, dec.scale),
+        (verify_family(family, params.f), family.scheme, family.n_terms, scale),
+        (verify_decomposition(dec), dec.scheme, dec.n_terms, dec.scale),
     )
 
 
@@ -436,9 +464,9 @@ def _negate_matrix(x, z, t):
 )
 def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamper, problems):
     params = WernerParams(2, f)
-    honest = verify_family(_family(2, auto_scheme(params)), params)
+    honest = verify_family(_family(2, auto_scheme(params)), params.f)
     family = _tampered_family(monkeypatch, 2, auto_scheme(params), tamper)
-    rep = verify_family(family, params)
+    rep = verify_family(family, params.f)
     assert not rep.verdict
     # the residual reads S's proven closed form, never the tampered S, so the
     # family's problems alone fail the verdict; a class's negated V_1 leaves
@@ -455,10 +483,10 @@ def test_one_flipped_sign_in_one_generator_fails_the_family(monkeypatch, f, tamp
 def test_a_string_generator_of_either_sign_gives_the_same_certificate(monkeypatch):
     # (I + s G)/d and (I - s G)/d are both factors, and G (x) G = (-G) (x) (-G)
     params = WernerParams(2, 0.1)
-    honest = verify_family(_family(2, PER_STRING), params)
+    honest = verify_family(_family(2, PER_STRING), params.f)
     family = _tampered_family(monkeypatch, 2, PER_STRING, _negate_matrix)
     assert family.problems == ()
-    assert verify_family(family, params) == honest
+    assert verify_family(family, params.f) == honest
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -516,18 +544,13 @@ def test_weights_that_do_not_sum_to_1_fail_the_family(monkeypatch, f, shift):
         "werner.verify.scheme_scalars", lambda params, scheme: (scale, weight + shift, sign)
     )
     family = _family(2, auto_scheme(params))
-    rep = verify_family(family, params)
+    rep = verify_family(family, params.f)
     assert rep.weight_sum_error == pytest.approx(family.n_terms * shift, rel=1e-3)
     assert rep.positivity_ok
     # the state's trace grows by n_terms * shift, and the residual with it
     assert (rep.reconstruction_residual > 1e-9) is (shift > 1e-9)
     assert not rep.convex_ok and not rep.verdict
     assert rep.diagnostics[0].startswith("weights are not convex")
-
-
-def test_a_family_of_another_p_is_refused():
-    with pytest.raises(DimensionMismatch):
-        verify_family(_family(1, COMMUTING_CLASS), WernerParams(2, 0.6))
 
 
 def _dense_swap_sum(gens):
@@ -639,7 +662,7 @@ def test_a_float32_swap_sum_keeps_the_reports_of_its_float64_copy(p, scheme):
                 tol,
                 family.problems,
             )
-            assert verify_family(family, params, tol) == dense
+            assert verify_family(family, params.f, tol) == dense
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 127, 128, 129, 136, 256, 257, 1056, 2046, 4095])
@@ -661,7 +684,7 @@ def test_a_p5_family_point_costs_o1(scheme):
     params = WernerParams(5, 0.02 if scheme == PER_STRING else 0.6)
     tracemalloc.start()
     try:
-        rep = verify_family(family, params)
+        rep = verify_family(family, params.f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -674,10 +697,10 @@ def test_component_dedup_by_identity():
     # the same matrix twice but must still scan both slots of mixed pairs
     params = WernerParams(1, 0.2)
     dec = decompose_auto(params, PER_STRING)  # flipped: A and B differ
-    rep = verify_decomposition(werner_dense(params), dec)
+    rep = verify_decomposition(dec)
     assert rep.verdict
     sym = decompose_auto(WernerParams(1, 0.9), COMMUTING_CLASS)
-    rep = verify_decomposition(werner_dense(WernerParams(1, 0.9)), sym)
+    rep = verify_decomposition(sym)
     assert rep.verdict
 
 
@@ -685,11 +708,10 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     # the plain parse gives every slot its own row, so only content can tell
     # that state_a and state_b of a class term are the same factor
     params = WernerParams(3, 0.7)
-    target = werner_dense(params)
     dec = decompose_auto(params, COMMUTING_CLASS)
     parsed = doc_decomposition(json.loads("".join(certificate_chunks(dec))))
     assert parsed.n_terms == 72
-    in_memory = verify_decomposition(target, dec)
+    in_memory = verify_decomposition(dec)
     in_memory_refined = exact(refine_to_pure(dec))
 
     calls = []  # matrices per kernel call
@@ -703,7 +725,7 @@ def test_parsed_certificate_checks_each_distinct_factor_once(monkeypatch):
     assert 72 <= _CHUNK_BYTES // (16 * 8 * 8)
     chunks = len({(m != 0).tobytes() for m in dec.factors})
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", counting)
-    assert verify_decomposition(target, parsed) == in_memory
+    assert verify_decomposition(parsed) == in_memory
     assert sum(calls) == 72
     assert len(calls) <= chunks
     del calls[:]
@@ -716,7 +738,6 @@ def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
     # p = 3 per-string: 126 distinct factors on 8 patterns, one per x mask,
     # all within one chunk; each matrix alone gives the stack's bits
     params = WernerParams(3, 0.1)
-    target = werner_dense(params)
     dec = decompose_auto(params, PER_STRING)
     patterns = []
 
@@ -725,7 +746,7 @@ def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
         return hermitian_eigensystem(a, *args, **kwargs)
 
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", recording)
-    stacked = verify_decomposition(target, dec), exact(refine_to_pure(dec))
+    stacked = verify_decomposition(dec), exact(refine_to_pure(dec))
     assert len(patterns) == 2 * 8  # verify; refine's verification and split in one pass
     assert all(len(seen) == 1 for seen in patterns)
 
@@ -735,7 +756,7 @@ def test_each_stack_shares_one_nonzero_pattern(monkeypatch):
         return vals, np.array([v for _, v in solved]) if compute_vectors else None
 
     monkeypatch.setattr("werner.verify.hermitian_eigensystem", alone)
-    assert (verify_decomposition(target, dec), exact(refine_to_pure(dec))) == stacked
+    assert (verify_decomposition(dec), exact(refine_to_pure(dec))) == stacked
 
 
 def _counting_rows(monkeypatch):
@@ -757,11 +778,10 @@ def _copied(dec):
 
 def test_equal_factors_in_distinct_objects_are_solved_once(monkeypatch):
     params = WernerParams(2, 0.6)
-    target = werner_dense(params)
     dec = decompose_auto(params, COMMUTING_CLASS)  # 20 terms, each one factor row twice
-    shared = verify_decomposition(target, dec)
+    shared = verify_decomposition(dec)
     rows = _counting_rows(monkeypatch)
-    assert verify_decomposition(target, _copied(dec)) == shared
+    assert verify_decomposition(_copied(dec)) == shared
     assert sum(rows) == 20
     # a row held in both slots of a term is keyed once
     hashed = []
@@ -790,23 +810,22 @@ def test_repeated_rows_are_solved_once_per_distinct_content(monkeypatch):
     mixed = decompose_auto(low, COMMUTING_CLASS)
     assert len(mixed.factors) == 20
     assert all(np.array_equal(m, np.eye(4) / 4) for m in mixed.factors)
-    want = [verify_decomposition(werner_dense(params), dec), exact(refine_to_pure(dec)),
-            verify_decomposition(werner_dense(low), mixed), exact(refine_to_pure(mixed))]
+    want = [verify_decomposition(dec), exact(refine_to_pure(dec)),
+            verify_decomposition(mixed), exact(refine_to_pure(mixed))]
     rows = _counting_rows(monkeypatch)
-    assert verify_decomposition(werner_dense(params), parsed) == want[0]
+    assert verify_decomposition(parsed) == want[0]
     assert exact(refine_to_pure(parsed)) == want[1]
     assert sum(rows) == 2 * 20  # verify; refine's verification and split in one pass
     del rows[:]
-    assert verify_decomposition(werner_dense(low), mixed) == want[2]
+    assert verify_decomposition(mixed) == want[2]
     assert exact(refine_to_pure(mixed)) == want[3]
     assert rows == [1, 1]
 
 
 def test_a_forced_key_collision_keeps_different_factors_apart(monkeypatch):
     params = WernerParams(2, 0.6)
-    target = werner_dense(params)
     dec = decompose_auto(params, COMMUTING_CLASS)
-    honest = verify_decomposition(target, dec), exact(refine_to_pure(dec))
+    honest = verify_decomposition(dec), exact(refine_to_pure(dec))
     # every compact key collides; the exact fallback must tell the factors apart
     monkeypatch.setattr("werner.verify.hash", lambda data: 0, raising=False)
     copies = _copied(dec)
@@ -815,7 +834,7 @@ def test_a_forced_key_collision_keeps_different_factors_apart(monkeypatch):
     assert len(vals) == len(set(keys.tolist())) == 20
     assert np.array_equal(keys[copies.pairs[:, 0]], keys[copies.pairs[:, 1]])
     rows = _counting_rows(monkeypatch)
-    assert (verify_decomposition(target, copies), exact(refine_to_pure(copies))) == honest
+    assert (verify_decomposition(copies), exact(refine_to_pure(copies))) == honest
     assert sum(rows) == 2 * 20  # verify; refine's verification and split in one pass
 
 
@@ -929,14 +948,14 @@ def test_p5_overlap_keeps_its_bits(monkeypatch, f):
     forced = _build(params, PER_STRING) if f < 0 else None
     plain = (
         separability_report(params),
-        forced and verify_decomposition(werner_dense(params), forced),
+        forced and verify_decomposition(forced),
     )
     calls = _recording(monkeypatch, _P5_STAGES)
     monkeypatch.setattr("threading.Thread", _refusing)
     before = threading.active_count()
     recorded = (
         separability_report(params),
-        forced and verify_decomposition(werner_dense(params), forced),
+        forced and verify_decomposition(forced),
     )
     assert threading.active_count() == before
     if f >= 0:
@@ -991,12 +1010,11 @@ def test_p5_overlap_raises_the_inline_error(monkeypatch, capfd, at):
     # Jacobi's error ends the call on this thread before the reconstruction
     # starts, and no thread starts
     params = WernerParams(5, 0.6)
-    target = werner_dense(params)
     dec = _with_non_hermitian_factor(params, at)
     calls = _recording(monkeypatch, ("_eigensystems", "reconstruct"))
     monkeypatch.setattr("threading.Thread", _refusing)
     with pytest.raises(MalformedInput) as raised:
-        verify_decomposition(target, dec)
+        verify_decomposition(dec)
     assert str(raised.value) == "matrix is not Hermitian within 1e-10"
     assert calls == [("_eigensystems", False)]
     assert capfd.readouterr().err == ""
@@ -1004,7 +1022,6 @@ def test_p5_overlap_raises_the_inline_error(monkeypatch, capfd, at):
 
 def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
     params = WernerParams(5, 0.6)
-    target = werner_dense(params)
     dec = _with_non_hermitian_factor(params, 0)
 
     def failing(*args):
@@ -1013,10 +1030,10 @@ def test_when_both_stages_fail_the_first_error_wins(monkeypatch, capfd):
     monkeypatch.setattr("threading.Thread", _refusing)
     monkeypatch.setattr("werner.verify.reconstruct", failing)
     with pytest.raises(MalformedInput, match="not Hermitian"):
-        verify_decomposition(target, dec)
+        verify_decomposition(dec)
     # the second stage's error alone still surfaces
     with pytest.raises(MemoryError, match="second stage failed"):
-        verify_decomposition(target, decompose_auto(params, COMMUTING_CLASS))
+        verify_decomposition(decompose_auto(params, COMMUTING_CLASS))
     # separability_report runs the probe first, then the family's group law
     probe = werner.verify.invariance_residual
     monkeypatch.setattr("werner.verify._group_law", failing)
